@@ -16,9 +16,13 @@
                                            # head at 10k/100k/1M classes
      dune exec bench/main.exe -- smoke committed.json
                                            # 0.1 s-quota run; validates
-                                           # the schema of its own
+                                           # the schema and the exact
+                                           # minor-word gates of its own
                                            # output and of the
-                                           # committed file *)
+                                           # committed file
+     dune exec bench/main.exe -- gate [K]  # the timing-ratio gates on
+                                           # medians of K runs (default
+                                           # 5); exit 1 on a failure *)
 
 open Bechamel
 open Toolkit
@@ -577,11 +581,11 @@ end
    rounds, across 1/2/4/8 links with 1 worker domain vs one domain per
    link, plus the sequential router as reference. The committed
    baseline's [cores] field records how many hardware cores the run
-   actually had: on a single-core host the N-domain rows measure the
-   protocol's context-switch overhead, not parallel speedup, and the
-   validator checks structure and positivity only; with [cores > 1]
-   recorded it also gates the actual scaling claim (see
-   [validate_bench]). *)
+   actually had: where the worker domains plus the producer do not fit
+   on them, the N-domain rows measure the protocol's context-switch
+   overhead, not parallel speedup. The validator checks structure and
+   positivity only; the scaling claim is gated by [run_gate], and only
+   on rows that fit the host's cores. *)
 module DomainsBench = struct
   module Mc = Runtime.Mc_router
   module Rt = Runtime.Router
@@ -1095,12 +1099,9 @@ let validate_bench (j : Json_lite.t) : (unit, string) result =
       Error
         (Printf.sprintf "batched dequeue allocates %g minor words/op" dw)
   in
-  (* the hfsc-bench/5 router-domains block. Structure and positivity
-     always; and when the recorded [cores] say the baseline host could
-     actually run workers in parallel, a real scaling gate on top (see
-     below) — on a single-core host the N-domain rows only measure the
-     ring protocol's overhead, so the gate stays dormant there rather
-     than making the smoke host-dependent. *)
+  (* the hfsc-bench/5 router-domains block: structure and positivity.
+     Whether the domains actually scale is a timing ratio, judged by
+     [run_gate] over repeated runs, not here. *)
   let* rd =
     match Json_lite.member "router_domains" j with
     | Some (Json_lite.Obj _ as o) -> Ok o
@@ -1161,52 +1162,6 @@ let validate_bench (j : Json_lite.t) : (unit, string) result =
     if has (fun l d -> l >= 4. && d = 1.) && has (fun l d -> l >= 4. && d = l)
     then Ok ()
     else Error "router_domains axis missing 1-vs-N rows at >= 4 links"
-  in
-  let* () =
-    (* the scaling gate: with [cores > 1] recorded, some row whose
-       worker count fits the core budget (2 <= links <= cores) must
-       show one-domain-per-link beating the single shared worker by at
-       least 10% — the multicore router's reason to exist. 1.10 is
-       deliberately conservative (the PR 7 measurements showed well
-       over that on multicore hosts); the point is to catch a baseline
-       where domains scaled *negatively*, not to pin a ratio. *)
-    if cores <= 1. then Ok ()
-    else
-      let field r k = Json_lite.(Option.bind (member k r) to_num_opt) in
-      let tput ~links ~domains =
-        List.find_map
-          (fun r ->
-            match (field r "links", field r "domains", field r "pkts_per_s")
-            with
-            | Some l, Some d, Some v when l = links && d = domains -> Some v
-            | _ -> None)
-          rows
-      in
-      let fitting =
-        List.filter_map
-          (fun r ->
-            match (field r "links", field r "domains") with
-            | Some l, Some d when d = l && l >= 2. && l <= cores -> Some l
-            | _ -> None)
-          rows
-      in
-      if fitting = [] then Ok ()
-      else
-        let best =
-          List.fold_left
-            (fun acc l ->
-              match (tput ~links:l ~domains:1., tput ~links:l ~domains:l) with
-              | Some one, Some n when one > 0. -> Float.max acc (n /. one)
-              | _ -> acc)
-            0. fitting
-        in
-        if best >= 1.1 then Ok ()
-        else
-          Error
-            (Printf.sprintf
-               "router_domains scaling gate: best N-vs-1 domain speedup \
-                %.2fx < 1.10x despite %.0f cores"
-               best cores)
   in
   (* the hfsc-bench/6 backend-scaling block. Every row: a known
      backend, a real class count, positive timing, and the hard
@@ -1454,6 +1409,111 @@ let run_scale () =
              ])
            rows)
 
+(* --- the opt-in timing gates ------------------------------------------ *)
+
+(* The bench's timing promises, judged on the median of [k] fresh
+   repetitions (min and max printed alongside) instead of one 0.1 s
+   sample: the traced engine cycle within 10% of the bare scheduler,
+   the 4-link routed cycle within 10% of one engine, and one domain per
+   link beating one shared worker by 10% — the last only on rows whose
+   worker domains plus the producer fit the host's cores, since two
+   workers and a producer time-share two cores. Timing ratios swing
+   with host load, so these run in the opt-in [@bench-gate] alias,
+   never in [dune runtest]. *)
+let run_gate k =
+  let quota = 0.2 in
+  let cores = Domain.recommended_domain_count () in
+  let num o key =
+    match Json_lite.(Option.bind (member key o) to_num_opt) with
+    | Some v -> v
+    | None -> nan
+  in
+  let reps =
+    List.init k (fun i ->
+        Printf.printf "repetition %d/%d\n%!" (i + 1) k;
+        (Tele.json ~quota, RouterBench.json ~quota, DomainsBench.json ~quota))
+  in
+  let median xs =
+    let a = Array.of_list (List.sort compare xs) in
+    let n = Array.length a in
+    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+  in
+  let report label xs note =
+    Printf.printf "%-34s median %7.2f  min %7.2f  max %7.2f  %s\n" label
+      (median xs)
+      (List.fold_left Float.min infinity xs)
+      (List.fold_left Float.max neg_infinity xs)
+      note
+  in
+  let failed = ref false in
+  let verdict label ok =
+    Printf.printf "  %s: %s\n" label (if ok then "ok" else "FAIL");
+    if not ok then failed := true
+  in
+  let overhead label xs =
+    report label xs "(gate: median < 10)";
+    verdict label (median xs < 10.)
+  in
+  overhead "telemetry overhead %"
+    (List.map (fun (t, _, _) -> num t "overhead_pct") reps);
+  overhead "router per-link overhead %"
+    (List.map (fun (_, r, _) -> num r "per_link_overhead_pct") reps);
+  let tput rd ~links ~domains =
+    match Json_lite.(Option.bind (member "results" rd) to_list_opt) with
+    | None -> nan
+    | Some rows -> (
+        match
+          List.find_opt
+            (fun r ->
+              num r "links" = float_of_int links
+              && num r "domains" = float_of_int domains)
+            rows
+        with
+        | Some r -> num r "pkts_per_s"
+        | None -> nan)
+  in
+  (* the scaling claim is that SOME fitting row scales, so the gate is
+     on the best fitting row's median speedup *)
+  let rows =
+    List.filter_map
+      (fun l ->
+        if l < 2 then None
+        else
+          Some
+            ( l,
+              List.map
+                (fun (_, _, rd) ->
+                  tput rd ~links:l ~domains:l /. tput rd ~links:l ~domains:1)
+                reps ))
+      DomainsBench.links_axis
+  in
+  List.iter
+    (fun (l, xs) ->
+      report
+        (Printf.sprintf "%d-vs-1 domain speedup, %d links" l l)
+        xs
+        (if cores >= l + 1 then "(fits)"
+         else Printf.sprintf "(needs %d cores, host has %d)" (l + 1) cores))
+    rows;
+  (match List.filter (fun (l, _) -> cores >= l + 1) rows with
+  | [] ->
+      Printf.printf
+        "  scaling: dormant (no row has domains + 1 <= %d cores)\n" cores
+  | fitting ->
+      let best =
+        List.fold_left
+          (fun acc (_, xs) -> Float.max acc (median xs))
+          neg_infinity fitting
+      in
+      verdict
+        (Printf.sprintf "scaling (best fitting median %.2fx >= 1.10x)" best)
+        (best >= 1.1));
+  if !failed then begin
+    prerr_endline "bench gate: FAILED";
+    exit 1
+  end
+  else print_endline "bench gate: ok"
+
 let run_smoke committed =
   let doc = bench_doc ~quota:0.1 scenarios_smoke in
   let own = Filename.temp_file "hfsc_bench_smoke" ".json" in
@@ -1497,6 +1557,8 @@ let () =
       run_bench_json
         (match rest with p :: _ -> p | [] -> "BENCH_hfsc.json")
   | "scale" :: _ -> run_scale ()
+  | "gate" :: rest ->
+      run_gate (match rest with k :: _ -> max 1 (int_of_string k) | [] -> 5)
   | "smoke" :: committed :: _ -> run_smoke committed
   | [ "smoke" ] ->
       prerr_endline "usage: main.exe smoke <committed.json>";

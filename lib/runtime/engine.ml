@@ -36,6 +36,10 @@ type t = {
   link_rate : float;
   tele : Telemetry.t;
   flows : (int, int) Hashtbl.t; (* flow id -> class id *)
+  (* the inverse of [flows], kept in step with it: class id -> the flows
+     mapped to that class (unordered, never empty; a class without flows
+     has no entry), so a class delete or checkpoint never scans [flows] *)
+  by_class : (int, int list) Hashtbl.t;
   (* in match order; the spec is retained alongside the compiled rule
      so a checkpoint can re-emit the exact [attach filter] command *)
   mutable filters : (Command.filter_spec * Classify.Rules.rule) list;
@@ -48,6 +52,14 @@ let announce t id =
   Telemetry.ensure_class t.tele ~id;
   Telemetry.set_rsc t.tele ~id (t.be.Backend.rsc id)
 
+let map_flow t flow id =
+  Hashtbl.replace t.flows flow id;
+  Hashtbl.replace t.by_class id
+    (flow :: Option.value ~default:[] (Hashtbl.find_opt t.by_class id))
+
+let class_flows_of t id =
+  List.sort compare (Option.value ~default:[] (Hashtbl.find_opt t.by_class id))
+
 let create_backend ?trace_capacity ?tracing ?(audit_every = 0)
     (be : Backend.t) ~flow_map () =
   let t =
@@ -56,6 +68,7 @@ let create_backend ?trace_capacity ?tracing ?(audit_every = 0)
       link_rate = be.Backend.link_rate;
       tele = Telemetry.create ?trace_capacity ?tracing ();
       flows = Hashtbl.create 16;
+      by_class = Hashtbl.create 16;
       filters = [];
       table = Classify.Rules.create [];
       audit_every;
@@ -69,7 +82,7 @@ let create_backend ?trace_capacity ?tracing ?(audit_every = 0)
         invalid_arg "Engine.create: flow mapped to interior class";
       if Hashtbl.mem t.flows flow then
         invalid_arg "Engine.create: duplicate flow id";
-      Hashtbl.replace t.flows flow id)
+      map_flow t flow id)
     flow_map;
   (* every drop — refused arrival or eviction — lands in telemetry,
      charged to the queue that lost the packet *)
@@ -121,6 +134,13 @@ let flow_class t flow = Hashtbl.find_opt t.flows flow
 let flows t =
   Hashtbl.fold (fun f _ acc -> f :: acc) t.flows [] |> List.sort compare
 
+let flow_count t = Hashtbl.length t.flows
+
+let class_flows t name =
+  match t.be.Backend.find_id name with
+  | Some id -> class_flows_of t id
+  | None -> []
+
 let rules t = t.table
 
 let has_filter t flow =
@@ -148,17 +168,25 @@ let backlog_bytes t = t.be.Backend.backlog_bytes ()
 
 let audit t =
   let errs = ref [] in
-  let live = t.be.Backend.class_ids () in
+  let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
+  let live = Hashtbl.create 64 in
+  List.iter (fun id -> Hashtbl.replace live id ()) (t.be.Backend.class_ids ());
   Hashtbl.iter
     (fun flow id ->
-      if not (List.mem id live) then
-        errs := Printf.sprintf "flow %d maps to removed class %d" flow id :: !errs
+      if not (Hashtbl.mem live id) then
+        err "flow %d maps to removed class %d" flow id
       else if not (t.be.Backend.is_leaf id) then
-        errs :=
-          Printf.sprintf "flow %d maps to interior class %S" flow
-            (t.be.Backend.cls_name id)
-          :: !errs)
+        err "flow %d maps to interior class %S" flow (t.be.Backend.cls_name id);
+      match Hashtbl.find_opt t.by_class id with
+      | Some fs when List.mem flow fs -> ()
+      | _ -> err "flow %d missing from class %d's flow index" flow id)
     t.flows;
+  (* every flow is in its class's index entry, so equal sizes leave no
+     room for a stale or duplicated entry *)
+  let indexed = Hashtbl.fold (fun _ fs n -> n + List.length fs) t.by_class 0 in
+  if indexed <> Hashtbl.length t.flows then
+    err "flow index holds %d entries for %d mapped flows" indexed
+      (Hashtbl.length t.flows);
   t.be.Backend.audit () @ List.rev !errs
 
 let maybe_audit t =
@@ -200,7 +228,7 @@ let exec_add t (a : Command.curve_updates) ~name ~parent ~flow ~quantum
   let* () = t.be.Backend.admit_add ~parent:parent_id ~name p in
   let* id = t.be.Backend.add_class ~parent:parent_id ~name p ~qlimit ~qbytes in
   announce t id;
-  (match flow with Some f -> Hashtbl.replace t.flows f id | None -> ());
+  (match flow with Some f -> map_flow t f id | None -> ());
   Ok
     (Printf.sprintf "added class %S (id %d) under %S%s" name id parent
        (match flow with
@@ -220,10 +248,9 @@ let exec_modify t (a : Command.curve_updates) ~name ~quantum ~qlimit ~qbytes =
 let exec_delete t ~name =
   let* id = find t name in
   let* () = t.be.Backend.remove_class ~id in
-  let dead =
-    Hashtbl.fold (fun f c acc -> if c = id then f :: acc else acc) t.flows []
-  in
+  let dead = class_flows_of t id in
   List.iter (Hashtbl.remove t.flows) dead;
+  Hashtbl.remove t.by_class id;
   Ok
     (Printf.sprintf "deleted class %S%s" name
        (match dead with
@@ -457,11 +484,9 @@ let exec_script ?(lenient = false) t cmds =
    lose the extras in a checkpoint, which {!config_fingerprint} (hashing
    the full map) makes visible rather than silent. *)
 let flow_for t id =
-  Hashtbl.fold
-    (fun f c acc ->
-      if c <> id then acc
-      else match acc with Some g when g < f -> acc | _ -> Some f)
-    t.flows None
+  match Hashtbl.find_opt t.by_class id with
+  | Some (f :: fs) -> Some (List.fold_left min f fs)
+  | Some [] | None -> None
 
 (* Replaying these ops into a fresh engine over the same link rate and
    backend rebuilds the control plane exactly: classes in creation

@@ -176,7 +176,20 @@ val flow_class : t -> int -> int option
 (** Current leaf class id for a flow id (changes as commands run). *)
 
 val flows : t -> int list
-(** All currently mapped flow ids, ascending. *)
+(** All currently mapped flow ids, ascending. O(F log F): for a full
+    walk (audit, fingerprint, a router's initial directory), never per
+    command. *)
+
+val flow_count : t -> int
+(** [List.length (flows t)], in O(1). *)
+
+val class_flows : t -> string -> int list
+(** The flows mapped to the named class, ascending; [[]] for an unknown
+    class. Costs O(flows of that class): the engine indexes its flow map
+    by class, which is how a class delete (and {!checkpoint_ops}) learns
+    a class's flows without scanning the map. A router asks this before
+    a [delete class] to know which directory entries the delete will
+    unmap. *)
 
 val rules : t -> Classify.Rules.t
 (** The compiled filter table, rebuilt after every attach/detach — a
@@ -260,8 +273,9 @@ val exec_script :
 
 val audit : t -> string list
 (** The backend's own audit (e.g. {!Hfsc.audit}) plus the engine's
-    invariants (every mapped flow points at a live leaf). Empty means
-    healthy. *)
+    invariants (every mapped flow points at a live leaf, and the
+    per-class flow index is exactly the inverse of the flow map).
+    O(classes + flows). Empty means healthy. *)
 
 (** {2 The data path} — thin allocation-free wrappers over the backend
     that keep telemetry. *)

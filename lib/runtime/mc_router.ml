@@ -80,6 +80,7 @@ exception Injected_failure
 
 type query =
   | Q_flows
+  | Q_class_flows of string
   | Q_rules
   | Q_info
   | Q_audit
@@ -188,6 +189,7 @@ let rec push_out p v =
 let serve_query eng q =
   match q with
   | Q_flows -> R_flows (Engine.flows eng)
+  | Q_class_flows cls -> R_flows (Engine.class_flows eng cls)
   | Q_rules -> R_rules (Engine.rules eng)
   | Q_info ->
       R_info
@@ -198,7 +200,7 @@ let serve_query eng q =
             | Backend.Hfsc_kind -> Config.Hfsc_backend
             | Backend.Rr_kind -> Config.Rr_backend);
           i_classes = List.length (Engine.class_ids eng);
-          i_flows = List.length (Engine.flows eng);
+          i_flows = Engine.flow_count eng;
           i_backlog_pkts = Engine.backlog_pkts eng;
           i_backlog_bytes = Engine.backlog_bytes eng;
         }
@@ -455,6 +457,14 @@ let mc_ops : port Router_core.ops =
           ~failed:(fun _ -> [])
           (fun () ->
             match query p Q_flows with R_flows l -> l | _ -> assert false));
+    op_class_flows =
+      (fun p cls ->
+        guard p
+          ~failed:(fun _ -> [])
+          (fun () ->
+            match query p (Q_class_flows cls) with
+            | R_flows l -> l
+            | _ -> assert false));
     op_rules =
       (fun p ->
         guard p
@@ -614,8 +624,9 @@ let of_config ?trace_capacity ?tracing ?audit_every ?ring_capacity ?out_capacity
       (* built on this domain, handed to the worker through the admin
          ring's release/acquire publication before any use *)
       let p = t.attach l.Config.lname l.Config.lrate (Config.link_backend l) eng in
-      t.core.Router_core.links <- t.core.Router_core.links @ [ (l.Config.lname, p) ];
-      Router_core.resync_flows t.core l.Config.lname p)
+      let link = (l.Config.lname, p) in
+      t.core.Router_core.links <- t.core.Router_core.links @ [ link ];
+      Router_core.resync_flows t.core link)
     cfg.Config.links;
   Router_core.rebuild_shard t.core;
   t

@@ -11,6 +11,7 @@ let seq_ops : Engine.t Router_core.ops =
   {
     Router_core.op_exec = Engine.exec_op;
     op_flows = Engine.flows;
+    op_class_flows = Engine.class_flows;
     op_rules = Engine.rules;
     op_has_filter = Engine.has_filter;
     op_info =
@@ -22,7 +23,7 @@ let seq_ops : Engine.t Router_core.ops =
             | Backend.Hfsc_kind -> Config.Hfsc_backend
             | Backend.Rr_kind -> Config.Rr_backend);
           i_classes = List.length (Engine.class_ids eng);
-          i_flows = List.length (Engine.flows eng);
+          i_flows = Engine.flow_count eng;
           i_backlog_pkts = Engine.backlog_pkts eng;
           i_backlog_bytes = Engine.backlog_bytes eng;
         });
@@ -48,19 +49,30 @@ let create ?trace_capacity ?tracing ?audit_every () =
   in
   Router_core.create ~ops:seq_ops ~make_port ()
 
-let of_config ?trace_capacity ?tracing ?audit_every (cfg : Config.t) =
+let of_engines ?trace_capacity ?tracing ?audit_every links =
   let t = create ?trace_capacity ?tracing ?audit_every () in
   List.iter
-    (fun (l : Config.link) ->
-      let eng =
-        Engine.of_built ?trace_capacity ?tracing ?audit_every
-          ~link_rate:l.Config.lrate l.Config.lbuilt
-      in
-      t.Router_core.links <- t.Router_core.links @ [ (l.Config.lname, eng) ];
-      Router_core.resync_flows t l.Config.lname eng)
-    cfg.Config.links;
+    (fun (name, eng) ->
+      if Router_core.find_link t name <> None then
+        invalid_arg ("Router.of_engines: duplicate link " ^ name);
+      if List.exists (fun f -> Router_core.link_of_flow t f <> None)
+           (Engine.flows eng)
+      then invalid_arg "Router.of_engines: a flow is mapped on two links";
+      let link = (name, eng) in
+      t.Router_core.links <- t.Router_core.links @ [ link ];
+      Router_core.resync_flows t link)
+    links;
   Router_core.rebuild_shard t;
   t
+
+let of_config ?trace_capacity ?tracing ?audit_every (cfg : Config.t) =
+  of_engines ?trace_capacity ?tracing ?audit_every
+    (List.map
+       (fun (l : Config.link) ->
+         ( l.Config.lname,
+           Engine.of_built ?trace_capacity ?tracing ?audit_every
+             ~link_rate:l.Config.lrate l.Config.lbuilt ))
+       cfg.Config.links)
 
 let add_link ?(backend = Config.Hfsc_backend) t ~name ~link_rate =
   Router_core.add_link t ~name ~link_rate ~backend

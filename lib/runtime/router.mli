@@ -54,6 +54,18 @@ val of_config :
 (** One link per [link] statement of the configuration, in file
     order. *)
 
+val of_engines :
+  ?trace_capacity:int ->
+  ?tracing:bool ->
+  ?audit_every:int ->
+  (string * Engine.t) list ->
+  t
+(** A router over already-built engines (e.g. {!Engine.create} with a
+    [flow_map]), in list order; the knobs apply to links added later.
+    The directory is filled from each engine's flow map once, here.
+    @raise Invalid_argument on a duplicate link name or a flow mapped by
+    two engines. *)
+
 val add_link :
   ?backend:Config.backend ->
   t ->
@@ -101,7 +113,10 @@ val audit : t -> string list
 (** Every engine's {!Engine.audit} (prefixed with its link name) plus
     the router's own invariants: the flow directory and the per-engine
     flow maps agree in both directions, and every directory entry
-    names a live link. Empty means healthy. *)
+    names a live link. Empty means healthy. The directory is a cache
+    that commands update in place (an [add class ... flow N] maps N, a
+    [delete class] unmaps exactly the class's flows); this check is
+    what catches it drifting from the engines. *)
 
 val checkpoint : t -> (float * Command.t) list
 (** The whole device as a replayable script: each link's [link add]

@@ -28,6 +28,11 @@ type info = {
 type 'p ops = {
   op_exec : 'p -> now:float -> Command.op -> (string, Engine.error) result;
   op_flows : 'p -> int list;
+      (* the link's whole flow map (Engine.flows): for the initial
+         directory fill and the auditor only *)
+  op_class_flows : 'p -> string -> int list;
+      (* the flows one class owns (Engine.class_flows): asked before a
+         [delete class], the one command that unmaps flows *)
   op_rules : 'p -> Classify.Rules.t;
   op_has_filter : 'p -> int -> bool;
   op_info : 'p -> info;
@@ -48,7 +53,11 @@ type 'p ops = {
 type 'p t = {
   mutable links : (string * 'p) list; (* creation = shard order *)
   (* device-wide flow directory; the port rides along so the per-packet
-     path of the instantiating router is one hash lookup *)
+     path of the instantiating router is one hash lookup. The engines
+     own the flow maps; this is a cache of their union, updated in
+     place by each command that maps or unmaps flows (see [exec_on]) —
+     never rebuilt by scanning, so a class op costs O(its flows), not
+     O(the link's flows). *)
   flow_links : (int, string * 'p) Hashtbl.t;
   mutable shard : string Classify.Shard.t;
   ops : 'p ops;
@@ -70,7 +79,8 @@ let create ~ops ~make_port () =
   }
 
 let links t = t.links
-let find_link t name = List.assoc_opt name t.links
+let find_entry t name = List.find_opt (fun (n, _) -> n = name) t.links
+let find_link t name = Option.map snd (find_entry t name)
 let link_count t = List.length t.links
 let link_of_flow t flow = Option.map fst (Hashtbl.find_opt t.flow_links flow)
 
@@ -79,18 +89,12 @@ let rebuild_shard t =
     Classify.Shard.create
       (List.map (fun (name, p) -> (name, t.ops.op_rules p)) t.links)
 
-(* Re-derive the directory entries of one link from its engine's flow
-   map (the engine is the owner; the directory is a cache). *)
-let resync_flows t name port =
-  let stale =
-    Hashtbl.fold
-      (fun f (_, p) acc -> if p == port then f :: acc else acc)
-      t.flow_links []
-  in
-  List.iter (Hashtbl.remove t.flow_links) stale;
-  List.iter
-    (fun f -> Hashtbl.replace t.flow_links f (name, port))
-    (t.ops.op_flows port)
+(* Fill the directory from the flow map of a link that arrives with
+   flows already mapped (a config-built engine). O(the link's flows);
+   commands keep the directory current in place afterwards. [link] is
+   the link's own entry in [links]. *)
+let resync_flows t ((_, port) as link) =
+  List.iter (fun f -> Hashtbl.replace t.flow_links f link) (t.ops.op_flows port)
 
 let add_link t ~name ~link_rate ~backend =
   let* () =
@@ -177,20 +181,28 @@ let precheck t name port (op : Command.op) =
       | _ -> Ok ())
   | _ -> Ok ()
 
-(* After a successful structural op the engine's flow map may have
-   changed (class added with a flow, class deleted unmapping flows);
-   refresh the directory and, on filter changes, the shard. *)
-let postsync t name port (op : Command.op) =
-  match op with
-  | Command.Add_class _ | Command.Modify_class _ | Command.Delete_class _ ->
-      resync_flows t name port
-  | Command.Attach_filter _ | Command.Detach_filter _ -> rebuild_shard t
-  | _ -> ()
-
-let exec_on t ~now name port op =
+(* The directory follows the engine's flow map op by op: a successful
+   [add class ... flow F] maps exactly F, a successful [delete class]
+   unmaps exactly the flows the class owned (asked of the engine before
+   the delete, while the class still exists), and no other command
+   touches flows. Filter changes rebuild the shard. [link] is the
+   link's own [(name, port)] entry in [links]; every directory entry of
+   the link shares it, so a lookup touches one hot pair, not a pair per
+   flow. *)
+let exec_on t ~now ((name, port) as link) op =
   let* () = precheck t name port op in
+  let unmapped =
+    match op with
+    | Command.Delete_class cls -> t.ops.op_class_flows port cls
+    | _ -> []
+  in
   let* reply = t.ops.op_exec port ~now op in
-  postsync t name port op;
+  (match op with
+  | Command.Add_class { flow = Some f; _ } ->
+      Hashtbl.replace t.flow_links f link
+  | Command.Delete_class _ -> List.iter (Hashtbl.remove t.flow_links) unmapped
+  | Command.Attach_filter _ | Command.Detach_filter _ -> rebuild_shard t
+  | _ -> ());
   Ok reply
 
 (* Unscoped aggregate forms over several links. *)
@@ -241,13 +253,13 @@ let exec t ~now { Command.target; op } =
   | _ -> (
       match target with
       | Command.On_link name -> (
-          match find_link t name with
+          match find_entry t name with
           | None -> errf Engine.Unknown_link "unknown link %S" name
-          | Some port -> exec_on t ~now name port op)
+          | Some link -> exec_on t ~now link op)
       | Command.Default_link -> (
           match t.links with
           | [] -> errf Engine.Unknown_link "router has no links"
-          | [ (name, port) ] -> exec_on t ~now name port op
+          | [ link ] -> exec_on t ~now link op
           | _ -> (
               (* several links: aggregate what aggregates, route what
                  routes, reject what is ambiguous *)
@@ -256,20 +268,20 @@ let exec t ~now { Command.target; op } =
               | Command.Trace tr -> all_links_trace t ~now tr
               | Command.Attach_filter { fflow; _ } -> (
                   match Hashtbl.find_opt t.flow_links fflow with
-                  | Some (name, port) -> exec_on t ~now name port op
+                  | Some link -> exec_on t ~now link op
                   | None ->
                       errf Engine.Unknown_flow
                         "filter flow %d is not mapped on any link" fflow)
               | Command.Detach_filter flow -> (
                   match Hashtbl.find_opt t.flow_links flow with
-                  | Some (name, port) -> exec_on t ~now name port op
+                  | Some link -> exec_on t ~now link op
                   | None -> (
                       match
                         List.find_opt
                           (fun (_, p) -> t.ops.op_has_filter p flow)
                           t.links
                       with
-                      | Some (name, port) -> exec_on t ~now name port op
+                      | Some link -> exec_on t ~now link op
                       | None ->
                           errf Engine.Unknown_flow
                             "no filter attached to flow %d on any link" flow))
@@ -331,6 +343,10 @@ let audit t =
   let flow_maps =
     List.map (fun (name, p) -> (name, t.ops.op_flows p)) t.links
   in
+  let mapped = Hashtbl.create 64 in
+  List.iter
+    (fun (name, fl) -> List.iter (fun f -> Hashtbl.replace mapped (name, f) ()) fl)
+    flow_maps;
   List.iter
     (fun (name, p) ->
       List.iter (fun e -> add "link %S: %s" name e) (t.ops.op_audit p))
@@ -342,9 +358,8 @@ let audit t =
       (match find_link t name with
       | Some p' when p' == p -> ()
       | _ -> add "flow %d maps to dead or renamed link %S" flow name);
-      match List.assoc_opt name flow_maps with
-      | Some fl when List.mem flow fl -> ()
-      | _ -> add "flow %d in directory but not in link %S's flow map" flow name)
+      if not (Hashtbl.mem mapped (name, flow)) then
+        add "flow %d in directory but not in link %S's flow map" flow name)
     t.flow_links;
   (* engine -> directory: every engine-mapped flow is in the directory,
      owned by that very link *)

@@ -1,5 +1,5 @@
 (* Unit and property tests for the data-structure substrate (lib/ds):
-   heaps, packet FIFO, calendar queue and the two augmented trees of
+   binary heap, packet FIFO, calendar queue and the two augmented trees of
    Section V. Property tests check each structure against a brute-force
    reference model. *)
 
@@ -77,41 +77,6 @@ let heap_interleaved =
                 got = Some m
           end)
         ops)
-
-(* --- pairing heap --------------------------------------------------- *)
-
-module IntPheap = Ds.Pairing_heap.Make (Int)
-
-let pheap_sorts =
-  qt "pairing_heap: to_sorted_list = sorted"
-    QCheck2.Gen.(list int)
-    (fun xs ->
-      IntPheap.to_sorted_list (IntPheap.of_list xs) = List.sort Int.compare xs)
-
-let pheap_merge =
-  qt "pairing_heap: merge = union"
-    QCheck2.Gen.(pair (list int) (list int))
-    (fun (a, b) ->
-      let m = IntPheap.merge (IntPheap.of_list a) (IntPheap.of_list b) in
-      IntPheap.to_sorted_list m = List.sort Int.compare (a @ b))
-
-let pheap_persistent =
-  qt "pairing_heap: pop does not mutate"
-    QCheck2.Gen.(list_size (int_range 1 20) int)
-    (fun xs ->
-      let h = IntPheap.of_list xs in
-      let before = IntPheap.to_sorted_list h in
-      ignore (IntPheap.pop_min h);
-      IntPheap.to_sorted_list h = before)
-
-let test_pheap_basics () =
-  Alcotest.(check bool) "empty" true (IntPheap.is_empty IntPheap.empty);
-  let h = IntPheap.of_list [ 3; 1; 2 ] in
-  Alcotest.(check (option int)) "min" (Some 1) (IntPheap.min_elt h);
-  Alcotest.(check int) "length" 3 (IntPheap.length h);
-  match IntPheap.pop_min h with
-  | Some (1, h') -> Alcotest.(check (option int)) "next" (Some 2) (IntPheap.min_elt h')
-  | _ -> Alcotest.fail "expected min 1"
 
 (* --- packet FIFO ---------------------------------------------------- *)
 
@@ -661,13 +626,6 @@ let () =
           heap_sorts;
           heap_to_sorted;
           heap_interleaved;
-        ] );
-      ( "pairing_heap",
-        [
-          Alcotest.test_case "basics" `Quick test_pheap_basics;
-          pheap_sorts;
-          pheap_merge;
-          pheap_persistent;
         ] );
       ( "fifo_queue",
         [

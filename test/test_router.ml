@@ -3,7 +3,8 @@
    a fuzzed op stream), strict per-link state isolation (deleting a
    link, or faulting its wire, leaves the other links' observable state
    untouched), the link-addressing error codes, device-wide command
-   routing and aggregation, and the sharded classifier. *)
+   routing and aggregation, the sharded classifier, and the flow
+   directory staying equal to the engines' flow maps op by op. *)
 
 module C = Runtime.Command
 module E = Runtime.Engine
@@ -401,6 +402,172 @@ let test_shard_classify () =
   Alcotest.(check bool) "no filter matches" true
     (R.classify r (hdr ~src:"172.16.0.9" ~proto:Pkt.Header.Tcp) = None)
 
+(* --- the flow directory tracks the engines op by op ------------------ *)
+
+(* The directory is a cache of the engines' flow maps, updated in place
+   by each command rather than rebuilt from them. A random stream of
+   class add/modify/delete, link add/delete, filter attach/detach and
+   traffic — many of them rejected (wrong backend's parameters, flows
+   owned elsewhere, backlogged deletes, unknown names) — runs through a
+   two-link router and a 2-domain multicore router in lockstep. After
+   every op the auditor must be clean and, for every flow, the
+   directory's answer must equal what the engines themselves map. *)
+
+module M = Runtime.Mc_router
+
+let universe = List.init 8 (fun i -> i + 1)
+
+(* what the sequential router's engines say about [flow], independently
+   of its directory *)
+let engines_map r flow =
+  match
+    List.filter_map
+      (fun (name, eng) ->
+        Option.map (fun cls -> (name, cls)) (E.flow_class eng flow))
+      (R.links r)
+  with
+  | [] -> None
+  | [ owner ] -> Some owner
+  | _ -> Alcotest.failf "flow %d mapped by two engines" flow
+
+let check_directory ~ctx r =
+  (match R.audit r with
+  | [] -> ()
+  | errs -> Alcotest.failf "%s: audit: %s" ctx (String.concat "; " errs));
+  List.iter
+    (fun flow ->
+      let truth = engines_map r flow in
+      Alcotest.(check (option (pair string int)))
+        (Printf.sprintf "%s: flow_class %d" ctx flow)
+        truth (R.flow_class r flow);
+      Alcotest.(check (option string))
+        (Printf.sprintf "%s: link_of_flow %d" ctx flow)
+        (Option.map fst truth) (R.link_of_flow r flow))
+    universe
+
+let random_line rng =
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let link = pick [| "l0"; "l1"; "x" |] in
+  let cls = pick [| "c0"; "c1"; "c2"; "c3" |] in
+  let flow = 1 + Random.State.int rng (List.length universe) in
+  (* either backend's parameters, so about half the adds are refused *)
+  let params = pick [| "fsc 1Mbit"; "quantum 1500" |] in
+  match Random.State.int rng 12 with
+  | 0 | 1 | 2 ->
+      Printf.sprintf "link %s add class %s parent root flow %d %s" link cls
+        flow params
+  | 3 -> Printf.sprintf "link %s add class %s parent root %s" link cls params
+  | 4 -> Printf.sprintf "link %s modify class %s qlimit 20" link cls
+  | 5 | 6 -> Printf.sprintf "link %s delete class %s" link cls
+  | 7 -> Printf.sprintf "link %s attach filter flow %d proto udp" link flow
+  | 8 -> Printf.sprintf "detach filter flow %d" flow
+  | 9 ->
+      pick
+        [| "link add x rate 4Mbit"; "link add x rate 4Mbit backend rr" |]
+  | 10 -> "link delete x"
+  | _ -> Printf.sprintf "attach filter flow %d proto tcp" flow
+
+let test_directory_tracks_engines () =
+  let r = R.create () in
+  let m = M.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> ignore (M.stop m))
+    (fun () ->
+      List.iter
+        (fun line ->
+          let cmd = ok (C.parse line) in
+          ignore (ok_exec (R.exec r ~now:0. cmd));
+          ignore (ok_exec (M.exec m ~now:0. cmd)))
+        [ "link add l0 rate 8Mbit"; "link add l1 rate 8Mbit backend rr" ];
+      let rng = Random.State.make [| 0xd1c7 |] in
+      let now = ref 0. in
+      let seq = ref 0 in
+      let rejected = ref 0 in
+      for nth = 1 to 600 do
+        now := !now +. 0.001;
+        let ctx = Printf.sprintf "op %d" nth in
+        (match Random.State.int rng 4 with
+        | 0 ->
+            (* traffic, so some deletes meet a backlogged class *)
+            let flow = 1 + Random.State.int rng (List.length universe) in
+            incr seq;
+            let p = pkt ~flow ~seq:!seq ~now:!now ~size:500 () in
+            Alcotest.(check bool)
+              (ctx ^ ": same admission")
+              (R.enqueue_flow r ~now:!now p)
+              (M.enqueue_flow m ~now:!now p)
+        | 1 ->
+            List.iter
+              (fun (name, eng) ->
+                let b = E.make_batch ~capacity:4 () in
+                Alcotest.(check int)
+                  (Printf.sprintf "%s: same drain on %s" ctx name)
+                  (E.dequeue_batch eng ~now:!now b)
+                  (M.dequeue_batch m ~link:name ~now:!now ~max:4
+                     ~f:(fun ~pkt:_ ~cls:_ ~rt:_ -> ())))
+              (R.links r)
+        | _ ->
+            let line = random_line rng in
+            let cmd = ok (C.parse line) in
+            let a = R.exec r ~now:!now cmd in
+            if Result.is_error a then incr rejected;
+            Alcotest.(check string)
+              (Printf.sprintf "%s: same reply to %S" ctx line)
+              (resp a)
+              (resp (M.exec m ~now:!now cmd)));
+        check_directory ~ctx r;
+        Alcotest.(check (list string)) (ctx ^ ": mc audit") [] (M.audit m);
+        List.iter
+          (fun flow ->
+            Alcotest.(check (option string))
+              (Printf.sprintf "%s: mc link_of_flow %d" ctx flow)
+              (R.link_of_flow r flow) (M.link_of_flow m flow))
+          universe
+      done;
+      Alcotest.(check bool) "some commands were rejected" true (!rejected > 50);
+      Alcotest.(check bool) "flows are still mapped at the end" true
+        (List.exists (fun f -> R.link_of_flow r f <> None) universe))
+
+(* A class can own several flows only through [Engine.create ~flow_map];
+   deleting it must unmap every one of them from the directory, and a
+   checkpoint names the smallest. *)
+let test_multi_flow_class_delete () =
+  let sched = Hfsc.create ~link_rate:1e6 () in
+  let leaf name =
+    Hfsc.add_class sched ~parent:(Hfsc.root sched) ~name
+      ~fsc:(Curve.Service_curve.linear 1e5) ()
+  in
+  let multi = leaf "multi" and solo = leaf "solo" in
+  let eng =
+    E.create ~link_rate:1e6 sched
+      ~flow_map:[ (7, multi); (3, solo); (5, multi) ]
+      ()
+  in
+  let multi_flow =
+    List.find_map
+      (function
+        | C.Add_class { name = "multi"; flow; _ } -> Some flow | _ -> None)
+      (E.checkpoint_ops eng)
+  in
+  Alcotest.(check (option (option int)))
+    "checkpoint names the smallest flow" (Some (Some 5)) multi_flow;
+  Alcotest.(check (list int)) "class_flows" [ 5; 7 ] (E.class_flows eng "multi");
+  let r = R.of_engines [ ("m", eng) ] in
+  check_directory ~ctx:"built" r;
+  Alcotest.(check (option string)) "flow 7 on m" (Some "m") (R.link_of_flow r 7);
+  let reply = ok_exec (exec1 r ~now:0. "link m delete class multi") in
+  Alcotest.(check string) "reply lists both flows"
+    "deleted class \"multi\" (unmapped flows 5, 7)" reply;
+  check_directory ~ctx:"after delete" r;
+  List.iter
+    (fun f ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "flow %d left the directory" f)
+        None (R.link_of_flow r f))
+    [ 5; 7 ];
+  Alcotest.(check (option string)) "flow 3 stays" (Some "m") (R.link_of_flow r 3);
+  Alcotest.(check int) "one flow left on the engine" 1 (E.flow_count eng)
+
 let () =
   Alcotest.run "router"
     [
@@ -417,5 +584,12 @@ let () =
           Alcotest.test_case "routing and aggregation" `Quick
             test_routing_and_aggregation;
           Alcotest.test_case "sharded classifier" `Quick test_shard_classify;
+        ] );
+      ( "directory",
+        [
+          Alcotest.test_case "tracks the engines op by op" `Quick
+            test_directory_tracks_engines;
+          Alcotest.test_case "multi-flow class delete" `Quick
+            test_multi_flow_class_delete;
         ] );
     ]
