@@ -1,9 +1,18 @@
-(* hfsc_sim — command-line front end to the experiment suite and to
-   ad-hoc H-FSC simulations.
+(* hfsc_sim — command-line front end to the experiment suite, to
+   simulations of configuration files, and to the daemon.
 
      hfsc_sim list                 enumerate the reproduction experiments
      hfsc_sim run E1 E3 ...        run selected experiments (or "all")
      hfsc_sim demo                 a quick ad-hoc simulation with knobs
+     hfsc_sim simulate CONFIG [SCRIPT] [--time S] [--domains N]
+              [--stats-json F] [--trace F] [--debug]
+                                   simulate a config (any backend, any
+                                   number of links), replaying a timed
+                                   command script against it
+     hfsc_sim daemon / ctl         serve / drive the control plane on a
+                                   Unix-domain socket
+     hfsc_sim soak / crash         long-running health and crash harnesses
+     hfsc_sim trace-report FILE..  delay histogram of spilled traces
 *)
 
 open Cmdliner
@@ -92,7 +101,8 @@ let demo_cmd =
                 () ))
       in
       let sched =
-        Netsim.Adapters.of_hfsc t ~flow_map:((1, rt) :: classes)
+        Runtime.Engine.adapter
+          (Runtime.Engine.create ~link_rate t ~flow_map:((1, rt) :: classes) ())
       in
       let sim = Netsim.Sim.create ~link_rate ~sched () in
       Netsim.Sim.add_source sim
@@ -127,231 +137,115 @@ let demo_cmd =
   Cmd.v (Cmd.info "demo" ~doc)
     Term.(const run $ n $ mbits $ dmax_ms $ seconds)
 
+(* The run loop behind 'simulate', shared by the sequential and
+   multicore routers: everything it needs from a router is behind these
+   arguments, so the two flavours cannot drift apart in the CLI. *)
+let drive ~cfg ~cmds ~seconds ~stats_json ~trace ~links ~exec ~link_of_flow
+    ~stats_text ~stats_doc =
+  let index = Hashtbl.create 8 in
+  List.iteri (fun i (name, _, _) -> Hashtbl.replace index name i) links;
+  let sim =
+    Netsim.Sim.create_multi ~links
+      ~route:(fun pkt ->
+        (* the live flow directory, so flows added or deleted mid-run
+           re-route immediately *)
+        match link_of_flow pkt.Pkt.Packet.flow with
+        | Some name -> Hashtbl.find_opt index name
+        | None -> None)
+      ()
+  in
+  let recorder = Netsim.Recorder.create () in
+  if trace <> None then Netsim.Recorder.attach recorder sim;
+  List.iter
+    (fun (at, cmd) ->
+      Netsim.Sim.at sim at (fun ~now ->
+          let cs = Format.asprintf "%a" Runtime.Command.pp cmd in
+          match exec ~now cmd with
+          | Ok resp ->
+              Printf.printf "[%8.3f] ok: %s\n%s" now cs
+                (match cmd.Runtime.Command.op with
+                | Runtime.Command.Stats _
+                | Runtime.Command.Trace Runtime.Command.Trace_dump
+                | Runtime.Command.Link_list ->
+                    resp ^ "\n"
+                | _ -> "")
+          | Error e ->
+              Printf.printf "[%8.3f] rejected (%s): %s\n           %s\n"
+                now
+                (Runtime.Engine.error_code_name
+                   (Runtime.Engine.error_code e))
+                cs
+                (Runtime.Engine.error_message e)))
+    cmds;
+  let sources = cfg.Config.sources ~until:seconds in
+  List.iter (Netsim.Sim.add_source sim) sources;
+  Netsim.Sim.run sim ~until:seconds;
+  let n = Netsim.Sim.n_links sim in
+  Printf.printf "\n%.1fs simulated, %d link%s\n" seconds n
+    (if n = 1 then "" else "s");
+  List.iteri
+    (fun i (name, _, _) ->
+      Printf.printf
+        "  %-12s %8.2f Mb/s wire, utilization %5.1f%%, %.0f bytes sent\n"
+        name
+        (Netsim.Sim.link_rate ~link:i sim *. 8. /. 1e6)
+        (Netsim.Sim.link_utilization sim i *. 100.)
+        (Netsim.Sim.link_transmitted_bytes sim i))
+    links;
+  print_newline ();
+  print_string (stats_text ());
+  Printf.printf "\n%-8s %-12s %-10s %-12s %s\n" "flow" "link" "delivered"
+    "mean delay" "max delay";
+  List.iter
+    (fun flow ->
+      let n, mean, mx =
+        match Netsim.Sim.delay_of_flow sim flow with
+        | Some d ->
+            ( Netsim.Stats.Delay.count d,
+              Printf.sprintf "%.3f ms" (Netsim.Stats.Delay.mean d *. 1e3),
+              Printf.sprintf "%.3f ms" (Netsim.Stats.Delay.max d *. 1e3) )
+        | None -> (0, "-", "-")
+      in
+      Printf.printf "%-8d %-12s %-10d %-12s %s\n" flow
+        (Option.value ~default:"-" (link_of_flow flow))
+        n mean mx)
+    (List.sort_uniq compare (List.map Netsim.Source.flow sources));
+  (match stats_json with
+  | Some path ->
+      let oc = open_out_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () -> output_string oc (Json_lite.to_string (stats_doc ())));
+      Printf.printf "\nwrote stats to %s\n" path
+  | None -> ());
+  (match trace with
+  | Some path -> (
+      match Netsim.Recorder.save_csv recorder path with
+      | Ok () ->
+          Printf.printf "wrote %d packet records to %s\n"
+            (Netsim.Recorder.length recorder)
+            path
+      | Error e -> Printf.eprintf "trace: %s\n" e)
+  | None -> ());
+  0
+
 let simulate_cmd =
   let doc =
-    "Run a simulation described by a configuration file (hierarchy + \
-     sources; see examples/fig1.hfsc and the Config module docs)."
-  in
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"CONFIG")
-  in
-  let seconds =
-    Arg.(value & opt float 10. & info [ "time" ] ~docv:"S"
-           ~doc:"Simulated seconds.")
-  in
-  let trace =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Write a per-packet CSV trace to $(docv).")
-  in
-  let debug =
-    Arg.(value & flag
-         & info [ "debug" ]
-             ~doc:"Print the scheduler's internal decisions (very verbose).")
-  in
-  let run file seconds trace debug =
-    if debug then begin
-      Logs.set_reporter (Logs.format_reporter ());
-      Logs.set_level (Some Logs.Debug)
-    end;
-    match Config.load file with
-    | Error e ->
-        Printf.eprintf "%s: %s\n" file e;
-        1
-    | Ok cfg
-      when Config.link_backend (List.hd cfg.Config.links)
-           <> Config.Hfsc_backend ->
-        (* this report is H-FSC vocabulary (rt-bytes, curves); the
-           engine-backed subcommands drive any backend *)
-        Printf.eprintf
-          "%s: the first link runs the %s backend; 'simulate' reports H-FSC \
-           per-class statistics — use 'control' or 'route' instead\n"
-          file
-          (Config.backend_name
-             (Config.link_backend (List.hd cfg.Config.links)));
-        1
-    | Ok cfg ->
-        List.iter
-          (fun w -> Printf.eprintf "warning: %s\n" w)
-          (Config.validate cfg);
-        let sched =
-          Netsim.Adapters.of_hfsc cfg.Config.scheduler
-            ~flow_map:cfg.Config.flow_map
-        in
-        let sim =
-          Netsim.Sim.create ~link_rate:cfg.Config.link_rate ~sched ()
-        in
-        let recorder = Netsim.Recorder.create () in
-        (match trace with
-        | Some _ -> Netsim.Recorder.attach recorder sim
-        | None -> ());
-        List.iter (Netsim.Sim.add_source sim)
-          (cfg.Config.sources ~until:seconds);
-        Netsim.Sim.run sim ~until:seconds;
-        (match trace with
-        | Some path -> (
-            match Netsim.Recorder.save_csv recorder path with
-            | Ok () ->
-                Printf.printf "wrote %d packet records to %s\n"
-                  (Netsim.Recorder.length recorder)
-                  path
-            | Error e -> Printf.eprintf "trace: %s\n" e)
-        | None -> ());
-        Printf.printf "link %.2f Mb/s, %.1fs simulated, utilization %.1f%%\n\n"
-          (cfg.Config.link_rate *. 8. /. 1e6)
-          seconds
-          (Netsim.Sim.utilization sim *. 100.);
-        Printf.printf "%-12s %-12s %-12s %-12s %-12s %s\n" "class"
-          "rate" "rt-bytes" "mean delay" "max delay" "drops";
-        List.iter
-          (fun (flow, cls) ->
-            let rate =
-              Hfsc.total_bytes cls /. seconds *. 8. /. 1e6
-            in
-            let mean, mx =
-              match Netsim.Sim.delay_of_flow sim flow with
-              | Some d ->
-                  ( Printf.sprintf "%.3f ms" (Netsim.Stats.Delay.mean d *. 1e3),
-                    Printf.sprintf "%.3f ms" (Netsim.Stats.Delay.max d *. 1e3) )
-              | None -> ("-", "-")
-            in
-            Printf.printf "%-12s %-12s %-12.0f %-12s %-12s %d\n"
-              (Hfsc.name cls)
-              (Printf.sprintf "%.2f Mb/s" rate)
-              (Hfsc.realtime_bytes cls) mean mx (Hfsc.drops cls))
-          cfg.Config.flow_map;
-        0
-  in
-  Cmd.v (Cmd.info "simulate" ~doc)
-    Term.(const run $ file $ seconds $ trace $ debug)
-
-let control_cmd =
-  let doc =
-    "Replay a timed command script against a live simulation: load a \
-     configuration file, start its sources, and at each scripted instant \
-     apply the command (add/modify/delete class, attach/detach filter, \
-     stats, trace) through the runtime control plane — admission control \
-     rejects over-committed curves with the violating breakpoint. See the \
-     Runtime.Command docs and examples/reconfigure.ctl."
-  in
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"CONFIG")
-  in
-  let script =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"SCRIPT")
-  in
-  let seconds =
-    Arg.(value & opt float 10. & info [ "time" ] ~docv:"S"
-           ~doc:"Simulated seconds.")
-  in
-  let stats_json =
-    Arg.(value & opt (some string) None
-         & info [ "stats-json" ] ~docv:"FILE"
-             ~doc:"Write final per-class stats (hfsc-runtime-stats/1) to \
-                   $(docv).")
-  in
-  let trace_dump =
-    Arg.(value & opt int 0 & info [ "trace-dump" ] ~docv:"N"
-           ~doc:"Print the last $(docv) telemetry trace events at the end.")
-  in
-  let run file script seconds stats_json trace_dump =
-    match Config.load file with
-    | Error e ->
-        Printf.eprintf "%s: %s\n" file e;
-        1
-    | Ok cfg -> (
-        List.iter
-          (fun w -> Printf.eprintf "warning: %s\n" w)
-          (Config.validate cfg);
-        match Runtime.Command.parse_script_file script with
-        | Error { Runtime.Command.line; reason } ->
-            Printf.eprintf "%s:%d: %s\n" script line reason;
-            1
-        | Ok cmds ->
-            let eng = Runtime.Engine.of_config cfg in
-            let sim =
-              Netsim.Sim.create ~link_rate:cfg.Config.link_rate
-                ~sched:(Runtime.Engine.adapter eng) ()
-            in
-            List.iter
-              (fun (at, cmd) ->
-                Netsim.Sim.at sim at (fun ~now ->
-                    let cs = Format.asprintf "%a" Runtime.Command.pp cmd in
-                    match Runtime.Engine.exec eng ~now cmd with
-                    | Ok resp ->
-                        Printf.printf "[%8.3f] ok: %s\n%s" now cs
-                          (match cmd.Runtime.Command.op with
-                          | Runtime.Command.Stats _
-                          | Runtime.Command.Trace Runtime.Command.Trace_dump ->
-                              resp
-                          | _ -> "")
-                    | Error e ->
-                        Printf.printf "[%8.3f] rejected (%s): %s\n           %s\n"
-                          now
-                          (Runtime.Engine.error_code_name
-                             (Runtime.Engine.error_code e))
-                          cs
-                          (Runtime.Engine.error_message e)))
-              cmds;
-            List.iter (Netsim.Sim.add_source sim)
-              (cfg.Config.sources ~until:seconds);
-            Netsim.Sim.run sim ~until:seconds;
-            Printf.printf
-              "\nlink %.2f Mb/s, %.1fs simulated, utilization %.1f%%\n\n"
-              (cfg.Config.link_rate *. 8. /. 1e6)
-              seconds
-              (Netsim.Sim.utilization sim *. 100.);
-            (match
-               Runtime.Engine.stats_text eng ()
-             with
-            | Ok s -> print_string s
-            | Error e ->
-                Printf.eprintf "stats: %s\n" (Runtime.Engine.error_message e));
-            (match stats_json with
-            | Some path ->
-                let oc = open_out_bin path in
-                Fun.protect
-                  ~finally:(fun () -> close_out_noerr oc)
-                  (fun () ->
-                    output_string oc
-                      (Json_lite.to_string (Runtime.Engine.stats_json eng)));
-                Printf.printf "\nwrote stats to %s\n" path
-            | None -> ());
-            (if trace_dump > 0 then
-               let snap = Runtime.Engine.snapshot eng in
-               let evs = snap.Runtime.Telemetry.snap_events in
-               let n = List.length evs in
-               let tail =
-                 if n <= trace_dump then evs
-                 else List.filteri (fun i _ -> i >= n - trace_dump) evs
-               in
-               Printf.printf "\ntrace tail (%d of %d recorded):\n"
-                 (List.length tail)
-                 snap.Runtime.Telemetry.snap_recorded;
-               List.iter
-                 (fun e ->
-                   print_endline (Runtime.Telemetry.event_to_string e))
-                 tail);
-            0)
-  in
-  Cmd.v (Cmd.info "control" ~doc)
-    Term.(const run $ file $ script $ seconds $ stats_json $ trace_dump)
-
-let router_cmd =
-  let doc =
-    "Multi-link router simulation: load a configuration with several link \
-     statements (one H-FSC engine per link, strict per-link ownership), \
-     drive all links concurrently, and optionally replay a timed command \
-     script against the router control plane — link-scoped commands, \
-     device-wide stats, and the link add/delete/list verbs. With \
-     --domains N (N >= 2) every link's engine runs on one of N worker \
-     domains behind lock-free SPSC rings (the multicore router); the \
-     simulator stays on the main domain and posts enqueue/dequeue batches \
-     and commands through the rings, with identical per-link schedules. A \
-     link created mid-run by 'link add' accepts classes and filters but \
-     has no transmitter in this simulation (it drains only if commands \
-     dequeue it); configure links in the file to give them wires. See \
-     examples/router.hfsc and examples/router.ctl."
+    "Simulate a configuration file: one engine per link statement (H-FSC \
+     or round-robin, strict per-link ownership), driven by the file's \
+     sources, and optionally a timed command script replayed against the \
+     live control plane — add/modify/delete class, attach/detach filter, \
+     link add/delete/list, stats, trace; admission control rejects \
+     over-committed curves with the violating breakpoint. Prints each \
+     command's outcome, per-link utilization, per-class statistics and \
+     per-flow delays. With --domains N (N >= 2) every link's engine runs \
+     on one of N worker domains behind lock-free SPSC rings (the \
+     multicore router), with identical per-link schedules. A link created \
+     mid-run by 'link add' accepts classes and filters but has no \
+     transmitter in this simulation; configure links in the file to give \
+     them wires. See examples/fig1.hfsc, examples/control.hfsc with \
+     examples/reconfigure.ctl, and examples/router.hfsc with \
+     examples/router.ctl."
   in
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"CONFIG")
@@ -363,12 +257,6 @@ let router_cmd =
     Arg.(value & opt float 10. & info [ "time" ] ~docv:"S"
            ~doc:"Simulated seconds.")
   in
-  let stats_json =
-    Arg.(value & opt (some string) None
-         & info [ "stats-json" ] ~docv:"FILE"
-             ~doc:"Write final per-link stats (hfsc-router-stats/1) to \
-                   $(docv).")
-  in
   let domains =
     Arg.(value & opt int 1
          & info [ "domains" ] ~docv:"N"
@@ -377,71 +265,27 @@ let router_cmd =
                    one of $(docv) OCaml domains behind lock-free SPSC \
                    rings. Per-link schedules are identical either way.")
   in
-  (* The command/source/reporting harness, shared by the sequential and
-     multicore paths: everything it needs from a router is behind this
-     record, so the two flavours cannot drift apart in the CLI. *)
-  let drive ~cfg ~cmds ~seconds ~stats_json ~links ~exec ~link_of_flow
-      ~stats_text ~stats_doc ~finish =
-    let index = Hashtbl.create 8 in
-    List.iteri (fun i (name, _, _) -> Hashtbl.replace index name i) links;
-    let sim =
-      Netsim.Sim.create_multi ~links
-        ~route:(fun pkt ->
-          (* the live flow directory, so flows added or deleted mid-run
-             re-route immediately *)
-          match link_of_flow pkt.Pkt.Packet.flow with
-          | Some name -> Hashtbl.find_opt index name
-          | None -> None)
-        ()
-    in
-    List.iter
-      (fun (at, cmd) ->
-        Netsim.Sim.at sim at (fun ~now ->
-            let cs = Format.asprintf "%a" Runtime.Command.pp cmd in
-            match exec ~now cmd with
-            | Ok resp ->
-                Printf.printf "[%8.3f] ok: %s\n%s" now cs
-                  (match cmd.Runtime.Command.op with
-                  | Runtime.Command.Stats _
-                  | Runtime.Command.Trace Runtime.Command.Trace_dump
-                  | Runtime.Command.Link_list ->
-                      resp ^ "\n"
-                  | _ -> "")
-            | Error e ->
-                Printf.printf "[%8.3f] rejected (%s): %s\n           %s\n"
-                  now
-                  (Runtime.Engine.error_code_name
-                     (Runtime.Engine.error_code e))
-                  cs
-                  (Runtime.Engine.error_message e)))
-      cmds;
-    List.iter (Netsim.Sim.add_source sim) (cfg.Config.sources ~until:seconds);
-    Netsim.Sim.run sim ~until:seconds;
-    Printf.printf "\n%.1fs simulated, %d links\n" seconds
-      (Netsim.Sim.n_links sim);
-    List.iteri
-      (fun i (name, _, _) ->
-        Printf.printf
-          "  %-12s %8.2f Mb/s wire, utilization %5.1f%%, %.0f bytes sent\n"
-          name
-          (Netsim.Sim.link_rate ~link:i sim *. 8. /. 1e6)
-          (Netsim.Sim.link_utilization sim i *. 100.)
-          (Netsim.Sim.link_transmitted_bytes sim i))
-      links;
-    print_newline ();
-    print_string (stats_text ());
-    (match stats_json with
-    | Some path ->
-        let oc = open_out_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc (Json_lite.to_string (stats_doc ())));
-        Printf.printf "\nwrote stats to %s\n" path
-    | None -> ());
-    finish ();
-    0
+  let stats_json =
+    Arg.(value & opt (some string) None
+         & info [ "stats-json" ] ~docv:"FILE"
+             ~doc:"Write final per-link stats (hfsc-router-stats/1) to \
+                   $(docv).")
   in
-  let run file script seconds stats_json domains =
+  let trace =
+    Arg.(value & opt (some string) None
+         & info [ "trace" ] ~docv:"FILE"
+             ~doc:"Write a per-packet CSV trace to $(docv).")
+  in
+  let debug =
+    Arg.(value & flag
+         & info [ "debug" ]
+             ~doc:"Print the scheduler's internal decisions (very verbose).")
+  in
+  let run file script seconds domains stats_json trace debug =
+    if debug then begin
+      Logs.set_reporter (Logs.format_reporter ());
+      Logs.set_level (Some Logs.Debug)
+    end;
     match Config.load file with
     | Error e ->
         Printf.eprintf "%s: %s\n" file e;
@@ -462,52 +306,52 @@ let router_cmd =
         in
         match cmds with
         | Error () -> 1
+        | Ok _ when domains < 1 ->
+            prerr_endline "simulate: --domains must be >= 1";
+            1
+        | Ok cmds when domains = 1 ->
+            let router = Runtime.Router.of_config cfg in
+            drive ~cfg ~cmds ~seconds ~stats_json ~trace
+              ~links:
+                (List.map
+                   (fun (name, eng) ->
+                     ( name,
+                       Runtime.Engine.link_rate eng,
+                       Runtime.Engine.adapter eng ))
+                   (Runtime.Router.links router))
+              ~exec:(fun ~now cmd -> Runtime.Router.exec router ~now cmd)
+              ~link_of_flow:(Runtime.Router.link_of_flow router)
+              ~stats_text:(fun () -> Runtime.Router.stats_text router)
+              ~stats_doc:(fun () -> Runtime.Router.stats_json router)
         | Ok cmds ->
-            if domains < 1 then begin
-              prerr_endline "router: --domains must be >= 1";
-              1
-            end
-            else if domains = 1 then
-              let router = Runtime.Router.of_config cfg in
-              drive ~cfg ~cmds ~seconds ~stats_json
-                ~links:
-                  (List.map
-                     (fun (name, eng) ->
-                       ( name,
-                         Runtime.Engine.link_rate eng,
-                         Runtime.Engine.adapter eng ))
-                     (Runtime.Router.links router))
-                ~exec:(fun ~now cmd -> Runtime.Router.exec router ~now cmd)
-                ~link_of_flow:(Runtime.Router.link_of_flow router)
-                ~stats_text:(fun () -> Runtime.Router.stats_text router)
-                ~stats_doc:(fun () -> Runtime.Router.stats_json router)
-                ~finish:(fun () -> ())
-            else
-              let m = Runtime.Mc_router.of_config ~domains cfg in
-              Printf.printf "multicore router: %d links on %d worker domains\n"
-                (Runtime.Mc_router.link_count m)
-                (Runtime.Mc_router.domains m);
-              drive ~cfg ~cmds ~seconds ~stats_json
-                ~links:
-                  (List.map
-                     (fun (l : Config.link) ->
-                       let adapter =
-                         match
-                           Runtime.Mc_router.adapter m ~link:l.Config.lname
-                         with
-                         | Some a -> a
-                         | None -> assert false (* of_config just made it *)
-                       in
-                       (l.Config.lname, l.Config.lrate, adapter))
-                     cfg.Config.links)
-                ~exec:(fun ~now cmd -> Runtime.Mc_router.exec m ~now cmd)
-                ~link_of_flow:(Runtime.Mc_router.link_of_flow m)
-                ~stats_text:(fun () -> Runtime.Mc_router.stats_text m)
-                ~stats_doc:(fun () -> Runtime.Mc_router.stats_json m)
-                ~finish:(fun () -> ignore (Runtime.Mc_router.stop m)))
+            let m = Runtime.Mc_router.of_config ~domains cfg in
+            Printf.printf "multicore router: %d links on %d worker domains\n"
+              (Runtime.Mc_router.link_count m)
+              (Runtime.Mc_router.domains m);
+            Fun.protect
+              ~finally:(fun () -> ignore (Runtime.Mc_router.stop m))
+              (fun () ->
+                drive ~cfg ~cmds ~seconds ~stats_json ~trace
+                  ~links:
+                    (List.map
+                       (fun (l : Config.link) ->
+                         let adapter =
+                           match
+                             Runtime.Mc_router.adapter m ~link:l.Config.lname
+                           with
+                           | Some a -> a
+                           | None -> assert false (* of_config just made it *)
+                         in
+                         (l.Config.lname, l.Config.lrate, adapter))
+                       cfg.Config.links)
+                  ~exec:(fun ~now cmd -> Runtime.Mc_router.exec m ~now cmd)
+                  ~link_of_flow:(Runtime.Mc_router.link_of_flow m)
+                  ~stats_text:(fun () -> Runtime.Mc_router.stats_text m)
+                  ~stats_doc:(fun () -> Runtime.Mc_router.stats_json m)))
   in
-  Cmd.v (Cmd.info "router" ~doc)
-    Term.(const run $ file $ script $ seconds $ stats_json $ domains)
+  Cmd.v (Cmd.info "simulate" ~doc)
+    Term.(const run $ file $ script $ seconds $ domains $ stats_json $ trace
+          $ debug)
 
 let daemon_cmd =
   let doc =
@@ -821,6 +665,5 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group info
-          [ list_cmd; run_cmd; demo_cmd; simulate_cmd; control_cmd;
-            router_cmd; daemon_cmd; ctl_cmd; soak_cmd; crash_cmd;
-            trace_report_cmd ]))
+          [ list_cmd; run_cmd; demo_cmd; simulate_cmd; daemon_cmd; ctl_cmd;
+            soak_cmd; crash_cmd; trace_report_cmd ]))

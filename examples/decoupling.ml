@@ -20,7 +20,10 @@ let run_hfsc () =
     Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"best-effort"
       ~fsc:(Sc.linear (link_rate -. mbit 2.064)) ()
   in
-  Netsim.Adapters.of_hfsc t ~flow_map:[ (1, slow); (2, fast); (3, be) ]
+  Runtime.Engine.adapter
+    (Runtime.Engine.create ~link_rate t
+       ~flow_map:[ (1, slow); (2, fast); (3, be) ]
+       ())
 
 let run_wfq () =
   Sched.Wfq.create ~link_rate

@@ -28,8 +28,10 @@ let () =
   let pitt_data = Hfsc.add_class t ~parent:pitt ~name:"pitt-data" ~fsc:(Sc.linear (mbit 20.)) () in
 
   let sched =
-    Netsim.Adapters.of_hfsc t
-      ~flow_map:[ (1, audio); (2, video); (3, data); (4, pitt_data) ]
+    Runtime.Engine.adapter
+      (Runtime.Engine.create ~link_rate t
+         ~flow_map:[ (1, audio); (2, video); (3, data); (4, pitt_data) ]
+         ())
   in
   let sim = Netsim.Sim.create ~tput_bin:1.0 ~link_rate ~sched () in
 

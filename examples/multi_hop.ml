@@ -26,7 +26,10 @@ let mk_hop i =
     Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"cross"
       ~fsc:(Sc.linear (link -. rt_rate)) ()
   in
-  Netsim.Adapters.of_hfsc t ~flow_map:[ (1, rt); (100 + i, cross) ]
+  Runtime.Engine.adapter
+    (Runtime.Engine.create ~link_rate:link t
+       ~flow_map:[ (1, rt); (100 + i, cross) ]
+       ())
 
 let () =
   let nhops = 3 in

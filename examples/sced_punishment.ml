@@ -43,7 +43,9 @@ let () =
   let t = Hfsc.create ~link_rate:link () in
   let c1 = Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"s1" ~rsc:s1 ~fsc:s1 () in
   let c2 = Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"s2" ~rsc:s2 ~fsc:s2 () in
-  run "H-FSC" (Netsim.Adapters.of_hfsc t ~flow_map:[ (1, c1); (2, c2) ]);
+  run "H-FSC"
+    (Runtime.Engine.adapter
+       (Runtime.Engine.create ~link_rate:link t ~flow_map:[ (1, c1); (2, c2) ] ()));
   print_endline
     "\nUnder SCED session 1's rate collapses to zero after t=2 (it is \
      'paying back' the idle capacity it used); under H-FSC it drops only \

@@ -55,14 +55,16 @@ let fig1_hfsc ?vt_policy ?eligible_policy () =
     Hfsc.add_class t ~parent:pitt ~name:"pitt-data" ~fsc:(sc pitt_rate) ()
   in
   let sched =
-    Netsim.Adapters.of_hfsc t
-      ~flow_map:
-        [
-          (flow_audio, audio);
-          (flow_video, video);
-          (flow_cmu_data, cmu_data);
-          (flow_pitt_data, pitt_data);
-        ]
+    Runtime.Engine.adapter
+      (Runtime.Engine.create ~link_rate t
+         ~flow_map:
+           [
+             (flow_audio, audio);
+             (flow_video, video);
+             (flow_cmu_data, cmu_data);
+             (flow_pitt_data, pitt_data);
+           ]
+         ())
   in
   { sched; hfsc = Some t }
 

@@ -20,7 +20,10 @@ let setup () =
     Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"open"
       ~fsc:(Sc.linear (Common.mbit 40.)) ()
   in
-  Netsim.Adapters.of_hfsc t ~flow_map:[ (1, capped); (2, sibling) ]
+  Runtime.Engine.adapter
+    (Runtime.Engine.create ~link_rate:link t
+       ~flow_map:[ (1, capped); (2, sibling) ]
+       ())
 
 let measure sched sources until =
   let sim = Netsim.Sim.create ~link_rate:link ~sched () in

@@ -29,7 +29,10 @@ let mk_hop i =
     Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"cross"
       ~fsc:(Sc.linear (link -. rt_rate)) ()
   in
-  Netsim.Adapters.of_hfsc t ~flow_map:[ (flow_rt, rt); (100 + i, cross) ]
+  Runtime.Engine.adapter
+    (Runtime.Engine.create ~link_rate:link t
+       ~flow_map:[ (flow_rt, rt); (100 + i, cross) ]
+       ())
 
 let run ?(duration = 20.) () =
   let tandem =

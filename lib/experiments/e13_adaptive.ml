@@ -73,7 +73,10 @@ let run () =
     Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"reserved"
       ~fsc:(Sc.linear share) ~qlimit:60 ()
   in
-  let hfsc = Netsim.Adapters.of_hfsc t ~flow_map:[ (1, a); (2, b) ] in
+  let hfsc =
+    Runtime.Engine.adapter
+      (Runtime.Engine.create ~link_rate:link t ~flow_map:[ (1, a); (2, b) ] ())
+  in
   let hfsc_rate, hfsc_delay = measure hfsc in
   {
     vc_recovery_rate = vc_rate;

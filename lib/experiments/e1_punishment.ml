@@ -54,7 +54,10 @@ let run () =
   let t = Hfsc.create ~link_rate:link () in
   let c1 = Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"s1" ~rsc:s1 ~fsc:s1 () in
   let c2 = Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"s2" ~rsc:s2 ~fsc:s2 () in
-  let hfsc = Netsim.Adapters.of_hfsc t ~flow_map:[ (1, c1); (2, c2) ] in
+  let hfsc =
+    Runtime.Engine.adapter
+      (Runtime.Engine.create ~link_rate:link t ~flow_map:[ (1, c1); (2, c2) ] ())
+  in
   let hfsc_bytes, hfsc_lockout = measure hfsc in
   {
     sced_s1_window_bytes = sced_bytes;

@@ -67,8 +67,10 @@ let run () =
   let c3 = Hfsc.add_class t ~parent:b ~name:"s3" ~fsc:s3_fsc () in
   let c4 = Hfsc.add_class t ~parent:b ~name:"s4" ~fsc:s4_fsc () in
   let sched =
-    Netsim.Adapters.of_hfsc t
-      ~flow_map:[ (1, c1); (2, c2); (3, c3); (4, c4) ]
+    Runtime.Engine.adapter
+      (Runtime.Engine.create ~link_rate:link t
+         ~flow_map:[ (1, c1); (2, c2); (3, c3); (4, c4) ]
+         ())
   in
   let sim = Netsim.Sim.create ~link_rate:link ~sched () in
   List.iter (Netsim.Sim.add_source sim) (sources ());

@@ -59,8 +59,10 @@ let run ?(duration = 20.) () =
       ~fsc:(Sc.linear be_rate) ()
   in
   let hfsc =
-    Netsim.Adapters.of_hfsc t
-      ~flow_map:[ (flow_slow, slow); (flow_fast, fast); (flow_be, be) ]
+    Runtime.Engine.adapter
+      (Runtime.Engine.create ~link_rate:link t
+         ~flow_map:[ (flow_slow, slow); (flow_fast, fast); (flow_be, be) ]
+         ())
   in
   let hsim = Netsim.Sim.create ~link_rate:link ~sched:hfsc () in
   List.iter (Netsim.Sim.add_source hsim) (sources duration);

@@ -23,7 +23,10 @@ let vt_run policy =
   let b = Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"B" ~fsc:third () in
   let c = Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"C" ~fsc:third () in
   let sched =
-    Netsim.Adapters.of_hfsc t ~flow_map:[ (1, a); (2, b); (3, c) ]
+    Runtime.Engine.adapter
+      (Runtime.Engine.create ~link_rate:link t
+         ~flow_map:[ (1, a); (2, b); (3, c) ]
+         ())
   in
   let until = 10.0 in
   let sources =
@@ -71,7 +74,10 @@ let eligible_run policy =
       ~fsc:(Sc.linear (0.98 *. link)) ()
   in
   let sched =
-    Netsim.Adapters.of_hfsc t ~flow_map:[ (1, s1); (2, s2); (4, s4) ]
+    Runtime.Engine.adapter
+      (Runtime.Engine.create ~link_rate:link t
+         ~flow_map:[ (1, s1); (2, s2); (4, s4) ]
+         ())
   in
   let until = 4.0 in
   let t2 = 1.0 in

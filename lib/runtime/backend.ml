@@ -130,7 +130,6 @@ type t = {
   kind : kind;
   link_rate : float;
   raw_hfsc : Hfsc.t option;
-  raw_hls : Hls.t option;
   out : out;
   (* views; class handles are the scheduler's dense ids *)
   class_ids : unit -> int list;
@@ -431,7 +430,6 @@ let of_hfsc ~link_rate sched =
     kind = Hfsc_kind;
     link_rate;
     raw_hfsc = Some sched;
-    raw_hls = None;
     out;
     class_ids = (fun () -> List.map Hfsc.id (Hfsc.classes sched));
     find_id =
@@ -607,7 +605,6 @@ let of_hls ~link_rate sched =
     kind = Rr_kind;
     link_rate;
     raw_hfsc = None;
-    raw_hls = Some sched;
     out;
     class_ids = (fun () -> List.map Hls.id (Hls.classes sched));
     find_id = (fun name -> Option.map Hls.id (Hls.find_class sched name));

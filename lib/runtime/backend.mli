@@ -115,8 +115,10 @@ type t = {
   link_rate : float;  (** bytes/second; the admission capacity *)
   raw_hfsc : Hfsc.t option;
       (** the wrapped scheduler when [kind = Hfsc_kind] — the escape
-          hatch for hfsc-only consumers ({!Engine.scheduler}) *)
-  raw_hls : Sched.Hls.t option;
+          hatch behind {!Engine.scheduler}. It stays because the
+          differential oracle (the test suite's
+          [Hfsc_gen.engine_fingerprint]) reads H-FSC internals through
+          it; an rr backend has no such consumer, so it has no hatch. *)
   out : out;  (** filled by [dequeue] when it returns [true] *)
   class_ids : unit -> int list;  (** creation order, root first *)
   find_id : string -> int option;

@@ -39,25 +39,6 @@ let backend_of_mc_router m =
     b_fingerprint = (fun () -> Mc_router.config_fingerprint m);
   }
 
-let backend_of_engine ~link_name eng =
-  {
-    b_exec = (fun ~now cmd -> Engine.exec eng ~now cmd);
-    b_stats_json = (fun () -> Engine.stats_json eng);
-    b_audit = (fun () -> Engine.audit eng);
-    b_link_names = (fun () -> [ link_name ]);
-    b_snapshot =
-      (fun ~link -> if link = link_name then Some (Engine.snapshot eng) else None);
-    b_checkpoint =
-      (fun () ->
-        (* no router verbs on a bare engine: the checkpoint is the
-           engine's own ops, unscoped — replayable into a fresh engine
-           of the same link rate *)
-        List.map
-          (fun op -> (0., { Command.target = Command.Default_link; op }))
-          (Engine.checkpoint_ops eng));
-    b_fingerprint = (fun () -> Engine.config_fingerprint eng);
-  }
-
 (* --- wire helpers ---------------------------------------------------- *)
 
 (* Short writes and EINTR are both routine on a socket a slow (or

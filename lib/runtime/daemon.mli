@@ -39,11 +39,11 @@
     v}
 
     where [<code>] is {!Engine.error_code_name} of the typed error —
-    the same enum scripts see from {!Engine.exec_script}, so a socket
+    the same enum scripts see from {!Router.exec_script}, so a socket
     client can switch on [admission-realtime] vs [unknown-class]
     exactly like an offline replay; the body is the {e exact} reply
     string the control plane produced (this is what makes a socket
-    session bit-comparable to {!Engine.exec_script}, which the daemon
+    session bit-comparable to {!Router.exec_script}, which the daemon
     tests pin). A blank or comment-only line replies [ok 0].
 
     {b Time.} A command with an [at TIME] prefix executes at that
@@ -60,8 +60,9 @@
 
 (** What the daemon needs from a control plane. The record mirrors
     {!Router_core.ops} one level up: anything with these operations can
-    be served — the sequential router, the multicore router, or a bare
-    engine. *)
+    be served — the sequential router or the multicore router. A single
+    engine is served as a one-link router ({!Router.of_engines}), which
+    is bit-identical to the bare engine. *)
 type backend = {
   b_exec : now:float -> Command.t -> (string, Engine.error) result;
   b_stats_json : unit -> Json_lite.t;
@@ -80,9 +81,6 @@ type backend = {
 
 val backend_of_router : Router.t -> backend
 val backend_of_mc_router : Mc_router.t -> backend
-
-val backend_of_engine : link_name:string -> Engine.t -> backend
-(** A single-link backend over a bare engine (no router verbs). *)
 
 type t
 

@@ -669,7 +669,7 @@ let dequeue_batch t ~now b =
   maybe_audit t;
   n
 
-let to_scheduler t =
+let adapter t =
   (* native batched poll for transmit-ring fills: one audit tick and
      one clock conversion per burst. The batch is reused across calls
      and only reallocated when the requested burst size changes. *)
@@ -709,5 +709,3 @@ let to_scheduler t =
     backlog_pkts = (fun () -> t.be.Backend.backlog_pkts ());
     backlog_bytes = (fun () -> t.be.Backend.backlog_bytes ());
   }
-
-let adapter = to_scheduler

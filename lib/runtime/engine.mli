@@ -311,14 +311,11 @@ val dequeue_batch : t -> now:float -> Backend.batch -> int
     per-packet telemetry, at the cost of one time conversion and one
     periodic-audit tick for the whole batch. Returns the fill count. *)
 
-val to_scheduler : t -> Sched.Scheduler.t
-(** Package the engine for {!Netsim.Sim} — the one scheduler adapter
-    over the backend interface, replacing the per-scheduler ad-hoc
-    wrappers. Batched polls go through the backend's native
-    [deq_fill]. *)
-
 val adapter : t -> Sched.Scheduler.t
-(** Alias of {!to_scheduler} (the historical name). *)
+(** Package the engine for {!Netsim.Sim} — the one H-FSC (and rr)
+    adapter: every simulated H-FSC is an engine wrapped by this, so the
+    simulator measures the same path the router and daemon run. Batched
+    polls go through the backend's native [deq_fill]. *)
 
 (** {2 Exporters} *)
 

@@ -137,9 +137,7 @@ source cbr flow 1 rate 64Kbit pkt 160
 source greedy flow 2 rate 8Mbit pkt 1000
 |})
   in
-  let sched =
-    Netsim.Adapters.of_hfsc cfg.Config.scheduler ~flow_map:cfg.Config.flow_map
-  in
+  let sched = Runtime.Engine.adapter (Runtime.Engine.of_config cfg) in
   let sim = Netsim.Sim.create ~link_rate:cfg.Config.link_rate ~sched () in
   List.iter (Netsim.Sim.add_source sim) (cfg.Config.sources ~until:3.);
   Netsim.Sim.run sim ~until:3.;

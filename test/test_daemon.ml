@@ -3,7 +3,7 @@
    filters, stats, trace dump, deliberate rejections, spill enabled —
    must produce reply bodies and final engine fingerprints bit-identical
    to the same command stream replayed offline through
-   Engine.exec_script / Router.exec_script, for a bare engine, the
+   Router.exec_script, for a one-link router over a bare engine, the
    sequential router, and the multicore router (--domains N). Plus the
    wire protocol's own corners and the runtest-sized soak slice. *)
 
@@ -82,7 +82,7 @@ let parse_script script =
   | Error { C.line; reason } ->
       Alcotest.failf "test script line %d: %s" line reason
 
-(* --- single link: daemon vs Engine.exec_script ----------------------- *)
+(* --- single link: daemon vs Router.exec_script ----------------------- *)
 
 let engine_script =
   {|
@@ -106,25 +106,27 @@ let mk_engine () =
   E.create ~link_rate:(1.25e6) (Hfsc.create ~link_rate:1.25e6 ()) ~flow_map:[]
     ()
 
+(* a single engine is served as a one-link router *)
+let mk_router () = R.of_engines [ ("link0", mk_engine ()) ]
+
 let test_engine_session () =
   let cmds = parse_script engine_script in
-  let reference = mk_engine () in
+  let reference = mk_router () in
   let expected =
     List.map
       (fun (_, _, outcome) -> expected_of outcome)
-      (E.exec_script ~lenient:true reference cmds)
+      (R.exec_script ~lenient:true reference cmds)
   in
-  let live = mk_engine () in
+  let live = mk_router () in
   let spill = temp ".trace" in
-  let got =
-    run_session ~spill (D.backend_of_engine ~link_name:"link0" live)
-      engine_script
-  in
+  let got = run_session ~spill (D.backend_of_router live) engine_script in
   check_replies ~what:"engine" expected got;
   Alcotest.(check string)
     "final engine state bit-identical"
-    (Hfsc_gen.engine_fingerprint reference)
-    (Hfsc_gen.engine_fingerprint live);
+    (Hfsc_gen.device_fingerprint ~links:(R.links reference)
+       ~link_of_flow:(R.link_of_flow reference))
+    (Hfsc_gen.device_fingerprint ~links:(R.links live)
+       ~link_of_flow:(R.link_of_flow live));
   (* spill was enabled for the whole session: the file must be a valid
      trace (command-only sessions move no packets, so it may be empty) *)
   (match L.read_file spill with
@@ -190,11 +192,10 @@ let test_mc_router_session () =
 (* --- wire protocol corners ------------------------------------------- *)
 
 let test_meta_verbs () =
-  let live = mk_engine () in
+  let live = mk_router () in
   let socket = temp ".sock" in
   let d =
-    D.create ~clock:(fun () -> 0.) ~socket
-      (D.backend_of_engine ~link_name:"link0" live)
+    D.create ~clock:(fun () -> 0.) ~socket (D.backend_of_router live)
   in
   let client =
     Domain.spawn (fun () ->
@@ -300,11 +301,10 @@ let recv_reply fd =
   go ()
 
 let test_hardening () =
-  let live = mk_engine () in
+  let live = mk_router () in
   let socket = temp ".sock" in
   let d =
-    D.create ~clock:(fun () -> 0.) ~socket
-      (D.backend_of_engine ~link_name:"link0" live)
+    D.create ~clock:(fun () -> 0.) ~socket (D.backend_of_router live)
   in
   let client =
     Domain.spawn (fun () ->
@@ -408,7 +408,7 @@ let test_connect_retry () =
         Unix.sleepf 0.1;
         let d =
           D.create ~clock:(fun () -> 0.) ~socket
-            (D.backend_of_engine ~link_name:"link0" (mk_engine ()))
+            (D.backend_of_router (mk_router ()))
         in
         D.serve d)
   in

@@ -30,10 +30,17 @@ let test_configs_parse () =
              raise *)
           let warnings = Config.validate cfg in
           ignore warnings;
-          Alcotest.(check bool)
-            (path ^ " has classes")
-            true
-            (List.length (Hfsc.classes cfg.Config.scheduler) > 1)
+          List.iter
+            (fun (l : Config.link) ->
+              let eng =
+                Runtime.Engine.of_built ~link_rate:l.Config.lrate
+                  l.Config.lbuilt
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s link %s has classes" path l.Config.lname)
+                true
+                (List.length (Runtime.Engine.class_ids eng) > 1))
+            cfg.Config.links
       | Error e -> Alcotest.failf "%s: %s" path e)
     configs
 

@@ -9,6 +9,9 @@ let qt ?(count = 100) name gen prop =
 
 let pkt ~flow ~size ~seq ~arrival = Pkt.Packet.make ~flow ~size ~seq ~arrival
 
+let sim_sched ~link_rate t flow_map =
+  Runtime.Engine.adapter (Runtime.Engine.create ~link_rate t ~flow_map ())
+
 (* Drain a scheduler at link speed from [start]; returns the served
    (time, name, size, criterion) list. *)
 let drain ?(start = 0.) t ~link_rate =
@@ -178,7 +181,7 @@ let run_rt_guarantee ~link_rate ~umax ~dmax ~rate ~pkt_size ~competitor_size =
     Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"be"
       ~fsc:(Sc.linear (link_rate -. rate)) ()
   in
-  let sched = Netsim.Adapters.of_hfsc t ~flow_map:[ (1, rt); (2, be) ] in
+  let sched = sim_sched ~link_rate t [ (1, rt); (2, be) ] in
   let sim = Netsim.Sim.create ~link_rate ~sched () in
   Netsim.Sim.add_source sim
     (Netsim.Source.cbr ~flow:1 ~rate ~pkt_size ~stop:5. ());
@@ -251,7 +254,7 @@ let test_depth_independent_delay () =
       Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"be"
         ~fsc:(Sc.linear (link_rate /. 2.)) ()
     in
-    let sched = Netsim.Adapters.of_hfsc t ~flow_map:[ (1, rt); (2, be) ] in
+    let sched = sim_sched ~link_rate t [ (1, rt); (2, be) ] in
     let sim = Netsim.Sim.create ~link_rate ~sched () in
     Netsim.Sim.add_source sim
       (Netsim.Source.cbr ~flow:1 ~rate:8000. ~pkt_size:160 ~stop:3. ());
@@ -354,7 +357,7 @@ let test_churn_fairness_regression () =
   let a = Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"A" ~fsc:third () in
   let b = Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"B" ~fsc:third () in
   let c = Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"C" ~fsc:third () in
-  let sched = Netsim.Adapters.of_hfsc t ~flow_map:[ (1, a); (2, b); (3, c) ] in
+  let sched = sim_sched ~link_rate:link t [ (1, a); (2, b); (3, c) ] in
   let sim = Netsim.Sim.create ~link_rate:link ~sched () in
   (* A and B offered exactly their fair share (queues drain per packet,
      constant churn); C strictly backlogged *)
@@ -383,7 +386,7 @@ let vt_policies_no_starvation =
       let half = Sc.linear (link /. 2.) in
       let a = Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"A" ~fsc:half () in
       let b = Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"B" ~fsc:half () in
-      let sched = Netsim.Adapters.of_hfsc t ~flow_map:[ (1, a); (2, b) ] in
+      let sched = sim_sched ~link_rate:link t [ (1, a); (2, b) ] in
       let sim = Netsim.Sim.create ~link_rate:link ~sched () in
       Netsim.Sim.add_source sim
         (Netsim.Source.cbr ~flow:1 ~rate:(link /. 2.) ~pkt_size:500 ~stop:5. ());
@@ -428,7 +431,7 @@ let test_ulimit_cap_alone () =
     Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"capped" ~fsc:(Sc.linear 1e5)
       ~usc:(Sc.linear 1e5) ()
   in
-  let sched = Netsim.Adapters.of_hfsc t ~flow_map:[ (1, c) ] in
+  let sched = sim_sched ~link_rate:link t [ (1, c) ] in
   let sim = Netsim.Sim.create ~link_rate:link ~sched () in
   Netsim.Sim.add_source sim
     (Netsim.Source.saturating ~flow:1 ~rate:5e5 ~pkt_size:1000 ~stop:5. ());

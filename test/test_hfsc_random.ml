@@ -17,14 +17,17 @@ module B = Hfsc_gen.Build (Hfsc)
 
 let build_tree = B.build_tree
 
+let sim_sched ~link_rate t leaves =
+  Runtime.Engine.adapter
+    (Runtime.Engine.create ~link_rate t
+       ~flow_map:(List.map (fun (f, c, _) -> (f, c)) leaves)
+       ())
+
 let run_random (spec, traffic, seed) =
   let link_rate = 1e6 in
   let t, leaves = build_tree link_rate spec in
   let any_usc = List.exists (fun (_, _, u) -> u) leaves in
-  let sched =
-    Netsim.Adapters.of_hfsc t
-      ~flow_map:(List.map (fun (f, c, _) -> (f, c)) leaves)
-  in
+  let sched = sim_sched ~link_rate t leaves in
   let sim = Netsim.Sim.create ~link_rate ~sched () in
   let nleaves = List.length leaves in
   List.iteri
@@ -99,10 +102,7 @@ let determinism =
         let spec, traffic, seed = cfg in
         let link_rate = 1e6 in
         let t, leaves = build_tree link_rate spec in
-        let sched =
-          Netsim.Adapters.of_hfsc t
-            ~flow_map:(List.map (fun (f, c, _) -> (f, c)) leaves)
-        in
+        let sched = sim_sched ~link_rate t leaves in
         let sim = Netsim.Sim.create ~link_rate ~sched () in
         let nleaves = List.length leaves in
         List.iteri

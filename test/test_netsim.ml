@@ -437,7 +437,10 @@ let test_sim_nonworkconserving_poll () =
       ~usc:(Curve.Service_curve.linear 1e5) ()
   in
   ignore c;
-  let sched = Netsim.Adapters.of_hfsc t ~flow_map:[ (1, c) ] in
+  let sched =
+    Runtime.Engine.adapter
+      (Runtime.Engine.create ~link_rate:link t ~flow_map:[ (1, c) ] ())
+  in
   let sim = Netsim.Sim.create ~link_rate:link ~sched () in
   Netsim.Sim.add_source sim
     (Netsim.Source.burst ~flow:1 ~pkt_size:1000 ~count:300 ~at:0.);
