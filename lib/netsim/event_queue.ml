@@ -1,102 +1,103 @@
-type backend = Heap | Calendar
+(* A binary min-heap over (time, insertion seq), stored as a struct of
+   arrays so an event costs no record, no boxed time and no write
+   barrier: times unboxed in a [Float.Array], seqs and int payloads in
+   plain int arrays. Sifts move a hole instead of swapping. *)
+type t = {
+  mutable times : Float.Array.t;
+  mutable seqs : int array;
+  mutable evs : int array;
+  mutable size : int;
+  mutable next_seq : int;
+}
 
-type 'a entry = { at : float; seq : int; ev : 'a }
+let create () =
+  {
+    times = Float.Array.create 0;
+    seqs = [||];
+    evs = [||];
+    size = 0;
+    next_seq = 0;
+  }
 
-(* Small polymorphic binary min-heap over (at, seq); kept local because
-   {!Ds.Binary_heap} is a functor over a monomorphic element type. *)
-type 'a heap = { mutable data : 'a entry array; mutable size : int }
+let length t = t.size
+let is_empty t = t.size = 0
 
-let entry_lt a b = a.at < b.at || (a.at = b.at && a.seq < b.seq)
-
-let heap_add h e =
-  if h.size = Array.length h.data then begin
-    let data = Array.make (max 16 (2 * h.size)) e in
-    Array.blit h.data 0 data 0 h.size;
-    h.data <- data
-  end;
-  h.data.(h.size) <- e;
-  h.size <- h.size + 1;
-  let i = ref (h.size - 1) in
-  while
-    !i > 0
-    &&
-    let p = (!i - 1) / 2 in
-    entry_lt h.data.(!i) h.data.(p)
-  do
-    let p = (!i - 1) / 2 in
-    let tmp = h.data.(!i) in
-    h.data.(!i) <- h.data.(p);
-    h.data.(p) <- tmp;
-    i := p
-  done
-
-let heap_pop h =
-  if h.size = 0 then None
-  else begin
-    let top = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      let i = ref 0 in
-      let continue_ = ref true in
-      while !continue_ do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let m = ref !i in
-        if l < h.size && entry_lt h.data.(l) h.data.(!m) then m := l;
-        if r < h.size && entry_lt h.data.(r) h.data.(!m) then m := r;
-        if !m <> !i then begin
-          let tmp = h.data.(!i) in
-          h.data.(!i) <- h.data.(!m);
-          h.data.(!m) <- tmp;
-          i := !m
-        end
-        else continue_ := false
-      done
-    end;
-    Some top
-  end
-
-let heap_peek h = if h.size = 0 then None else Some h.data.(0)
-
-type 'a t = { mutable seq : int; impl : 'a impl }
-and 'a impl = Heap_q of 'a heap | Cal_q of 'a entry Ds.Calendar_queue.t
-
-let create ?(backend = Heap) () =
-  let impl =
-    match backend with
-    | Heap -> Heap_q { data = [||]; size = 0 }
-    | Calendar -> Cal_q (Ds.Calendar_queue.create ())
-  in
-  { seq = 0; impl }
+let grow t =
+  let cap = max 16 (2 * t.size) in
+  let times = Float.Array.create cap in
+  Float.Array.blit t.times 0 times 0 t.size;
+  let seqs = Array.make cap 0 and evs = Array.make cap 0 in
+  Array.blit t.seqs 0 seqs 0 t.size;
+  Array.blit t.evs 0 evs 0 t.size;
+  t.times <- times;
+  t.seqs <- seqs;
+  t.evs <- evs
 
 let add t at ev =
-  let e = { at; seq = t.seq; ev } in
-  t.seq <- t.seq + 1;
-  match t.impl with
-  | Heap_q h -> heap_add h e
-  | Cal_q c -> Ds.Calendar_queue.add c at e
+  if Float.is_nan at then invalid_arg "Event_queue.add: NaN time";
+  if t.size = Array.length t.seqs then grow t;
+  let times = t.times and seqs = t.seqs and evs = t.evs in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  (* the new entry's seq is the largest yet, so it rises only past
+     strictly later times: ties stay behind their elders (FIFO) *)
+  let i = ref t.size and rising = ref true in
+  t.size <- t.size + 1;
+  while !rising && !i > 0 do
+    let p = (!i - 1) / 2 in
+    if at < Float.Array.unsafe_get times p then begin
+      Float.Array.unsafe_set times !i (Float.Array.unsafe_get times p);
+      Array.unsafe_set seqs !i (Array.unsafe_get seqs p);
+      Array.unsafe_set evs !i (Array.unsafe_get evs p);
+      i := p
+    end
+    else rising := false
+  done;
+  Float.Array.unsafe_set times !i at;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set evs !i ev
 
-let pop t =
-  match t.impl with
-  | Heap_q h -> (
-      match heap_pop h with None -> None | Some e -> Some (e.at, e.ev))
-  | Cal_q c -> (
-      match Ds.Calendar_queue.pop_min c with
-      | None -> None
-      | Some (_, e) -> Some (e.at, e.ev))
+let next_time t = if t.size = 0 then infinity else Float.Array.get t.times 0
 
-let peek t =
-  match t.impl with
-  | Heap_q h -> (
-      match heap_peek h with None -> None | Some e -> Some (e.at, e.ev))
-  | Cal_q c -> (
-      match Ds.Calendar_queue.min_elt c with
-      | None -> None
-      | Some (_, e) -> Some (e.at, e.ev))
-
-let length t =
-  match t.impl with
-  | Heap_q h -> h.size
-  | Cal_q c -> Ds.Calendar_queue.length c
-
-let is_empty t = length t = 0
+let take t =
+  if t.size = 0 then invalid_arg "Event_queue.take: empty queue";
+  let times = t.times and seqs = t.seqs and evs = t.evs in
+  let top = Array.unsafe_get evs 0 in
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then begin
+    (* sift the last entry down from the root's hole *)
+    let lt = Float.Array.unsafe_get times n in
+    let ls = Array.unsafe_get seqs n and le = Array.unsafe_get evs n in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= n then sifting := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n then
+            let tl = Float.Array.unsafe_get times l
+            and tr = Float.Array.unsafe_get times r in
+            if
+              tr < tl
+              || (tr = tl && Array.unsafe_get seqs r < Array.unsafe_get seqs l)
+            then r
+            else l
+          else l
+        in
+        let tc = Float.Array.unsafe_get times c in
+        if tc < lt || (tc = lt && Array.unsafe_get seqs c < ls) then begin
+          Float.Array.unsafe_set times !i tc;
+          Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
+          Array.unsafe_set evs !i (Array.unsafe_get evs c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    Float.Array.unsafe_set times !i lt;
+    Array.unsafe_set seqs !i ls;
+    Array.unsafe_set evs !i le
+  end;
+  top

@@ -1,16 +1,34 @@
-(** Simulator event queue: timestamped events, FIFO within a timestamp.
+(** Simulator event queue: int-coded events by time, FIFO within a
+    timestamp.
 
-    Two interchangeable backends — a binary heap (default) and the
-    calendar queue of {!Ds.Calendar_queue} — so the simulator itself
-    exercises both structures Section V proposes for tracking times. *)
+    A binary min-heap over (time, insertion sequence) whose payload is
+    an [int] — the simulator packs an event's kind and index into it.
+    The heap is a struct of arrays (times unboxed in a [Float.Array],
+    sequence numbers and payloads in [int array]s), so once its arrays
+    have grown to the peak event count, {!add} and {!take} allocate
+    nothing. Insertion sequence numbers are assigned in call order,
+    so events with equal times are taken in the order they were added. *)
 
-type 'a t
+type t
 
-type backend = Heap | Calendar
+val create : unit -> t
 
-val create : ?backend:backend -> unit -> 'a t
-val add : 'a t -> float -> 'a -> unit
-val pop : 'a t -> (float * 'a) option
-val peek : 'a t -> (float * 'a) option
-val length : 'a t -> int
-val is_empty : 'a t -> bool
+val add : t -> float -> int -> unit
+(** [add q time ev] queues payload [ev] at [time].
+
+    @raise Invalid_argument if [time] is NaN (it would order before and
+    after everything at once and corrupt the heap). *)
+
+val next_time : t -> float
+(** Time of the earliest event; [infinity] when the queue is empty (an
+    event queued at [infinity] reads the same: tell them apart with
+    {!is_empty}). *)
+
+val take : t -> int
+(** Remove the earliest event and return its payload; its time is the
+    {!next_time} read just before.
+
+    @raise Invalid_argument on an empty queue. *)
+
+val length : t -> int
+val is_empty : t -> bool

@@ -1,60 +1,98 @@
-type event =
-  | Arrival of Source.t * int (* source, size; time lives on the queue *)
-  | Tx_complete of int * Sched.Scheduler.served (* link index *)
-  | Poll of int (* link index *)
-  | Callback of (now:float -> unit)
+(* An event is an int, [(index lsl 2) lor kind]: the source index of an
+   arrival, the link index of a transmit completion or a poll, the
+   callback-table slot of a callback. *)
+let arrival = 0
+let tx_complete = 1
+let poll = 2
+let callback = 3
+let[@inline] event kind index = (index lsl 2) lor kind
 
-(* Everything one output link owns: its scheduler, its wire state and
-   its share of the accounting. Index in [t.links] is the link id. *)
-type link_state = {
-  lname : string;
+(* A link's float state. All-float, hence a flat record: updating it
+   never boxes. *)
+type wire = {
   mutable rate : float;
-  lsched : Sched.Scheduler.t;
-  mutable inflight : int; (* packets dequeued but not yet departed *)
   mutable wire_free : float; (* when the last scheduled bit leaves *)
-  mutable up : bool; (* link outages park this link's dequeue loop *)
   mutable poll_at : float; (* earliest pending poll; infinity if none *)
   mutable busy_time : float;
   mutable tx_bytes : float;
+}
+
+(* Everything one output link owns: its scheduler, its wire state and
+   its share of the accounting. Index in [t.links] is the link id. The
+   packets on the wire wait in [ring], oldest at [head]: a link's
+   completions are queued at its [wire_free], which never decreases,
+   and equal times leave the event queue in insertion order, so they
+   complete in ring order. *)
+type link_state = {
+  lname : string;
+  lsched : Sched.Scheduler.t;
+  w : wire;
+  ring : Sched.Scheduler.served array; (* [tx_burst] slots *)
+  mutable head : int;
+  mutable inflight : int; (* packets dequeued but not yet departed *)
+  mutable up : bool; (* link outages park this link's dequeue loop *)
 }
 
 type t = {
   links : link_state array;
   tx_burst : int;
   route : Pkt.Packet.t -> int option;
-  q : event Event_queue.t;
+  q : Event_queue.t;
   mutable now : float;
-  seqs : (int, int) Hashtbl.t;
+  mutable sources : Source.t array;
+  mutable n_sources : int;
+  mutable callbacks : (now:float -> unit) array;
+  mutable n_callbacks : int;
+  seqs : (int, int ref) Hashtbl.t;
   mutable on_departure : (now:float -> Sched.Scheduler.served -> unit) list;
   delays : (int, Stats.Delay.t) Hashtbl.t;
   tput : Stats.Throughput.t;
   mutable drops : int;
 }
 
-let create_multi ?event_backend ?(tput_bin = 1.0) ?(tx_burst = 1) ~links
-    ~route () =
+(* fills the ring slots no packet has used yet *)
+let empty_slot =
+  {
+    Sched.Scheduler.pkt = Pkt.Packet.make ~flow:0 ~size:1 ~seq:0 ~arrival:0.;
+    cls = "";
+    criterion = "";
+  }
+
+(* replaces a callback once it has run, so its closure can be freed *)
+let fired ~now:_ = ()
+
+let create_multi ?(tput_bin = 1.0) ?(tx_burst = 1) ~links ~route () =
   if links = [] then invalid_arg "Sim.create_multi: need at least one link";
   if tx_burst < 1 then invalid_arg "Sim.create_multi: tx_burst must be >= 1";
   let mk (lname, rate, lsched) =
     if rate <= 0. then invalid_arg "Sim.create_multi: link rate must be > 0";
     {
       lname;
-      rate;
       lsched;
+      w =
+        {
+          rate;
+          wire_free = 0.;
+          poll_at = infinity;
+          busy_time = 0.;
+          tx_bytes = 0.;
+        };
+      ring = Array.make tx_burst empty_slot;
+      head = 0;
       inflight = 0;
-      wire_free = 0.;
       up = true;
-      poll_at = infinity;
-      busy_time = 0.;
-      tx_bytes = 0.;
     }
   in
   {
     links = Array.of_list (List.map mk links);
     tx_burst;
     route;
-    q = Event_queue.create ?backend:event_backend ();
+    q = Event_queue.create ();
     now = 0.;
+    sources = [||];
+    n_sources = 0;
+    callbacks = [||];
+    n_callbacks = 0;
     seqs = Hashtbl.create 16;
     on_departure = [];
     delays = Hashtbl.create 16;
@@ -62,24 +100,59 @@ let create_multi ?event_backend ?(tput_bin = 1.0) ?(tx_burst = 1) ~links
     drops = 0;
   }
 
-let create ?event_backend ?tput_bin ?tx_burst ~link_rate ~sched () =
+let create ?tput_bin ?tx_burst ~link_rate ~sched () =
   if link_rate <= 0. then invalid_arg "Sim.create: link_rate must be > 0";
-  create_multi ?event_backend ?tput_bin ?tx_burst
+  create_multi ?tput_bin ?tx_burst
     ~links:[ ("link0", link_rate, sched) ]
     ~route:(fun _ -> Some 0)
     ()
 
-let schedule_arrival t src =
-  match Source.next src with
-  | None -> ()
-  | Some (at, size) -> Event_queue.add t.q at (Arrival (src, size))
+(* [a] with room for index [n]; new slots hold [x] *)
+let ensure a n x =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (max 8 (2 * n)) x in
+    Array.blit a 0 b 0 n;
+    b
+  end
 
-let add_source t src = schedule_arrival t src
+let schedule_arrival t k =
+  let src = t.sources.(k) in
+  if Source.pull src then
+    Event_queue.add t.q (Source.time src) (event arrival k)
+
+let add_source t src =
+  let k = t.n_sources in
+  t.sources <- ensure t.sources k src;
+  t.sources.(k) <- src;
+  t.n_sources <- k + 1;
+  schedule_arrival t k
+
 let on_departure t f = t.on_departure <- f :: t.on_departure
 
 let at t when_ f =
+  if Float.is_nan when_ then invalid_arg "Sim.at: time is NaN";
   if when_ < t.now then invalid_arg "Sim.at: time is in the past";
-  Event_queue.add t.q when_ (Callback f)
+  let k = t.n_callbacks in
+  t.callbacks <- ensure t.callbacks k f;
+  t.callbacks.(k) <- f;
+  t.n_callbacks <- k + 1;
+  Event_queue.add t.q when_ (event callback k)
+
+(* Put a dequeued burst on link [i]'s wire, back to back. *)
+let rec transmit t i l = function
+  | [] -> ()
+  | (served : Sched.Scheduler.served) :: rest ->
+      let slot = l.head + l.inflight in
+      l.ring.(if slot >= t.tx_burst then slot - t.tx_burst else slot) <- served;
+      l.inflight <- l.inflight + 1;
+      let w = l.w in
+      let start = if w.wire_free > t.now then w.wire_free else t.now in
+      let tx = float_of_int served.pkt.Pkt.Packet.size /. w.rate in
+      w.busy_time <- w.busy_time +. tx;
+      w.wire_free <- start +. tx;
+      Event_queue.add t.q w.wire_free (event tx_complete i);
+      transmit t i l rest
 
 (* If link [i] has ring slots free and is up, pull its next packet(s) —
    up to [tx_burst] outstanding, all polled at the same instant, their
@@ -97,24 +170,12 @@ let try_start t i =
         if l.inflight = 0 then
           match l.lsched.Sched.Scheduler.next_ready ~now:t.now with
           | Some ts when ts > t.now ->
-              if ts < l.poll_at then begin
-                l.poll_at <- ts;
-                Event_queue.add t.q ts (Poll i)
+              if ts < l.w.poll_at then begin
+                l.w.poll_at <- ts;
+                Event_queue.add t.q ts (event poll i)
               end
           | _ -> ())
-    | burst ->
-        List.iter
-          (fun (served : Sched.Scheduler.served) ->
-            l.inflight <- l.inflight + 1;
-            let start = Float.max t.now l.wire_free in
-            let tx =
-              float_of_int served.Sched.Scheduler.pkt.Pkt.Packet.size
-              /. l.rate
-            in
-            l.busy_time <- l.busy_time +. tx;
-            l.wire_free <- start +. tx;
-            Event_queue.add t.q l.wire_free (Tx_complete (i, served)))
-          burst
+    | burst -> transmit t i l burst
   end
 
 let try_start_all t =
@@ -122,78 +183,99 @@ let try_start_all t =
     try_start t i
   done
 
-let handle t = function
-  | Arrival (src, size) ->
-      let flow = Source.flow src in
-      let seq =
-        match Hashtbl.find_opt t.seqs flow with Some s -> s | None -> 0
-      in
-      Hashtbl.replace t.seqs flow (seq + 1);
-      let pkt = Pkt.Packet.make ~flow ~size ~seq ~arrival:t.now in
-      (match t.route pkt with
-      | Some i when i >= 0 && i < Array.length t.links ->
-          if not (t.links.(i).lsched.Sched.Scheduler.enqueue ~now:t.now pkt)
-          then t.drops <- t.drops + 1;
-          schedule_arrival t src;
-          try_start t i
-      | _ ->
-          (* unroutable: no link owns this flow *)
-          t.drops <- t.drops + 1;
-          schedule_arrival t src)
-  | Tx_complete (i, served) ->
-      let l = t.links.(i) in
-      l.inflight <- l.inflight - 1;
-      let pkt = served.Sched.Scheduler.pkt in
-      l.tx_bytes <- l.tx_bytes +. float_of_int pkt.Pkt.Packet.size;
-      let d =
-        match Hashtbl.find_opt t.delays pkt.Pkt.Packet.flow with
-        | Some d -> d
-        | None ->
-            let d = Stats.Delay.create () in
-            Hashtbl.replace t.delays pkt.Pkt.Packet.flow d;
-            d
-      in
-      Stats.Delay.add d (t.now -. pkt.Pkt.Packet.arrival);
-      Stats.Throughput.add t.tput ~cls:served.Sched.Scheduler.cls ~now:t.now
-        pkt.Pkt.Packet.size;
-      List.iter (fun f -> f ~now:t.now served) t.on_departure;
+let next_seq t flow =
+  match Hashtbl.find t.seqs flow with
+  | r ->
+      let seq = !r in
+      r := seq + 1;
+      seq
+  | exception Not_found ->
+      Hashtbl.add t.seqs flow (ref 1);
+      0
+
+let delay_stats t flow =
+  match Hashtbl.find t.delays flow with
+  | d -> d
+  | exception Not_found ->
+      let d = Stats.Delay.create () in
+      Hashtbl.add t.delays flow d;
+      d
+
+let rec fire now served = function
+  | [] -> ()
+  | f :: fs ->
+      f ~now served;
+      fire now served fs
+
+let arrive t k =
+  let src = t.sources.(k) in
+  let flow = Source.flow src in
+  let seq = next_seq t flow in
+  let pkt =
+    Pkt.Packet.make ~flow ~size:(Source.size src) ~seq ~arrival:t.now
+  in
+  match t.route pkt with
+  | Some i when i >= 0 && i < Array.length t.links ->
+      if not (t.links.(i).lsched.Sched.Scheduler.enqueue ~now:t.now pkt) then
+        t.drops <- t.drops + 1;
+      schedule_arrival t k;
       try_start t i
-  | Poll i ->
-      t.links.(i).poll_at <- infinity;
-      try_start t i
-  | Callback f ->
+  | _ ->
+      (* unroutable: no link owns this flow *)
+      t.drops <- t.drops + 1;
+      schedule_arrival t k
+
+let complete t i =
+  let l = t.links.(i) in
+  let served = l.ring.(l.head) in
+  l.head <- (if l.head + 1 = t.tx_burst then 0 else l.head + 1);
+  l.inflight <- l.inflight - 1;
+  let pkt = served.Sched.Scheduler.pkt in
+  l.w.tx_bytes <- l.w.tx_bytes +. float_of_int pkt.Pkt.Packet.size;
+  Stats.Delay.add
+    (delay_stats t pkt.Pkt.Packet.flow)
+    (t.now -. pkt.Pkt.Packet.arrival);
+  Stats.Throughput.add t.tput ~cls:served.Sched.Scheduler.cls ~now:t.now
+    pkt.Pkt.Packet.size;
+  fire t.now served t.on_departure;
+  try_start t i
+
+let handle t ev =
+  let k = ev lsr 2 in
+  match ev land 3 with
+  | 0 (* arrival *) -> arrive t k
+  | 1 (* tx_complete *) -> complete t k
+  | 2 (* poll *) ->
+      t.links.(k).w.poll_at <- infinity;
+      try_start t k
+  | _ (* callback *) ->
+      let f = t.callbacks.(k) in
+      t.callbacks.(k) <- fired;
       f ~now:t.now;
       (* the callback may have reconfigured any scheduler (classes
          added/removed, curves changed): re-poll them all *)
       try_start_all t
 
-let run t ~until =
+(* Process every event due by [until]; [t.now] ends at the last one's
+   time. *)
+let drain t ~until =
+  let q = t.q in
   let continue_ = ref true in
   while !continue_ do
-    match Event_queue.peek t.q with
-    | Some (at, _) when at <= until ->
-        (match Event_queue.pop t.q with
-        | Some (at, ev) ->
-            t.now <- Float.max t.now at;
-            handle t ev
-        | None -> assert false)
-    | _ ->
-        continue_ := false;
-        if until > t.now then t.now <- until
+    let next = Event_queue.next_time q in
+    if next <= until && not (Event_queue.is_empty q) then begin
+      let ev = Event_queue.take q in
+      if next > t.now then t.now <- next;
+      handle t ev
+    end
+    else continue_ := false
   done
 
-let run_until_idle t ~max_time =
-  let continue_ = ref true in
-  while !continue_ do
-    match Event_queue.peek t.q with
-    | Some (at, _) when at <= max_time ->
-        (match Event_queue.pop t.q with
-        | Some (at, ev) ->
-            t.now <- Float.max t.now at;
-            handle t ev
-        | None -> assert false)
-    | _ -> continue_ := false
-  done
+let run t ~until =
+  drain t ~until;
+  if until > t.now then t.now <- until
+
+let run_until_idle t ~max_time = drain t ~until:max_time
 
 let get_link name t i =
   if i < 0 || i >= Array.length t.links then
@@ -203,7 +285,7 @@ let get_link name t i =
 let set_link_rate ?(link = 0) t r =
   if (not (Float.is_finite r)) || r <= 0. then
     invalid_arg "Sim.set_link_rate: rate must be finite and positive";
-  (get_link "set_link_rate" t link).rate <- r
+  (get_link "set_link_rate" t link).w.rate <- r
 
 let set_link_up ?(link = 0) t up =
   let l = get_link "set_link_up" t link in
@@ -211,7 +293,7 @@ let set_link_up ?(link = 0) t up =
   l.up <- up;
   if up && not was then try_start t link
 
-let link_rate ?(link = 0) t = (get_link "link_rate" t link).rate
+let link_rate ?(link = 0) t = (get_link "link_rate" t link).w.rate
 let link_up ?(link = 0) t = (get_link "link_up" t link).up
 let n_links t = Array.length t.links
 
@@ -227,22 +309,22 @@ let link_name t i = (get_link "link_name" t i).lname
 
 let link_utilization t i =
   let l = get_link "link_utilization" t i in
-  if t.now <= 0. then 0. else l.busy_time /. t.now
+  if t.now <= 0. then 0. else l.w.busy_time /. t.now
 
 let link_transmitted_bytes t i =
-  (get_link "link_transmitted_bytes" t i).tx_bytes
+  (get_link "link_transmitted_bytes" t i).w.tx_bytes
 
 let now t = t.now
 let delay_of_flow t flow = Hashtbl.find_opt t.delays flow
 let throughput t = t.tput
 
 let transmitted_bytes t =
-  Array.fold_left (fun acc l -> acc +. l.tx_bytes) 0. t.links
+  Array.fold_left (fun acc l -> acc +. l.w.tx_bytes) 0. t.links
 
 let enqueue_drops t = t.drops
 
 let utilization t =
   if t.now <= 0. then 0.
   else
-    Array.fold_left (fun acc l -> acc +. l.busy_time) 0. t.links
+    Array.fold_left (fun acc l -> acc +. l.w.busy_time) 0. t.links
     /. (t.now *. float_of_int (Array.length t.links))

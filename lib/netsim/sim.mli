@@ -28,12 +28,17 @@
     the {e closure's} job, not the simulator's — [Mc_router.adapter]
     returns a {!Sched.Scheduler.t} whose enqueue/dequeue marshal
     through SPSC rings and block for the reply, so the simulator stays
-    oblivious and the schedule stays deterministic. *)
+    oblivious and the schedule stays deterministic.
+
+    {b Cost.} Events are ints in an {!Event_queue} (kind and index
+    packed together), sources are pulled in place ({!Source.pull}),
+    packets on a wire wait in a per-link ring and the per-link float
+    state is unboxed, so a packet's own simulator work allocates little
+    beyond the {!Pkt.Packet.t} itself (DESIGN.md §17). *)
 
 type t
 
 val create :
-  ?event_backend:Event_queue.backend ->
   ?tput_bin:float ->
   ?tx_burst:int ->
   link_rate:float ->
@@ -55,7 +60,6 @@ val create :
     dequeue exists to measure. *)
 
 val create_multi :
-  ?event_backend:Event_queue.backend ->
   ?tput_bin:float ->
   ?tx_burst:int ->
   links:(string * float * Sched.Scheduler.t) list ->
@@ -71,7 +75,10 @@ val create_multi :
     rate, or [tx_burst < 1]. *)
 
 val add_source : t -> Source.t -> unit
-(** Register a source; its first arrival is scheduled immediately. *)
+(** Register a source; its first arrival is scheduled immediately.
+    Also legal from an {!at} callback. The simulation owns the source
+    from then on: it keeps the pending arrival in the source, so
+    register each source once and do not pull it elsewhere. *)
 
 val on_departure : t -> (now:float -> Sched.Scheduler.served -> unit) -> unit
 (** Register a callback fired as each packet finishes transmission on
@@ -85,7 +92,8 @@ val at : t -> float -> (now:float -> unit) -> unit
     simulator re-polls every link afterwards in case the change opened
     or closed service.
 
-    @raise Invalid_argument if [when] is before the current time. *)
+    @raise Invalid_argument if [when] is NaN or before the current
+    time. *)
 
 val run : t -> until:float -> unit
 (** Process all events up to and including time [until]. May be called

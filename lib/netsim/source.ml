@@ -1,7 +1,54 @@
-type t = { flow_id : int; gen : unit -> (float * int) option }
+(* All-float, hence a flat record: updating it never boxes. [pending] is
+   the arrival the last successful [pull] produced; [clock] is the
+   native generators' own time cursor. *)
+type times = { mutable pending : float; mutable clock : float }
+
+type gen =
+  | Cbr of { interval : float; stop : float }
+  | Poisson of { rng : Random.State.t; mean_gap : float; stop : float }
+  | Stream of (unit -> (float * int) option)
+
+type t = { flow_id : int; gen : gen; times : times; mutable size : int }
 
 let flow s = s.flow_id
-let next s = s.gen ()
+
+let[@inline] exp_draw rng mean = -.mean *. log (1. -. Random.State.float rng 1.)
+
+let pull s =
+  let tm = s.times in
+  match s.gen with
+  | Cbr { interval; stop } ->
+      let c = tm.clock in
+      if c >= stop then false
+      else begin
+        tm.pending <- c;
+        tm.clock <- c +. interval;
+        true
+      end
+  | Poisson { rng; mean_gap; stop } ->
+      let c = tm.clock +. exp_draw rng mean_gap in
+      tm.clock <- c;
+      if c >= stop then false
+      else begin
+        tm.pending <- c;
+        true
+      end
+  | Stream gen -> (
+      match gen () with
+      | None -> false
+      | Some (at, size) ->
+          tm.pending <- at;
+          s.size <- size;
+          true)
+
+let time s = s.times.pending
+let size s = s.size
+let next s = if pull s then Some (s.times.pending, s.size) else None
+
+let make ~flow ?(start = 0.) ?(size = 0) gen =
+  { flow_id = flow; gen; times = { pending = start; clock = start }; size }
+
+let stream ~flow gen = make ~flow (Stream gen)
 
 let check_rate rate =
   if rate <= 0. || not (Float.is_finite rate) then
@@ -14,30 +61,14 @@ let cbr ~flow ~rate ~pkt_size ?(start = 0.) ?(stop = infinity) () =
   check_rate rate;
   check_size pkt_size;
   let interval = float_of_int pkt_size /. rate in
-  let t = ref start in
-  let gen () =
-    if !t >= stop then None
-    else begin
-      let at = !t in
-      t := !t +. interval;
-      Some (at, pkt_size)
-    end
-  in
-  { flow_id = flow; gen }
-
-let exp_draw rng mean = -.mean *. log (1. -. Random.State.float rng 1.)
+  make ~flow ~start ~size:pkt_size (Cbr { interval; stop })
 
 let poisson ~flow ~rate ~pkt_size ~seed ?(start = 0.) ?(stop = infinity) () =
   check_rate rate;
   check_size pkt_size;
   let rng = Random.State.make [| seed |] in
   let mean_gap = float_of_int pkt_size /. rate in
-  let t = ref start in
-  let gen () =
-    t := !t +. exp_draw rng mean_gap;
-    if !t >= stop then None else Some (!t, pkt_size)
-  in
-  { flow_id = flow; gen }
+  make ~flow ~start ~size:pkt_size (Poisson { rng; mean_gap; stop })
 
 (* Shared on-off machinery: [draw_on]/[draw_off] sample period lengths;
    packets are CBR at [peak_rate] within ON periods. *)
@@ -62,7 +93,7 @@ let on_off ~flow ~peak_rate ~pkt_size ~draw_on ~draw_off ~start ~stop =
       Some (at, pkt_size)
     end
   in
-  { flow_id = flow; gen }
+  stream ~flow gen
 
 let on_off_exp ~flow ~peak_rate ~pkt_size ~mean_on ~mean_off ~seed
     ?(start = 0.) ?(stop = infinity) () =
@@ -102,7 +133,7 @@ let burst ~flow ~pkt_size ~count ~at =
       Some (at, pkt_size)
     end
   in
-  { flow_id = flow; gen }
+  stream ~flow gen
 
 let saturating ~flow ~rate ~pkt_size ?start ?stop () =
   cbr ~flow ~rate ~pkt_size ?start ?stop ()
@@ -144,7 +175,7 @@ let adaptive ~flow ~pkt_size ~init_rate ~min_rate ~max_rate ?increase
       rate := Float.min max_rate (!rate +. increase)
     else rate := Float.max min_rate (!rate *. decrease)
   in
-  ({ flow_id = flow; gen }, feedback)
+  (stream ~flow gen, feedback)
 
 (* Token-bucket shaper: bucket of depth sigma filling at rho; a packet
    departs at the first instant (no earlier than its arrival and the
@@ -156,7 +187,7 @@ let shaped ~sigma ~rho inner =
   let tokens = ref sigma in
   let last = ref 0. in
   let gen () =
-    match inner.gen () with
+    match next inner with
     | None -> None
     | Some (at, size) ->
         if float_of_int size > sigma then
@@ -170,7 +201,7 @@ let shaped ~sigma ~rho inner =
         last := t1;
         Some (t1, size)
   in
-  { flow_id = inner.flow_id; gen }
+  stream ~flow:inner.flow_id gen
 
 let script ~flow arrivals =
   let rec check = function
@@ -188,4 +219,4 @@ let script ~flow arrivals =
         rest := tl;
         Some (t, sz)
   in
-  { flow_id = flow; gen }
+  stream ~flow gen

@@ -1,19 +1,38 @@
 (** Synthetic traffic sources.
 
     Each source emits one flow as a pull-based stream of arrivals; the
-    simulator pulls the next [(time, size)] pair after scheduling the
-    previous one. All randomized sources take an explicit [seed] so
-    every experiment is reproducible. These replace the traces of the
-    paper's testbed: audio/video are CBR (per-packet/per-frame), data is
-    Poisson or exponential/Pareto on-off, FTP is a greedy backlog. *)
+    simulator pulls the next arrival after scheduling the previous one.
+    All randomized sources take an explicit [seed] so every experiment
+    is reproducible. These replace the traces of the paper's testbed:
+    audio/video are CBR (per-packet/per-frame), data is Poisson or
+    exponential/Pareto on-off, FTP is a greedy backlog.
+
+    A source holds its pending arrival itself, the time unboxed: {!pull}
+    advances to the next arrival and {!time}/{!size} read it. {!cbr}
+    (hence {!saturating}) and {!poisson} pull natively, without
+    building an option or tuple (a Poisson pull still allocates the
+    boxed result of [Random.State.float]); the other constructors are
+    option-returning generators behind the same interface. *)
 
 type t
 
 val flow : t -> int
 
+val pull : t -> bool
+(** Advance to the next arrival; [false] when the source is exhausted
+    (and stays so). Times are nondecreasing. *)
+
+val time : t -> float
+(** Absolute time of the arrival the last successful {!pull} produced;
+    unspecified before one. *)
+
+val size : t -> int
+(** Its size in bytes. *)
+
 val next : t -> (float * int) option
-(** Next arrival as [(absolute time, size in bytes)]; [None] when the
-    source is exhausted. Times are nondecreasing. *)
+(** {!pull} then [(time, size)] as an option: the same stream, for
+    callers that want a value. Mixing the two on one source interleaves
+    a single stream. *)
 
 val cbr :
   flow:int -> rate:float -> pkt_size:int -> ?start:float -> ?stop:float ->

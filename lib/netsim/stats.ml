@@ -43,35 +43,41 @@ module Delay = struct
 end
 
 module Throughput = struct
-  type t = { bin : float; tbl : (string, (int, float) Hashtbl.t) Hashtbl.t }
+  (* One class's bytes per bin, dense from bin 0 (a flat float array,
+     so accumulating never boxes); [used] is one past the highest bin
+     touched. *)
+  type bins = { mutable bytes : float array; mutable used : int }
+  type t = { bin : float; tbl : (string, bins) Hashtbl.t }
 
   let create ~bin () =
     if bin <= 0. then invalid_arg "Throughput.create: bin must be > 0";
     { bin; tbl = Hashtbl.create 16 }
 
   let add t ~cls ~now bytes =
-    let bins =
-      match Hashtbl.find_opt t.tbl cls with
-      | Some b -> b
-      | None ->
-          let b = Hashtbl.create 64 in
-          Hashtbl.replace t.tbl cls b;
+    let b =
+      match Hashtbl.find t.tbl cls with
+      | b -> b
+      | exception Not_found ->
+          let b = { bytes = Array.make 64 0.; used = 0 } in
+          Hashtbl.add t.tbl cls b;
           b
     in
-    let i = int_of_float (now /. t.bin) in
-    let cur = match Hashtbl.find_opt bins i with Some v -> v | None -> 0. in
-    Hashtbl.replace bins i (cur +. float_of_int bytes)
+    let i = if Float.is_nan now then -1 else int_of_float (now /. t.bin) in
+    if i < 0 then invalid_arg "Throughput.add: time before 0 or NaN";
+    if i >= Array.length b.bytes then begin
+      let a = Array.make (Stdlib.max (i + 1) (2 * Array.length b.bytes)) 0. in
+      Array.blit b.bytes 0 a 0 b.used;
+      b.bytes <- a
+    end;
+    b.bytes.(i) <- b.bytes.(i) +. float_of_int bytes;
+    if i >= b.used then b.used <- i + 1
 
   let series t ~cls =
     match Hashtbl.find_opt t.tbl cls with
     | None -> []
-    | Some bins ->
-        let last = Hashtbl.fold (fun i _ acc -> Stdlib.max i acc) bins 0 in
-        List.init (last + 1) (fun i ->
-            let v =
-              match Hashtbl.find_opt bins i with Some v -> v | None -> 0.
-            in
-            (float_of_int i *. t.bin, v /. t.bin))
+    | Some b ->
+        List.init b.used (fun i ->
+            (float_of_int i *. t.bin, b.bytes.(i) /. t.bin))
 
   let classes t =
     List.sort String.compare

@@ -30,6 +30,10 @@ module Throughput : sig
       class name. *)
 
   val add : t -> cls:string -> now:float -> int -> unit
+  (** Bins are dense from time 0.
+
+      @raise Invalid_argument if [now] is NaN or at or before [-bin]
+      (a negative bin). *)
 
   val series : t -> cls:string -> (float * float) list
   (** [(bin start time, average rate in bytes/s during the bin)] in

@@ -1,19 +1,24 @@
-type event =
-  | Arrival of int * Source.t * int (* hop, source, size *)
-  | Tx_complete of int * Sched.Scheduler.served (* hop index *)
-  | Poll of int
+(* Events are ints, [(index lsl 2) lor kind], as in {!Sim}: the source
+   index of an arrival, the hop index of a transmit completion or a
+   poll. *)
+let arrival = 0
+let tx_complete = 1
+let poll = 2
+let[@inline] event kind index = (index lsl 2) lor kind
 
 type hop = {
   rate : float;
   sched : Sched.Scheduler.t;
-  mutable busy : bool;
+  mutable on_wire : Sched.Scheduler.served option; (* one packet at a time *)
   mutable poll_at : float;
 }
 
 type t = {
   hops : hop array;
-  q : event Event_queue.t;
+  q : Event_queue.t;
   mutable now : float;
+  mutable sources : (Source.t * int) array; (* source, hop it feeds *)
+  mutable n_sources : int;
   seqs : (int, int) Hashtbl.t;
   (* original arrival times of in-flight packets, keyed by (flow, seq):
      per-hop schedulers restamp nothing, so the key identifies the
@@ -35,10 +40,12 @@ let create ~hops () =
       Array.of_list
         (List.map
            (fun (rate, sched) ->
-             { rate; sched; busy = false; poll_at = infinity })
+             { rate; sched; on_wire = None; poll_at = infinity })
            hops);
     q = Event_queue.create ();
     now = 0.;
+    sources = [||];
+    n_sources = 0;
     seqs = Hashtbl.create 16;
     entered = Hashtbl.create 256;
     delays = Hashtbl.create 16;
@@ -47,38 +54,50 @@ let create ~hops () =
     drop_count = 0;
   }
 
-let schedule_arrival t hop src =
-  match Source.next src with
-  | None -> ()
-  | Some (at, size) -> Event_queue.add t.q at (Arrival (hop, src, size))
+let schedule_arrival t k =
+  let src, _ = t.sources.(k) in
+  if Source.pull src then
+    Event_queue.add t.q (Source.time src) (event arrival k)
 
-let add_source t src = schedule_arrival t 0 src
+let register t hop src =
+  let k = t.n_sources in
+  if k = Array.length t.sources then begin
+    let a = Array.make (max 8 (2 * k)) (src, hop) in
+    Array.blit t.sources 0 a 0 k;
+    t.sources <- a
+  end;
+  t.sources.(k) <- (src, hop);
+  t.n_sources <- k + 1;
+  schedule_arrival t k
+
+let add_source t src = register t 0 src
 
 let add_source_at t ~hop src =
   if hop < 0 || hop >= Array.length t.hops then
     invalid_arg "Tandem.add_source_at: hop out of range";
-  schedule_arrival t hop src
+  register t hop src
 let on_hop_departure t f = t.callbacks <- f :: t.callbacks
 
 let try_start t i =
   let h = t.hops.(i) in
-  if not h.busy then begin
-    match h.sched.Sched.Scheduler.dequeue ~now:t.now with
-    | Some served ->
-        h.busy <- true;
-        let tx =
-          float_of_int served.Sched.Scheduler.pkt.Pkt.Packet.size /. h.rate
-        in
-        Event_queue.add t.q (t.now +. tx) (Tx_complete (i, served))
-    | None -> (
-        match h.sched.Sched.Scheduler.next_ready ~now:t.now with
-        | Some ts when ts > t.now ->
-            if ts < h.poll_at then begin
-              h.poll_at <- ts;
-              Event_queue.add t.q ts (Poll i)
-            end
-        | _ -> ())
-  end
+  match h.on_wire with
+  | Some _ -> ()
+  | None -> (
+      match h.sched.Sched.Scheduler.dequeue ~now:t.now with
+      | Some served as s ->
+          h.on_wire <- s;
+          let tx =
+            float_of_int served.Sched.Scheduler.pkt.Pkt.Packet.size /. h.rate
+          in
+          Event_queue.add t.q (t.now +. tx) (event tx_complete i)
+      | None -> (
+          match h.sched.Sched.Scheduler.next_ready ~now:t.now with
+          | Some ts when ts > t.now ->
+              if ts < h.poll_at then begin
+                h.poll_at <- ts;
+                Event_queue.add t.q ts (event poll i)
+              end
+          | _ -> ()))
 
 let feed t i pkt =
   if not (t.hops.(i).sched.Sched.Scheduler.enqueue ~now:t.now pkt) then begin
@@ -88,80 +107,82 @@ let feed t i pkt =
   end;
   try_start t i
 
-let handle t = function
-  | Arrival (hop, src, size) ->
-      let flow = Source.flow src in
-      let seq =
-        match Hashtbl.find_opt t.seqs flow with Some s -> s | None -> 0
-      in
-      Hashtbl.replace t.seqs flow (seq + 1);
-      if hop = 0 then Hashtbl.replace t.entered (flow, seq) t.now;
-      let pkt = Pkt.Packet.make ~flow ~size ~seq ~arrival:t.now in
-      schedule_arrival t hop src;
-      feed t hop pkt
-  | Tx_complete (i, served) ->
-      let h = t.hops.(i) in
-      h.busy <- false;
-      let pkt = served.Sched.Scheduler.pkt in
-      List.iter (fun f -> f ~hop:i ~now:t.now served) t.callbacks;
-      if i + 1 < Array.length t.hops then begin
-        (* restamp arrival for the next hop's local bookkeeping *)
-        let pkt' =
-          Pkt.Packet.make ~flow:pkt.Pkt.Packet.flow ~size:pkt.Pkt.Packet.size
-            ~seq:pkt.Pkt.Packet.seq ~arrival:t.now
+let arrive t k =
+  let src, hop = t.sources.(k) in
+  let flow = Source.flow src in
+  let seq =
+    match Hashtbl.find_opt t.seqs flow with Some s -> s | None -> 0
+  in
+  Hashtbl.replace t.seqs flow (seq + 1);
+  if hop = 0 then Hashtbl.replace t.entered (flow, seq) t.now;
+  let pkt =
+    Pkt.Packet.make ~flow ~size:(Source.size src) ~seq ~arrival:t.now
+  in
+  schedule_arrival t k;
+  feed t hop pkt
+
+let complete t i =
+  let h = t.hops.(i) in
+  let served = Option.get h.on_wire in
+  h.on_wire <- None;
+  let pkt = served.Sched.Scheduler.pkt in
+  List.iter (fun f -> f ~hop:i ~now:t.now served) t.callbacks;
+  if i + 1 < Array.length t.hops then begin
+    (* restamp arrival for the next hop's local bookkeeping *)
+    let pkt' =
+      Pkt.Packet.make ~flow:pkt.Pkt.Packet.flow ~size:pkt.Pkt.Packet.size
+        ~seq:pkt.Pkt.Packet.seq ~arrival:t.now
+    in
+    feed t (i + 1) pkt'
+  end
+  else begin
+    t.out_bytes <- t.out_bytes +. float_of_int pkt.Pkt.Packet.size;
+    let key = (pkt.Pkt.Packet.flow, pkt.Pkt.Packet.seq) in
+    match Hashtbl.find_opt t.entered key with
+    | Some t0 ->
+        Hashtbl.remove t.entered key;
+        let d =
+          match Hashtbl.find_opt t.delays pkt.Pkt.Packet.flow with
+          | Some d -> d
+          | None ->
+              let d = Stats.Delay.create () in
+              Hashtbl.replace t.delays pkt.Pkt.Packet.flow d;
+              d
         in
-        feed t (i + 1) pkt'
-      end
-      else begin
-        t.out_bytes <- t.out_bytes +. float_of_int pkt.Pkt.Packet.size;
-        let key = (pkt.Pkt.Packet.flow, pkt.Pkt.Packet.seq) in
-        (match Hashtbl.find_opt t.entered key with
-        | Some t0 ->
-            Hashtbl.remove t.entered key;
-            let d =
-              match Hashtbl.find_opt t.delays pkt.Pkt.Packet.flow with
-              | Some d -> d
-              | None ->
-                  let d = Stats.Delay.create () in
-                  Hashtbl.replace t.delays pkt.Pkt.Packet.flow d;
-                  d
-            in
-            Stats.Delay.add d (t.now -. t0)
-        | None -> ())
-      end;
-      try_start t i
-  | Poll i ->
-      t.hops.(i).poll_at <- infinity;
-      try_start t i
+        Stats.Delay.add d (t.now -. t0)
+    | None -> ()
+  end;
+  try_start t i
+
+let handle t ev =
+  let k = ev lsr 2 in
+  match ev land 3 with
+  | 0 (* arrival *) -> arrive t k
+  | 1 (* tx_complete *) -> complete t k
+  | _ (* poll *) ->
+      t.hops.(k).poll_at <- infinity;
+      try_start t k
+
+(* Process every event due by [until]; [t.now] ends at the last one's
+   time. *)
+let drain t ~until =
+  let q = t.q in
+  let continue_ = ref true in
+  while !continue_ do
+    let next = Event_queue.next_time q in
+    if next <= until && not (Event_queue.is_empty q) then begin
+      let ev = Event_queue.take q in
+      if next > t.now then t.now <- next;
+      handle t ev
+    end
+    else continue_ := false
+  done
 
 let run t ~until =
-  let continue_ = ref true in
-  while !continue_ do
-    match Event_queue.peek t.q with
-    | Some (at, _) when at <= until -> (
-        match Event_queue.pop t.q with
-        | Some (at, ev) ->
-            t.now <- Float.max t.now at;
-            handle t ev
-        | None -> assert false)
-    | _ ->
-        continue_ := false;
-        if until > t.now then t.now <- until
-  done
+  drain t ~until;
+  if until > t.now then t.now <- until
 
-let run_until_idle t ~max_time =
-  let continue_ = ref true in
-  while !continue_ do
-    match Event_queue.peek t.q with
-    | Some (at, _) when at <= max_time -> (
-        match Event_queue.pop t.q with
-        | Some (at, ev) ->
-            t.now <- Float.max t.now at;
-            handle t ev
-        | None -> assert false)
-    | _ -> continue_ := false
-  done
-
+let run_until_idle t ~max_time = drain t ~until:max_time
 let now t = t.now
 let end_to_end_delay t flow = Hashtbl.find_opt t.delays flow
 let delivered_bytes t = t.out_bytes
