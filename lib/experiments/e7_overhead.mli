@@ -1,10 +1,11 @@
 (** E7 — the measurement experiment: per-packet enqueue/dequeue
     overhead of H-FSC versus the number of classes (the overhead table
-    of Section VII; Section V predicts O(log n)).
+    of Section VII; Section V predicts O(log n)), plus the same loop
+    over the hierarchical round-robin backend ({!Sched.Hls}) out to a
+    million classes — the comparison arXiv:2108.09864 makes.
 
-    This module does plain wall-clock loop timing for the printed
-    table; [bench/main.ml] additionally registers the same setups as
-    Bechamel microbenchmarks for rigorous statistics. *)
+    Timing is plain CPU-time loop timing: 200 k enqueues filling the
+    leaves round-robin from empty, then 200 k dequeues draining them. *)
 
 type row = {
   classes : int;
@@ -12,16 +13,19 @@ type row = {
   dequeue_ns : float;  (** mean ns per dequeue *)
 }
 
-type result = { rows : row list; depth_rows : row list }
-(** [rows]: flat hierarchies of n leaves; [depth_rows]: binary
-    hierarchies of the same leaf count, to show depth-independence of
-    the per-packet cost. *)
-
-val build : n:int -> deep:bool -> Hfsc.t * Hfsc.cls array
-(** Build an n-leaf benchmark hierarchy (shared with bench/main.ml):
-    every leaf gets a linear rsc+fsc of [link/n]; [deep] arranges
-    leaves under a binary interior tree instead of directly under the
-    root. *)
+type result = {
+  rows : row list;
+  depth_rows : row list;
+  backend_rows : (string * row) list;
+}
+(** [rows]: flat hierarchies of n leaves with an rsc+fsc of [link/n]
+    each; [depth_rows]: binary hierarchies of the same leaf count, to
+    show depth-independence of the per-packet cost; [backend_rows]:
+    ["rr"] at 10k/100k/1M classes and ["hfsc"] at 10k/100k, both built
+    as fsc-only leaves under interior aggregates of 1000 leaves. *)
 
 val run : ?sizes:int list -> unit -> result
+(** [sizes] (default 1, 10, 100, 1000) sets the flat and binary rows;
+    the backend rows always use the sizes above. *)
+
 val print : result -> unit

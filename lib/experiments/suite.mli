@@ -1,6 +1,6 @@
 (** The experiment registry: every table/figure reproduction of
-    DESIGN.md, addressable by id, runnable all at once (as
-    [bench/main.exe] does) or singly (as [bin/hfsc_sim.exe] does). *)
+    DESIGN.md, addressable by id, runnable all at once or singly
+    ([hfsc_sim run all], [hfsc_sim run E3 E7]). *)
 
 type entry = {
   id : string;  (** "E1" ... "E10" *)

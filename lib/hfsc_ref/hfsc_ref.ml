@@ -1,13 +1,10 @@
 (* Frozen reference implementation of the H-FSC scheduler over the
    *persistent* augmented AVL trees (Ds.Ed_tree / Ds.Vt_tree) and a
    per-scheduler Hashtbl of active-children trees. This is the
-   pre-intrusive implementation, kept so that
-
-   - the differential tests (test/test_hfsc_diff.ml) can drive it in
-     lockstep with the production Hfsc and assert identical scheduling
-     decisions, and
-   - the benchmark records the persistent-tree baseline in
-     BENCH_hfsc.json next to the intrusive numbers, PR after PR.
+   pre-intrusive implementation, kept so that the differential tests
+   (test/test_hfsc_diff.ml, test/test_fuzz.ml) can drive it in
+   lockstep with the production Hfsc and assert identical scheduling
+   decisions.
 
    All time/service arithmetic goes through Curve.Fixed_point — the
    same shifted-integer functions the production scheduler uses (it

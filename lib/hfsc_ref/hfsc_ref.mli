@@ -1,7 +1,7 @@
 (** Frozen reference H-FSC scheduler over the persistent trees — the
-    semantic oracle for the differential tests and the benchmark's
-    persistent-tree baseline. Same API as {!Hfsc}; see that module (and
-    lib/hfsc_ref/hfsc_ref.ml's header) for why this copy exists.
+    semantic oracle for the differential tests. Same API as {!Hfsc};
+    see that module (and lib/hfsc_ref/hfsc_ref.ml's header) for why
+    this copy exists.
 
     The Hierarchical Fair Service Curve scheduler (Sections IV and V).
 

@@ -292,8 +292,9 @@ val dequeue : t -> now:float -> (Pkt.Packet.t * int * Hfsc.criterion) option
 (** Exactly the backend's dequeue (the returned packet is the
     scheduler's own, not a copy) plus counter and trace updates — the
     returned class is its dense id; an rr backend always reports
-    {!Hfsc.Linkshare}. The bench's telemetry-overhead comparison
-    measures this function against the bare scheduler. *)
+    {!Hfsc.Linkshare}. test_runtime's allocation test and towerbench's
+    [telemetry.*] trace rows measure this function against the bare
+    scheduler. *)
 
 val enqueue_flow_batch : t -> now:float -> Pkt.Packet.t array -> int
 (** Route and enqueue each packet in order, exactly as repeated

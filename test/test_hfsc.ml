@@ -1,6 +1,7 @@
 (* Tests for the H-FSC scheduler: construction rules, both scheduling
    criteria, the fairness/guarantee properties of Sections III-VI, the
-   upper-limit extension, and regression tests for churn scenarios. *)
+   upper-limit extension, regression tests for churn scenarios, and
+   the batched dequeue's zero-allocation promise. *)
 
 module Sc = Curve.Service_curve
 
@@ -582,6 +583,47 @@ let test_eligible_policies_basic_equiv () =
   let a = run Hfsc.Eligible_paper and b = run Hfsc.Eligible_deadline in
   Alcotest.(check (list (float 1e-9))) "same schedule for concave" a b
 
+(* --- the batched path allocates nothing ------------------------------ *)
+
+(* A burst drained through [dequeue_batch] lands in the batch's
+   preallocated slots: exactly zero minor words per packet, here on
+   1000 flat rsc+fsc leaves at burst 32. The timed drains read an
+   already-boxed clock so the caller's float boxing is not charged to
+   the scheduler. *)
+let test_dequeue_batch_allocates_nothing () =
+  let n = 1000 and burst = 32 and warm = 8 and k = 128 in
+  let link_rate = 12_500_000. in
+  let t = Hfsc.create ~link_rate () in
+  let sc = Sc.linear (link_rate /. float_of_int n) in
+  let per = ((k + warm) * burst / n) + 2 in
+  for i = 0 to n - 1 do
+    let leaf =
+      Hfsc.add_class t ~parent:(Hfsc.root t) ~name:(Printf.sprintf "l%d" i)
+        ~rsc:sc ~fsc:sc ~qlimit:1_000_000 ()
+    in
+    for s = 0 to per - 1 do
+      ignore (Hfsc.enqueue t ~now:0. leaf (pkt ~flow:i ~size:1000 ~seq:s ~arrival:0.))
+    done
+  done;
+  let b = Hfsc.batch ~capacity:burst () in
+  let now = ref 0. in
+  for _ = 1 to warm do
+    now := !now +. (1000. *. float_of_int burst /. link_rate);
+    ignore (Hfsc.dequeue_batch t ~now:!now b)
+  done;
+  match Sys.opaque_identity [ !now ] with
+  | [ boxed_now ] ->
+      let served = ref 0 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to k do
+        served := !served + Hfsc.dequeue_batch t ~now:boxed_now b
+      done;
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check int) "every drain filled the batch" (k * burst) !served;
+      Alcotest.(check (float 0.)) "minor words per batched packet" 0.
+        (words /. float_of_int (k * burst))
+  | _ -> assert false
+
 let () =
   Alcotest.run "hfsc"
     [
@@ -643,5 +685,10 @@ let () =
         [
           Alcotest.test_case "concave equivalence" `Quick
             test_eligible_policies_basic_equiv;
+        ] );
+      ( "batch",
+        [
+          Alcotest.test_case "dequeue_batch allocates nothing" `Quick
+            test_dequeue_batch_allocates_nothing;
         ] );
     ]

@@ -1,7 +1,8 @@
 (* Tests for the pluggable-backend tier (lib/sched/hls +
    lib/runtime/backend): the round-robin scheduler's own properties —
    work conservation, quantum-proportional long-run shares (flat and
-   hierarchical), batch-equals-singles — the engine driving it through
+   hierarchical), batch-equals-singles, a batched drain that allocates
+   nothing at 10k classes (H-FSC's too) — the engine driving it through
    the Runtime.Backend record (grammar, admission, telemetry, stats,
    checkpoint round-trip), and the differential pin that the hfsc
    backend behind the same record stays bit-identical to a raw Hfsc
@@ -197,6 +198,72 @@ let test_batch_equals_singles () =
     (Hls.backlog_pkts tb);
   Alcotest.(check (list string)) "audit a" [] (Hls.audit ta);
   Alcotest.(check (list string)) "audit b" [] (Hls.audit tb)
+
+(* Both backends' batched drains land in preallocated slots: exactly
+   zero minor words per packet at 10k classes, on the two-level
+   hierarchy E7's backend table times (leaves under aggregates of
+   1000; fsc-only for H-FSC). The standing backlog sits on the first
+   4096 leaves. The clock never advances (the fsc-only H-FSC build
+   serves by virtual time), so no float is boxed in the timed loop. *)
+let test_batched_drain_allocates_nothing () =
+  let n = 10_000 and fanout = 1000 and hot = 4096 in
+  let burst = 64 and warm = 8 and k = 128 in
+  let per = ((k + warm) * burst / hot) + 2 in
+  let two_level ~root ~add_agg ~add_leaf =
+    let agg = ref root in
+    Array.init n (fun i ->
+        if i mod fanout = 0 then
+          agg := add_agg (Printf.sprintf "agg%d" (i / fanout));
+        add_leaf !agg (Printf.sprintf "leaf%d" i))
+  in
+  let words_per_packet ~what ~enqueue ~drain =
+    for i = 0 to hot - 1 do
+      for s = 0 to per - 1 do
+        enqueue i (pkt ~flow:i ~seq:s ())
+      done
+    done;
+    for _ = 1 to warm do
+      ignore (drain ())
+    done;
+    let served = ref 0 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to k do
+      served := !served + drain ()
+    done;
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check int) (what ^ ": every drain filled the batch") (k * burst)
+      !served;
+    Alcotest.(check (float 0.)) (what ^ ": minor words per batched packet") 0.
+      (words /. float_of_int (k * burst))
+  in
+  (let t = Hls.create () in
+   let leaves =
+     two_level ~root:(Hls.root t)
+       ~add_agg:(fun name -> Hls.add_class t ~parent:(Hls.root t) ~name ())
+       ~add_leaf:(fun parent name ->
+         Hls.add_class t ~parent ~name ~qlimit_pkts:1_000_000 ())
+   in
+   let b = Hls.batch ~capacity:burst () in
+   words_per_packet ~what:"rr"
+     ~enqueue:(fun i p -> ignore (Hls.enqueue t ~now:0. leaves.(i) p))
+     ~drain:(fun () -> Hls.dequeue_batch t ~now:0. b));
+  let link_rate = 12_500_000. in
+  let t = Hfsc.create ~link_rate () in
+  let leaf_sc = Curve.Service_curve.linear (link_rate /. float_of_int n) in
+  let agg_sc =
+    Curve.Service_curve.linear (link_rate *. float_of_int fanout /. float_of_int n)
+  in
+  let leaves =
+    two_level ~root:(Hfsc.root t)
+      ~add_agg:(fun name ->
+        Hfsc.add_class t ~parent:(Hfsc.root t) ~name ~fsc:agg_sc ())
+      ~add_leaf:(fun parent name ->
+        Hfsc.add_class t ~parent ~name ~fsc:leaf_sc ~qlimit:1_000_000 ())
+  in
+  let b = Hfsc.batch ~capacity:burst () in
+  words_per_packet ~what:"hfsc"
+    ~enqueue:(fun i p -> ignore (Hfsc.enqueue t ~now:0. leaves.(i) p))
+    ~drain:(fun () -> Hfsc.dequeue_batch t ~now:0. b)
 
 (* --- the engine over the rr backend -------------------------------- *)
 
@@ -401,6 +468,8 @@ let () =
             test_quantum_shares_hierarchical;
           Alcotest.test_case "batch equals singles" `Quick
             test_batch_equals_singles;
+          Alcotest.test_case "batched drains allocate nothing" `Quick
+            test_batched_drain_allocates_nothing;
         ] );
       ( "engine-rr",
         [

@@ -1,6 +1,7 @@
 (* Integration tests: scaled-down versions of the DESIGN.md experiments
    asserting their paper-shape claims end to end. These are the "did we
-   reproduce the paper" tests; the full-size runs live in bench/. *)
+   reproduce the paper" tests; the full-size runs are
+   `hfsc_sim run all`. *)
 
 module Sc = Curve.Service_curve
 
@@ -106,7 +107,8 @@ let test_e10_shape () =
     (r.sibling_rate >= 0.95 *. (Experiments.Common.mbit 45. -. r.cap))
 
 (* E5 in miniature: CMU's idle bandwidth goes to its sibling, not to
-   U.Pitt. (The full version with the fluid comparison runs in bench.) *)
+   U.Pitt. (The full version with the fluid comparison is E5 in
+   `hfsc_sim run all`.) *)
 let test_e5_mini () =
   let link = Experiments.Common.link_rate in
   let fig = Experiments.Common.fig1_hfsc () in

@@ -3,8 +3,9 @@
    a fuzzed op stream), strict per-link state isolation (deleting a
    link, or faulting its wire, leaves the other links' observable state
    untouched), the link-addressing error codes, device-wide command
-   routing and aggregation, the sharded classifier, and the flow
-   directory staying equal to the engines' flow maps op by op. *)
+   routing and aggregation, the sharded classifier, a dequeue through
+   the router's engines allocating no more than a bare engine's, and the
+   flow directory staying equal to the engines' flow maps op by op. *)
 
 module C = Runtime.Command
 module E = Runtime.Engine
@@ -402,6 +403,78 @@ let test_shard_classify () =
   Alcotest.(check bool) "no filter matches" true
     (R.classify r (hdr ~src:"172.16.0.9" ~proto:Pkt.Header.Tcp) = None)
 
+(* --- the zero-allocation promise ------------------------------------- *)
+
+(* A router is N independent engines behind a flow directory, so a
+   dequeue from the engines of a traced 4-link router, every class
+   added through `link NAME add class`, allocates exactly what a bare
+   untraced engine with the same 100 classes does: neither the router
+   nor its telemetry adds a minor word. Dequeues go round-robin over
+   the links; the timed ones read an already-boxed clock so the
+   caller's float boxing is not charged. *)
+let test_dequeue_allocation () =
+  let classes = 100 and k = 4096 and warm = 512 in
+  let class_line i flow =
+    Printf.sprintf
+      "add class c%d parent root flow %d rsc 1Mbit fsc 1Mbit qlimit 1000000" i
+      flow
+  in
+  let words_per_dequeue engines ~enqueue_flow =
+    let links = Array.length engines in
+    for flow = 0 to (links * 1000) - 1 do
+      if flow mod 1000 < classes then
+        for s = 0 to ((k + warm) / classes) + 1 do
+          Alcotest.(check bool) "enqueued" true
+            (enqueue_flow (pkt ~flow ~seq:s ~now:0. ()))
+        done
+    done;
+    let now = ref 0. in
+    for w = 1 to warm do
+      now := !now +. 1e-4;
+      ignore (E.dequeue engines.(w mod links) ~now:!now)
+    done;
+    match Sys.opaque_identity [ !now ] with
+    | [ boxed_now ] ->
+        let served = ref 0 in
+        let w0 = Gc.minor_words () in
+        for w = 1 to k do
+          match E.dequeue engines.(w mod links) ~now:boxed_now with
+          | Some _ -> incr served
+          | None -> ()
+        done;
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check int) "every dequeue served" k !served;
+        words /. float_of_int k
+    | _ -> assert false
+  in
+  let bare =
+    let link_rate = 12_500_000. in
+    let eng =
+      E.create ~tracing:false ~link_rate (Hfsc.create ~link_rate ())
+        ~flow_map:[] ()
+    in
+    for i = 0 to classes - 1 do
+      ignore (ok_exec (E.exec eng ~now:0. (ok (C.parse (class_line i i)))))
+    done;
+    words_per_dequeue [| eng |] ~enqueue_flow:(E.enqueue_flow eng ~now:0.)
+  in
+  let routed =
+    let r = R.create ~tracing:true () in
+    for j = 0 to 3 do
+      ignore (ok_exec (exec1 r ~now:0. (Printf.sprintf "link add l%d rate 100Mbit" j)));
+      for i = 0 to classes - 1 do
+        ignore
+          (ok_exec
+             (exec1 r ~now:0.
+                (Printf.sprintf "link l%d %s" j (class_line i ((j * 1000) + i)))))
+      done
+    done;
+    words_per_dequeue
+      (Array.of_list (List.map snd (R.links r)))
+      ~enqueue_flow:(R.enqueue_flow r ~now:0.)
+  in
+  Alcotest.(check (float 0.)) "minor words per routed dequeue" bare routed
+
 (* --- the flow directory tracks the engines op by op ------------------ *)
 
 (* The directory is a cache of the engines' flow maps, updated in place
@@ -584,6 +657,8 @@ let () =
           Alcotest.test_case "routing and aggregation" `Quick
             test_routing_and_aggregation;
           Alcotest.test_case "sharded classifier" `Quick test_shard_classify;
+          Alcotest.test_case "4-link dequeue allocates as one engine" `Quick
+            test_dequeue_allocation;
         ] );
       ( "directory",
         [

@@ -2,8 +2,8 @@
    language, admission control with breakpoint reporting, live
    reconfiguration of a scheduler holding backlog, telemetry counters
    against the scheduler's own aggregates, the fixed-size trace ring,
-   classifier attach/detach, and the zero-allocation promise of the
-   traced dequeue path. *)
+   classifier attach/detach, the zero-allocation promise of the
+   traced dequeue path, and control-byte escaping in stats-json. *)
 
 module C = Runtime.Command
 module E = Runtime.Engine
@@ -537,8 +537,7 @@ let test_attach_detach () =
 (* --- the zero-allocation promise ----------------------------------- *)
 
 (* Minor words per dequeue through [deq], with the clock pre-boxed so
-   the caller's float boxing is not charged to the scheduler (the
-   bench's measurement, reduced). *)
+   the caller's float boxing is not charged to the scheduler. *)
 let words_per_dequeue ~prefill ~deq =
   let k = 2048 in
   prefill (k + 64);
@@ -592,6 +591,30 @@ let test_traced_dequeue_allocates_nothing_extra () =
     traced;
   (* and the footprint is the returned option/tuple, nothing more *)
   Alcotest.(check bool) "bare footprint is the result value" true (bare <= 6.)
+
+(* Class names may hold any byte but space and tab, so the stats-json
+   exporter must escape control bytes: strict JSON readers reject them
+   raw inside a string. *)
+let test_stats_json_escapes_control_bytes () =
+  let eng =
+    E.create ~link_rate:1e6 (Hfsc.create ~link_rate:1e6 ()) ~flow_map:[] ()
+  in
+  ignore
+    (ok_exec (exec1 eng ~now:0. "add class a\001b\rc parent root flow 3 fsc 1Mbit"));
+  let doc = E.stats_json eng in
+  let s = Json_lite.to_string doc in
+  let in_string = ref false and escaped = ref false in
+  String.iter
+    (fun c ->
+      if not !in_string then in_string := c = '"'
+      else if c < ' ' then
+        Alcotest.failf "raw byte 0x%02x inside a string" (Char.code c)
+      else if !escaped then escaped := false
+      else if c = '\\' then escaped := true
+      else if c = '"' then in_string := false)
+    s;
+  Alcotest.(check bool) "parses back to the same value" true
+    (Json_lite.parse s = doc)
 
 (* --- transactional execution and typed errors ---------------------- *)
 
@@ -1061,6 +1084,8 @@ let () =
           Alcotest.test_case "deadline misses" `Quick test_deadline_miss;
           Alcotest.test_case "traced dequeue allocation" `Quick
             test_traced_dequeue_allocates_nothing_extra;
+          Alcotest.test_case "stats-json escapes control bytes" `Quick
+            test_stats_json_escapes_control_bytes;
         ] );
       ( "classify",
         [ Alcotest.test_case "attach/detach" `Quick test_attach_detach ] );
