@@ -32,7 +32,7 @@
     over byte deltas up to [2^36] (≈ 64 GB) — far beyond anything the
     simulator or benches produce. All quantities are nonnegative.
 
-    Both [Hfsc] and the frozen reference [Hfsc_ref] perform {e all}
+    Both [Hfsc] and the linear-scan reference [Hfsc_ref] perform {e all}
     time/service arithmetic through this module (or verbatim in-unit
     copies of its hot functions), which is what keeps their
     differential tests bit-exact; the float {!Runtime_curve} remains

@@ -1,9 +1,9 @@
-(* Intrusive counterpart of {!Ed_tree}: the eligible/deadline augmented
-   tree of Section V, keyed by (eligible, id), each node caching the
-   subtree element of minimum (deadline, id). Same pruned search as the
-   persistent version — if a node is eligible, its whole left subtree is
-   too, so the left cache can be taken wholesale — but node state lives
-   in the elements themselves and updates mutate in place.
+(* The eligible/deadline augmented tree of Section V, keyed by
+   (eligible, id), each node caching the subtree element of minimum
+   (deadline, id). The search prunes on one fact: if a node is
+   eligible, its whole left subtree is too, so the left cache can be
+   taken wholesale. Node state lives in the elements themselves and
+   updates mutate in place.
 
    All hot entry points exist in a [_raw] form returning the [nil]
    sentinel instead of an option, so a steady-state scheduler cycle

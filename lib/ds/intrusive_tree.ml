@@ -12,8 +12,7 @@
    (the scheduler's [in_ed]/[in_actc] flags) is the caller's business.
 
    The element's ordering key and aggregate inputs must not change while
-   it is in a tree: reposition with [remove]; mutate; [insert] — the
-   same discipline the persistent trees require.
+   it is in a tree: reposition with [remove]; mutate; [insert].
 
    This module is deliberately free of any float-returning functions
    across the functor boundary: without flambda, a call through a
@@ -141,7 +140,7 @@ module Make (S : SPEC) = struct
     S.set_height n 0
 
   let rec remove x root =
-    if root == nil then nil (* not a member; tolerated like Avl_core *)
+    if root == nil then nil (* not a member: removal is a no-op *)
     else begin
       let c = S.compare x root in
       if c < 0 then begin

@@ -1,11 +1,11 @@
-(* Intrusive counterpart of {!Vt_tree}: the virtual-time tree of the
-   link-sharing criterion, keyed by (vt, id), each node caching the
-   minimum fit time of its subtree. The aggregate is a float, which the
-   functor never touches directly (no flambda means no inlining across
-   the functor boundary, and a float crossing it would be boxed): the
-   caller stores the cache wherever it can be read unboxed — the
-   scheduler keeps it in the class's flat float record — and hands this
-   module a [refresh_agg] callback plus comparison predicates. *)
+(* The intrusive virtual-time tree of the link-sharing criterion,
+   keyed by (vt, id), each node caching the minimum fit time of its
+   subtree. The aggregate is a float, which the functor never touches
+   directly (no flambda means no inlining across the functor boundary,
+   and a float crossing it would be boxed): the caller stores the cache
+   wherever it can be read unboxed — the scheduler keeps it in the
+   class's flat float record — and hands this module a [refresh_agg]
+   callback plus comparison predicates. *)
 
 module type CLASS = sig
   type t
@@ -76,8 +76,8 @@ module Make (C : CLASS) = struct
   let to_list root = List.rev (T.fold (fun v acc -> v :: acc) root [])
   let min_fit root = if root == C.nil then infinity else C.min_fit_value root
 
-  (* Leftmost (smallest-vt) element with fit <= now, pruning on the
-     cached subtree min-fit — the search of {!Vt_tree.first_fit}. *)
+  (* Leftmost (smallest (vt, id)) element with fit <= now, pruning on
+     the cached subtree min-fit. *)
   let rec go_ff now n =
     if n == C.nil then C.nil
     else begin

@@ -179,15 +179,16 @@ let nil =
 (* --- specialized intrusive tree operations ------------------------- *)
 
 (* Same algorithms as {!Ds.Intrusive_tree} / {!Ds.Ed_itree} /
-   {!Ds.Vt_itree} — which remain the generic, differential-tested
-   reference — hand-specialized over the [cls] fields. Without flambda
-   a call through a functor argument is never inlined, so the generic
-   functor costs about a dozen indirect calls per tree level on the
-   per-packet path; the NetBSD implementation specializes its intrusive
-   trees with macros for the same reason. Here every accessor is a
-   direct field load and the small helpers inline within this unit.
-   Equivalence with the generic modules is enforced by the tree- and
-   scheduler-level differential tests (test_hfsc_diff). *)
+   {!Ds.Vt_itree} — which remain the generic forms, checked against
+   brute-force models in test_ds — hand-specialized over the [cls]
+   fields. Without flambda a call through a functor argument is never
+   inlined, so the generic functor costs about a dozen indirect calls
+   per tree level on the per-packet path; the NetBSD implementation
+   specializes its intrusive trees with macros for the same reason.
+   Here every accessor is a direct field load and the small helpers
+   inline within this unit.
+   The scheduler differential (test_hfsc_diff, test_fuzz) pins the
+   decisions these trees make against Hfsc_ref's linear scans. *)
 
 (* Eligible/deadline tree over the leaves: an AVL tree keyed by
    (e, id), each node caching in [ed_agg] the subtree element of
@@ -461,8 +462,8 @@ let rec vt_max_node root =
     if r == nil then root else vt_max_node r
   end
 
-(* Leftmost (smallest-vt) element with fit <= now, pruning on the
-   cached subtree min-fit — the search of {!Ds.Vt_tree.first_fit}. *)
+(* Leftmost (smallest (vt, id)) element with fit <= now, pruning on the
+   cached subtree min-fit — the search of {!Ds.Vt_itree.first_fit}. *)
 let rec vt_go_ff now n =
   if n == nil then nil
   else begin
@@ -815,7 +816,7 @@ let actc_remove parent child =
 (* Fit-time lower bound over [cl]'s active children: 0 when there are
    none (an interior class with no active child is itself inactive and
    its f is never consulted). Reads the in-class cached aggregate — one
-   field load where the persistent version walked a Hashtbl. *)
+   field load, no scan over the children. *)
 let cfmin cl =
   let r = cl.actc_root in
   if r == nil then 0 else r.fs.vt_agg

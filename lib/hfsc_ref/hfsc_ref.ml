@@ -1,31 +1,30 @@
-(* Frozen reference implementation of the H-FSC scheduler over the
-   *persistent* augmented AVL trees (Ds.Ed_tree / Ds.Vt_tree) and a
-   per-scheduler Hashtbl of active-children trees. This is the
-   pre-intrusive implementation, kept so that the differential tests
-   (test/test_hfsc_diff.ml, test/test_fuzz.ml) can drive it in
-   lockstep with the production Hfsc and assert identical scheduling
-   decisions.
+(* Reference implementation of the H-FSC scheduler, kept so that the
+   differential tests (test/test_hfsc_diff.ml, test/test_fuzz.ml) can
+   drive it in lockstep with the production Hfsc and assert identical
+   scheduling decisions.
+
+   It shares no data structure with Hfsc. Every selection is a linear
+   scan over the class lists, with the rule of the paper's Section IV
+   and an explicit id tie-break written out:
+   - real-time: among leaves in the eligible set with e <= now, the
+     minimum (d, id);
+   - link-sharing: at each level, among the active children with
+     f <= now, the minimum (vt, id).
+   A class's membership of the eligible set and of its parent's active
+   children is a flag on the class ([in_ed], [in_actc]). Hfsc reaches
+   the same answers in O(log n) through augmented AVL trees; this
+   module pays O(n) per decision so it can be checked by reading.
 
    All time/service arithmetic goes through Curve.Fixed_point — the
    same shifted-integer functions the production scheduler uses (it
    carries in-unit copies of the hot ones) — which is what makes the
-   two implementations bit-identical and keeps this module the oracle
-   for the integer fast path. The persistent tree functors take float
-   keys; [float_of_int] is order-exact here because every reachable
-   tick/fit value is either far below 2^53 or exactly [ht_infinity].
+   two implementations bit-identical.
 
    Do not optimize this module; it is the semantic oracle. *)
 
 module Sc = Curve.Service_curve
 module Fp = Curve.Fixed_point
 module Fq = Ds.Fifo_queue
-
-(* Debug tracing; enable with Logs.Src.set_level on the "hfsc.ref"
-   source. All messages are closures, so disabled logging costs one
-   level check per site. *)
-let log_src = Logs.Src.create "hfsc.ref" ~doc:"H-FSC reference scheduler"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type criterion = Realtime | Linkshare
 type vt_policy = Vt_mean | Vt_min | Vt_max
@@ -81,22 +80,6 @@ type cls = {
   mutable nperiods : int;
 }
 
-module EdT = Ds.Ed_tree.Make (struct
-  type t = cls
-
-  let id c = c.id
-  let eligible c = float_of_int c.e
-  let deadline c = float_of_int c.d
-end)
-
-module VtT = Ds.Vt_tree.Make (struct
-  type t = cls
-
-  let id c = c.id
-  let vt c = float_of_int c.vt
-  let fit c = float_of_int c.f
-end)
-
 type t = {
   link_rate : float;
   vt_policy : vt_policy;
@@ -105,8 +88,6 @@ type t = {
   mutable next_id : int;
   mutable all_rev : cls list;
   troot : cls;
-  mutable eligible : EdT.t;
-  actc : (int, VtT.t) Hashtbl.t; (* interior class id -> active children *)
   mutable bl_pkts : int;
   mutable bl_bytes : int;
   mutable agg_pkts : int;
@@ -173,8 +154,6 @@ let create ?(vt_policy = Vt_mean) ?(eligible_policy = Eligible_paper)
     next_id = 1;
     all_rev = [ troot ];
     troot;
-    eligible = EdT.empty;
-    actc = Hashtbl.create 64;
     bl_pkts = 0;
     bl_bytes = 0;
     agg_pkts = agg_limit_pkts;
@@ -215,8 +194,7 @@ let remove_class t cl =
       if cl.nactive > 0 || cl.in_ed || cl.in_actc then
         invalid_arg "Hfsc.remove_class: class is active";
       parent.cchildren <- List.filter (fun c -> c != cl) parent.cchildren;
-      t.all_rev <- List.filter (fun c -> c != cl) t.all_rev;
-      Hashtbl.remove t.actc cl.id
+      t.all_rev <- List.filter (fun c -> c != cl) t.all_rev
 
 let set_curves t cl ?rsc ?fsc ?usc () =
   ignore t;
@@ -320,44 +298,40 @@ let restore_class cl s =
   cl.ulimit_c <- s.s_ulimit;
   Fq.set_limits ~pkts:s.s_qlim_pkts ~bytes:s.s_qlim_bytes cl.queue
 
-(* --- eligible-tree bookkeeping ------------------------------------ *)
+(* --- selection scans ------------------------------------------------ *)
 
-let ed_insert t cl =
-  assert (not cl.in_ed);
-  t.eligible <- EdT.insert cl t.eligible;
-  cl.in_ed <- true
+(* Real-time criterion: among the leaves in the eligible set whose
+   eligible time has arrived, the smallest (deadline, id). *)
+let rt_pick t now =
+  List.fold_left
+    (fun best c ->
+      if c.in_ed && c.e <= now then
+        match best with
+        | Some b when b.d < c.d || (b.d = c.d && b.id < c.id) -> best
+        | _ -> Some c
+      else best)
+    None t.all_rev
 
-let ed_remove t cl =
-  if cl.in_ed then begin
-    t.eligible <- EdT.remove cl t.eligible;
-    cl.in_ed <- false
-  end
+let active_children p = List.filter (fun c -> c.in_actc) p.cchildren
 
-(* --- active-children (virtual time) trees ------------------------- *)
+(* Link-sharing criterion at one level: among [p]'s active children
+   whose fit time has arrived, the smallest (virtual time, id). *)
+let ls_pick p now =
+  List.fold_left
+    (fun best c ->
+      if c.f <= now then
+        match best with
+        | Some b when b.vt < c.vt || (b.vt = c.vt && b.id < c.id) -> best
+        | _ -> Some c
+      else best)
+    None (active_children p)
 
-let get_actc t cl =
-  match Hashtbl.find_opt t.actc cl.id with Some tr -> tr | None -> VtT.empty
-
-let set_actc t cl tr = Hashtbl.replace t.actc cl.id tr
-
-let actc_insert t parent child =
-  assert (not child.in_actc);
-  set_actc t parent (VtT.insert child (get_actc t parent));
-  child.in_actc <- true
-
-let actc_remove t parent child =
-  if child.in_actc then begin
-    set_actc t parent (VtT.remove child (get_actc t parent));
-    child.in_actc <- false
-  end
+let min_f cs = List.fold_left (fun m c -> Int.min m c.f) ht_infinity cs
 
 (* Fit-time lower bound over [cl]'s active children: 0 when there are
    none (an interior class with no active child is itself inactive and
-   its f is never consulted). The tree aggregates float images of the
-   integer fit times; [int_of_float] recovers the integer exactly. *)
-let cfmin t cl =
-  let tr = get_actc t cl in
-  if VtT.is_empty tr then 0 else int_of_float (VtT.min_fit tr)
+   its f is never consulted). *)
+let cfmin cl = match active_children cl with [] -> 0 | cs -> min_f cs
 
 (* --- real-time criterion state (Section IV-B) --------------------- *)
 
@@ -377,39 +351,19 @@ let init_ed t cl now next_len =
           cl.eligible_c <- (if Fp.isc_concave isc then ec else Fp.flatten ec));
       cl.e <- Fp.y2x cl.eligible_c cl.cumul;
       cl.d <- Fp.y2x cl.deadline_c (cl.cumul + next_len);
-      Log.debug (fun m ->
-          m "activate %s at tick %d: e=%d d=%d cumul=%d" cl.cname now cl.e
-            cl.d cl.cumul);
-      ed_insert t cl
+      cl.in_ed <- true
 
 (* Recompute e and d after real-time service (cumul advanced). *)
-let update_ed t cl next_len =
-  ed_remove t cl;
+let update_ed cl next_len =
   cl.e <- Fp.y2x cl.eligible_c cl.cumul;
-  cl.d <- Fp.y2x cl.deadline_c (cl.cumul + next_len);
-  ed_insert t cl
+  cl.d <- Fp.y2x cl.deadline_c (cl.cumul + next_len)
 
 (* Recompute d only, after link-sharing service: cumul is untouched —
    this is the non-punishment property — but the head packet changed
    so the deadline must be refreshed for its length. *)
-let update_d t cl next_len =
-  ed_remove t cl;
-  cl.d <- Fp.y2x cl.deadline_c (cl.cumul + next_len);
-  ed_insert t cl
+let update_d cl next_len = cl.d <- Fp.y2x cl.deadline_c (cl.cumul + next_len)
 
 (* --- link-sharing criterion state (Section IV-C) ------------------ *)
-
-(* Recompute [cl.f] from its own upper limit and its children's fit
-   times, repositioning it in [parent]'s tree if the value changed. *)
-let refresh_f t parent cl =
-  let f = max cl.myf (cfmin t cl) in
-  if f <> cl.f then
-    if cl.in_actc then begin
-      actc_remove t parent cl;
-      cl.f <- f;
-      actc_insert t parent cl
-    end
-    else cl.f <- f
 
 (* Walk from a newly-active leaf towards the root, switching each
    newly-active ancestor's virtual time state into the current parent
@@ -450,9 +404,11 @@ let init_vf t cl0 now =
         go_active := newly;
         if newly then begin
           c.nperiods <- c.nperiods + 1;
-          (match VtT.max_vt (get_actc t parent) with
-          | Some max_cl ->
-              let vmax = max_cl.vt in
+          (match active_children parent with
+          | _ :: _ as siblings ->
+              let vmax =
+                List.fold_left (fun m s -> Int.max m s.vt) min_int siblings
+              in
               let vt0 =
                 match t.vt_policy with
                 | Vt_mean ->
@@ -466,7 +422,7 @@ let init_vf t cl0 now =
                  parent period may place the class anywhere *)
               if parent.vtperiod <> c.parentperiod || vt0 > c.vt then
                 c.vt <- vt0
-          | None ->
+          | [] ->
               (* First child of a fresh parent backlog period: restart
                  at the highest vt any sibling reached before going
                  passive, so virtual time never flows backwards. *)
@@ -481,7 +437,6 @@ let init_vf t cl0 now =
           c.vtperiod <- c.vtperiod + 1;
           c.parentperiod <-
             (parent.vtperiod + if parent.nactive = 0 then 1 else 0);
-          c.f <- 0;
           (match c.cusc with
           | Some s ->
               c.ulimit_c <-
@@ -489,9 +444,9 @@ let init_vf t cl0 now =
               c.myfadj <- 0;
               c.myf <- Fp.y2x c.ulimit_c c.total
           | None -> ());
-          actc_insert t parent c
+          c.in_actc <- true
         end;
-        refresh_f t parent c;
+        c.f <- Int.max c.myf (cfmin c);
         cl := parent
   done
 
@@ -522,7 +477,6 @@ let update_vf t cl0 len now =
              else false
            in
            go_passive := passive_now;
-           actc_remove t parent c;
            c.vt <- Fp.y2x c.virtual_c c.total + c.vtadj;
            (* a class held below the sibling floor (skipped for
               non-fit) is translated up and keeps the credit *)
@@ -533,6 +487,7 @@ let update_vf t cl0 len now =
            if passive_now then begin
              (* going passive: remember the high-water vt so the next
                 backlog period of the parent resumes above it *)
+             c.in_actc <- false;
              if c.vt > parent.cvtoff then parent.cvtoff <- c.vt
            end
            else begin
@@ -547,8 +502,7 @@ let update_vf t cl0 len now =
                    c.myf <- now
                  end
              | None -> ());
-             c.f <- max c.myf (cfmin t c);
-             actc_insert t parent c
+             c.f <- Int.max c.myf (cfmin c)
            end
          end);
         cl := parent
@@ -622,36 +576,25 @@ let dequeue t ~now =
   if t.bl_pkts = 0 then None
   else begin
     let nowt = Fp.ticks_of_seconds now in
-    let nowf = float_of_int nowt in
     let selected =
-      match EdT.min_deadline_eligible t.eligible ~now:nowf with
+      match rt_pick t nowt with
       | Some leaf -> Some (leaf, Realtime)
       | None ->
           (* link-sharing: descend by smallest virtual time that fits *)
           let rec descend c =
             if is_leaf_cls c then Some c
             else
-              match VtT.first_fit (get_actc t c) ~now:nowf with
+              match ls_pick c nowt with
               | None -> None
               | Some child ->
                   if c.cvtmin < child.vt then c.cvtmin <- child.vt;
                   descend child
           in
-          (match descend t.troot with
-          | Some leaf -> Some (leaf, Linkshare)
-          | None -> None)
+          Option.map (fun leaf -> (leaf, Linkshare)) (descend t.troot)
     in
     match selected with
-    | None ->
-        Log.debug (fun m ->
-            m "dequeue at tick %d: backlogged but rate-capped" nowt);
-        None
+    | None -> None
     | Some (leaf, crit) ->
-        Log.debug (fun m ->
-            m "dequeue at tick %d: %s via %s (vt=%d e=%d d=%d)" nowt
-              leaf.cname
-              (match crit with Realtime -> "realtime" | Linkshare -> "linkshare")
-              leaf.vt leaf.e leaf.d);
         let pkt =
           match Fq.pop leaf.queue with Some p -> p | None -> assert false
         in
@@ -664,10 +607,10 @@ let dequeue t ~now =
         | Some next ->
             if leaf.crsc <> None then begin
               let next_len = next.Pkt.Packet.size in
-              if crit = Realtime then update_ed t leaf next_len
-              else update_d t leaf next_len
+              if crit = Realtime then update_ed leaf next_len
+              else update_d leaf next_len
             end
-        | None -> ed_remove t leaf);
+        | None -> leaf.in_ed <- false);
         Some (pkt, leaf, crit)
   end
 
@@ -747,32 +690,17 @@ let next_ready_time t ~now =
   if t.bl_pkts = 0 then None
   else begin
     let nowt = Fp.ticks_of_seconds now in
-    let nowf = float_of_int nowt in
-    let ls_tree = get_actc t t.troot in
-    let rt_now = EdT.min_deadline_eligible t.eligible ~now:nowf <> None in
-    let ls_now =
-      (not (VtT.is_empty ls_tree)) && VtT.min_fit ls_tree <= nowf
-    in
-    if rt_now || ls_now then Some now
+    if Option.is_some (rt_pick t nowt) || Option.is_some (ls_pick t.troot nowt)
+    then Some now
     else begin
-      (* candidate ticks as their exact float images — a fit of
-         [ht_infinity] exceeds [int_of_float] range, so the min runs
-         in float space and the final conversion mirrors
-         [Fp.seconds_of_ticks] *)
-      let inf_f = float_of_int ht_infinity in
-      let cand = inf_f in
-      let cand =
-        match EdT.min_eligible t.eligible with
-        | Some c -> Float.min cand (float_of_int c.e)
-        | None -> cand
+      (* the earliest eligible time or root-level fit time, in ticks *)
+      let min_e =
+        List.fold_left
+          (fun m c -> if c.in_ed then Int.min m c.e else m)
+          ht_infinity t.all_rev
       in
-      let cand =
-        if VtT.is_empty ls_tree then cand
-        else Float.min cand (VtT.min_fit ls_tree)
-      in
-      Some
-        (Float.max now
-           (if cand >= inf_f then infinity else cand /. Fp.tick_hz))
+      let cand = Int.min min_e (min_f (active_children t.troot)) in
+      Some (Float.max now (Fp.seconds_of_ticks cand))
     end
   end
 
@@ -814,8 +742,7 @@ let debug_state c =
    curves can disagree by a few ticks where the exact values would tie. *)
 let e_d_slack = Fp.ticks_of_seconds 1e-6 + 1
 
-(* Semantic-level auditor: the persistent trees (Ds.Ed_tree /
-   Ds.Vt_tree) carry their own structural tests, so the oracle checks
+(* Semantic-level auditor: with no trees to validate, the oracle checks
    the scheduler-level invariants only — membership flags against
    queue/activity state, counter sums, deadline ordering, and absence
    of negative (overflowed) time or service values. *)

@@ -1,278 +1,12 @@
-(** Frozen reference H-FSC scheduler over the persistent trees — the
-    semantic oracle for the differential tests. Same API as {!Hfsc};
-    see that module (and lib/hfsc_ref/hfsc_ref.ml's header) for why
-    this copy exists.
+(** Reference H-FSC scheduler — the semantic oracle for the
+    differential tests. Same API and, bit for bit, the same decisions
+    as {!Hfsc}, but every selection is a linear scan with the paper's
+    rule and the id tie-break written out; see
+    lib/hfsc_ref/hfsc_ref.ml's header for why this copy exists. Its
+    batch calls are plain loops over the single-packet entry points,
+    which {e defines} the batch-equals-singles outcome {!Hfsc} must
+    match. {!audit} checks the scheduler-level invariants only
+    (membership flags, counters, deadline ordering, overflow); the
+    oracle has no trees to validate. *)
 
-    The Hierarchical Fair Service Curve scheduler (Sections IV and V).
-
-    One [t] schedules one link. Classes form a tree rooted at {!root};
-    packets are enqueued at leaf classes and dequeued by the link. Two
-    criteria drive dequeueing:
-
-    - the {e real-time criterion} — among leaves whose eligible time has
-      arrived, serve the smallest deadline; it alone guarantees every
-      leaf's real-time service curve to within one maximum-size packet
-      (Theorems 1–2);
-    - the {e link-sharing criterion} — otherwise, descend from the root
-      picking the active child with the smallest virtual time; it
-      distributes all remaining capacity according to the fair service
-      curve model, without ever punishing a class for excess service it
-      received earlier (link-sharing service does not advance the
-      deadline curve).
-
-    The implementation mirrors the authors' BSD code: all curves are
-    two-piece linear with O(1) updates (Fig. 8); the eligible set is an
-    augmented tree giving O(log n) min-deadline-among-eligible; each
-    interior class keeps its active children in a virtual-time tree
-    giving O(log n) smallest-vt-that-fits.
-
-    Time is the caller's wall clock, passed to every operation as [~now]
-    in seconds and required to be nondecreasing across calls. *)
-
-type t
-type cls
-
-(** Which criterion served a packet — exposed for instrumentation. *)
-type criterion = Realtime | Linkshare
-
-type vt_policy =
-  | Vt_mean  (** joining class gets [(vmin + vmax) / 2] — the paper's
-                 choice (Section IV-C), giving bounded sibling
-                 discrepancy. Default. *)
-  | Vt_min  (** joining class gets [vmin] — ablation; spread grows with
-                the number of siblings. *)
-  | Vt_max  (** joining class gets [vmax] — ablation, ditto. *)
-
-type eligible_policy =
-  | Eligible_paper
-      (** Eligible curve = deadline curve for concave service curves;
-          its [m2]-slope envelope for convex ones (end of Section IV-B).
-          Default. *)
-  | Eligible_deadline
-      (** Ablation: eligible curve = deadline curve always. For convex
-          curves this under-provisions the real-time criterion — future
-          rate increases are not pre-funded — and leaf guarantees can be
-          violated; exercised by the E9 bench to show why the paper's
-          rule matters. *)
-
-(** What happens when an arriving packet would exceed the *aggregate*
-    backlog bounds (per-class limits always tail-drop the arrival). *)
-type drop_policy =
-  | Tail_drop  (** the arriving packet is dropped. Default. *)
-  | Drop_longest
-      (** tail packets of the leaf with the most queued bytes are
-          evicted until the arrival fits (ties to the smallest class
-          id); the arrival is dropped only if no queue holds two or
-          more packets. Queue heads are never evicted, so scheduling
-          state needs no repair and rt deadlines are unaffected. *)
-
-val create :
-  ?vt_policy:vt_policy ->
-  ?eligible_policy:eligible_policy ->
-  ?ulimit_slack:float ->
-  ?agg_limit_pkts:int ->
-  ?agg_limit_bytes:int ->
-  ?drop_policy:drop_policy ->
-  link_rate:float ->
-  unit ->
-  t
-(** [create ~link_rate ()] builds a scheduler for a link of [link_rate]
-    bytes/second. The root class is created implicitly with a linear
-    fair service curve of that rate. [ulimit_slack] (seconds, default
-    1 ms) bounds how much unused upper-limit allowance a rate-capped
-    class may carry forward as a burst. [agg_limit_pkts] /
-    [agg_limit_bytes] bound the total backlog across all leaf queues
-    (default: unlimited) with [drop_policy] deciding who pays when the
-    bound is hit. *)
-
-val root : t -> cls
-
-val add_class :
-  t ->
-  parent:cls ->
-  name:string ->
-  ?rsc:Curve.Service_curve.t ->
-  ?fsc:Curve.Service_curve.t ->
-  ?usc:Curve.Service_curve.t ->
-  ?qlimit:int ->
-  ?qlimit_bytes:int ->
-  unit ->
-  cls
-(** Adds a class under [parent]. [rsc] is the real-time service curve
-    (leaf classes only — adding a child to a class with an [rsc]
-    raises); [fsc] the fair (link-sharing) service curve, defaulting to
-    [rsc] (at least one of the two must be given); [usc] an optional
-    upper-limit curve making the class non-work-conserving; [qlimit]
-    ([qlimit_bytes]) the drop-tail packet (byte) limit of the leaf
-    queue.
-
-    @raise Invalid_argument on a parent with an [rsc], a parent that
-    already received packets as a leaf, or a class with neither curve. *)
-
-val remove_class : t -> cls -> unit
-(** Remove a passive leaf (or childless interior) class from the
-    hierarchy, as kernel implementations allow between traffic.
-    A parent left childless becomes usable as a leaf again.
-
-    @raise Invalid_argument if the class is the root, still has
-    children, or has queued packets. *)
-
-val set_curves :
-  t ->
-  cls ->
-  ?rsc:Curve.Service_curve.t ->
-  ?fsc:Curve.Service_curve.t ->
-  ?usc:Curve.Service_curve.t ->
-  unit ->
-  unit
-(** Replace the class's curves (only the given ones change). The class
-    must be passive (no queued packets, not active in the hierarchy);
-    the new curves take effect from its next backlogged period.
-    Passing [rsc] to an interior class is rejected as in {!add_class}.
-
-    @raise Invalid_argument if the class is active, or the change is
-    structurally invalid. *)
-
-(** {2 Queue bounds and drop accounting} *)
-
-val set_class_limits : t -> cls -> ?pkts:int -> ?bytes:int -> unit -> unit
-(** Update a leaf's queue limits in place (only the given bounds
-    change). Existing backlog is never dropped; the new bounds apply
-    to subsequent arrivals, so this is safe on a live class.
-
-    @raise Invalid_argument on a non-leaf class or non-positive bound. *)
-
-val queue_limit_pkts : cls -> int
-val queue_limit_bytes : cls -> int
-
-val set_aggregate_limit : t -> ?pkts:int -> ?bytes:int -> unit -> unit
-(** Update the scheduler-wide backlog bounds (only the given bounds
-    change); [max_int] means unlimited. Existing backlog is never
-    dropped.
-
-    @raise Invalid_argument on a non-positive bound. *)
-
-val aggregate_limit_pkts : t -> int
-val aggregate_limit_bytes : t -> int
-val set_drop_policy : t -> drop_policy -> unit
-val drop_policy : t -> drop_policy
-
-val set_drop_hook : t -> (float -> cls -> Pkt.Packet.t -> unit) -> unit
-(** [set_drop_hook t f] arranges for [f now cls pkt] to be called once
-    per dropped packet: for a refused arrival [cls] is the destination
-    leaf, for a {!Drop_longest} eviction the victim. One hook per
-    scheduler; setting replaces. The default hook does nothing. *)
-
-(** {2 Transactional support} *)
-
-type class_snapshot
-(** The configuration state of one class — curves, their runtime
-    anchors, and queue limits — as captured by {!snapshot_class}. *)
-
-val snapshot_class : cls -> class_snapshot
-
-val restore_class : cls -> class_snapshot -> unit
-(** Restore a class's configuration to a prior snapshot, bit-exactly.
-    Only configuration is covered: packet-driven scheduling state
-    (virtual times, trees, counters) is never mutated by configuration
-    commands and so never needs rollback. *)
-
-val enqueue : t -> now:float -> cls -> Pkt.Packet.t -> bool
-(** [enqueue t ~now cls p] queues [p] at leaf [cls]; [false] means the
-    packet was dropped — by the class's queue limits, or by the
-    aggregate limit under {!Tail_drop} (under {!Drop_longest} other
-    classes' tail packets may be evicted instead). Every drop is
-    reported to the {!set_drop_hook} hook and counted against the
-    queue that lost the packet.
-
-    @raise Invalid_argument if [cls] is not a leaf of [t]. *)
-
-val dequeue : t -> now:float -> (Pkt.Packet.t * cls * criterion) option
-(** Select and remove the next packet to transmit at time [now]. [None]
-    when the backlog is empty, or when every backlogged class is
-    rate-capped by an upper-limit curve until some later instant — see
-    {!next_ready_time}. *)
-
-(** {2 Batched entry points}
-
-    Reference semantics for {!Hfsc}'s batch API: implemented as plain
-    loops over the single-packet entry points, which {e defines} the
-    batch-equals-singles outcome the optimized scheduler must be
-    bit-identical to. *)
-
-type batch
-
-val batch : ?capacity:int -> unit -> batch
-val batch_capacity : batch -> int
-val batch_count : batch -> int
-val batch_pkt : batch -> int -> Pkt.Packet.t
-val batch_cls : batch -> int -> cls
-val batch_crit : batch -> int -> criterion
-val dequeue_batch : t -> now:float -> batch -> int
-val enqueue_batch : t -> now:float -> cls array -> Pkt.Packet.t array -> int
-
-val next_ready_time : t -> now:float -> float option
-(** [None] iff the backlog is empty; otherwise the earliest [t' >= now]
-    at which {!dequeue} can return a packet ([now] itself when one is
-    servable immediately). Only upper-limit curves can push this past
-    [now]. *)
-
-val backlog_pkts : t -> int
-val backlog_bytes : t -> int
-
-(** {2 Class introspection} *)
-
-val name : cls -> string
-
-val id : cls -> int
-(** Small dense identifier: 0 for the root, then creation order. Ids of
-    removed classes are not reused, so an id indexes stably into
-    caller-side per-class arrays (the runtime telemetry does this). *)
-
-val is_leaf : cls -> bool
-val parent : cls -> cls option
-val children : cls -> cls list
-val classes : t -> cls list
-(** All classes including the root, in creation order. *)
-
-val find_class : t -> string -> cls option
-val queue_length : cls -> int
-val queue_bytes : cls -> int
-
-val total_bytes : cls -> float
-(** Bytes of service received under either criterion (leaf: transmitted
-    bytes; interior: sum over subtree). *)
-
-val realtime_bytes : cls -> float
-(** Bytes of service the real-time criterion accounted to this leaf
-    (the [c] of the algorithm); 0 for interior classes. *)
-
-val drops : cls -> int
-val periods : cls -> int
-(** Number of active (backlogged) periods so far. *)
-
-val virtual_time : cls -> float
-(** Current virtual time — meaningful relative to siblings only. *)
-
-val rsc : cls -> Curve.Service_curve.t option
-val fsc : cls -> Curve.Service_curve.t option
-val usc : cls -> Curve.Service_curve.t option
-
-val audit : t -> string list
-(** Validate every internal invariant the datapath depends on: ED-tree
-    ordering, balance and cached min-deadline aggregates; eligible
-    time never past the deadline; per-class VT-tree ordering and
-    cached min-fit aggregates; active-children membership against the
-    [nactive] counters; backlog counters against the leaf queues; no
-    negative (overflowed) time or service values; name-resolution
-    bindings. Returns one human-readable line
-    per violation — [[]] means the scheduler is consistent. O(n log n);
-    call it between operations, not from inside the drop hook. *)
-
-val pp_hierarchy : Format.formatter -> t -> unit
-(** Render the class tree with per-class curves and counters. *)
-
-val debug_state : cls -> string
-(** One-line dump of the class's internal scheduling state (virtual
-    time, offsets, curve origins) — for tests and debugging only; the
-    format is unspecified. *)
+include module type of Hfsc

@@ -2,7 +2,7 @@
    H-FSC test suite. The hierarchy builder and the op-stream driver are
    functors over the scheduler module so the same generated
    configuration and operation sequence can be instantiated against
-   both the optimized scheduler ([Hfsc]) and the frozen reference
+   both the optimized scheduler ([Hfsc]) and the linear-scan reference
    ([Hfsc_ref]) — the differential tests drive the two in lockstep.
    [dump] renders a failing (seed, spec, ops) triple as OCaml literals
    so any fuzz failure can be replayed as a deterministic test case. *)

@@ -1,7 +1,7 @@
 (* Unit and property tests for the data-structure substrate (lib/ds):
    binary heap, packet FIFO, the two augmented trees of Section V and
-   the intrusive AVL functor under them. Property tests check each structure against a brute-force reference
-   model. *)
+   the intrusive AVL functor under them. Property tests check each
+   structure against a brute-force reference model. *)
 
 let qt ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -170,169 +170,16 @@ let test_fifo_iter () =
     [ 4; 5; 6; 7; 8; 9; 10; 11; 12 ]
     (List.rev !seen)
 
-(* --- eligible/deadline tree ---------------------------------------- *)
-
-type edc = { eid : int; mutable el : float; mutable dl : float }
-
-module Ed = Ds.Ed_tree.Make (struct
-  type t = edc
-
-  let id c = c.eid
-  let eligible c = c.el
-  let deadline c = c.dl
-end)
-
-let brute_min_deadline cs ~now =
-  List.filter (fun c -> c.el <= now) cs
-  |> List.fold_left
-       (fun acc c ->
-         match acc with
-         | None -> Some c
-         | Some b ->
-             if c.dl < b.dl || (c.dl = b.dl && c.eid < b.eid) then Some c
-             else acc)
-       None
-
-let ed_gen =
-  QCheck2.Gen.(
-    list_size (int_range 0 40)
-      (pair (float_bound_inclusive 10.) (float_bound_inclusive 10.)))
-
-let ed_matches_brute =
-  qt "ed_tree: min_deadline_eligible = brute force" ed_gen (fun pairs ->
-      let cs = List.mapi (fun i (e, d) -> { eid = i; el = e; dl = d }) pairs in
-      let t = List.fold_left (fun t c -> Ed.insert c t) Ed.empty cs in
-      List.for_all
-        (fun now ->
-          let got = Ed.min_deadline_eligible t ~now in
-          let want = brute_min_deadline cs ~now in
-          match (got, want) with
-          | None, None -> true
-          | Some a, Some b -> a.eid = b.eid
-          | _ -> false)
-        [ 0.; 2.5; 5.; 7.5; 10.; 11. ])
-
-let ed_remove_works =
-  qt "ed_tree: remove really removes" ed_gen (fun pairs ->
-      let cs = List.mapi (fun i (e, d) -> { eid = i; el = e; dl = d }) pairs in
-      let t = List.fold_left (fun t c -> Ed.insert c t) Ed.empty cs in
-      List.for_all
-        (fun c ->
-          let t' = Ed.remove c t in
-          (not (Ed.mem c t')) && Ed.cardinal t' = Ed.cardinal t - 1)
-        cs)
-
-let test_ed_min_eligible () =
-  let a = { eid = 1; el = 3.; dl = 9. } in
-  let b = { eid = 2; el = 1.; dl = 5. } in
-  let c = { eid = 3; el = 2.; dl = 1. } in
-  let t = List.fold_left (fun t x -> Ed.insert x t) Ed.empty [ a; b; c ] in
-  (match Ed.min_eligible t with
-  | Some x -> Alcotest.(check int) "next eligible" 2 x.eid
-  | None -> Alcotest.fail "expected");
-  (* nothing eligible before t=1 *)
-  Alcotest.(check bool) "none eligible" true
-    (Ed.min_deadline_eligible t ~now:0.5 = None);
-  (* at t=2, b and c eligible; c has smaller deadline *)
-  match Ed.min_deadline_eligible t ~now:2.0 with
-  | Some x -> Alcotest.(check int) "min deadline among eligible" 3 x.eid
-  | None -> Alcotest.fail "expected eligible"
-
-let test_ed_to_list_sorted () =
-  let cs = List.init 20 (fun i -> { eid = i; el = float_of_int (20 - i); dl = 0. }) in
-  let t = List.fold_left (fun t c -> Ed.insert c t) Ed.empty cs in
-  let els = List.map (fun c -> c.el) (Ed.to_list t) in
-  Alcotest.(check (list (float 0.))) "sorted by eligible"
-    (List.sort Float.compare els) els
-
-(* --- virtual-time tree ---------------------------------------------- *)
-
-type vtc = { vid : int; mutable v : float; mutable ft : float }
-
-module Vt = Ds.Vt_tree.Make (struct
-  type t = vtc
-
-  let id c = c.vid
-  let vt c = c.v
-  let fit c = c.ft
-end)
-
-let brute_first_fit cs ~now =
-  List.filter (fun c -> c.ft <= now) cs
-  |> List.fold_left
-       (fun acc c ->
-         match acc with
-         | None -> Some c
-         | Some b ->
-             if c.v < b.v || (c.v = b.v && c.vid < b.vid) then Some c else acc)
-       None
-
-let vt_gen =
-  QCheck2.Gen.(
-    list_size (int_range 0 40)
-      (pair (float_bound_inclusive 10.) (float_bound_inclusive 10.)))
-
-let vt_matches_brute =
-  qt "vt_tree: first_fit = brute force" vt_gen (fun pairs ->
-      let cs = List.mapi (fun i (v, f) -> { vid = i; v; ft = f }) pairs in
-      let t = List.fold_left (fun t c -> Vt.insert c t) Vt.empty cs in
-      List.for_all
-        (fun now ->
-          let got = Vt.first_fit t ~now in
-          let want = brute_first_fit cs ~now in
-          match (got, want) with
-          | None, None -> true
-          | Some a, Some b -> a.vid = b.vid
-          | _ -> false)
-        [ 0.; 3.; 6.; 10. ])
-
-let vt_min_max =
-  qt "vt_tree: min_vt/max_vt/min_fit" vt_gen (fun pairs ->
-      let cs = List.mapi (fun i (v, f) -> { vid = i; v; ft = f }) pairs in
-      let t = List.fold_left (fun t c -> Vt.insert c t) Vt.empty cs in
-      let by_vt a b =
-        let c = Float.compare a.v b.v in
-        if c <> 0 then c else Int.compare a.vid b.vid
-      in
-      let sorted = List.sort by_vt cs in
-      let ok_min =
-        match (Vt.min_vt t, sorted) with
-        | None, [] -> true
-        | Some a, b :: _ -> a.vid = b.vid
-        | _ -> false
-      in
-      let ok_max =
-        match (Vt.max_vt t, List.rev sorted) with
-        | None, [] -> true
-        | Some a, b :: _ -> a.vid = b.vid
-        | _ -> false
-      in
-      let ok_fit =
-        let want =
-          List.fold_left (fun acc c -> Float.min acc c.ft) infinity cs
-        in
-        Vt.min_fit t = want
-      in
-      ok_min && ok_max && ok_fit)
-
-let test_vt_reposition_discipline () =
-  (* remove, mutate, reinsert — the usage pattern of the scheduler *)
-  let a = { vid = 1; v = 1.; ft = 0. } in
-  let b = { vid = 2; v = 2.; ft = 0. } in
-  let t = Vt.insert b (Vt.insert a Vt.empty) in
-  let t = Vt.remove a t in
-  a.v <- 3.;
-  let t = Vt.insert a t in
-  match Vt.min_vt t with
-  | Some x -> Alcotest.(check int) "b now first" 2 x.vid
-  | None -> Alcotest.fail "expected"
-
 (* --- intrusive trees ------------------------------------------------ *)
 
-(* The lockstep persistent-vs-intrusive comparison lives in
-   test_hfsc_diff.ml; here the intrusive trees are checked on their own
-   against the brute-force models, plus the structural invariants
-   ([validate]) after churn. *)
+(* The intrusive trees against brute-force models, plus the structural
+   invariants ([validate]) after churn. Elements are random
+   (eligible, deadline) or (vt, fit) pairs. *)
+
+let pair_gen =
+  QCheck2.Gen.(
+    list_size (int_range 0 40)
+      (pair (float_bound_inclusive 10.) (float_bound_inclusive 10.)))
 
 type iedc = {
   ieid : int;
@@ -385,7 +232,7 @@ let ied_brute_min_deadline cs ~now =
        None
 
 let edi_matches_brute =
-  qt "ed_itree: min_deadline_eligible = brute force" ed_gen (fun pairs ->
+  qt "ed_itree: min_deadline_eligible = brute force" pair_gen (fun pairs ->
       let cs = List.mapi ied_mk pairs in
       let t = List.fold_left (fun t c -> EdI.insert c t) EdI.empty cs in
       EdI.validate t;
@@ -400,7 +247,7 @@ let edi_matches_brute =
         [ 0.; 2.5; 5.; 7.5; 10.; 11. ])
 
 let edi_remove_works =
-  qt "ed_itree: remove really removes" ed_gen (fun pairs ->
+  qt "ed_itree: remove really removes" pair_gen (fun pairs ->
       let cs = List.mapi ied_mk pairs in
       let t = List.fold_left (fun t c -> EdI.insert c t) EdI.empty cs in
       (* drain by removing every element in turn, revalidating as we go *)
@@ -485,7 +332,7 @@ let ivt_brute_first_fit cs ~now =
        None
 
 let vti_matches_brute =
-  qt "vt_itree: first_fit = brute force" vt_gen (fun pairs ->
+  qt "vt_itree: first_fit = brute force" pair_gen (fun pairs ->
       let cs = List.mapi ivt_mk pairs in
       let t = List.fold_left (fun t c -> VtI.insert c t) VtI.empty cs in
       VtI.validate t;
@@ -500,7 +347,7 @@ let vti_matches_brute =
         [ 0.; 3.; 6.; 10. ])
 
 let vti_min_max =
-  qt "vt_itree: min_vt/max_vt/min_fit" vt_gen (fun pairs ->
+  qt "vt_itree: min_vt/max_vt/min_fit" pair_gen (fun pairs ->
       let cs = List.mapi ivt_mk pairs in
       let t = List.fold_left (fun t c -> VtI.insert c t) VtI.empty cs in
       let by_vt a b =
@@ -651,21 +498,6 @@ let () =
           Alcotest.test_case "peek/clear" `Quick test_fifo_peek_clear;
           Alcotest.test_case "iter wraparound" `Quick test_fifo_iter;
           fifo_vs_queue;
-        ] );
-      ( "ed_tree",
-        [
-          Alcotest.test_case "min_eligible + boundary" `Quick
-            test_ed_min_eligible;
-          Alcotest.test_case "to_list sorted" `Quick test_ed_to_list_sorted;
-          ed_matches_brute;
-          ed_remove_works;
-        ] );
-      ( "vt_tree",
-        [
-          Alcotest.test_case "reposition discipline" `Quick
-            test_vt_reposition_discipline;
-          vt_matches_brute;
-          vt_min_max;
         ] );
       ( "ed_itree",
         [

@@ -6,7 +6,7 @@
    - scheduler differential fuzz: the same generated hierarchy and the
      same op stream (enqueue/dequeue — single and batched —
      queue-limit/aggregate-limit/policy changes) driven through [Hfsc]
-     and the frozen [Hfsc_ref], each in both burst modes, with [audit]
+     and the linear-scan [Hfsc_ref], each in both burst modes, with [audit]
      run every 64 ops; all four traces must be bit-identical (floats
      rendered with %h) — pinning both the optimized-vs-reference
      differential and the batch-equals-singles identity;

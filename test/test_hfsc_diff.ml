@@ -1,260 +1,14 @@
-(* Differential tests for the intrusive-tree rework: the mutable
-   intrusive ED/VT trees against the persistent originals on random
-   operation sequences, and the optimized scheduler (Hfsc) against the
-   frozen reference (Hfsc_ref) on random hierarchies and traffic —
-   asserting bit-identical dequeue decisions and float aggregates.
+(* Differential tests: the optimized scheduler (Hfsc, augmented
+   intrusive trees) against the linear-scan reference (Hfsc_ref) on
+   random hierarchies and traffic, and on tie-heavy inputs where only
+   the id tie-break rules decide — asserting bit-identical dequeue
+   decisions and float aggregates.
 
    Between the deterministic big runs and the QCheck cases this drives
    well over 10k operations through each pair. *)
 
 let qt ?(count = 30) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
-
-(* --- ED trees: persistent vs intrusive ----------------------------- *)
-
-type ede = {
-  eid : int;
-  mutable el : float;
-  mutable dl : float;
-  mutable e_l : ede;
-  mutable e_r : ede;
-  mutable e_h : int;
-  mutable e_agg : ede;
-}
-
-let rec ed_nil =
-  { eid = -1; el = 0.; dl = 0.; e_l = ed_nil; e_r = ed_nil; e_h = 0;
-    e_agg = ed_nil }
-
-module EdP = Ds.Ed_tree.Make (struct
-  type t = ede
-
-  let id c = c.eid
-  let eligible c = c.el
-  let deadline c = c.dl
-end)
-
-module EdI = Ds.Ed_itree.Make (struct
-  type t = ede
-
-  let nil = ed_nil
-
-  let compare a b =
-    let c = Float.compare a.el b.el in
-    if c <> 0 then c else Int.compare a.eid b.eid
-
-  let eligible_le c now = c.el <= now
-  let better_deadline a b = a.dl < b.dl || (a.dl = b.dl && a.eid < b.eid)
-  let left c = c.e_l
-  let set_left c x = c.e_l <- x
-  let right c = c.e_r
-  let set_right c x = c.e_r <- x
-  let height c = c.e_h
-  let set_height c h = c.e_h <- h
-  let agg c = c.e_agg
-  let set_agg c x = c.e_agg <- x
-end)
-
-(* --- VT trees: persistent vs intrusive ----------------------------- *)
-
-type vte = {
-  vid : int;
-  mutable v : float;
-  mutable ft : float;
-  mutable v_l : vte;
-  mutable v_r : vte;
-  mutable v_h : int;
-  mutable v_agg : float; (* cached subtree min fit *)
-}
-
-let rec vt_nil =
-  { vid = -1; v = 0.; ft = 0.; v_l = vt_nil; v_r = vt_nil; v_h = 0;
-    v_agg = infinity }
-
-module VtP = Ds.Vt_tree.Make (struct
-  type t = vte
-
-  let id c = c.vid
-  let vt c = c.v
-  let fit c = c.ft
-end)
-
-module VtI = Ds.Vt_itree.Make (struct
-  type t = vte
-
-  let nil = vt_nil
-
-  let compare a b =
-    let c = Float.compare a.v b.v in
-    if c <> 0 then c else Int.compare a.vid b.vid
-
-  let fit_le c x = c.ft <= x
-  let agg_fit_le c x = c.v_agg <= x
-  let min_fit_value c = c.v_agg
-
-  let refresh_agg c =
-    let m = c.ft in
-    let l = c.v_l in
-    let m = if l != vt_nil && l.v_agg < m then l.v_agg else m in
-    let r = c.v_r in
-    let m = if r != vt_nil && r.v_agg < m then r.v_agg else m in
-    c.v_agg <- m
-
-  let left c = c.v_l
-  let set_left c x = c.v_l <- x
-  let right c = c.v_r
-  let set_right c x = c.v_r <- x
-  let height c = c.v_h
-  let set_height c h = c.v_h <- h
-end)
-
-(* Random op sequence over a (persistent, intrusive) pair, comparing
-   every query answer and the full in-order contents. Op mix: insert,
-   remove, reposition (remove + mutate key + reinsert — the scheduler's
-   usage pattern), query. *)
-let ed_diff_run ~seed ~nops =
-  let rng = Random.State.make [| seed |] in
-  let live = ref [] in
-  let nlive = ref 0 in
-  let pt = ref EdP.empty in
-  let it = ref EdI.empty in
-  let next_id = ref 0 in
-  let ok = ref true in
-  let pick () = List.nth !live (Random.State.int rng !nlive) in
-  let same a b =
-    match (a, b) with
-    | None, None -> true
-    | Some (x : ede), Some y -> x.eid = y.eid
-    | _ -> false
-  in
-  for _ = 1 to nops do
-    let r = Random.State.float rng 1. in
-    if r < 0.4 || !nlive = 0 then begin
-      incr next_id;
-      let x =
-        { eid = !next_id; el = Random.State.float rng 10.;
-          dl = Random.State.float rng 10.; e_l = ed_nil; e_r = ed_nil;
-          e_h = 0; e_agg = ed_nil }
-      in
-      pt := EdP.insert x !pt;
-      it := EdI.insert x !it;
-      live := x :: !live;
-      incr nlive
-    end
-    else if r < 0.6 then begin
-      let x = pick () in
-      live := List.filter (fun y -> y != x) !live;
-      decr nlive;
-      pt := EdP.remove x !pt;
-      it := EdI.remove x !it
-    end
-    else if r < 0.75 then begin
-      (* reposition: remove, mutate the key fields, reinsert *)
-      let x = pick () in
-      pt := EdP.remove x !pt;
-      it := EdI.remove x !it;
-      x.el <- Random.State.float rng 10.;
-      x.dl <- Random.State.float rng 10.;
-      pt := EdP.insert x !pt;
-      it := EdI.insert x !it
-    end
-    else begin
-      let now = Random.State.float rng 11. in
-      ok :=
-        !ok
-        && same (EdP.min_deadline_eligible !pt ~now)
-             (EdI.min_deadline_eligible !it ~now)
-        && same (EdP.min_eligible !pt) (EdI.min_eligible !it)
-        && EdP.cardinal !pt = EdI.cardinal !it
-    end
-  done;
-  EdI.validate !it;
-  ok :=
-    !ok
-    && List.map (fun (x : ede) -> x.eid) (EdP.to_list !pt)
-       = List.map (fun (x : ede) -> x.eid) (EdI.to_list !it);
-  !ok
-
-let vt_diff_run ~seed ~nops =
-  let rng = Random.State.make [| seed |] in
-  let live = ref [] in
-  let nlive = ref 0 in
-  let pt = ref VtP.empty in
-  let it = ref VtI.empty in
-  let next_id = ref 0 in
-  let ok = ref true in
-  let pick () = List.nth !live (Random.State.int rng !nlive) in
-  let same a b =
-    match (a, b) with
-    | None, None -> true
-    | Some (x : vte), Some y -> x.vid = y.vid
-    | _ -> false
-  in
-  for _ = 1 to nops do
-    let r = Random.State.float rng 1. in
-    if r < 0.4 || !nlive = 0 then begin
-      incr next_id;
-      let x =
-        { vid = !next_id; v = Random.State.float rng 10.;
-          ft = Random.State.float rng 10.; v_l = vt_nil; v_r = vt_nil;
-          v_h = 0; v_agg = infinity }
-      in
-      pt := VtP.insert x !pt;
-      it := VtI.insert x !it;
-      live := x :: !live;
-      incr nlive
-    end
-    else if r < 0.6 then begin
-      let x = pick () in
-      live := List.filter (fun y -> y != x) !live;
-      decr nlive;
-      pt := VtP.remove x !pt;
-      it := VtI.remove x !it
-    end
-    else if r < 0.75 then begin
-      let x = pick () in
-      pt := VtP.remove x !pt;
-      it := VtI.remove x !it;
-      x.v <- Random.State.float rng 10.;
-      x.ft <- Random.State.float rng 10.;
-      pt := VtP.insert x !pt;
-      it := VtI.insert x !it
-    end
-    else begin
-      let now = Random.State.float rng 11. in
-      ok :=
-        !ok
-        && same (VtP.first_fit !pt ~now) (VtI.first_fit !it ~now)
-        && same (VtP.min_vt !pt) (VtI.min_vt !it)
-        && same (VtP.max_vt !pt) (VtI.max_vt !it)
-        && VtP.min_fit !pt = VtI.min_fit !it
-        && VtP.cardinal !pt = VtI.cardinal !it
-    end
-  done;
-  VtI.validate !it;
-  ok :=
-    !ok
-    && List.map (fun (x : vte) -> x.vid) (VtP.to_list !pt)
-       = List.map (fun (x : vte) -> x.vid) (VtI.to_list !it);
-  !ok
-
-let test_ed_diff_big () =
-  Alcotest.(check bool) "ed trees agree over 6000 ops" true
-    (ed_diff_run ~seed:7 ~nops:6000)
-
-let test_vt_diff_big () =
-  Alcotest.(check bool) "vt trees agree over 6000 ops" true
-    (vt_diff_run ~seed:11 ~nops:6000)
-
-let ed_diff_random =
-  qt ~count:40 "ed trees: random op sequences agree"
-    QCheck2.Gen.(int_range 0 100_000)
-    (fun seed -> ed_diff_run ~seed ~nops:300)
-
-let vt_diff_random =
-  qt ~count:40 "vt trees: random op sequences agree"
-    QCheck2.Gen.(int_range 0 100_000)
-    (fun seed -> vt_diff_run ~seed ~nops:300)
 
 (* --- full schedulers: Hfsc vs Hfsc_ref ----------------------------- *)
 
@@ -357,6 +111,51 @@ let batch_identity =
       let ref_b = BRef.run ~expand_bursts:false ~spec ~ops () in
       batched = singles && batched = ref_b)
 
+(* --- tie-heavy inputs ------------------------------------------------ *)
+
+(* Random traffic almost never makes two keys equal, so it leaves the
+   id tie-breaks unexercised: real-time (d, id), link-sharing (vt, id)
+   and drop-longest (queued bytes, id). Here sibling leaves have equal
+   curves, every packet has one size, and each burst puts one packet
+   on every leaf at a single instant, so deadlines, virtual times and
+   queue bytes tie and only the ids decide. A 10-packet aggregate limit
+   under Drop_longest makes the second burst evict from equal-byte
+   queues. *)
+let tie_spec =
+  let leaf rsc_kind =
+    Hfsc_gen.Leaf { rsc_kind; with_usc = false; share = 0.3; qlimit = 50 }
+  in
+  Hfsc_gen.Node
+    ( 1.,
+      [
+        Hfsc_gen.Node (0.5, [ leaf 3; leaf 3; leaf 3 ]);
+        Hfsc_gen.Node (0.5, [ leaf 0; leaf 0; leaf 0 ]);
+      ] )
+
+let tie_ops =
+  let open Hfsc_gen in
+  let burst = Enq_burst (List.init 6 (fun i -> (i, 500))) in
+  let round =
+    [
+      { dt = 0.02; act = burst };
+      { dt = 0.; act = burst };
+      { dt = 0.; act = Deq_burst 4 };
+      { dt = 0.001; act = Deq_burst 3 };
+      { dt = 0.01; act = Deq_burst 12 };
+    ]
+  in
+  { dt = 0.; act = Policy true }
+  :: { dt = 0.; act = Agg_limit (10, max_int) }
+  :: List.concat (List.init 20 (fun _ -> round))
+
+let test_ties () =
+  let spec = tie_spec and ops = tie_ops in
+  let batched = BOpt.run ~expand_bursts:false ~spec ~ops () in
+  let singles = BOpt.run ~expand_bursts:true ~spec ~ops () in
+  let reference = BRef.run ~expand_bursts:false ~spec ~ops () in
+  Alcotest.(check string) "singles = batched" batched singles;
+  Alcotest.(check string) "reference = batched" batched reference
+
 (* --- set_curves while the hierarchy holds backlog ------------------- *)
 
 (* The runtime control plane reconfigures passive classes while their
@@ -364,7 +163,7 @@ let batch_identity =
    implementations: serve a greedy [a] for a while, change passive
    [b]'s curves mid-run (including giving it an rsc), then let [b]
    start its next backlogged period and compete. Decisions and
-   aggregates must stay bit-identical to the frozen reference. *)
+   aggregates must stay bit-identical to the reference. *)
 module Reconf (H : module type of Hfsc) = struct
   let crit_int (c : H.criterion) =
     match c with H.Realtime -> 0 | H.Linkshare -> 1
@@ -500,18 +299,12 @@ let test_reconf_takes_effect () =
 let () =
   Alcotest.run "hfsc-diff"
     [
-      ( "trees",
-        [
-          Alcotest.test_case "ed big run" `Quick test_ed_diff_big;
-          Alcotest.test_case "vt big run" `Quick test_vt_diff_big;
-          ed_diff_random;
-          vt_diff_random;
-        ] );
       ( "scheduler",
         [
           Alcotest.test_case "deterministic big run" `Quick
             test_sched_diff_big;
           sched_diff_random;
+          Alcotest.test_case "tie-heavy bursts" `Quick test_ties;
         ] );
       ("batch", [ batch_identity ]);
       ( "set_curves",
