@@ -321,7 +321,13 @@ let throughput t = t.tput
 let transmitted_bytes t =
   Array.fold_left (fun acc l -> acc +. l.w.tx_bytes) 0. t.links
 
-let enqueue_drops t = t.drops
+let enqueue_drops t =
+  Array.fold_left
+    (fun acc l ->
+      match l.lsched.Sched.Scheduler.deferred_drops with
+      | Some f -> acc + f ()
+      | None -> acc)
+    t.drops t.links
 
 let utilization t =
   if t.now <= 0. then 0.

@@ -26,9 +26,13 @@
     that calls {!run}, and every scheduler closure is invoked from that
     domain. Driving a scheduler whose state lives on another domain is
     the {e closure's} job, not the simulator's — [Mc_router.adapter]
-    returns a {!Sched.Scheduler.t} whose enqueue/dequeue marshal
-    through SPSC rings and block for the reply, so the simulator stays
-    oblivious and the schedule stays deterministic.
+    returns a {!Sched.Scheduler.t} whose operations marshal through a
+    FIFO SPSC ring: dequeues and polls block for the reply, enqueues are
+    posted without waiting and answer [true], their refusals counted
+    by the worker and read back through
+    {!Sched.Scheduler.deferred_drops}. The worker applies every posted
+    enqueue before the next dequeue, so the simulator stays oblivious
+    and the schedule stays deterministic.
 
     {b Cost.} Events are ints in an {!Event_queue} (kind and index
     packed together), sources are pulled in place ({!Source.pull}),
@@ -155,7 +159,11 @@ val transmitted_bytes : t -> float
 (** Total across all links. *)
 
 val enqueue_drops : t -> int
-(** Packets refused by a scheduler (queue limits) or unroutable. *)
+(** Packets refused by a scheduler (queue limits) or unroutable: every
+    [false] {!Sched.Scheduler.enqueue} answered, plus each link's
+    {!Sched.Scheduler.deferred_drops} read now — for the multicore
+    adapter one synchronous query per link, so call it at accounting
+    time, not per packet. *)
 
 val utilization : t -> float
 (** Mean over links of the fraction of [0, now] spent transmitting —

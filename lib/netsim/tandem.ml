@@ -186,4 +186,10 @@ let run_until_idle t ~max_time = drain t ~until:max_time
 let now t = t.now
 let end_to_end_delay t flow = Hashtbl.find_opt t.delays flow
 let delivered_bytes t = t.out_bytes
-let drops t = t.drop_count
+let drops t =
+  Array.fold_left
+    (fun acc h ->
+      match h.sched.Sched.Scheduler.deferred_drops with
+      | Some f -> acc + f ()
+      | None -> acc)
+    t.drop_count t.hops

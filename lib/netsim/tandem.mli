@@ -40,4 +40,9 @@ val delivered_bytes : t -> float
 (** Bytes that left the last hop. *)
 
 val drops : t -> int
-(** Enqueue refusals summed over all hops. *)
+(** Enqueue refusals summed over all hops: every [false] a hop's
+    {!Sched.Scheduler.enqueue} answered, plus each hop's
+    {!Sched.Scheduler.deferred_drops} read now. A packet a hop refuses
+    after answering [true] is only counted here: the tandem's record
+    of its hop-0 arrival time ([entered]) is never matched by a
+    departure and is never removed. It affects no statistic. *)

@@ -708,4 +708,5 @@ let adapter t =
     next_ready = (fun ~now -> t.be.Backend.next_ready ~now);
     backlog_pkts = (fun () -> t.be.Backend.backlog_pkts ());
     backlog_bytes = (fun () -> t.be.Backend.backlog_bytes ());
+    deferred_drops = None;
   }

@@ -14,10 +14,13 @@
      ops, so routing rules and reply strings are the sequential
      router's by construction.
 
-   Determinism: each port's ring is FIFO, each port has one owning
-   worker, and every control op / sync enqueue / dequeue blocks on its
-   completion cell, so a link's engine observes operations in exactly
-   the producer's issue order — the sequential router's order.
+   Determinism: each port's ring is FIFO and each port has one owning
+   worker, so a link's engine observes operations in exactly the
+   producer's issue order — the sequential router's order. Control ops,
+   queries and dequeues block on a completion cell; enqueues may be
+   posted cell-less (the adapter's always are), and what they refuse is
+   added to the port's refusal count, read back by a query that queues
+   behind them.
 
    Memory model notes: ring publication is the SPSC ring's
    release/acquire pair (see {!Ds.Spsc_ring}); completion cells use a
@@ -92,6 +95,7 @@ type query =
   | Q_backlog
   | Q_checkpoint
   | Q_config_fp
+  | Q_refused
   | Q_fail (* served by raising: the fault-injection hook for tests *)
 
 type msg =
@@ -141,6 +145,9 @@ type port = {
      (typed [Link_failed], empty lists, zero counts) instead of raising
      into — and tearing down — whoever drives the router *)
   mutable p_down : exn option;
+  (* packets refused by cell-less enqueues (a batch whose engine call
+     raised counts whole); written by the worker only *)
+  p_refused : int Atomic.t;
 }
 
 and worker = {
@@ -186,7 +193,8 @@ let rec push_out p v =
     push_out p v
   end
 
-let serve_query eng q =
+let serve_query p q =
+  let eng = p.p_eng in
   match q with
   | Q_flows -> R_flows (Engine.flows eng)
   | Q_class_flows cls -> R_flows (Engine.class_flows eng cls)
@@ -213,7 +221,11 @@ let serve_query eng q =
   | Q_backlog -> R_backlog (Engine.backlog_pkts eng, Engine.backlog_bytes eng)
   | Q_checkpoint -> R_ops (Engine.checkpoint_ops eng)
   | Q_config_fp -> R_string (Engine.config_fingerprint eng)
+  | Q_refused -> R_count (Atomic.get p.p_refused)
   | Q_fail -> raise Injected_failure
+
+let refuse p k =
+  if k > 0 then Atomic.set p.p_refused (Atomic.get p.p_refused + k)
 
 (* serve one message on one port; [bcache] is the port's reusable
    dequeue batch, reallocated only when the burst size changes (same
@@ -223,13 +235,18 @@ let serve_msg (p, bcache) msg =
   | M_nop -> ()
   | M_enqueue { e_now; e_pkts; e_cell } -> (
       match Engine.enqueue_flow_batch p.p_eng ~now:e_now e_pkts with
-      | n -> ( match e_cell with Some c -> fill c (R_count n) | None -> ())
+      | n -> (
+          match e_cell with
+          | Some c -> fill c (R_count n)
+          | None -> refuse p (Array.length e_pkts - n))
       | exception e -> (
           match e_cell with
           | Some c -> fill c (R_raise e)
           | None ->
-              (* fire-and-forget: park the failure on the port; the
-                 producer latches it into [p_down] on its next touch *)
+              (* fire-and-forget: count the batch refused and park the
+                 failure on the port; the producer latches it into
+                 [p_down] on its next touch *)
+              refuse p (Array.length e_pkts);
               if Atomic.get p.p_fail = None then
                 Atomic.set p.p_fail (Some e)))
   | M_dequeue { d_now; d_max; d_cell } -> (
@@ -258,7 +275,7 @@ let serve_msg (p, bcache) msg =
       | r -> fill x_cell (R_exec r)
       | exception e -> fill x_cell (R_raise e))
   | M_query { q; q_cell } -> (
-      match serve_query p.p_eng q with
+      match serve_query p q with
       | r -> fill q_cell r
       | exception e -> fill q_cell (R_raise e))
 
@@ -586,6 +603,7 @@ let create ?trace_capacity ?tracing ?audit_every ?(ring_capacity = 1024)
         p_pending = false;
         p_fail = Atomic.make None;
         p_down = None;
+        p_refused = Atomic.make 0;
       }
     in
     push_admin w (A_attach p);
@@ -736,11 +754,17 @@ let enqueue_flow_batch t ~now pkts =
       0 buckets
   end
 
+(* [false] when the link is down (nothing was posted) *)
+let post_enqueue p ~now pkts =
+  match port_failure p with
+  | Some _ -> false
+  | None ->
+      post p (M_enqueue { e_now = now; e_pkts = pkts; e_cell = None });
+      true
+
 let post_enqueue_batch t ~now pkts =
   List.iter
-    (fun (p, arr) ->
-      if Option.is_none (port_failure p) then
-        post p (M_enqueue { e_now = now; e_pkts = arr; e_cell = None }))
+    (fun (p, arr) -> ignore (post_enqueue p ~now arr))
     (split_by_port t pkts)
 
 (* [false] when the link is down (nothing was posted). The
@@ -834,22 +858,7 @@ let adapter t ~link =
         {
           Sched.Scheduler.name = Config.backend_name p.p_backend;
           dequeue_many = Some dequeue_many;
-          enqueue =
-            (fun ~now pkt ->
-              guard p
-                ~failed:(fun _ -> false)
-                (fun () ->
-                  match
-                    request p
-                      (M_enqueue
-                         {
-                           e_now = now;
-                           e_pkts = [| pkt |];
-                           e_cell = Some p.p_cell;
-                         })
-                  with
-                  | R_count n -> n > 0
-                  | _ -> assert false));
+          enqueue = (fun ~now pkt -> post_enqueue p ~now [| pkt |]);
           dequeue =
             (fun ~now ->
               if post_dequeue_port p ~now ~max:1 then begin
@@ -886,6 +895,18 @@ let adapter t ~link =
                   match query p Q_backlog with
                   | R_backlog (_, b) -> b
                   | _ -> assert false));
+          deferred_drops =
+            Some
+              (fun () ->
+                (* a stopped router or a downed link is not asked (its
+                   worker may be gone): the count is read as published *)
+                let published _ = Atomic.get p.p_refused in
+                if not t.running then published ()
+                else
+                  guard p ~failed:published (fun () ->
+                      match query p Q_refused with
+                      | R_count n -> n
+                      | _ -> assert false));
         }
 
 (* --- exporters ---------------------------------------------------------- *)

@@ -142,9 +142,10 @@ val inject_failure : t -> link:string -> bool
 
 val enqueue_flow : t -> now:float -> Pkt.Packet.t -> bool
 (** Directory lookup on the producer side, then a one-packet batch
-    through the owning link's ring, waiting for the admission outcome.
-    Per-packet handshakes are the simulator's price for exact drop
-    accounting; throughput paths should batch. *)
+    through the owning link's ring, waiting for the admission outcome —
+    {!Router.enqueue_flow}'s verdict exactly, at the price of a round
+    trip per packet. The simulator's {!adapter} posts without waiting
+    and counts refusals instead; throughput paths should batch. *)
 
 val enqueue_flow_batch : t -> now:float -> Pkt.Packet.t array -> int
 (** Split the batch by owning link (preserving per-link order), post
@@ -153,7 +154,9 @@ val enqueue_flow_batch : t -> now:float -> Pkt.Packet.t array -> int
     as refused, as in the sequential router. *)
 
 val post_enqueue_batch : t -> now:float -> Pkt.Packet.t array -> unit
-(** Fire-and-forget form: same split, no handshake, outcomes only
+(** Fire-and-forget form: same split, no handshake. The worker adds
+    what each link refuses to that link's refusal count (the one
+    {!adapter}'s [deferred_drops] reads); per-packet outcomes are only
     visible in telemetry. *)
 
 val dequeue_batch :
@@ -188,9 +191,25 @@ val backlog : t -> link:string -> (int * int) option
 
 val adapter : t -> link:string -> Sched.Scheduler.t option
 (** Package one link for {!Netsim.Sim}: the returned closures post into
-    the owning domain's rings (with [dequeue_many] set, so a
-    transmit-ring fill is one round trip). The simulator itself stays
-    on the producer domain; only the scheduling work moves. *)
+    the owning domain's rings. The simulator itself stays on the
+    producer domain; only the scheduling work moves.
+
+    - [enqueue] is fire-and-forget: it posts the packet and answers
+      [true] at once ([false], posting nothing, if the link is already
+      down). The worker applies it before any later operation on the
+      link, so the schedule is the synchronous one.
+    - [deferred_drops] is [Some]: the link's refusal count — every
+      packet a posted enqueue (this adapter's or
+      {!post_enqueue_batch}'s) refused, a batch whose engine call
+      raised counting whole. On a healthy link it is one synchronous
+      query, queued behind every posted enqueue, hence exact. Once the
+      link is down, or after {!stop}, it is read without asking the
+      worker and never raises. It then covers the posted enqueues the
+      worker has served so far: all of them after {!inject_failure} or
+      {!stop}, while packets a dead worker never served count nowhere.
+      It never decreases.
+    - dequeues and polls block for the reply; [dequeue_many] is set, so
+      a transmit-ring fill is one round trip. *)
 
 (** {2 Exporters} *)
 

@@ -246,4 +246,5 @@ let to_scheduler t =
     next_ready = (fun ~now -> next_ready t ~now);
     backlog_pkts = (fun () -> t.pkts);
     backlog_bytes = (fun () -> t.bytes);
+    deferred_drops = None;
   }

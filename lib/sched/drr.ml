@@ -81,4 +81,5 @@ let create ?(qlimit = 10_000) ~quanta () =
         Scheduler.work_conserving_next_ready ~backlog:(fun () -> !pkts) ~now);
     backlog_pkts = (fun () -> !pkts);
     backlog_bytes = (fun () -> !bytes);
+    deferred_drops = None;
   }

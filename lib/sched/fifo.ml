@@ -18,4 +18,5 @@ let create ?qlimit () =
           ~now);
     backlog_pkts = (fun () -> Ds.Fifo_queue.length q);
     backlog_bytes = (fun () -> Ds.Fifo_queue.bytes q);
+    deferred_drops = None;
   }

@@ -187,4 +187,5 @@ let to_scheduler t =
         Scheduler.work_conserving_next_ready ~backlog:(fun () -> t.pkts) ~now);
     backlog_pkts = (fun () -> t.pkts);
     backlog_bytes = (fun () -> t.bytes);
+    deferred_drops = None;
   }

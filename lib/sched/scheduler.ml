@@ -8,6 +8,7 @@ type t = {
   next_ready : now:float -> float option;
   backlog_pkts : unit -> int;
   backlog_bytes : unit -> int;
+  deferred_drops : (unit -> int) option;
 }
 
 let work_conserving_next_ready ~backlog ~now =

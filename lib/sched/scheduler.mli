@@ -10,9 +10,10 @@
     {b Domain ownership.} The record itself carries no synchronisation:
     all closures of one [t] must be called from a single domain at a
     time. A closure may internally cross domains — [Mc_router.adapter]
-    builds a [t] whose operations post to a worker's ring and await the
-    reply — but that is the implementation's contract, invisible here:
-    callers always treat a [t] as a plain single-domain value. *)
+    builds a [t] whose operations post to a worker's ring (awaiting the
+    reply for everything but [enqueue]) — but that is the
+    implementation's contract, invisible here: callers always treat a
+    [t] as a plain single-domain value. *)
 
 type served = {
   pkt : Pkt.Packet.t;
@@ -23,7 +24,9 @@ type served = {
 type t = {
   name : string;
   enqueue : now:float -> Pkt.Packet.t -> bool;
-      (** [false] = dropped (queue limit or unknown flow). *)
+      (** [false] = refused now (queue limit or unknown flow). A
+          scheduler that answers before deciding returns [true] and
+          reports its later refusals in {!deferred_drops}. *)
   dequeue : now:float -> served option;
   dequeue_many : (now:float -> max:int -> served list) option;
       (** Native batched poll, when the discipline has one: must return
@@ -39,6 +42,13 @@ type t = {
           backlog). *)
   backlog_pkts : unit -> int;
   backlog_bytes : unit -> int;
+  deferred_drops : (unit -> int) option;
+      (** [None] when every refusal is reported by {!enqueue}'s own
+          [false]. [Some f]: [f ()] is the running total of packets
+          the scheduler refused after {!enqueue} had answered [true]
+          for them (the multicore router's fire-and-forget enqueue),
+          covering every enqueue issued before the call. It may cost a
+          round trip: read it at accounting time, not per packet. *)
 }
 
 val work_conserving_next_ready :

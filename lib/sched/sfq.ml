@@ -61,4 +61,5 @@ let create ?(qlimit = 100_000) ~weights () =
           ~now);
     backlog_pkts = (fun () -> H.length heap);
     backlog_bytes = (fun () -> !bytes);
+    deferred_drops = None;
   }

@@ -60,4 +60,5 @@ let create ?(qlimit = 100_000) ~rates () =
           ~now);
     backlog_pkts = (fun () -> H.length heap);
     backlog_bytes = (fun () -> !bytes);
+    deferred_drops = None;
   }

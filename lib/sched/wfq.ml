@@ -108,4 +108,5 @@ let create ?(qlimit = 100_000) ~link_rate ~rates () =
         Scheduler.work_conserving_next_ready ~backlog:(fun () -> !pkts) ~now);
     backlog_pkts = (fun () -> !pkts);
     backlog_bytes = (fun () -> !bytes);
+    deferred_drops = None;
   }

@@ -325,22 +325,29 @@ end
    multicore differential (test_domains): one generator, so the two
    harnesses throw identical traffic/control interleavings at a device. *)
 
-type eng_act = Cmd of string | Pkt of int * int (* flow, size *) | Drain of int
+type eng_act =
+  | Cmd of string
+  | Pkt of int * int (* flow, size *)
+  | Post of int * int (* an enqueue whose verdict is not awaited *)
+  | Drain of int
+
 type eng_op = { edt : float; eact : eng_act }
 
 (* Op streams are materialized before the run so any failure can print
    them; [Drain]'s argument is resolved mod the live target count at
-   replay time (link count, burst size). *)
-let gen_eng_ops ~rng ~pool ~flows ~nops =
+   replay time (link count, burst size). With [posts] half the packets
+   become [Post]s; without it the stream is unchanged. *)
+let gen_eng_ops ?(posts = false) ~rng ~pool ~flows ~nops () =
   List.init nops (fun _ ->
       let edt = Random.State.float rng 0.002 in
       let eact =
         match Random.State.int rng 10 with
         | 0 | 1 -> Cmd pool.(Random.State.int rng (Array.length pool))
         | 2 | 3 | 4 | 5 | 6 ->
-            Pkt
-              ( flows.(Random.State.int rng (Array.length flows)),
-                40 + Random.State.int rng 1460 )
+            let size = 40 + Random.State.int rng 1460 in
+            let flow = flows.(Random.State.int rng (Array.length flows)) in
+            if posts && Random.State.bool rng then Post (flow, size)
+            else Pkt (flow, size)
         | _ -> Drain (Random.State.int rng 1000)
       in
       { edt; eact })
@@ -354,6 +361,8 @@ let eng_dump ~what ~seed ops =
       | Cmd line -> Printf.bprintf b "  %h cmd %s\n" edt line
       | Pkt (flow, size) ->
           Printf.bprintf b "  %h enq flow=%d size=%d\n" edt flow size
+      | Post (flow, size) ->
+          Printf.bprintf b "  %h post flow=%d size=%d\n" edt flow size
       | Drain r -> Printf.bprintf b "  %h deq %d\n" edt r)
     ops;
   Buffer.contents b

@@ -12,6 +12,13 @@
      overlapped [post_dequeue]/[finish_dequeue] form with a
      synchronous query interleaved, pinning the per-port reply-cell
      separation;
+   - half the packets go through the simulator adapters instead
+     ([Engine.adapter] vs [Mc_router.adapter], whose enqueue does not
+     wait): after every other op, each link posted to since must show
+     a [deferred_drops] equal to the number of [false]s the sequential
+     adapter answered on it, so late refusals are counted exactly even
+     when a command (a class delete, say) runs while posts are
+     unserved;
    - periodic cross-domain [snapshot]s against the sequential engine's;
    - the final auditor reports, stats exporters, and — after [stop]
      hands the engines back — the full per-engine state fingerprint.
@@ -117,9 +124,15 @@ let run_differential ~domains ~seed ~nops =
       "link l2 add class c parent root flow 3 fsc 2Mbit qbytes 65536";
     ];
   let rng = Random.State.make [| 0x5eed; seed; 3 |] in
+  (* a fixed opening: 20 posts into a 16-packet class, then the class's
+     delete while they may still be unserved on the ring *)
+  let at0 eact = { edt = 0.; eact } in
   let ops =
-    gen_eng_ops ~rng ~pool:router_command_pool ~flows:[| 1; 2; 3; 10; 20; 77 |]
-      ~nops
+    (at0 (Cmd "link l0 add class tmp parent root flow 10 fsc 0.5Mbit qlimit 16")
+     :: List.init 20 (fun _ -> at0 (Post (10, 500))))
+    @ at0 (Cmd "link l0 delete class tmp")
+      :: gen_eng_ops ~posts:true ~rng ~pool:router_command_pool
+           ~flows:[| 1; 2; 3; 10; 20; 77 |] ~nops ()
   in
   let dump = lazy (eng_dump ~what:"domains" ~seed ops) in
   let now = ref 0. in
@@ -215,6 +228,60 @@ let run_differential ~domains ~seed ~nops =
             (String.concat "; " (List.map show_deq mc_pkts))
             (Lazy.force dump)
   in
+  (* per link: the sequential adapter's [false] answers, reset with the
+     link (a re-added link is a fresh port with a fresh count) *)
+  let refused : (string, int ref) Hashtbl.t = Hashtbl.create 8 in
+  (* links posted to since their count was last compared: no other
+     link's count can have moved *)
+  let unchecked : (string, unit) Hashtbl.t = Hashtbl.create 8 in
+  let posted = ref 0 and late = ref 0 in
+  let post flow size =
+    incr pseq;
+    let pkt = Pkt.Packet.make ~flow ~size ~seq:!pseq ~arrival:!now in
+    match (R.link_of_flow r flow, M.link_of_flow m flow) with
+    | None, None -> () (* no link owns it: nothing to post *)
+    | Some name, Some name' when name = name' -> (
+        let eng = List.assoc name (R.links r) in
+        let mc =
+          match M.adapter m ~link:name with
+          | Some a -> a
+          | None -> fail "seed %d (op %d): no adapter for %S" seed !nop name
+        in
+        if not (mc.Sched.Scheduler.enqueue ~now:!now pkt) then
+          fail "seed %d (op %d): healthy link %S refused a post" seed !nop name;
+        incr posted;
+        Hashtbl.replace unchecked name ();
+        if not ((E.adapter eng).Sched.Scheduler.enqueue ~now:!now pkt) then begin
+          incr late;
+          match Hashtbl.find_opt refused name with
+          | Some n -> incr n
+          | None -> Hashtbl.replace refused name (ref 1)
+        end)
+    | a, b ->
+        let show = Option.value ~default:"-" in
+        fail "seed %d (op %d): flow %d routes to %s vs %s" seed !nop flow
+          (show a) (show b)
+  in
+  let compare_refused () =
+    let names = Hashtbl.to_seq_keys unchecked |> List.of_seq in
+    Hashtbl.reset unchecked;
+    List.iter
+      (fun name ->
+        let want =
+          match Hashtbl.find_opt refused name with Some n -> !n | None -> 0
+        in
+        match M.adapter m ~link:name with
+        | Some { Sched.Scheduler.deferred_drops = Some f; _ } ->
+            let got = f () in
+            if got <> want then
+              fail
+                "seed %d (op %d): link %S counts %d deferred drops, the \
+                 sequential adapter refused %d\n\
+                 %s"
+                seed !nop name got want (Lazy.force dump)
+        | _ -> fail "seed %d: link %S has no deferred count" seed name)
+      (List.filter (fun name -> List.mem name (M.link_names m)) names)
+  in
   let compare_snapshots () =
     List.iter
       (fun (name, eng) ->
@@ -239,8 +306,11 @@ let run_differential ~domains ~seed ~nops =
          | Cmd line -> (
              match exec_both ~now:!now line with
              | Some { Runtime.Command.op = Runtime.Command.Link_delete l; _ } ->
-                 Hashtbl.remove caches l
+                 Hashtbl.remove caches l;
+                 if not (List.mem l (M.link_names m)) then
+                   Hashtbl.remove refused l
              | _ -> ())
+         | Post (flow, size) -> post flow size
          | Pkt (flow, size) ->
              incr pseq;
              let pkt =
@@ -253,6 +323,7 @@ let run_differential ~domains ~seed ~nops =
                  "seed %d (op %d): admission diverges for flow %d: %b vs %b\n%s"
                  seed !nop flow a b (Lazy.force dump)
          | Drain pick -> drain pick);
+         (match eact with Post _ -> () | _ -> compare_refused ());
          if !nop mod 97 = 0 then compare_snapshots ();
          if !nop mod 151 = 0 then begin
            let a = R.audit r and b = M.audit m in
@@ -299,14 +370,17 @@ let run_differential ~domains ~seed ~nops =
     device_fingerprint ~links:mc_links ~link_of_flow:(M.link_of_flow m)
   in
   if fp_seq <> fp_mc then
-    fail "seed %d: device fingerprints diverge\n%s" seed (Lazy.force dump)
+    fail "seed %d: device fingerprints diverge\n%s" seed (Lazy.force dump);
+  (!posted, !late)
 
 (* Graceful degradation: poison one link's worker-side service and
    check the producer latches it — typed [Link_failed] replies, a dead
    data path, degraded queries, a checkpoint that keeps the [link add]
-   but nothing below — while every other link (including those sharing
-   the poisoned link's worker domain) keeps serving, and [stop] does
-   not re-raise a failure that was already surfaced as a reply. *)
+   but nothing below, an adapter whose posts were unserved at the
+   failure keeping their refusal count whole — while every other link
+   (including those sharing the poisoned link's worker domain) keeps
+   serving, and [stop] does not re-raise a failure that was already
+   surfaced as a reply. *)
 let contains s sub =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
@@ -344,9 +418,34 @@ let run_degradation ~domains =
   in
   check "pre-failure admission on l0" (enq 1 1);
   check "pre-failure admission on l1" (enq 2 2);
+  (* 70 fire-and-forget posts into l1's 64-packet class (one slot
+     taken), left unserved on the ring when the failure is injected *)
+  let a1 =
+    match M.adapter m ~link:"l1" with
+    | Some a -> a
+    | None -> fail "degradation (domains %d): no adapter for l1" domains
+  in
+  let post seq =
+    a1.Sched.Scheduler.enqueue ~now:0.
+      (Pkt.Packet.make ~flow:2 ~size:1000 ~seq ~arrival:0.)
+  in
+  for seq = 100 to 169 do
+    check "healthy adapter enqueue answers true" (post seq)
+  done;
+  let deferred () =
+    match a1.Sched.Scheduler.deferred_drops with
+    | Some f -> f ()
+    | None -> fail "degradation (domains %d): adapter has no deferred count" domains
+  in
   check "unknown link refuses injection"
     (not (M.inject_failure m ~link:"nowhere"));
   check "injection reaches l1" (M.inject_failure m ~link:"l1");
+  (* the injection queued behind every post, so the count is complete *)
+  check "downed link's deferred drops cover every post" (deferred () = 7);
+  check "downed adapter enqueue answers false" (not (post 170));
+  check "downed adapter dequeue_many yields nothing"
+    (Sched.Scheduler.dequeue_burst a1 ~now:0. ~max:4 = []);
+  check "downed deferred drops hold" (deferred () = 7);
   (match M.link_down m ~link:"l1" with
   | Some why ->
       check "latched reason names the injection" (contains why "Injected_failure")
@@ -392,7 +491,152 @@ let run_degradation ~domains =
   ignore (M.config_fingerprint m);
   (* must not raise: the failure was already surfaced as a reply *)
   let links = M.stop m in
-  check "stop hands back every engine" (List.length links = 3)
+  check "stop hands back every engine" (List.length links = 3);
+  check "deferred drops after stop" (deferred () = 7)
+
+(* --- the simulator through both routers -------------------------------- *)
+
+(* A two-link [Netsim.Sim]: an H-FSC link built through the control
+   plane (a real-time leaf, a 3-packet leaf that drops, an upper-limited
+   leaf that forces [next_ready] polls) beside a plain [Sched.Drr] link,
+   with an outage, rate changes and a mid-run class add/delete. Driven
+   through [Router] + [Engine.adapter] and through [Mc_router.adapter] —
+   whose enqueue does not wait for its verdict — every output must be
+   identical: departure digest and count, [Sim.enqueue_drops] (late
+   refusals included), transmitted bytes, command replies and the final
+   config fingerprint. test_netsim's golden digests build their H-FSC
+   link from [Hfsc] directly, which the multicore router cannot adopt;
+   this is their multicore counterpart. *)
+type sim_out = {
+  digest : int;
+  departures : int;
+  drops : int;
+  bytes : float;
+  replies : string list;
+  fingerprint : string;
+}
+
+let mix h v = (h lxor v) * 0x100000001b3
+
+let sim_setup =
+  [
+    "link add hfsc rate 1MBps";
+    "link hfsc add class rt parent root flow 1 rsc umax 500 dmax 5ms rate \
+     100KBps fsc 100KBps qlimit 40";
+    "link hfsc add class a parent root flow 3 fsc 250KBps qlimit 40";
+    "link hfsc add class small parent root flow 4 fsc 250KBps qlimit 3";
+    "link hfsc add class capped parent root flow 5 fsc 250KBps ulimit 60KBps \
+     qlimit 40";
+  ]
+
+(* [domains = 0]: the sequential router *)
+let run_sim ~domains ~tx_burst =
+  let exec, adapter, fingerprint, stop =
+    if domains = 0 then
+      let r = R.create ~audit_every () in
+      ( R.exec r,
+        (fun name -> E.adapter (List.assoc name (R.links r))),
+        (fun () -> R.config_fingerprint r),
+        ignore )
+    else
+      let m = M.create ~audit_every ~domains () in
+      ( M.exec m,
+        (fun name -> Option.get (M.adapter m ~link:name)),
+        (fun () -> M.config_fingerprint m),
+        fun () -> ignore (M.stop m) )
+  in
+  let replies = ref [] in
+  let exec_line ~now line =
+    match Runtime.Command.parse line with
+    | Ok cmd -> replies := show_res (exec ~now cmd) :: !replies
+    | Error e -> fail "sim differential: parse %S: %s" line e
+  in
+  List.iter (exec_line ~now:0.) sim_setup;
+  let drr = Sched.Drr.create ~qlimit:8 ~quanta:[ (6, 500); (7, 900) ] () in
+  let route p =
+    match p.Pkt.Packet.flow with
+    | 1 | 2 | 3 | 4 | 5 -> Some 0
+    | 6 | 7 -> Some 1
+    | _ -> None
+  in
+  let sim =
+    Netsim.Sim.create_multi ~tx_burst
+      ~links:[ ("hfsc", 1e6, adapter "hfsc"); ("drr", 2e5, drr) ]
+      ~route ()
+  in
+  let stop_at = 2.5 in
+  List.iter (Netsim.Sim.add_source sim)
+    [
+      Netsim.Source.cbr ~flow:1 ~rate:80_000. ~pkt_size:400 ~start:0.0013
+        ~stop:stop_at ();
+      Netsim.Source.poisson ~flow:2 ~rate:60_000. ~pkt_size:300 ~seed:21
+        ~stop:stop_at ();
+      Netsim.Source.poisson ~flow:3 ~rate:450_000. ~pkt_size:700 ~seed:22
+        ~stop:stop_at ();
+      Netsim.Source.on_off_exp ~flow:4 ~peak_rate:900_000. ~pkt_size:1000
+        ~mean_on:0.05 ~mean_off:0.04 ~seed:23 ~stop:stop_at ();
+      Netsim.Source.on_off_pareto ~flow:5 ~peak_rate:400_000. ~pkt_size:600
+        ~mean_on:0.03 ~mean_off:0.03 ~shape:1.4 ~seed:24 ~stop:stop_at ();
+      Netsim.Source.poisson ~flow:7 ~rate:150_000. ~pkt_size:900 ~seed:25
+        ~stop:stop_at ();
+      Netsim.Source.script ~flow:6
+        (List.init 60 (fun i -> (0.02 *. float_of_int i, 200 + (37 * i mod 900))));
+      Netsim.Source.script ~flow:9 [ (0.1, 100); (0.7, 100) ];
+    ];
+  Netsim.Faults.schedule ~link:0 sim
+    [ (0.8, Netsim.Faults.Outage 0.3); (1.5, Netsim.Faults.Set_rate 8e5) ];
+  Netsim.Faults.schedule ~link:1 sim [ (1.0, Netsim.Faults.Set_rate 1.5e5) ];
+  (* flow 2 is refused until its class exists, and loses the class
+     again with packets queued *)
+  Netsim.Sim.at sim 1.2 (fun ~now ->
+      exec_line ~now
+        "link hfsc add class late parent root flow 2 fsc 100KBps qlimit 10");
+  Netsim.Sim.at sim 1.9 (fun ~now -> exec_line ~now "link hfsc delete class late");
+  let digest = ref 0x4bf29ce484222325 and departures = ref 0 in
+  Netsim.Sim.on_departure sim (fun ~now served ->
+      let p = served.Sched.Scheduler.pkt in
+      incr departures;
+      digest :=
+        mix
+          (mix (mix !digest p.Pkt.Packet.flow) p.Pkt.Packet.seq)
+          (Int64.to_int (Int64.bits_of_float now)));
+  Netsim.Sim.run sim ~until:3.;
+  let out =
+    {
+      digest = !digest;
+      departures = !departures;
+      drops = Netsim.Sim.enqueue_drops sim;
+      bytes = Netsim.Sim.transmitted_bytes sim;
+      replies = List.rev !replies;
+      fingerprint = fingerprint ();
+    }
+  in
+  stop ();
+  out
+
+let run_sim_differential () =
+  List.iter
+    (fun tx_burst ->
+      let want = run_sim ~domains:0 ~tx_burst in
+      if want.drops = 0 then fail "sim differential: the scenario drops nothing";
+      List.iter
+        (fun domains ->
+          let got = run_sim ~domains ~tx_burst in
+          let check what ok =
+            if not ok then
+              fail "sim differential (domains %d, tx_burst %d): %s differ" domains
+                tx_burst what
+          in
+          check "command replies" (got.replies = want.replies);
+          check "departure counts" (got.departures = want.departures);
+          check
+            (Printf.sprintf "enqueue drops (%d vs %d)" got.drops want.drops)
+            (got.drops = want.drops);
+          check "transmitted bytes" (got.bytes = want.bytes);
+          check "departure digests" (got.digest = want.digest);
+          check "config fingerprints" (got.fingerprint = want.fingerprint))
+        [ 1; 2 ])
+    [ 1; 3 ]
 
 let () =
   let arg i d =
@@ -402,17 +646,27 @@ let () =
   let seeds = arg 2 1 in
   let domains = arg 3 2 in
   List.iter (fun domains -> run_degradation ~domains) [ 1; 2 ];
+  run_sim_differential ();
+  let posted = ref 0 and late = ref 0 in
   for seed = 0 to seeds - 1 do
-    run_differential ~domains ~seed ~nops
+    let p, l = run_differential ~domains ~seed ~nops in
+    posted := !posted + p;
+    late := !late + l
   done;
   Printf.printf
     "domains ok: worker poison degrades one link (typed link-failed, \
      checkpoint keeps its add) while the others keep serving\n";
   Printf.printf
+    "domains ok: a two-link simulation through Mc_router.adapter (1 and 2 \
+     domains, tx_burst 1 and 3) matches Router + Engine.adapter (digest, \
+     departures, drops, bytes, replies, fingerprint)\n";
+  Printf.printf
     "domains ok: %d seed%s x %d ops x %d domain%s: multicore router \
      bit-identical to the sequential router (replies, admissions, dequeues, \
-     snapshots, audits, exporters, final engine fingerprints)\n"
+     snapshots, audits, exporters, final engine fingerprints); %d adapter \
+     posts, %d refused late and counted exactly\n"
     seeds
     (if seeds = 1 then "" else "s")
     nops domains
     (if domains = 1 then "" else "s")
+    !posted !late

@@ -128,7 +128,7 @@ let command_pool =
 
 (* The op-stream generator, its dump and the state fingerprints live in
    [Hfsc_gen] (shared with the sequential-vs-multicore differential in
-   test_domains); the open brings [Cmd]/[Pkt]/[Drain] and the
+   test_domains); the open brings [Cmd]/[Pkt]/[Post]/[Drain] and the
    [gen_eng_ops]/[eng_dump] helpers into scope. *)
 open Hfsc_gen
 
@@ -143,7 +143,7 @@ let engine_fuzz ~seed ~nops =
   let eng = E.of_config ~audit_every ~trace_capacity:256 cfg in
   let rng = Random.State.make [| 0x5eed; seed; 1 |] in
   let ops =
-    gen_eng_ops ~rng ~pool:command_pool ~flows:[| 1; 2; 3; 9 |] ~nops
+    gen_eng_ops ~rng ~pool:command_pool ~flows:[| 1; 2; 3; 9 |] ~nops ()
   in
   let dump = lazy (eng_dump ~what:"engine" ~seed ops) in
   let now = ref 0. in
@@ -166,7 +166,7 @@ let engine_fuzz ~seed ~nops =
                      if fingerprint eng <> before then
                        fail "seed %d: rejected command mutated state: %s\n%s"
                          seed line (Lazy.force dump)))
-         | Pkt (flow, size) ->
+         | Pkt (flow, size) | Post (flow, size) ->
              incr seq;
              ignore
                (E.enqueue_flow eng ~now:!now
@@ -260,7 +260,7 @@ let router_fuzz ~seed ~nops =
   let rng = Random.State.make [| 0x5eed; seed; 2 |] in
   let ops =
     gen_eng_ops ~rng ~pool:router_command_pool
-      ~flows:[| 1; 2; 3; 10; 20; 77 |] ~nops
+      ~flows:[| 1; 2; 3; 10; 20; 77 |] ~nops ()
   in
   let dump = lazy (eng_dump ~what:"router" ~seed ops) in
   let now = ref 0. in
@@ -285,7 +285,7 @@ let router_fuzz ~seed ~nops =
                          "seed %d: rejected router command mutated state: \
                           %s\n%s"
                          seed line (Lazy.force dump)))
-         | Pkt (flow, size) ->
+         | Pkt (flow, size) | Post (flow, size) ->
              incr seq;
              ignore
                (R.enqueue_flow r ~now:!now
