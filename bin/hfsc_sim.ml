@@ -159,7 +159,7 @@ let drive ~cfg ~cmds ~seconds ~stats_json ~trace ~links ~exec ~link_of_flow
   List.iter
     (fun (at, cmd) ->
       Netsim.Sim.at sim at (fun ~now ->
-          let cs = Format.asprintf "%a" Runtime.Command.pp cmd in
+          let cs = Runtime.Command.to_string cmd in
           match exec ~now cmd with
           | Ok resp ->
               Printf.printf "[%8.3f] ok: %s\n%s" now cs

@@ -295,108 +295,109 @@ let parse_script_file path =
   | Ok text -> parse_script text
   | Error e -> Error e
 
-(* [pp] prints in the command grammar itself (so an echoed command can
-   be pasted back at the control plane), with enough digits that the
-   floats survive the round trip *)
-let pp_float ppf v =
-  let s = Printf.sprintf "%.12g" v in
-  if float_of_string s = v then Format.pp_print_string ppf s
-  else Format.fprintf ppf "%.17g" v
+(* Commands are written in the command grammar itself (so an echoed
+   command can be pasted back at the control plane), with enough digits
+   that the floats survive the round trip: %.12g when that reads back
+   as the same float, else %.17g. An integer below 1e12 (most rates in
+   Bps, a checkpoint's time 0) is its decimal digits under %.12g, so it
+   skips the printf and the read-back; -0. keeps its sign via %.12g. *)
+let float_text v =
+  if
+    Float.is_integer v && Float.abs v < 1e12
+    && not (Float.sign_bit v && v = 0.)
+  then string_of_int (int_of_float v)
+  else
+    let s = Printf.sprintf "%.12g" v in
+    if float_of_string s = v then s else Printf.sprintf "%.17g" v
 
-let pp_rate ppf r = Format.fprintf ppf "%aBps" pp_float r
-let pp_time ppf d = Format.fprintf ppf "%as" pp_float d
-
-let pp_curves ppf c =
-  let one tag = function
+let to_buffer b { target; op } =
+  let str = Buffer.add_string b in
+  let int n = str (string_of_int n) in
+  let rate r = str (float_text r); str "Bps" in
+  let time d = str (float_text d); str "s" in
+  let opt_int tag = function Some n -> str tag; int n | None -> () in
+  let curve tag = function
     | Some (s : Curve.Service_curve.t) ->
-        if s.Curve.Service_curve.d = 0. then
-          Format.fprintf ppf " %s %a" tag pp_rate s.Curve.Service_curve.m2
-        else
-          Format.fprintf ppf " %s m1 %a d %a m2 %a" tag pp_rate
-            s.Curve.Service_curve.m1 pp_time s.Curve.Service_curve.d pp_rate
-            s.Curve.Service_curve.m2
+        str tag;
+        if s.d = 0. then (str " "; rate s.m2)
+        else begin
+          str " m1 "; rate s.m1; str " d "; time s.d; str " m2 "; rate s.m2
+        end
     | None -> ()
   in
-  one "rsc" c.rsc;
-  one "fsc" c.fsc;
-  one "ulimit" c.usc
-
-let pp_qlimits ppf (qlimit, qbytes) =
-  (match qlimit with
-  | Some q -> Format.fprintf ppf " qlimit %d" q
-  | None -> ());
-  match qbytes with
-  | Some q -> Format.fprintf ppf " qbytes %d" q
-  | None -> ()
-
-let pp_limit_val ppf = function
-  | Unlimited -> Format.pp_print_string ppf "none"
-  | At n -> Format.pp_print_int ppf n
-
-let pp_quantum ppf = function
-  | Some q -> Format.fprintf ppf " quantum %d" q
-  | None -> ()
-
-let pp_op ppf = function
-  | Add_class { name; parent; flow; curves; quantum; qlimit; qbytes } ->
-      Format.fprintf ppf "add class %s parent %s" name parent;
-      (match flow with Some f -> Format.fprintf ppf " flow %d" f | None -> ());
-      pp_curves ppf curves;
-      pp_quantum ppf quantum;
-      pp_qlimits ppf (qlimit, qbytes)
-  | Modify_class { name; curves; quantum; qlimit; qbytes } ->
-      Format.fprintf ppf "modify class %s" name;
-      pp_curves ppf curves;
-      pp_quantum ppf quantum;
-      pp_qlimits ppf (qlimit, qbytes)
-  | Delete_class name -> Format.fprintf ppf "delete class %s" name
-  | Attach_filter f ->
-      Format.fprintf ppf "attach filter flow %d" f.fflow;
-      (match f.fsrc with Some p -> Format.fprintf ppf " src %s" p | None -> ());
-      (match f.fdst with Some p -> Format.fprintf ppf " dst %s" p | None -> ());
-      (match f.fproto with
-      | Some Pkt.Header.Tcp -> Format.fprintf ppf " proto tcp"
-      | Some Pkt.Header.Udp -> Format.fprintf ppf " proto udp"
-      | Some Pkt.Header.Icmp -> Format.fprintf ppf " proto icmp"
-      | Some (Pkt.Header.Other n) -> Format.fprintf ppf " proto %d" n
-      | None -> ());
-      (match f.fsport with
-      | Some (lo, hi) -> Format.fprintf ppf " sport %d %d" lo hi
-      | None -> ());
-      (match f.fdport with
-      | Some (lo, hi) -> Format.fprintf ppf " dport %d %d" lo hi
-      | None -> ())
-  | Detach_filter flow -> Format.fprintf ppf "detach filter flow %d" flow
-  | Stats None -> Format.fprintf ppf "stats"
-  | Stats (Some n) -> Format.fprintf ppf "stats %s" n
-  | Trace Trace_on -> Format.fprintf ppf "trace on"
-  | Trace Trace_off -> Format.fprintf ppf "trace off"
-  | Trace Trace_dump -> Format.fprintf ppf "trace dump"
-  | Set_limit { lpkts; lbytes; lpolicy } ->
-      Format.fprintf ppf "limit";
-      (match lpkts with
-      | Some v -> Format.fprintf ppf " pkts %a" pp_limit_val v
-      | None -> ());
-      (match lbytes with
-      | Some v -> Format.fprintf ppf " bytes %a" pp_limit_val v
-      | None -> ());
-      (match lpolicy with
-      | Some Policy_tail -> Format.fprintf ppf " policy tail"
-      | Some Policy_longest -> Format.fprintf ppf " policy longest"
-      | None -> ())
-  | Link_add { link; rate; backend } ->
-      Format.fprintf ppf "link add %s rate %a" link pp_rate rate;
-      (match backend with
-      | Config.Hfsc_backend -> ()
-      | Config.Rr_backend -> Format.fprintf ppf " backend rr")
-  | Link_delete name -> Format.fprintf ppf "link delete %s" name
-  | Link_list -> Format.fprintf ppf "link list"
-
-let pp ppf { target; op } =
+  let curves c =
+    curve " rsc" c.rsc;
+    curve " fsc" c.fsc;
+    curve " ulimit" c.usc
+  in
+  let limit tag = function
+    | Some Unlimited -> str tag; str "none"
+    | Some (At n) -> str tag; int n
+    | None -> ()
+  in
   (match target with
   | Default_link -> ()
-  | On_link name -> Format.fprintf ppf "link %s " name);
-  pp_op ppf op
+  | On_link name -> str "link "; str name; str " ");
+  match op with
+  | Add_class { name; parent; flow; curves = c; quantum; qlimit; qbytes } ->
+      str "add class "; str name; str " parent "; str parent;
+      opt_int " flow " flow;
+      curves c;
+      opt_int " quantum " quantum;
+      opt_int " qlimit " qlimit;
+      opt_int " qbytes " qbytes
+  | Modify_class { name; curves = c; quantum; qlimit; qbytes } ->
+      str "modify class "; str name;
+      curves c;
+      opt_int " quantum " quantum;
+      opt_int " qlimit " qlimit;
+      opt_int " qbytes " qbytes
+  | Delete_class name -> str "delete class "; str name
+  | Attach_filter f ->
+      str "attach filter flow "; int f.fflow;
+      (match f.fsrc with Some p -> str " src "; str p | None -> ());
+      (match f.fdst with Some p -> str " dst "; str p | None -> ());
+      (match f.fproto with
+      | Some Pkt.Header.Tcp -> str " proto tcp"
+      | Some Pkt.Header.Udp -> str " proto udp"
+      | Some Pkt.Header.Icmp -> str " proto icmp"
+      | Some (Pkt.Header.Other n) -> str " proto "; int n
+      | None -> ());
+      let ports tag = function
+        | Some (lo, hi) -> str tag; int lo; str " "; int hi
+        | None -> ()
+      in
+      ports " sport " f.fsport;
+      ports " dport " f.fdport
+  | Detach_filter flow -> str "detach filter flow "; int flow
+  | Stats None -> str "stats"
+  | Stats (Some n) -> str "stats "; str n
+  | Trace Trace_on -> str "trace on"
+  | Trace Trace_off -> str "trace off"
+  | Trace Trace_dump -> str "trace dump"
+  | Set_limit { lpkts; lbytes; lpolicy } ->
+      str "limit";
+      limit " pkts " lpkts;
+      limit " bytes " lbytes;
+      (match lpolicy with
+      | Some Policy_tail -> str " policy tail"
+      | Some Policy_longest -> str " policy longest"
+      | None -> ())
+  | Link_add { link; rate = r; backend } ->
+      str "link add "; str link; str " rate "; rate r;
+      (match backend with
+      | Config.Hfsc_backend -> ()
+      | Config.Rr_backend -> str " backend rr")
+  | Link_delete name -> str "link delete "; str name
+  | Link_list -> str "link list"
+
+let to_string cmd =
+  let b = Buffer.create 96 in
+  to_buffer b cmd;
+  Buffer.contents b
+
+let pp ppf cmd = Format.pp_print_string ppf (to_string cmd)
+let pp_float ppf v = Format.pp_print_string ppf (float_text v)
 
 let is_mutating { op; _ } =
   match op with

@@ -133,15 +133,25 @@ val parse_script_file : string -> ((float * t) list, error) result
     the [error]'s line number is always a line of {e this} file. A
     read failure is reported as [line = 0]. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Writes the command in its own grammar ([link NAME] prefix
+    included), so a written command re-parses to itself. The one
+    renderer: {!to_string}, {!pp} and the journal all go through it. *)
+
+val to_string : t -> string
+(** {!to_buffer} into a fresh buffer. *)
+
 val pp : Format.formatter -> t -> unit
-(** Prints the command in its own grammar ([link NAME] prefix
-    included), so a pretty-printed command re-parses to itself. *)
+(** [Format.pp_print_string] of {!to_string}. *)
+
+val float_text : float -> string
+(** The round-trip float text the writer uses for rates and times
+    ([%.12g], falling back to [%.17g] when that loses bits):
+    [float_of_string] of it is always the original float. The journal
+    reuses it so a replayed [at TIME] is bit-identical. *)
 
 val pp_float : Format.formatter -> float -> unit
-(** The round-trip float printer {!pp} uses for rates and times
-    ([%.12g], falling back to [%.17g] when that loses bits):
-    [float_of_string] of the output is always the original float. The
-    journal reuses it so a replayed [at TIME] is bit-identical. *)
+(** [Format.pp_print_string] of {!float_text}. *)
 
 val is_mutating : t -> bool
 (** Whether a successful execution of this command changes control-plane

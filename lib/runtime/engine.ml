@@ -600,7 +600,7 @@ let config_fingerprint t =
   List.iter
     (fun (f, _) ->
       pf "filter %s\n"
-        (Format.asprintf "%a" Command.pp
+        (Command.to_string
            { Command.target = Command.Default_link; op = Command.Attach_filter f }))
     t.filters;
   Digest.to_hex (Digest.string (Buffer.contents b))

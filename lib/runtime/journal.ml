@@ -16,30 +16,22 @@ let max_payload = 65536
 
 (* --- CRC-32 (IEEE 802.3, reflected; stdlib has none) ----------------- *)
 
+(* On native ints: the register fits in 32 of the 63 bits, so the loop
+   boxes nothing; only the result becomes an int32. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor (Int32.shift_right_logical !c 1) 0xEDB88320l
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let i =
-        Int32.to_int
-          (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      c := Int32.logxor table.(i) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+  let c = ref 0xFFFFFFFF in
+  for i = 0 to String.length s - 1 do
+    c := crc_table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 (* --- reading --------------------------------------------------------- *)
 
@@ -259,24 +251,27 @@ let rec write_all fd b off len =
     in
     write_all fd b (off + n) (len - n)
 
-let header_bytes magic =
-  let b = Bytes.create header_size in
-  Bytes.blit_string magic 0 b 0 8;
-  Bytes.set_int32_le b 8 (Int32.of_int schema_version);
-  Bytes.set_int32_le b 12 0l;
-  b
+let add_header b magic =
+  Buffer.add_string b magic;
+  Buffer.add_int32_le b (Int32.of_int schema_version);
+  Buffer.add_int32_le b 0l
 
-let frame payload =
+let add_frame b payload =
   let len = String.length payload in
   if len > max_payload then invalid_arg "Journal: payload too long";
-  let b = Bytes.create (frame_size + len) in
-  Bytes.set_int32_le b 0 (Int32.of_int len);
-  Bytes.set_int32_le b 4 (crc32 payload);
-  Bytes.blit_string payload 0 b frame_size len;
-  b
+  Buffer.add_int32_le b (Int32.of_int len);
+  Buffer.add_int32_le b (crc32 payload);
+  Buffer.add_string b payload
 
 let render ~now cmd =
-  Format.asprintf "at %a %a" Command.pp_float now Command.pp cmd
+  let b = Buffer.create 96 in
+  Buffer.add_string b "at ";
+  Buffer.add_string b (Command.float_text now);
+  Buffer.add_char b ' ';
+  Command.to_buffer b cmd;
+  Buffer.contents b
+
+let write_buffer fd b = write_all fd (Buffer.to_bytes b) 0 (Buffer.length b)
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -304,10 +299,12 @@ let write_checkpoint ~dir ~gen ~checkpoint ~digest =
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      let put b = write_all fd b 0 (Bytes.length b) in
-      put (header_bytes magic_checkpoint);
-      put (frame (digest_prefix ^ digest));
-      List.iter (fun (now, cmd) -> put (frame (render ~now cmd))) checkpoint;
+      (* the whole file in one buffer, handed to the OS in one write *)
+      let b = Buffer.create 65536 in
+      add_header b magic_checkpoint;
+      add_frame b (digest_prefix ^ digest);
+      List.iter (fun (now, cmd) -> add_frame b (render ~now cmd)) checkpoint;
+      write_buffer fd b;
       Unix.fsync fd);
   Sys.rename tmp (checkpoint_path dir gen);
   fsync_dir dir
@@ -318,8 +315,9 @@ let open_journal ~dir ~gen =
       [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
       0o644
   in
-  let h = header_bytes magic_journal in
-  write_all fd h 0 (Bytes.length h);
+  let b = Buffer.create header_size in
+  add_header b magic_journal;
+  write_buffer fd b;
   fd
 
 let delete_older ~dir ~gen =
@@ -350,8 +348,9 @@ let start ~dir ~generation ~checkpoint ~digest =
   { w_dir = dir; w_gen = generation; w_fd = fd; w_count = 0; w_closed = false }
 
 let append w ~now cmd =
-  let b = frame (render ~now cmd) in
-  write_all w.w_fd b 0 (Bytes.length b);
+  let b = Buffer.create 128 in
+  add_frame b (render ~now cmd);
+  write_buffer w.w_fd b;
   w.w_count <- w.w_count + 1
 
 let appended w = w.w_count

@@ -139,6 +139,129 @@ let test_hierarchy_consistent () =
     (Analysis.Admission.hierarchy_consistent ~parent
        [ Sc.linear 6e5; Sc.linear 5e5 ])
 
+(* --- admission: the knee sweep against the pairwise fold --------------- *)
+
+(* The reference is the sum Admission used to build — a pairwise
+   Piecewise.sum fold — under the same verdict rules. *)
+let fold_sum curves =
+  List.fold_left (fun acc sc -> P.sum acc (P.of_service_curve sc)) P.zero curves
+
+let ref_violating_breakpoint ~capacity curves =
+  let demand = fold_sum curves in
+  let xs =
+    List.sort_uniq Float.compare
+      (List.map (fun (x, _, _) -> x) (P.segments demand @ P.segments capacity))
+  in
+  let worst =
+    List.fold_left
+      (fun acc x ->
+        let d = P.eval demand x and c = P.eval capacity x in
+        match acc with
+        | Some (_, d0, c0) when d0 -. c0 >= d -. c -> acc
+        | _ when d -. c > 1e-6 -> Some (x, d, c)
+        | acc -> acc)
+      None xs
+  in
+  match worst with
+  | Some _ as v -> v
+  | None ->
+      let dr = P.final_slope demand and cr = P.final_slope capacity in
+      if dr > cr +. 1e-9 then Some (infinity, dr, cr) else None
+
+let ref_admissible ~link_rate curves =
+  P.vdev (fold_sum curves) (P.linear ~slope:link_rate) <= 1e-6
+
+let ref_hierarchy_consistent ~parent children =
+  P.vdev (fold_sum children) (P.of_service_curve parent) <= 1e-6
+
+let close a b =
+  a = b || Float.abs (a -. b) <= 1e-9 *. Float.max (Float.abs a) (Float.abs b)
+
+let same_violation a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (t, d, c), Some (t', d', c') -> t = t' && close d d' && close c c'
+  | _ -> false
+
+(* Concave, convex and linear curves (including the degenerate d = 0
+   and m1 = m2 shapes), with knees drawn from a small shared pool or
+   anywhere, against a linear and a two-piece capacity scaled around
+   the demand so that both verdicts occur. *)
+let sweep_case_gen =
+  let open QCheck2.Gen in
+  let rate = float_range 0. 1e4 in
+  let knee = oneof [ oneofl [ 0.001; 0.0025; 0.005; 0.01 ]; float_range 1e-4 0.05 ] in
+  let curve =
+    rate >>= fun a ->
+    rate >>= fun b ->
+    knee >>= fun d ->
+    oneofl
+      [
+        Sc.make ~m1:(Float.max a b) ~d ~m2:(Float.min a b);
+        Sc.make ~m1:(Float.min a b) ~d ~m2:(Float.max a b);
+        Sc.linear a;
+        Sc.make ~m1:a ~d:0. ~m2:b;
+        Sc.make ~m1:a ~d ~m2:a;
+      ]
+  in
+  list_size (int_range 0 300) curve >>= fun curves ->
+  (* from 1, so that an empty list still gets a positive capacity *)
+  let sum f = List.fold_left (fun s c -> s +. f c) 1. curves in
+  float_range 0.8 1.2 >>= fun k1 ->
+  float_range 0.8 1.2 >>= fun k2 ->
+  knee >>= fun d ->
+  float_range 0.8 1.2 >>= fun kr ->
+  let parent =
+    Sc.make ~m1:(k1 *. sum (fun c -> c.Sc.m1)) ~d ~m2:(k2 *. sum Sc.rate)
+  in
+  return (curves, parent, kr *. sum Sc.rate)
+
+let sweep_matches_fold =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:100
+       ~name:"knee sweep = pairwise fold (verdicts, t, demand)"
+       ~print:(fun (curves, parent, r) ->
+         Format.asprintf "link %h, parent %a, curves [%a]" r Sc.pp parent
+           (Format.pp_print_list ~pp_sep:Format.pp_print_space Sc.pp)
+           curves)
+       sweep_case_gen
+       (fun (curves, parent, r) ->
+         let check capacity =
+           same_violation
+             (Analysis.Admission.violating_breakpoint ~capacity curves)
+             (ref_violating_breakpoint ~capacity curves)
+         in
+         check (P.of_service_curve parent)
+         && check (P.linear ~slope:r)
+         && Analysis.Admission.admissible ~link_rate:r curves
+            = ref_admissible ~link_rate:r curves
+         && Analysis.Admission.hierarchy_consistent ~parent curves
+            = ref_hierarchy_consistent ~parent curves))
+
+(* A fully allocated link whose verdict rests on the last ulp: the tail
+   rates sum to exactly the link's 0.9 in list order, and to
+   0.9000000000000001 in knee order or as m1 + Σ(m2 − m1). The sweep
+   must keep the list order's sum, as the fold did. *)
+let test_admission_summation_order () =
+  let cs =
+    [
+      Sc.make ~m1:0.15 ~d:3. ~m2:0.3;
+      Sc.make ~m1:0.05 ~d:2. ~m2:0.2;
+      Sc.make ~m1:0.1 ~d:1. ~m2:0.4;
+    ]
+  in
+  Alcotest.(check bool) "the order of summation matters here" true
+    (0.3 +. 0.2 +. 0.4 = 0.9 && 0.4 +. 0.2 +. 0.3 > 0.9);
+  Alcotest.(check bool) "fold: admissible" true (ref_admissible ~link_rate:0.9 cs);
+  Alcotest.(check bool) "sweep: admissible" true
+    (Analysis.Admission.admissible ~link_rate:0.9 cs);
+  Alcotest.(check (float 0.)) "sweep: no excess" 0.
+    (Analysis.Admission.excess ~link_rate:0.9 cs);
+  Alcotest.(check bool) "sweep: fits a 0.9 parent" true
+    (Analysis.Admission.hierarchy_consistent ~parent:(Sc.linear 0.9) cs);
+  Alcotest.(check bool) "sweep: one ulp less does not fit" false
+    (Analysis.Admission.admissible ~link_rate:(Float.pred 0.9) cs)
+
 (* --- multi-hop --------------------------------------------------------- *)
 
 let test_multihop_latencies_add () =
@@ -291,6 +414,9 @@ let () =
           Alcotest.test_case "hierarchy consistency" `Quick
             test_hierarchy_consistent;
           admission_scaling;
+          Alcotest.test_case "tail kept in list order" `Quick
+            test_admission_summation_order;
+          sweep_matches_fold;
         ] );
       ( "multi_hop",
         [

@@ -967,6 +967,35 @@ let roundtrip_cmd =
   qt "parse (pp cmd) = Ok cmd over the full grammar" cmd_gen pp_cmd (fun cmd ->
       C.parse (pp_cmd cmd) = Ok cmd)
 
+(* The float text the journal's bytes are made of: [%.12g] when that
+   reads back as the same float, else [%.17g]. The writer may shortcut
+   integers; its text must stay exactly this rule's, around the
+   shortcut's edges (±0., 1e12 ± 1) and at the extremes. *)
+let float_text_rule v =
+  let s = Printf.sprintf "%.12g" v in
+  if float_of_string s = v then s else Printf.sprintf "%.17g" v
+
+let float_text_matches_rule =
+  let edges =
+    [ 0.; -0.; 1.; -1.; 1e12 -. 1.; 1e12; 1e12 +. 1.; -.(1e12 -. 1.); -1e12;
+      -.(1e12 +. 1.); 4503599627370496.5; 9007199254740993.; 1e-300; 1e300;
+      -1e300; 5e-324; 2.5e-310; Float.min_float; Float.max_float;
+      Float.epsilon; 0.1; 1. /. 3.; infinity; neg_infinity; nan ]
+  in
+  let gen =
+    G.oneof
+      [
+        G.oneofl edges;
+        G.float;
+        G.map Float.of_int (G.int_range (-2_000_000_000_000) 2_000_000_000_000);
+        G.map (fun n -> Float.of_int n *. 0.125) (G.int_range (-1_000_000) 1_000_000);
+        G.map Int64.float_of_bits G.int64;
+      ]
+  in
+  qt ~count:2000 "pp_float text = %.12g if it round-trips, else %.17g" gen
+    (Printf.sprintf "%h") (fun v ->
+      Format.asprintf "%a" C.pp_float v = float_text_rule v)
+
 let script_roundtrip =
   let gen =
     G.(list_size (int_range 1 12) (pair (float_range 0. 100.) cmd_gen))
@@ -1092,6 +1121,7 @@ let () =
       ( "grammar",
         [
           roundtrip_cmd;
+          float_text_matches_rule;
           script_roundtrip;
           script_attribution;
           Alcotest.test_case "reserved link names + attribution" `Quick
