@@ -7,6 +7,7 @@ module Engine = Runtime.Engine
 module Router = Runtime.Router
 module Mc_router = Runtime.Mc_router
 module Daemon = Runtime.Daemon
+module Journal = Runtime.Journal
 module Trace_log = Runtime.Trace_log
 
 type report = {
@@ -407,6 +408,7 @@ type crash_report = {
   cr_domains : int;
   cr_kills : int;
   cr_commands : int;
+  cr_rotations : int list;
   cr_fingerprint : string;
   cr_oracle : string;
 }
@@ -448,7 +450,10 @@ let crash_child ~domains ~audit_every ~state_dir ~socket () =
 (* Deterministic churn for cycle [c]: every line carries an [at] stamp,
    so the sequential replay oracle sees the exact same timeline. The
    class population grows, shrinks and mutates so consecutive cycles
-   leave genuinely different configurations behind. *)
+   leave genuinely different configurations behind. A cycle first
+   retires the classes the previous one left, so the configuration —
+   and the checkpoint a journal must outweigh before it rotates — stays
+   one cycle's size however many cycles run, and every cycle rotates. *)
 let crash_lines ~links ~cycle ~ops =
   let k = ref 0 in
   let out = ref [] in
@@ -466,6 +471,12 @@ let crash_lines ~links ~cycle ~ops =
       if rr_link ~links i then
         stamp "link add %s rate 100Mbit backend rr" (link_name i)
       else stamp "link add %s rate 100Mbit" (link_name i)
+    done
+  else
+    for j = 0 to ops - 1 do
+      if j mod 3 <> 0 then
+        stamp "link %s delete class c%d_%d" (link_name (j mod links)) (cycle - 1)
+          j
     done;
   for j = 0 to ops - 1 do
     let li = j mod links in
@@ -530,10 +541,18 @@ let run_crash ?(links = 2) ?(cycles = 3) ?(ops_per_cycle = 12) ?(domains = 1)
     | Error (code, msg) -> crash_fail "fingerprint refused (%s): %s" code msg
   in
   let last_fp = ref None in
+  let rotations = ref [] (* per churn cycle, newest first *) in
+  let newest_generation () =
+    match Journal.recover ~dir:state_dir with
+    | Ok r -> r.Journal.r_generation
+    | Error e ->
+        crash_fail "state directory unreadable: %s" (Journal.corruption_text e)
+  in
   (* one daemon lifetime: start, verify recovery, churn (unless [ops] is
      0 — the final clean-restart check), audit, remember the
      fingerprint, then die by [how] *)
   let cycle ~c ~ops ~how =
+    let gen0 = newest_generation () in
     let pid = spawn () in
     let conn = Daemon.Client.connect ~retries:400 ~backoff:0.005 socket in
     Fun.protect
@@ -576,9 +595,21 @@ let run_crash ?(links = 2) ?(cycles = 3) ?(ops_per_cycle = 12) ?(domains = 1)
     | _, Unix.WEXITED n -> crash_fail "cycle %d: daemon exited %d" c n
     | _, Unix.WSIGNALED s -> crash_fail "cycle %d: daemon died on signal %d" c s
     | _, Unix.WSTOPPED s -> crash_fail "cycle %d: daemon stopped on signal %d" c s);
+    (* recovery starts generation gen0 + 1; every generation past that
+       is a rotate. A churn cycle without one would leave the rotate
+       window (checkpoint renamed, journal not yet reopened, old
+       generation not yet deleted) untested under SIGKILL. *)
+    let rotated = newest_generation () - gen0 - 1 in
+    if ops > 0 then begin
+      if rotated < 1 then
+        crash_fail "cycle %d: the journal never rotated (generation %d)" c
+          (gen0 + 1);
+      rotations := rotated :: !rotations
+    end;
     log
-      (Printf.sprintf "cycle %d: %d commands acknowledged, %s" c
-         (List.length !accepted)
+      (Printf.sprintf "cycle %d: %d commands acknowledged, %d rotation%s, %s" c
+         (List.length !accepted) rotated
+         (if rotated = 1 then "" else "s")
          (match how with
          | `Kill -> "SIGKILLed"
          | `Shutdown -> "clean shutdown"
@@ -642,6 +673,7 @@ let run_crash ?(links = 2) ?(cycles = 3) ?(ops_per_cycle = 12) ?(domains = 1)
           cr_domains = domains;
           cr_kills = !kills;
           cr_commands = List.length !accepted;
+          cr_rotations = List.rev !rotations;
           cr_fingerprint = final_fp;
           cr_oracle = oracle_fp;
         })
@@ -653,10 +685,13 @@ let crash_report_text r =
   Printf.sprintf
     "crash soak: %d cycles (%d SIGKILLs) on %d domain%s\n\
     \  %d commands acknowledged and recovered\n\
+    \  journal rotations per cycle: %s\n\
     \  fingerprint %s == sequential oracle\n"
     r.cr_cycles r.cr_kills r.cr_domains
     (if r.cr_domains = 1 then "" else "s")
-    r.cr_commands r.cr_fingerprint
+    r.cr_commands
+    (String.concat " " (List.map string_of_int r.cr_rotations))
+    r.cr_fingerprint
 
 let healthy r =
   let check cond msg = if cond then Ok () else Error msg in

@@ -97,6 +97,9 @@ type crash_report = {
   cr_domains : int;
   cr_kills : int;  (** SIGKILLs delivered *)
   cr_commands : int;  (** mutating commands acknowledged (and recovered) *)
+  cr_rotations : int list;
+      (** journal rotations during each churn cycle, in order; each is
+          at least 1 or the run fails *)
   cr_fingerprint : string;  (** the final daemon's configuration *)
   cr_oracle : string;  (** the sequential replay oracle's (equal) *)
 }
@@ -116,8 +119,10 @@ val run_crash :
     {!Runtime.Mc_router} in the child), fresh temp state directory and
     socket (removed afterwards when defaulted, kept when given).
     [Error] names the first broken guarantee: a lost or phantom
-    command, a failed audit, a refused recovery, or a fingerprint
-    diverging from the oracle. Defaults are runtest-sized (the [@crash]
+    command, a failed audit, a refused recovery, a fingerprint
+    diverging from the oracle, or a churn cycle during which the
+    daemon (at [checkpoint_every = 8], a floor under its byte rule)
+    never rotated its journal. Defaults are runtest-sized (the [@crash]
     alias); [hfsc_sim crash] scales them up. *)
 
 val crash_report_text : crash_report -> string

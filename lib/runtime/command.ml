@@ -295,26 +295,46 @@ let parse_script_file path =
   | Ok text -> parse_script text
   | Error e -> Error e
 
+(* [string_of_int]'s text, written digit by digit with no intermediate
+   string. The digits come from -|n|, which exists for every int
+   (|min_int| does not); [m mod 10] is then in -9..0. *)
+let rec add_digits b m =
+  if m <= -10 then add_digits b (m / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (m mod 10)))
+
+let add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_digits b n
+  end
+  else add_digits b (-n)
+
 (* Commands are written in the command grammar itself (so an echoed
    command can be pasted back at the control plane), with enough digits
    that the floats survive the round trip: %.12g when that reads back
    as the same float, else %.17g. An integer below 1e12 (most rates in
    Bps, a checkpoint's time 0) is its decimal digits under %.12g, so it
    skips the printf and the read-back; -0. keeps its sign via %.12g. *)
-let float_text v =
+let add_float b v =
   if
     Float.is_integer v && Float.abs v < 1e12
     && not (Float.sign_bit v && v = 0.)
-  then string_of_int (int_of_float v)
+  then add_int b (int_of_float v)
   else
     let s = Printf.sprintf "%.12g" v in
-    if float_of_string s = v then s else Printf.sprintf "%.17g" v
+    Buffer.add_string b
+      (if float_of_string s = v then s else Printf.sprintf "%.17g" v)
+
+let float_text v =
+  let b = Buffer.create 24 in
+  add_float b v;
+  Buffer.contents b
 
 let to_buffer b { target; op } =
   let str = Buffer.add_string b in
-  let int n = str (string_of_int n) in
-  let rate r = str (float_text r); str "Bps" in
-  let time d = str (float_text d); str "s" in
+  let int n = add_int b n in
+  let rate r = add_float b r; str "Bps" in
+  let time d = add_float b d; str "s" in
   let opt_int tag = function Some n -> str tag; int n | None -> () in
   let curve tag = function
     | Some (s : Curve.Service_curve.t) ->

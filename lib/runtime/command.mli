@@ -150,6 +150,14 @@ val float_text : float -> string
     [float_of_string] of it is always the original float. The journal
     reuses it so a replayed [at TIME] is bit-identical. *)
 
+val add_float : Buffer.t -> float -> unit
+(** {!float_text} written into a buffer; an integral float below 1e12
+    goes straight in as digits, with no intermediate string. *)
+
+val add_int : Buffer.t -> int -> unit
+(** [string_of_int]'s text written into a buffer digit by digit — the
+    writer's path for every int in a command. *)
+
 val pp_float : Format.formatter -> float -> unit
 (** [Format.pp_print_string] of {!float_text}. *)
 

@@ -357,7 +357,15 @@ let ( let* ) = Result.bind
    the engine *accepted*, so a refusal during replay means the state
    directory and this backend disagree (wrong backend, wrong link
    rates, a non-empty engine) — serving a half-rebuilt configuration
-   would be worse than refusing to start. *)
+   would be worse than refusing to start.
+
+   Rotation is amortized: the journal becomes a checkpoint once it holds
+   at least [checkpoint_every] records *and* at least as many bytes as
+   the checkpoint it extends. Every checkpoint byte is then paid for by
+   a journal byte, so a rotate costs O(bytes written since the last
+   one), not O(configuration) per [checkpoint_every] writes; recovery
+   replays at most max([checkpoint_every] records, one checkpoint's
+   bytes) plus one record of tail. *)
 let durable ?(checkpoint_every = 256) ~dir backend =
   if checkpoint_every < 1 then invalid_arg "Daemon.durable: checkpoint_every";
   let* r = Result.map_error Journal.corruption_text (Journal.recover ~dir) in
@@ -388,12 +396,19 @@ let durable ?(checkpoint_every = 256) ~dir backend =
   in
   let* tail = replay "journal" r.Journal.r_tail in
   let generation = r.Journal.r_generation + 1 in
+  let fingerprint = backend.b_fingerprint () in
   let writer =
     (* start a fresh generation immediately: the recovered state becomes
        a checkpoint, so the next crash replays from here, not from the
        whole inherited history *)
     Journal.start ~dir ~generation ~checkpoint:(backend.b_checkpoint ())
-      ~digest:(backend.b_fingerprint ())
+      ~digest:fingerprint
+  in
+  let rotate_due () =
+    Journal.appended writer >= checkpoint_every
+    &&
+    let f = Journal.footprint writer in
+    f.Journal.journal_bytes >= f.Journal.checkpoint_bytes
   in
   let rotate () =
     Journal.rotate writer ~checkpoint:(backend.b_checkpoint ())
@@ -406,7 +421,7 @@ let durable ?(checkpoint_every = 256) ~dir backend =
            until [Journal.append] has handed the record to the OS *)
         if Command.is_mutating cmd then begin
           Journal.append writer ~now cmd;
-          if Journal.appended writer >= checkpoint_every then rotate ()
+          if rotate_due () then rotate ()
         end;
         ok
     | Error _ as e -> e
@@ -420,7 +435,7 @@ let durable ?(checkpoint_every = 256) ~dir backend =
           ri_checkpoint = List.length r.Journal.r_checkpoint;
           ri_tail = tail;
           ri_truncated = r.Journal.r_truncated;
-          ri_fingerprint = backend.b_fingerprint ();
+          ri_fingerprint = fingerprint;
         };
       d_writer = writer;
     }

@@ -119,12 +119,17 @@ val spill_totals : t -> (string * int * int) list
     replayed into the (empty) backend, recorded digest verified against
     the rebuilt {!b_fingerprint}, journal tail replayed — and a fresh
     generation is started. From then on every {e accepted} mutating
-    command is appended to the journal before its reply is sent, and
-    the journal rotates into a new checkpoint every [checkpoint_every]
-    commands. SIGKILL at any instant loses at most the command whose
-    reply was never sent; SIGTERM or a [shutdown] request stops the
-    serve loop, flushes any active trace spill, and fsyncs + closes the
-    journal. *)
+    command is appended to the journal before its reply is sent. The
+    journal rotates into a new checkpoint once {e both} hold: it has at
+    least [checkpoint_every] records, and its bytes since the last
+    checkpoint are at least that checkpoint's size
+    ({!Journal.footprint}). Each checkpoint byte is thus paid for by a
+    journal byte: at most about two bytes reach the disk per byte
+    journaled, at any configuration size, and a rotate's cost per write
+    is proportional to the record, not to the configuration. SIGKILL at
+    any instant loses at most the command whose reply was never sent;
+    SIGTERM or a [shutdown] request stops the serve loop, flushes any
+    active trace spill, and fsyncs + closes the journal. *)
 
 type recovery_info = {
   ri_generation : int;  (** generation now being written *)
@@ -150,9 +155,13 @@ val run :
     the backend {b must be freshly created and empty}: recovery replays
     into it strictly, and any refused command or digest mismatch
     returns [Error] without serving (a state directory must never be
-    half-applied). [checkpoint_every] (default 256) bounds the journal
-    tail a future recovery replays. Returns [Ok (Some info)] describing
-    the recovery when durable, [Ok None] otherwise. *)
+    half-applied). [checkpoint_every] (default 256) is the floor of the
+    rotation rule above: a rotate needs at least that many journal
+    records and as many journal bytes as the current checkpoint, so a
+    future recovery replays at most max([checkpoint_every] records, one
+    checkpoint's bytes) plus one record of tail. Returns
+    [Ok (Some info)] describing the recovery when durable, [Ok None]
+    otherwise. *)
 
 (** {2 Client}
 

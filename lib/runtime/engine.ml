@@ -58,7 +58,7 @@ let map_flow t flow id =
     (flow :: Option.value ~default:[] (Hashtbl.find_opt t.by_class id))
 
 let class_flows_of t id =
-  List.sort compare (Option.value ~default:[] (Hashtbl.find_opt t.by_class id))
+  List.sort Int.compare (Option.value ~default:[] (Hashtbl.find_opt t.by_class id))
 
 let create_backend ?trace_capacity ?tracing ?(audit_every = 0)
     (be : Backend.t) ~flow_map () =
@@ -132,7 +132,7 @@ let link_rate t = t.link_rate
 let flow_class t flow = Hashtbl.find_opt t.flows flow
 
 let flows t =
-  Hashtbl.fold (fun f _ acc -> f :: acc) t.flows [] |> List.sort compare
+  Hashtbl.fold (fun f _ acc -> f :: acc) t.flows [] |> List.sort Int.compare
 
 let flow_count t = Hashtbl.length t.flows
 
@@ -547,61 +547,90 @@ let checkpoint_ops t =
   in
   class_ops @ (limit_op :: filter_ops)
 
+(* Printf's [%h] and [%S] without the format interpreter: [%h] is the
+   primitive Printf calls, at its default precision -6 ("as many digits
+   as needed") with sign flag '-' (none); [%S] is the escaped string in
+   double quotes. *)
+external hexstring_of_float : float -> int -> char -> string
+  = "caml_hexstring_of_float"
+
+let add_hex_float b x = Buffer.add_string b (hexstring_of_float x (-6) '-')
+
+let add_quoted b s =
+  Buffer.add_char b '"';
+  Buffer.add_string b (String.escaped s);
+  Buffer.add_char b '"'
+
 (* Digest of the control-plane configuration only — everything a
    checkpoint persists and nothing it doesn't. Must NOT fold in
    virtual times, backlog or telemetry: recovery drops in-flight
    packets by design, and "recovered state == replay oracle" is
-   judged by this digest. Floats are rendered with %h (exact). The
-   hfsc text is byte-identical to the pre-interface engine; rr links
-   stamp their backend on the rate line and a quantum per class. *)
+   judged by this digest. The text is what [%h] (exact floats), [%S]
+   and [%d] once printed, and it must stay so: it is the preimage of
+   digests already on disk. The hfsc text is byte-identical to the
+   pre-interface engine; rr links stamp their backend on the rate line
+   and a quantum per class. *)
 let config_fingerprint t =
   let be = t.be in
   let b = Buffer.create 512 in
-  let pf fmt = Printf.bprintf b fmt in
+  let str = Buffer.add_string b in
+  let int = Command.add_int b in
+  let hex = add_hex_float b in
+  let quoted = add_quoted b in
+  str "rate ";
+  hex t.link_rate;
   (match be.Backend.kind with
-  | Backend.Hfsc_kind -> pf "rate %h\n" t.link_rate
-  | Backend.Rr_kind -> pf "rate %h backend rr\n" t.link_rate);
+  | Backend.Hfsc_kind -> str "\n"
+  | Backend.Rr_kind -> str " backend rr\n");
   List.iter
     (fun id ->
-      pf "class %S parent %s leaf %b" (be.Backend.cls_name id)
-        (match be.Backend.parent_id id with
-        | Some p -> Printf.sprintf "%S" (be.Backend.cls_name p)
-        | None -> "-")
-        (be.Backend.is_leaf id);
+      let leaf = be.Backend.is_leaf id in
+      str "class ";
+      quoted (be.Backend.cls_name id);
+      str " parent ";
+      (match be.Backend.parent_id id with
+      | Some p -> quoted (be.Backend.cls_name p)
+      | None -> str "-");
+      str (if leaf then " leaf true" else " leaf false");
       (match be.Backend.kind with
       | Backend.Hfsc_kind ->
           let curve tag = function
-            | None -> pf " %s -" tag
-            | Some (s : Sc.t) -> pf " %s %h/%h/%h" tag s.Sc.m1 s.Sc.d s.Sc.m2
+            | None -> str tag; str " -"
+            | Some (s : Sc.t) ->
+                str tag; str " "; hex s.Sc.m1; str "/"; hex s.Sc.d; str "/";
+                hex s.Sc.m2
           in
-          curve "rsc" (be.Backend.rsc id);
-          curve "fsc" (be.Backend.fsc id);
-          curve "usc" (be.Backend.usc id)
+          curve " rsc" (be.Backend.rsc id);
+          curve " fsc" (be.Backend.fsc id);
+          curve " usc" (be.Backend.usc id)
       | Backend.Rr_kind -> (
           match be.Backend.quantum id with
-          | Some q -> pf " quantum %d" q
+          | Some q -> str " quantum "; int q
           | None -> ()));
-      if be.Backend.is_leaf id then
-        pf " qlimit %d qbytes %d"
-          (be.Backend.queue_limit_pkts id)
-          (be.Backend.queue_limit_bytes id);
-      pf "\n")
+      if leaf then begin
+        str " qlimit "; int (be.Backend.queue_limit_pkts id);
+        str " qbytes "; int (be.Backend.queue_limit_bytes id)
+      end;
+      str "\n")
     (be.Backend.class_ids ());
-  pf "agg %d %d %s\n"
-    (be.Backend.aggregate_pkts ())
-    (be.Backend.aggregate_bytes ())
+  str "agg "; int (be.Backend.aggregate_pkts ());
+  str " "; int (be.Backend.aggregate_bytes ());
+  str
     (match be.Backend.policy () with
-    | Hfsc.Tail_drop -> "tail"
-    | Hfsc.Drop_longest -> "longest");
+    | Hfsc.Tail_drop -> " tail\n"
+    | Hfsc.Drop_longest -> " longest\n");
   List.iter
     (fun f ->
-      pf "flow %d -> %S\n" f (be.Backend.cls_name (Hashtbl.find t.flows f)))
+      str "flow "; int f; str " -> ";
+      quoted (be.Backend.cls_name (Hashtbl.find t.flows f));
+      str "\n")
     (flows t);
   List.iter
     (fun (f, _) ->
-      pf "filter %s\n"
-        (Command.to_string
-           { Command.target = Command.Default_link; op = Command.Attach_filter f }))
+      str "filter ";
+      Command.to_buffer b
+        { Command.target = Command.Default_link; op = Command.Attach_filter f };
+      str "\n")
     t.filters;
   Digest.to_hex (Digest.string (Buffer.contents b))
 

@@ -242,6 +242,14 @@ val config_fingerprint : t -> string
     against a replay oracle even though neither holds the pre-crash
     packets. *)
 
+val add_hex_float : Buffer.t -> float -> unit
+(** [Printf.sprintf "%h"] of a float, written into a buffer without the
+    format interpreter — the fingerprint's float writer. *)
+
+val add_quoted : Buffer.t -> string -> unit
+(** [Printf.sprintf "%S"] of a string, written into a buffer — the
+    fingerprint's name writer. *)
+
 val exec_op : t -> now:float -> Command.op -> (string, error) result
 (** Execute one operation at time [now], ignoring link addressing —
     the engine {e is} the link. [Ok] carries a human-readable response

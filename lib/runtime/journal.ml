@@ -26,10 +26,15 @@ let crc_table =
       done;
       !c)
 
+(* The index is masked to 0..255 and [i] stays inside [s], so the
+   reads skip their bounds checks. *)
 let crc32 s =
   let c = ref 0xFFFFFFFF in
   for i = 0 to String.length s - 1 do
-    c := crc_table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+    c :=
+      Array.unsafe_get crc_table
+        ((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
+      lxor (!c lsr 8)
   done;
   Int32.of_int (!c lxor 0xFFFFFFFF)
 
@@ -266,7 +271,7 @@ let add_frame b payload =
 let render ~now cmd =
   let b = Buffer.create 96 in
   Buffer.add_string b "at ";
-  Buffer.add_string b (Command.float_text now);
+  Command.add_float b now;
   Buffer.add_char b ' ';
   Command.to_buffer b cmd;
   Buffer.contents b
@@ -291,23 +296,28 @@ let fsync_dir dir =
         ~finally:(fun () -> Unix.close fd)
         (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
 
+(* Returns the size of the committed file. *)
 let write_checkpoint ~dir ~gen ~checkpoint ~digest =
   let tmp = Filename.concat dir (Printf.sprintf ".checkpoint.%d.tmp" gen) in
   let fd =
     Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o644
   in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      (* the whole file in one buffer, handed to the OS in one write *)
-      let b = Buffer.create 65536 in
-      add_header b magic_checkpoint;
-      add_frame b (digest_prefix ^ digest);
-      List.iter (fun (now, cmd) -> add_frame b (render ~now cmd)) checkpoint;
-      write_buffer fd b;
-      Unix.fsync fd);
+  let size =
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        (* the whole file in one buffer, handed to the OS in one write *)
+        let b = Buffer.create 65536 in
+        add_header b magic_checkpoint;
+        add_frame b (digest_prefix ^ digest);
+        List.iter (fun (now, cmd) -> add_frame b (render ~now cmd)) checkpoint;
+        write_buffer fd b;
+        Unix.fsync fd;
+        Buffer.length b)
+  in
   Sys.rename tmp (checkpoint_path dir gen);
-  fsync_dir dir
+  fsync_dir dir;
+  size
 
 let open_journal ~dir ~gen =
   let fd =
@@ -337,33 +347,52 @@ type writer = {
   mutable w_gen : int;
   mutable w_fd : Unix.file_descr;
   mutable w_count : int;
+  mutable w_bytes : int; (* frames appended to journal.<w_gen> *)
+  mutable w_checkpoint_bytes : int; (* the whole of checkpoint.<w_gen> *)
   mutable w_closed : bool;
 }
 
 let start ~dir ~generation ~checkpoint ~digest =
   mkdir_p dir;
-  write_checkpoint ~dir ~gen:generation ~checkpoint ~digest;
+  let size = write_checkpoint ~dir ~gen:generation ~checkpoint ~digest in
   let fd = open_journal ~dir ~gen:generation in
   delete_older ~dir ~gen:generation;
-  { w_dir = dir; w_gen = generation; w_fd = fd; w_count = 0; w_closed = false }
+  {
+    w_dir = dir;
+    w_gen = generation;
+    w_fd = fd;
+    w_count = 0;
+    w_bytes = 0;
+    w_checkpoint_bytes = size;
+    w_closed = false;
+  }
 
 let append w ~now cmd =
   let b = Buffer.create 128 in
   add_frame b (render ~now cmd);
   write_buffer w.w_fd b;
-  w.w_count <- w.w_count + 1
+  w.w_count <- w.w_count + 1;
+  w.w_bytes <- w.w_bytes + Buffer.length b
 
 let appended w = w.w_count
+
+type footprint = { journal_bytes : int; checkpoint_bytes : int }
+
+let footprint w =
+  { journal_bytes = w.w_bytes; checkpoint_bytes = w.w_checkpoint_bytes }
+
 let generation w = w.w_gen
 
 let rotate w ~checkpoint ~digest =
   let gen = w.w_gen + 1 in
-  write_checkpoint ~dir:w.w_dir ~gen ~checkpoint ~digest;
+  let size = write_checkpoint ~dir:w.w_dir ~gen ~checkpoint ~digest in
   let fd = open_journal ~dir:w.w_dir ~gen in
   Unix.close w.w_fd;
   w.w_fd <- fd;
   w.w_gen <- gen;
   w.w_count <- 0;
+  w.w_bytes <- 0;
+  w.w_checkpoint_bytes <- size;
   delete_older ~dir:w.w_dir ~gen
 
 let sync w = Unix.fsync w.w_fd

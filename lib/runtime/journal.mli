@@ -112,12 +112,27 @@ val append : writer -> now:float -> Command.t -> unit
 val appended : writer -> int
 (** Commands appended to the current generation's journal so far. *)
 
+type footprint = {
+  journal_bytes : int;
+      (** bytes appended to the current generation's journal (frames
+          and payloads; the 16-byte header is not counted) *)
+  checkpoint_bytes : int;
+      (** size of the current generation's checkpoint file, header
+          included *)
+}
+
+val footprint : writer -> footprint
+(** What the current generation holds on disk — the two sizes a
+    rotation policy weighs against each other ({!Daemon.run} rotates
+    once the journal outweighs its checkpoint). *)
+
 val generation : writer -> int
 
 val rotate : writer -> checkpoint:(float * Command.t) list -> digest:string -> unit
 (** Begin generation [generation w + 1]: checkpoint the given state,
     switch appends to the new journal, drop the old generation. The
-    writer survives rotation; [appended] resets to 0. *)
+    writer survives rotation; [appended] and [journal_bytes] reset to
+    0. *)
 
 val sync : writer -> unit
 (** fsync the journal — the durability barrier a graceful shutdown

@@ -27,6 +27,8 @@ let () =
           assert (r.Experiments.Soak.cr_fingerprint = r.Experiments.Soak.cr_oracle);
           assert (r.Experiments.Soak.cr_kills = cycles - 1);
           assert (r.Experiments.Soak.cr_commands > 0);
+          (* run_crash itself fails a churn cycle that never rotated *)
+          assert (List.length r.Experiments.Soak.cr_rotations = cycles);
           Printf.printf "crash soak (domains %d): OK — %s" domains
             (Experiments.Soak.crash_report_text r)
       | Error why ->

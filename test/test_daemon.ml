@@ -421,6 +421,158 @@ let test_connect_retry () =
   Alcotest.(check (result string (pair string string)))
     "ping after retried connect" (Ok "pong") r
 
+(* --- durable rotation ------------------------------------------------- *)
+
+(* -1 for a missing file *)
+let file_size path =
+  try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> -1
+
+(* the newest checkpoint generation in a state directory, -1 if none *)
+let newest_generation dir =
+  Array.fold_left
+    (fun acc name ->
+      match String.split_on_char '.' name with
+      | [ "checkpoint"; g ] -> (
+          match int_of_string_opt g with Some g -> max acc g | None -> acc)
+      | _ -> acc)
+    (-1) (Sys.readdir dir)
+
+let copy_dir src dst =
+  Unix.mkdir dst 0o755;
+  Array.iter
+    (fun name ->
+      let ic = open_in_bin (Filename.concat src name) in
+      let s = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let oc = open_out_bin (Filename.concat dst name) in
+      output_string oc s;
+      close_out oc)
+    (Sys.readdir src)
+
+let rm_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
+(* Churn whose records and checkpoints are sized to exercise both halves
+   of the rule at [checkpoint_every = 4]: long [add class] records
+   outweigh a small checkpoint before the count floor is met, and short
+   [delete class] records meet the floor long before they outweigh a
+   checkpoint holding those classes. *)
+let rotation_every = 4
+
+let rotation_script =
+  let add i =
+    Printf.sprintf
+      "at %d link w add class c%d parent root flow %d fsc m1 100000Bps d \
+       0.01s m2 50000Bps qlimit 64"
+      i i (i + 1)
+  in
+  let delete i = Printf.sprintf "at %d link w delete class c%d" (100 + i) i in
+  ("at 0 link add w rate 100Mbit" :: List.init 3 add)
+  @ List.init 3 delete
+  @ List.init 12 (fun i -> add (10 + i))
+  @ List.init 5 (fun i -> delete (10 + i))
+
+(* One record's bytes in the journal: the 8-byte frame plus the
+   [at TIME COMMAND] payload. *)
+let record_bytes line =
+  match parse_script line with
+  | [ (at, cmd) ] ->
+      8 + String.length ("at " ^ C.float_text at ^ " " ^ C.to_string cmd)
+  | _ -> Alcotest.failf "not one command: %S" line
+
+(* Drive [Daemon.run ~durable] over its socket and predict, for each
+   write, whether it rotates: only once the journal holds at least
+   [checkpoint_every] records and at least the checkpoint's bytes. The
+   state directory must agree after every reply. The directory, copied
+   as it stands before shutdown (what a SIGKILL leaves), must recover
+   to the replay oracle with the predicted tail. *)
+let test_amortized_rotation () =
+  let dir = temp ".state" in
+  let socket = temp ".sock" in
+  let lines = rotation_script in
+  let client =
+    Domain.spawn (fun () ->
+        let conn = D.Client.connect ~retries:200 ~backoff:0.01 socket in
+        (* whatever happens here, the daemon must stop *)
+        Fun.protect ~finally:(fun () ->
+            ignore (D.Client.request conn "shutdown");
+            D.Client.close conn)
+        @@ fun () ->
+        let gen = ref 0 and count = ref 0 and bytes = ref 0 in
+        let ckpt = ref (file_size (Filename.concat dir "checkpoint.0")) in
+        let floor_only = ref 0 and bytes_only = ref 0 in
+        let mismatches = ref [] in
+        List.iter
+          (fun line ->
+            (match D.Client.request conn line with
+            | Ok _ -> ()
+            | Error (code, m) -> failwith (line ^ " refused: " ^ code ^ " " ^ m));
+            incr count;
+            bytes := !bytes + record_bytes line;
+            let floor = !count >= rotation_every and heavy = !bytes >= !ckpt in
+            if floor && heavy then begin
+              incr gen;
+              count := 0;
+              bytes := 0;
+              ckpt :=
+                file_size
+                  (Filename.concat dir (Printf.sprintf "checkpoint.%d" !gen))
+            end
+            else if floor then incr floor_only
+            else if heavy then incr bytes_only;
+            let on_disk = newest_generation dir in
+            let journal = Filename.concat dir (Printf.sprintf "journal.%d" !gen) in
+            if on_disk <> !gen || file_size journal <> 16 + !bytes then
+              mismatches :=
+                Printf.sprintf "after %S: generation %d, %d journal bytes \
+                                (want %d, %d)"
+                  line on_disk (file_size journal - 16) !gen !bytes
+                :: !mismatches)
+          lines;
+        let left = Filename.concat (Filename.dirname dir)
+            (Filename.basename dir ^ ".copy") in
+        copy_dir dir left;
+        (List.rev !mismatches, !floor_only, !bytes_only, !gen, !count, left))
+  in
+  (match
+     D.run ~sigterm:false ~checkpoint_every:rotation_every ~durable:dir ~socket
+       (D.backend_of_router (R.create ()))
+   with
+  | Ok (Some _) -> ()
+  | Ok None -> Alcotest.fail "durable run reported no recovery"
+  | Error m -> Alcotest.failf "durable run refused: %s" m);
+  let mismatches, floor_only, bytes_only, rotates, tail, left =
+    Domain.join client
+  in
+  Alcotest.(check (list string)) "state directory follows the rule" []
+    mismatches;
+  Alcotest.(check bool) "the count floor alone did not rotate" true
+    (floor_only > 0);
+  Alcotest.(check bool) "the byte rule alone did not rotate" true
+    (bytes_only > 0);
+  Alcotest.(check bool) "and both together did, more than once" true
+    (rotates >= 2);
+  let oracle = R.create () in
+  List.iter
+    (fun (at, cmd) -> ignore (R.exec oracle ~now:at cmd))
+    (parse_script (String.concat "\n" lines));
+  (match
+     D.run ~sigterm:false ~idle:(fun () -> false) ~durable:left
+       ~socket:(temp ".sock")
+       (D.backend_of_router (R.create ()))
+   with
+  | Ok (Some info) ->
+      Alcotest.(check int) "recovered tail is the unrotated records" tail
+        info.D.ri_tail;
+      Alcotest.(check bool) "a tail to replay" true (tail > 0);
+      Alcotest.(check string) "recovers to the replay oracle"
+        (R.config_fingerprint oracle) info.D.ri_fingerprint
+  | Ok None -> Alcotest.fail "recovery reported no state"
+  | Error m -> Alcotest.failf "recovery refused: %s" m);
+  rm_dir dir;
+  rm_dir left
+
 (* --- the runtest-sized soak slice ------------------------------------ *)
 
 let test_soak_slice () =
@@ -468,6 +620,12 @@ let () =
           Alcotest.test_case "client request timeout" `Quick
             test_client_timeout;
           Alcotest.test_case "client connect retry" `Quick test_connect_retry;
+        ] );
+      ( "durable",
+        [
+          Alcotest.test_case
+            "rotates once the journal outweighs its checkpoint" `Quick
+            test_amortized_rotation;
         ] );
       ( "soak",
         [ Alcotest.test_case "runtest slice is healthy" `Quick test_soak_slice ]

@@ -996,6 +996,54 @@ let float_text_matches_rule =
     (Printf.sprintf "%h") (fun v ->
       Format.asprintf "%a" C.pp_float v = float_text_rule v)
 
+(* The direct Buffer writers behind the journal's bytes and the
+   fingerprint's preimage, against the conversions they replace. *)
+let buffer_text write v =
+  let b = Buffer.create 32 in
+  write b v;
+  Buffer.contents b
+
+let add_int_matches_string_of_int =
+  let pow10 = List.init 19 (fun k -> int_of_float (10. ** float_of_int k)) in
+  let edges =
+    [ 0; min_int; max_int; min_int + 1; max_int - 1 ]
+    @ List.concat_map (fun p -> [ p; p - 1; -p; 1 - p ]) pow10
+  in
+  let gen =
+    G.oneof [ G.oneofl edges; G.int; G.int_range (-100_000) 100_000 ]
+  in
+  qt ~count:2000 "add_int text = string_of_int" gen string_of_int (fun n ->
+      buffer_text C.add_int n = string_of_int n)
+
+let add_hex_float_matches_printf =
+  let edges =
+    [ 0.; -0.; 5e-324; -5e-324; 2.5e-310; -2.5e-310; Float.min_float;
+      Float.max_float; -.Float.max_float; 1e300; -1e300; infinity;
+      neg_infinity; nan; Float.neg nan; 1.; -1.; 0.1; 1. /. 3.; 1.25e6 ]
+  in
+  let gen =
+    G.oneof
+      [ G.oneofl edges; G.float; G.map Int64.float_of_bits G.int64;
+        G.float_range (-1e6) 1e6 ]
+  in
+  qt ~count:2000 "add_hex_float text = %h" gen (Printf.sprintf "%h") (fun v ->
+      buffer_text E.add_hex_float v = Printf.sprintf "%h" v)
+
+let add_quoted_matches_printf =
+  let edges =
+    [ ""; "\""; "\\"; "a\"b\\c"; "\n\t\r\b"; "\000\001\031\127";
+      "\128\200\255"; "caf\195\169"; "'" ]
+  in
+  let gen =
+    G.oneof
+      [ G.oneofl edges;
+        G.string_size ~gen:G.char (G.int_range 0 40);
+        G.string_size ~gen:(G.oneofl [ '"'; '\\'; '\n'; '\000'; '\255'; 'a' ])
+          (G.int_range 0 12) ]
+  in
+  qt ~count:2000 "add_quoted text = %S" gen (Printf.sprintf "%S") (fun s ->
+      buffer_text E.add_quoted s = Printf.sprintf "%S" s)
+
 let script_roundtrip =
   let gen =
     G.(list_size (int_range 1 12) (pair (float_range 0. 100.) cmd_gen))
@@ -1122,6 +1170,9 @@ let () =
         [
           roundtrip_cmd;
           float_text_matches_rule;
+          add_int_matches_string_of_int;
+          add_hex_float_matches_printf;
+          add_quoted_matches_printf;
           script_roundtrip;
           script_attribution;
           Alcotest.test_case "reserved link names + attribution" `Quick
