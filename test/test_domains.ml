@@ -498,7 +498,7 @@ let run_degradation ~domains =
 
 (* A two-link [Netsim.Sim]: an H-FSC link built through the control
    plane (a real-time leaf, a 3-packet leaf that drops, an upper-limited
-   leaf that forces [next_ready] polls) beside a plain [Sched.Drr] link,
+   leaf that forces [next_ready] polls) beside a flat round-robin link,
    with an outage, rate changes and a mid-run class add/delete. Driven
    through [Router] + [Engine.adapter] and through [Mc_router.adapter] —
    whose enqueue does not wait for its verdict — every output must be
@@ -552,7 +552,18 @@ let run_sim ~domains ~tx_burst =
     | Error e -> fail "sim differential: parse %S: %s" line e
   in
   List.iter (exec_line ~now:0.) sim_setup;
-  let drr = Sched.Drr.create ~qlimit:8 ~quanta:[ (6, 500); (7, 900) ] () in
+  (* the round-robin link is a bare engine beside either router: one
+     leaf per flow with its quantum, 8-packet queues *)
+  let rr =
+    let s = Sched.Hls.create () in
+    let leaf flow quantum =
+      ( flow,
+        Sched.Hls.add_class s ~parent:(Sched.Hls.root s)
+          ~name:(Printf.sprintf "f%d" flow) ~quantum ~qlimit_pkts:8 () )
+    in
+    E.adapter
+      (E.create_rr ~link_rate:2e5 s ~flow_map:[ leaf 6 500; leaf 7 900 ] ())
+  in
   let route p =
     match p.Pkt.Packet.flow with
     | 1 | 2 | 3 | 4 | 5 -> Some 0
@@ -561,7 +572,7 @@ let run_sim ~domains ~tx_burst =
   in
   let sim =
     Netsim.Sim.create_multi ~tx_burst
-      ~links:[ ("hfsc", 1e6, adapter "hfsc"); ("drr", 2e5, drr) ]
+      ~links:[ ("hfsc", 1e6, adapter "hfsc"); ("rr", 2e5, rr) ]
       ~route ()
   in
   let stop_at = 2.5 in

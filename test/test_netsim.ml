@@ -797,8 +797,25 @@ let golden_hfsc ~link_rate =
        ~flow_map:[ (1, rt); (2, rt); (3, a); (4, b); (5, capped) ]
        ())
 
+(* A flat round-robin link: one leaf per flow under the root, each with
+   its quantum and a [qlimit]-packet queue — [Sched.Hls]'s surplus
+   round-robin on a flat hierarchy is deficit round-robin. *)
+let golden_rr ~link_rate ~qlimit quanta =
+  let s = Sched.Hls.create () in
+  let flow_map =
+    List.map
+      (fun (flow, quantum) ->
+        ( flow,
+          Sched.Hls.add_class s ~parent:(Sched.Hls.root s)
+            ~name:(Printf.sprintf "f%d" flow) ~quantum ~qlimit_pkts:qlimit () ))
+      quanta
+  in
+  Runtime.Engine.adapter (Runtime.Engine.create_rr ~link_rate s ~flow_map ())
+
 let golden_multi ~tx_burst =
-  let drr = Sched.Drr.create ~qlimit:8 ~quanta:[ (6, 500); (7, 900); (8, 300) ] () in
+  let rr =
+    golden_rr ~link_rate:2e5 ~qlimit:8 [ (6, 500); (7, 900); (8, 300) ]
+  in
   let route p =
     match p.Pkt.Packet.flow with
     | 1 | 2 | 3 | 4 | 5 -> Some 0
@@ -808,7 +825,7 @@ let golden_multi ~tx_burst =
   let sim =
     Netsim.Sim.create_multi ~tx_burst ~tput_bin:0.25
       ~links:
-        [ ("hfsc", 1e6, golden_hfsc ~link_rate:1e6); ("drr", 2e5, drr) ]
+        [ ("hfsc", 1e6, golden_hfsc ~link_rate:1e6); ("rr", 2e5, rr) ]
       ~route ()
   in
   let stop = 2.5 in
@@ -859,7 +876,7 @@ let golden_tandem () =
       (Runtime.Engine.create ~link_rate:5e5 t1
          ~flow_map:[ (1, c1); (2, c1); (3, c1) ] ())
   in
-  let hop2 = Sched.Drr.create ~qlimit:16 ~quanta:[ (1, 800); (2, 400) ] () in
+  let hop2 = golden_rr ~link_rate:2.5e5 ~qlimit:16 [ (1, 800); (2, 400) ] in
   let tandem =
     Netsim.Tandem.create
       ~hops:[ (4e5, Sched.Fifo.create ~qlimit:30 ()); (5e5, hop1); (2.5e5, hop2) ]
@@ -895,9 +912,9 @@ let check_golden name (digest, n, drops, bytes, x)
 
 let test_golden_digests () =
   check_golden "multi tx_burst=1" (golden_multi ~tx_burst:1)
-    (2064999289831759009, 3405, 1486, 0x1.2ad9fp+21, 0x1.848fa210a8349p-1);
+    (3494223471466709645, 3405, 1486, 0x1.2ad9fp+21, 0x1.848fa210a8349p-1);
   check_golden "multi tx_burst=3" (golden_multi ~tx_burst:3)
-    (1729761889662101597, 3412, 1479, 0x1.2b9bbp+21, 0x1.85f9b82ef7abp-1);
+    (-1381205127368420138, 3412, 1479, 0x1.2b9bbp+21, 0x1.85f9b82ef7abp-1);
   check_golden "tandem" (golden_tandem ())
     (-4369250345166198761, 3434, 329, 0x1.aec3p+18, 0x1.9944f38ef1a9fp+1)
 
