@@ -77,8 +77,6 @@ type params = {
   quantum : int option;
 }
 
-let no_params = { rsc = None; fsc = None; usc = None; quantum = None }
-
 (* Parallel result arrays for the batched dequeue, filled in place by
    [deq_fill] — copies of the underlying scheduler's own batch so one
    shape serves every backend. A drained packet costs zero words. *)
@@ -660,7 +658,3 @@ let of_hls ~link_rate sched =
     backlog_bytes = (fun () -> Hls.backlog_bytes sched);
     audit = (fun () -> Hls.audit sched);
   }
-
-let of_config_built ~link_rate = function
-  | Config.Built_hfsc (sched, _) -> of_hfsc ~link_rate sched
-  | Config.Built_rr (sched, _) -> of_hls ~link_rate sched

@@ -84,8 +84,6 @@ type params = {
     quantum for round-robin. Each backend rejects the other family
     with {!Bad_value}. *)
 
-val no_params : params
-
 type batch
 (** Parallel result arrays for the batched dequeue, filled in place by
     [deq_fill]; a drained packet costs zero words of allocation. *)
@@ -188,6 +186,3 @@ val of_hfsc : link_rate:float -> Hfsc.t -> t
 val of_hls : link_rate:float -> Sched.Hls.t -> t
 (** The O(1) hierarchical round-robin scale tier over the record:
     sum-of-quanta admission, every packet served as link-sharing. *)
-
-val of_config_built : link_rate:float -> Config.built -> t
-(** Wrap a parsed link's scheduler, whichever backend it runs. *)

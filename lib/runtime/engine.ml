@@ -113,6 +113,15 @@ let of_built ?trace_capacity ?tracing ?audit_every ~link_rate built =
       create_rr ?trace_capacity ?tracing ?audit_every ~link_rate sched
         ~flow_map ()
 
+let create_link ?trace_capacity ?tracing ?audit_every ~link_rate backend =
+  match (backend : Config.backend) with
+  | Config.Hfsc_backend ->
+      create ?trace_capacity ?tracing ?audit_every ~link_rate
+        (Hfsc.create ~link_rate ()) ~flow_map:[] ()
+  | Config.Rr_backend ->
+      create_rr ?trace_capacity ?tracing ?audit_every ~link_rate
+        (Sched.Hls.create ()) ~flow_map:[] ()
+
 let of_config ?trace_capacity ?tracing ?audit_every (cfg : Config.t) =
   let first = List.hd cfg.Config.links in
   of_built ?trace_capacity ?tracing ?audit_every
@@ -127,7 +136,6 @@ let scheduler t =
   | None -> invalid_arg "Engine.scheduler: not an hfsc-backend engine"
 
 let snapshot t = Telemetry.snapshot t.tele
-let drain_trace t sink = Trace_log.Sink.drain sink t.tele
 let link_rate t = t.link_rate
 let flow_class t flow = Hashtbl.find_opt t.flows flow
 
@@ -145,11 +153,6 @@ let rules t = t.table
 
 let has_filter t flow =
   List.exists (fun (_, r) -> Classify.Rules.flow_of r = flow) t.filters
-
-let classify t h =
-  match Classify.Rules.classify t.table h with
-  | None -> None
-  | Some flow -> Hashtbl.find_opt t.flows flow
 
 let filter_count t = List.length t.filters
 
@@ -670,19 +673,6 @@ let dequeue t ~now =
     maybe_audit t;
     None
   end
-
-(* The enqueue side stays a plain loop over the single-packet path:
-   admission is a per-packet outcome (telemetry needs to know which
-   arrivals were accepted and the queue depth after each), so there is
-   nothing to amortize. The dequeue side is the native batch: one time
-   conversion and one audit tick for the whole ring fill. *)
-let enqueue_flow_batch t ~now pkts =
-  let n = Array.length pkts in
-  let accepted = ref 0 in
-  for i = 0 to n - 1 do
-    if enqueue_flow t ~now pkts.(i) then incr accepted
-  done;
-  !accepted
 
 let make_batch ?capacity () = Backend.batch ?capacity ()
 

@@ -145,6 +145,16 @@ val of_built :
   t
 (** Wrap one parsed link's scheduler, whichever backend it runs. *)
 
+val create_link :
+  ?trace_capacity:int ->
+  ?tracing:bool ->
+  ?audit_every:int ->
+  link_rate:float ->
+  Config.backend ->
+  t
+(** A class-less engine over a fresh scheduler of the given backend:
+    what [link add] creates on either router. *)
+
 val of_config :
   ?trace_capacity:int -> ?tracing:bool -> ?audit_every:int -> Config.t -> t
 (** {!of_built} on the config's first link. *)
@@ -161,13 +171,6 @@ val snapshot : t -> Telemetry.snapshot
     per-class counters, trace-ring occupancy, decoded events. This is
     the engine's {e only} read surface for counters and traces; the
     live {!Telemetry.t} stays private so the hot path owns it alone. *)
-
-val drain_trace : t -> Trace_log.Sink.t -> int
-(** Spill every trace-ring event the sink has not yet written (the sink
-    keeps the cursor) to its binary log; returns the records written.
-    Allocation-free per event — safe to call from the engine-owning
-    domain between packets. This, not the live {!Telemetry.t}, is how
-    long runs keep events past the ring's capacity. *)
 
 val link_rate : t -> float
 (** The admission capacity this engine was created with (bytes/s). *)
@@ -197,11 +200,6 @@ val rules : t -> Classify.Rules.t
 
 val has_filter : t -> int -> bool
 (** Whether any attached filter targets flow [flow]. *)
-
-val classify : t -> Pkt.Header.t -> int option
-(** Route a header through the attached filters (first match wins) to
-    its leaf class id; [None] if no filter matches or the matched flow
-    is unmapped. *)
 
 val filter_count : t -> int
 
@@ -303,12 +301,6 @@ val dequeue : t -> now:float -> (Pkt.Packet.t * int * Hfsc.criterion) option
     {!Hfsc.Linkshare}. test_runtime's allocation test and towerbench's
     [telemetry.*] trace rows measure this function against the bare
     scheduler. *)
-
-val enqueue_flow_batch : t -> now:float -> Pkt.Packet.t array -> int
-(** Route and enqueue each packet in order, exactly as repeated
-    {!enqueue_flow} calls (the enqueue side has per-packet admission
-    outcomes, so there is nothing to amortize); returns how many were
-    accepted. *)
 
 val make_batch : ?capacity:int -> unit -> Backend.batch
 (** A reusable result ring for {!dequeue_batch} (capacity defaults

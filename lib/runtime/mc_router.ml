@@ -1,10 +1,9 @@
 (* The multicore router. Structure:
 
    - each link is wrapped in a [port]: an input SPSC ring of [msg]
-     (enqueue batches, dequeue requests, control ops, queries), an
-     output SPSC ring of dequeued packets, and two reusable completion
-     cells — one for synchronous requests, one dedicated to the
-     overlappable dequeue;
+     (posted packets, dequeue requests, control ops, queries), an
+     output SPSC ring of dequeued packets, and one reusable completion
+     cell;
    - each worker domain owns a set of ports (round-robin assignment)
      plus an admin ring for attach/detach/stop, and loops: admin ring
      first, then one message per port per scan; idle workers spin
@@ -17,10 +16,11 @@
    Determinism: each port's ring is FIFO and each port has one owning
    worker, so a link's engine observes operations in exactly the
    producer's issue order — the sequential router's order. Control ops,
-   queries and dequeues block on a completion cell; enqueues may be
-   posted cell-less (the adapter's always are), and what they refuse is
-   added to the port's refusal count, read back by a query that queues
-   behind them.
+   queries and dequeues block on the port's cell, and the producer waits
+   for each reply before it issues anything else, so one cell is all a
+   port needs. Enqueues never wait: each is posted, and what the worker
+   refuses is added to the port's refusal count, read back by a query
+   that queues behind every post.
 
    Memory model notes: ring publication is the SPSC ring's
    release/acquire pair (see {!Ds.Spsc_ring}); completion cells use a
@@ -46,7 +46,6 @@ type reply =
   | R_snapshot of Telemetry.snapshot
   | R_json of Json_lite.t
   | R_next_ready of float option
-  | R_backlog of int * int
   | R_ops of Command.op list
   | R_string of string
   | R_unit
@@ -81,6 +80,9 @@ let await c =
 
 exception Injected_failure
 
+(* what every link of a stopped router is latched down with *)
+exception Stopped
+
 type query =
   | Q_flows
   | Q_class_flows of string
@@ -92,7 +94,8 @@ type query =
   | Q_stats_json
   | Q_has_filter of int
   | Q_next_ready of float
-  | Q_backlog
+  | Q_backlog_pkts
+  | Q_backlog_bytes
   | Q_checkpoint
   | Q_config_fp
   | Q_refused
@@ -100,14 +103,10 @@ type query =
 
 type msg =
   | M_nop (* ring dummy; never delivered *)
-  | M_enqueue of {
-      e_now : float;
-      e_pkts : Pkt.Packet.t array;
-      e_cell : cell option; (* None: fire-and-forget *)
-    }
-  | M_dequeue of { d_now : float; d_max : int; d_cell : cell }
-  | M_exec of { x_now : float; x_op : Command.op; x_cell : cell }
-  | M_query of { q : query; q_cell : cell }
+  | M_enqueue of { e_now : float; e_pkt : Pkt.Packet.t } (* never awaited *)
+  | M_dequeue of { d_now : float; d_max : int }
+  | M_exec of { x_now : float; x_op : Command.op }
+  | M_query of query
 
 (* one dequeued packet on the output ring *)
 type deq = { dq_pkt : Pkt.Packet.t; dq_cls : string; dq_rt : bool }
@@ -121,6 +120,10 @@ let dummy_deq =
 
 (* --- ports and workers -------------------------------------------------- *)
 
+(* a link's input ring, and its output ring — the largest dequeue batch *)
+let ring_capacity = 1024
+let out_capacity = 512
+
 type port = {
   p_name : string;
   p_rate : float; (* remembered so a downed link can still report it *)
@@ -129,24 +132,17 @@ type port = {
   p_in : msg Ring.t;
   p_out : deq Ring.t;
   p_worker : worker;
-  p_cell : cell; (* reused by every synchronous (blocking) request *)
-  (* dedicated reply cell for [M_dequeue]: a dequeue is the one request
-     the producer may leave outstanding (post_dequeue/finish_dequeue),
-     so its reply must not share [p_cell] with the synchronous ops the
-     caller may legally issue in between — a shared cell would let a
-     query's reply overwrite the pending dequeue count *)
-  p_deq_cell : cell;
-  mutable p_pending : bool; (* a dequeue is outstanding *)
-  (* failure of a fire-and-forget message, set by the worker (first
-     wins), observed by the producer on its next touch of this port *)
+  p_cell : cell; (* every awaited reply: one request is in flight at most *)
+  (* failure of a posted enqueue, set by the worker (first wins),
+     observed by the producer on its next touch of this port *)
   p_fail : exn option Atomic.t;
   (* producer-side latch: once a failure is observed the link is down —
      every subsequent operation short-circuits to a degraded reply
      (typed [Link_failed], empty lists, zero counts) instead of raising
      into — and tearing down — whoever drives the router *)
   mutable p_down : exn option;
-  (* packets refused by cell-less enqueues (a batch whose engine call
-     raised counts whole); written by the worker only *)
+  (* packets refused by posted enqueues (one whose engine call raised
+     included); written by the worker only *)
   p_refused : int Atomic.t;
 }
 
@@ -184,8 +180,8 @@ let poison w e =
 
 (* --- the worker domain -------------------------------------------------- *)
 
-(* out-ring pushes cannot block under the protocol (one outstanding
-   dequeue per link, [d_max] clamped to the ring's capacity, ring
+(* out-ring pushes cannot block under the protocol (one request in
+   flight per link, [d_max] clamped to the ring's capacity, ring
    drained before the next request); the spin is belt-and-braces *)
 let rec push_out p v =
   if not (Ring.try_push p.p_out v) then begin
@@ -199,33 +195,22 @@ let serve_query p q =
   | Q_flows -> R_flows (Engine.flows eng)
   | Q_class_flows cls -> R_flows (Engine.class_flows eng cls)
   | Q_rules -> R_rules (Engine.rules eng)
-  | Q_info ->
-      R_info
-        {
-          Router_core.i_rate = Engine.link_rate eng;
-          i_backend =
-            (match Engine.backend_kind eng with
-            | Backend.Hfsc_kind -> Config.Hfsc_backend
-            | Backend.Rr_kind -> Config.Rr_backend);
-          i_classes = List.length (Engine.class_ids eng);
-          i_flows = Engine.flow_count eng;
-          i_backlog_pkts = Engine.backlog_pkts eng;
-          i_backlog_bytes = Engine.backlog_bytes eng;
-        }
+  | Q_info -> R_info (Router_core.engine_info eng)
   | Q_audit -> R_strings (Engine.audit eng)
   | Q_snapshot -> R_snapshot (Engine.snapshot eng)
   | Q_stats_text -> R_exec (Engine.stats_text eng ())
   | Q_stats_json -> R_json (Engine.stats_json eng)
   | Q_has_filter f -> R_bool (Engine.has_filter eng f)
   | Q_next_ready now -> R_next_ready (Engine.next_ready_time eng ~now)
-  | Q_backlog -> R_backlog (Engine.backlog_pkts eng, Engine.backlog_bytes eng)
+  | Q_backlog_pkts -> R_count (Engine.backlog_pkts eng)
+  | Q_backlog_bytes -> R_count (Engine.backlog_bytes eng)
   | Q_checkpoint -> R_ops (Engine.checkpoint_ops eng)
   | Q_config_fp -> R_string (Engine.config_fingerprint eng)
   | Q_refused -> R_count (Atomic.get p.p_refused)
   | Q_fail -> raise Injected_failure
 
-let refuse p k =
-  if k > 0 then Atomic.set p.p_refused (Atomic.get p.p_refused + k)
+(* the worker is the count's only writer *)
+let refuse p = Atomic.set p.p_refused (Atomic.get p.p_refused + 1)
 
 (* serve one message on one port; [bcache] is the port's reusable
    dequeue batch, reallocated only when the burst size changes (same
@@ -233,23 +218,16 @@ let refuse p k =
 let serve_msg (p, bcache) msg =
   match msg with
   | M_nop -> ()
-  | M_enqueue { e_now; e_pkts; e_cell } -> (
-      match Engine.enqueue_flow_batch p.p_eng ~now:e_now e_pkts with
-      | n -> (
-          match e_cell with
-          | Some c -> fill c (R_count n)
-          | None -> refuse p (Array.length e_pkts - n))
-      | exception e -> (
-          match e_cell with
-          | Some c -> fill c (R_raise e)
-          | None ->
-              (* fire-and-forget: count the batch refused and park the
-                 failure on the port; the producer latches it into
-                 [p_down] on its next touch *)
-              refuse p (Array.length e_pkts);
-              if Atomic.get p.p_fail = None then
-                Atomic.set p.p_fail (Some e)))
-  | M_dequeue { d_now; d_max; d_cell } -> (
+  | M_enqueue { e_now; e_pkt } -> (
+      match Engine.enqueue_flow p.p_eng ~now:e_now e_pkt with
+      | true -> ()
+      | false -> refuse p
+      | exception e ->
+          (* count the packet refused and park the failure on the port;
+             the producer latches it into [p_down] on its next touch *)
+          refuse p;
+          if Atomic.get p.p_fail = None then Atomic.set p.p_fail (Some e))
+  | M_dequeue { d_now; d_max } -> (
       match
         if d_max <= 0 then 0
         else begin
@@ -268,16 +246,16 @@ let serve_msg (p, bcache) msg =
           n
         end
       with
-      | n -> fill d_cell (R_count n)
-      | exception e -> fill d_cell (R_raise e))
-  | M_exec { x_now; x_op; x_cell } -> (
+      | n -> fill p.p_cell (R_count n)
+      | exception e -> fill p.p_cell (R_raise e))
+  | M_exec { x_now; x_op } -> (
       match Engine.exec_op p.p_eng ~now:x_now x_op with
-      | r -> fill x_cell (R_exec r)
-      | exception e -> fill x_cell (R_raise e))
-  | M_query { q; q_cell } -> (
+      | r -> fill p.p_cell (R_exec r)
+      | exception e -> fill p.p_cell (R_raise e))
+  | M_query q -> (
       match serve_query p q with
-      | r -> fill q_cell r
-      | exception e -> fill q_cell (R_raise e))
+      | r -> fill p.p_cell r
+      | exception e -> fill p.p_cell (R_raise e))
 
 let worker_body w =
   let ports = ref [] in
@@ -375,13 +353,6 @@ let worker_notify w =
     Mutex.unlock w.w_mutex
   end
 
-let raise_poison w =
-  match Atomic.get w.w_poison with
-  | Some e ->
-      Atomic.set w.w_poison None;
-      raise e
-  | None -> ()
-
 let rec push_msg p m =
   if not (Ring.try_push p.p_in m) then begin
     (* ring full: the worker may be parked with a full ring only
@@ -426,10 +397,7 @@ let port_failure p =
    answers [failed] without touching its ring, and a failure raised by
    the operation itself (the worker replying [R_raise]) downs the link
    and answers [failed] — never raising into the caller, so one
-   poisoned link cannot tear down the daemon serving the others.
-   Producer-side usage errors (the outstanding-dequeue checks) stay
-   outside this net: they are bugs in the driving code, not link
-   failures. *)
+   poisoned link cannot tear down the daemon serving the others. *)
 let guard p ~failed f =
   match port_failure p with
   | Some e -> failed e
@@ -443,8 +411,7 @@ let request p m =
   post p m;
   await p.p_cell
 
-let query p q =
-  request p (M_query { q; q_cell = p.p_cell })
+let query p q = request p (M_query q)
 
 let down_error p e =
   Error
@@ -463,9 +430,7 @@ let mc_ops : port Router_core.ops =
         guard p
           ~failed:(fun e -> down_error p e)
           (fun () ->
-            match
-              request p (M_exec { x_now = now; x_op = op; x_cell = p.p_cell })
-            with
+            match request p (M_exec { x_now = now; x_op = op }) with
             | R_exec r -> r
             | _ -> assert false));
     op_flows =
@@ -566,88 +531,64 @@ let mc_ops : port Router_core.ops =
         end);
   }
 
+(* A port on worker [w] for a freshly built engine — still on this
+   domain, handed to the worker through the admin ring's
+   release/acquire publication before any use. A dead or stopped
+   worker never drains that ring: the port is left unattached, and
+   [port_failure] already reports it down. *)
+let port_on w ~name eng =
+  let i = Router_core.engine_info eng in
+  let p =
+    {
+      p_name = name;
+      p_rate = i.Router_core.i_rate;
+      p_backend = i.Router_core.i_backend;
+      p_eng = eng;
+      p_in = Ring.create ~capacity:ring_capacity ~dummy:M_nop;
+      p_out = Ring.create ~capacity:out_capacity ~dummy:dummy_deq;
+      p_worker = w;
+      p_cell = cell ();
+      p_fail = Atomic.make None;
+      p_down = None;
+      p_refused = Atomic.make 0;
+    }
+  in
+  if Atomic.get w.w_poison = None then begin
+    push_admin w (A_attach p);
+    worker_notify w
+  end;
+  p
+
 type t = {
   core : port Router_core.t;
   workers : worker array;
   mutable running : bool;
-  attach : string -> float -> Config.backend -> Engine.t -> port;
-      (* round-robin worker pick *)
 }
 
-let create ?trace_capacity ?tracing ?audit_every ?(ring_capacity = 1024)
-    ?(out_capacity = 512) ~domains () =
+(* Spawn the workers, then build the device with [build], whose links
+   are assigned to workers round-robin. *)
+let spawn ~domains build =
   if domains < 1 then invalid_arg "Mc_router.create: domains must be >= 1";
-  if ring_capacity < 1 then
-    invalid_arg "Mc_router.create: ring_capacity must be >= 1";
-  if out_capacity < 1 then
-    invalid_arg "Mc_router.create: out_capacity must be >= 1";
   let workers = Array.init domains (fun _ -> mk_worker ()) in
   Array.iter
     (fun w -> w.w_domain <- Some (Domain.spawn (fun () -> worker_run w)))
     workers;
   let next = ref 0 in
-  let attach name link_rate backend eng =
+  let port ~name eng =
     let w = workers.(!next mod domains) in
     incr next;
-    let p =
-      {
-        p_name = name;
-        p_rate = link_rate;
-        p_backend = backend;
-        p_eng = eng;
-        p_in = Ring.create ~capacity:ring_capacity ~dummy:M_nop;
-        p_out = Ring.create ~capacity:out_capacity ~dummy:dummy_deq;
-        p_worker = w;
-        p_cell = cell ();
-        p_deq_cell = cell ();
-        p_pending = false;
-        p_fail = Atomic.make None;
-        p_down = None;
-        p_refused = Atomic.make 0;
-      }
-    in
-    push_admin w (A_attach p);
-    worker_notify w;
-    p
+    port_on w ~name eng
   in
-  let make_port ~name ~link_rate ~backend =
-    let eng =
-      match backend with
-      | Config.Hfsc_backend ->
-          let sched = Hfsc.create ~link_rate () in
-          Engine.create ?trace_capacity ?tracing ?audit_every ~link_rate sched
-            ~flow_map:[] ()
-      | Config.Rr_backend ->
-          let sched = Sched.Hls.create () in
-          Engine.create_rr ?trace_capacity ?tracing ?audit_every ~link_rate
-            sched ~flow_map:[] ()
-    in
-    attach name link_rate backend eng
-  in
-  let core = Router_core.create ~ops:mc_ops ~make_port () in
-  { core; workers; running = true; attach }
+  { core = build ~ops:mc_ops ~port; workers; running = true }
 
-let of_config ?trace_capacity ?tracing ?audit_every ?ring_capacity ?out_capacity
-    ~domains (cfg : Config.t) =
-  let t =
-    create ?trace_capacity ?tracing ?audit_every ?ring_capacity ?out_capacity
-      ~domains ()
-  in
-  List.iter
-    (fun (l : Config.link) ->
-      let eng =
-        Engine.of_built ?trace_capacity ?tracing ?audit_every
-          ~link_rate:l.Config.lrate l.Config.lbuilt
-      in
-      (* built on this domain, handed to the worker through the admin
-         ring's release/acquire publication before any use *)
-      let p = t.attach l.Config.lname l.Config.lrate (Config.link_backend l) eng in
-      let link = (l.Config.lname, p) in
-      t.core.Router_core.links <- t.core.Router_core.links @ [ link ];
-      Router_core.resync_flows t.core link)
-    cfg.Config.links;
-  Router_core.rebuild_shard t.core;
-  t
+let create ?trace_capacity ?tracing ?audit_every ~domains () =
+  spawn ~domains (fun ~ops ~port ->
+      Router_core.create ?trace_capacity ?tracing ?audit_every ~ops ~port ())
+
+let of_config ?trace_capacity ?tracing ?audit_every ~domains cfg =
+  spawn ~domains (fun ~ops ~port ->
+      Router_core.of_config ?trace_capacity ?tracing ?audit_every ~ops ~port
+        cfg)
 
 let domains t = Array.length t.workers
 let add_link ?(backend = Config.Hfsc_backend) t ~name ~link_rate =
@@ -656,7 +597,6 @@ let link_names t = List.map fst t.core.Router_core.links
 let link_count t = Router_core.link_count t.core
 let link_of_flow t flow = Router_core.link_of_flow t.core flow
 let exec t ~now cmd = Router_core.exec t.core ~now cmd
-let exec_script ?lenient t cmds = Router_core.exec_script ?lenient t.core cmds
 let audit t = Router_core.audit t.core
 
 let snapshot t ~link =
@@ -686,191 +626,67 @@ let inject_failure t ~link =
       guard p ~failed:(fun _ -> ()) (fun () -> ignore (query p Q_fail));
       true
 
-(* --- the data path ------------------------------------------------------ *)
-
-let enqueue_flow t ~now pkt =
-  match Hashtbl.find_opt t.core.Router_core.flow_links pkt.Pkt.Packet.flow with
-  | None -> false
-  | Some (_, p) ->
-      guard p
-        ~failed:(fun _ -> false)
-        (fun () ->
-          match
-            request p
-              (M_enqueue
-                 { e_now = now; e_pkts = [| pkt |]; e_cell = Some p.p_cell })
-          with
-          | R_count n -> n > 0
-          | _ -> assert false)
-
-(* split a batch into per-port sub-batches, preserving per-link order;
-   buckets keep first-seen order so the await phase below is
-   deterministic *)
-let split_by_port t pkts =
-  let buckets = ref [] in
-  Array.iter
-    (fun pkt ->
-      match
-        Hashtbl.find_opt t.core.Router_core.flow_links pkt.Pkt.Packet.flow
-      with
-      | None -> () (* unmapped flow: refused, as in the sequential router *)
-      | Some (_, p) ->
-          let b =
-            match List.find_opt (fun (q, _) -> q == p) !buckets with
-            | Some (_, r) -> r
-            | None ->
-                let r = ref [] in
-                buckets := !buckets @ [ (p, r) ];
-                r
-          in
-          b := pkt :: !b)
-    pkts;
-  List.map (fun (p, r) -> (p, Array.of_list (List.rev !r))) !buckets
-
-let enqueue_flow_batch t ~now pkts =
-  if Array.length pkts = 0 then 0
-  else begin
-    (* downed links contribute zero accepted packets — their sub-batch
-       is dropped here, exactly as if every class queue refused it *)
-    let buckets =
-      List.filter
-        (fun (p, _) -> Option.is_none (port_failure p))
-        (split_by_port t pkts)
-    in
-    (* post every sub-batch first (the workers run concurrently), then
-       collect every outcome *)
-    List.iter
-      (fun (p, arr) ->
-        post p (M_enqueue { e_now = now; e_pkts = arr; e_cell = Some p.p_cell }))
-      buckets;
-    List.fold_left
-      (fun acc (p, _) ->
-        match await p.p_cell with
-        | R_count n -> acc + n
-        | exception e ->
-            p.p_down <- Some e;
-            acc
-        | _ -> assert false)
-      0 buckets
-  end
+(* --- the data path: the simulator adapter ------------------------------ *)
 
 (* [false] when the link is down (nothing was posted) *)
-let post_enqueue p ~now pkts =
+let post_enqueue p ~now pkt =
   match port_failure p with
   | Some _ -> false
   | None ->
-      post p (M_enqueue { e_now = now; e_pkts = pkts; e_cell = None });
+      post p (M_enqueue { e_now = now; e_pkt = pkt });
       true
 
-let post_enqueue_batch t ~now pkts =
-  List.iter
-    (fun (p, arr) -> ignore (post_enqueue p ~now arr))
-    (split_by_port t pkts)
-
-(* [false] when the link is down (nothing was posted). The
-   outstanding-dequeue check stays a hard [Invalid_argument]: it is a
-   producer-side usage error, not a link failure. *)
-let post_dequeue_port p ~now ~max =
-  if p.p_pending then
-    invalid_arg
-      (Printf.sprintf "Mc_router: dequeue already outstanding on link %S"
-         p.p_name);
+(* Ask the owning worker for up to [max] packets and hand each to [f]
+   in service order; 0 on a downed link. *)
+let dequeue_port p ~now ~max ~f =
   match port_failure p with
-  | Some _ -> false
-  | None ->
-      let max = min max (Ring.capacity p.p_out) in
-      post p (M_dequeue { d_now = now; d_max = max; d_cell = p.p_deq_cell });
-      p.p_pending <- true;
-      true
-
-let finish_dequeue_port p ~f =
-  if not p.p_pending then
-    invalid_arg
-      (Printf.sprintf "Mc_router: no dequeue outstanding on link %S" p.p_name);
-  p.p_pending <- false;
-  (* cleared before [await]: a worker-side exception must not wedge the
-     port *)
-  match await p.p_deq_cell with
-  | R_count n ->
-      for _ = 1 to n do
-        match Ring.try_pop p.p_out with
-        | Some d -> f ~pkt:d.dq_pkt ~cls:d.dq_cls ~rt:d.dq_rt
-        | None -> assert false (* pushed before the cell was filled *)
-      done;
-      n
-  | exception e ->
-      p.p_down <- Some e;
-      0
-  | _ -> assert false
-
-let post_dequeue t ~link ~now ~max =
-  match Router_core.find_link t.core link with
-  | None -> false
-  | Some p -> post_dequeue_port p ~now ~max
-
-let finish_dequeue t ~link ~f =
-  match Router_core.find_link t.core link with
-  | None -> invalid_arg "Mc_router.finish_dequeue: unknown link"
-  | Some p -> finish_dequeue_port p ~f
-
-let dequeue_batch t ~link ~now ~max ~f =
-  if post_dequeue t ~link ~now ~max then finish_dequeue t ~link ~f else 0
-
-let next_ready t ~link ~now =
-  match Router_core.find_link t.core link with
-  | None -> None
-  | Some p ->
-      guard p
-        ~failed:(fun _ -> None)
-        (fun () ->
-          match query p (Q_next_ready now) with
-          | R_next_ready r -> r
-          | _ -> assert false)
-
-let backlog t ~link =
-  match Router_core.find_link t.core link with
-  | None -> None
-  | Some p ->
-      guard p
-        ~failed:(fun _ -> None)
-        (fun () ->
-          match query p Q_backlog with
-          | R_backlog (n, b) -> Some (n, b)
-          | _ -> assert false)
+  | Some _ -> 0
+  | None -> (
+      post p (M_dequeue { d_now = now; d_max = min max out_capacity });
+      match await p.p_cell with
+      | R_count n ->
+          for _ = 1 to n do
+            match Ring.try_pop p.p_out with
+            | Some d -> f d
+            | None -> assert false (* pushed before the cell was filled *)
+          done;
+          n
+      | exception e ->
+          p.p_down <- Some e;
+          0
+      | _ -> assert false)
 
 let adapter t ~link =
   match Router_core.find_link t.core link with
   | None -> None
   | Some p ->
-      let crit rt = if rt then "rt" else "ls" in
-      let dequeue_many ~now ~max =
-        if post_dequeue_port p ~now ~max then begin
-          let acc = ref [] in
-          let _n =
-            finish_dequeue_port p ~f:(fun ~pkt ~cls ~rt ->
-                acc := { Sched.Scheduler.pkt; cls; criterion = crit rt } :: !acc)
-          in
-          List.rev !acc
-        end
-        else []
+      let served d =
+        {
+          Sched.Scheduler.pkt = d.dq_pkt;
+          cls = d.dq_cls;
+          criterion = (if d.dq_rt then "rt" else "ls");
+        }
+      in
+      let count q ~failed =
+        guard p ~failed (fun () ->
+            match query p q with R_count n -> n | _ -> assert false)
       in
       Some
         {
           Sched.Scheduler.name = Config.backend_name p.p_backend;
-          dequeue_many = Some dequeue_many;
-          enqueue = (fun ~now pkt -> post_enqueue p ~now [| pkt |]);
+          enqueue = (fun ~now pkt -> post_enqueue p ~now pkt);
           dequeue =
             (fun ~now ->
-              if post_dequeue_port p ~now ~max:1 then begin
-                let res = ref None in
-                let _n =
-                  finish_dequeue_port p ~f:(fun ~pkt ~cls ~rt ->
-                      res :=
-                        Some { Sched.Scheduler.pkt; cls; criterion = crit rt })
-                in
-                !res
-              end
-              else None);
+              let res = ref None in
+              ignore (dequeue_port p ~now ~max:1 ~f:(fun d -> res := Some (served d)));
+              !res);
+          dequeue_many =
+            Some
+              (fun ~now ~max ->
+                let acc = ref [] in
+                ignore
+                  (dequeue_port p ~now ~max ~f:(fun d -> acc := served d :: !acc));
+                List.rev !acc);
           next_ready =
             (fun ~now ->
               guard p
@@ -879,34 +695,15 @@ let adapter t ~link =
                   match query p (Q_next_ready now) with
                   | R_next_ready r -> r
                   | _ -> assert false));
-          backlog_pkts =
-            (fun () ->
-              guard p
-                ~failed:(fun _ -> 0)
-                (fun () ->
-                  match query p Q_backlog with
-                  | R_backlog (n, _) -> n
-                  | _ -> assert false));
-          backlog_bytes =
-            (fun () ->
-              guard p
-                ~failed:(fun _ -> 0)
-                (fun () ->
-                  match query p Q_backlog with
-                  | R_backlog (_, b) -> b
-                  | _ -> assert false));
+          backlog_pkts = (fun () -> count Q_backlog_pkts ~failed:(fun _ -> 0));
+          backlog_bytes = (fun () -> count Q_backlog_bytes ~failed:(fun _ -> 0));
+          (* a downed link — every link of a stopped router among them —
+             is not asked (its worker may be gone): the count is read as
+             published *)
           deferred_drops =
             Some
               (fun () ->
-                (* a stopped router or a downed link is not asked (its
-                   worker may be gone): the count is read as published *)
-                let published _ = Atomic.get p.p_refused in
-                if not t.running then published ()
-                else
-                  guard p ~failed:published (fun () ->
-                      match query p Q_refused with
-                      | R_count n -> n
-                      | _ -> assert false));
+                count Q_refused ~failed:(fun _ -> Atomic.get p.p_refused));
         }
 
 (* --- exporters ---------------------------------------------------------- *)
@@ -926,21 +723,25 @@ let stop t =
       t.workers;
     Array.iter
       (fun w ->
-        match w.w_domain with
-        | Some d ->
-            Domain.join d;
-            w.w_domain <- None
-        | None -> ())
+        Option.iter Domain.join w.w_domain;
+        w.w_domain <- None)
       t.workers;
     (* a worker that died catastrophically reports it now; so does a
        fire-and-forget failure the producer never observed (one it DID
        observe was already surfaced as a typed [Link_failed] reply and
        must not resurface as an exception at teardown) *)
-    Array.iter raise_poison t.workers;
-    List.iter
-      (fun (_, p) ->
-        if Option.is_none p.p_down then
-          match Atomic.get p.p_fail with Some e -> raise e | None -> ())
-      t.core.Router_core.links
+    let unobserved =
+      match Array.find_map (fun w -> Atomic.get w.w_poison) t.workers with
+      | Some _ as e -> e
+      | None ->
+          List.find_map
+            (fun (_, p) -> if p.p_down = None then Atomic.get p.p_fail else None)
+            t.core.Router_core.links
+    in
+    (* no worker is left to serve a port: every link, and any link
+       added from now on, is down, so later calls take the degraded
+       answers instead of waiting on a ring nobody drains *)
+    Array.iter (fun w -> Atomic.set w.w_poison (Some Stopped)) t.workers;
+    Option.iter raise unobserved
   end;
   List.map (fun (name, p) -> (name, p.p_eng)) t.core.Router_core.links

@@ -5,15 +5,19 @@
 
     {b Architecture.} PR 5's link-ownership rule is cashed in as a
     domain boundary. Each link gets a pair of lock-free SPSC rings
-    ({!Ds.Spsc_ring}): an input ring carrying enqueue batches, dequeue
-    requests and control operations from the producer (caller) domain
-    to the owning worker, and an output ring carrying dequeued packets
-    back. Classification and the O(1) read-mostly flow→link directory
-    stay on the producer side; the worker drains its ring through the
-    existing {!Engine.enqueue_flow_batch}/{!Engine.dequeue_batch} path,
-    so per-link scheduling state never crosses domains. Workers spin
-    briefly when idle, then park on a condition variable; the producer
-    wakes a parked worker after posting.
+    ({!Ds.Spsc_ring}): an input ring carrying packets, dequeue requests
+    and control operations from the producer (caller) domain to the
+    owning worker, and an output ring carrying dequeued packets back.
+    The flow→link directory stays on the producer side; the worker
+    serves its ring through {!Engine.enqueue_flow} and
+    {!Engine.dequeue_batch}, so per-link scheduling state never crosses
+    domains. Workers spin briefly when idle, then park on a condition
+    variable; the producer wakes a parked worker after posting.
+
+    {b One data path.} Packets move only through {!adapter}, the
+    {!Sched.Scheduler.t} that {!Netsim.Sim} drives: its enqueue posts
+    the packet and does not wait, and the worker counts what such posts
+    refuse; its dequeues and polls wait for the worker's reply.
 
     {b Control plane.} {!Command} operations are posted into the owning
     domain's ring with a completion handshake (a mutex/condvar cell):
@@ -36,12 +40,10 @@
     {!Router}'s; the [@domains] differential fuzz pins this.
 
     {b Caller discipline.} A value of this type is {e not} thread-safe:
-    all calls must come from the domain that created it (the single
-    producer of every ring). At most one dequeue may be outstanding per
-    link between {!post_dequeue} and {!finish_dequeue}; other
-    operations on that link remain legal in between (the dequeue reply
-    travels on its own cell, so ring FIFO order still applies them
-    after the posted dequeue). *)
+    all calls — the adapters' closures included — must come from the
+    domain that created it (the single producer of every ring). Every
+    call that waits returns before the next is issued, so each link
+    has at most one request in flight and one completion cell. *)
 
 type t
 
@@ -49,17 +51,14 @@ val create :
   ?trace_capacity:int ->
   ?tracing:bool ->
   ?audit_every:int ->
-  ?ring_capacity:int ->
-  ?out_capacity:int ->
   domains:int ->
   unit ->
   t
 (** An empty router whose [domains] worker domains ([>= 1]) are spawned
     immediately; links are assigned to workers round-robin at creation.
-    [ring_capacity] (default 1024) bounds each link's input ring;
-    [out_capacity] (default 512) bounds its output ring and therefore
-    the largest single dequeue batch. The engine knobs are those of
-    {!Router.create}.
+    Each link's input ring holds 1024 messages and its output ring 512
+    packets, the largest single dequeue batch. The engine knobs are
+    those of {!Router.create}.
 
     @raise Invalid_argument if [domains < 1]. *)
 
@@ -67,8 +66,6 @@ val of_config :
   ?trace_capacity:int ->
   ?tracing:bool ->
   ?audit_every:int ->
-  ?ring_capacity:int ->
-  ?out_capacity:int ->
   domains:int ->
   Config.t ->
   t
@@ -95,12 +92,6 @@ val exec : t -> now:float -> Command.t -> (string, Engine.error) result
 (** Same routing rules and reply strings as {!Router.exec}; the engine
     hop is a ring handshake. *)
 
-val exec_script :
-  ?lenient:bool ->
-  t ->
-  (float * Command.t) list ->
-  (float * Command.t * (string, Engine.error) result) list
-
 val audit : t -> string list
 val snapshot : t -> link:string -> Telemetry.snapshot option
 (** The cross-domain consistent read: the owning worker copies its
@@ -110,18 +101,21 @@ val snapshot : t -> link:string -> Telemetry.snapshot option
 (** {2 Graceful degradation}
 
     A failure inside one link's worker-side service — an engine
-    exception under a command, a poisoned fire-and-forget batch, even
-    the worker domain dying — must not tear down whoever drives the
+    exception under a command, a posted packet whose enqueue raised,
+    even the worker domain dying — must not tear down whoever drives the
     router (PR 9's daemon serves many links from one process). Instead
     the producer {e latches the link down} on first observation: every
     subsequent command on it answers a typed {!Engine.Link_failed}
-    error, its data path refuses packets ([false]/0/[None]/empty), its
+    error, its {!adapter} refuses packets and answers its polls
+    degraded ([false], [None], [0], [[]]), its
     queries degrade ([audit] reports the failure, [stats] shows a
     [down] marker, a checkpoint keeps the [link add] but nothing
     below), and {e every other link keeps serving}. The latch is
     sticky: a downed link never comes back within this process —
     recovery is a restart from the journal (see {!Daemon.run}'s
-    [durable]). *)
+    [durable]). {!stop} latches every link down the same way, so a call
+    on a stopped router answers degraded instead of waiting for a
+    worker that is gone. *)
 
 val link_down : t -> link:string -> string option
 (** Why this link is down ([Printexc.to_string] of the latched
@@ -140,55 +134,6 @@ val inject_failure : t -> link:string -> bool
 
 (** {2 The data path} *)
 
-val enqueue_flow : t -> now:float -> Pkt.Packet.t -> bool
-(** Directory lookup on the producer side, then a one-packet batch
-    through the owning link's ring, waiting for the admission outcome —
-    {!Router.enqueue_flow}'s verdict exactly, at the price of a round
-    trip per packet. The simulator's {!adapter} posts without waiting
-    and counts refusals instead; throughput paths should batch. *)
-
-val enqueue_flow_batch : t -> now:float -> Pkt.Packet.t array -> int
-(** Split the batch by owning link (preserving per-link order), post
-    one sub-batch per link, wait for all outcomes; the accepted count
-    equals {!Router.enqueue_flow_batch}'s exactly. Unmapped flows count
-    as refused, as in the sequential router. *)
-
-val post_enqueue_batch : t -> now:float -> Pkt.Packet.t array -> unit
-(** Fire-and-forget form: same split, no handshake. The worker adds
-    what each link refuses to that link's refusal count (the one
-    {!adapter}'s [deferred_drops] reads); per-packet outcomes are only
-    visible in telemetry. *)
-
-val dequeue_batch :
-  t ->
-  link:string ->
-  now:float ->
-  max:int ->
-  f:(pkt:Pkt.Packet.t -> cls:string -> rt:bool -> unit) ->
-  int
-(** Ask the owning worker for up to [max] packets (clamped to the
-    output ring's capacity), block for its {!Engine.dequeue_batch}, and
-    hand each result to [f] in service order. Returns the fill count. *)
-
-val post_dequeue : t -> link:string -> now:float -> max:int -> bool
-(** Overlapped form: post the request without waiting, so several
-    links' workers dequeue concurrently; [false] if the link is
-    unknown.
-
-    @raise Invalid_argument if a dequeue is already outstanding on the
-    link. *)
-
-val finish_dequeue :
-  t -> link:string -> f:(pkt:Pkt.Packet.t -> cls:string -> rt:bool -> unit) -> int
-(** Complete the outstanding {!post_dequeue} on [link]: wait for the
-    worker's reply, drain the results to [f], return the count.
-
-    @raise Invalid_argument if no dequeue is outstanding. *)
-
-val next_ready : t -> link:string -> now:float -> float option
-val backlog : t -> link:string -> (int * int) option
-(** [(pkts, bytes)] of one link's scheduler, via the owning worker. *)
-
 val adapter : t -> link:string -> Sched.Scheduler.t option
 (** Package one link for {!Netsim.Sim}: the returned closures post into
     the owning domain's rings. The simulator itself stays on the
@@ -199,9 +144,8 @@ val adapter : t -> link:string -> Sched.Scheduler.t option
       down). The worker applies it before any later operation on the
       link, so the schedule is the synchronous one.
     - [deferred_drops] is [Some]: the link's refusal count — every
-      packet a posted enqueue (this adapter's or
-      {!post_enqueue_batch}'s) refused, a batch whose engine call
-      raised counting whole. On a healthy link it is one synchronous
+      packet a posted enqueue refused, one whose engine call raised
+      included. On a healthy link it is one synchronous
       query, queued behind every posted enqueue, hence exact. Once the
       link is down, or after {!stop}, it is read without asking the
       worker and never raises. It then covers the posted enqueues the
@@ -209,7 +153,7 @@ val adapter : t -> link:string -> Sched.Scheduler.t option
       {!stop}, while packets a dead worker never served count nowhere.
       It never decreases.
     - dequeues and polls block for the reply; [dequeue_many] is set, so
-      a transmit-ring fill is one round trip. *)
+      a transmit-ring fill (up to 512 packets) is one round trip. *)
 
 (** {2 Exporters} *)
 
@@ -231,7 +175,10 @@ val stop : t -> (string * Engine.t) list
     and return each link's engine — now owned by the caller again, safe
     to inspect directly (the differential tests fingerprint them
     against the sequential router's). Idempotent. A failure the
-    producer never got to observe — a worker death, a poisoned
-    fire-and-forget batch on a link never touched again — is re-raised
+    producer never got to observe — a worker death, a posted packet
+    whose enqueue raised on a link never touched again — is re-raised
     here so it cannot vanish; one already surfaced as a
-    {!Engine.Link_failed} reply is not raised twice. *)
+    {!Engine.Link_failed} reply is not raised twice. Every link,
+    including one added afterwards, is then down: commands answer
+    {!Engine.Link_failed}, [snapshot] [None], and the adapters refuse
+    packets and answer [None], [0] and [[]]. *)

@@ -14,19 +14,7 @@ let seq_ops : Engine.t Router_core.ops =
     op_class_flows = Engine.class_flows;
     op_rules = Engine.rules;
     op_has_filter = Engine.has_filter;
-    op_info =
-      (fun eng ->
-        {
-          Router_core.i_rate = Engine.link_rate eng;
-          i_backend =
-            (match Engine.backend_kind eng with
-            | Backend.Hfsc_kind -> Config.Hfsc_backend
-            | Backend.Rr_kind -> Config.Rr_backend);
-          i_classes = List.length (Engine.class_ids eng);
-          i_flows = Engine.flow_count eng;
-          i_backlog_pkts = Engine.backlog_pkts eng;
-          i_backlog_bytes = Engine.backlog_bytes eng;
-        });
+    op_info = Router_core.engine_info;
     op_audit = Engine.audit;
     op_stats_json = Engine.stats_json;
     op_stats_text = (fun eng -> Engine.stats_text eng ());
@@ -35,19 +23,11 @@ let seq_ops : Engine.t Router_core.ops =
     op_retire = (fun _ -> ());
   }
 
+let port ~name:_ eng = eng
+
 let create ?trace_capacity ?tracing ?audit_every () =
-  let make_port ~name:_ ~link_rate ~backend =
-    match backend with
-    | Config.Hfsc_backend ->
-        let sched = Hfsc.create ~link_rate () in
-        Engine.create ?trace_capacity ?tracing ?audit_every ~link_rate sched
-          ~flow_map:[] ()
-    | Config.Rr_backend ->
-        let sched = Sched.Hls.create () in
-        Engine.create_rr ?trace_capacity ?tracing ?audit_every ~link_rate
-          sched ~flow_map:[] ()
-  in
-  Router_core.create ~ops:seq_ops ~make_port ()
+  Router_core.create ?trace_capacity ?tracing ?audit_every ~ops:seq_ops ~port
+    ()
 
 let of_engines ?trace_capacity ?tracing ?audit_every links =
   let t = create ?trace_capacity ?tracing ?audit_every () in
@@ -58,21 +38,14 @@ let of_engines ?trace_capacity ?tracing ?audit_every links =
       if List.exists (fun f -> Router_core.link_of_flow t f <> None)
            (Engine.flows eng)
       then invalid_arg "Router.of_engines: a flow is mapped on two links";
-      let link = (name, eng) in
-      t.Router_core.links <- t.Router_core.links @ [ link ];
-      Router_core.resync_flows t link)
+      Router_core.adopt t (name, eng))
     links;
   Router_core.rebuild_shard t;
   t
 
-let of_config ?trace_capacity ?tracing ?audit_every (cfg : Config.t) =
-  of_engines ?trace_capacity ?tracing ?audit_every
-    (List.map
-       (fun (l : Config.link) ->
-         ( l.Config.lname,
-           Engine.of_built ?trace_capacity ?tracing ?audit_every
-             ~link_rate:l.Config.lrate l.Config.lbuilt ))
-       cfg.Config.links)
+let of_config ?trace_capacity ?tracing ?audit_every cfg =
+  Router_core.of_config ?trace_capacity ?tracing ?audit_every ~ops:seq_ops
+    ~port cfg
 
 let add_link ?(backend = Config.Hfsc_backend) t ~name ~link_rate =
   Router_core.add_link t ~name ~link_rate ~backend
@@ -104,13 +77,6 @@ let enqueue_flow t ~now pkt =
   match Hashtbl.find t.Router_core.flow_links pkt.Pkt.Packet.flow with
   | _, eng -> Engine.enqueue_flow eng ~now pkt
   | exception Not_found -> false
-
-let enqueue_flow_batch t ~now pkts =
-  let accepted = ref 0 in
-  for i = 0 to Array.length pkts - 1 do
-    if enqueue_flow t ~now pkts.(i) then incr accepted
-  done;
-  !accepted
 
 (* --- command routing, auditor, exporters: all shared ----------------- *)
 

@@ -143,11 +143,6 @@ val enqueue_flow : t -> now:float -> Pkt.Packet.t -> bool
     transmitter), via its engine handle from {!links} — batched, with
     {!Engine.dequeue_batch}, when the link models a transmit ring. *)
 
-val enqueue_flow_batch : t -> now:float -> Pkt.Packet.t array -> int
-(** {!enqueue_flow} on each packet in order (a device may deliver a
-    whole receive ring at once); returns how many were accepted —
-    per-packet routing and admission outcomes are preserved exactly. *)
-
 (** {2 Exporters} *)
 
 val stats_json : t -> Json_lite.t

@@ -8,10 +8,12 @@
    routers cannot drift apart: the N-domain router is bit-identical to
    the sequential one on the control plane {e by construction}.
 
-   Only the control plane lives here. The per-packet data path is
-   port-specific (a directory hit must stay allocation-free in the
-   sequential router, and must become a ring message in the multicore
-   one), so each router keeps its own. *)
+   Only the control plane lives here, and the building of links: every
+   link's engine is made here (empty for [link add], from its parsed
+   scheduler for a config) and handed to the router's [port] wrapper.
+   The per-packet data path is port-specific (a directory hit must stay
+   allocation-free in the sequential router, and must become a ring
+   message in the multicore one), so each router keeps its own. *)
 
 (* What [link list] needs to print about one link. *)
 type info = {
@@ -22,6 +24,19 @@ type info = {
   i_backlog_pkts : int;
   i_backlog_bytes : int;
 }
+
+let engine_info eng =
+  {
+    i_rate = Engine.link_rate eng;
+    i_backend =
+      (match Engine.backend_kind eng with
+      | Backend.Hfsc_kind -> Config.Hfsc_backend
+      | Backend.Rr_kind -> Config.Rr_backend);
+    i_classes = List.length (Engine.class_ids eng);
+    i_flows = Engine.flow_count eng;
+    i_backlog_pkts = Engine.backlog_pkts eng;
+    i_backlog_bytes = Engine.backlog_bytes eng;
+  }
 
 (* The port operations. All of them are control-plane calls: they may
    block (ring round trip) and may allocate. *)
@@ -61,7 +76,8 @@ type 'p t = {
   flow_links : (int, string * 'p) Hashtbl.t;
   mutable shard : string Classify.Shard.t;
   ops : 'p ops;
-  make_port : name:string -> link_rate:float -> backend:Config.backend -> 'p;
+  new_port : name:string -> link_rate:float -> Config.backend -> 'p;
+      (* what [link add] attaches: an empty engine in the router's port *)
 }
 
 let errf code fmt =
@@ -69,13 +85,21 @@ let errf code fmt =
 
 let ( let* ) = Result.bind
 
-let create ~ops ~make_port () =
+(* [port ~name eng] wraps a freshly built engine as the router's port:
+   the engine itself for the sequential router, a ring handle on a
+   worker domain for the multicore one. The engine knobs apply to every
+   link the router builds, including those added later. *)
+let create ?trace_capacity ?tracing ?audit_every ~ops ~port () =
   {
     links = [];
     flow_links = Hashtbl.create 16;
     shard = Classify.Shard.create [];
     ops;
-    make_port;
+    new_port =
+      (fun ~name ~link_rate backend ->
+        port ~name
+          (Engine.create_link ?trace_capacity ?tracing ?audit_every ~link_rate
+             backend));
   }
 
 let links t = t.links
@@ -89,12 +113,29 @@ let rebuild_shard t =
     Classify.Shard.create
       (List.map (fun (name, p) -> (name, t.ops.op_rules p)) t.links)
 
-(* Fill the directory from the flow map of a link that arrives with
-   flows already mapped (a config-built engine). O(the link's flows);
-   commands keep the directory current in place afterwards. [link] is
-   the link's own entry in [links]. *)
-let resync_flows t ((_, port) as link) =
+(* Append a link that arrives with flows already mapped (a config-built
+   engine) and fill the directory from its flow map: O(the link's
+   flows); commands keep the directory current in place afterwards. The
+   caller rebuilds the shard once its links are all in. *)
+let adopt t ((_, port) as link) =
+  t.links <- t.links @ [ link ];
   List.iter (fun f -> Hashtbl.replace t.flow_links f link) (t.ops.op_flows port)
+
+(* One link per [link] statement of the configuration, in file order. *)
+let of_config ?trace_capacity ?tracing ?audit_every ~ops ~port
+    (cfg : Config.t) =
+  let t = create ?trace_capacity ?tracing ?audit_every ~ops ~port () in
+  List.iter
+    (fun (l : Config.link) ->
+      let name = l.Config.lname in
+      adopt t
+        ( name,
+          port ~name
+            (Engine.of_built ?trace_capacity ?tracing ?audit_every
+               ~link_rate:l.Config.lrate l.Config.lbuilt) ))
+    cfg.Config.links;
+  rebuild_shard t;
+  t
 
 let add_link t ~name ~link_rate ~backend =
   let* () =
@@ -107,7 +148,7 @@ let add_link t ~name ~link_rate ~backend =
       errf Engine.Bad_value "link rate must be positive, got %g" link_rate
     else Ok ()
   in
-  let port = t.make_port ~name ~link_rate ~backend in
+  let port = t.new_port ~name ~link_rate backend in
   t.links <- t.links @ [ (name, port) ];
   rebuild_shard t;
   Ok

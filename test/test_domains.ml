@@ -1,22 +1,21 @@
 (* Sequential-vs-multicore differential fuzz: the same fuzzed
    command/packet interleaving (shared generator in [Hfsc_gen]) drives
-   a [Runtime.Router] and a [Runtime.Mc_router] in lockstep, and every
-   observable must match bit-identically per link:
+   a [Runtime.Router] and a [Runtime.Mc_router] in lockstep, packets
+   through each link's simulator adapter ([Engine.adapter] vs
+   [Mc_router.adapter]), and every observable must match
+   bit-identically per link:
 
    - every command reply (success string or typed error) — the control
      plane is [Router_core] on both sides, but this pins the ring
      handshake's transactional semantics too;
-   - every enqueue admission outcome and every dequeued packet
-     (identity, class, rt/ls criterion, order) under identical batch
-     cadence, so engine audit ticks line up — half the drains use the
-     overlapped [post_dequeue]/[finish_dequeue] form with a
-     synchronous query interleaved, pinning the per-port reply-cell
-     separation;
-   - half the packets go through the simulator adapters instead
-     ([Engine.adapter] vs [Mc_router.adapter], whose enqueue does not
-     wait): after every other op, each link posted to since must show
-     a [deferred_drops] equal to the number of [false]s the sequential
-     adapter answered on it, so late refusals are counted exactly even
+   - every dequeued packet (identity, class, rt/ls criterion, order)
+     under identical batch cadence, so engine audit ticks line up —
+     half the drains are one [dequeue_many], half a loop of single
+     [dequeue]s — and the backlog and next-ready polls after each;
+   - refusals: the multicore adapter's enqueue does not wait, so after
+     every op but a packet, each link posted to since must show a
+     [deferred_drops] equal to the number of [false]s the sequential
+     adapter answered on it — late refusals are counted exactly even
      when a command (a class delete, say) runs while posts are
      unserved;
    - periodic cross-domain [snapshot]s against the sequential engine's;
@@ -129,28 +128,43 @@ let run_differential ~domains ~seed ~nops =
   let at0 eact = { edt = 0.; eact } in
   let ops =
     (at0 (Cmd "link l0 add class tmp parent root flow 10 fsc 0.5Mbit qlimit 16")
-     :: List.init 20 (fun _ -> at0 (Post (10, 500))))
+     :: List.init 20 (fun _ -> at0 (Pkt (10, 500))))
     @ at0 (Cmd "link l0 delete class tmp")
-      :: gen_eng_ops ~posts:true ~rng ~pool:router_command_pool
+      :: gen_eng_ops ~rng ~pool:router_command_pool
            ~flows:[| 1; 2; 3; 10; 20; 77 |] ~nops ()
   in
   let dump = lazy (eng_dump ~what:"domains" ~seed ops) in
   let now = ref 0. in
   let pseq = ref 0 in
   let nop = ref 0 in
-  (* the sequential side mirrors the worker's per-port batch cache:
-     one reusable batch per link, reallocated when the burst size
-     changes, reset on link deletion — identical audit-tick cadence *)
-  let caches : (string, Runtime.Backend.batch ref) Hashtbl.t =
+  (* one sequential adapter per link, dropped with the link: its batch
+     cache is reallocated when the burst size changes, as the worker's
+     per-port cache is — identical audit-tick cadence *)
+  let seq_adapters : (string, Sched.Scheduler.t) Hashtbl.t =
     Hashtbl.create 8
   in
-  let cache_for name =
-    match Hashtbl.find_opt caches name with
-    | Some b -> b
+  let seq_adapter name eng =
+    match Hashtbl.find_opt seq_adapters name with
+    | Some a -> a
     | None ->
-        let b = ref (E.make_batch ~capacity:1 ()) in
-        Hashtbl.replace caches name b;
-        b
+        let a = E.adapter eng in
+        Hashtbl.replace seq_adapters name a;
+        a
+  in
+  let mc_adapter name =
+    match M.adapter m ~link:name with
+    | Some a -> a
+    | None -> fail "seed %d (op %d): no adapter for %S" seed !nop name
+  in
+  let observe (s : Sched.Scheduler.served) =
+    let p = s.Sched.Scheduler.pkt in
+    {
+      flow = p.Pkt.Packet.flow;
+      seq = p.Pkt.Packet.seq;
+      size = p.Pkt.Packet.size;
+      cls = s.Sched.Scheduler.cls;
+      rt = s.Sched.Scheduler.criterion = "rt";
+    }
   in
   let drain pick =
     match R.links r with
@@ -161,72 +175,37 @@ let run_differential ~domains ~seed ~nops =
     | links ->
         let name, eng = List.nth links (pick mod List.length links) in
         let max = 1 + (pick mod 8) in
-        let bc = cache_for name in
-        if Runtime.Backend.batch_capacity !bc <> max then
-          bc := E.make_batch ~capacity:max ();
-        let b = !bc in
-        let n_seq = E.dequeue_batch eng ~now:!now b in
-        let seq_pkts =
-          List.init n_seq (fun i ->
-              let pkt = Runtime.Backend.batch_pkt b i in
-              {
-                flow = pkt.Pkt.Packet.flow;
-                seq = pkt.Pkt.Packet.seq;
-                size = pkt.Pkt.Packet.size;
-                cls = E.class_name eng (Runtime.Backend.batch_id b i);
-                rt = Runtime.Backend.batch_realtime b i;
-              })
+        let now = !now in
+        (* even picks: one batched poll; odd: single dequeues *)
+        let take (a : Sched.Scheduler.t) =
+          List.map observe
+            (if pick land 1 = 0 then Sched.Scheduler.dequeue_burst a ~now ~max
+             else
+               List.filter_map
+                 (fun _ -> a.Sched.Scheduler.dequeue ~now)
+                 (List.init max Fun.id))
         in
-        let mc_pkts = ref [] in
-        let record ~pkt ~cls ~rt =
-          mc_pkts :=
-            {
-              flow = pkt.Pkt.Packet.flow;
-              seq = pkt.Pkt.Packet.seq;
-              size = pkt.Pkt.Packet.size;
-              cls;
-              rt;
-            }
-            :: !mc_pkts
-        in
-        (* alternate between the blocking form and the overlapped
-           post/finish form with a synchronous query interleaved while
-           the dequeue is outstanding: the query's reply rides the
-           port's sync cell, the dequeue's its dedicated cell, and
-           neither may clobber the other *)
-        let n_mc, mc_bl =
-          if pick land 1 = 0 && M.post_dequeue m ~link:name ~now:!now ~max
-          then begin
-            let bl = M.backlog m ~link:name in
-            (M.finish_dequeue m ~link:name ~f:record, bl)
-          end
-          else (M.dequeue_batch m ~link:name ~now:!now ~max ~f:record, None)
-        in
-        (match mc_bl with
-        | Some (bp, bb) ->
-            (* ring FIFO: the query ran after the posted dequeue, so it
-               must see the sequential side's post-dequeue backlog *)
-            let s = E.scheduler eng in
-            if bp <> Hfsc.backlog_pkts s || bb <> Hfsc.backlog_bytes s then
-              fail
-                "seed %d (op %d): overlapped backlog diverges on link %S: \
-                 %d/%dB vs %d/%dB\n\
-                 %s"
-                seed !nop name (Hfsc.backlog_pkts s) (Hfsc.backlog_bytes s)
-                bp bb (Lazy.force dump)
-        | None -> ());
-        let mc_pkts = List.rev !mc_pkts in
-        if n_seq <> n_mc || seq_pkts <> mc_pkts then
+        let sa = seq_adapter name eng and ma = mc_adapter name in
+        let seq_pkts = take sa and mc_pkts = take ma in
+        if seq_pkts <> mc_pkts then
           fail
-            "seed %d (op %d): dequeue_batch diverges on link %S (max %d):\n\
+            "seed %d (op %d): dequeues diverge on link %S (max %d):\n\
             \  sequential (%d): %s\n\
             \  multicore  (%d): %s\n\
              %s"
-            seed !nop name max n_seq
+            seed !nop name max (List.length seq_pkts)
             (String.concat "; " (List.map show_deq seq_pkts))
-            n_mc
+            (List.length mc_pkts)
             (String.concat "; " (List.map show_deq mc_pkts))
-            (Lazy.force dump)
+            (Lazy.force dump);
+        let polls (a : Sched.Scheduler.t) =
+          ( a.Sched.Scheduler.backlog_pkts (),
+            a.Sched.Scheduler.backlog_bytes (),
+            a.Sched.Scheduler.next_ready ~now )
+        in
+        if polls sa <> polls ma then
+          fail "seed %d (op %d): polls diverge on link %S after a drain\n%s"
+            seed !nop name (Lazy.force dump)
   in
   (* per link: the sequential adapter's [false] answers, reset with the
      link (a re-added link is a fresh port with a fresh count) *)
@@ -242,16 +221,12 @@ let run_differential ~domains ~seed ~nops =
     | None, None -> () (* no link owns it: nothing to post *)
     | Some name, Some name' when name = name' -> (
         let eng = List.assoc name (R.links r) in
-        let mc =
-          match M.adapter m ~link:name with
-          | Some a -> a
-          | None -> fail "seed %d (op %d): no adapter for %S" seed !nop name
-        in
-        if not (mc.Sched.Scheduler.enqueue ~now:!now pkt) then
+        if not ((mc_adapter name).Sched.Scheduler.enqueue ~now:!now pkt) then
           fail "seed %d (op %d): healthy link %S refused a post" seed !nop name;
         incr posted;
         Hashtbl.replace unchecked name ();
-        if not ((E.adapter eng).Sched.Scheduler.enqueue ~now:!now pkt) then begin
+        if not ((seq_adapter name eng).Sched.Scheduler.enqueue ~now:!now pkt)
+        then begin
           incr late;
           match Hashtbl.find_opt refused name with
           | Some n -> incr n
@@ -306,24 +281,13 @@ let run_differential ~domains ~seed ~nops =
          | Cmd line -> (
              match exec_both ~now:!now line with
              | Some { Runtime.Command.op = Runtime.Command.Link_delete l; _ } ->
-                 Hashtbl.remove caches l;
+                 Hashtbl.remove seq_adapters l;
                  if not (List.mem l (M.link_names m)) then
                    Hashtbl.remove refused l
              | _ -> ())
-         | Post (flow, size) -> post flow size
-         | Pkt (flow, size) ->
-             incr pseq;
-             let pkt =
-               Pkt.Packet.make ~flow ~size ~seq:!pseq ~arrival:!now
-             in
-             let a = R.enqueue_flow r ~now:!now pkt in
-             let b = M.enqueue_flow m ~now:!now pkt in
-             if a <> b then
-               fail
-                 "seed %d (op %d): admission diverges for flow %d: %b vs %b\n%s"
-                 seed !nop flow a b (Lazy.force dump)
+         | Pkt (flow, size) -> post flow size
          | Drain pick -> drain pick);
-         (match eact with Post _ -> () | _ -> compare_refused ());
+         (match eact with Pkt _ -> () | _ -> compare_refused ());
          if !nop mod 97 = 0 then compare_snapshots ();
          if !nop mod 151 = 0 then begin
            let a = R.audit r and b = M.audit m in
@@ -413,58 +377,61 @@ let run_degradation ~domains =
   ok_line "link l0 add class a parent root flow 1 fsc 2Mbit qlimit 64";
   ok_line "link l1 add class b parent root flow 2 fsc 2Mbit qlimit 64";
   ok_line "link l2 add class c parent root flow 3 fsc 2Mbit qlimit 64";
-  let enq flow seq =
-    M.enqueue_flow m ~now:0. (Pkt.Packet.make ~flow ~size:1000 ~seq ~arrival:0.)
-  in
-  check "pre-failure admission on l0" (enq 1 1);
-  check "pre-failure admission on l1" (enq 2 2);
-  (* 70 fire-and-forget posts into l1's 64-packet class (one slot
-     taken), left unserved on the ring when the failure is injected *)
-  let a1 =
-    match M.adapter m ~link:"l1" with
+  let adapter name =
+    match M.adapter m ~link:name with
     | Some a -> a
-    | None -> fail "degradation (domains %d): no adapter for l1" domains
+    | None -> fail "degradation (domains %d): no adapter for %s" domains name
   in
-  let post seq =
-    a1.Sched.Scheduler.enqueue ~now:0.
-      (Pkt.Packet.make ~flow:2 ~size:1000 ~seq ~arrival:0.)
+  let a0 = adapter "l0" and a1 = adapter "l1" in
+  let post (a : Sched.Scheduler.t) ~flow seq =
+    a.Sched.Scheduler.enqueue ~now:0.
+      (Pkt.Packet.make ~flow ~size:1000 ~seq ~arrival:0.)
   in
-  for seq = 100 to 169 do
-    check "healthy adapter enqueue answers true" (post seq)
-  done;
-  let deferred () =
-    match a1.Sched.Scheduler.deferred_drops with
+  let deferred (a : Sched.Scheduler.t) =
+    match a.Sched.Scheduler.deferred_drops with
     | Some f -> f ()
-    | None -> fail "degradation (domains %d): adapter has no deferred count" domains
+    | None ->
+        fail "degradation (domains %d): adapter has no deferred count" domains
   in
+  check "pre-failure post on l0" (post a0 ~flow:1 1);
+  check "pre-failure post on l1" (post a1 ~flow:2 2);
+  check "pre-failure posts admitted" (deferred a0 = 0 && deferred a1 = 0);
+  (* 70 posts into l1's 64-packet class (one slot taken), left unserved
+     on the ring when the failure is injected *)
+  for seq = 100 to 169 do
+    check "healthy adapter enqueue answers true" (post a1 ~flow:2 seq)
+  done;
   check "unknown link refuses injection"
     (not (M.inject_failure m ~link:"nowhere"));
   check "injection reaches l1" (M.inject_failure m ~link:"l1");
   (* the injection queued behind every post, so the count is complete *)
-  check "downed link's deferred drops cover every post" (deferred () = 7);
-  check "downed adapter enqueue answers false" (not (post 170));
+  check "downed link's deferred drops cover every post" (deferred a1 = 7);
+  check "downed adapter enqueue answers false" (not (post a1 ~flow:2 170));
   check "downed adapter dequeue_many yields nothing"
     (Sched.Scheduler.dequeue_burst a1 ~now:0. ~max:4 = []);
-  check "downed deferred drops hold" (deferred () = 7);
+  check "downed adapter dequeue yields nothing"
+    (a1.Sched.Scheduler.dequeue ~now:0. = None);
+  check "downed polls degrade"
+    (a1.Sched.Scheduler.next_ready ~now:0. = None
+    && a1.Sched.Scheduler.backlog_pkts () = 0
+    && a1.Sched.Scheduler.backlog_bytes () = 0);
+  check "downed deferred drops hold" (deferred a1 = 7);
   (match M.link_down m ~link:"l1" with
   | Some why ->
       check "latched reason names the injection" (contains why "Injected_failure")
   | None -> fail "degradation (domains %d): l1 not latched down" domains);
   check "l0 stays healthy" (M.link_down m ~link:"l0" = None);
-  (match exec_line "link l1 stats" with
-  | Error e ->
-      check "typed Link_failed code" (E.error_code e = E.Link_failed);
-      check "error message says down" (contains (E.error_message e) "down")
-  | Ok r ->
-      fail "degradation (domains %d): command on downed l1 answered ok: %s"
-        domains r);
-  check "downed data path refuses packets" (not (enq 2 3));
-  check "downed dequeue yields nothing"
-    (M.dequeue_batch m ~link:"l1" ~now:0. ~max:4
-       ~f:(fun ~pkt:_ ~cls:_ ~rt:_ -> ())
-    = 0);
+  let check_link_failed what line =
+    match exec_line line with
+    | Error e ->
+        check (what ^ ": typed Link_failed code") (E.error_code e = E.Link_failed);
+        check (what ^ ": error message says down")
+          (contains (E.error_message e) "down")
+    | Ok r ->
+        fail "degradation (domains %d): %s answered ok: %s" domains what r
+  in
+  check_link_failed "command on downed l1" "link l1 stats";
   check "downed snapshot is None" (M.snapshot m ~link:"l1" = None);
-  check "downed backlog is None" (M.backlog m ~link:"l1" = None);
   check "audit reports the downed link"
     (List.exists (fun l -> contains l "marked down") (M.audit m));
   check "stats shows the down marker" (contains (M.stats_text m) "down");
@@ -482,17 +449,38 @@ let run_degradation ~domains =
   (* survivors keep serving — even on the same worker domain as l1 *)
   ok_line "link l0 modify class a qlimit 32";
   ok_line "link l2 add class d parent root flow 4 fsc 1Mbit";
-  check "healthy admission survives" (enq 1 4);
-  let drained = ref 0 in
-  ignore
-    (M.dequeue_batch m ~link:"l0" ~now:0.01 ~max:8
-       ~f:(fun ~pkt:_ ~cls:_ ~rt:_ -> incr drained));
-  check "healthy dequeue still delivers" (!drained > 0);
+  check "healthy post survives" (post a0 ~flow:1 4);
+  check "healthy link refused nothing" (deferred a0 = 0);
+  check "healthy dequeue still delivers"
+    (Sched.Scheduler.dequeue_burst a0 ~now:0.01 ~max:8 <> []);
+  check "healthy polls answer" (a0.Sched.Scheduler.backlog_pkts () = 0);
   ignore (M.config_fingerprint m);
   (* must not raise: the failure was already surfaced as a reply *)
   let links = M.stop m in
   check "stop hands back every engine" (List.length links = 3);
-  check "deferred drops after stop" (deferred () = 7)
+  check "deferred drops after stop" (deferred a1 = 7);
+  (* a stopped router has no workers: every call answers degraded at
+     once instead of waiting on a ring nobody drains *)
+  check_link_failed "command after stop" "link l0 stats";
+  check "snapshot after stop is None" (M.snapshot m ~link:"l0" = None);
+  check "post after stop answers false" (not (post a0 ~flow:1 5));
+  check "dequeue after stop yields nothing"
+    (Sched.Scheduler.dequeue_burst a0 ~now:0.02 ~max:4 = []
+    && a0.Sched.Scheduler.dequeue ~now:0.02 = None);
+  check "polls after stop degrade"
+    (a0.Sched.Scheduler.next_ready ~now:0.02 = None
+    && a0.Sched.Scheduler.backlog_pkts () = 0
+    && a0.Sched.Scheduler.backlog_bytes () = 0);
+  check "deferred drops after stop hold" (deferred a0 = 0);
+  check "every link is down after stop"
+    (List.for_all (fun l -> M.link_down m ~link:l <> None) (M.link_names m));
+  (* more links than the admin ring holds: none may wait on a worker *)
+  for i = 1 to 100 do
+    ignore (exec_line (Printf.sprintf "link add late%d rate 1Mbit" i))
+  done;
+  check_link_failed "command on a link added after stop" "link late1 stats";
+  check "link added after stop is down" (M.link_down m ~link:"late100" <> None);
+  check "stop stays idempotent" (List.length (M.stop m) = 103)
 
 (* --- the simulator through both routers -------------------------------- *)
 

@@ -128,7 +128,7 @@ let command_pool =
 
 (* The op-stream generator, its dump and the state fingerprints live in
    [Hfsc_gen] (shared with the sequential-vs-multicore differential in
-   test_domains); the open brings [Cmd]/[Pkt]/[Post]/[Drain] and the
+   test_domains); the open brings [Cmd]/[Pkt]/[Drain] and the
    [gen_eng_ops]/[eng_dump] helpers into scope. *)
 open Hfsc_gen
 
@@ -166,7 +166,7 @@ let engine_fuzz ~seed ~nops =
                      if fingerprint eng <> before then
                        fail "seed %d: rejected command mutated state: %s\n%s"
                          seed line (Lazy.force dump)))
-         | Pkt (flow, size) | Post (flow, size) ->
+         | Pkt (flow, size) ->
              incr seq;
              ignore
                (E.enqueue_flow eng ~now:!now
@@ -285,7 +285,7 @@ let router_fuzz ~seed ~nops =
                          "seed %d: rejected router command mutated state: \
                           %s\n%s"
                          seed line (Lazy.force dump)))
-         | Pkt (flow, size) | Post (flow, size) ->
+         | Pkt (flow, size) ->
              incr seq;
              ignore
                (R.enqueue_flow r ~now:!now

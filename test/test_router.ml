@@ -556,6 +556,25 @@ let test_directory_tracks_engines () =
       let now = ref 0. in
       let seq = ref 0 in
       let rejected = ref 0 in
+      let adapter name =
+        match M.adapter m ~link:name with
+        | Some a -> a
+        | None -> Alcotest.failf "no adapter for link %s" name
+      in
+      (* per link: the sequential router's [false]s, which the
+         multicore adapter's deferred drops must equal; a deleted link
+         takes its count with it *)
+      let refused = Hashtbl.create 4 in
+      let refusals name =
+        Option.value ~default:0 (Hashtbl.find_opt refused name)
+      in
+      let served l =
+        List.map
+          (fun s ->
+            let p = s.Sched.Scheduler.pkt in
+            (p.Pkt.Packet.flow, p.Pkt.Packet.seq, s.Sched.Scheduler.cls))
+          l
+      in
       for nth = 1 to 600 do
         now := !now +. 0.001;
         let ctx = Printf.sprintf "op %d" nth in
@@ -565,25 +584,40 @@ let test_directory_tracks_engines () =
             let flow = 1 + Random.State.int rng (List.length universe) in
             incr seq;
             let p = pkt ~flow ~seq:!seq ~now:!now ~size:500 () in
-            Alcotest.(check bool)
-              (ctx ^ ": same admission")
-              (R.enqueue_flow r ~now:!now p)
-              (M.enqueue_flow m ~now:!now p)
+            let accepted = R.enqueue_flow r ~now:!now p in
+            (match R.link_of_flow r flow with
+            | None ->
+                Alcotest.(check bool) (ctx ^ ": unmapped flow refused") false
+                  accepted
+            | Some name ->
+                let a = adapter name in
+                Alcotest.(check bool)
+                  (ctx ^ ": healthy link takes the post")
+                  true
+                  (a.Sched.Scheduler.enqueue ~now:!now p);
+                if not accepted then
+                  Hashtbl.replace refused name (refusals name + 1);
+                Alcotest.(check (option int))
+                  (Printf.sprintf "%s: deferred drops on %s" ctx name)
+                  (Some (refusals name))
+                  (Option.map (fun f -> f ()) a.Sched.Scheduler.deferred_drops))
         | 1 ->
             List.iter
               (fun (name, eng) ->
-                let b = E.make_batch ~capacity:4 () in
-                Alcotest.(check int)
+                let drain a =
+                  served (Sched.Scheduler.dequeue_burst a ~now:!now ~max:4)
+                in
+                Alcotest.(check (list (triple int int string)))
                   (Printf.sprintf "%s: same drain on %s" ctx name)
-                  (E.dequeue_batch eng ~now:!now b)
-                  (M.dequeue_batch m ~link:name ~now:!now ~max:4
-                     ~f:(fun ~pkt:_ ~cls:_ ~rt:_ -> ())))
+                  (drain (E.adapter eng))
+                  (drain (adapter name)))
               (R.links r)
         | _ ->
             let line = random_line rng in
             let cmd = ok (C.parse line) in
             let a = R.exec r ~now:!now cmd in
-            if Result.is_error a then incr rejected;
+            if Result.is_error a then incr rejected
+            else if line = "link delete x" then Hashtbl.remove refused "x";
             Alcotest.(check string)
               (Printf.sprintf "%s: same reply to %S" ctx line)
               (resp a)

@@ -511,25 +511,27 @@ let test_attach_detach () =
     Pkt.Header.make ~src:"10.1.2.3" ~dst:"192.168.0.1" ~proto ~sport:9
       ~dport ()
   in
-  Alcotest.(check bool) "no filters yet" true (E.classify eng (h ()) = None);
+  (* the compiled table a router shards over: header -> flow *)
+  let route h = Classify.Rules.classify (E.rules eng) h in
+  Alcotest.(check bool) "no filters yet" true (route (h ()) = None);
   ignore
     (ok_exec
        (exec1 eng ~now:0.
           "attach filter flow 1 src 10.0.0.0/8 proto udp dport 5004 5005"));
   Alcotest.(check int) "one filter" 1 (E.filter_count eng);
-  (match E.classify eng (h ()) with
+  (match Option.bind (route (h ())) (E.flow_class eng) with
   | Some id -> Alcotest.(check string) "routed to a" "a" (E.class_name eng id)
   | None -> Alcotest.fail "udp/5004 should match");
   Alcotest.(check bool) "tcp does not match" true
-    (E.classify eng (h ~proto:Pkt.Header.Tcp ()) = None);
+    (route (h ~proto:Pkt.Header.Tcp ()) = None);
   Alcotest.(check bool) "port outside range" true
-    (E.classify eng (h ~dport:6000 ()) = None);
+    (route (h ~dport:6000 ()) = None);
   (* unmapped flows are rejected at attach time *)
   check_contains "unmapped flow"
     (err_exec (exec1 eng ~now:0. "attach filter flow 77 proto udp"))
     "not mapped";
   ignore (ok_exec (exec1 eng ~now:0. "detach filter flow 1"));
-  Alcotest.(check bool) "detached" true (E.classify eng (h ()) = None);
+  Alcotest.(check bool) "detached" true (route (h ()) = None);
   check_contains "double detach"
     (err_exec (exec1 eng ~now:0. "detach filter flow 1"))
     "no filter"
