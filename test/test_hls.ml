@@ -40,6 +40,28 @@ let exec1 eng line = E.exec eng ~now:0. (ok (C.parse line))
 
 (* --- the scheduler's own properties -------------------------------- *)
 
+(* Deficit round-robin on a flat link: with a quantum a tenth of the
+   packet size, each class still progresses, accumulating deficit over
+   rounds, and the two take turns. *)
+let test_drr_large_packets_small_quantum () =
+  let t = Hls.create () in
+  let leaf name = Hls.add_class t ~parent:(Hls.root t) ~name ~quantum:100 () in
+  let a = leaf "a" and b = leaf "b" in
+  for s = 0 to 9 do
+    ignore (Hls.enqueue t ~now:0. a (pkt ~flow:1 ~seq:s ()));
+    ignore (Hls.enqueue t ~now:0. b (pkt ~flow:2 ~seq:s ()))
+  done;
+  let rec drain acc =
+    match Hls.dequeue t ~now:0. with
+    | Some (p, _) -> drain (p.Pkt.Packet.flow :: acc)
+    | None -> List.rev acc
+  in
+  let served = drain [] in
+  Alcotest.(check int) "all served" 20 (List.length served);
+  Alcotest.(check (list int)) "the flows take turns"
+    (List.concat (List.init 10 (fun _ -> [ 1; 2 ])))
+    served
+
 (* Work conservation: while any leaf holds a packet, dequeue serves
    one; an idle scheduler reports idle; everything enqueued comes back
    out exactly once, FIFO within each class. *)
@@ -470,6 +492,11 @@ let () =
             test_batch_equals_singles;
           Alcotest.test_case "batched drains allocate nothing" `Quick
             test_batched_drain_allocates_nothing;
+        ] );
+      ( "drr",
+        [
+          Alcotest.test_case "large packets, small quantum" `Quick
+            test_drr_large_packets_small_quantum;
         ] );
       ( "engine-rr",
         [

@@ -32,8 +32,6 @@ let all_flat () =
   [
     Sched.Fifo.create ();
     Sched.Virtual_clock.create ~rates:[ (1, 2.5e5); (2, 2.5e5); (3, 5e5) ] ();
-    Sched.Sfq.create ~weights:[ (1, 1.); (2, 1.); (3, 2.) ] ();
-    Sched.Drr.create ~quanta:[ (1, 1500); (2, 1500); (3, 3000) ] ();
     Sched.Sced.create
       ~curves:[ (1, Sc.linear 2.5e5); (2, Sc.linear 2.5e5); (3, Sc.linear 5e5) ]
       ();
@@ -240,19 +238,6 @@ let test_wf2q_smoothness () =
       end)
     served;
   Alcotest.(check bool) "worst-case fair lead <= 1 pkt" true !ok
-
-(* --- DRR ---------------------------------------------------------------- *)
-
-let test_drr_large_packets_small_quantum () =
-  (* quantum smaller than packet size: flow still progresses, by
-     accumulating deficit over rounds *)
-  let s = Sched.Drr.create ~quanta:[ (1, 100); (2, 100) ] () in
-  for i = 0 to 9 do
-    ignore (s.S.enqueue ~now:0. (pkt ~flow:1 ~size:1000 ~seq:i ~arrival:0.));
-    ignore (s.S.enqueue ~now:0. (pkt ~flow:2 ~size:1000 ~seq:i ~arrival:0.))
-  done;
-  let served = drain s ~link_rate:1e6 in
-  Alcotest.(check int) "all served" 20 (List.length served)
 
 (* --- CBQ ----------------------------------------------------------------- *)
 
@@ -516,11 +501,6 @@ let () =
       ( "wf2q+",
         [ Alcotest.test_case "worst-case fair lead" `Quick test_wf2q_smoothness ]
       );
-      ( "drr",
-        [
-          Alcotest.test_case "large packets, small quantum" `Quick
-            test_drr_large_packets_small_quantum;
-        ] );
       ( "cbq",
         [
           Alcotest.test_case "weighted split" `Quick test_cbq_weighted_split;
