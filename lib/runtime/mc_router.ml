@@ -152,7 +152,8 @@ and worker = {
   w_cond : Condition.t;
   w_parked : bool Atomic.t;
   mutable w_wake : bool; (* under [w_mutex] *)
-  w_poison : exn option Atomic.t; (* async failure, reported later *)
+  (* async failure, reported later; [Stopped] once the router stops *)
+  w_poison : exn option Atomic.t;
   mutable w_domain : unit Domain.t option;
 }
 
@@ -678,14 +679,17 @@ let adapter t ~link =
           dequeue =
             (fun ~now ->
               let res = ref None in
-              ignore (dequeue_port p ~now ~max:1 ~f:(fun d -> res := Some (served d)));
+              ignore
+                (dequeue_port p ~now ~max:1 ~f:(fun d ->
+                     res := Some (served d)));
               !res);
           dequeue_many =
             Some
               (fun ~now ~max ->
                 let acc = ref [] in
                 ignore
-                  (dequeue_port p ~now ~max ~f:(fun d -> acc := served d :: !acc));
+                  (dequeue_port p ~now ~max ~f:(fun d ->
+                       acc := served d :: !acc));
                 List.rev !acc);
           next_ready =
             (fun ~now ->
@@ -696,7 +700,8 @@ let adapter t ~link =
                   | R_next_ready r -> r
                   | _ -> assert false));
           backlog_pkts = (fun () -> count Q_backlog_pkts ~failed:(fun _ -> 0));
-          backlog_bytes = (fun () -> count Q_backlog_bytes ~failed:(fun _ -> 0));
+          backlog_bytes =
+            (fun () -> count Q_backlog_bytes ~failed:(fun _ -> 0));
           (* a downed link — every link of a stopped router among them —
              is not asked (its worker may be gone): the count is read as
              published *)
@@ -727,7 +732,7 @@ let stop t =
         w.w_domain <- None)
       t.workers;
     (* a worker that died catastrophically reports it now; so does a
-       fire-and-forget failure the producer never observed (one it DID
+       posted enqueue's failure the producer never observed (one it DID
        observe was already surfaced as a typed [Link_failed] reply and
        must not resurface as an exception at teardown) *)
     let unobserved =
@@ -735,7 +740,8 @@ let stop t =
       | Some _ as e -> e
       | None ->
           List.find_map
-            (fun (_, p) -> if p.p_down = None then Atomic.get p.p_fail else None)
+            (fun (_, p) ->
+              if p.p_down = None then Atomic.get p.p_fail else None)
             t.core.Router_core.links
     in
     (* no worker is left to serve a port: every link, and any link

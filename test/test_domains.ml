@@ -344,7 +344,10 @@ let run_differential ~domains ~seed ~nops =
    failure keeping their refusal count whole — while every other link
    (including those sharing the poisoned link's worker domain) keeps
    serving, and [stop] does not re-raise a failure that was already
-   surfaced as a reply. *)
+   surfaced as a reply. After [stop] every link is down: each call —
+   command, snapshot, adapter post, dequeue or poll, a link added
+   later — answers degraded at once instead of waiting on a worker
+   that is gone. *)
 let contains s sub =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
@@ -654,16 +657,17 @@ let () =
   done;
   Printf.printf
     "domains ok: worker poison degrades one link (typed link-failed, \
-     checkpoint keeps its add) while the others keep serving\n";
+     checkpoint keeps its add) while the others keep serving; a stopped \
+     router answers every call degraded\n";
   Printf.printf
     "domains ok: a two-link simulation through Mc_router.adapter (1 and 2 \
      domains, tx_burst 1 and 3) matches Router + Engine.adapter (digest, \
      departures, drops, bytes, replies, fingerprint)\n";
   Printf.printf
     "domains ok: %d seed%s x %d ops x %d domain%s: multicore router \
-     bit-identical to the sequential router (replies, admissions, dequeues, \
-     snapshots, audits, exporters, final engine fingerprints); %d adapter \
-     posts, %d refused late and counted exactly\n"
+     bit-identical to the sequential router through the adapters (replies, \
+     dequeues, polls, snapshots, audits, exporters, final engine \
+     fingerprints); %d posts, %d refused late and counted exactly\n"
     seeds
     (if seeds = 1 then "" else "s")
     nops domains
