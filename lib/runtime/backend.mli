@@ -62,11 +62,6 @@ val error_code_name : error_code -> string
 val parse_error : string -> error
 val errf : error_code -> ('a, unit, string, ('b, error) result) format4 -> 'a
 
-val of_invalid : string -> ('a, error) result
-(** Classify a scheduler's [Invalid_argument] message into a typed
-    refusal: live/backlogged refusals are {!Class_active}, bad numeric
-    arguments {!Bad_value}, the rest {!Structural}. *)
-
 (** {2 The interface} *)
 
 type kind = Hfsc_kind | Rr_kind

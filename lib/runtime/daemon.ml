@@ -103,7 +103,6 @@ let create ?clock ?(backlog = 8) ~socket backend =
     last_totals = [];
   }
 
-let socket_path t = t.socket
 let shutdown_requested t = t.shutdown
 
 (* --- spill management ------------------------------------------------ *)

@@ -92,8 +92,6 @@ val create : ?clock:(unit -> float) -> ?backlog:int -> socket:string -> backend 
     @raise Unix.Unix_error if the path cannot be bound (too long,
     bad directory, ...). *)
 
-val socket_path : t -> string
-
 val serve : ?idle:(unit -> bool) -> ?idle_every:float -> t -> unit
 (** Serve until a client sends [shutdown] or [idle] returns [false].
     [idle] (default [fun () -> true]) runs after every multiplexer

@@ -161,7 +161,6 @@ let filter_count t = List.length t.filters
 let class_ids t = t.be.Backend.class_ids ()
 let class_name t id = t.be.Backend.cls_name id
 let class_queue_length t id = t.be.Backend.queue_length id
-let class_queue_bytes t id = t.be.Backend.queue_bytes id
 let find_class_id t name = t.be.Backend.find_id name
 let next_ready_time t ~now = t.be.Backend.next_ready ~now
 let backlog_pkts t = t.be.Backend.backlog_pkts ()

@@ -210,7 +210,6 @@ val class_ids : t -> int list
 
 val class_name : t -> int -> string
 val class_queue_length : t -> int -> int
-val class_queue_bytes : t -> int -> int
 val find_class_id : t -> string -> int option
 val next_ready_time : t -> now:float -> float option
 val backlog_pkts : t -> int

@@ -2,13 +2,13 @@
 
    - each link is wrapped in a [port]: an input SPSC ring of [msg]
      (posted packets, dequeue requests, control ops, queries), an
-     output SPSC ring of dequeued packets, and one reusable completion
-     cell;
+     output SPSC ring of dequeued packets, and one reusable reply
+     slot;
    - each worker domain owns a set of ports (round-robin assignment)
      plus an admin ring for attach/detach/stop, and loops: admin ring
      first, then one message per port per scan; idle workers spin
-     briefly and then park on a condition variable (essential on
-     few-core hosts, where a spinning worker starves the producer);
+     briefly and then park (essential on few-core hosts, where a
+     spinning worker starves the producer);
    - the control plane is {!Router_core} instantiated with ring-backed
      ops, so routing rules and reply strings are the sequential
      router's by construction.
@@ -16,24 +16,26 @@
    Determinism: each port's ring is FIFO and each port has one owning
    worker, so a link's engine observes operations in exactly the
    producer's issue order — the sequential router's order. Control ops,
-   queries and dequeues block on the port's cell, and the producer waits
-   for each reply before it issues anything else, so one cell is all a
-   port needs. Enqueues never wait: each is posted, and what the worker
-   refuses is added to the port's refusal count, read back by a query
-   that queues behind every post.
+   queries and dequeues block on the port's reply slot, and the producer
+   waits for each reply before it issues anything else, so one slot is
+   all a port needs. Enqueues never wait: each is posted, and what the
+   worker refuses is added to the port's refusal count, read back by a
+   query that queues behind every post.
 
    Memory model notes: ring publication is the SPSC ring's
-   release/acquire pair (see {!Ds.Spsc_ring}); completion cells use a
-   mutex + condvar, whose lock/unlock pair orders everything the worker
-   wrote (including out-ring slots) before the producer's read.
-   Parking uses the Dekker-style SC protocol: the worker sets
-   [w_parked] and re-checks its rings; the producer pushes and then
-   checks [w_parked]. Under sequential consistency one of the two
-   always sees the other's write, so no wakeup is lost. *)
+   release/acquire pair (see {!Ds.Spsc_ring}). Replies and parking are
+   {!Ds.Handoff}: the worker fills a port's reply slot with an SC
+   [Atomic.set] after pushing any dequeued packets, so the producer's
+   take of the reply orders every out-ring slot before its pops; the
+   worker parks on its parker and the producer wakes it after each
+   push. Both rest on the Dekker argument written once in handoff.mli;
+   both signal only after unlocking, and neither takes a lock while the
+   other side is awake. *)
 
 module Ring = Ds.Spsc_ring
+module Handoff = Ds.Handoff
 
-(* --- completion cells -------------------------------------------------- *)
+(* --- replies ------------------------------------------------------------- *)
 
 type reply =
   | R_exec of (string, Engine.error) result
@@ -49,32 +51,6 @@ type reply =
   | R_ops of Command.op list
   | R_string of string
   | R_unit
-  | R_raise of exn
-
-type cell = { cm : Mutex.t; cc : Condition.t; mutable cv : reply option }
-
-let cell () = { cm = Mutex.create (); cc = Condition.create (); cv = None }
-
-let fill c r =
-  Mutex.lock c.cm;
-  c.cv <- Some r;
-  Condition.signal c.cc;
-  Mutex.unlock c.cm
-
-let await c =
-  Mutex.lock c.cm;
-  let rec wait () =
-    match c.cv with
-    | Some r ->
-        c.cv <- None;
-        r
-    | None ->
-        Condition.wait c.cc c.cm;
-        wait ()
-  in
-  let r = wait () in
-  Mutex.unlock c.cm;
-  match r with R_raise e -> raise e | r -> r
 
 (* --- messages ----------------------------------------------------------- *)
 
@@ -132,7 +108,7 @@ type port = {
   p_in : msg Ring.t;
   p_out : deq Ring.t;
   p_worker : worker;
-  p_cell : cell; (* every awaited reply: one request is in flight at most *)
+  p_reply : reply Handoff.slot; (* one request is in flight at most *)
   (* failure of a posted enqueue, set by the worker (first wins),
      observed by the producer on its next touch of this port *)
   p_fail : exn option Atomic.t;
@@ -148,10 +124,7 @@ type port = {
 
 and worker = {
   w_admin : admin Ring.t;
-  w_mutex : Mutex.t;
-  w_cond : Condition.t;
-  w_parked : bool Atomic.t;
-  mutable w_wake : bool; (* under [w_mutex] *)
+  w_parker : Handoff.parker;
   (* async failure, reported later; [Stopped] once the router stops *)
   w_poison : exn option Atomic.t;
   mutable w_domain : unit Domain.t option;
@@ -160,16 +133,13 @@ and worker = {
 and admin =
   | A_nop (* ring dummy *)
   | A_attach of port
-  | A_detach of { dt_port : port; dt_cell : cell }
+  | A_detach of { dt_port : port; dt_reply : reply Handoff.slot }
   | A_stop
 
 let mk_worker () =
   {
     w_admin = Ring.create ~capacity:64 ~dummy:A_nop;
-    w_mutex = Mutex.create ();
-    w_cond = Condition.create ();
-    w_parked = Atomic.make false;
-    w_wake = false;
+    w_parker = Handoff.parker ();
     w_poison = Atomic.make None;
     w_domain = None;
   }
@@ -247,16 +217,16 @@ let serve_msg (p, bcache) msg =
           n
         end
       with
-      | n -> fill p.p_cell (R_count n)
-      | exception e -> fill p.p_cell (R_raise e))
+      | n -> Handoff.fill p.p_reply (R_count n)
+      | exception e -> Handoff.fail p.p_reply e)
   | M_exec { x_now; x_op } -> (
       match Engine.exec_op p.p_eng ~now:x_now x_op with
-      | r -> fill p.p_cell (R_exec r)
-      | exception e -> fill p.p_cell (R_raise e))
+      | r -> Handoff.fill p.p_reply (R_exec r)
+      | exception e -> Handoff.fail p.p_reply e)
   | M_query q -> (
       match serve_query p q with
-      | r -> fill p.p_cell r
-      | exception e -> fill p.p_cell (R_raise e))
+      | r -> Handoff.fill p.p_reply r
+      | exception e -> Handoff.fail p.p_reply e)
 
 let worker_body w =
   let ports = ref [] in
@@ -275,13 +245,13 @@ let worker_body w =
     | A_nop -> ()
     | A_attach p ->
         ports := !ports @ [ (p, ref (Backend.batch ~capacity:1 ())) ]
-    | A_detach { dt_port; dt_cell } ->
+    | A_detach { dt_port; dt_reply } ->
         (match List.find_opt (fun (p, _) -> p == dt_port) !ports with
         | Some pb ->
             drain_port pb;
             ports := List.filter (fun (p, _) -> p != dt_port) !ports
         | None -> ());
-        fill dt_cell R_unit
+        Handoff.fill dt_reply R_unit
     | A_stop ->
         List.iter drain_port !ports;
         running := false
@@ -318,20 +288,7 @@ let worker_body w =
         incr spins;
         Domain.cpu_relax ()
       done;
-      if not (has_work ()) then begin
-        Atomic.set w.w_parked true;
-        (* re-check after publishing the parked flag (Dekker) *)
-        if has_work () then Atomic.set w.w_parked false
-        else begin
-          Mutex.lock w.w_mutex;
-          while not (w.w_wake || has_work ()) do
-            Condition.wait w.w_cond w.w_mutex
-          done;
-          w.w_wake <- false;
-          Mutex.unlock w.w_mutex;
-          Atomic.set w.w_parked false
-        end
-      end
+      Handoff.park w.w_parker ~has_work
     end
   done
 
@@ -346,30 +303,22 @@ let worker_run w =
 
 (* --- the producer side -------------------------------------------------- *)
 
-let worker_notify w =
-  if Atomic.get w.w_parked then begin
-    Mutex.lock w.w_mutex;
-    w.w_wake <- true;
-    Condition.signal w.w_cond;
-    Mutex.unlock w.w_mutex
-  end
-
 let rec push_msg p m =
   if not (Ring.try_push p.p_in m) then begin
     (* ring full: the worker may be parked with a full ring only
        transiently; wake it and retry *)
-    worker_notify p.p_worker;
+    Handoff.wake p.p_worker.w_parker;
     Domain.cpu_relax ();
     push_msg p m
   end
 
 let post p m =
   push_msg p m;
-  worker_notify p.p_worker
+  Handoff.wake p.p_worker.w_parker
 
 let rec push_admin w a =
   if not (Ring.try_push w.w_admin a) then begin
-    worker_notify w;
+    Handoff.wake w.w_parker;
     Domain.cpu_relax ();
     push_admin w a
   end
@@ -396,7 +345,7 @@ let port_failure p =
 
 (* Run one port operation with graceful degradation: a downed link
    answers [failed] without touching its ring, and a failure raised by
-   the operation itself (the worker replying [R_raise]) downs the link
+   the operation itself (the worker failing the reply) downs the link
    and answers [failed] — never raising into the caller, so one
    poisoned link cannot tear down the daemon serving the others. *)
 let guard p ~failed f =
@@ -410,7 +359,7 @@ let guard p ~failed f =
 
 let request p m =
   post p m;
-  await p.p_cell
+  Handoff.await p.p_reply
 
 let query p q = request p (M_query q)
 
@@ -525,10 +474,10 @@ let mc_ops : port Router_core.ops =
            ring before letting go of it — unless the worker itself is
            dead, in which case the handshake would hang forever *)
         if Atomic.get p.p_worker.w_poison = None then begin
-          let c = cell () in
-          push_admin p.p_worker (A_detach { dt_port = p; dt_cell = c });
-          worker_notify p.p_worker;
-          match await c with R_unit -> () | _ -> assert false
+          let r = Handoff.slot () in
+          push_admin p.p_worker (A_detach { dt_port = p; dt_reply = r });
+          Handoff.wake p.p_worker.w_parker;
+          match Handoff.await r with R_unit -> () | _ -> assert false
         end);
   }
 
@@ -548,7 +497,7 @@ let port_on w ~name eng =
       p_in = Ring.create ~capacity:ring_capacity ~dummy:M_nop;
       p_out = Ring.create ~capacity:out_capacity ~dummy:dummy_deq;
       p_worker = w;
-      p_cell = cell ();
+      p_reply = Handoff.slot ();
       p_fail = Atomic.make None;
       p_down = None;
       p_refused = Atomic.make 0;
@@ -556,7 +505,7 @@ let port_on w ~name eng =
   in
   if Atomic.get w.w_poison = None then begin
     push_admin w (A_attach p);
-    worker_notify w
+    Handoff.wake w.w_parker
   end;
   p
 
@@ -623,7 +572,7 @@ let inject_failure t ~link =
   | None -> false
   | Some p ->
       (* the worker serves [Q_fail] by raising, so the ordinary failure
-         path — R_raise reply, producer latch — is what downs the link *)
+         path — a failed reply, producer latch — is what downs the link *)
       guard p ~failed:(fun _ -> ()) (fun () -> ignore (query p Q_fail));
       true
 
@@ -644,12 +593,12 @@ let dequeue_port p ~now ~max ~f =
   | Some _ -> 0
   | None -> (
       post p (M_dequeue { d_now = now; d_max = min max out_capacity });
-      match await p.p_cell with
+      match Handoff.await p.p_reply with
       | R_count n ->
           for _ = 1 to n do
             match Ring.try_pop p.p_out with
             | Some d -> f d
-            | None -> assert false (* pushed before the cell was filled *)
+            | None -> assert false (* pushed before the reply was filled *)
           done;
           n
       | exception e ->
@@ -724,7 +673,7 @@ let stop t =
     Array.iter
       (fun w ->
         push_admin w A_stop;
-        worker_notify w)
+        Handoff.wake w.w_parker)
       t.workers;
     Array.iter
       (fun w ->

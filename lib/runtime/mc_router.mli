@@ -11,8 +11,10 @@
     The flow→link directory stays on the producer side; the worker
     serves its ring through {!Engine.enqueue_flow} and
     {!Engine.dequeue_batch}, so per-link scheduling state never crosses
-    domains. Workers spin briefly when idle, then park on a condition
-    variable; the producer wakes a parked worker after posting.
+    domains. Workers spin briefly when idle, then park; the producer
+    wakes a parked worker after posting. Parking and every reply go
+    through {!Ds.Handoff}, which takes no lock while the other side is
+    awake and signals only after unlocking.
 
     {b One data path.} Packets move only through {!adapter}, the
     {!Sched.Scheduler.t} that {!Netsim.Sim} drives: its enqueue posts
@@ -20,12 +22,12 @@
     refuse; its dequeues and polls wait for the worker's reply.
 
     {b Control plane.} {!Command} operations are posted into the owning
-    domain's ring with a completion handshake (a mutex/condvar cell):
-    the call blocks until the worker has executed
-    {!Engine.exec_op} and replies. Transactional semantics and typed
-    error codes therefore survive the domain hop unchanged — the
-    control logic itself is {!Router_core}, shared with the sequential
-    router, so replies are bit-identical by construction.
+    domain's ring, and the call blocks on the link's reply slot
+    ({!Ds.Handoff}) until the worker has executed {!Engine.exec_op} and
+    replied. Transactional semantics and typed error codes therefore
+    survive the domain hop unchanged — the control logic itself is
+    {!Router_core}, shared with the sequential router, so replies are
+    bit-identical by construction.
     {!Engine.snapshot} becomes a snapshot-request operation: the worker
     copies its telemetry between packets and ships the immutable
     snapshot back, giving a consistent cross-domain read without a
@@ -43,7 +45,7 @@
     all calls — the adapters' closures included — must come from the
     domain that created it (the single producer of every ring). Every
     call that waits returns before the next is issued, so each link
-    has at most one request in flight and one completion cell. *)
+    has at most one request in flight and one reply slot. *)
 
 type t
 

@@ -282,31 +282,6 @@ let counters_fields c =
     ("backlog_hiwater_bytes", Json_lite.Num (float_of_int c.hiwater_bytes));
   ]
 
-let trace_json t =
-  let evs =
-    List.rev
-      (fold_events t
-         (fun acc e ->
-           Json_lite.Obj
-             [
-               ("ts", Json_lite.Num e.ts);
-               ("kind", Json_lite.Str (kind_name e.kind));
-               ("cls", Json_lite.Num (float_of_int e.cls_id));
-               ("flow", Json_lite.Num (float_of_int e.flow));
-               ("size", Json_lite.Num (float_of_int e.size));
-               ("seq", Json_lite.Num (float_of_int e.seq));
-             ]
-           :: acc)
-         [])
-  in
-  Json_lite.Obj
-    [
-      ("capacity", Json_lite.Num (float_of_int t.trace.cap));
-      ("recorded", Json_lite.Num (float_of_int t.trace.total));
-      ("dropped_events", Json_lite.Num (float_of_int (dropped_events t)));
-      ("events", Json_lite.List evs);
-    ]
-
 type snapshot = {
   per_class : (int * counters) list;
   snap_tracing : bool;

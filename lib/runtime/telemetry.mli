@@ -162,9 +162,6 @@ val counters_fields : counters -> (string * Json_lite.t) list
 (** The counter record as JSON object fields (keys are the field
     names). *)
 
-val trace_json : t -> Json_lite.t
-(** [{ "capacity"; "recorded"; "dropped_events"; "events": [...] }]. *)
-
 val trace_text : t -> string
 (** One line per surviving event, oldest first, preceded by a [#]
     comment line counting dropped events when the ring has wrapped. *)

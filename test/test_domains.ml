@@ -485,6 +485,87 @@ let run_degradation ~domains =
   check "link added after stop is down" (M.link_down m ~link:"late100" <> None);
   check "stop stays idempotent" (List.length (M.stop m) = 103)
 
+(* A full input ring: far more posts into one link than its ring holds
+   (1024 messages, see mc_router.mli), with no dequeue in between, so
+   the producer finds the ring full and has to wake the worker and
+   retry. A small qlimit refuses most of them. The refusal count, the
+   drained (flow, seq) order and the final engine fingerprint must be
+   the sequential adapter's. *)
+let run_full_ring () =
+  let posts = 4 * 1024 in
+  let r = R.create ~audit_every () in
+  let m = M.create ~audit_every ~domains:1 () in
+  let check what b = if not b then fail "full ring: %s" what in
+  let setup =
+    [
+      "link add l0 rate 1Mbit";
+      "link l0 add class a parent root flow 1 fsc 600Kbit qlimit 8";
+      "link l0 add class b parent root flow 2 fsc 300Kbit qlimit 8";
+    ]
+  in
+  List.iter
+    (fun line ->
+      match Runtime.Command.parse line with
+      | Error e -> fail "full ring: parse %S: %s" line e
+      | Ok cmd ->
+          check (line ^ " agrees")
+            (show_res (R.exec r ~now:0. cmd) = show_res (M.exec m ~now:0. cmd)))
+    setup;
+  let sa = E.adapter (List.assoc "l0" (R.links r)) in
+  let ma =
+    match M.adapter m ~link:"l0" with
+    | Some a -> a
+    | None -> fail "full ring: no adapter"
+  in
+  let pkts =
+    Array.init posts (fun i ->
+        let seq = i + 1 in
+        let now = float_of_int seq *. 1e-6 in
+        ( now,
+          Pkt.Packet.make ~flow:(1 + (seq land 1)) ~size:500 ~seq
+            ~arrival:now ))
+  in
+  (* the posts in a tight loop: the producer outruns the worker *)
+  Array.iter
+    (fun (now, pkt) ->
+      check "a healthy link's post answers true"
+        (ma.Sched.Scheduler.enqueue ~now pkt))
+    pkts;
+  let refused = ref 0 in
+  Array.iter
+    (fun (now, pkt) ->
+      if not (sa.Sched.Scheduler.enqueue ~now pkt) then incr refused)
+    pkts;
+  check "most posts are refused" (!refused > posts / 2);
+  (match ma.Sched.Scheduler.deferred_drops with
+  | Some f ->
+      let got = f () in
+      if got <> !refused then
+        fail "full ring: deferred drops %d, sequential refused %d" got
+          !refused
+  | None -> fail "full ring: no deferred count");
+  let rec drain (a : Sched.Scheduler.t) acc =
+    match Sched.Scheduler.dequeue_burst a ~now:1. ~max:8 with
+    | [] -> List.rev acc
+    | l ->
+        drain a
+          (List.rev_append
+             (List.map
+                (fun (s : Sched.Scheduler.served) ->
+                  (s.Sched.Scheduler.pkt.Pkt.Packet.flow,
+                   s.Sched.Scheduler.pkt.Pkt.Packet.seq))
+                l)
+             acc)
+  in
+  let want = drain sa [] in
+  check "the sequential drain serves the admitted packets"
+    (List.length want = posts - !refused);
+  check "drained (flow, seq) order" (drain ma [] = want);
+  let mc_links = M.stop m in
+  check "engine fingerprints"
+    (engine_fingerprint (List.assoc "l0" (R.links r))
+    = engine_fingerprint (List.assoc "l0" mc_links))
+
 (* --- the simulator through both routers -------------------------------- *)
 
 (* A two-link [Netsim.Sim]: an H-FSC link built through the control
@@ -648,6 +729,7 @@ let () =
   let seeds = arg 2 1 in
   let domains = arg 3 2 in
   List.iter (fun domains -> run_degradation ~domains) [ 1; 2 ];
+  run_full_ring ();
   run_sim_differential ();
   let posted = ref 0 and late = ref 0 in
   for seed = 0 to seeds - 1 do
@@ -659,6 +741,10 @@ let () =
     "domains ok: worker poison degrades one link (typed link-failed, \
      checkpoint keeps its add) while the others keep serving; a stopped \
      router answers every call degraded\n";
+  Printf.printf
+    "domains ok: 4096 posts into one link's 1024-message ring with no \
+     dequeue between them: refusals, drained order and fingerprint match \
+     the sequential adapter\n";
   Printf.printf
     "domains ok: a two-link simulation through Mc_router.adapter (1 and 2 \
      domains, tx_burst 1 and 3) matches Router + Engine.adapter (digest, \

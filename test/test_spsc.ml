@@ -1,12 +1,22 @@
 (* Unit, property and two-domain stress tests for the lock-free SPSC
    ring (lib/ds/spsc_ring) that carries the multicore router's
-   messages. The single-domain tests pin the boundary behaviour
-   (capacity 1, full, empty, wraparound) and check the ring against a
-   Queue model; the two-domain tests push a known sequence through the
-   ring under real parallelism (or interleaved scheduling on one core)
-   and verify order and checksums on the other side. *)
+   messages, and for the blocking hand-off (lib/ds/handoff) that
+   carries its replies and parks its workers. The single-domain tests
+   pin the boundary behaviour (capacity 1, full, empty, wraparound) and
+   check the ring against a Queue model; the two-domain tests push a
+   known sequence through the ring under real parallelism (or
+   interleaved scheduling on one core) and verify order and checksums
+   on the other side. The hand-off tests end with the router's
+   protocol in miniature: requests through a ring, a worker that parks
+   whenever it runs dry, replies through one reused slot, under a
+   watchdog that turns a lost wakeup into a failed run.
+
+   [test_spsc.exe [ROUNDS] [ALCOTEST ARGS]]: ROUNDS (default 2000) is
+   the number of round trips in the hand-off ping-pong; the [@domains]
+   alias runs a long one. *)
 
 module Ring = Ds.Spsc_ring
+module Handoff = Ds.Handoff
 
 let qt ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -169,8 +179,146 @@ let test_stress_boxed () =
   done;
   Alcotest.(check bool) "boxed payloads intact" true (Domain.join consumer)
 
+(* --- hand-off --------------------------------------------------------- *)
+
+(* Alcotest captures a test's stderr into its log file and would never
+   print it after an [_exit]; the watchdog writes to the real one. *)
+let console = Unix.dup Unix.stderr
+
+(* A lost wakeup leaves both domains asleep forever. The watchdog
+   domain fails the run instead: if [progress] stops moving for [limit]
+   seconds it names the test and exits non-zero at once. *)
+let limit = 30.
+
+let with_watchdog what f =
+  let progress = Atomic.make 0 and finished = Atomic.make false in
+  let dog =
+    Domain.spawn (fun () ->
+        let last = ref (-1) and since = ref (Unix.gettimeofday ()) in
+        while not (Atomic.get finished) do
+          Unix.sleepf 0.05;
+          let p = Atomic.get progress and now = Unix.gettimeofday () in
+          if p <> !last then begin
+            last := p;
+            since := now
+          end
+          else if now -. !since > limit then begin
+            let msg =
+              Printf.sprintf
+                "handoff: %s made no progress for %.0f s at step %d (lost \
+                 wakeup?)\n"
+                what limit p
+            in
+            ignore (Unix.write_substring console msg 0 (String.length msg));
+            Unix._exit 2
+          end
+        done)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Domain.join dog)
+    (fun () -> f progress)
+
+let test_fill_then_await () =
+  let s = Handoff.slot () in
+  with_watchdog "fill before await" (fun _ ->
+      Handoff.fill s 42;
+      Alcotest.(check int) "value already there" 42 (Handoff.await s);
+      Handoff.fill s 43;
+      Alcotest.(check int) "slot reused" 43 (Handoff.await s))
+
+exception Boom of int
+
+let test_fail_reraises () =
+  let s = Handoff.slot () in
+  with_watchdog "failed reply" (fun _ ->
+      Handoff.fail s (Boom 7);
+      Alcotest.check_raises "failed reply re-raised" (Boom 7) (fun () ->
+          ignore (Handoff.await s));
+      Handoff.fill s 1;
+      Alcotest.(check int) "usable after a failure" 1 (Handoff.await s);
+      (* the same across domains, with the awaiter asleep *)
+      let filler =
+        Domain.spawn (fun () ->
+            Unix.sleepf 0.05;
+            Handoff.fail s (Boom 8))
+      in
+      Alcotest.check_raises "re-raised on the awaiting domain" (Boom 8)
+        (fun () -> ignore (Handoff.await s));
+      Domain.join filler)
+
+let test_await_then_fill () =
+  let s = Handoff.slot () in
+  let filler =
+    Domain.spawn (fun () ->
+        Unix.sleepf 0.05;
+        Handoff.fill s "late")
+  in
+  with_watchdog "delayed fill" (fun _ ->
+      Alcotest.(check string) "woken by the fill" "late" (Handoff.await s));
+  Domain.join filler
+
+(* The router's protocol in miniature. The producer pushes request [i]
+   into a capacity-1 ring, wakes the worker and awaits the reply [2i]
+   on one reused slot; the worker pops, fills, and parks whenever its
+   ring is empty. Both sides sometimes spin a little first, so the
+   rounds mix every ordering: the fill before or after the awaiter
+   sleeps, the push before or after the worker parks. *)
+let ping_pong ~rounds () =
+  let req = Ring.create ~capacity:1 ~dummy:0 in
+  let reply = Handoff.slot () in
+  let parker = Handoff.parker () in
+  let has_work () = not (Ring.is_empty req) in
+  let jitter i =
+    for _ = 1 to (i * 7919) land 127 do
+      Domain.cpu_relax ()
+    done
+  in
+  let worker =
+    Domain.spawn (fun () ->
+        let running = ref true in
+        while !running do
+          match Ring.try_pop req with
+          | Some i ->
+              if i < 0 then running := false
+              else begin
+                jitter i;
+                Handoff.fill reply (2 * i)
+              end
+          | None -> Handoff.park parker ~has_work
+        done)
+  in
+  let post i =
+    if not (Ring.try_push req i) then
+      Alcotest.fail "request ring full: one request is in flight at most";
+    Handoff.wake parker
+  in
+  let sum = ref 0 in
+  with_watchdog "ping-pong" (fun progress ->
+      for i = 1 to rounds do
+        post i;
+        if i land 1 = 0 then jitter (i / 2);
+        let r = Handoff.await reply in
+        if r <> 2 * i then
+          Alcotest.failf "round %d: reply %d, want %d" i r (2 * i);
+        sum := !sum + r;
+        Atomic.set progress i
+      done;
+      post (-1);
+      Domain.join worker);
+  Alcotest.(check int) "every reply once" (rounds * (rounds + 1)) !sum
+
+(* the ping-pong's round count: the first argument when it is an
+   integer, which is then hidden from Alcotest *)
+let rounds, argv =
+  match Array.to_list Sys.argv with
+  | exe :: n :: rest when int_of_string_opt n <> None ->
+      (int_of_string n, Array.of_list (exe :: rest))
+  | _ -> (2_000, Sys.argv)
+
 let () =
-  Alcotest.run "spsc_ring"
+  Alcotest.run ~argv "spsc_ring"
     [
       ( "boundaries",
         [
@@ -185,5 +333,15 @@ let () =
           Alcotest.test_case "stress capacity 1" `Quick test_stress_small_ring;
           Alcotest.test_case "stress capacity 64" `Quick test_stress_wide_ring;
           Alcotest.test_case "boxed payloads" `Quick test_stress_boxed;
+        ] );
+      ( "handoff",
+        [
+          Alcotest.test_case "fill before await" `Quick test_fill_then_await;
+          Alcotest.test_case "failed reply re-raised" `Quick
+            test_fail_reraises;
+          Alcotest.test_case "await before a delayed fill" `Quick
+            test_await_then_fill;
+          Alcotest.test_case "ping-pong round trips" `Quick
+            (ping_pong ~rounds);
         ] );
     ]
