@@ -282,6 +282,11 @@ let simulate_cmd =
              ~doc:"Print the scheduler's internal decisions (very verbose).")
   in
   let run file script seconds domains stats_json trace debug =
+    let refused e =
+      Printf.eprintf "%s: %s\n" file e;
+      1
+    in
+    let warn = List.iter (Printf.eprintf "warning: %s\n") in
     if debug then begin
       Logs.set_reporter (Logs.format_reporter ());
       Logs.set_level (Some Logs.Debug)
@@ -291,9 +296,6 @@ let simulate_cmd =
         Printf.eprintf "%s: %s\n" file e;
         1
     | Ok cfg -> (
-        List.iter
-          (fun w -> Printf.eprintf "warning: %s\n" w)
-          (Config.validate cfg);
         let cmds =
           match script with
           | None -> Ok []
@@ -309,8 +311,11 @@ let simulate_cmd =
         | Ok _ when domains < 1 ->
             prerr_endline "simulate: --domains must be >= 1";
             1
-        | Ok cmds when domains = 1 ->
-            let router = Runtime.Router.of_config cfg in
+        | Ok cmds when domains = 1 -> (
+            match Runtime.Router.of_config cfg with
+            | Error e -> refused e
+            | Ok (router, warnings) ->
+            warn warnings;
             drive ~cfg ~cmds ~seconds ~stats_json ~trace
               ~links:
                 (List.map
@@ -322,9 +327,12 @@ let simulate_cmd =
               ~exec:(fun ~now cmd -> Runtime.Router.exec router ~now cmd)
               ~link_of_flow:(Runtime.Router.link_of_flow router)
               ~stats_text:(fun () -> Runtime.Router.stats_text router)
-              ~stats_doc:(fun () -> Runtime.Router.stats_json router)
-        | Ok cmds ->
-            let m = Runtime.Mc_router.of_config ~domains cfg in
+              ~stats_doc:(fun () -> Runtime.Router.stats_json router))
+        | Ok cmds -> (
+            match Runtime.Mc_router.of_config ~domains cfg with
+            | Error e -> refused e
+            | Ok (m, warnings) ->
+            warn warnings;
             Printf.printf "multicore router: %d links on %d worker domains\n"
               (Runtime.Mc_router.link_count m)
               (Runtime.Mc_router.domains m);
@@ -334,20 +342,18 @@ let simulate_cmd =
                 drive ~cfg ~cmds ~seconds ~stats_json ~trace
                   ~links:
                     (List.map
-                       (fun (l : Config.link) ->
-                         let adapter =
-                           match
-                             Runtime.Mc_router.adapter m ~link:l.Config.lname
-                           with
-                           | Some a -> a
-                           | None -> assert false (* of_config just made it *)
-                         in
-                         (l.Config.lname, l.Config.lrate, adapter))
-                       cfg.Config.links)
+                       (fun link ->
+                         match
+                           ( Runtime.Mc_router.link_rate m ~link,
+                             Runtime.Mc_router.adapter m ~link )
+                         with
+                         | Some rate, Some a -> (link, rate, a)
+                         | _ -> assert false (* of_config just made it *))
+                       (Runtime.Mc_router.link_names m))
                   ~exec:(fun ~now cmd -> Runtime.Mc_router.exec m ~now cmd)
                   ~link_of_flow:(Runtime.Mc_router.link_of_flow m)
                   ~stats_text:(fun () -> Runtime.Mc_router.stats_text m)
-                  ~stats_doc:(fun () -> Runtime.Mc_router.stats_json m)))
+                  ~stats_doc:(fun () -> Runtime.Mc_router.stats_json m))))
   in
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(const run $ file $ script $ seconds $ domains $ stats_json $ trace
@@ -418,38 +424,44 @@ let daemon_cmd =
           Ok None
       | Some f -> (
           match Config.load f with
-          | Ok cfg ->
-              List.iter
-                (fun w -> Printf.eprintf "warning: %s\n" w)
-                (Config.validate cfg);
-              Ok (Some cfg)
+          | Ok cfg -> Ok (Some (f, cfg))
           | Error e -> Error (Printf.sprintf "%s: %s" f e))
     in
-    match cfg with
+    (* the device is built, and a config admitted, before anything is
+       served *)
+    let built =
+      match cfg with
+      | Error e -> Error e
+      | Ok _ when domains < 1 -> Error "daemon: --domains must be >= 1"
+      | Ok cfg ->
+          let build of_config create wrap =
+            match cfg with
+            | None -> Ok (wrap (create ()))
+            | Some (f, c) -> (
+                match of_config c with
+                | Ok (r, warnings) ->
+                    List.iter (Printf.eprintf "warning: %s\n") warnings;
+                    Ok (wrap r)
+                | Error e -> Error (Printf.sprintf "%s: %s" f e))
+          in
+          if domains = 1 then
+            build
+              (Runtime.Router.of_config ~audit_every)
+              (Runtime.Router.create ~audit_every)
+              (fun r -> (Runtime.Daemon.backend_of_router r, fun () -> ()))
+          else
+            build
+              (Runtime.Mc_router.of_config ~audit_every ~domains)
+              (Runtime.Mc_router.create ~audit_every ~domains)
+              (fun m ->
+                ( Runtime.Daemon.backend_of_mc_router m,
+                  fun () -> ignore (Runtime.Mc_router.stop m) ))
+    in
+    match built with
     | Error e ->
         prerr_endline e;
         1
-    | Ok _ when domains < 1 ->
-        prerr_endline "daemon: --domains must be >= 1";
-        1
-    | Ok cfg ->
-        let backend, finish =
-          if domains = 1 then
-            let r =
-              match cfg with
-              | Some c -> Runtime.Router.of_config ~audit_every c
-              | None -> Runtime.Router.create ~audit_every ()
-            in
-            (Runtime.Daemon.backend_of_router r, fun () -> ())
-          else
-            let m =
-              match cfg with
-              | Some c -> Runtime.Mc_router.of_config ~audit_every ~domains c
-              | None -> Runtime.Mc_router.create ~audit_every ~domains ()
-            in
-            ( Runtime.Daemon.backend_of_mc_router m,
-              fun () -> ignore (Runtime.Mc_router.stop m) )
-        in
+    | Ok (backend, finish) ->
         Printf.printf "hfsc_sim daemon: %d domain%s, listening on %s%s\n%!"
           domains
           (if domains = 1 then "" else "s")

@@ -114,5 +114,3 @@ let hierarchy_consistent ~parent children =
 
 let usc_violating_breakpoint ~rsc ~usc =
   violating_breakpoint ~capacity:(P.of_service_curve usc) [ rsc ]
-
-let usc_feasible ~rsc ~usc = usc_violating_breakpoint ~rsc ~usc = None

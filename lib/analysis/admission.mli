@@ -57,7 +57,3 @@ val usc_violating_breakpoint :
     [Some (t, rsc_at_t, usc_at_t)] at the worst breakpoint,
     [(infinity, rsc_rate, usc_rate)] when only the asymptotic rates
     conflict, [None] when the pair is feasible. *)
-
-val usc_feasible :
-  rsc:Curve.Service_curve.t -> usc:Curve.Service_curve.t -> bool
-(** [usc_violating_breakpoint ~rsc ~usc = None]. *)

@@ -4,18 +4,11 @@
     the min-plus convolution of their curves, so the arrival burst is
     "paid only once"). *)
 
-val end_to_end_curve : Curve.Service_curve.t list -> Curve.Piecewise.t
-(** Min-plus convolution of the per-hop curves. Requires every curve to
-    be convex (linear counts); concave per-hop curves must first be
-    lower-bounded by their convex part — use {!convexify}.
-
-    @raise Invalid_argument on an empty list. *)
-
 val convexify : Curve.Service_curve.t -> Curve.Service_curve.t
 (** The largest convex two-piece curve below the given one: concave
     curves collapse to their long-run rate ([linear (rate s)]); convex
-    curves are unchanged. The safe per-hop curve to feed
-    {!end_to_end_curve}. *)
+    curves are unchanged. The safe per-hop curve to convolve
+    in {!bound}. *)
 
 val bound :
   alpha:Curve.Piecewise.t ->

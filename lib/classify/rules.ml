@@ -47,11 +47,3 @@ let classify t h =
   | None -> t.default
 
 let length t = List.length t.rules
-
-let pp_rule ppf r =
-  Format.fprintf ppf "src=%a dst=%a proto=%s sport=%d-%d dport=%d-%d -> %d"
-    Prefix.pp r.src Prefix.pp r.dst
-    (match r.proto with
-    | None -> "any"
-    | Some p -> string_of_int (Pkt.Header.proto_number p))
-    (fst r.sport) (snd r.sport) (fst r.dport) (snd r.dport) r.flow

@@ -31,4 +31,3 @@ val create : ?default:int -> rule list -> t
 val classify : t -> Pkt.Header.t -> int option
 val length : t -> int
 
-val pp_rule : Format.formatter -> rule -> unit

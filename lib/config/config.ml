@@ -2,21 +2,10 @@ type backend = Hfsc_backend | Rr_backend
 
 let backend_name = function Hfsc_backend -> "hfsc" | Rr_backend -> "rr"
 
-type built =
-  | Built_hfsc of Hfsc.t * (int * Hfsc.cls) list
-  | Built_rr of Sched.Hls.t * (int * Sched.Hls.cls) list
-
-type link = { lname : string; lrate : float; lbuilt : built }
-
-let link_backend l =
-  match l.lbuilt with Built_hfsc _ -> Hfsc_backend | Built_rr _ -> Rr_backend
-
 type t = {
-  scheduler : Hfsc.t;
-  flow_map : (int * Hfsc.cls) list;
+  commands : (int * string) list;
   sources : until:float -> Netsim.Source.t list;
-  link_rate : float;
-  links : link list;
+  source_flows : (int * int) list;
 }
 
 exception Parse_error of string
@@ -130,24 +119,6 @@ let parse_curve_tokens toks =
 
 (* --- statement parsing ------------------------------------------------ *)
 
-type class_spec = {
-  cname : string;
-  cparent : string;
-  cflow : int option;
-  crsc : Curve.Service_curve.t option;
-  cfsc : Curve.Service_curve.t option;
-  cusc : Curve.Service_curve.t option;
-  cqlimit : int option;
-  cqbytes : int option;
-  cquantum : int option; (* rr backend only *)
-}
-
-type limit_spec = {
-  lpkts : int option;
-  lbytes : int option;
-  lpolicy : Hfsc.drop_policy option;
-}
-
 type source_spec = {
   skind : string;
   sflow : int;
@@ -162,71 +133,14 @@ type source_spec = {
   sstop : float option;
 }
 
+(* Device statements keep their tokens: they are rewritten into the
+   command grammar, and the command parser judges them. *)
 type stmt =
-  | Link of string option * float * backend
-    (* optional name; None = sole link *)
-  | Class of class_spec
+  | Link of string option * string list
+    (* optional name (None = sole link), then "rate R [backend B]" *)
+  | Class of string list (* everything after "class" *)
+  | Limit of string list (* everything after "limit" *)
   | Source of source_spec
-  | Limit of limit_spec
-
-let parse_class st =
-  let cname = next st in
-  expect st "parent";
-  let cparent = next st in
-  let flow = ref None in
-  let rsc = ref None and fsc = ref None and usc = ref None in
-  let qlimit = ref None and qbytes = ref None in
-  let quantum = ref None in
-  let continue_ = ref true in
-  while !continue_ do
-    match peek st with
-    | None -> continue_ := false
-    | Some kw -> (
-        ignore (next st);
-        match kw with
-        | "flow" -> flow := Some (int_of_token (next st))
-        | "qlimit" -> qlimit := Some (int_of_token (next st))
-        | "qbytes" -> qbytes := Some (int_of_token (next st))
-        | "quantum" -> quantum := Some (int_of_token (next st))
-        | "rsc" -> rsc := Some (parse_curve st)
-        | "fsc" -> fsc := Some (parse_curve st)
-        | "ulimit" -> usc := Some (parse_curve st)
-        | other -> fail "unknown class attribute %S" other)
-  done;
-  Class
-    { cname; cparent; cflow = !flow; crsc = !rsc; cfsc = !fsc; cusc = !usc;
-      cqlimit = !qlimit; cqbytes = !qbytes; cquantum = !quantum }
-
-(* "limit [pkts N|none] [bytes N|none] [policy tail|longest]" — the
-   scheduler-wide backlog bound and overflow policy. *)
-let parse_limit st =
-  let bound tok =
-    if tok = "none" then max_int
-    else
-      let n = int_of_token tok in
-      if n <= 0 then fail "limit must be positive, got %d" n;
-      n
-  in
-  let pkts = ref None and bytes = ref None and policy = ref None in
-  let continue_ = ref true in
-  while !continue_ do
-    match peek st with
-    | None -> continue_ := false
-    | Some kw -> (
-        ignore (next st);
-        match kw with
-        | "pkts" -> pkts := Some (bound (next st))
-        | "bytes" -> bytes := Some (bound (next st))
-        | "policy" -> (
-            match next st with
-            | "tail" -> policy := Some Hfsc.Tail_drop
-            | "longest" -> policy := Some Hfsc.Drop_longest
-            | other -> fail "unknown drop policy %S (tail|longest)" other)
-        | other -> fail "unknown limit attribute %S" other)
-  done;
-  if !pkts = None && !bytes = None && !policy = None then
-    fail "limit: expected at least one of pkts/bytes/policy";
-  Limit { lpkts = !pkts; lbytes = !bytes; lpolicy = !policy }
 
 let parse_source st =
   let skind = next st in
@@ -254,7 +168,7 @@ let parse_source st =
         | other -> fail "unknown source attribute %S" other)
   done;
   let req name = function Some v -> v | None -> fail "source needs %s" name in
-  Source
+  let s =
     {
       skind;
       sflow = req "flow" !flow;
@@ -268,6 +182,24 @@ let parse_source st =
       sstart = !start;
       sstop = !stop;
     }
+  in
+  (match s.skind with
+  | "cbr" | "greedy" ->
+      if s.srate <= 0. || s.spkt <= 0 then
+        fail "%s source needs rate and pkt" s.skind
+  | "poisson" ->
+      if s.srate <= 0. || s.spkt <= 0 || s.sseed = None then
+        fail "poisson source needs rate, pkt and seed"
+  | "onoff" ->
+      if
+        s.srate <= 0. || s.spkt <= 0 || s.sseed = None || s.son = None
+        || s.soff = None
+      then fail "onoff source needs rate, pkt, on, off and seed"
+  | "burst" ->
+      if s.spkt <= 0 || s.scount = None then
+        fail "burst source needs pkt and count"
+  | other -> fail "unknown source kind %S" other);
+  Source s
 
 let parse_line line =
   let line =
@@ -282,372 +214,102 @@ let parse_line line =
   in
   match toks with
   | [] -> None
-  | kw :: rest -> (
-      let st = { toks = rest } in
-      match kw with
-      | "link" ->
-          let name =
-            match peek st with
-            | Some "rate" -> None
-            | Some n ->
-                ignore (next st);
-                Some n
-            | None -> fail "link: expected [NAME] rate RATE [backend hfsc|rr]"
-          in
-          expect st "rate";
-          let r = parse_rate_exn (next st) in
-          let backend =
-            match peek st with
-            | Some "backend" -> (
-                ignore (next st);
-                match next st with
-                | "hfsc" -> Hfsc_backend
-                | "rr" -> Rr_backend
-                | other -> fail "unknown backend %S (hfsc|rr)" other)
-            | _ -> Hfsc_backend
-          in
-          if peek st <> None then fail "trailing tokens after link statement";
-          Some (Link (name, r, backend))
-      | "class" -> Some (parse_class st)
-      | "source" -> Some (parse_source st)
-      | "limit" -> Some (parse_limit st)
-      | other -> fail "unknown statement %S" other)
+  | "link" :: rest -> (
+      match rest with
+      | [] -> fail "link: expected [NAME] rate RATE [backend hfsc|rr]"
+      | "rate" :: _ -> Some (Link (None, rest))
+      | name :: rest -> Some (Link (Some name, rest)))
+  | "class" :: rest -> Some (Class rest)
+  | "limit" :: rest -> Some (Limit rest)
+  | "source" :: rest -> Some (parse_source { toks = rest })
+  | other :: _ -> fail "unknown statement %S" other
 
-(* --- assembling the scheduler ---------------------------------------- *)
+(* --- the device as commands ------------------------------------------- *)
 
-(* One link under construction. Schedulers are created bare and limits
-   applied through the setters so the one-link and N-link paths share
-   the same code. The sched side is backend-discriminated; flow lists
-   are kept reversed. *)
-type bsched =
-  | Bs_hfsc of
-      Hfsc.t * (string, Hfsc.cls) Hashtbl.t * (int * Hfsc.cls) list ref
-  | Bs_rr of
-      Sched.Hls.t
-      * (string, Sched.Hls.cls) Hashtbl.t
-      * (int * Sched.Hls.cls) list ref
+let command words = String.concat " " words
 
-type builder = {
-  bname : string;
-  brate : float;
-  bs : bsched;
-  mutable blimit : bool;
-}
-
-let reserved_link_names = [ "add"; "delete"; "list" ]
-
-let new_builder ~name ~rate ~backend =
-  if rate <= 0. then fail "link rate must be positive";
-  if List.mem name reserved_link_names then
-    fail "link name %S is reserved (a control-command verb)" name;
-  let bs =
-    match backend with
-    | Hfsc_backend ->
-        let sched = Hfsc.create ~link_rate:rate () in
-        let classes = Hashtbl.create 16 in
-        Hashtbl.replace classes "root" (Hfsc.root sched);
-        Bs_hfsc (sched, classes, ref [])
-    | Rr_backend ->
-        let sched = Sched.Hls.create () in
-        let classes = Hashtbl.create 16 in
-        Hashtbl.replace classes "root" (Sched.Hls.root sched);
-        Bs_rr (sched, classes, ref [])
+(* One [link add] per link statement, and each class and limit
+   statement scoped to its link, every command with the line it came
+   from. [stmts] carries file lines and is in file order. *)
+let device stmts =
+  let at line fmt = Printf.ksprintf (fun s -> fail "line %d: %s" line s) fmt in
+  let link_add name (line, rest) =
+    (line, command ("link" :: "add" :: name :: rest))
   in
-  { bname = name; brate = rate; bs; blimit = false }
-
-(* [flows_global]: flow ids are device-wide, one leaf anywhere. *)
-let apply_class b ~flows_global (c : class_spec) =
-  let note_flow add =
-    match c.cflow with
-    | Some flow ->
-        if Hashtbl.mem flows_global flow then fail "flow %d mapped twice" flow;
-        Hashtbl.replace flows_global flow ();
-        add flow
-    | None -> ()
+  let scoped name limited = function
+    | line, Class toks ->
+        Some (line, command ("link" :: name :: "add" :: "class" :: toks))
+    | line, Limit toks ->
+        if !limited then at line "duplicate 'limit' statement";
+        limited := true;
+        Some (line, command ("link" :: name :: "limit" :: toks))
+    | _, (Link _ | Source _) -> None
   in
-  match b.bs with
-  | Bs_hfsc (sched, classes, flows) ->
-      if c.cquantum <> None then
-        fail "class %S: quantum applies to rr-backend links" c.cname;
-      if Hashtbl.mem classes c.cname then fail "duplicate class %S" c.cname;
-      let parent =
-        match Hashtbl.find_opt classes c.cparent with
-        | Some p -> p
-        | None -> fail "class %S: unknown parent %S" c.cname c.cparent
-      in
-      let cls =
-        try
-          Hfsc.add_class sched ~parent ~name:c.cname ?rsc:c.crsc ?fsc:c.cfsc
-            ?usc:c.cusc ?qlimit:c.cqlimit ?qlimit_bytes:c.cqbytes ()
-        with Invalid_argument e -> fail "class %S: %s" c.cname e
-      in
-      Hashtbl.replace classes c.cname cls;
-      note_flow (fun flow -> flows := (flow, cls) :: !flows)
-  | Bs_rr (sched, classes, flows) ->
-      if c.crsc <> None || c.cfsc <> None || c.cusc <> None then
-        fail
-          "class %S: service curves apply to hfsc-backend links (rr classes \
-           take quantum)"
-          c.cname;
-      if Hashtbl.mem classes c.cname then fail "duplicate class %S" c.cname;
-      let parent =
-        match Hashtbl.find_opt classes c.cparent with
-        | Some p -> p
-        | None -> fail "class %S: unknown parent %S" c.cname c.cparent
-      in
-      let cls =
-        try
-          Sched.Hls.add_class sched ~parent ~name:c.cname ?quantum:c.cquantum
-            ?qlimit_pkts:c.cqlimit ?qlimit_bytes:c.cqbytes ()
-        with Invalid_argument e -> fail "class %S: %s" c.cname e
-      in
-      Hashtbl.replace classes c.cname cls;
-      note_flow (fun flow -> flows := (flow, cls) :: !flows)
-
-let apply_limit b (l : limit_spec) =
-  if b.blimit then fail "duplicate 'limit' statement";
-  b.blimit <- true;
-  match b.bs with
-  | Bs_hfsc (sched, _, _) -> (
-      Hfsc.set_aggregate_limit sched ?pkts:l.lpkts ?bytes:l.lbytes ();
-      match l.lpolicy with
-      | Some p -> Hfsc.set_drop_policy sched p
-      | None -> ())
-  | Bs_rr (sched, _, _) -> (
-      Sched.Hls.set_aggregate_limit sched ?pkts:l.lpkts ?bytes:l.lbytes ();
-      match l.lpolicy with
-      | Some Hfsc.Tail_drop -> Sched.Hls.set_drop_policy sched Sched.Hls.Tail_drop
-      | Some Hfsc.Drop_longest ->
-          Sched.Hls.set_drop_policy sched Sched.Hls.Drop_longest
-      | None -> ())
-
-let build stmts =
-  let n_links =
-    List.length (List.filter (function Link _ -> true | _ -> false) stmts)
-  in
-  let flows_global = Hashtbl.create 16 in
-  let builders =
-    if n_links = 0 then fail "missing 'link rate ...' statement"
-    else if n_links = 1 then begin
+  match
+    List.filter_map
+      (function line, Link (n, rest) -> Some (line, n, rest) | _ -> None)
+      stmts
+  with
+  | [] -> fail "missing 'link rate ...' statement"
+  | [ (line, name, rest) ] ->
       (* sole link: keep the historical order-insensitive semantics —
          classes may precede the link statement *)
-      let name, rate, backend =
-        match
-          List.filter_map
-            (function Link (n, r, bk) -> Some (n, r, bk) | _ -> None)
-            stmts
-        with
-        | [ (n, r, bk) ] -> (Option.value n ~default:"link0", r, bk)
-        | _ -> assert false
-      in
-      let b = new_builder ~name ~rate ~backend in
-      List.iter
-        (function
-          | Class c -> apply_class b ~flows_global c
-          | Limit l -> apply_limit b l
-          | Link _ | Source _ -> ())
-        stmts;
-      [ b ]
-    end
-    else begin
+      let name = Option.value name ~default:"link0" in
+      let limited = ref false in
+      link_add name (line, rest) :: List.filter_map (scoped name limited) stmts
+  | _ ->
       (* several links: sections — class and limit statements bind to
          the most recent link statement *)
-      let names = Hashtbl.create 4 in
-      let current = ref None and acc = ref [] in
-      List.iter
-        (function
-          | Link (name, rate, backend) ->
+      let current = ref None and limited = ref false in
+      List.filter_map
+        (fun (line, stmt) ->
+          match (stmt, !current) with
+          | Link (name, rest), cur ->
               let name =
-                match name with
-                | Some n -> n
-                | None ->
-                    if !current = None then "link0"
-                    else
-                      fail
-                        "duplicate 'link' statement: every link after the \
-                         first needs a name"
+                match (name, cur) with
+                | Some n, _ -> n
+                | None, None -> "link0"
+                | None, Some _ ->
+                    at line
+                      "duplicate 'link' statement: every link after the \
+                       first needs a name"
               in
-              if Hashtbl.mem names name then
-                fail "duplicate link name %S" name;
-              Hashtbl.replace names name ();
-              let b = new_builder ~name ~rate ~backend in
-              current := Some b;
-              acc := b :: !acc
-          | Class c -> (
-              match !current with
-              | Some b -> apply_class b ~flows_global c
-              | None -> fail "class %S before any 'link' statement" c.cname)
-          | Limit l -> (
-              match !current with
-              | Some b -> apply_limit b l
-              | None -> fail "'limit' before any 'link' statement")
-          | Source _ -> ())
-        stmts;
-      List.rev !acc
-    end
-  in
-  let builder_flows b =
-    match b.bs with
-    | Bs_hfsc (_, _, flows) -> List.rev_map fst !flows
-    | Bs_rr (_, _, flows) -> List.rev_map fst !flows
-  in
-  let union_flow_ids = List.concat_map builder_flows builders in
-  let source_specs =
-    List.filter_map (function Source s -> Some s | _ -> None) stmts
-  in
-  (* validate sources now so errors surface at parse time; sources are
-     device-wide and may feed a flow on any link *)
-  List.iter
+              current := Some name;
+              limited := false;
+              Some (link_add name (line, rest))
+          | Class toks, None ->
+              at line "class %S before any 'link' statement"
+                (match toks with n :: _ -> n | [] -> "")
+          | Limit _, None -> at line "'limit' before any 'link' statement"
+          | _, Some name -> scoped name limited (line, stmt)
+          | Source _, None -> None)
+        stmts
+
+let sources_of specs ~until =
+  List.map
     (fun s ->
-      if not (List.mem s.sflow union_flow_ids) then
-        fail "source refers to unmapped flow %d" s.sflow;
+      let stop = match s.sstop with Some v -> v | None -> until in
       match s.skind with
       | "cbr" | "greedy" ->
-          if s.srate <= 0. || s.spkt <= 0 then
-            fail "%s source needs rate and pkt" s.skind
+          Netsim.Source.cbr ~flow:s.sflow ~rate:s.srate ~pkt_size:s.spkt
+            ~start:s.sstart ~stop ()
       | "poisson" ->
-          if s.srate <= 0. || s.spkt <= 0 || s.sseed = None then
-            fail "poisson source needs rate, pkt and seed"
+          Netsim.Source.poisson ~flow:s.sflow ~rate:s.srate ~pkt_size:s.spkt
+            ~seed:(Option.get s.sseed)
+            ~start:s.sstart ~stop ()
       | "onoff" ->
-          if
-            s.srate <= 0. || s.spkt <= 0 || s.sseed = None || s.son = None
-            || s.soff = None
-          then fail "onoff source needs rate, pkt, on, off and seed"
+          Netsim.Source.on_off_exp ~flow:s.sflow ~peak_rate:s.srate
+            ~pkt_size:s.spkt
+            ~mean_on:(Option.get s.son)
+            ~mean_off:(Option.get s.soff)
+            ~seed:(Option.get s.sseed)
+            ~start:s.sstart ~stop ()
       | "burst" ->
-          if s.spkt <= 0 || s.scount = None then
-            fail "burst source needs pkt and count"
-      | other -> fail "unknown source kind %S" other)
-    source_specs;
-  let sources ~until =
-    List.map
-      (fun s ->
-        let stop = match s.sstop with Some v -> v | None -> until in
-        match s.skind with
-        | "cbr" | "greedy" ->
-            Netsim.Source.cbr ~flow:s.sflow ~rate:s.srate ~pkt_size:s.spkt
-              ~start:s.sstart ~stop ()
-        | "poisson" ->
-            Netsim.Source.poisson ~flow:s.sflow ~rate:s.srate
-              ~pkt_size:s.spkt
-              ~seed:(Option.get s.sseed)
-              ~start:s.sstart ~stop ()
-        | "onoff" ->
-            Netsim.Source.on_off_exp ~flow:s.sflow ~peak_rate:s.srate
-              ~pkt_size:s.spkt
-              ~mean_on:(Option.get s.son)
-              ~mean_off:(Option.get s.soff)
-              ~seed:(Option.get s.sseed)
-              ~start:s.sstart ~stop ()
-        | "burst" ->
-            Netsim.Source.burst ~flow:s.sflow ~pkt_size:s.spkt
-              ~count:(Option.get s.scount)
-              ~at:(match s.sat with Some v -> v | None -> s.sstart)
-        | _ -> assert false)
-      source_specs
-  in
-  let links =
-    List.map
-      (fun b ->
-        let lbuilt =
-          match b.bs with
-          | Bs_hfsc (sched, _, flows) -> Built_hfsc (sched, List.rev !flows)
-          | Bs_rr (sched, _, flows) -> Built_rr (sched, List.rev !flows)
-        in
-        { lname = b.bname; lrate = b.brate; lbuilt })
-      builders
-  in
-  let first = List.hd links in
-  (* [scheduler]/[flow_map] keep the historical hfsc view of the first
-     link; an rr-first configuration gets an empty placeholder — its
-     consumers go through [links]/[lbuilt] instead. *)
-  let scheduler, flow_map =
-    match first.lbuilt with
-    | Built_hfsc (sched, flows) -> (sched, flows)
-    | Built_rr _ -> (Hfsc.create ~link_rate:first.lrate (), [])
-  in
-  { scheduler; flow_map; sources; link_rate = first.lrate; links }
-
-let validate t =
-  let warnings = ref [] in
-  let multi = List.length t.links > 1 in
-  List.iter
-    (fun l ->
-      let warn fmt =
-        Printf.ksprintf
-          (fun s ->
-            warnings :=
-              (if multi then Printf.sprintf "link %S: %s" l.lname s else s)
-              :: !warnings)
-          fmt
-      in
-      match l.lbuilt with
-      | Built_rr (sched, _) ->
-          (* no admission math to check — warn only when a round of
-             service outgrows the control-plane bound *)
-          List.iter
-            (fun c ->
-              if
-                (not (Sched.Hls.is_leaf c))
-                && Sched.Hls.quantum_sum_under c > Sched.Hls.max_round_bytes
-              then
-                warn "children of class %S exceed the per-round service bound"
-                  (Sched.Hls.name c))
-            (Sched.Hls.classes sched)
-      | Built_hfsc (sched, _) ->
-          let classes = Hfsc.classes sched in
-          let leaf_rscs =
-            List.filter_map
-              (fun c -> if Hfsc.is_leaf c then Hfsc.rsc c else None)
-              classes
-          in
-          if
-            leaf_rscs <> []
-            && not (Analysis.Admission.admissible ~link_rate:l.lrate leaf_rscs)
-          then
-            warn
-              "real-time curves are not admissible on the link \
-               (oversubscribed by %.0f bytes worst-case): guarantees will \
-               not hold"
-              (Analysis.Admission.excess ~link_rate:l.lrate leaf_rscs);
-          List.iter
-            (fun c ->
-              match (Hfsc.fsc c, Hfsc.children c) with
-              | Some parent_fsc, (_ :: _ as children) ->
-                  let child_fscs = List.filter_map Hfsc.fsc children in
-                  if
-                    List.length child_fscs = List.length children
-                    && not
-                         (Analysis.Admission.hierarchy_consistent
-                            ~parent:parent_fsc child_fscs)
-                  then
-                    warn "children of class %S outgrow its fair service curve"
-                      (Hfsc.name c)
-              | _ -> ())
-            classes)
-    t.links;
-  let sourced_flows =
-    List.map (fun s -> Netsim.Source.flow s) (t.sources ~until:1.)
-  in
-  List.iter
-    (fun l ->
-      let flows =
-        match l.lbuilt with
-        | Built_hfsc (_, fm) ->
-            List.map (fun (f, c) -> (f, Hfsc.name c)) fm
-        | Built_rr (_, fm) ->
-            List.map (fun (f, c) -> (f, Sched.Hls.name c)) fm
-      in
-      List.iter
-        (fun (flow, cname) ->
-          if not (List.mem flow sourced_flows) then
-            warnings :=
-              Printf.sprintf "%sclass %S (flow %d) has no traffic source"
-                (if multi then Printf.sprintf "link %S: " l.lname else "")
-                cname flow
-              :: !warnings)
-        flows)
-    t.links;
-  List.rev !warnings
+          Netsim.Source.burst ~flow:s.sflow ~pkt_size:s.spkt
+            ~count:(Option.get s.scount)
+            ~at:(match s.sat with Some v -> v | None -> s.sstart)
+      | _ -> assert false)
+    specs
 
 let parse text =
   try
@@ -656,9 +318,20 @@ let parse text =
       |> List.mapi (fun i line -> (i + 1, line))
       |> List.filter_map (fun (n, line) ->
              try Option.map (fun s -> (n, s)) (parse_line line)
-             with Parse_error e -> raise (Parse_error (Printf.sprintf "line %d: %s" n e)))
+             with Parse_error e ->
+               raise (Parse_error (Printf.sprintf "line %d: %s" n e)))
     in
-    Ok (build (List.map snd stmts))
+    let specs =
+      List.filter_map
+        (function line, Source s -> Some (line, s) | _ -> None)
+        stmts
+    in
+    Ok
+      {
+        commands = device stmts;
+        sources = sources_of (List.map snd specs);
+        source_flows = List.map (fun (line, s) -> (line, s.sflow)) specs;
+      }
   with Parse_error e -> Error e
 
 let load path =

@@ -41,9 +41,9 @@
     A link statement may end with [backend hfsc|rr] (default [hfsc]).
     On an [rr] link classes take no curves; instead an optional
     [quantum BYTES] sets the deficit-round-robin share (default
-    {!Sched.Hls.default_quantum}). [qlimit]/[qbytes] work on both
+    [Sched.Hls.default_quantum]). [qlimit]/[qbytes] work on both
     backends; curve clauses on an rr link (or [quantum] on an hfsc
-    link) are parse errors.
+    link) are refused with [bad-value].
 
     Source syntax: [source KIND flow N rate RATE pkt BYTES ...] with
     KIND one of [cbr], [poisson] (needs [seed]), [onoff] (needs
@@ -54,7 +54,18 @@
     [limit (pkts N|none)? (bytes N|none)? (policy tail|longest)?] —
     the scheduler-wide backlog bound and the drop policy applied when
     an arrival would exceed it ([tail] refuses the arrival, [longest]
-    evicts from the longest leaf queue). *)
+    evicts from the longest leaf queue).
+
+    {b Strict admission.} A configuration is loaded by running its
+    device statements as control commands (see {!t}), so it passes the
+    admission control every live command passes: leaf real-time
+    curves must fit under the link (Section II), children's fair
+    curves under their parent's, an upper limit over its class's rsc,
+    and rr quanta within the per-round bound. There is no warn-only
+    mode: an inadmissible file does not load. The load error names the
+    file line, the typed error code and the reason, as in
+    [line 3: admission-realtime: real-time guarantees infeasible ...];
+    a statement the command parser rejects reports [parse-error]. *)
 
 type backend = Hfsc_backend | Rr_backend
 (** Which engine a link runs: the paper's H-FSC (default) or the
@@ -64,60 +75,45 @@ type backend = Hfsc_backend | Rr_backend
 val backend_name : backend -> string
 (** ["hfsc"] / ["rr"] — the grammar's spelling. *)
 
-type built =
-  | Built_hfsc of Hfsc.t * (int * Hfsc.cls) list
-  | Built_rr of Sched.Hls.t * (int * Sched.Hls.cls) list
-      (** A link's scheduler plus its flow→leaf map, discriminated by
-          backend. *)
-
-type link = {
-  lname : string;  (** "link0" when the sole link is anonymous *)
-  lrate : float;  (** bytes/second *)
-  lbuilt : built;
-}
-(** One configured link: its own scheduler, its own flow map.
-
-    {b Multi-link files} ([Runtime.Router.of_config]): each link gets
-    its own [link NAME rate RATE] statement, and the class and limit
-    statements that follow bind to the most recent link — the file
-    reads as sections. The first link may stay anonymous (it is named
-    ["link0"]); every later one needs a name, and [add]/[delete]/[list]
-    are reserved. Flow ids are device-wide: each may map to a leaf on
-    at most one link. Sources are device-wide too and may feed any
-    link's flows. A file with a single link keeps the historical
-    order-insensitive semantics (classes may precede the link
-    statement). *)
-
-val link_backend : link -> backend
-
 type t = {
-  scheduler : Hfsc.t;  (** the first link's scheduler *)
-  flow_map : (int * Hfsc.cls) list;  (** the first link's flow map *)
+  commands : (int * string) list;
+      (** every device statement in the command grammar
+          ({!Runtime.Command}), with its 1-based file line, in build
+          order *)
   sources : until:float -> Netsim.Source.t list;
       (** instantiate fresh sources, capping open-ended ones at
           [until] *)
-  link_rate : float;  (** the first link's rate, bytes/second *)
-  links : link list;  (** all links, in file order *)
+  source_flows : (int * int) list;
+      (** [(line, flow)] of every source statement, in file order *)
 }
-(** [scheduler]/[flow_map]/[link_rate] mirror [List.hd links] so every
-    single-link consumer keeps working unchanged — when that link runs
-    the hfsc backend. An rr-first configuration leaves [scheduler] as
-    an empty placeholder and [flow_map] empty; such consumers must go
-    through [links]/[lbuilt]. *)
+(** A parsed configuration. The device is not built here:
+    [Runtime.Router.of_config] runs [commands] one at a time through
+    [Command.parse] and [exec], the path every socket, journal and
+    checkpoint line takes, so a config meets the same admission
+    control.
+
+    {b The rewrite.} [link [NAME] rate RATE [backend B]] becomes
+    [link add NAME rate RATE [backend B]]; [class ...] becomes
+    [link NAME add class ...]; [limit ...] becomes [link NAME limit ...].
+
+    {b Multi-link files}: each link gets its own [link NAME rate RATE]
+    statement, and the class and limit statements that follow bind to
+    the most recent link — the file reads as sections. The first link
+    may stay anonymous (it is named ["link0"]); every later one needs a
+    name, and [add]/[delete]/[list] are reserved. Flow ids are
+    device-wide: each may map to a leaf on at most one link. Sources
+    are device-wide too and may feed any link's flows. A file with a
+    single link keeps the historical order-insensitive semantics
+    (classes may precede the link statement). *)
 
 val parse : string -> (t, string) result
-(** Parse configuration text; errors carry a line number. *)
+(** Parse configuration text. Errors carry a line number: a malformed
+    source, an unknown statement, a missing or unnamed [link], a class
+    or limit before any link, a second [limit] in one section. Class
+    and limit attributes are judged later, by the command parser. *)
 
 val load : string -> (t, string) result
 (** [parse] the contents of a file. *)
-
-val validate : t -> string list
-(** Sanity warnings for a parsed configuration (empty = clean):
-    - the leaf real-time curves fail the SCED admission test on the
-      link (Section II: sum of curves must fit under [R t]);
-    - some interior class's children's fair curves exceed its own;
-    - a leaf class's flow has no source. Warnings, not errors — the
-      scheduler still runs, but guarantees may not hold. *)
 
 val parse_rate : string -> (float, string) result
 (** Parse a rate token to bytes/second (exposed for tests and the

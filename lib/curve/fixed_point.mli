@@ -9,9 +9,9 @@
     shifted forms so curve evaluation and inversion are
     multiply-and-shift, never a division:
 
-    - [sm], bytes per tick scaled by [2^sm_shift] — with
-      [sm_shift = tick_shift] this is simply bytes/second rounded to
-      the nearest integer (quantum 1 B/s);
+    - [sm], bytes per tick scaled by [2^sm_shift] — with [sm_shift]
+      equal to the tick shift (30) this is simply bytes/second rounded
+      to the nearest integer (quantum 1 B/s);
     - [ism], ticks per byte scaled by [2^ism_shift] (the inverse
       slope), with [ht_infinity] standing in for the inverse of a zero
       slope.
@@ -37,9 +37,6 @@
     copies of its hot functions), which is what keeps their
     differential tests bit-exact; the float {!Runtime_curve} remains
     the exactness oracle that the property tests compare against. *)
-
-val tick_shift : int
-(** [30]: ticks per second is [2^tick_shift]. *)
 
 val tick_hz : float
 (** [2. ** 30.], ticks per second as a float. *)

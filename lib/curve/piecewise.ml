@@ -129,9 +129,6 @@ let scale f k =
   if k < 0. then invalid_arg "Piecewise.scale: negative factor";
   { segs = Array.map (fun (x, y, s) -> (x, y *. k, s *. k)) f.segs }
 
-let add_constant f c =
-  { segs = Array.map (fun (x, y, s) -> (x, y +. c, s)) f.segs }
-
 let shift_right f d =
   if d < 0. then invalid_arg "Piecewise.shift_right: negative shift";
   if d = 0. then f

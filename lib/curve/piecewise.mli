@@ -27,11 +27,8 @@ val zero : t
 val constant : float -> t
 val linear : slope:float -> t
 
-val affine : y0:float -> slope:float -> t
-(** Jump to [y0] at 0, then [slope]. *)
-
 val token_bucket : sigma:float -> rho:float -> t
-(** [affine ~y0:sigma ~slope:rho] — the arrival envelope of a
+(** Jump to [sigma] at 0, then slope [rho] — the arrival envelope of a
     ([sigma], [rho])-regulated source. *)
 
 val of_service_curve : Service_curve.t -> t
@@ -59,8 +56,6 @@ val scale : t -> float -> t
 
 val shift_right : t -> float -> t
 (** [shift_right f d] is [t -> f (t - d)] (0 before [d]), for [d >= 0]. *)
-
-val add_constant : t -> float -> t
 
 val is_convex : t -> bool
 (** Continuous with nondecreasing slopes (no upward jumps). *)

@@ -6,13 +6,6 @@ type event =
 
 type timeline = (float * event) list
 
-let pp_event ppf = function
-  | Set_rate r -> Format.fprintf ppf "set-rate %g" r
-  | Outage d -> Format.fprintf ppf "outage %.3fs" d
-  | Burst { flow; pkt_size; count } ->
-      Format.fprintf ppf "burst flow=%d %dx%dB" flow count pkt_size
-  | Command s -> Format.fprintf ppf "command %S" s
-
 let schedule ?on_command ?(link = 0) sim timeline =
   List.iter
     (fun (at, ev) ->

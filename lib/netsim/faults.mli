@@ -55,4 +55,3 @@ val bad_commands : string array
     {!random_timeline} — exposed so fuzz harnesses can reuse the same
     vocabulary of garbage. *)
 
-val pp_event : Format.formatter -> event -> unit

@@ -28,17 +28,14 @@ val records : t -> record list
 
 val length : t -> int
 
-val to_csv : t -> out_channel -> unit
-(** Header + one row per record:
-    [time,flow,seq,size,class,criterion,delay]. *)
-
 val save_csv : t -> string -> (unit, string) result
-(** Write to a file path. *)
+(** Write to a file path: a header and one row per record,
+    [time,flow,seq,size,class,criterion,delay]. *)
 
 val filter : t -> (record -> bool) -> record list
 
 val load_csv : string -> (record list, string) result
-(** Parse a file written by {!to_csv} back into records (so a captured
+(** Parse a file written by {!save_csv} back into records (so a captured
     trace can be replayed — see {!replay_source}). *)
 
 val replay_source : flow:int -> record list -> Source.t

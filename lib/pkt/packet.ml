@@ -7,8 +7,6 @@ let make ~flow ~size ~seq ~arrival =
     invalid_arg "Packet.make: arrival must be finite";
   { flow; size; seq; arrival }
 
-let size_bits p = 8 * p.size
-
 let compare a b =
   let c = Int.compare a.flow b.flow in
   if c <> 0 then c else Int.compare a.seq b.seq

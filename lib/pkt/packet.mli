@@ -18,9 +18,6 @@ val make : flow:int -> size:int -> seq:int -> arrival:float -> t
     @raise Invalid_argument if [size <= 0], [seq < 0] or [arrival] is
     not finite. *)
 
-val size_bits : t -> int
-(** [size_bits p] is [8 * p.size]. *)
-
 val compare : t -> t -> int
 (** Total order: by flow, then sequence number. *)
 

@@ -297,6 +297,11 @@ let of_hfsc ~link_rate sched =
             name
       | None -> Ok ()
     in
+    let* () =
+      if p.rsc = None && p.fsc = None then
+        errf Bad_value "class %S needs an rsc or an fsc" name
+      else Ok ()
+    in
     let parent_cls = get "admit_add" parent in
     let* () =
       match p.rsc with

@@ -150,8 +150,6 @@ let parse_op_tokens = function
       let curves, flow, quantum, qlimit, qbytes =
         class_attrs ~allow_flow:true (no_curves, None, None, None, None) rest
       in
-      if curves.rsc = None && curves.fsc = None && quantum = None then
-        fail "class %S needs an rsc or an fsc" name;
       Add_class { name; parent; flow; curves; quantum; qlimit; qbytes }
   | "add" :: "class" :: _ -> fail "add class: expected NAME parent PARENT"
   | "modify" :: "class" :: name :: rest ->

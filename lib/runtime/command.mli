@@ -37,7 +37,11 @@
 
     A class on an [rr]-backend link takes a [quantum BYTES] share
     instead of curves (the engine rejects curves there, and [quantum]
-    on an hfsc link); [add class] needs an rsc, an fsc or a quantum.
+    on an hfsc link); without [quantum] it gets
+    {!Sched.Hls.default_quantum}. On an hfsc link, [add class] needs an
+    rsc or an fsc. These are the backend's rules, not the grammar's: a
+    command breaking one parses, and [exec] refuses it with
+    [bad-value].
 
     The words [add], [delete] and [list] are reserved as the router
     verbs and therefore cannot name a link in a scoped command; pick

@@ -104,15 +104,6 @@ let create_rr ?trace_capacity ?tracing ?audit_every ~link_rate sched ~flow_map
   let flow_map = List.map (fun (f, cls) -> (f, Sched.Hls.id cls)) flow_map in
   create_backend ?trace_capacity ?tracing ?audit_every be ~flow_map ()
 
-let of_built ?trace_capacity ?tracing ?audit_every ~link_rate built =
-  match (built : Config.built) with
-  | Config.Built_hfsc (sched, flow_map) ->
-      create ?trace_capacity ?tracing ?audit_every ~link_rate sched ~flow_map
-        ()
-  | Config.Built_rr (sched, flow_map) ->
-      create_rr ?trace_capacity ?tracing ?audit_every ~link_rate sched
-        ~flow_map ()
-
 let create_link ?trace_capacity ?tracing ?audit_every ~link_rate backend =
   match (backend : Config.backend) with
   | Config.Hfsc_backend ->
@@ -121,11 +112,6 @@ let create_link ?trace_capacity ?tracing ?audit_every ~link_rate backend =
   | Config.Rr_backend ->
       create_rr ?trace_capacity ?tracing ?audit_every ~link_rate
         (Sched.Hls.create ()) ~flow_map:[] ()
-
-let of_config ?trace_capacity ?tracing ?audit_every (cfg : Config.t) =
-  let first = List.hd cfg.Config.links in
-  of_built ?trace_capacity ?tracing ?audit_every
-    ~link_rate:first.Config.lrate first.Config.lbuilt
 
 let backend t = t.be
 let backend_kind t = t.be.Backend.kind

@@ -136,15 +136,6 @@ val create_backend :
 (** The general form both of the above reduce to: wrap any backend,
     with the flow map given in dense class ids. *)
 
-val of_built :
-  ?trace_capacity:int ->
-  ?tracing:bool ->
-  ?audit_every:int ->
-  link_rate:float ->
-  Config.built ->
-  t
-(** Wrap one parsed link's scheduler, whichever backend it runs. *)
-
 val create_link :
   ?trace_capacity:int ->
   ?tracing:bool ->
@@ -154,10 +145,6 @@ val create_link :
   t
 (** A class-less engine over a fresh scheduler of the given backend:
     what [link add] creates on either router. *)
-
-val of_config :
-  ?trace_capacity:int -> ?tracing:bool -> ?audit_every:int -> Config.t -> t
-(** {!of_built} on the config's first link. *)
 
 val backend : t -> Backend.t
 val backend_kind : t -> Backend.kind

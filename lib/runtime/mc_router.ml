@@ -515,9 +515,9 @@ type t = {
   mutable running : bool;
 }
 
-(* Spawn the workers, then build the device with [build], whose links
-   are assigned to workers round-robin. *)
-let spawn ~domains build =
+(* Spawn the workers; the links built later are assigned to them
+   round-robin. *)
+let create ?trace_capacity ?tracing ?audit_every ~domains () =
   if domains < 1 then invalid_arg "Mc_router.create: domains must be >= 1";
   let workers = Array.init domains (fun _ -> mk_worker ()) in
   Array.iter
@@ -529,21 +529,20 @@ let spawn ~domains build =
     incr next;
     port_on w ~name eng
   in
-  { core = build ~ops:mc_ops ~port; workers; running = true }
-
-let create ?trace_capacity ?tracing ?audit_every ~domains () =
-  spawn ~domains (fun ~ops ~port ->
-      Router_core.create ?trace_capacity ?tracing ?audit_every ~ops ~port ())
-
-let of_config ?trace_capacity ?tracing ?audit_every ~domains cfg =
-  spawn ~domains (fun ~ops ~port ->
-      Router_core.of_config ?trace_capacity ?tracing ?audit_every ~ops ~port
-        cfg)
+  {
+    core =
+      Router_core.create ?trace_capacity ?tracing ?audit_every ~ops:mc_ops
+        ~port ();
+    workers;
+    running = true;
+  }
 
 let domains t = Array.length t.workers
 let add_link ?(backend = Config.Hfsc_backend) t ~name ~link_rate =
   Router_core.add_link t.core ~name ~link_rate ~backend
 let link_names t = List.map fst t.core.Router_core.links
+let link_rate t ~link =
+  Option.map (fun p -> p.p_rate) (Router_core.find_link t.core link)
 let link_count t = Router_core.link_count t.core
 let link_of_flow t flow = Router_core.link_of_flow t.core flow
 let exec t ~now cmd = Router_core.exec t.core ~now cmd
@@ -700,3 +699,13 @@ let stop t =
     Option.iter raise unobserved
   end;
   List.map (fun (name, p) -> (name, p.p_eng)) t.core.Router_core.links
+
+(* A refused configuration stops the workers it spawned before the
+   refusal is reported, so a caller that retries leaks no domain. *)
+let of_config ?trace_capacity ?tracing ?audit_every ~domains cfg =
+  let t = create ?trace_capacity ?tracing ?audit_every ~domains () in
+  match Router_core.of_config t.core cfg with
+  | Ok warnings -> Ok (t, warnings)
+  | Error e ->
+      ignore (stop t);
+      Error e

@@ -70,9 +70,10 @@ val of_config :
   ?audit_every:int ->
   domains:int ->
   Config.t ->
-  t
-(** One link per [link] statement, in file order, as
-    {!Router.of_config}. *)
+  (t * string list, string) result
+(** As {!Router.of_config}: {!create}, then the configuration's
+    commands through {!exec}. On a refusal the spawned workers are
+    stopped and joined before the error returns. *)
 
 val domains : t -> int
 val add_link :
@@ -86,6 +87,9 @@ val add_link :
 
 val link_names : t -> string list
 (** Links in creation order. *)
+
+val link_rate : t -> link:string -> float option
+(** The link's rate in bytes/second; [None] for an unknown link. *)
 
 val link_count : t -> int
 val link_of_flow : t -> int -> string option

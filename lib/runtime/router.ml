@@ -44,8 +44,8 @@ let of_engines ?trace_capacity ?tracing ?audit_every links =
   t
 
 let of_config ?trace_capacity ?tracing ?audit_every cfg =
-  Router_core.of_config ?trace_capacity ?tracing ?audit_every ~ops:seq_ops
-    ~port cfg
+  let t = create ?trace_capacity ?tracing ?audit_every () in
+  Result.map (fun warnings -> (t, warnings)) (Router_core.of_config t cfg)
 
 let add_link ?(backend = Config.Hfsc_backend) t ~name ~link_rate =
   Router_core.add_link t ~name ~link_rate ~backend

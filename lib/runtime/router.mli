@@ -50,9 +50,19 @@ val create :
     later via [link add]. *)
 
 val of_config :
-  ?trace_capacity:int -> ?tracing:bool -> ?audit_every:int -> Config.t -> t
-(** One link per [link] statement of the configuration, in file
-    order. *)
+  ?trace_capacity:int ->
+  ?tracing:bool ->
+  ?audit_every:int ->
+  Config.t ->
+  (t * string list, string) result
+(** {!create}, then every command of the configuration through
+    {!exec}, in order: one link per [link] statement, in file order,
+    built and admitted exactly as the same lines sent over the socket
+    would be. The first refusal is the error, as
+    ["line N: CODE: MESSAGE"] with [N] the file line and [CODE] an
+    {!Engine.error_code_name}; so is a source feeding a flow no class
+    maps ([unknown-flow]). On success, the warnings name every mapped
+    flow that no source feeds. *)
 
 val of_engines :
   ?trace_capacity:int ->

@@ -9,8 +9,9 @@
    the sequential one on the control plane {e by construction}.
 
    Only the control plane lives here, and the building of links: every
-   link's engine is made here (empty for [link add], from its parsed
-   scheduler for a config) and handed to the router's [port] wrapper.
+   link's engine is made here, empty, by [link add] — a config's links
+   too, since a config is run as commands — and handed to the router's
+   [port] wrapper.
    The per-packet data path is port-specific (a directory hit must stay
    allocation-free in the sequential router, and must become a ring
    message in the multicore one), so each router keeps its own. *)
@@ -113,7 +114,7 @@ let rebuild_shard t =
     Classify.Shard.create
       (List.map (fun (name, p) -> (name, t.ops.op_rules p)) t.links)
 
-(* Append a link that arrives with flows already mapped (a config-built
+(* Append a link that arrives with flows already mapped (a prebuilt
    engine) and fill the directory from its flow map: O(the link's
    flows); commands keep the directory current in place afterwards. The
    caller rebuilds the shard once its links are all in. *)
@@ -121,23 +122,17 @@ let adopt t ((_, port) as link) =
   t.links <- t.links @ [ link ];
   List.iter (fun f -> Hashtbl.replace t.flow_links f link) (t.ops.op_flows port)
 
-(* One link per [link] statement of the configuration, in file order. *)
-let of_config ?trace_capacity ?tracing ?audit_every ~ops ~port
-    (cfg : Config.t) =
-  let t = create ?trace_capacity ?tracing ?audit_every ~ops ~port () in
-  List.iter
-    (fun (l : Config.link) ->
-      let name = l.Config.lname in
-      adopt t
-        ( name,
-          port ~name
-            (Engine.of_built ?trace_capacity ?tracing ?audit_every
-               ~link_rate:l.Config.lrate l.Config.lbuilt) ))
-    cfg.Config.links;
-  rebuild_shard t;
-  t
+(* The router verbs: a link so named could never be addressed, since
+   [link add NAME ...] parses as the verb. *)
+let reserved_link_names = [ "add"; "delete"; "list" ]
 
 let add_link t ~name ~link_rate ~backend =
+  let* () =
+    if List.mem name reserved_link_names then
+      errf Engine.Bad_value "link name %S is reserved (a control-command verb)"
+        name
+    else Ok ()
+  in
   let* () =
     match find_link t name with
     | Some _ -> errf Engine.Duplicate_link "link %S already exists" name
@@ -342,6 +337,63 @@ let exec_script ?(lenient = false) t cmds =
         | _ -> go acc rest)
   in
   go [] cmds
+
+(* --- configuration ------------------------------------------------------ *)
+
+(* Build what a configuration describes on the router [t] (empty when
+   called): each device statement, already in the command grammar,
+   goes through [Command.parse] and [exec] like any socket or journal
+   line, so a config meets the same admission control. The first
+   refusal stops the build as ["line N: CODE: MESSAGE"]. Sources are
+   checked against the flow directory the commands filled; the
+   warnings name every mapped flow no source feeds. *)
+let of_config t (cfg : Config.t) =
+  let refuse line (e : Engine.error) =
+    Error
+      (Printf.sprintf "line %d: %s: %s" line
+         (Engine.error_code_name e.Engine.code)
+         e.Engine.message)
+  in
+  let rec run = function
+    | [] -> Ok ()
+    | (line, text) :: rest -> (
+        match Command.parse text with
+        | Error e -> refuse line (Engine.parse_error e)
+        | Ok cmd -> (
+            match exec t ~now:0. cmd with
+            | Ok _ -> run rest
+            | Error e -> refuse line e))
+  in
+  let* () = run cfg.Config.commands in
+  let* () =
+    match
+      List.find_opt
+        (fun (_, f) -> not (Hashtbl.mem t.flow_links f))
+        cfg.Config.source_flows
+    with
+    | Some (line, f) ->
+        refuse line
+          {
+            Engine.code = Engine.Unknown_flow;
+            message = Printf.sprintf "source refers to unmapped flow %d" f;
+          }
+    | None -> Ok ()
+  in
+  let sourced = List.map snd cfg.Config.source_flows in
+  let multi = link_count t > 1 in
+  Ok
+    (List.concat_map
+       (fun (name, port) ->
+         Hashtbl.fold
+           (fun f (_, p) acc ->
+             if p == port && not (List.mem f sourced) then f :: acc else acc)
+           t.flow_links []
+         |> List.sort compare
+         |> List.map (fun f ->
+                Printf.sprintf "%sflow %d has no traffic source"
+                  (if multi then Printf.sprintf "link %S: " name else "")
+                  f))
+       t.links)
 
 (* --- checkpoint & config fingerprint ---------------------------------- *)
 

@@ -573,6 +573,74 @@ let test_amortized_rotation () =
   rm_dir dir;
   rm_dir left
 
+(* --- configs seed recoverable state ------------------------------------ *)
+
+(* Two 800Kbit rsc leaves on a 1Mbit link: inadmissible. *)
+let inadmissible_config =
+  "link rate 1Mbit\n\
+   class a parent root flow 1 rsc 800Kbit\n\
+   class b parent root flow 2 rsc 800Kbit\n\
+   source cbr flow 1 rate 1Kbit pkt 100\n\
+   source cbr flow 2 rate 1Kbit pkt 100\n"
+
+(* Every shipped config, and the inadmissible one, is either refused by
+   [Router.of_config] with its typed code and line, or seeds a state
+   directory whose restart on an empty router recovers the same
+   fingerprint. A config that loads can no longer write a checkpoint
+   its own replay refuses. *)
+let test_configs_seed_recoverable_state () =
+  let examples =
+    Sys.readdir "../examples" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".hfsc")
+    |> List.sort compare
+    |> List.map (fun f ->
+           let ic = open_in_bin (Filename.concat "../examples" f) in
+           let text = really_input_string ic (in_channel_length ic) in
+           close_in ic;
+           (f, text))
+  in
+  Alcotest.(check bool) "examples found" true (examples <> []);
+  let serve dir backend =
+    D.run ~sigterm:false ~idle:(fun () -> false) ~durable:dir
+      ~socket:(temp ".sock") backend
+  in
+  let refused =
+    List.filter_map
+      (fun (name, text) ->
+        let cfg =
+          match Config.parse text with
+          | Ok c -> c
+          | Error e -> Alcotest.failf "%s: %s" name e
+        in
+        match R.of_config cfg with
+        | Error e -> Some (name, e)
+        | Ok (r, _) ->
+            let dir = temp ".state" in
+            (match serve dir (D.backend_of_router r) with
+            | Ok (Some _) -> ()
+            | Ok None -> Alcotest.failf "%s: no durable state" name
+            | Error m -> Alcotest.failf "%s: seeding refused: %s" name m);
+            (match serve dir (D.backend_of_router (R.create ())) with
+            | Ok (Some info) ->
+                Alcotest.(check string)
+                  (name ^ ": restart recovers the configured device")
+                  (R.config_fingerprint r) info.D.ri_fingerprint
+            | Ok None -> Alcotest.failf "%s: restart recovered nothing" name
+            | Error m -> Alcotest.failf "%s: recovery refused: %s" name m);
+            rm_dir dir;
+            None)
+      (examples @ [ ("inadmissible", inadmissible_config) ])
+  in
+  match refused with
+  | [ ("inadmissible", e) ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "refused at line 3 as admission-realtime: %S" e)
+        true
+        (String.starts_with ~prefix:"line 3: admission-realtime: " e)
+  | _ ->
+      Alcotest.failf "expected only the inadmissible config refused, got: %s"
+        (String.concat "; " (List.map (fun (n, e) -> n ^ ": " ^ e) refused))
+
 (* --- the runtest-sized soak slice ------------------------------------ *)
 
 let test_soak_slice () =
@@ -623,6 +691,8 @@ let () =
         ] );
       ( "durable",
         [
+          Alcotest.test_case "configs seed recoverable state" `Quick
+            test_configs_seed_recoverable_state;
           Alcotest.test_case
             "rotates once the journal outweighs its checkpoint" `Quick
             test_amortized_rotation;

@@ -721,6 +721,29 @@ let run_sim_differential () =
         [ 1; 2 ])
     [ 1; 3 ]
 
+(* A configuration the router refuses must not leak the worker domains
+   [Mc_router.of_config] spawned for it: 150 refusals at two domains
+   each would pass OCaml's 128-domain limit if the workers of a refused
+   build were left running. *)
+let run_refused_config () =
+  let cfg =
+    match
+      Config.parse
+        "link rate 1Mbit\n\
+         class a parent root flow 1 rsc 800Kbit\n\
+         class b parent root flow 2 rsc 800Kbit\n"
+    with
+    | Ok c -> c
+    | Error e -> fail "refused config: %s" e
+  in
+  for i = 1 to 150 do
+    match M.of_config ~domains:2 cfg with
+    | Ok _ -> fail "refused config: build %d admitted two 800Kbit rsc leaves" i
+    | Error e ->
+        if not (String.starts_with ~prefix:"line 3: admission-realtime: " e)
+        then fail "refused config: build %d: unexpected error %S" i e
+  done
+
 let () =
   let arg i d =
     if Array.length Sys.argv > i then int_of_string Sys.argv.(i) else d
@@ -731,6 +754,7 @@ let () =
   List.iter (fun domains -> run_degradation ~domains) [ 1; 2 ];
   run_full_ring ();
   run_sim_differential ();
+  run_refused_config ();
   let posted = ref 0 and late = ref 0 in
   for seed = 0 to seeds - 1 do
     let p, l = run_differential ~domains ~seed ~nops in
@@ -749,6 +773,9 @@ let () =
     "domains ok: a two-link simulation through Mc_router.adapter (1 and 2 \
      domains, tx_burst 1 and 3) matches Router + Engine.adapter (digest, \
      departures, drops, bytes, replies, fingerprint)\n";
+  Printf.printf
+    "domains ok: 150 refused configurations at 2 domains each: every \
+     build's workers stopped\n";
   Printf.printf
     "domains ok: %d seed%s x %d ops x %d domain%s: multicore router \
      bit-identical to the sequential router through the adapters (replies, \

@@ -1,8 +1,7 @@
 (* Every committed example must stay loadable: each examples/*.hfsc
-   parses as a configuration (and its validation warnings, if any, must
-   come from the curated list below), and each examples/*.ctl parses as
-   a control script. Guards the documentation against drifting from the
-   grammar. *)
+   builds a device — its commands all admitted, every link with
+   classes — and each examples/*.ctl parses as a control script. Guards
+   the documentation against drifting from the grammar. *)
 
 let examples_dir = "../examples"
 
@@ -18,30 +17,34 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* An example's configuration and the router it builds. *)
+let load ?audit_every name =
+  let path = Filename.concat examples_dir name in
+  match Config.load path with
+  | Error e -> Alcotest.failf "%s: %s" path e
+  | Ok cfg -> (
+      match Runtime.Router.of_config ?audit_every cfg with
+      | Ok (router, _warnings) -> (cfg, router)
+      | Error e -> Alcotest.failf "%s: %s" path e)
+
+let sole_engine router =
+  match Runtime.Router.links router with
+  | [ (_, eng) ] -> eng
+  | ls -> Alcotest.failf "expected one link, got %d" (List.length ls)
+
 let test_configs_parse () =
   let configs = files_with ".hfsc" in
   Alcotest.(check bool) "at least one example config" true (configs <> []);
   List.iter
     (fun path ->
-      match Config.load path with
-      | Ok cfg ->
-          (* validation must run cleanly; warnings are allowed (some
-             examples deliberately overload a class) but must not
-             raise *)
-          let warnings = Config.validate cfg in
-          ignore warnings;
-          List.iter
-            (fun (l : Config.link) ->
-              let eng =
-                Runtime.Engine.of_built ~link_rate:l.Config.lrate
-                  l.Config.lbuilt
-              in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s link %s has classes" path l.Config.lname)
-                true
-                (List.length (Runtime.Engine.class_ids eng) > 1))
-            cfg.Config.links
-      | Error e -> Alcotest.failf "%s: %s" path e)
+      let _, router = load (Filename.basename path) in
+      List.iter
+        (fun (name, eng) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s link %s has classes" path name)
+            true
+            (List.length (Runtime.Engine.class_ids eng) > 1))
+        (Runtime.Router.links router))
     configs
 
 let test_scripts_parse () =
@@ -61,11 +64,6 @@ let test_scripts_parse () =
    and modifies succeed, and the two deliberate over-commitments are
    rejected by admission control with a breakpoint report. *)
 let test_shipped_pair_replays () =
-  let cfg =
-    match Config.load (Filename.concat examples_dir "control.hfsc") with
-    | Ok c -> c
-    | Error e -> Alcotest.fail e
-  in
   let cmds =
     match
       Runtime.Command.parse_script
@@ -75,7 +73,7 @@ let test_shipped_pair_replays () =
     | Error { Runtime.Command.line; reason } ->
         Alcotest.failf "reconfigure.ctl:%d: %s" line reason
   in
-  let eng = Runtime.Engine.of_config cfg in
+  let eng = sole_engine (snd (load "control.hfsc")) in
   (* the script deliberately includes over-commits that must be
      rejected without stopping the replay: lenient mode *)
   let outcomes = Runtime.Engine.exec_script ~lenient:true eng cmds in
@@ -107,11 +105,6 @@ let test_shipped_pair_replays () =
    tightened limits, with the excess showing up as counted drops in
    telemetry, the one hostile line rejected, and the auditor clean. *)
 let test_overload_degrades () =
-  let cfg =
-    match Config.load (Filename.concat examples_dir "overload.hfsc") with
-    | Ok c -> c
-    | Error e -> Alcotest.fail e
-  in
   let cmds =
     match
       Runtime.Command.parse_script
@@ -121,10 +114,11 @@ let test_overload_degrades () =
     | Error { Runtime.Command.line; reason } ->
         Alcotest.failf "overload.ctl:%d: %s" line reason
   in
-  let eng = Runtime.Engine.of_config ~audit_every:256 cfg in
+  let cfg, router = load ~audit_every:256 "overload.hfsc" in
+  let eng = sole_engine router in
   let sched = Runtime.Engine.scheduler eng in
   let sim =
-    Netsim.Sim.create ~link_rate:cfg.Config.link_rate
+    Netsim.Sim.create ~link_rate:(Runtime.Engine.link_rate eng)
       ~sched:(Runtime.Engine.adapter eng) ()
   in
   List.iter (Netsim.Sim.add_source sim) (cfg.Config.sources ~until:3.0);
@@ -189,12 +183,9 @@ let test_overload_degrades () =
    with exactly the two deliberate violations rejected — one cross-link
    filter, one link-share over-commitment — each with its typed code. *)
 let test_router_pair_replays () =
-  let cfg =
-    match Config.load (Filename.concat examples_dir "router.hfsc") with
-    | Ok c -> c
-    | Error e -> Alcotest.fail e
-  in
-  Alcotest.(check int) "two links configured" 2 (List.length cfg.Config.links);
+  let _, router = load ~audit_every:16 "router.hfsc" in
+  Alcotest.(check int) "two links configured" 2
+    (Runtime.Router.link_count router);
   let cmds =
     match
       Runtime.Command.parse_script_file
@@ -204,7 +195,6 @@ let test_router_pair_replays () =
     | Error { Runtime.Command.line; reason } ->
         Alcotest.failf "router.ctl:%d: %s" line reason
   in
-  let router = Runtime.Router.of_config ~audit_every:16 cfg in
   let outcomes = Runtime.Router.exec_script ~lenient:true router cmds in
   let rejected =
     List.filter_map

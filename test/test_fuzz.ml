@@ -140,7 +140,11 @@ let engine_fuzz ~seed ~nops =
   let cfg =
     match Config.parse cfg_text with Ok c -> c | Error e -> fail "cfg: %s" e
   in
-  let eng = E.of_config ~audit_every ~trace_capacity:256 cfg in
+  let eng =
+    match Runtime.Router.of_config ~audit_every ~trace_capacity:256 cfg with
+    | Ok (r, _) -> snd (List.hd (Runtime.Router.links r))
+    | Error e -> fail "cfg: %s" e
+  in
   let rng = Random.State.make [| 0x5eed; seed; 1 |] in
   let ops =
     gen_eng_ops ~rng ~pool:command_pool ~flows:[| 1; 2; 3; 9 |] ~nops ()

@@ -106,10 +106,13 @@ let resp = function
         (E.error_message e)
 
 let test_one_link_identity () =
-  (* parse twice: a Config.t carries the built scheduler, so both sides
-     need their own instance to stay independent *)
-  let eng = E.of_config ~audit_every:64 (ok (Config.parse cfg_text)) in
-  let router = R.of_config ~audit_every:64 (ok (Config.parse cfg_text)) in
+  (* build twice, so each side owns its own scheduler; the engine side
+     is the sole link's bare engine *)
+  let build () =
+    fst (ok (R.of_config ~audit_every:64 (ok (Config.parse cfg_text))))
+  in
+  let eng = sole_engine (build ()) in
+  let router = build () in
   let rng = Random.State.make [| 0x40073; 0 |] in
   let now = ref 0. in
   let seq = ref 0 in
@@ -227,7 +230,7 @@ source poisson flow 4 rate 4Mbit pkt 1000 seed 23
    link A's wire; return link B's observable end state. *)
 let run_ab ~fault_a =
   let cfg = ok (Config.parse router_cfg_text) in
-  let router = R.of_config ~audit_every:256 cfg in
+  let router, _ = ok (R.of_config ~audit_every:256 cfg) in
   let links =
     List.map
       (fun (name, eng) -> (name, E.link_rate eng, E.adapter eng))

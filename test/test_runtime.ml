@@ -203,9 +203,6 @@ let test_parse_link_grammar () =
 
 let test_parse_errors () =
   check_contains "missing parent" (err (C.parse "add class x")) "parent";
-  check_contains "no curves"
-    (err (C.parse "add class x parent root"))
-    "rsc or an fsc";
   check_contains "unknown command" (err (C.parse "frobnicate x")) "unknown";
   check_contains "empty modify"
     (err (C.parse "modify class x"))
@@ -273,8 +270,14 @@ class g parent root fsc 2Mbit
 class g1 parent g flow 3 fsc 1.5Mbit
 |}
 
-let make_engine ?trace_capacity () =
-  E.of_config ?trace_capacity (ok (Config.parse cfg_text))
+(* The sole link's engine of [cfg_text], built as every device is. *)
+let make_engine ?trace_capacity ?audit_every () =
+  match
+    Runtime.Router.of_config ?trace_capacity ?audit_every
+      (ok (Config.parse cfg_text))
+  with
+  | Ok (r, _) -> snd (List.hd (Runtime.Router.links r))
+  | Error e -> Alcotest.fail e
 
 let exec1 eng ~now line = E.exec eng ~now (ok (C.parse line))
 
@@ -766,7 +769,7 @@ let test_usc_admission () =
   check_code "modify caught" E.Admission_ulimit r2
 
 let test_audit_runs_clean () =
-  let eng = E.of_config ~audit_every:1 (ok (Config.parse cfg_text)) in
+  let eng = make_engine ~audit_every:1 () in
   Alcotest.(check (list string)) "fresh engine" [] (E.audit eng);
   (* audit_every:1 re-validates after every op — any violation raises *)
   for s = 0 to 9 do
@@ -1089,6 +1092,30 @@ let script_attribution =
       | Ok _ -> false
       | Error { C.line; _ } -> line = k + 2)
 
+(* Which attributes a class needs is its backend's rule, not the
+   grammar's: a curve-less [add class] parses, an hfsc link refuses it
+   as [bad-value], and an rr class without [quantum] — from a config
+   too — gets the default quantum. *)
+let test_class_rules_are_the_backends () =
+  let cmd = ok (C.parse "add class x parent root flow 9") in
+  check_code "curve-less hfsc class" E.Bad_value
+    (E.exec (make_engine ()) ~now:0. cmd);
+  let r, _ =
+    ok
+      (Runtime.Router.of_config
+         (ok
+            (Config.parse
+               "link t rate 1Gbit backend rr\nclass x parent root flow 9\n")))
+  in
+  match
+    List.filter
+      (function C.Add_class _ -> true | _ -> false)
+      (E.checkpoint_ops (Option.get (Runtime.Router.find_link r "t")))
+  with
+  | [ C.Add_class { name = "x"; quantum = Some q; _ } ] ->
+      Alcotest.(check int) "default quantum" Sched.Hls.default_quantum q
+  | _ -> Alcotest.fail "expected exactly class x"
+
 let test_reserved_link_names () =
   (* the router verbs win: this is [link delete] of "stats", never a
      scope on a link named "delete" *)
@@ -1104,6 +1131,15 @@ let test_reserved_link_names () =
       | Ok c when c = cmd -> Alcotest.failf "reserved name %S round-tripped" n
       | _ -> ())
     [ "add"; "delete"; "list" ];
+  (* nor can [link add] create one: the router refuses the name *)
+  let r = Runtime.Router.create () in
+  List.iter
+    (fun n ->
+      check_code ("link add " ^ n) E.Bad_value
+        (Runtime.Router.exec r ~now:0.
+           (ok (C.parse (Printf.sprintf "link add %s rate 1Mbit" n)))))
+    [ "add"; "delete"; "list" ];
+  Alcotest.(check int) "no link created" 0 (Runtime.Router.link_count r);
   (* read failures attribute to line 0, never a line of some other file *)
   match C.parse_script_file "/nonexistent/no_such_script.ctl" with
   | Ok _ -> Alcotest.fail "expected read failure"
@@ -1124,6 +1160,8 @@ let () =
           Alcotest.test_case "script" `Quick test_script;
           Alcotest.test_case "script error line" `Quick
             test_script_error_line;
+          Alcotest.test_case "class rules are the backend's" `Quick
+            test_class_rules_are_the_backends;
         ] );
       ( "admission",
         [
