@@ -25,7 +25,4 @@ let to_string p =
 let matches p a = Int32.logand a (mask p.len) = p.addr
 let any = { addr = 0l; len = 0 }
 
-let bit a i =
-  Int32.logand (Int32.shift_right_logical a (31 - i)) 1l = 1l
-
 let pp ppf p = Format.pp_print_string ppf (to_string p)

@@ -20,8 +20,4 @@ val matches : t -> int32 -> bool
 val any : t
 (** 0.0.0.0/0 — matches everything. *)
 
-val bit : int32 -> int -> bool
-(** [bit a i] — the i-th most significant bit of [a] (i in 0..31);
-    exposed for the LPM trie. *)
-
 val pp : Format.formatter -> t -> unit

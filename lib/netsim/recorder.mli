@@ -1,8 +1,8 @@
 (** Per-packet trace recording and CSV export — the raw material for
     external plotting of the evaluation figures.
 
-    Attach to a {!Sim} (or feed manually for a {!Tandem}); every
-    departure becomes one row. *)
+    Attach to a {!Sim}; every departure, on any link, becomes one
+    row. *)
 
 type t
 
@@ -19,9 +19,6 @@ type record = {
 val create : ?capacity:int -> unit -> t
 val attach : t -> Sim.t -> unit
 (** Record every departure of the simulation. *)
-
-val add : t -> now:float -> Sched.Scheduler.served -> unit
-(** Manual feed (e.g. from {!Tandem.on_hop_departure}). *)
 
 val records : t -> record list
 (** In departure order. *)

@@ -44,7 +44,8 @@ type t = {
   mutable callbacks : (now:float -> unit) array;
   mutable n_callbacks : int;
   seqs : (int, int ref) Hashtbl.t;
-  mutable on_departure : (now:float -> Sched.Scheduler.served -> unit) list;
+  mutable on_departure :
+    (link:int -> now:float -> Sched.Scheduler.served -> unit) list;
   delays : (int, Stats.Delay.t) Hashtbl.t;
   tput : Stats.Throughput.t;
   mutable drops : int;
@@ -128,7 +129,10 @@ let add_source t src =
   t.n_sources <- k + 1;
   schedule_arrival t k
 
-let on_departure t f = t.on_departure <- f :: t.on_departure
+let on_link_departure t f = t.on_departure <- f :: t.on_departure
+
+let on_departure t f =
+  on_link_departure t (fun ~link:_ ~now served -> f ~now served)
 
 let at t when_ f =
   if Float.is_nan when_ then invalid_arg "Sim.at: time is NaN";
@@ -201,11 +205,18 @@ let delay_stats t flow =
       Hashtbl.add t.delays flow d;
       d
 
-let rec fire now served = function
+let rec fire link now served = function
   | [] -> ()
   | f :: fs ->
-      f ~now served;
-      fire now served fs
+      f ~link ~now served;
+      fire link now served fs
+
+(* Offer [pkt] to link [i]'s scheduler now; a refusal is a drop. *)
+let offer t i pkt =
+  let ok = t.links.(i).lsched.Sched.Scheduler.enqueue ~now:t.now pkt in
+  if not ok then t.drops <- t.drops + 1;
+  try_start t i;
+  ok
 
 let arrive t k =
   let src = t.sources.(k) in
@@ -216,10 +227,10 @@ let arrive t k =
   in
   match t.route pkt with
   | Some i when i >= 0 && i < Array.length t.links ->
-      if not (t.links.(i).lsched.Sched.Scheduler.enqueue ~now:t.now pkt) then
-        t.drops <- t.drops + 1;
+      (* the source's next arrival is queued before the link's
+         completion: equal-time events leave in insertion order *)
       schedule_arrival t k;
-      try_start t i
+      ignore (offer t i pkt)
   | _ ->
       (* unroutable: no link owns this flow *)
       t.drops <- t.drops + 1;
@@ -237,7 +248,7 @@ let complete t i =
     (t.now -. pkt.Pkt.Packet.arrival);
   Stats.Throughput.add t.tput ~cls:served.Sched.Scheduler.cls ~now:t.now
     pkt.Pkt.Packet.size;
-  fire t.now served t.on_departure;
+  fire i t.now served t.on_departure;
   try_start t i
 
 let handle t ev =
@@ -281,6 +292,10 @@ let get_link name t i =
   if i < 0 || i >= Array.length t.links then
     invalid_arg (Printf.sprintf "Sim.%s: no link %d" name i);
   t.links.(i)
+
+let enqueue t ~link pkt =
+  ignore (get_link "enqueue" t link);
+  offer t link pkt
 
 let set_link_rate ?(link = 0) t r =
   if (not (Float.is_finite r)) || r <= 0. then

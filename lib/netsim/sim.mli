@@ -14,7 +14,9 @@
     single-link code reads exactly as before. Multi-link simulations
     ({!create_multi}) supply a [route] function mapping each arriving
     packet to the index of the link that owns it — typically
-    [Runtime.Router.link_of_flow] composed with {!link_index}.
+    [Runtime.Router.link_of_flow] composed with {!link_index}. A
+    departure hook ({!on_link_departure}) may offer the departed packet
+    to another link ({!enqueue}); {!Tandem} is that topology.
 
     Non-work-conserving schedulers (H-FSC with upper-limit curves) are
     supported through {!Sched.Scheduler.next_ready}: a poll event is
@@ -84,9 +86,25 @@ val add_source : t -> Source.t -> unit
     from then on: it keeps the pending arrival in the source, so
     register each source once and do not pull it elsewhere. *)
 
+val on_link_departure :
+  t -> (link:int -> now:float -> Sched.Scheduler.served -> unit) -> unit
+(** Register a callback fired as each packet finishes transmission,
+    with the index of the link it left. Callbacks fire latest
+    registered first, before the link asks its scheduler for more
+    work; one may {!enqueue} the packet on another link (a tandem's
+    next hop). *)
+
 val on_departure : t -> (now:float -> Sched.Scheduler.served -> unit) -> unit
-(** Register a callback fired as each packet finishes transmission on
-    any link. *)
+(** {!on_link_departure} without the link index. *)
+
+val enqueue : t -> link:int -> Pkt.Packet.t -> bool
+(** Offer a packet to link [link]'s scheduler at the current time and
+    start the link if it is idle — what an arrival routed to [link]
+    does. Answers the scheduler's verdict; a refusal ([false]) counts
+    in {!enqueue_drops}. Sources need no call: their arrivals are
+    routed and offered by the simulator itself.
+
+    @raise Invalid_argument on an unknown link index. *)
 
 val at : t -> float -> (now:float -> unit) -> unit
 (** [at t when f] schedules [f] to run as an ordinary event at absolute

@@ -57,73 +57,6 @@ let test_prefix_malformed () =
          with Invalid_argument _ -> true))
     [ "10.0.0.0/33"; "10.0.0.0/-1"; "10.0.0.0/x"; "1.2/8" ]
 
-(* --- longest-prefix match ------------------------------------------ *)
-
-let test_lpm_basics () =
-  let t =
-    Classify.Lpm.of_list
-      [
-        (Classify.Prefix.of_string "0.0.0.0/0", "default");
-        (Classify.Prefix.of_string "10.0.0.0/8", "ten");
-        (Classify.Prefix.of_string "10.1.0.0/16", "ten-one");
-        (Classify.Prefix.of_string "10.1.2.3/32", "host");
-      ]
-  in
-  let look s = Classify.Lpm.lookup t (Pkt.Header.addr_of_string s) in
-  Alcotest.(check (option string)) "host" (Some "host") (look "10.1.2.3");
-  Alcotest.(check (option string)) "16" (Some "ten-one") (look "10.1.9.9");
-  Alcotest.(check (option string)) "8" (Some "ten") (look "10.200.0.1");
-  Alcotest.(check (option string)) "default" (Some "default") (look "8.8.8.8");
-  Alcotest.(check int) "cardinal" 4 (Classify.Lpm.cardinal t);
-  match Classify.Lpm.lookup_prefix t (Pkt.Header.addr_of_string "10.1.9.9") with
-  | Some (p, _) ->
-      Alcotest.(check string) "matched prefix" "10.1.0.0/16"
-        (Classify.Prefix.to_string p)
-  | None -> Alcotest.fail "expected a match"
-
-let test_lpm_empty_and_replace () =
-  Alcotest.(check (option string)) "empty" None
-    (Classify.Lpm.lookup Classify.Lpm.empty 1l);
-  let p = Classify.Prefix.of_string "10.0.0.0/8" in
-  let t = Classify.Lpm.add (Classify.Lpm.add Classify.Lpm.empty p "a") p "b" in
-  Alcotest.(check (option string)) "replaced" (Some "b")
-    (Classify.Lpm.lookup t (Pkt.Header.addr_of_string "10.0.0.1"));
-  Alcotest.(check int) "still one entry" 1 (Classify.Lpm.cardinal t)
-
-let prefix_gen =
-  QCheck2.Gen.(
-    let* addr = ui32 in
-    let* len = int_range 0 32 in
-    return (Classify.Prefix.make ~addr ~len))
-
-let lpm_matches_brute =
-  qt ~count:200 "lpm = brute-force longest match"
-    QCheck2.Gen.(pair (list_size (int_range 0 30) prefix_gen) (list_size (return 20) ui32))
-    (fun (prefixes, addrs) ->
-      (* later duplicates replace earlier ones, as the trie does *)
-      let entries = List.mapi (fun i p -> (p, i)) prefixes in
-      let t = Classify.Lpm.of_list entries in
-      let brute addr =
-        List.fold_left
-          (fun best (p, i) ->
-            if Classify.Prefix.matches p addr then
-              match best with
-              | Some (bp, _)
-                when (bp : Classify.Prefix.t).Classify.Prefix.len
-                     > (p : Classify.Prefix.t).Classify.Prefix.len ->
-                  best
-              | _ -> Some (p, i)
-            else best)
-          None entries
-      in
-      List.for_all
-        (fun addr ->
-          match (Classify.Lpm.lookup t addr, brute addr) with
-          | None, None -> true
-          | Some v, Some (_, w) -> v = w
-          | _ -> false)
-        addrs)
-
 (* --- rules ----------------------------------------------------------- *)
 
 let hdr ?(src = "10.0.0.1") ?(dst = "192.168.1.1") ?(proto = Pkt.Header.Tcp)
@@ -227,12 +160,6 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_prefix_basics;
           Alcotest.test_case "malformed" `Quick test_prefix_malformed;
-        ] );
-      ( "lpm",
-        [
-          Alcotest.test_case "basics" `Quick test_lpm_basics;
-          Alcotest.test_case "empty/replace" `Quick test_lpm_empty_and_replace;
-          lpm_matches_brute;
         ] );
       ( "rules",
         [

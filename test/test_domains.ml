@@ -721,6 +721,106 @@ let run_sim_differential () =
         [ 1; 2 ])
     [ 1; 3 ]
 
+(* A two-hop [Netsim.Tandem] with cross traffic at hop 1, each hop the
+   adapter of its own one-link router. The tandem carries a packet to
+   the next hop from a departure hook, so over [Mc_router] a departure
+   on one worker's link posts into the other worker's ring between two
+   dequeues; every output must equal the same tandem over
+   [Engine.adapter] hops. Hop 0's upper-limited class exercises the
+   next-ready polls, hop 1's short queues the late refusals. *)
+type tandem_out = {
+  t_digest : int;
+  t_departures : int;
+  t_drops : int;
+  t_delivered : float;
+  t_end : float;
+}
+
+let tandem_hops =
+  [
+    ( 5e5,
+      [
+        "link add h rate 500KBps";
+        "link h add class rt parent root flow 1 rsc umax 500 dmax 5ms rate \
+         100KBps fsc 100KBps qlimit 40";
+        "link h add class b parent root flow 2 fsc 300KBps ulimit 200KBps \
+         qlimit 20";
+      ] );
+    ( 2.5e5,
+      [
+        "link add h rate 250KBps";
+        "link h add class rt parent root flow 1 fsc 100KBps qlimit 40";
+        "link h add class b parent root flow 2 fsc 100KBps qlimit 8";
+        "link h add class x parent root flow 3 fsc 50KBps qlimit 8";
+      ] );
+  ]
+
+(* [mc]: every hop a one-link [Mc_router] at one worker domain *)
+let run_tandem ~mc =
+  let hop (rate, setup) =
+    let exec, adapter, stop =
+      if mc then
+        let m = M.create ~audit_every ~domains:1 () in
+        (M.exec m, (fun () -> Option.get (M.adapter m ~link:"h")), fun () ->
+          ignore (M.stop m))
+      else
+        let r = R.create ~audit_every () in
+        (R.exec r, (fun () -> E.adapter (List.assoc "h" (R.links r))), ignore)
+    in
+    List.iter
+      (fun line ->
+        match Runtime.Command.parse line with
+        | Error e -> fail "tandem: parse %S: %s" line e
+        | Ok cmd -> (
+            match exec ~now:0. cmd with
+            | Ok _ -> ()
+            | Error _ as r -> fail "tandem: %S: %s" line (show_res r)))
+      setup;
+    ((rate, adapter ()), stop)
+  in
+  let hops = List.map hop tandem_hops in
+  let tandem = Netsim.Tandem.create ~hops:(List.map fst hops) () in
+  Netsim.Tandem.add_source tandem
+    (Netsim.Source.cbr ~flow:1 ~rate:90_000. ~pkt_size:500 ~stop:1.5 ());
+  Netsim.Tandem.add_source tandem
+    (Netsim.Source.poisson ~flow:2 ~rate:250_000. ~pkt_size:400 ~seed:41
+       ~stop:1.5 ());
+  Netsim.Tandem.add_source_at tandem ~hop:1
+    (Netsim.Source.on_off_exp ~flow:3 ~peak_rate:300_000. ~pkt_size:600
+       ~mean_on:0.05 ~mean_off:0.05 ~seed:42 ~stop:1.5 ());
+  let digest = ref 0x4bf29ce484222325 and departures = ref 0 in
+  Netsim.Tandem.on_hop_departure tandem (fun ~hop ~now served ->
+      let p = served.Sched.Scheduler.pkt in
+      incr departures;
+      digest :=
+        mix
+          (mix (mix (mix !digest hop) p.Pkt.Packet.flow) p.Pkt.Packet.seq)
+          (Int64.to_int (Int64.bits_of_float now)));
+  Netsim.Tandem.run_until_idle tandem ~max_time:20.;
+  let out =
+    {
+      t_digest = !digest;
+      t_departures = !departures;
+      t_drops = Netsim.Tandem.drops tandem;
+      t_delivered = Netsim.Tandem.delivered_bytes tandem;
+      t_end = Netsim.Tandem.now tandem;
+    }
+  in
+  List.iter (fun (_, stop) -> stop ()) hops;
+  out
+
+let run_tandem_differential () =
+  let want = run_tandem ~mc:false and got = run_tandem ~mc:true in
+  if want.t_drops = 0 then fail "tandem: the scenario drops nothing";
+  let check what ok = if not ok then fail "tandem over Mc_router: %s differ" what in
+  check "departure counts" (got.t_departures = want.t_departures);
+  check
+    (Printf.sprintf "drops (%d vs %d)" got.t_drops want.t_drops)
+    (got.t_drops = want.t_drops);
+  check "delivered bytes" (got.t_delivered = want.t_delivered);
+  check "end times" (Float.equal got.t_end want.t_end);
+  check "departure digests" (got.t_digest = want.t_digest)
+
 (* A configuration the router refuses must not leak the worker domains
    [Mc_router.of_config] spawned for it: 150 refusals at two domains
    each would pass OCaml's 128-domain limit if the workers of a refused
@@ -754,6 +854,7 @@ let () =
   List.iter (fun domains -> run_degradation ~domains) [ 1; 2 ];
   run_full_ring ();
   run_sim_differential ();
+  run_tandem_differential ();
   run_refused_config ();
   let posted = ref 0 and late = ref 0 in
   for seed = 0 to seeds - 1 do
@@ -773,6 +874,10 @@ let () =
     "domains ok: a two-link simulation through Mc_router.adapter (1 and 2 \
      domains, tx_burst 1 and 3) matches Router + Engine.adapter (digest, \
      departures, drops, bytes, replies, fingerprint)\n";
+  Printf.printf
+    "domains ok: a two-hop tandem over one-link Mc_router hops (cross \
+     traffic at hop 1) matches the same tandem over Engine.adapter hops \
+     (digest, departures, drops, delivered bytes, end time)\n";
   Printf.printf
     "domains ok: 150 refused configurations at 2 domains each: every \
      build's workers stopped\n";

@@ -534,7 +534,20 @@ let test_sim_multi_link () =
     (Netsim.Sim.link_rate ~link:0 sim);
   Netsim.Sim.set_link_up ~link:0 sim false;
   Alcotest.(check bool) "fast down" false (Netsim.Sim.link_up ~link:0 sim);
-  Alcotest.(check bool) "slow still up" true (Netsim.Sim.link_up ~link:1 sim)
+  Alcotest.(check bool) "slow still up" true (Netsim.Sim.link_up ~link:1 sim);
+  (* a packet offered straight to a link, as a tandem's next hop is *)
+  let pkt = Pkt.Packet.make ~flow:2 ~size:25 ~seq:1 ~arrival:1. in
+  Alcotest.(check bool) "offer accepted" true
+    (Netsim.Sim.enqueue sim ~link:1 pkt);
+  Alcotest.check_raises "offer to no link"
+    (Invalid_argument "Sim.enqueue: no link 2") (fun () ->
+      ignore (Netsim.Sim.enqueue sim ~link:2 pkt));
+  Netsim.Sim.run sim ~until:3.0;
+  Alcotest.(check (float 1e-9)) "offer sent at the new rate" 75.
+    (Netsim.Sim.link_transmitted_bytes sim 1);
+  (* busy 0.5 s for flow 2's first packet, then 1 s at 25 B/s *)
+  Alcotest.(check (float 1e-9)) "slow busy half of 3 s" 0.5
+    (Netsim.Sim.link_utilization sim 1)
 
 let test_sim_drops_counted () =
   let sched = Sched.Fifo.create ~qlimit:2 () in
@@ -733,6 +746,14 @@ let test_tandem_hop_injection () =
     (try
        Netsim.Tandem.add_source_at t ~hop:5
          (Netsim.Source.script ~flow:3 []);
+       false
+     with Invalid_argument _ -> true);
+  (* a flow enters at one hop: a second source of flow 2 may join it at
+     hop 1, not enter at hop 0 *)
+  Netsim.Tandem.add_source_at t ~hop:1 (Netsim.Source.script ~flow:2 []);
+  Alcotest.(check bool) "flow entering at another hop rejected" true
+    (try
+       Netsim.Tandem.add_source t (Netsim.Source.script ~flow:2 []);
        false
      with Invalid_argument _ -> true)
 
