@@ -58,8 +58,9 @@
     own rings; its backend is driven from the serving domain like any
     other caller). *)
 
-(** What the daemon needs from a control plane. The record mirrors
-    {!Router_core.ops} one level up: anything with these operations can
+(** What the daemon needs from a control plane. Where
+    {!Router_core.ops} abstracts one link's engine, this record
+    abstracts the whole device: anything with these operations can
     be served — the sequential router or the multicore router. A single
     engine is served as a one-link router ({!Router.of_engines}), which
     is bit-identical to the bare engine. *)

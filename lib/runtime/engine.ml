@@ -453,18 +453,6 @@ let exec t ~now { Command.target; op } =
          router)"
         name
 
-let exec_script ?(lenient = false) t cmds =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | (at, cmd) :: rest -> (
-        let r = exec t ~now:at cmd in
-        let acc = (at, cmd, r) :: acc in
-        match r with
-        | Error _ when not lenient -> List.rev acc
-        | _ -> go acc rest)
-  in
-  go [] cmds
-
 (* --- checkpoint & config fingerprint ------------------------------- *)
 
 (* Smallest flow id mapped to [id], if any. A class grown through the

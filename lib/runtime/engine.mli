@@ -248,21 +248,6 @@ val exec : t -> now:float -> Command.t -> (string, error) result
     [Default_link]; a [link NAME] scope is rejected with
     {!Unknown_link} — a bare engine has no link namespace. *)
 
-val exec_script :
-  ?lenient:bool ->
-  t ->
-  (float * Command.t) list ->
-  (float * Command.t * (string, error) result) list
-(** The offline form (no simulator): apply commands in script order,
-    each at its scripted time, returning each command's outcome
-    alongside it. By default execution is {e strict} — it stops at the
-    first error (which is included as the last outcome), the posture
-    for configuration scripts where later lines assume earlier ones
-    held. [~lenient:true] replays every line regardless, the posture
-    for operator logs and fault-injection runs. Inside a simulation use
-    {!Netsim.Sim.at} to interleave {!exec} calls with traffic
-    instead. *)
-
 val audit : t -> string list
 (** The backend's own audit (e.g. {!Hfsc.audit}) plus the engine's
     invariants (every mapped flow points at a live leaf, and the

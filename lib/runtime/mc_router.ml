@@ -1,56 +1,39 @@
 (* The multicore router. Structure:
 
    - each link is wrapped in a [port]: an input SPSC ring of [msg]
-     (posted packets, dequeue requests, control ops, queries), an
-     output SPSC ring of dequeued packets, and one reusable reply
-     slot;
+     (posted packets, dequeue requests, and calls: closures run on the
+     link's engine), an output SPSC ring of dequeued packets, and one
+     reusable reply slot;
    - each worker domain owns a set of ports (round-robin assignment)
      plus an admin ring for attach/detach/stop, and loops: admin ring
      first, then one message per port per scan; idle workers spin
      briefly and then park (essential on few-core hosts, where a
      spinning worker starves the producer);
    - the control plane is {!Router_core} instantiated with ring-backed
-     ops, so routing rules and reply strings are the sequential
+     calls, so routing rules and reply strings are the sequential
      router's by construction.
 
    Determinism: each port's ring is FIFO and each port has one owning
    worker, so a link's engine observes operations in exactly the
-   producer's issue order — the sequential router's order. Control ops,
-   queries and dequeues block on the port's reply slot, and the producer
-   waits for each reply before it issues anything else, so one slot is
-   all a port needs. Enqueues never wait: each is posted, and what the
-   worker refuses is added to the port's refusal count, read back by a
-   query that queues behind every post.
+   producer's issue order — the sequential router's order. Calls and
+   dequeues block on the port's reply slot, and the producer waits for
+   each reply before it issues anything else, so one slot is all a port
+   needs. Enqueues never wait: each is posted, and what the worker
+   refuses is added to the port's refusal count, read back by a call
+   that queues behind every post.
 
    Memory model notes: ring publication is the SPSC ring's
    release/acquire pair (see {!Ds.Spsc_ring}). Replies and parking are
    {!Ds.Handoff}: the worker fills a port's reply slot with an SC
-   [Atomic.set] after pushing any dequeued packets, so the producer's
-   take of the reply orders every out-ring slot before its pops; the
-   worker parks on its parker and the producer wakes it after each
-   push. Both rest on the Dekker argument written once in handoff.mli;
+   [Atomic.set] after pushing any dequeued packets or storing a call's
+   result, so the producer's take of the reply orders every out-ring
+   slot and the result cell before its reads; the worker parks on its
+   parker and the producer wakes it after each push. Both rest on the Dekker argument written once in handoff.mli;
    both signal only after unlocking, and neither takes a lock while the
    other side is awake. *)
 
 module Ring = Ds.Spsc_ring
 module Handoff = Ds.Handoff
-
-(* --- replies ------------------------------------------------------------- *)
-
-type reply =
-  | R_exec of (string, Engine.error) result
-  | R_count of int
-  | R_bool of bool
-  | R_flows of int list
-  | R_rules of Classify.Rules.t
-  | R_info of Router_core.info
-  | R_strings of string list
-  | R_snapshot of Telemetry.snapshot
-  | R_json of Json_lite.t
-  | R_next_ready of float option
-  | R_ops of Command.op list
-  | R_string of string
-  | R_unit
 
 (* --- messages ----------------------------------------------------------- *)
 
@@ -59,30 +42,11 @@ exception Injected_failure
 (* what every link of a stopped router is latched down with *)
 exception Stopped
 
-type query =
-  | Q_flows
-  | Q_class_flows of string
-  | Q_rules
-  | Q_info
-  | Q_audit
-  | Q_snapshot
-  | Q_stats_text
-  | Q_stats_json
-  | Q_has_filter of int
-  | Q_next_ready of float
-  | Q_backlog_pkts
-  | Q_backlog_bytes
-  | Q_checkpoint
-  | Q_config_fp
-  | Q_refused
-  | Q_fail (* served by raising: the fault-injection hook for tests *)
-
 type msg =
   | M_nop (* ring dummy; never delivered *)
   | M_enqueue of { e_now : float; e_pkt : Pkt.Packet.t } (* never awaited *)
   | M_dequeue of { d_now : float; d_max : int }
-  | M_exec of { x_now : float; x_op : Command.op }
-  | M_query of query
+  | M_call of (Engine.t -> unit) (* stores its result before the reply *)
 
 (* one dequeued packet on the output ring *)
 type deq = { dq_pkt : Pkt.Packet.t; dq_cls : string; dq_rt : bool }
@@ -101,14 +65,13 @@ let ring_capacity = 1024
 let out_capacity = 512
 
 type port = {
-  p_name : string;
-  p_rate : float; (* remembered so a downed link can still report it *)
-  p_backend : Config.backend; (* likewise *)
   p_eng : Engine.t; (* worker-owned between attach and stop *)
   p_in : msg Ring.t;
   p_out : deq Ring.t;
   p_worker : worker;
-  p_reply : reply Handoff.slot; (* one request is in flight at most *)
+  (* the dequeue count, or 0 for a call; one request is in flight at
+     most *)
+  p_reply : int Handoff.slot;
   (* failure of a posted enqueue, set by the worker (first wins),
      observed by the producer on its next touch of this port *)
   p_fail : exn option Atomic.t;
@@ -133,7 +96,7 @@ and worker = {
 and admin =
   | A_nop (* ring dummy *)
   | A_attach of port
-  | A_detach of { dt_port : port; dt_reply : reply Handoff.slot }
+  | A_detach of { dt_port : port; dt_reply : unit Handoff.slot }
   | A_stop
 
 let mk_worker () =
@@ -159,26 +122,6 @@ let rec push_out p v =
     Domain.cpu_relax ();
     push_out p v
   end
-
-let serve_query p q =
-  let eng = p.p_eng in
-  match q with
-  | Q_flows -> R_flows (Engine.flows eng)
-  | Q_class_flows cls -> R_flows (Engine.class_flows eng cls)
-  | Q_rules -> R_rules (Engine.rules eng)
-  | Q_info -> R_info (Router_core.engine_info eng)
-  | Q_audit -> R_strings (Engine.audit eng)
-  | Q_snapshot -> R_snapshot (Engine.snapshot eng)
-  | Q_stats_text -> R_exec (Engine.stats_text eng ())
-  | Q_stats_json -> R_json (Engine.stats_json eng)
-  | Q_has_filter f -> R_bool (Engine.has_filter eng f)
-  | Q_next_ready now -> R_next_ready (Engine.next_ready_time eng ~now)
-  | Q_backlog_pkts -> R_count (Engine.backlog_pkts eng)
-  | Q_backlog_bytes -> R_count (Engine.backlog_bytes eng)
-  | Q_checkpoint -> R_ops (Engine.checkpoint_ops eng)
-  | Q_config_fp -> R_string (Engine.config_fingerprint eng)
-  | Q_refused -> R_count (Atomic.get p.p_refused)
-  | Q_fail -> raise Injected_failure
 
 (* the worker is the count's only writer *)
 let refuse p = Atomic.set p.p_refused (Atomic.get p.p_refused + 1)
@@ -217,15 +160,11 @@ let serve_msg (p, bcache) msg =
           n
         end
       with
-      | n -> Handoff.fill p.p_reply (R_count n)
+      | n -> Handoff.fill p.p_reply n
       | exception e -> Handoff.fail p.p_reply e)
-  | M_exec { x_now; x_op } -> (
-      match Engine.exec_op p.p_eng ~now:x_now x_op with
-      | r -> Handoff.fill p.p_reply (R_exec r)
-      | exception e -> Handoff.fail p.p_reply e)
-  | M_query q -> (
-      match serve_query p q with
-      | r -> Handoff.fill p.p_reply r
+  | M_call f -> (
+      match f p.p_eng with
+      | () -> Handoff.fill p.p_reply 0
       | exception e -> Handoff.fail p.p_reply e)
 
 let worker_body w =
@@ -251,7 +190,7 @@ let worker_body w =
             drain_port pb;
             ports := List.filter (fun (p, _) -> p != dt_port) !ports
         | None -> ());
-        Handoff.fill dt_reply R_unit
+        Handoff.fill dt_reply ()
     | A_stop ->
         List.iter drain_port !ports;
         running := false
@@ -343,156 +282,45 @@ let port_failure p =
           e
       | None -> None)
 
-(* Run one port operation with graceful degradation: a downed link
-   answers [failed] without touching its ring, and a failure raised by
-   the operation itself (the worker failing the reply) downs the link
-   and answers [failed] — never raising into the caller, so one
-   poisoned link cannot tear down the daemon serving the others. *)
-let guard p ~failed f =
+(* Run [f] on the link's engine, on its worker's domain: the closure
+   stores its result in a cell before the worker fills the reply slot,
+   and [Handoff.fill] makes that store visible once [await] returns.
+   Graceful degradation: a downed link answers [down] without touching
+   its ring, and a failure raised by [f] (the worker failing the reply)
+   downs the link and answers [down] — never raising into the caller,
+   so one poisoned link cannot tear down the daemon serving the
+   others. *)
+let call p ~down f =
   match port_failure p with
-  | Some e -> failed e
+  | Some e -> down e
   | None -> (
-      try f ()
-      with e ->
-        p.p_down <- Some e;
-        failed e)
+      let cell = ref None in
+      post p (M_call (fun eng -> cell := Some (f eng)));
+      match Handoff.await p.p_reply with
+      | _ -> Option.get !cell
+      | exception e ->
+          p.p_down <- Some e;
+          down e)
 
-let request p m =
-  post p m;
-  Handoff.await p.p_reply
-
-let query p q = request p (M_query q)
-
-let down_error p e =
-  Error
-    {
-      Engine.code = Engine.Link_failed;
-      message =
-        Printf.sprintf "link %S is down: %s" p.p_name (Printexc.to_string e);
-    }
-
-(* --- Router_core over ring ports ---------------------------------------- *)
-
-let mc_ops : port Router_core.ops =
-  {
-    Router_core.op_exec =
-      (fun p ~now op ->
-        guard p
-          ~failed:(fun e -> down_error p e)
-          (fun () ->
-            match request p (M_exec { x_now = now; x_op = op }) with
-            | R_exec r -> r
-            | _ -> assert false));
-    op_flows =
-      (fun p ->
-        guard p
-          ~failed:(fun _ -> [])
-          (fun () ->
-            match query p Q_flows with R_flows l -> l | _ -> assert false));
-    op_class_flows =
-      (fun p cls ->
-        guard p
-          ~failed:(fun _ -> [])
-          (fun () ->
-            match query p (Q_class_flows cls) with
-            | R_flows l -> l
-            | _ -> assert false));
-    op_rules =
-      (fun p ->
-        guard p
-          ~failed:(fun _ -> Classify.Rules.create [])
-          (fun () ->
-            match query p Q_rules with R_rules r -> r | _ -> assert false));
-    op_has_filter =
-      (fun p f ->
-        guard p
-          ~failed:(fun _ -> false)
-          (fun () ->
-            match query p (Q_has_filter f) with
-            | R_bool b -> b
-            | _ -> assert false));
-    op_info =
-      (fun p ->
-        guard p
-          ~failed:(fun _ ->
-            {
-              Router_core.i_rate = p.p_rate;
-              i_backend = p.p_backend;
-              i_classes = 0;
-              i_flows = 0;
-              i_backlog_pkts = 0;
-              i_backlog_bytes = 0;
-            })
-          (fun () ->
-            match query p Q_info with R_info i -> i | _ -> assert false));
-    op_audit =
-      (fun p ->
-        guard p
-          ~failed:(fun e ->
-            [
-              Printf.sprintf "worker failed (%s); link marked down"
-                (Printexc.to_string e);
-            ])
-          (fun () ->
-            match query p Q_audit with R_strings l -> l | _ -> assert false));
-    op_stats_json =
-      (fun p ->
-        guard p
-          ~failed:(fun e ->
-            Json_lite.Obj [ ("down", Json_lite.Str (Printexc.to_string e)) ])
-          (fun () ->
-            match query p Q_stats_json with
-            | R_json j -> j
-            | _ -> assert false));
-    op_stats_text =
-      (fun p ->
-        guard p
-          ~failed:(fun e -> down_error p e)
-          (fun () ->
-            match query p Q_stats_text with
-            | R_exec r -> r
-            | _ -> assert false));
-    op_checkpoint =
-      (fun p ->
-        (* a downed link's configuration is unreadable: the checkpoint
-           keeps the link itself (its [link add]) and nothing below it *)
-        guard p
-          ~failed:(fun _ -> [])
-          (fun () ->
-            match query p Q_checkpoint with R_ops l -> l | _ -> assert false));
-    op_config_fp =
-      (fun p ->
-        guard p
-          ~failed:(fun e -> "down(" ^ Printexc.to_string e ^ ")")
-          (fun () ->
-            match query p Q_config_fp with
-            | R_string s -> s
-            | _ -> assert false));
-    op_retire =
-      (fun p ->
-        (* through the admin ring so the worker drains the port's input
-           ring before letting go of it — unless the worker itself is
-           dead, in which case the handshake would hang forever *)
-        if Atomic.get p.p_worker.w_poison = None then begin
-          let r = Handoff.slot () in
-          push_admin p.p_worker (A_detach { dt_port = p; dt_reply = r });
-          Handoff.wake p.p_worker.w_parker;
-          match Handoff.await r with R_unit -> () | _ -> assert false
-        end);
-  }
+let retire p =
+  (* through the admin ring so the worker drains the port's input ring
+     before letting go of it — unless the worker itself is dead, in
+     which case the handshake would hang forever *)
+  if Atomic.get p.p_worker.w_poison = None then begin
+    let r = Handoff.slot () in
+    push_admin p.p_worker (A_detach { dt_port = p; dt_reply = r });
+    Handoff.wake p.p_worker.w_parker;
+    Handoff.await r
+  end
 
 (* A port on worker [w] for a freshly built engine — still on this
    domain, handed to the worker through the admin ring's
    release/acquire publication before any use. A dead or stopped
    worker never drains that ring: the port is left unattached, and
    [port_failure] already reports it down. *)
-let port_on w ~name eng =
-  let i = Router_core.engine_info eng in
+let port_on w eng =
   let p =
     {
-      p_name = name;
-      p_rate = i.Router_core.i_rate;
-      p_backend = i.Router_core.i_backend;
       p_eng = eng;
       p_in = Ring.create ~capacity:ring_capacity ~dummy:M_nop;
       p_out = Ring.create ~capacity:out_capacity ~dummy:dummy_deq;
@@ -524,15 +352,15 @@ let create ?trace_capacity ?tracing ?audit_every ~domains () =
     (fun w -> w.w_domain <- Some (Domain.spawn (fun () -> worker_run w)))
     workers;
   let next = ref 0 in
-  let port ~name eng =
+  let port eng =
     let w = workers.(!next mod domains) in
     incr next;
-    port_on w ~name eng
+    port_on w eng
   in
   {
     core =
-      Router_core.create ?trace_capacity ?tracing ?audit_every ~ops:mc_ops
-        ~port ();
+      Router_core.create ?trace_capacity ?tracing ?audit_every
+        ~ops:{ Router_core.call; retire } ~port ();
     workers;
     running = true;
   }
@@ -541,8 +369,7 @@ let domains t = Array.length t.workers
 let add_link ?(backend = Config.Hfsc_backend) t ~name ~link_rate =
   Router_core.add_link t.core ~name ~link_rate ~backend
 let link_names t = List.map fst t.core.Router_core.links
-let link_rate t ~link =
-  Option.map (fun p -> p.p_rate) (Router_core.find_link t.core link)
+let link_rate t ~link = Option.map fst (Router_core.link_spec t.core link)
 let link_count t = Router_core.link_count t.core
 let link_of_flow t flow = Router_core.link_of_flow t.core flow
 let exec t ~now cmd = Router_core.exec t.core ~now cmd
@@ -552,12 +379,7 @@ let snapshot t ~link =
   match Router_core.find_link t.core link with
   | None -> None
   | Some p ->
-      guard p
-        ~failed:(fun _ -> None)
-        (fun () ->
-          match query p Q_snapshot with
-          | R_snapshot s -> Some s
-          | _ -> assert false)
+      call p ~down:(fun _ -> None) (fun eng -> Some (Engine.snapshot eng))
 
 (* --- fault injection & health ------------------------------------------- *)
 
@@ -570,9 +392,9 @@ let inject_failure t ~link =
   match Router_core.find_link t.core link with
   | None -> false
   | Some p ->
-      (* the worker serves [Q_fail] by raising, so the ordinary failure
-         path — a failed reply, producer latch — is what downs the link *)
-      guard p ~failed:(fun _ -> ()) (fun () -> ignore (query p Q_fail));
+      (* the call raises on the worker, so the ordinary failure path — a
+         failed reply, producer latch — is what downs the link *)
+      call p ~down:ignore (fun _ -> raise Injected_failure);
       true
 
 (* --- the data path: the simulator adapter ------------------------------ *)
@@ -593,7 +415,7 @@ let dequeue_port p ~now ~max ~f =
   | None -> (
       post p (M_dequeue { d_now = now; d_max = min max out_capacity });
       match Handoff.await p.p_reply with
-      | R_count n ->
+      | n ->
           for _ = 1 to n do
             match Ring.try_pop p.p_out with
             | Some d -> f d
@@ -602,13 +424,13 @@ let dequeue_port p ~now ~max ~f =
           n
       | exception e ->
           p.p_down <- Some e;
-          0
-      | _ -> assert false)
+          0)
 
 let adapter t ~link =
   match Router_core.find_link t.core link with
   | None -> None
   | Some p ->
+      let _, backend = Router_core.spec t.core link in
       let served d =
         {
           Sched.Scheduler.pkt = d.dq_pkt;
@@ -616,13 +438,9 @@ let adapter t ~link =
           criterion = (if d.dq_rt then "rt" else "ls");
         }
       in
-      let count q ~failed =
-        guard p ~failed (fun () ->
-            match query p q with R_count n -> n | _ -> assert false)
-      in
       Some
         {
-          Sched.Scheduler.name = Config.backend_name p.p_backend;
+          Sched.Scheduler.name = Config.backend_name backend;
           enqueue = (fun ~now pkt -> post_enqueue p ~now pkt);
           dequeue =
             (fun ~now ->
@@ -641,22 +459,20 @@ let adapter t ~link =
                 List.rev !acc);
           next_ready =
             (fun ~now ->
-              guard p
-                ~failed:(fun _ -> None)
-                (fun () ->
-                  match query p (Q_next_ready now) with
-                  | R_next_ready r -> r
-                  | _ -> assert false));
-          backlog_pkts = (fun () -> count Q_backlog_pkts ~failed:(fun _ -> 0));
+              call p ~down:(fun _ -> None) (fun eng ->
+                  Engine.next_ready_time eng ~now));
+          backlog_pkts =
+            (fun () -> call p ~down:(fun _ -> 0) Engine.backlog_pkts);
           backlog_bytes =
-            (fun () -> count Q_backlog_bytes ~failed:(fun _ -> 0));
+            (fun () -> call p ~down:(fun _ -> 0) Engine.backlog_bytes);
           (* a downed link — every link of a stopped router among them —
              is not asked (its worker may be gone): the count is read as
              published *)
           deferred_drops =
             Some
               (fun () ->
-                count Q_refused ~failed:(fun _ -> Atomic.get p.p_refused));
+                let refused _ = Atomic.get p.p_refused in
+                call p ~down:refused refused);
         }
 
 (* --- exporters ---------------------------------------------------------- *)

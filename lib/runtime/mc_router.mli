@@ -6,8 +6,8 @@
     {b Architecture.} PR 5's link-ownership rule is cashed in as a
     domain boundary. Each link gets a pair of lock-free SPSC rings
     ({!Ds.Spsc_ring}): an input ring carrying packets, dequeue requests
-    and control operations from the producer (caller) domain to the
-    owning worker, and an output ring carrying dequeued packets back.
+    and calls (closures run on the link's engine) from the producer
+    (caller) domain to the owning worker, and an output ring carrying dequeued packets back.
     The flow→link directory stays on the producer side; the worker
     serves its ring through {!Engine.enqueue_flow} and
     {!Engine.dequeue_batch}, so per-link scheduling state never crosses
@@ -21,17 +21,19 @@
     the packet and does not wait, and the worker counts what such posts
     refuse; its dequeues and polls wait for the worker's reply.
 
-    {b Control plane.} {!Command} operations are posted into the owning
-    domain's ring, and the call blocks on the link's reply slot
-    ({!Ds.Handoff}) until the worker has executed {!Engine.exec_op} and
-    replied. Transactional semantics and typed error codes therefore
-    survive the domain hop unchanged — the control logic itself is
-    {!Router_core}, shared with the sequential router, so replies are
-    bit-identical by construction.
-    {!Engine.snapshot} becomes a snapshot-request operation: the worker
-    copies its telemetry between packets and ships the immutable
-    snapshot back, giving a consistent cross-domain read without a
-    seqlock on the hot path.
+    {b Control plane.} Every engine access other than a packet — a
+    {!Command} operation, a read for the auditor, exporters or the
+    directory, a poll — is one call: a closure posted into the owning
+    domain's ring, which the worker runs on the link's engine, storing
+    its result before it fills the link's reply slot
+    ({!Ds.Handoff}); the caller blocks on that slot. Transactional
+    semantics and typed error codes therefore survive the domain hop
+    unchanged — the control logic itself is {!Router_core}, shared
+    with the sequential router, so replies are bit-identical by
+    construction. {!snapshot} is such a call: the worker copies its
+    telemetry between packets and ships the immutable snapshot back,
+    giving a consistent cross-domain read without a seqlock on the hot
+    path.
 
     {b Ordering and determinism.} Each link's ring is FIFO and each
     link has exactly one owning worker, so a link observes enqueues,
@@ -114,9 +116,10 @@ val snapshot : t -> link:string -> Telemetry.snapshot option
     subsequent command on it answers a typed {!Engine.Link_failed}
     error, its {!adapter} refuses packets and answers its polls
     degraded ([false], [None], [0], [[]]), its
-    queries degrade ([audit] reports the failure, [stats] shows a
-    [down] marker, a checkpoint keeps the [link add] but nothing
-    below), and {e every other link keeps serving}. The latch is
+    reads degrade ([audit] reports the failure, [stats] shows a
+    [down] marker, [link list] shows its rate and backend with zero
+    classes, flows and backlog, a checkpoint keeps the [link add] but
+    nothing below), and {e every other link keeps serving}. The latch is
     sticky: a downed link never comes back within this process —
     recovery is a restart from the journal (see {!Daemon.run}'s
     [durable]). {!stop} latches every link down the same way, so a call
@@ -152,7 +155,7 @@ val adapter : t -> link:string -> Sched.Scheduler.t option
     - [deferred_drops] is [Some]: the link's refusal count — every
       packet a posted enqueue refused, one whose engine call raised
       included. On a healthy link it is one synchronous
-      query, queued behind every posted enqueue, hence exact. Once the
+      call, queued behind every posted enqueue, hence exact. Once the
       link is down, or after {!stop}, it is read without asking the
       worker and never raises. It then covers the posted enqueues the
       worker has served so far: all of them after {!inject_failure} or
@@ -168,7 +171,7 @@ val stats_text : t -> string
 
 val checkpoint : t -> (float * Command.t) list
 (** As {!Router.checkpoint} (same {!Router_core} code): the device as a
-    replayable script, via one query per link. A downed link
+    replayable script, via one call per link. A downed link
     contributes its [link add] only. *)
 
 val config_fingerprint : t -> string

@@ -8,26 +8,11 @@
 type t = Engine.t Router_core.t
 
 let seq_ops : Engine.t Router_core.ops =
-  {
-    Router_core.op_exec = Engine.exec_op;
-    op_flows = Engine.flows;
-    op_class_flows = Engine.class_flows;
-    op_rules = Engine.rules;
-    op_has_filter = Engine.has_filter;
-    op_info = Router_core.engine_info;
-    op_audit = Engine.audit;
-    op_stats_json = Engine.stats_json;
-    op_stats_text = (fun eng -> Engine.stats_text eng ());
-    op_checkpoint = Engine.checkpoint_ops;
-    op_config_fp = Engine.config_fingerprint;
-    op_retire = (fun _ -> ());
-  }
-
-let port ~name:_ eng = eng
+  { Router_core.call = (fun eng ~down:_ f -> f eng); retire = ignore }
 
 let create ?trace_capacity ?tracing ?audit_every () =
-  Router_core.create ?trace_capacity ?tracing ?audit_every ~ops:seq_ops ~port
-    ()
+  Router_core.create ?trace_capacity ?tracing ?audit_every ~ops:seq_ops
+    ~port:Fun.id ()
 
 let of_engines ?trace_capacity ?tracing ?audit_every links =
   let t = create ?trace_capacity ?tracing ?audit_every () in

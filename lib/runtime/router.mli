@@ -116,8 +116,16 @@ val exec_script :
   t ->
   (float * Command.t) list ->
   (float * Command.t * (string, Engine.error) result) list
-(** As {!Engine.exec_script}: strict by default (stop at the first
-    error, which is included), [~lenient:true] replays every line. *)
+(** The offline form (no simulator): apply commands in script order,
+    each at its scripted time, returning each command's outcome
+    alongside it. By default execution is {e strict} — it stops at the
+    first error (which is included as the last outcome), the posture
+    for configuration scripts where later lines assume earlier ones
+    held. [~lenient:true] replays every line regardless, the posture
+    for operator logs and fault-injection runs. A single engine runs a
+    script as a one-link router ({!of_engines}). Inside a simulation
+    use {!Netsim.Sim.at} to interleave {!exec} calls with traffic
+    instead. *)
 
 val audit : t -> string list
 (** Every engine's {!Engine.audit} (prefixed with its link name) plus

@@ -2,8 +2,8 @@
    "port". A port is one link's engine endpoint: the sequential
    {!Router} instantiates it with a bare [Engine.t] (direct calls); the
    multicore {!Mc_router} instantiates it with a ring handle whose
-   operations post into the owning domain and block on a completion
-   handshake. Everything observable — reply strings, typed errors,
+   calls post a closure into the owning domain and wait on the link's
+   reply slot. Everything observable — reply strings, typed errors,
    routing rules, directory bookkeeping — lives here, so the two
    routers cannot drift apart: the N-domain router is bit-identical to
    the sequential one on the control plane {e by construction}.
@@ -16,51 +16,17 @@
    allocation-free in the sequential router, and must become a ring
    message in the multicore one), so each router keeps its own. *)
 
-(* What [link list] needs to print about one link. *)
-type info = {
-  i_rate : float;
-  i_backend : Config.backend;
-  i_classes : int;
-  i_flows : int;
-  i_backlog_pkts : int;
-  i_backlog_bytes : int;
-}
+(* The port operations. Both are control-plane calls: they may block
+   (ring round trip) and may allocate.
 
-let engine_info eng =
-  {
-    i_rate = Engine.link_rate eng;
-    i_backend =
-      (match Engine.backend_kind eng with
-      | Backend.Hfsc_kind -> Config.Hfsc_backend
-      | Backend.Rr_kind -> Config.Rr_backend);
-    i_classes = List.length (Engine.class_ids eng);
-    i_flows = Engine.flow_count eng;
-    i_backlog_pkts = Engine.backlog_pkts eng;
-    i_backlog_bytes = Engine.backlog_bytes eng;
-  }
-
-(* The port operations. All of them are control-plane calls: they may
-   block (ring round trip) and may allocate. *)
+   [call p ~down f] runs [f] on the link's engine and returns its
+   result; on a link that is down it answers [down e] instead, [e]
+   being why. For a ring port [f] runs on the worker's domain, so it
+   may touch only the engine and values the producer does not mutate
+   before the reply. *)
 type 'p ops = {
-  op_exec : 'p -> now:float -> Command.op -> (string, Engine.error) result;
-  op_flows : 'p -> int list;
-      (* the link's whole flow map (Engine.flows): for the initial
-         directory fill and the auditor only *)
-  op_class_flows : 'p -> string -> int list;
-      (* the flows one class owns (Engine.class_flows): asked before a
-         [delete class], the one command that unmaps flows *)
-  op_rules : 'p -> Classify.Rules.t;
-  op_has_filter : 'p -> int -> bool;
-  op_info : 'p -> info;
-  op_audit : 'p -> string list;
-  op_stats_json : 'p -> Json_lite.t;
-  op_stats_text : 'p -> (string, Engine.error) result;
-  op_checkpoint : 'p -> Command.op list;
-      (* the link's control plane as a replayable op list
-         (Engine.checkpoint_ops); a downed port reports [] *)
-  op_config_fp : 'p -> string;
-      (* the link's configuration digest (Engine.config_fingerprint) *)
-  op_retire : 'p -> unit;
+  call : 'a. 'p -> down:(exn -> 'a) -> (Engine.t -> 'a) -> 'a;
+  retire : 'p -> unit;
       (* the link was removed from the device: release whatever the
          port holds (no-op for a direct engine; for a ring port, drain
          and detach it from its worker domain) *)
@@ -76,8 +42,12 @@ type 'p t = {
      O(the link's flows). *)
   flow_links : (int, string * 'p) Hashtbl.t;
   mutable shard : string Classify.Shard.t;
+  (* each link's rate and backend, fixed for its lifetime and recorded
+     when the link is made, so a downed link still lists and
+     checkpoints as itself *)
+  specs : (string, float * Config.backend) Hashtbl.t;
   ops : 'p ops;
-  new_port : name:string -> link_rate:float -> Config.backend -> 'p;
+  new_port : link_rate:float -> Config.backend -> 'p;
       (* what [link add] attaches: an empty engine in the router's port *)
 }
 
@@ -86,19 +56,20 @@ let errf code fmt =
 
 let ( let* ) = Result.bind
 
-(* [port ~name eng] wraps a freshly built engine as the router's port:
-   the engine itself for the sequential router, a ring handle on a
-   worker domain for the multicore one. The engine knobs apply to every
-   link the router builds, including those added later. *)
+(* [port eng] wraps a freshly built engine as the router's port: the
+   engine itself for the sequential router, a ring handle on a worker
+   domain for the multicore one. The engine knobs apply to every link
+   the router builds, including those added later. *)
 let create ?trace_capacity ?tracing ?audit_every ~ops ~port () =
   {
     links = [];
     flow_links = Hashtbl.create 16;
     shard = Classify.Shard.create [];
+    specs = Hashtbl.create 16;
     ops;
     new_port =
-      (fun ~name ~link_rate backend ->
-        port ~name
+      (fun ~link_rate backend ->
+        port
           (Engine.create_link ?trace_capacity ?tracing ?audit_every ~link_rate
              backend));
   }
@@ -109,18 +80,43 @@ let find_link t name = Option.map snd (find_entry t name)
 let link_count t = List.length t.links
 let link_of_flow t flow = Option.map fst (Hashtbl.find_opt t.flow_links flow)
 
+(* [(rate, backend)] of a link; [None] for an unknown one *)
+let link_spec t name = Hashtbl.find_opt t.specs name
+let spec t name = Hashtbl.find t.specs name
+
+let down_error name e =
+  errf Engine.Link_failed "link %S is down: %s" name (Printexc.to_string e)
+
+(* one command on one link's engine; a downed link answers [Link_failed] *)
+let exec_op t (name, p) ~now op =
+  t.ops.call p ~down:(down_error name) (fun eng -> Engine.exec_op eng ~now op)
+
 let rebuild_shard t =
   t.shard <-
     Classify.Shard.create
-      (List.map (fun (name, p) -> (name, t.ops.op_rules p)) t.links)
+      (List.map
+         (fun (name, p) ->
+           ( name,
+             t.ops.call p ~down:(fun _ -> Classify.Rules.create []) Engine.rules
+           ))
+         t.links)
 
 (* Append a link that arrives with flows already mapped (a prebuilt
    engine) and fill the directory from its flow map: O(the link's
    flows); commands keep the directory current in place afterwards. The
    caller rebuilds the shard once its links are all in. *)
-let adopt t ((_, port) as link) =
+let adopt t ((name, port) as link) =
+  let spec, flows =
+    t.ops.call port ~down:raise (fun eng ->
+        ( ( Engine.link_rate eng,
+            match Engine.backend_kind eng with
+            | Backend.Hfsc_kind -> Config.Hfsc_backend
+            | Backend.Rr_kind -> Config.Rr_backend ),
+          Engine.flows eng ))
+  in
   t.links <- t.links @ [ link ];
-  List.iter (fun f -> Hashtbl.replace t.flow_links f link) (t.ops.op_flows port)
+  Hashtbl.replace t.specs name spec;
+  List.iter (fun f -> Hashtbl.replace t.flow_links f link) flows
 
 (* The router verbs: a link so named could never be addressed, since
    [link add NAME ...] parses as the verb. *)
@@ -143,8 +139,9 @@ let add_link t ~name ~link_rate ~backend =
       errf Engine.Bad_value "link rate must be positive, got %g" link_rate
     else Ok ()
   in
-  let port = t.new_port ~name ~link_rate backend in
+  let port = t.new_port ~link_rate backend in
   t.links <- t.links @ [ (name, port) ];
+  Hashtbl.replace t.specs name (link_rate, backend);
   rebuild_shard t;
   Ok
     (Printf.sprintf "added link %S (rate %.0f B/s%s, %d link%s)" name link_rate
@@ -166,8 +163,9 @@ let delete_link t name =
       in
       List.iter (Hashtbl.remove t.flow_links) orphans;
       t.links <- List.filter (fun (n, _) -> n <> name) t.links;
+      Hashtbl.remove t.specs name;
       rebuild_shard t;
-      t.ops.op_retire port;
+      t.ops.retire port;
       Ok
         (Printf.sprintf "deleted link %S%s (%d link%s left)" name
            (match orphans with
@@ -187,14 +185,23 @@ let link_list t =
         (String.concat "\n"
            (List.map
               (fun (name, p) ->
-                let i = t.ops.op_info p in
+                let rate, backend = spec t name in
+                let classes, flows, pkts, bytes =
+                  t.ops.call p
+                    ~down:(fun _ -> (0, 0, 0, 0))
+                    (fun eng ->
+                      ( List.length (Engine.class_ids eng),
+                        Engine.flow_count eng,
+                        Engine.backlog_pkts eng,
+                        Engine.backlog_bytes eng ))
+                in
                 Printf.sprintf
                   "%-12s rate %.0f B/s%s  classes %d  flows %d  backlog %d/%d"
-                  name i.i_rate
-                  (match i.i_backend with
+                  name rate
+                  (match backend with
                   | Config.Hfsc_backend -> ""
                   | Config.Rr_backend -> " backend rr")
-                  i.i_classes i.i_flows i.i_backlog_pkts i.i_backlog_bytes)
+                  classes flows pkts bytes)
               ls))
 
 (* The device-wide uniqueness and ownership checks a bare engine cannot
@@ -229,10 +236,12 @@ let exec_on t ~now ((name, port) as link) op =
   let* () = precheck t name port op in
   let unmapped =
     match op with
-    | Command.Delete_class cls -> t.ops.op_class_flows port cls
+    | Command.Delete_class cls ->
+        t.ops.call port ~down:(fun _ -> []) (fun eng ->
+            Engine.class_flows eng cls)
     | _ -> []
   in
-  let* reply = t.ops.op_exec port ~now op in
+  let* reply = exec_op t link ~now op in
   (match op with
   | Command.Add_class { flow = Some f; _ } ->
       Hashtbl.replace t.flow_links f link
@@ -245,8 +254,8 @@ let exec_on t ~now ((name, port) as link) op =
 let all_links_stats t ~now cls =
   let bodies =
     List.filter_map
-      (fun (name, p) ->
-        match t.ops.op_exec p ~now (Command.Stats cls) with
+      (fun ((name, _) as link) ->
+        match exec_op t link ~now (Command.Stats cls) with
         | Ok s -> Some (Printf.sprintf "== link %S ==\n%s" name s)
         | Error _ -> None)
       t.links
@@ -264,16 +273,14 @@ let all_links_trace t ~now (tr : Command.trace_op) =
       Ok
         (String.concat ""
            (List.map
-              (fun (name, p) ->
-                match
-                  t.ops.op_exec p ~now (Command.Trace Command.Trace_dump)
-                with
+              (fun ((name, _) as link) ->
+                match exec_op t link ~now (Command.Trace Command.Trace_dump) with
                 | Ok s -> Printf.sprintf "== link %S ==\n%s" name s
                 | Error _ -> "")
               t.links))
   | Command.Trace_on | Command.Trace_off ->
       List.iter
-        (fun (_, p) -> ignore (t.ops.op_exec p ~now (Command.Trace tr)))
+        (fun link -> ignore (exec_op t link ~now (Command.Trace tr)))
         t.links;
       Ok
         (Printf.sprintf "trace %s (%d links)"
@@ -314,7 +321,9 @@ let exec t ~now { Command.target; op } =
                   | None -> (
                       match
                         List.find_opt
-                          (fun (_, p) -> t.ops.op_has_filter p flow)
+                          (fun (_, p) ->
+                            t.ops.call p ~down:(fun _ -> false) (fun eng ->
+                                Engine.has_filter eng flow))
                           t.links
                       with
                       | Some link -> exec_on t ~now link op
@@ -410,11 +419,13 @@ let checkpoint t =
         {
           Command.target = Command.Default_link;
           op =
-            (let i = t.ops.op_info p in
-             Command.Link_add
-               { link = name; rate = i.i_rate; backend = i.i_backend });
+            (let rate, backend = spec t name in
+             Command.Link_add { link = name; rate; backend });
         } )
-      :: List.map scoped (t.ops.op_checkpoint p))
+      :: List.map scoped
+           (* a downed link's configuration is unreadable: the
+              checkpoint keeps the link itself and nothing below it *)
+           (t.ops.call p ~down:(fun _ -> []) Engine.checkpoint_ops))
     t.links
 
 (* One digest over every link's configuration digest, keyed by name and
@@ -422,7 +433,14 @@ let checkpoint t =
    recovered device and its replay oracle compare equal iff every
    link's control plane does. *)
 let config_fingerprint t =
-  List.map (fun (name, p) -> name ^ "=" ^ t.ops.op_config_fp p ^ "\n") t.links
+  List.map
+    (fun (name, p) ->
+      name ^ "="
+      ^ t.ops.call p
+          ~down:(fun e -> "down(" ^ Printexc.to_string e ^ ")")
+          Engine.config_fingerprint
+      ^ "\n")
+    t.links
   |> List.sort compare |> String.concat ""
   |> fun s -> Digest.to_hex (Digest.string s)
 
@@ -434,7 +452,9 @@ let audit t =
   (* per-engine invariants, attributed to their link; fetch each link's
      flow map once — ports may be a domain hop away *)
   let flow_maps =
-    List.map (fun (name, p) -> (name, t.ops.op_flows p)) t.links
+    List.map
+      (fun (name, p) -> (name, t.ops.call p ~down:(fun _ -> []) Engine.flows))
+      t.links
   in
   let mapped = Hashtbl.create 64 in
   List.iter
@@ -442,7 +462,15 @@ let audit t =
     flow_maps;
   List.iter
     (fun (name, p) ->
-      List.iter (fun e -> add "link %S: %s" name e) (t.ops.op_audit p))
+      List.iter
+        (fun e -> add "link %S: %s" name e)
+        (t.ops.call p
+           ~down:(fun e ->
+             [
+               Printf.sprintf "worker failed (%s); link marked down"
+                 (Printexc.to_string e);
+             ])
+           Engine.audit))
     t.links;
   (* directory -> engine: every entry names a live link and a flow the
      engine actually maps *)
@@ -486,7 +514,12 @@ let stats_json t =
                Json_lite.Obj
                  [
                    ("name", Json_lite.Str name);
-                   ("stats", t.ops.op_stats_json p);
+                   ( "stats",
+                     t.ops.call p
+                       ~down:(fun e ->
+                         Json_lite.Obj
+                           [ ("down", Json_lite.Str (Printexc.to_string e)) ])
+                       Engine.stats_json );
                  ])
              t.links) );
     ]
@@ -496,10 +529,13 @@ let stats_text t =
     (List.map
        (fun (name, p) ->
          let body =
-           match t.ops.op_stats_text p with
+           match
+             t.ops.call p ~down:(down_error name) (fun eng ->
+                 Engine.stats_text eng ())
+           with
            | Ok s -> s
            | Error e -> e.Engine.message
          in
          Printf.sprintf "== link %S (rate %.0f B/s) ==\n%s" name
-           (t.ops.op_info p).i_rate body)
+           (fst (spec t name)) body)
        t.links)

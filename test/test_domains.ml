@@ -433,6 +433,30 @@ let run_degradation ~domains =
     | Ok r ->
         fail "degradation (domains %d): %s answered ok: %s" domains what r
   in
+  (* a downed link still reports the rate and backend it was made with,
+     and nothing below them *)
+  let check_down_l1 stage =
+    let want =
+      Printf.sprintf "%-12s rate 1000000 B/s  classes 0  flows 0  backlog 0/0"
+        "l1"
+    in
+    (match exec_line "link list" with
+    | Ok list ->
+        check (stage ^ ": link list shows l1 at its rate, empty")
+          (List.mem want (String.split_on_char '\n' list))
+    | Error e ->
+        fail "degradation (domains %d): %s: link list: %s" domains stage
+          (E.error_message e));
+    check (stage ^ ": checkpoint's link add l1 carries rate 1e6")
+      (List.exists
+         (fun (_, c) ->
+           match c.Runtime.Command.op with
+           | Runtime.Command.Link_add { link = "l1"; rate; _ } -> rate = 1e6
+           | _ -> false)
+         (M.checkpoint m));
+    check (stage ^ ": link_rate l1") (M.link_rate m ~link:"l1" = Some 1e6)
+  in
+  check_down_l1 "downed l1";
   check_link_failed "command on downed l1" "link l1 stats";
   check "downed snapshot is None" (M.snapshot m ~link:"l1" = None);
   check "audit reports the downed link"
@@ -477,6 +501,7 @@ let run_degradation ~domains =
   check "deferred drops after stop hold" (deferred a0 = 0);
   check "every link is down after stop"
     (List.for_all (fun l -> M.link_down m ~link:l <> None) (M.link_names m));
+  check_down_l1 "after stop";
   (* more links than the admin ring holds: none may wait on a worker *)
   for i = 1 to 100 do
     ignore (exec_line (Printf.sprintf "link add late%d rate 1Mbit" i))

@@ -73,10 +73,10 @@ let test_shipped_pair_replays () =
     | Error { Runtime.Command.line; reason } ->
         Alcotest.failf "reconfigure.ctl:%d: %s" line reason
   in
-  let eng = sole_engine (snd (load "control.hfsc")) in
+  let router = snd (load "control.hfsc") in
   (* the script deliberately includes over-commits that must be
      rejected without stopping the replay: lenient mode *)
-  let outcomes = Runtime.Engine.exec_script ~lenient:true eng cmds in
+  let outcomes = Runtime.Router.exec_script ~lenient:true router cmds in
   let rejected =
     List.filter_map
       (function

@@ -790,6 +790,8 @@ let test_audit_runs_clean () =
 
 (* --- exec_script ---------------------------------------------------- *)
 
+(* A one-link router over a bare engine runs unscoped commands exactly
+   as the engine would. *)
 let test_exec_script_lenient () =
   let eng = make_engine () in
   let script =
@@ -798,7 +800,9 @@ let test_exec_script_lenient () =
      at 2 delete class c\n"
   in
   let outcomes =
-    E.exec_script ~lenient:true eng (ok_script (C.parse_script script))
+    Runtime.Router.exec_script ~lenient:true
+      (Runtime.Router.of_engines [ ("link0", eng) ])
+      (ok_script (C.parse_script script))
   in
   (match outcomes with
   | [ (0., _, Ok _); (1., _, Error dup); (2., _, Ok _) ] ->
@@ -816,7 +820,11 @@ let test_exec_script_strict () =
      at 1 add class c parent root fsc 1Mbit\n\
      at 2 delete class c\n"
   in
-  let outcomes = E.exec_script eng (ok_script (C.parse_script script)) in
+  let outcomes =
+    Runtime.Router.exec_script
+      (Runtime.Router.of_engines [ ("link0", eng) ])
+      (ok_script (C.parse_script script))
+  in
   (* strict mode stops at the failing line, which is the last outcome *)
   (match outcomes with
   | [ (0., _, Ok _); (1., _, Error _) ] -> ()
