@@ -54,15 +54,73 @@ let write_all fd s =
   done
 
 let reply_ok fd body =
-  write_all fd (Printf.sprintf "ok %d\n%s\n" (String.length body) body)
+  write_all fd
+    (String.concat ""
+       [ "ok "; string_of_int (String.length body); "\n"; body; "\n" ])
 
 let reply_err fd code message =
   write_all fd
-    (Printf.sprintf "err %s %d\n%s\n" code (String.length message) message)
+    (String.concat ""
+       [
+         "err "; code; " "; string_of_int (String.length message); "\n";
+         message; "\n";
+       ])
+
+(* --- the connection buffer ------------------------------------------- *)
+
+(* Both ends of the socket receive into one reusable buffer per
+   connection: bytes [pos, len) of [buf] are received but not yet
+   consumed. A steady request/reply stream allocates nothing per read;
+   [buf] doubles only when one unconsumed message fills it (a large
+   reply on the client; the daemon's pending line is capped by
+   [max_request], far below the initial size). *)
+type conn = {
+  fd : Unix.file_descr;
+  mutable buf : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+}
+
+let conn_of_fd fd = { fd; buf = Bytes.create 65536; pos = 0; len = 0 }
+let pending c = c.len - c.pos
+
+(* Move the pending bytes to the front, then read once into the free
+   tail. [false] at end of stream; an EINTR reads nothing and answers
+   [true], so the caller simply tries again. *)
+let refill c =
+  let n = pending c in
+  if c.pos > 0 then begin
+    Bytes.blit c.buf c.pos c.buf 0 n;
+    c.pos <- 0;
+    c.len <- n
+  end;
+  if n = Bytes.length c.buf then begin
+    let b = Bytes.create (2 * n) in
+    Bytes.blit c.buf 0 b 0 n;
+    c.buf <- b
+  end;
+  match Unix.read c.fd c.buf n (Bytes.length c.buf - n) with
+  | 0 -> false
+  | k ->
+      c.len <- n + k;
+      true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+
+(* Consume the next complete line, without its '\n'. The scan stops at
+   [len]: past it lie stale bytes of earlier messages. *)
+let next_line c =
+  let rec find i =
+    if i >= c.len then None
+    else if Bytes.unsafe_get c.buf i = '\n' then begin
+      let line = Bytes.sub_string c.buf c.pos (i - c.pos) in
+      c.pos <- i + 1;
+      Some line
+    end
+    else find (i + 1)
+  in
+  find c.pos
 
 (* --- the daemon ------------------------------------------------------ *)
-
-type conn = { fd : Unix.file_descr; rbuf : Buffer.t }
 
 type t = {
   socket : string;
@@ -172,7 +230,7 @@ let first_token line =
   let e = stop s in
   (String.sub line s (e - s), String.trim (String.sub line e (n - e)))
 
-let exec_command t fd line =
+let exec_command t fd ~verb line =
   (* an [at TIME] prefix carries the execution time; otherwise the
      daemon's clock supplies it — parse both through the script
      grammar so attribution and curve syntax stay identical *)
@@ -180,7 +238,7 @@ let exec_command t fd line =
   | Error { Command.reason; _ } -> reply_err fd "parse-error" reason
   | Ok [] -> reply_ok fd "" (* blank or comment line *)
   | Ok cmds ->
-      let has_at = fst (first_token line) = "at" in
+      let has_at = verb = "at" in
       List.iter
         (fun (at, cmd) ->
           let now = if has_at then at else t.clock () in
@@ -234,47 +292,40 @@ let handle_line t conn line =
       | _ ->
           reply_err fd "parse-error"
             "usage: spill start PATH | spill stop | spill status")
-  | _ -> exec_command t fd line
+  | _ -> exec_command t fd ~verb line
 
 (* No legitimate request line comes close to this; anything longer is a
-   confused (or hostile) client, and an unbounded [rbuf] would let it
+   confused (or hostile) client, and an unbounded buffer would let it
    hold the daemon's memory hostage one byte at a time. *)
 let max_request = 4096
 
-(* Cut complete lines out of the connection buffer; leftovers stay for
-   the next read. *)
-let process_buffer t conn =
-  let data = Buffer.contents conn.rbuf in
-  let rec go from =
-    match String.index_from_opt data from '\n' with
-    | None ->
-        let rest = String.length data - from in
-        if rest > max_request then begin
-          (* can't resync a lineless stream: reply and hang up *)
-          reply_err conn.fd "bad-value"
-            (Printf.sprintf "request exceeds %d bytes" max_request);
-          raise Exit
-        end;
-        Buffer.clear conn.rbuf;
-        Buffer.add_substring conn.rbuf data from rest
-    | Some nl ->
-        let line = String.sub data from (nl - from) in
-        let line =
-          (* tolerate CRLF clients *)
-          if line <> "" && line.[String.length line - 1] = '\r' then
-            String.sub line 0 (String.length line - 1)
-          else line
-        in
-        if String.length line > max_request then
-          reply_err conn.fd "bad-value"
-            (Printf.sprintf "request exceeds %d bytes" max_request)
-        else if String.contains line '\000' then
-          (* line framing is intact, so the connection survives *)
-          reply_err conn.fd "bad-value" "request contains NUL byte"
-        else handle_line t conn line;
-        go (nl + 1)
-  in
-  go 0
+let request_too_long fd =
+  reply_err fd "bad-value"
+    ("request exceeds " ^ string_of_int max_request ^ " bytes")
+
+(* Answer every complete line in the connection buffer; a partial line
+   stays pending for the next read. *)
+let rec process_buffer t conn =
+  match next_line conn with
+  | None ->
+      if pending conn > max_request then begin
+        (* can't resync a lineless stream: reply and hang up *)
+        request_too_long conn.fd;
+        raise Exit
+      end
+  | Some line ->
+      let line =
+        (* tolerate CRLF clients *)
+        if line <> "" && line.[String.length line - 1] = '\r' then
+          String.sub line 0 (String.length line - 1)
+        else line
+      in
+      if String.length line > max_request then request_too_long conn.fd
+      else if String.contains line '\000' then
+        (* line framing is intact, so the connection survives *)
+        reply_err conn.fd "bad-value" "request contains NUL byte"
+      else handle_line t conn line;
+      process_buffer t conn
 
 let close_conn t conn =
   t.conns <- List.filter (fun c -> c != conn) t.conns;
@@ -282,7 +333,6 @@ let close_conn t conn =
 
 let serve ?(idle = fun () -> true) ?(idle_every = 0.05) t =
   t.running <- true;
-  let readbuf = Bytes.create 65536 in
   let step () =
     let fds = t.listen_fd :: List.map (fun c -> c.fd) t.conns in
     let ready, _, _ =
@@ -293,16 +343,15 @@ let serve ?(idle = fun () -> true) ?(idle_every = 0.05) t =
       (fun fd ->
         if fd = t.listen_fd then begin
           let cfd, _ = Unix.accept t.listen_fd in
-          t.conns <- { fd = cfd; rbuf = Buffer.create 256 } :: t.conns
+          t.conns <- conn_of_fd cfd :: t.conns
         end
         else
           match List.find_opt (fun c -> c.fd = fd) t.conns with
           | None -> ()
           | Some conn -> (
-              match Unix.read fd readbuf 0 (Bytes.length readbuf) with
-              | 0 -> close_conn t conn
-              | n -> (
-                  Buffer.add_subbytes conn.rbuf readbuf 0 n;
+              match refill conn with
+              | false -> close_conn t conn
+              | true -> (
                   try process_buffer t conn with
                   | Exit -> close_conn t conn
                   | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
@@ -473,14 +522,14 @@ let run ?clock ?backlog ?(idle = fun () -> true) ?idle_every ?(sigterm = true)
 (* --- client ---------------------------------------------------------- *)
 
 module Client = struct
-  type conn = { fd : Unix.file_descr; mutable buf : string }
+  type nonrec conn = conn
 
   exception Timeout
 
   let connect_once path =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () -> { fd; buf = "" }
+    | () -> conn_of_fd fd
     | exception e ->
         (try Unix.close fd with Unix.Unix_error _ -> ());
         raise e
@@ -508,32 +557,25 @@ module Client = struct
       | _ -> ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_readable c deadline
 
-  let refill ?deadline c =
+  let receive ?deadline c =
     (match deadline with None -> () | Some d -> wait_readable c d);
-    let b = Bytes.create 65536 in
-    match Unix.read c.fd b 0 (Bytes.length b) with
-    | 0 -> raise End_of_file
-    | n -> c.buf <- c.buf ^ Bytes.sub_string b 0 n
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    if not (refill c) then raise End_of_file
 
   let rec read_line ?deadline c =
-    match String.index_opt c.buf '\n' with
-    | Some i ->
-        let line = String.sub c.buf 0 i in
-        c.buf <- String.sub c.buf (i + 1) (String.length c.buf - i - 1);
-        line
+    match next_line c with
+    | Some line -> line
     | None ->
-        refill ?deadline c;
+        receive ?deadline c;
         read_line ?deadline c
 
   let rec read_exact ?deadline c n =
-    if String.length c.buf >= n then begin
-      let s = String.sub c.buf 0 n in
-      c.buf <- String.sub c.buf n (String.length c.buf - n);
+    if pending c >= n then begin
+      let s = Bytes.sub_string c.buf c.pos n in
+      c.pos <- c.pos + n;
       s
     end
     else begin
-      refill ?deadline c;
+      receive ?deadline c;
       read_exact ?deadline c n
     end
 

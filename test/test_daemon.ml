@@ -421,6 +421,262 @@ let test_connect_retry () =
   Alcotest.(check (result string (pair string string)))
     "ping after retried connect" (Ok "pong") r
 
+(* --- the connection buffer --------------------------------------------- *)
+
+(* Read exactly [n] bytes from a raw connection, or fail after 5 s. *)
+let recv_bytes fd n =
+  let b = Bytes.create n in
+  let deadline = Unix.gettimeofday () +. 5. in
+  let rec go off =
+    if off = n then Bytes.to_string b
+    else
+      let remaining = deadline -. Unix.gettimeofday () in
+      match Unix.select [ fd ] [] [] (Float.max 0. remaining) with
+      | [], _, _ -> failwith "raw reply timed out"
+      | _ -> (
+          match Unix.read fd b off (n - off) with
+          | 0 -> failwith "raw reply cut short"
+          | k -> go (off + k))
+  in
+  go 0
+
+let write_string fd s =
+  let b = Bytes.of_string s in
+  let rec go off =
+    if off < Bytes.length b then
+      go (off + Unix.write fd b off (Bytes.length b - off))
+  in
+  go 0
+
+(* Pipelined lines share a read; a line whose CR and LF arrive in
+   separate reads is one request. The daemon must answer each line
+   once, in order, whatever the read boundaries. *)
+let test_daemon_framing () =
+  let socket = temp ".sock" in
+  let d =
+    D.create ~clock:(fun () -> 0.) ~socket (D.backend_of_router (mk_router ()))
+  in
+  let client =
+    Domain.spawn (fun () ->
+        let fd = raw_connect socket in
+        Fun.protect ~finally:(fun () ->
+            write_string fd "shutdown\n";
+            ignore (recv_bytes fd (String.length "ok 13\nshutting down\n"));
+            Unix.close fd)
+        @@ fun () ->
+        let pong = "ok 4\npong\n" and clean = "ok 11\naudit clean\n" in
+        let idle = "ok 15\nno spill active\n" in
+        write_string fd "ping\naudit\nspill status\n";
+        let three = recv_bytes fd (String.length (pong ^ clean ^ idle)) in
+        write_string fd "ping\r";
+        Unix.sleepf 0.02;
+        write_string fd "\n";
+        (* the next request's reply must follow the split line's one
+           reply directly *)
+        write_string fd "audit\n";
+        let split = recv_bytes fd (String.length (pong ^ clean)) in
+        ((three, pong ^ clean ^ idle), (split, pong ^ clean)))
+  in
+  D.serve d;
+  let (three, want_three), (split, want_split) = Domain.join client in
+  Alcotest.(check string) "three pipelined lines, three replies in order"
+    want_three three;
+  Alcotest.(check string) "a line split between CR and LF is answered once"
+    want_split split
+
+(* A hand-rolled peer for the client, as in [test_client_timeout]: it
+   accepts one connection on its own domain and runs [peer] on it, while
+   [f] drives a [Client] connection from this one. *)
+let with_peer peer f =
+  let socket = temp ".sock" in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX socket);
+  Unix.listen lfd 1;
+  let server =
+    Domain.spawn (fun () ->
+        let sfd, _ = Unix.accept lfd in
+        Fun.protect ~finally:(fun () -> Unix.close sfd) (fun () -> peer sfd))
+  in
+  let conn = D.Client.connect socket in
+  Fun.protect
+    ~finally:(fun () ->
+      D.Client.close conn;
+      Domain.join server;
+      Unix.close lfd;
+      Sys.remove socket)
+    (fun () -> f conn)
+
+(* the peer's side of one request: consume bytes through its newline *)
+let read_request fd =
+  let b = Bytes.create 1 in
+  let rec go () =
+    match Unix.read fd b 0 1 with
+    | 0 -> ()
+    | _ -> if Bytes.get b 0 <> '\n' then go ()
+  in
+  go ()
+
+(* hold the connection open until the client closes it *)
+let await_close fd =
+  let b = Bytes.create 64 in
+  while Unix.read fd b 0 64 > 0 do
+    ()
+  done
+
+let test_client_framing () =
+  let reply = Alcotest.(result string (pair string string)) in
+  with_peer
+    (fun fd ->
+      read_request fd;
+      String.iter
+        (fun ch ->
+          write_string fd (String.make 1 ch);
+          Unix.sleepf 0.001)
+        "ok 5\nhello\n";
+      await_close fd)
+    (fun conn ->
+      Alcotest.check reply "a reply dribbled one byte at a time" (Ok "hello")
+        (D.Client.request ~timeout:5. conn "ping"));
+  with_peer
+    (fun fd ->
+      read_request fd;
+      write_string fd "ok 3\none\nerr bad-value 3\ntwo\n";
+      await_close fd)
+    (fun conn ->
+      Alcotest.check reply "first of two replies in one write" (Ok "one")
+        (D.Client.request ~timeout:5. conn "a");
+      Alcotest.check reply "second of two replies in one write"
+        (Error ("bad-value", "two"))
+        (D.Client.request ~timeout:5. conn "b"));
+  with_peer
+    (fun fd ->
+      read_request fd;
+      List.iter
+        (fun chunk ->
+          write_string fd chunk;
+          Unix.sleepf 0.01)
+        [ "ok 11\nhello"; " wor"; "ld\n" ];
+      await_close fd)
+    (fun conn ->
+      Alcotest.check reply "a body split across writes reads whole"
+        (Ok "hello world")
+        (D.Client.request ~timeout:5. conn "ping"));
+  with_peer
+    (fun fd ->
+      read_request fd;
+      write_string fd "ok 5\n")
+    (fun conn ->
+      match D.Client.request ~timeout:5. conn "ping" with
+      | exception End_of_file -> ()
+      | _ -> Alcotest.fail "a close after the status line must be End_of_file");
+  with_peer
+    (fun fd ->
+      read_request fd;
+      write_string fd "ok 5\nhe";
+      await_close fd)
+    (fun conn ->
+      match D.Client.request ~timeout:0.15 conn "ping" with
+      | exception D.Client.Timeout -> ()
+      | _ -> Alcotest.fail "a stall after the status line must be Timeout")
+
+(* Serve [r] on another domain for the duration of [f conn]. *)
+let with_daemon ?(wrap = Fun.id) r f =
+  let socket = temp ".sock" in
+  let d =
+    D.create ~clock:(fun () -> 0.) ~socket (wrap (D.backend_of_router r))
+  in
+  let server = Domain.spawn (fun () -> D.serve d) in
+  let conn = D.Client.connect ~retries:100 ~backoff:0.01 socket in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (D.Client.request conn "shutdown");
+      D.Client.close conn;
+      Domain.join server)
+    (fun () -> f conn)
+
+(* A reply past 1 MiB outgrows the client's buffer several times over;
+   it must arrive byte for byte, and the connection must stay framed. *)
+let test_large_reply () =
+  let r = R.create () in
+  let exec line =
+    match R.exec r ~now:0. (Result.get_ok (C.parse line)) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: %s" line (E.error_message e)
+  in
+  exec "link add big rate 1Gbit backend rr";
+  for i = 1 to 2000 do
+    exec
+      (Printf.sprintf "link big add class c%d parent root flow %d quantum 1500"
+         i i)
+  done;
+  let expected = Json_lite.to_string (R.stats_json r) in
+  Alcotest.(check bool) "the reply exceeds 1 MiB" true
+    (String.length expected > 1 lsl 20);
+  let json, ping =
+    with_daemon r (fun conn ->
+        let json = D.Client.request ~timeout:30. conn "stats-json" in
+        (json, D.Client.request ~timeout:5. conn "ping"))
+  in
+  (match json with
+  | Ok body ->
+      Alcotest.(check int) "stats-json length" (String.length expected)
+        (String.length body);
+      Alcotest.(check bool) "stats-json byte for byte" true (body = expected)
+  | Error (c, m) -> Alcotest.failf "stats-json refused: %s %s" c m);
+  Alcotest.(check (result string (pair string string)))
+    "the connection stays framed" (Ok "pong") ping
+
+(* A warm connection's request costs both ends a few minor words and
+   no major ones: the receive buffers are reused, not reallocated per
+   read. Each domain's [Gc.counters] is its own, so the daemon's side
+   is sampled inside its [fingerprint] verb, sent around the pings. *)
+let test_request_allocation () =
+  let major () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  let marks = ref [] in
+  let wrap b =
+    {
+      b with
+      D.b_fingerprint =
+        (fun () ->
+          marks := major () :: !marks;
+          b.D.b_fingerprint ());
+    }
+  in
+  let pings = 1000 in
+  let client_words =
+    with_daemon ~wrap (mk_router ()) (fun conn ->
+        let ping () =
+          match D.Client.request conn "ping" with
+          | Ok "pong" -> ()
+          | _ -> Alcotest.fail "ping did not answer pong"
+        in
+        for _ = 1 to 100 do
+          ping ()
+        done;
+        ignore (D.Client.request conn "fingerprint");
+        let m0 = major () in
+        for _ = 1 to pings do
+          ping ()
+        done;
+        let words = major () -. m0 in
+        ignore (D.Client.request conn "fingerprint");
+        words)
+  in
+  let daemon_words =
+    match !marks with
+    | [ m1; m0 ] -> m1 -. m0
+    | _ -> Alcotest.fail "expected two daemon-side samples"
+  in
+  let per_request = (client_words +. daemon_words) /. float_of_int pings in
+  if per_request >= 16. then
+    Alcotest.failf
+      "%.1f major words per request (client %.0f, daemon %.0f over %d); \
+       want < 16"
+      per_request client_words daemon_words pings
+
 (* --- durable rotation ------------------------------------------------- *)
 
 (* -1 for a missing file *)
@@ -688,6 +944,14 @@ let () =
           Alcotest.test_case "client request timeout" `Quick
             test_client_timeout;
           Alcotest.test_case "client connect retry" `Quick test_connect_retry;
+          Alcotest.test_case "daemon framing across reads" `Quick
+            test_daemon_framing;
+          Alcotest.test_case "client framing across reads" `Quick
+            test_client_framing;
+          Alcotest.test_case "client reads a reply past 1 MiB" `Quick
+            test_large_reply;
+          Alcotest.test_case "requests allocate no major words" `Quick
+            test_request_allocation;
         ] );
       ( "durable",
         [
