@@ -74,18 +74,6 @@ let sum_curves curves =
   done;
   P.make (List.rev !segs)
 
-let excess ~link_rate curves =
-  if link_rate <= 0. then invalid_arg "Admission.excess: link_rate must be > 0";
-  P.vdev (sum_curves curves) (P.linear ~slope:link_rate)
-
-let admissible ~link_rate curves = excess ~link_rate curves <= 1e-6
-
-let rate_utilization ~link_rate curves =
-  if link_rate <= 0. then
-    invalid_arg "Admission.rate_utilization: link_rate must be > 0";
-  List.fold_left (fun acc sc -> acc +. Curve.Service_curve.rate sc) 0. curves
-  /. link_rate
-
 let violating_breakpoint ~capacity curves =
   let demand = sum_curves curves in
   let xs =
@@ -108,9 +96,6 @@ let violating_breakpoint ~capacity curves =
   | None ->
       let dr = P.final_slope demand and cr = P.final_slope capacity in
       if dr > cr +. 1e-9 then Some (infinity, dr, cr) else None
-
-let hierarchy_consistent ~parent children =
-  P.vdev (sum_curves children) (P.of_service_curve parent) <= 1e-6
 
 let usc_violating_breakpoint ~rsc ~usc =
   violating_breakpoint ~capacity:(P.of_service_curve usc) [ rsc ]

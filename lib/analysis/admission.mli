@@ -3,19 +3,6 @@
     [S_1..S_n] on a link with linear service curve [R·t] iff
     [sum_i S_i(t) <= R·t] for all [t]. *)
 
-val admissible :
-  link_rate:float -> Curve.Service_curve.t list -> bool
-(** Exact test of the SCED schedulability condition. *)
-
-val excess : link_rate:float -> Curve.Service_curve.t list -> float
-(** Worst-case over-subscription in bytes:
-    [sup_t (sum_i S_i(t) - R t)]; 0 when admissible. *)
-
-val rate_utilization :
-  link_rate:float -> Curve.Service_curve.t list -> float
-(** [sum of asymptotic rates / link_rate] — the long-run load the
-    curves commit the link to. *)
-
 val violating_breakpoint :
   capacity:Curve.Piecewise.t ->
   Curve.Service_curve.t list ->
@@ -26,14 +13,10 @@ val violating_breakpoint :
     when the breakpoints all fit but the asymptotic rates do not; [None]
     when admissible. Since both sides are piecewise linear, checking
     breakpoints plus final slopes is exact — this is the report the
-    runtime control plane attaches to a rejected command. *)
-
-val hierarchy_consistent :
-  parent:Curve.Service_curve.t -> Curve.Service_curve.t list -> bool
-(** Do the children's fair service curves fit under the parent's
-    ([sum children <= parent] pointwise)? The configuration the
-    link-sharing examples of the paper assume (Fig. 3 sets each interior
-    curve to the sum of its children's). *)
+    runtime control plane attaches to a rejected command. The same
+    test checks leaves' real-time curves against the link
+    ([capacity] = [R·t]) and children's fair curves against their
+    parent's ([capacity] = the parent's fsc). *)
 
 (** {2 Upper-limit feasibility}
 

@@ -1,7 +1,3 @@
-type backend = Hfsc_backend | Rr_backend
-
-let backend_name = function Hfsc_backend -> "hfsc" | Rr_backend -> "rr"
-
 type t = {
   commands : (int * string) list;
   sources : until:float -> Netsim.Source.t list;

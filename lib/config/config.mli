@@ -67,14 +67,6 @@
     [line 3: admission-realtime: real-time guarantees infeasible ...];
     a statement the command parser rejects reports [parse-error]. *)
 
-type backend = Hfsc_backend | Rr_backend
-(** Which engine a link runs: the paper's H-FSC (default) or the
-    O(1) hierarchical round-robin scale tier ({!Sched.Hls}). Selected
-    per link with [link NAME rate RATE backend rr]. *)
-
-val backend_name : backend -> string
-(** ["hfsc"] / ["rr"] — the grammar's spelling. *)
-
 type t = {
   commands : (int * string) list;
       (** every device statement in the command grammar

@@ -169,8 +169,8 @@ let run ?(links = 3) ?(flows_per_link = 4) ?(seconds = 1.0) ?(seed = 7)
               link = link_name i;
               rate = link_rate;
               backend =
-                (if rr_link ~links i then Config.Rr_backend
-                 else Config.Hfsc_backend);
+                (if rr_link ~links i then Runtime.Backend.Rr_kind
+                 else Runtime.Backend.Hfsc_kind);
             } }
   done;
   (* permanent leaves: 80% of each link committed to fair shares (the

@@ -1152,79 +1152,34 @@ let dequeue t ~now =
   let leaf = dequeue_core t (Fp.ticks_of_seconds now) in
   if leaf == nil then None else Some (t.deq_pkt, leaf, t.deq_crit)
 
-(* --- batched entry points ------------------------------------------ *)
+(* --- batched dequeue ------------------------------------------------- *)
 
-(* A NIC-ring-style result buffer: parallel arrays filled in place, so
-   a drained packet costs zero words of allocation (the single-packet
+(* The fill loop writes the served triple straight into the caller's
+   [Pkt.Batch] — the leaf's dense id, not the class value — so a
+   drained packet costs zero words of allocation (the single-packet
    [dequeue] pays 6 for its [Some (pkt, cls, crit)]). *)
-type batch = {
-  bpkts : Pkt.Packet.t array;
-  bcls : cls array;
-  bcrit : criterion array;
-  mutable bcount : int;
-}
-
-let batch ?(capacity = 64) () =
-  if capacity <= 0 then invalid_arg "Hfsc.batch: capacity must be positive";
-  {
-    bpkts = Array.make capacity dummy_pkt;
-    bcls = Array.make capacity nil;
-    bcrit = Array.make capacity Realtime;
-    bcount = 0;
-  }
-
-let batch_capacity b = Array.length b.bpkts
-let batch_count b = b.bcount
-
-let[@inline] batch_check b i =
-  if i < 0 || i >= b.bcount then invalid_arg "Hfsc.batch: index out of bounds"
-
-let batch_pkt b i =
-  batch_check b i;
-  b.bpkts.(i)
-
-let batch_cls b i =
-  batch_check b i;
-  b.bcls.(i)
-
-let batch_crit b i =
-  batch_check b i;
-  b.bcrit.(i)
-
-let rec deq_batch_loop t now b i cap =
+let rec deq_batch_loop t now (b : Pkt.Batch.t) i cap =
   if i >= cap then i
   else begin
     let leaf = dequeue_core t now in
     if leaf == nil then i
     else begin
-      (* [i < cap = Array.length b.bpkts] and all three arrays share
-         that length by construction *)
-      Array.unsafe_set b.bpkts i t.deq_pkt;
-      Array.unsafe_set b.bcls i leaf;
-      Array.unsafe_set b.bcrit i t.deq_crit;
+      (* [i < cap = Pkt.Batch.capacity b], the length of all three
+         arrays *)
+      Array.unsafe_set b.pkts i t.deq_pkt;
+      Array.unsafe_set b.ids i leaf.id;
+      Array.unsafe_set b.rt i
+        (match t.deq_crit with Realtime -> true | Linkshare -> false);
       deq_batch_loop t now b (i + 1) cap
     end
   end
 
-let dequeue_batch t ~now b =
-  let n = deq_batch_loop t (Fp.ticks_of_seconds now) b 0 (Array.length b.bpkts) in
-  b.bcount <- n;
+let dequeue_batch t ~now (b : Pkt.Batch.t) =
+  let n =
+    deq_batch_loop t (Fp.ticks_of_seconds now) b 0 (Array.length b.pkts)
+  in
+  b.count <- n;
   n
-
-let rec enq_batch_loop t now cls pkts i n acc =
-  if i >= n then acc
-  else
-    (* [i < n] and both arrays were length-checked against [n] *)
-    let ok =
-      enqueue t ~now (Array.unsafe_get cls i) (Array.unsafe_get pkts i)
-    in
-    enq_batch_loop t now cls pkts (i + 1) n (if ok then acc + 1 else acc)
-
-let enqueue_batch t ~now cls pkts =
-  let n = Array.length pkts in
-  if Array.length cls <> n then
-    invalid_arg "Hfsc.enqueue_batch: class and packet arrays differ in length";
-  enq_batch_loop t now cls pkts 0 n 0
 
 let next_ready_time t ~now =
   if t.bl_pkts = 0 then None

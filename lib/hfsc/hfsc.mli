@@ -188,56 +188,25 @@ val dequeue : t -> now:float -> (Pkt.Packet.t * cls * criterion) option
     rate-capped by an upper-limit curve until some later instant — see
     {!next_ready_time}. *)
 
-(** {2 Batched entry points}
+(** {2 Batched dequeue}
 
-    NIC-ring-style vectored variants of {!enqueue}/{!dequeue}. A batch
-    call is {e bit-identical in outcome} to the equivalent sequence of
-    single calls (it is implemented as thin loops over the same core),
-    so callers may adopt the batched path unconditionally; what it buys
-    is amortization of the per-call overhead — one time conversion per
-    poll, and results written into a preallocated buffer so a drained
-    packet costs zero words of allocation (the single-packet {!dequeue}
-    allocates 6 for its option-of-tuple). The differential suite
-    asserts the batch-equals-singles identity over fuzzed op streams. *)
+    The NIC-ring-style variant of {!dequeue}. A batch call is
+    {e bit-identical in outcome} to the equivalent sequence of single
+    calls (it is a thin loop over the same core), so callers may adopt
+    it unconditionally; what it buys is amortization of the per-call
+    overhead — one time conversion per poll, and results written into
+    the caller's preallocated {!Pkt.Batch} so a drained packet costs
+    zero words of allocation (the single-packet {!dequeue} allocates 6
+    for its option-of-tuple). The differential suite asserts the
+    batch-equals-singles identity over fuzzed op streams. *)
 
-type batch
-(** A reusable dequeue result buffer of fixed capacity: parallel
-    (packet, class, criterion) slots plus a fill count. Not shared
-    between schedulers' results in any way — any scheduler may fill any
-    batch. *)
-
-val batch : ?capacity:int -> unit -> batch
-(** A fresh buffer ([capacity] defaults to 64 slots).
-
-    @raise Invalid_argument on a non-positive capacity. *)
-
-val batch_capacity : batch -> int
-
-val batch_count : batch -> int
-(** Number of valid slots after the most recent {!dequeue_batch}. *)
-
-val batch_pkt : batch -> int -> Pkt.Packet.t
-val batch_cls : batch -> int -> cls
-val batch_crit : batch -> int -> criterion
-(** Slot accessors; valid for indices below {!batch_count}.
-
-    @raise Invalid_argument out of bounds. *)
-
-val dequeue_batch : t -> now:float -> batch -> int
-(** [dequeue_batch t ~now b] dequeues up to [batch_capacity b] packets
-    at time [now], filling [b] from slot 0, and returns the count (also
-    left in {!batch_count}). Stops early when {!dequeue} would return
-    [None]. Equivalent to that many single {!dequeue} calls at the same
-    [now]. *)
-
-val enqueue_batch : t -> now:float -> cls array -> Pkt.Packet.t array -> int
-(** [enqueue_batch t ~now cls pkts] enqueues [pkts.(i)] at [cls.(i)]
-    for each [i] in order, exactly as repeated {!enqueue} calls, and
-    returns how many were accepted.
-
-    @raise Invalid_argument if the arrays differ in length or some
-    [cls.(i)] is not a leaf of [t] (packets before the offender are
-    already enqueued, as in the equivalent sequence of singles). *)
+val dequeue_batch : t -> now:float -> Pkt.Batch.t -> int
+(** [dequeue_batch t ~now b] dequeues up to [Pkt.Batch.capacity b]
+    packets at time [now], filling [b] from slot 0 with each packet,
+    its leaf's {!id} and whether the real-time criterion served it, and
+    returns the count (also left in [Pkt.Batch.count b]). Stops early
+    when {!dequeue} would return [None]. Equivalent to that many single
+    {!dequeue} calls at the same [now]. *)
 
 val next_ready_time : t -> now:float -> float option
 (** [None] iff the backlog is empty; otherwise the earliest [t' >= now]

@@ -614,77 +614,26 @@ let dequeue t ~now =
         Some (pkt, leaf, crit)
   end
 
-(* --- batched entry points ------------------------------------------ *)
+(* --- batched dequeue ------------------------------------------------- *)
 
-(* The reference keeps the batch API trivially correct: plain loops
-   over the single-packet entry points, which *defines* the semantics
-   the optimized scheduler's batch path must be bit-identical to. *)
-
-type batch = {
-  bpkts : Pkt.Packet.t array;
-  bcls : cls array;
-  bcrit : criterion array;
-  mutable bcount : int;
-}
-
-let dummy_pkt = Pkt.Packet.make ~flow:0 ~size:1 ~seq:0 ~arrival:0.
-
-let dummy_cls =
-  make_cls ~id:(-1) ~name:"<batch>" ~parent:None ~rsc:None ~fsc:None
-    ~usc:None ~qlimit:None ~qbytes:None
-
-let batch ?(capacity = 64) () =
-  if capacity <= 0 then invalid_arg "Hfsc.batch: capacity must be positive";
-  {
-    bpkts = Array.make capacity dummy_pkt;
-    bcls = Array.make capacity dummy_cls;
-    bcrit = Array.make capacity Realtime;
-    bcount = 0;
-  }
-
-let batch_capacity b = Array.length b.bpkts
-let batch_count b = b.bcount
-
-let batch_check b i =
-  if i < 0 || i >= b.bcount then invalid_arg "Hfsc.batch: index out of bounds"
-
-let batch_pkt b i =
-  batch_check b i;
-  b.bpkts.(i)
-
-let batch_cls b i =
-  batch_check b i;
-  b.bcls.(i)
-
-let batch_crit b i =
-  batch_check b i;
-  b.bcrit.(i)
-
-let dequeue_batch t ~now b =
-  let cap = Array.length b.bpkts in
+(* The reference keeps the batch trivially correct: a plain loop over
+   the single-packet [dequeue], which *defines* the semantics the
+   optimized scheduler's batch path must be bit-identical to. *)
+let dequeue_batch t ~now (b : Pkt.Batch.t) =
+  let cap = Array.length b.pkts in
   let n = ref 0 in
   let continue = ref true in
   while !continue && !n < cap do
     match dequeue t ~now with
     | None -> continue := false
     | Some (pkt, cls, crit) ->
-        b.bpkts.(!n) <- pkt;
-        b.bcls.(!n) <- cls;
-        b.bcrit.(!n) <- crit;
+        b.pkts.(!n) <- pkt;
+        b.ids.(!n) <- cls.id;
+        b.rt.(!n) <- crit = Realtime;
         incr n
   done;
-  b.bcount <- !n;
+  b.count <- !n;
   !n
-
-let enqueue_batch t ~now cls pkts =
-  let n = Array.length pkts in
-  if Array.length cls <> n then
-    invalid_arg "Hfsc.enqueue_batch: class and packet arrays differ in length";
-  let acc = ref 0 in
-  for i = 0 to n - 1 do
-    if enqueue t ~now cls.(i) pkts.(i) then incr acc
-  done;
-  !acc
 
 let next_ready_time t ~now =
   if t.bl_pkts = 0 then None

@@ -3,9 +3,9 @@
     as {!Hfsc}, but every selection is a linear scan with the paper's
     rule and the id tie-break written out; see
     lib/hfsc_ref/hfsc_ref.ml's header for why this copy exists. Its
-    batch calls are plain loops over the single-packet entry points,
-    which {e defines} the batch-equals-singles outcome {!Hfsc} must
-    match. {!audit} checks the scheduler-level invariants only
+    {!dequeue_batch} is a plain loop over the single-packet {!dequeue}
+    filling the same {!Pkt.Batch}, which {e defines} the
+    batch-equals-singles outcome {!Hfsc} must match. {!audit} checks the scheduler-level invariants only
     (membership flags, counters, deadline ordering, overflow); the
     oracle has no trees to validate. *)
 

@@ -77,45 +77,6 @@ type params = {
   quantum : int option;
 }
 
-(* Parallel result arrays for the batched dequeue, filled in place by
-   [deq_fill] — copies of the underlying scheduler's own batch so one
-   shape serves every backend. A drained packet costs zero words. *)
-type batch = {
-  bb_pkts : Pkt.Packet.t array;
-  bb_ids : int array;
-  bb_rt : bool array;
-  mutable bb_count : int;
-}
-
-let dummy_pkt = Pkt.Packet.make ~flow:0 ~size:1 ~seq:0 ~arrival:0.
-
-let batch ?(capacity = 64) () =
-  if capacity <= 0 then invalid_arg "Backend.batch: capacity must be positive";
-  {
-    bb_pkts = Array.make capacity dummy_pkt;
-    bb_ids = Array.make capacity 0;
-    bb_rt = Array.make capacity false;
-    bb_count = 0;
-  }
-
-let batch_capacity b = Array.length b.bb_pkts
-let batch_count b = b.bb_count
-
-let check_idx b i =
-  if i < 0 || i >= b.bb_count then invalid_arg "Backend.batch: index out of range"
-
-let batch_pkt b i =
-  check_idx b i;
-  Array.unsafe_get b.bb_pkts i
-
-let batch_id b i =
-  check_idx b i;
-  Array.unsafe_get b.bb_ids i
-
-let batch_realtime b i =
-  check_idx b i;
-  Array.unsafe_get b.bb_rt i
-
 (* Out-params of the last successful single [dequeue] — instance-held
    so the hot path never allocates an option on the backend boundary. *)
 type out = {
@@ -170,7 +131,7 @@ type t = {
   (* the data path *)
   enqueue : now:float -> int -> Pkt.Packet.t -> bool;
   dequeue : now:float -> bool;
-  deq_fill : now:float -> batch -> int;
+  deq_fill : now:float -> Pkt.Batch.t -> int;
   next_ready : now:float -> float option;
   backlog_pkts : unit -> int;
   backlog_bytes : unit -> int;
@@ -178,6 +139,28 @@ type t = {
 }
 
 let dead_class op = Printf.sprintf "Backend.%s: unknown class id" op
+
+(* The single dequeue, written once over a backend's [deq_fill]: it
+   rides a held one-slot batch and leaves the result in [out], so the
+   option tuple a scheduler's own [dequeue] would allocate is never
+   paid on the backend boundary (the engine already pays one for its
+   own result). *)
+let single_dequeue deq_fill =
+  let out =
+    { o_pkt = Pkt.Packet.make ~flow:0 ~size:1 ~seq:0 ~arrival:0.; o_id = 0;
+      o_rt = false }
+  in
+  let one = Pkt.Batch.create ~capacity:1 () in
+  let dequeue ~now =
+    deq_fill ~now one > 0
+    && begin
+         out.o_pkt <- Array.unsafe_get one.Pkt.Batch.pkts 0;
+         out.o_id <- Array.unsafe_get one.Pkt.Batch.ids 0;
+         out.o_rt <- Array.unsafe_get one.Pkt.Batch.rt 0;
+         true
+       end
+  in
+  (out, dequeue)
 
 (* --- H-FSC over the record ------------------------------------------ *)
 
@@ -395,40 +378,7 @@ let of_hfsc ~link_rate sched =
         Ok ()
     | exception Invalid_argument e -> of_invalid e
   in
-  (* the underlying native batch, resized when the caller's grows *)
-  let hb = ref (Hfsc.batch ~capacity:1 ()) in
-  let deq_fill ~now b =
-    let cap = batch_capacity b in
-    if Hfsc.batch_capacity !hb <> cap then hb := Hfsc.batch ~capacity:cap ();
-    let n = Hfsc.dequeue_batch sched ~now !hb in
-    for i = 0 to n - 1 do
-      Array.unsafe_set b.bb_pkts i (Hfsc.batch_pkt !hb i);
-      Array.unsafe_set b.bb_ids i (Hfsc.id (Hfsc.batch_cls !hb i));
-      Array.unsafe_set b.bb_rt i
-        (match Hfsc.batch_crit !hb i with
-        | Hfsc.Realtime -> true
-        | Hfsc.Linkshare -> false)
-    done;
-    b.bb_count <- n;
-    n
-  in
-  let out = { o_pkt = dummy_pkt; o_id = 0; o_rt = false } in
-  (* single dequeue rides a held one-slot native batch: the option tuple
-     [Hfsc.dequeue] would allocate is the only allocation the interface
-     may add, and the engine already pays it for its own result *)
-  let one = Hfsc.batch ~capacity:1 () in
-  let dequeue ~now =
-    if Hfsc.dequeue_batch sched ~now one = 0 then false
-    else begin
-      out.o_pkt <- Hfsc.batch_pkt one 0;
-      out.o_id <- Hfsc.id (Hfsc.batch_cls one 0);
-      out.o_rt <-
-        (match Hfsc.batch_crit one 0 with
-        | Hfsc.Realtime -> true
-        | Hfsc.Linkshare -> false);
-      true
-    end
-  in
+  let out, dequeue = single_dequeue (Hfsc.dequeue_batch sched) in
   {
     kind = Hfsc_kind;
     link_rate;
@@ -471,7 +421,7 @@ let of_hfsc ~link_rate sched =
         | Some cls -> Hfsc.enqueue sched ~now cls pkt
         | None -> invalid_arg (dead_class "enqueue"));
     dequeue;
-    deq_fill;
+    deq_fill = Hfsc.dequeue_batch sched;
     next_ready = (fun ~now -> Hfsc.next_ready_time sched ~now);
     backlog_pkts = (fun () -> Hfsc.backlog_pkts sched);
     backlog_bytes = (fun () -> Hfsc.backlog_bytes sched);
@@ -579,31 +529,7 @@ let of_hls ~link_rate sched =
         Ok ()
     | exception Invalid_argument e -> of_invalid e
   in
-  let hb = ref (Hls.batch ~capacity:1 ()) in
-  let deq_fill ~now b =
-    let cap = batch_capacity b in
-    if Hls.batch_capacity !hb <> cap then hb := Hls.batch ~capacity:cap ();
-    let n = Hls.dequeue_batch sched ~now !hb in
-    for i = 0 to n - 1 do
-      Array.unsafe_set b.bb_pkts i (Hls.batch_pkt !hb i);
-      Array.unsafe_set b.bb_ids i (Hls.id (Hls.batch_cls !hb i))
-      (* bb_rt stays false: round-robin serves everything as link-sharing *)
-    done;
-    b.bb_count <- n;
-    n
-  in
-  let out = { o_pkt = dummy_pkt; o_id = 0; o_rt = false } in
-  (* same zero-allocation single-dequeue trick as the hfsc backend *)
-  let one = Hls.batch ~capacity:1 () in
-  let dequeue ~now =
-    if Hls.dequeue_batch sched ~now one = 0 then false
-    else begin
-      out.o_pkt <- Hls.batch_pkt one 0;
-      out.o_id <- Hls.id (Hls.batch_cls one 0);
-      out.o_rt <- false;
-      true
-    end
-  in
+  let out, dequeue = single_dequeue (Hls.dequeue_batch sched) in
   {
     kind = Rr_kind;
     link_rate;
@@ -657,7 +583,7 @@ let of_hls ~link_rate sched =
         | Some cls -> Hls.enqueue sched ~now cls pkt
         | None -> invalid_arg (dead_class "enqueue"));
     dequeue;
-    deq_fill;
+    deq_fill = Hls.dequeue_batch sched;
     next_ready = (fun ~now -> Hls.next_ready_time sched ~now);
     backlog_pkts = (fun () -> Hls.backlog_pkts sched);
     backlog_bytes = (fun () -> Hls.backlog_bytes sched);

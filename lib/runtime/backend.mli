@@ -79,22 +79,6 @@ type params = {
     quantum for round-robin. Each backend rejects the other family
     with {!Bad_value}. *)
 
-type batch
-(** Parallel result arrays for the batched dequeue, filled in place by
-    [deq_fill]; a drained packet costs zero words of allocation. *)
-
-val batch : ?capacity:int -> unit -> batch
-val batch_capacity : batch -> int
-val batch_count : batch -> int
-
-val batch_pkt : batch -> int -> Pkt.Packet.t
-(** @raise Invalid_argument outside [0 .. batch_count - 1]. *)
-
-val batch_id : batch -> int -> int
-val batch_realtime : batch -> int -> bool
-(** Whether the packet was served under the real-time criterion
-    (always [false] on a round-robin backend). *)
-
 type out = {
   mutable o_pkt : Pkt.Packet.t;
   mutable o_id : int;
@@ -161,10 +145,12 @@ type t = {
   dequeue : now:float -> bool;
       (** [true] = one packet served, result in [out]; [false] = the
           scheduler has nothing servable *)
-  deq_fill : now:float -> batch -> int;
-      (** fill up to [batch_capacity] slots, bit-identical in service
-          order to that many single [dequeue] calls; returns the count.
-          Zero allocation per packet in steady state. *)
+  deq_fill : now:float -> Pkt.Batch.t -> int;
+      (** the scheduler's own [dequeue_batch], called directly: fills
+          up to [Pkt.Batch.capacity] slots with packets, dense class
+          ids and real-time flags, bit-identical in service order to
+          that many single [dequeue] calls; returns the count. Zero
+          allocation per packet in steady state. *)
   next_ready : now:float -> float option;
   backlog_pkts : unit -> int;
   backlog_bytes : unit -> int;

@@ -45,7 +45,7 @@ type op =
       lbytes : limit_val option;
       lpolicy : limit_policy option;
     }
-  | Link_add of { link : string; rate : float; backend : Config.backend }
+  | Link_add of { link : string; rate : float; backend : Backend.kind }
   | Link_delete of string
   | Link_list
 
@@ -203,13 +203,13 @@ let parse_tokens = function
             target = Default_link;
             op =
               Link_add
-                { link = name; rate = rate_tok r; backend = Config.Hfsc_backend };
+                { link = name; rate = rate_tok r; backend = Backend.Hfsc_kind };
           }
       | [ name; "rate"; r; "backend"; b ] ->
           let backend =
             match b with
-            | "hfsc" -> Config.Hfsc_backend
-            | "rr" -> Config.Rr_backend
+            | "hfsc" -> Backend.Hfsc_kind
+            | "rr" -> Backend.Rr_kind
             | other -> fail "unknown backend %S (hfsc|rr)" other
           in
           {
@@ -404,8 +404,8 @@ let to_buffer b { target; op } =
   | Link_add { link; rate = r; backend } ->
       str "link add "; str link; str " rate "; rate r;
       (match backend with
-      | Config.Hfsc_backend -> ()
-      | Config.Rr_backend -> str " backend rr")
+      | Backend.Hfsc_kind -> ()
+      | Backend.Rr_kind -> str " backend rr")
   | Link_delete name -> str "link delete "; str name
   | Link_list -> str "link list"
 

@@ -110,7 +110,7 @@ type op =
       lbytes : limit_val option;
       lpolicy : limit_policy option;
     }
-  | Link_add of { link : string; rate : float; backend : Config.backend }
+  | Link_add of { link : string; rate : float; backend : Backend.kind }
       (** [link add NAME rate RATE [backend hfsc|rr]]; [rate] in
           bytes/second; the backend defaults to hfsc and is fixed for
           the link's lifetime *)

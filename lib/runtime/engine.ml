@@ -98,20 +98,14 @@ let create ?trace_capacity ?tracing ?audit_every ~link_rate sched ~flow_map ()
   let flow_map = List.map (fun (f, cls) -> (f, Hfsc.id cls)) flow_map in
   create_backend ?trace_capacity ?tracing ?audit_every be ~flow_map ()
 
-let create_rr ?trace_capacity ?tracing ?audit_every ~link_rate sched ~flow_map
-    () =
-  let be = Backend.of_hls ~link_rate sched in
-  let flow_map = List.map (fun (f, cls) -> (f, Sched.Hls.id cls)) flow_map in
-  create_backend ?trace_capacity ?tracing ?audit_every be ~flow_map ()
-
-let create_link ?trace_capacity ?tracing ?audit_every ~link_rate backend =
-  match (backend : Config.backend) with
-  | Config.Hfsc_backend ->
-      create ?trace_capacity ?tracing ?audit_every ~link_rate
-        (Hfsc.create ~link_rate ()) ~flow_map:[] ()
-  | Config.Rr_backend ->
-      create_rr ?trace_capacity ?tracing ?audit_every ~link_rate
-        (Sched.Hls.create ()) ~flow_map:[] ()
+let create_link ?trace_capacity ?tracing ?audit_every ~link_rate kind =
+  let be =
+    match (kind : Backend.kind) with
+    | Backend.Hfsc_kind ->
+        Backend.of_hfsc ~link_rate (Hfsc.create ~link_rate ())
+    | Backend.Rr_kind -> Backend.of_hls ~link_rate (Sched.Hls.create ())
+  in
+  create_backend ?trace_capacity ?tracing ?audit_every be ~flow_map:[] ()
 
 let backend t = t.be
 let backend_kind t = t.be.Backend.kind
@@ -647,16 +641,14 @@ let dequeue t ~now =
     None
   end
 
-let make_batch ?capacity () = Backend.batch ?capacity ()
-
-let dequeue_batch t ~now b =
+let dequeue_batch t ~now (b : Pkt.Batch.t) =
   let n = t.be.Backend.deq_fill ~now b in
   for i = 0 to n - 1 do
-    let pkt = Backend.batch_pkt b i in
-    Telemetry.note_dequeue t.tele ~id:(Backend.batch_id b i) ~now
+    let pkt = b.pkts.(i) in
+    Telemetry.note_dequeue t.tele ~id:b.ids.(i) ~now
       ~size:pkt.Pkt.Packet.size ~flow:pkt.Pkt.Packet.flow
       ~seq:pkt.Pkt.Packet.seq ~arrival:pkt.Pkt.Packet.arrival
-      ~realtime:(Backend.batch_realtime b i)
+      ~realtime:b.rt.(i)
   done;
   maybe_audit t;
   n
@@ -665,19 +657,19 @@ let adapter t =
   (* native batched poll for transmit-ring fills: one audit tick and
      one clock conversion per burst. The batch is reused across calls
      and only reallocated when the requested burst size changes. *)
-  let cache = ref (Backend.batch ~capacity:1 ()) in
+  let cache = ref (Pkt.Batch.create ~capacity:1 ()) in
   let dequeue_many ~now ~max =
     if max <= 0 then []
     else begin
-      if Backend.batch_capacity !cache <> max then
-        cache := Backend.batch ~capacity:max ();
+      if Pkt.Batch.capacity !cache <> max then
+        cache := Pkt.Batch.create ~capacity:max ();
       let b = !cache in
       let n = dequeue_batch t ~now b in
       List.init n (fun i ->
           {
-            Sched.Scheduler.pkt = Backend.batch_pkt b i;
-            cls = t.be.Backend.cls_name (Backend.batch_id b i);
-            criterion = (if Backend.batch_realtime b i then "rt" else "ls");
+            Sched.Scheduler.pkt = Pkt.Batch.pkt b i;
+            cls = t.be.Backend.cls_name (Pkt.Batch.id b i);
+            criterion = (if Pkt.Batch.realtime b i then "rt" else "ls");
           })
     end
   in

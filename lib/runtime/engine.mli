@@ -114,17 +114,6 @@ val create :
     operation. Installs the scheduler's drop hook, so every drop is
     counted in {!Telemetry} against the class that lost the packet. *)
 
-val create_rr :
-  ?trace_capacity:int ->
-  ?tracing:bool ->
-  ?audit_every:int ->
-  link_rate:float ->
-  Sched.Hls.t ->
-  flow_map:(int * Sched.Hls.cls) list ->
-  unit ->
-  t
-(** {!create} for the round-robin backend. *)
-
 val create_backend :
   ?trace_capacity:int ->
   ?tracing:bool ->
@@ -133,15 +122,16 @@ val create_backend :
   flow_map:(int * int) list ->
   unit ->
   t
-(** The general form both of the above reduce to: wrap any backend,
-    with the flow map given in dense class ids. *)
+(** The general form {!create} reduces to: wrap any backend — e.g.
+    [Backend.of_hls ~link_rate sched] for round-robin — with the flow
+    map given in dense class ids. *)
 
 val create_link :
   ?trace_capacity:int ->
   ?tracing:bool ->
   ?audit_every:int ->
   link_rate:float ->
-  Config.backend ->
+  Backend.kind ->
   t
 (** A class-less engine over a fresh scheduler of the given backend:
     what [link add] creates on either router. *)
@@ -273,15 +263,14 @@ val dequeue : t -> now:float -> (Pkt.Packet.t * int * Hfsc.criterion) option
     [telemetry.*] trace rows measure this function against the bare
     scheduler. *)
 
-val make_batch : ?capacity:int -> unit -> Backend.batch
-(** A reusable result ring for {!dequeue_batch} (capacity defaults
-    to 64). *)
-
-val dequeue_batch : t -> now:float -> Backend.batch -> int
-(** The native batched poll: the backend's [deq_fill] — bit-identical
-    in scheduling outcome to that many single {!dequeue} calls — plus
-    per-packet telemetry, at the cost of one time conversion and one
-    periodic-audit tick for the whole batch. Returns the fill count. *)
+val dequeue_batch : t -> now:float -> Pkt.Batch.t -> int
+(** The native batched poll: the backend's [deq_fill] — the
+    scheduler's own [dequeue_batch] filling the caller's batch in
+    place, bit-identical in scheduling outcome to that many single
+    {!dequeue} calls — plus per-packet telemetry, at the cost of one
+    time conversion and one periodic-audit tick for the whole batch.
+    Returns the fill count; zero words of allocation per packet,
+    traced or not. *)
 
 val adapter : t -> Sched.Scheduler.t
 (** Package the engine for {!Netsim.Sim} — the one H-FSC (and rr)

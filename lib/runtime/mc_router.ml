@@ -145,16 +145,16 @@ let serve_msg (p, bcache) msg =
       match
         if d_max <= 0 then 0
         else begin
-          if Backend.batch_capacity !bcache <> d_max then
-            bcache := Backend.batch ~capacity:d_max ();
+          if Pkt.Batch.capacity !bcache <> d_max then
+            bcache := Pkt.Batch.create ~capacity:d_max ();
           let b = !bcache in
           let n = Engine.dequeue_batch p.p_eng ~now:d_now b in
           for i = 0 to n - 1 do
             push_out p
               {
-                dq_pkt = Backend.batch_pkt b i;
-                dq_cls = Engine.class_name p.p_eng (Backend.batch_id b i);
-                dq_rt = Backend.batch_realtime b i;
+                dq_pkt = Pkt.Batch.pkt b i;
+                dq_cls = Engine.class_name p.p_eng (Pkt.Batch.id b i);
+                dq_rt = Pkt.Batch.realtime b i;
               }
           done;
           n
@@ -183,7 +183,7 @@ let worker_body w =
   let handle_admin = function
     | A_nop -> ()
     | A_attach p ->
-        ports := !ports @ [ (p, ref (Backend.batch ~capacity:1 ())) ]
+        ports := !ports @ [ (p, ref (Pkt.Batch.create ~capacity:1 ())) ]
     | A_detach { dt_port; dt_reply } ->
         (match List.find_opt (fun (p, _) -> p == dt_port) !ports with
         | Some pb ->
@@ -366,7 +366,7 @@ let create ?trace_capacity ?tracing ?audit_every ~domains () =
   }
 
 let domains t = Array.length t.workers
-let add_link ?(backend = Config.Hfsc_backend) t ~name ~link_rate =
+let add_link ?(backend = Backend.Hfsc_kind) t ~name ~link_rate =
   Router_core.add_link t.core ~name ~link_rate ~backend
 let link_names t = List.map fst t.core.Router_core.links
 let link_rate t ~link = Option.map fst (Router_core.link_spec t.core link)
@@ -440,7 +440,7 @@ let adapter t ~link =
       in
       Some
         {
-          Sched.Scheduler.name = Config.backend_name backend;
+          Sched.Scheduler.name = Backend.kind_name backend;
           enqueue = (fun ~now pkt -> post_enqueue p ~now pkt);
           dequeue =
             (fun ~now ->

@@ -79,7 +79,7 @@ val of_config :
 
 val domains : t -> int
 val add_link :
-  ?backend:Config.backend ->
+  ?backend:Backend.kind ->
   t ->
   name:string ->
   link_rate:float ->

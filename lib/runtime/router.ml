@@ -32,7 +32,7 @@ let of_config ?trace_capacity ?tracing ?audit_every cfg =
   let t = create ?trace_capacity ?tracing ?audit_every () in
   Result.map (fun warnings -> (t, warnings)) (Router_core.of_config t cfg)
 
-let add_link ?(backend = Config.Hfsc_backend) t ~name ~link_rate =
+let add_link ?(backend = Backend.Hfsc_kind) t ~name ~link_rate =
   Router_core.add_link t ~name ~link_rate ~backend
 let links = Router_core.links
 let find_link = Router_core.find_link

@@ -77,7 +77,7 @@ val of_engines :
     two engines. *)
 
 val add_link :
-  ?backend:Config.backend ->
+  ?backend:Backend.kind ->
   t ->
   name:string ->
   link_rate:float ->

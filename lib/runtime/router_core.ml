@@ -45,9 +45,9 @@ type 'p t = {
   (* each link's rate and backend, fixed for its lifetime and recorded
      when the link is made, so a downed link still lists and
      checkpoints as itself *)
-  specs : (string, float * Config.backend) Hashtbl.t;
+  specs : (string, float * Backend.kind) Hashtbl.t;
   ops : 'p ops;
-  new_port : link_rate:float -> Config.backend -> 'p;
+  new_port : link_rate:float -> Backend.kind -> 'p;
       (* what [link add] attaches: an empty engine in the router's port *)
 }
 
@@ -108,11 +108,7 @@ let rebuild_shard t =
 let adopt t ((name, port) as link) =
   let spec, flows =
     t.ops.call port ~down:raise (fun eng ->
-        ( ( Engine.link_rate eng,
-            match Engine.backend_kind eng with
-            | Backend.Hfsc_kind -> Config.Hfsc_backend
-            | Backend.Rr_kind -> Config.Rr_backend ),
-          Engine.flows eng ))
+        ((Engine.link_rate eng, Engine.backend_kind eng), Engine.flows eng))
   in
   t.links <- t.links @ [ link ];
   Hashtbl.replace t.specs name spec;
@@ -146,8 +142,8 @@ let add_link t ~name ~link_rate ~backend =
   Ok
     (Printf.sprintf "added link %S (rate %.0f B/s%s, %d link%s)" name link_rate
        (match backend with
-       | Config.Hfsc_backend -> ""
-       | Config.Rr_backend -> " backend rr")
+       | Backend.Hfsc_kind -> ""
+       | Backend.Rr_kind -> " backend rr")
        (link_count t)
        (if link_count t > 1 then "s" else ""))
 
@@ -199,8 +195,8 @@ let link_list t =
                   "%-12s rate %.0f B/s%s  classes %d  flows %d  backlog %d/%d"
                   name rate
                   (match backend with
-                  | Config.Hfsc_backend -> ""
-                  | Config.Rr_backend -> " backend rr")
+                  | Backend.Hfsc_kind -> ""
+                  | Backend.Rr_kind -> " backend rr")
                   classes flows pkts bytes)
               ls))
 

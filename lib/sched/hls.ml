@@ -420,65 +420,29 @@ let dequeue t ~now =
   let leaf = dequeue_core t in
   if leaf == nil then None else Some (t.deq_pkt, leaf)
 
-(* --- batched entry points (mirrors [Hfsc]) --------------------------- *)
+(* --- batched dequeue (mirrors [Hfsc]) ------------------------------- *)
 
-type batch = {
-  bpkts : Pkt.Packet.t array;
-  bcls : cls array;
-  mutable bcount : int;
-}
-
-let batch ?(capacity = 64) () =
-  if capacity <= 0 then invalid_arg "Hls.batch: capacity must be positive";
-  { bpkts = Array.make capacity dummy_pkt; bcls = Array.make capacity nil;
-    bcount = 0 }
-
-let batch_capacity b = Array.length b.bpkts
-let batch_count b = b.bcount
-
-let[@inline] batch_check b i =
-  if i < 0 || i >= b.bcount then invalid_arg "Hls.batch: index out of bounds"
-
-let batch_pkt b i =
-  batch_check b i;
-  b.bpkts.(i)
-
-let batch_cls b i =
-  batch_check b i;
-  b.bcls.(i)
-
-let rec deq_batch_loop t b i cap =
+let rec deq_batch_loop t (b : Pkt.Batch.t) i cap =
   if i >= cap then i
   else begin
     let leaf = dequeue_core t in
     if leaf == nil then i
     else begin
-      (* [i < cap = Array.length b.bpkts], both arrays share it *)
-      Array.unsafe_set b.bpkts i t.deq_pkt;
-      Array.unsafe_set b.bcls i leaf;
+      (* [i < cap = Pkt.Batch.capacity b], the length of all three
+         arrays *)
+      Array.unsafe_set b.pkts i t.deq_pkt;
+      Array.unsafe_set b.ids i leaf.id;
+      (* round-robin serves everything as link-sharing *)
+      Array.unsafe_set b.rt i false;
       deq_batch_loop t b (i + 1) cap
     end
   end
 
-let dequeue_batch t ~now b =
+let dequeue_batch t ~now (b : Pkt.Batch.t) =
   ignore now;
-  let n = deq_batch_loop t b 0 (Array.length b.bpkts) in
-  b.bcount <- n;
+  let n = deq_batch_loop t b 0 (Array.length b.pkts) in
+  b.count <- n;
   n
-
-let rec enq_batch_loop t now cls pkts i n acc =
-  if i >= n then acc
-  else
-    let ok =
-      enqueue t ~now (Array.unsafe_get cls i) (Array.unsafe_get pkts i)
-    in
-    enq_batch_loop t now cls pkts (i + 1) n (if ok then acc + 1 else acc)
-
-let enqueue_batch t ~now cls pkts =
-  let n = Array.length pkts in
-  if Array.length cls <> n then
-    invalid_arg "Hls.enqueue_batch: class and packet arrays differ in length";
-  enq_batch_loop t now cls pkts 0 n 0
 
 (* Work-conserving with no rate caps: backlogged means servable now. *)
 let next_ready_time t ~now = if t.bl_pkts = 0 then None else Some now

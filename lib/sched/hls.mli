@@ -16,8 +16,8 @@
 
     The surface deliberately mirrors {!Hfsc} (dense ids, queue and
     aggregate limits with the same eviction policies, a drop hook,
-    class snapshots, batched entry points with instance-held
-    out-params), so {!Runtime.Backend} can drive either through one
+    class snapshots, a batched dequeue into the shared {!Pkt.Batch}
+    with instance-held out-params), so {!Runtime.Backend} can drive either through one
     record.
 
     {b Domain ownership.} A [t] is a single-domain mutable object —
@@ -120,26 +120,12 @@ val dequeue : t -> now:float -> (Pkt.Packet.t * cls) option
 (** Serve one packet by the rotor chain; [None] iff idle (the
     scheduler is work-conserving: backlogged means servable). *)
 
-type batch
-(** Parallel result arrays filled in place — a drained packet costs
-    zero words of allocation (mirrors {!Hfsc.batch}). *)
-
-val batch : ?capacity:int -> unit -> batch
-val batch_capacity : batch -> int
-val batch_count : batch -> int
-
-val batch_pkt : batch -> int -> Pkt.Packet.t
-(** @raise Invalid_argument outside [0 .. batch_count - 1]. *)
-
-val batch_cls : batch -> int -> cls
-
-val dequeue_batch : t -> now:float -> batch -> int
-(** Fill up to [batch_capacity] slots; bit-identical in service order
-    to that many single {!dequeue} calls. Returns the fill count. *)
-
-val enqueue_batch : t -> now:float -> cls array -> Pkt.Packet.t array -> int
-(** Per-packet admission preserved exactly; returns accepted count.
-    @raise Invalid_argument when the arrays differ in length. *)
+val dequeue_batch : t -> now:float -> Pkt.Batch.t -> int
+(** Fill up to [Pkt.Batch.capacity] slots of the caller's batch with
+    packets, leaf {!id}s and a [false] real-time flag, in place — a
+    drained packet costs zero words of allocation (mirrors
+    {!Hfsc.dequeue_batch}). Bit-identical in service order to that
+    many single {!dequeue} calls. Returns the fill count. *)
 
 val next_ready_time : t -> now:float -> float option
 (** [Some now] when backlogged, [None] when idle — no rate caps. *)

@@ -185,11 +185,11 @@ end
 
 (* Drive a scheduler through an op stream, rendering every decision
    (and the final per-class aggregates) into a trace string; two runs
-   agree iff the strings are equal. With [expand_bursts:true] the burst
-   ops are executed as the equivalent sequences of single calls — so
-   comparing the two modes on the {e same} module asserts the
-   batch-equals-singles bit-identity, and comparing across modules
-   asserts the scheduler differential. Raises [Failure] when the
+   agree iff the strings are equal. With [expand_bursts:true] a
+   dequeue burst runs as the equivalent sequence of single calls (an
+   enqueue burst always does) — so comparing the two modes on the
+   {e same} module asserts the batch-equals-singles bit-identity, and
+   comparing across modules asserts the scheduler differential. Raises [Failure] when the
    periodic audit finds a violated invariant. *)
 module Drive (H : module type of Hfsc) = struct
   module B = Build (H)
@@ -211,10 +211,17 @@ module Drive (H : module type of Hfsc) = struct
       seqs.(i mod nl) <- seqs.(i mod nl) + 1;
       p
     in
-    let deq_record p (c : H.cls) crit =
+    let deq_record p name crit =
       Buffer.add_string buf
         (Printf.sprintf "D%d:%d:%s:%d;" p.Pkt.Packet.flow p.Pkt.Packet.seq
-           (H.name c) (crit_int crit))
+           name crit)
+    in
+    (* a batch names the served leaf by its id; map it back *)
+    let leaf_name id =
+      let _, c, _ =
+        Option.get (Array.find_opt (fun (_, c, _) -> H.id c = id) leaves)
+      in
+      H.name c
     in
     List.iter
       (fun { dt; act } ->
@@ -230,35 +237,20 @@ module Drive (H : module type of Hfsc) = struct
         | Deq -> (
             match H.dequeue t ~now:!now with
             | None -> Buffer.add_string buf "D-;"
-            | Some (p, c, crit) -> deq_record p c crit)
+            | Some (p, c, crit) -> deq_record p (H.name c) (crit_int crit))
         | Enq_burst ps ->
-            (* per-packet accept/drop outcomes are not part of the
-               batched return value, so both modes record only the
-               accepted count — the individual outcomes stay pinned
-               through their effect on every later decision and the
-               final aggregates *)
+            (* a burst of arrivals at one instant, run as singles in
+               both modes; the trace records only the accepted count,
+               and the individual outcomes stay pinned through their
+               effect on every later decision and the final
+               aggregates *)
             let accepted =
-              if expand_bursts then
-                List.fold_left
-                  (fun acc (i, size) ->
-                    let _, cls, _ = leaves.(i mod nl) in
-                    let p = mkpkt i size in
-                    if H.enqueue t ~now:!now cls p then acc + 1 else acc)
-                  0 ps
-              else begin
-                let cls =
-                  Array.of_list
-                    (List.map
-                       (fun (i, _) ->
-                         let _, c, _ = leaves.(i mod nl) in
-                         c)
-                       ps)
-                in
-                let pkts =
-                  Array.of_list (List.map (fun (i, s) -> mkpkt i s) ps)
-                in
-                H.enqueue_batch t ~now:!now cls pkts
-              end
+              List.fold_left
+                (fun acc (i, size) ->
+                  let _, cls, _ = leaves.(i mod nl) in
+                  let p = mkpkt i size in
+                  if H.enqueue t ~now:!now cls p then acc + 1 else acc)
+                0 ps
             in
             Buffer.add_string buf (Printf.sprintf "B%d;" accepted)
         | Deq_burst n ->
@@ -273,17 +265,18 @@ module Drive (H : module type of Hfsc) = struct
                     match H.dequeue t ~now:!now with
                     | None -> i
                     | Some (p, c, crit) ->
-                        deq_record p c crit;
+                        deq_record p (H.name c) (crit_int crit);
                         go (i + 1)
                 in
                 go 0
               end
               else begin
-                let b = H.batch ~capacity:n () in
+                let b = Pkt.Batch.create ~capacity:n () in
                 let c = H.dequeue_batch t ~now:!now b in
                 for k = 0 to c - 1 do
-                  deq_record (H.batch_pkt b k) (H.batch_cls b k)
-                    (H.batch_crit b k)
+                  deq_record (Pkt.Batch.pkt b k)
+                    (leaf_name (Pkt.Batch.id b k))
+                    (if Pkt.Batch.realtime b k then 0 else 1)
                 done;
                 c
               end

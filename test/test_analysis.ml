@@ -1,6 +1,6 @@
 (* Tests for the analysis toolkit (lib/analysis): arrival envelopes,
-   Theorem 1+2 delay bounds, the SCED admission condition, and the
-   fairness metrics. *)
+   Theorem 1+2 delay bounds, the SCED admission condition and
+   multi-hop bounds. *)
 
 module Sc = Curve.Service_curve
 module P = Curve.Piecewise
@@ -92,30 +92,33 @@ let test_coupled_rate_factor () =
 
 (* --- admission ---------------------------------------------------------- *)
 
+let vb = Analysis.Admission.violating_breakpoint
+let on_link r = P.linear ~slope:r
+
 let test_admission_exact_fit () =
   let c1 = Sc.make ~m1:7e5 ~d:1. ~m2:1e5 in
   let c2 = Sc.make ~m1:3e5 ~d:1. ~m2:9e5 in
   (* first pieces sum to 1e6 = link rate; second pieces too *)
   Alcotest.(check bool) "tight set admissible" true
-    (Analysis.Admission.admissible ~link_rate:1e6 [ c1; c2 ]);
-  Alcotest.(check (float 1e-6)) "zero excess" 0.
-    (Analysis.Admission.excess ~link_rate:1e6 [ c1; c2 ])
+    (vb ~capacity:(on_link 1e6) [ c1; c2 ] = None)
 
 let test_admission_over () =
   let c1 = Sc.make ~m1:8e5 ~d:1. ~m2:1e5 in
   let c2 = Sc.make ~m1:3e5 ~d:1. ~m2:9e5 in
-  Alcotest.(check bool) "oversubscribed burst" false
-    (Analysis.Admission.admissible ~link_rate:1e6 [ c1; c2 ]);
-  Alcotest.(check (float 1e-6)) "1e5 bytes over" 1e5
-    (Analysis.Admission.excess ~link_rate:1e6 [ c1; c2 ])
+  match vb ~capacity:(on_link 1e6) [ c1; c2 ] with
+  | Some (t, demand, capacity) ->
+      Alcotest.(check (float 0.)) "at the knee" 1. t;
+      Alcotest.(check (float 1e-6)) "1e5 bytes over" 1e5 (demand -. capacity)
+  | None -> Alcotest.fail "oversubscribed burst admitted"
 
 let test_admission_rate_only_over () =
   (* rates exceed the link even though bursts fit *)
   let cs = [ Sc.linear 6e5; Sc.linear 6e5 ] in
-  Alcotest.(check bool) "rate oversubscription" false
-    (Analysis.Admission.admissible ~link_rate:1e6 cs);
-  Alcotest.(check (float 1e-9)) "utilization" 1.2
-    (Analysis.Admission.rate_utilization ~link_rate:1e6 cs)
+  match vb ~capacity:(on_link 1e6) cs with
+  | Some (t, demand_rate, link_rate) ->
+      Alcotest.(check (float 0.)) "asymptotic" infinity t;
+      Alcotest.(check (float 1e-9)) "utilization" 1.2 (demand_rate /. link_rate)
+  | None -> Alcotest.fail "rate oversubscription admitted"
 
 let admission_scaling =
   qt "admissible sets stay admissible when scaled down"
@@ -128,16 +131,14 @@ let admission_scaling =
       let scaled = List.map (fun c -> Sc.scale c (1. /. n)) cs in
       (* each curve has slopes <= 3e5 <= link, so the 1/n scaling makes
          the sum admissible on a 3e5 link *)
-      Analysis.Admission.admissible ~link_rate:3e5 scaled)
+      vb ~capacity:(on_link 3e5) scaled = None)
 
 let test_hierarchy_consistent () =
-  let parent = Sc.linear 1e6 in
+  let parent = P.of_service_curve (Sc.linear 1e6) in
   Alcotest.(check bool) "fits" true
-    (Analysis.Admission.hierarchy_consistent ~parent
-       [ Sc.linear 6e5; Sc.linear 4e5 ]);
+    (vb ~capacity:parent [ Sc.linear 6e5; Sc.linear 4e5 ] = None);
   Alcotest.(check bool) "does not fit" false
-    (Analysis.Admission.hierarchy_consistent ~parent
-       [ Sc.linear 6e5; Sc.linear 5e5 ])
+    (vb ~capacity:parent [ Sc.linear 6e5; Sc.linear 5e5 ] = None)
 
 (* --- admission: the knee sweep against the pairwise fold --------------- *)
 
@@ -233,15 +234,17 @@ let sweep_matches_fold =
          in
          check (P.of_service_curve parent)
          && check (P.linear ~slope:r)
-         && Analysis.Admission.admissible ~link_rate:r curves
+         && (vb ~capacity:(on_link r) curves = None)
             = ref_admissible ~link_rate:r curves
-         && Analysis.Admission.hierarchy_consistent ~parent curves
+         && (vb ~capacity:(P.of_service_curve parent) curves = None)
             = ref_hierarchy_consistent ~parent curves))
 
 (* A fully allocated link whose verdict rests on the last ulp: the tail
    rates sum to exactly the link's 0.9 in list order, and to
    0.9000000000000001 in knee order or as m1 + Σ(m2 − m1). The sweep
-   must keep the list order's sum, as the fold did. *)
+   must keep the list order's sum, as the fold did: a capacity that
+   fits every breakpoint but not the tail makes [violating_breakpoint]
+   report that sum. *)
 let test_admission_summation_order () =
   let cs =
     [
@@ -254,13 +257,15 @@ let test_admission_summation_order () =
     (0.3 +. 0.2 +. 0.4 = 0.9 && 0.4 +. 0.2 +. 0.3 > 0.9);
   Alcotest.(check bool) "fold: admissible" true (ref_admissible ~link_rate:0.9 cs);
   Alcotest.(check bool) "sweep: admissible" true
-    (Analysis.Admission.admissible ~link_rate:0.9 cs);
-  Alcotest.(check (float 0.)) "sweep: no excess" 0.
-    (Analysis.Admission.excess ~link_rate:0.9 cs);
+    (vb ~capacity:(on_link 0.9) cs = None);
   Alcotest.(check bool) "sweep: fits a 0.9 parent" true
-    (Analysis.Admission.hierarchy_consistent ~parent:(Sc.linear 0.9) cs);
-  Alcotest.(check bool) "sweep: one ulp less does not fit" false
-    (Analysis.Admission.admissible ~link_rate:(Float.pred 0.9) cs)
+    (vb ~capacity:(P.of_service_curve (Sc.linear 0.9)) cs = None);
+  match vb ~capacity:(P.of_service_curve (Sc.make ~m1:10. ~d:3. ~m2:0.5)) cs with
+  | Some (t, demand_rate, _) ->
+      Alcotest.(check (float 0.)) "sweep: only the tail escapes" infinity t;
+      Alcotest.(check (float 0.)) "sweep: tail summed in list order" 0.9
+        demand_rate
+  | None -> Alcotest.fail "a 0.5 tail admitted 0.9 of demand"
 
 (* --- multi-hop --------------------------------------------------------- *)
 
@@ -309,81 +314,6 @@ let test_multihop_validation () =
        false
      with Invalid_argument _ -> true)
 
-(* --- feasibility (Section III-C) ----------------------------------------- *)
-
-let test_feasibility_common_activation () =
-  (* all classes from t=0: reduces to the SCED admission condition *)
-  let c1 = Sc.make ~m1:7e5 ~d:1. ~m2:1e5 in
-  let c2 = Sc.make ~m1:3e5 ~d:1. ~m2:9e5 in
-  Alcotest.(check bool) "tight set feasible" true
-    (Analysis.Feasibility.feasible ~link_rate:1e6 [ (c1, 0.); (c2, 0.) ]);
-  let c3 = Sc.make ~m1:8e5 ~d:1. ~m2:1e5 in
-  Alcotest.(check bool) "oversubscribed infeasible" false
-    (Analysis.Feasibility.feasible ~link_rate:1e6 [ (c3, 0.); (c2, 0.) ])
-
-let test_feasibility_staggered_bursts () =
-  (* the Fig. 3 phenomenon: two concave bursts that fit together from a
-     common origin collide when staggered so the second burst lands on
-     the first one's tail... here both need their m1 simultaneously *)
-  let burst = Sc.make ~m1:6e5 ~d:1. ~m2:1e5 in
-  (* together from 0: 1.2e6 > 1e6 — infeasible *)
-  Alcotest.(check bool) "simultaneous bursts infeasible" false
-    (Analysis.Feasibility.feasible ~link_rate:1e6 [ (burst, 0.); (burst, 0.) ]);
-  (* staggered by more than the burst length: feasible *)
-  Alcotest.(check bool) "well-staggered feasible" true
-    (Analysis.Feasibility.feasible ~link_rate:1e6 [ (burst, 0.); (burst, 2.) ]);
-  (* staggered but overlapping: the overlap window overloads *)
-  match
-    Analysis.Feasibility.overload ~link_rate:1e6 [ (burst, 0.); (burst, 0.5) ]
-  with
-  | Some (t, dem, cap) ->
-      Alcotest.(check bool) "window in the overlap" true (t > 0.5 && t <= 1.5);
-      Alcotest.(check bool) "demand exceeds capacity" true (dem > cap)
-  | None -> Alcotest.fail "expected overload"
-
-let test_feasibility_rate_overload () =
-  (* long-run rates exceed the link: infinite-horizon infeasibility *)
-  Alcotest.(check bool) "rates too big" false
-    (Analysis.Feasibility.feasible ~link_rate:1e6
-       [ (Sc.linear 6e5, 0.); (Sc.linear 6e5, 3.) ])
-
-let test_demand_shape () =
-  let s = Sc.linear 100. in
-  let d = Analysis.Feasibility.demand [ (s, 0.); (s, 1.) ] in
-  Alcotest.(check (float 1e-9)) "before second activation" 50. (P.eval d 0.5);
-  Alcotest.(check (float 1e-9)) "after" 300. (P.eval d 2.)
-
-(* --- fairness metrics ----------------------------------------------------- *)
-
-let test_jain () =
-  Alcotest.(check (float 1e-9)) "equal" 1.
-    (Analysis.Fairness.jain_index [| 5.; 5.; 5. |]);
-  Alcotest.(check bool) "unequal < 1" true
-    (Analysis.Fairness.jain_index [| 10.; 1.; 1. |] < 0.7);
-  Alcotest.(check (float 1e-9)) "single" 1.
-    (Analysis.Fairness.jain_index [| 42. |])
-
-let test_normalized_gap () =
-  let a = Analysis.Fairness.normalized ~rate:10. [| 100.; 200. |] in
-  let b = Analysis.Fairness.normalized ~rate:20. [| 100.; 200. |] in
-  Alcotest.(check (float 1e-9)) "gap" 10. (Analysis.Fairness.max_gap a b);
-  Alcotest.(check bool) "length mismatch" true
-    (try
-       ignore (Analysis.Fairness.max_gap [| 1. |] [||]);
-       false
-     with Invalid_argument _ -> true)
-
-let test_shares () =
-  let s = Analysis.Fairness.throughput_shares [ ("a", 75.); ("b", 25.) ] in
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "normalized"
-    [ ("a", 0.75); ("b", 0.25) ]
-    s;
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "zero total"
-    [ ("a", 0.) ]
-    (Analysis.Fairness.throughput_shares [ ("a", 0.) ])
-
 let () =
   Alcotest.run "analysis"
     [
@@ -426,21 +356,5 @@ let () =
             test_multihop_pay_bursts_once;
           Alcotest.test_case "convexify" `Quick test_multihop_convexify;
           Alcotest.test_case "validation" `Quick test_multihop_validation;
-        ] );
-      ( "feasibility",
-        [
-          Alcotest.test_case "common activation = admission" `Quick
-            test_feasibility_common_activation;
-          Alcotest.test_case "staggered bursts" `Quick
-            test_feasibility_staggered_bursts;
-          Alcotest.test_case "rate overload" `Quick
-            test_feasibility_rate_overload;
-          Alcotest.test_case "demand shape" `Quick test_demand_shape;
-        ] );
-      ( "fairness",
-        [
-          Alcotest.test_case "jain index" `Quick test_jain;
-          Alcotest.test_case "normalized gap" `Quick test_normalized_gap;
-          Alcotest.test_case "shares" `Quick test_shares;
         ] );
     ]

@@ -655,11 +655,13 @@ let run_sim ~domains ~tx_burst =
     let s = Sched.Hls.create () in
     let leaf flow quantum =
       ( flow,
-        Sched.Hls.add_class s ~parent:(Sched.Hls.root s)
-          ~name:(Printf.sprintf "f%d" flow) ~quantum ~qlimit_pkts:8 () )
+        Sched.Hls.id
+          (Sched.Hls.add_class s ~parent:(Sched.Hls.root s)
+             ~name:(Printf.sprintf "f%d" flow) ~quantum ~qlimit_pkts:8 ()) )
     in
+    let flow_map = [ leaf 6 500; leaf 7 900 ] in
     E.adapter
-      (E.create_rr ~link_rate:2e5 s ~flow_map:[ leaf 6 500; leaf 7 900 ] ())
+      (E.create_backend (Runtime.Backend.of_hls ~link_rate:2e5 s) ~flow_map ())
   in
   let route p =
     match p.Pkt.Packet.flow with

@@ -605,7 +605,7 @@ let test_dequeue_batch_allocates_nothing () =
       ignore (Hfsc.enqueue t ~now:0. leaf (pkt ~flow:i ~size:1000 ~seq:s ~arrival:0.))
     done
   done;
-  let b = Hfsc.batch ~capacity:burst () in
+  let b = Pkt.Batch.create ~capacity:burst () in
   let now = ref 0. in
   for _ = 1 to warm do
     now := !now +. (1000. *. float_of_int burst /. link_rate);

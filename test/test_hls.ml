@@ -202,15 +202,15 @@ let test_batch_equals_singles () =
       ignore (Hls.enqueue tb ~now:0. lb.(leaf) p)
     done;
     let want = 1 + Random.State.int rng 6 in
-    let hb = Hls.batch ~capacity:want () in
+    let hb = Pkt.Batch.create ~capacity:want () in
     let n = Hls.dequeue_batch ta ~now:0. hb in
+    Alcotest.(check int) "fill count kept" n (Pkt.Batch.count hb);
     for i = 0 to n - 1 do
       match Hls.dequeue tb ~now:0. with
       | None -> Alcotest.fail "singles ran dry before the batch"
       | Some (p, cls) ->
-          Alcotest.(check bool) "same packet" true (Hls.batch_pkt hb i == p);
-          Alcotest.(check string) "same class" (Hls.name cls)
-            (Hls.name (Hls.batch_cls hb i))
+          Alcotest.(check bool) "same packet" true (Pkt.Batch.pkt hb i == p);
+          Alcotest.(check int) "same class" (Hls.id cls) (Pkt.Batch.id hb i)
     done;
     if n < want then
       Alcotest.(check bool) "both idle after a short fill" true
@@ -226,7 +226,10 @@ let test_batch_equals_singles () =
    hierarchy E7's backend table times (leaves under aggregates of
    1000; fsc-only for H-FSC). The standing backlog sits on the first
    4096 leaves. The clock never advances (the fsc-only H-FSC build
-   serves by virtual time), so no float is boxed in the timed loop. *)
+   serves by virtual time), so no float is boxed in the timed loop.
+   Each scheduler is drained twice: alone, and through a traced engine
+   over its backend — [Engine.dequeue_batch], the path every simulated
+   link's batched polls take. *)
 let test_batched_drain_allocates_nothing () =
   let n = 10_000 and fanout = 1000 and hot = 4096 in
   let burst = 64 and warm = 8 and k = 128 in
@@ -258,40 +261,59 @@ let test_batched_drain_allocates_nothing () =
     Alcotest.(check (float 0.)) (what ^ ": minor words per batched packet") 0.
       (words /. float_of_int (k * burst))
   in
-  (let t = Hls.create () in
-   let leaves =
-     two_level ~root:(Hls.root t)
-       ~add_agg:(fun name -> Hls.add_class t ~parent:(Hls.root t) ~name ())
-       ~add_leaf:(fun parent name ->
-         Hls.add_class t ~parent ~name ~qlimit_pkts:1_000_000 ())
-   in
-   let b = Hls.batch ~capacity:burst () in
+  let b = Pkt.Batch.create ~capacity:burst () in
+  let rr () =
+    let t = Hls.create () in
+    let leaves =
+      two_level ~root:(Hls.root t)
+        ~add_agg:(fun name -> Hls.add_class t ~parent:(Hls.root t) ~name ())
+        ~add_leaf:(fun parent name ->
+          Hls.add_class t ~parent ~name ~qlimit_pkts:1_000_000 ())
+    in
+    (t, leaves)
+  in
+  let link_rate = 12_500_000. in
+  let hfsc () =
+    let t = Hfsc.create ~link_rate () in
+    let leaf_sc = Curve.Service_curve.linear (link_rate /. float_of_int n) in
+    let agg_sc =
+      Curve.Service_curve.linear
+        (link_rate *. float_of_int fanout /. float_of_int n)
+    in
+    let leaves =
+      two_level ~root:(Hfsc.root t)
+        ~add_agg:(fun name ->
+          Hfsc.add_class t ~parent:(Hfsc.root t) ~name ~fsc:agg_sc ())
+        ~add_leaf:(fun parent name ->
+          Hfsc.add_class t ~parent ~name ~fsc:leaf_sc ~qlimit:1_000_000 ())
+    in
+    (t, leaves)
+  in
+  let traced ~what be ids =
+    let eng = E.create_backend ~tracing:true be ~flow_map:[] () in
+    words_per_packet ~what
+      ~enqueue:(fun i p -> ignore (E.enqueue eng ~now:0. ids.(i) p))
+      ~drain:(fun () -> E.dequeue_batch eng ~now:0. b)
+  in
+  (let t, leaves = rr () in
    words_per_packet ~what:"rr"
      ~enqueue:(fun i p -> ignore (Hls.enqueue t ~now:0. leaves.(i) p))
      ~drain:(fun () -> Hls.dequeue_batch t ~now:0. b));
-  let link_rate = 12_500_000. in
-  let t = Hfsc.create ~link_rate () in
-  let leaf_sc = Curve.Service_curve.linear (link_rate /. float_of_int n) in
-  let agg_sc =
-    Curve.Service_curve.linear (link_rate *. float_of_int fanout /. float_of_int n)
-  in
-  let leaves =
-    two_level ~root:(Hfsc.root t)
-      ~add_agg:(fun name ->
-        Hfsc.add_class t ~parent:(Hfsc.root t) ~name ~fsc:agg_sc ())
-      ~add_leaf:(fun parent name ->
-        Hfsc.add_class t ~parent ~name ~fsc:leaf_sc ~qlimit:1_000_000 ())
-  in
-  let b = Hfsc.batch ~capacity:burst () in
-  words_per_packet ~what:"hfsc"
-    ~enqueue:(fun i p -> ignore (Hfsc.enqueue t ~now:0. leaves.(i) p))
-    ~drain:(fun () -> Hfsc.dequeue_batch t ~now:0. b)
+  (let t, leaves = hfsc () in
+   words_per_packet ~what:"hfsc"
+     ~enqueue:(fun i p -> ignore (Hfsc.enqueue t ~now:0. leaves.(i) p))
+     ~drain:(fun () -> Hfsc.dequeue_batch t ~now:0. b));
+  (let t, leaves = rr () in
+   traced ~what:"traced rr engine" (B.of_hls ~link_rate t)
+     (Array.map Hls.id leaves));
+  let t, leaves = hfsc () in
+  traced ~what:"traced hfsc engine" (B.of_hfsc ~link_rate t)
+    (Array.map Hfsc.id leaves)
 
 (* --- the engine over the rr backend -------------------------------- *)
 
 let rr_engine () =
-  let t = Hls.create () in
-  E.create_rr ~link_rate:1.25e6 t ~flow_map:[] ()
+  E.create_backend (B.of_hls ~link_rate:1.25e6 (Hls.create ())) ~flow_map:[] ()
 
 let test_rr_engine_grammar_and_admission () =
   let eng = rr_engine () in
@@ -345,13 +367,13 @@ let test_rr_engine_datapath_and_stats () =
       Alcotest.(check int) "enq counted" 4 c.T.enq_pkts
   | None -> Alcotest.fail "no counters for b");
   (* drain through the batched path; rr serves everything as link-share *)
-  let batch = E.make_batch ~capacity:4 () in
+  let batch = Pkt.Batch.create ~capacity:4 () in
   let served = ref 0 in
   let rec go () =
     let n = E.dequeue_batch eng ~now:0. batch in
     if n > 0 then begin
       for i = 0 to n - 1 do
-        Alcotest.(check bool) "never realtime" false (B.batch_realtime batch i)
+        Alcotest.(check bool) "never realtime" false (Pkt.Batch.realtime batch i)
       done;
       served := !served + n;
       go ()

@@ -827,11 +827,16 @@ let golden_rr ~link_rate ~qlimit quanta =
     List.map
       (fun (flow, quantum) ->
         ( flow,
-          Sched.Hls.add_class s ~parent:(Sched.Hls.root s)
-            ~name:(Printf.sprintf "f%d" flow) ~quantum ~qlimit_pkts:qlimit () ))
+          Sched.Hls.id
+            (Sched.Hls.add_class s ~parent:(Sched.Hls.root s)
+               ~name:(Printf.sprintf "f%d" flow) ~quantum ~qlimit_pkts:qlimit
+               ()) ))
       quanta
   in
-  Runtime.Engine.adapter (Runtime.Engine.create_rr ~link_rate s ~flow_map ())
+  Runtime.Engine.adapter
+    (Runtime.Engine.create_backend
+       (Runtime.Backend.of_hls ~link_rate s)
+       ~flow_map ())
 
 let golden_multi ~tx_burst =
   let rr =

@@ -135,7 +135,7 @@ let test_parse_link_grammar () =
   | Ok
       {
         C.target = C.Default_link;
-        op = C.Link_add { link = "north"; rate; backend = Config.Hfsc_backend };
+        op = C.Link_add { link = "north"; rate; backend = Runtime.Backend.Hfsc_kind };
       } ->
       Alcotest.(check (float 1e-9)) "rate in B/s" 625_000. rate
   | _ -> Alcotest.fail "link add");
@@ -143,7 +143,7 @@ let test_parse_link_grammar () =
   | Ok
       {
         C.target = C.Default_link;
-        op = C.Link_add { link = "south"; backend = Config.Rr_backend; _ };
+        op = C.Link_add { link = "south"; backend = Runtime.Backend.Rr_kind; _ };
       } ->
       ()
   | _ -> Alcotest.fail "link add backend rr");
@@ -957,7 +957,7 @@ let op_gen =
           map3
             (fun link rate backend -> C.Link_add { link; rate; backend })
             link_name_gen rate_gen
-            (oneofl [ Config.Hfsc_backend; Config.Rr_backend ]) );
+            (oneofl [ Runtime.Backend.Hfsc_kind; Runtime.Backend.Rr_kind ]) );
         (1, map (fun l -> C.Link_delete l) link_name_gen);
         (1, return C.Link_list);
       ])
