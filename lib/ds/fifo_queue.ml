@@ -1,3 +1,5 @@
+type drop_policy = Tail_drop | Drop_longest
+
 type t = {
   mutable data : Pkt.Packet.t option array;
   mutable head : int;

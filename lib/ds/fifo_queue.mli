@@ -6,6 +6,20 @@
 
 type t
 
+(** What happens when an arriving packet would exceed a scheduler's
+    {e aggregate} backlog bounds (a queue's own limits always tail-drop
+    the arrival). Every scheduler built on these queues ([Hfsc],
+    [Hfsc_ref], [Sched.Hls]) re-exports this one type. *)
+type drop_policy =
+  | Tail_drop  (** the arriving packet is dropped. Default. *)
+  | Drop_longest
+      (** tail packets of the leaf with the most queued bytes are
+          evicted until the arrival fits (ties to the smallest class
+          id); the arrival is dropped only if no queue holds two or
+          more packets. Queue heads are never evicted, so scheduling
+          state needs no repair and real-time deadlines are
+          unaffected. *)
+
 val create : ?limit_pkts:int -> ?limit_bytes:int -> unit -> t
 (** [create ?limit_pkts ?limit_bytes ()] is an empty queue.
     [limit_pkts] is the drop-tail bound on the number of queued packets

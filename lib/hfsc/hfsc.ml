@@ -16,7 +16,7 @@ let debug_on () =
 type criterion = Realtime | Linkshare
 type vt_policy = Vt_mean | Vt_min | Vt_max
 type eligible_policy = Eligible_paper | Eligible_deadline
-type drop_policy = Tail_drop | Drop_longest
+type drop_policy = Fq.drop_policy = Tail_drop | Drop_longest
 
 let ht_infinity = Fp.ht_infinity
 
@@ -66,7 +66,7 @@ type cls_fs = {
 
 (* Per-class state. The eligible/deadline tree over the leaves and each
    interior class's active-children virtual-time tree are *intrusive*
-   (Ds.Ed_itree / Ds.Vt_itree): their node fields — child links, cached
+   (the AVL trees below): their node fields — child links, cached
    height, cached aggregate — are embedded right here in the class
    record, and [actc_root] is the in-class root of this class's own
    active-children tree. Tree restructuring therefore allocates nothing
@@ -178,17 +178,17 @@ let nil =
 
 (* --- specialized intrusive tree operations ------------------------- *)
 
-(* Same algorithms as {!Ds.Intrusive_tree} / {!Ds.Ed_itree} /
-   {!Ds.Vt_itree} — which remain the generic forms, checked against
-   brute-force models in test_ds — hand-specialized over the [cls]
-   fields. Without flambda a call through a functor argument is never
-   inlined, so the generic functor costs about a dozen indirect calls
-   per tree level on the per-packet path; the NetBSD implementation
-   specializes its intrusive trees with macros for the same reason.
-   Here every accessor is a direct field load and the small helpers
-   inline within this unit.
-   The scheduler differential (test_hfsc_diff, test_fuzz) pins the
-   decisions these trees make against Hfsc_ref's linear scans. *)
+(* The two augmented AVL trees of Section V, written directly over the
+   [cls] fields rather than as a functor: without flambda a call
+   through a functor argument is never inlined, so a generic tree
+   costs about a dozen indirect calls per tree level on the per-packet
+   path; the NetBSD implementation specializes its intrusive trees
+   with macros for the same reason. Here every accessor is a direct
+   field load and the small helpers inline within this unit.
+   No test drives these trees directly: the scheduler differential
+   (test_hfsc_diff, test_fuzz) compares every decision they make with
+   Hfsc_ref's linear scans, with {!audit} checking order, balance and
+   every cached aggregate after each operation. *)
 
 (* Eligible/deadline tree over the leaves: an AVL tree keyed by
    (e, id), each node caching in [ed_agg] the subtree element of
@@ -463,7 +463,7 @@ let rec vt_max_node root =
   end
 
 (* Leftmost (smallest (vt, id)) element with fit <= now, pruning on the
-   cached subtree min-fit — the search of {!Ds.Vt_itree.first_fit}. *)
+   cached subtree min-fit. *)
 let rec vt_go_ff now n =
   if n == nil then nil
   else begin
@@ -482,9 +482,11 @@ type t = {
   link_rate : float;
   vt_policy : vt_policy;
   eligible_policy : eligible_policy;
-  ulimit_slack : int; (* ticks *)
+  (* the class table: slot [i] holds the class with id [i], or [nil]
+     once that class is removed; ids are never reused, so [next_id]
+     slots are in use and the table only grows *)
+  mutable by_id : cls array;
   mutable next_id : int;
-  mutable all_rev : cls list;
   byname : (string, cls) Hashtbl.t; (* earliest class of each name *)
   troot : cls;
   mutable eligible : cls; (* intrusive ED-tree root; [nil] when empty *)
@@ -552,37 +554,36 @@ let make_cls ~id ~name ~parent ~rsc ~fsc ~usc ~qlimit ~qbytes =
 
 let no_drop_hook : float -> cls -> Pkt.Packet.t -> unit = fun _ _ _ -> ()
 
+(* How much unused upper-limit allowance a rate-capped class may carry
+   forward as a burst: 1 ms, in ticks. *)
+let ulimit_slack = Fp.ticks_of_seconds 0.001
+
 let create ?(vt_policy = Vt_mean) ?(eligible_policy = Eligible_paper)
-    ?(ulimit_slack = 0.001) ?(agg_limit_pkts = max_int)
-    ?(agg_limit_bytes = max_int) ?(drop_policy = Tail_drop) ~link_rate () =
+    ~link_rate () =
   if (not (Float.is_finite link_rate)) || link_rate <= 0. then
     invalid_arg "Hfsc.create: link_rate must be finite and positive";
-  if ulimit_slack < 0. then invalid_arg "Hfsc.create: negative ulimit_slack";
-  if agg_limit_pkts <= 0 then
-    invalid_arg "Hfsc.create: aggregate packet limit must be positive";
-  if agg_limit_bytes <= 0 then
-    invalid_arg "Hfsc.create: aggregate byte limit must be positive";
   let troot =
     make_cls ~id:0 ~name:"root" ~parent:None ~rsc:None
       ~fsc:(Some (Sc.linear link_rate)) ~usc:None ~qlimit:None ~qbytes:None
   in
   let byname = Hashtbl.create 64 in
   Hashtbl.replace byname troot.cname troot;
+  let by_id = Array.make 16 nil in
+  by_id.(0) <- troot;
   {
     link_rate;
     vt_policy;
     eligible_policy;
-    ulimit_slack = Fp.ticks_of_seconds ulimit_slack;
+    by_id;
     next_id = 1;
-    all_rev = [ troot ];
     byname;
     troot;
     eligible = nil;
     bl_pkts = 0;
     bl_bytes = 0;
-    agg_pkts = agg_limit_pkts;
-    agg_bytes = agg_limit_bytes;
-    policy = drop_policy;
+    agg_pkts = max_int;
+    agg_bytes = max_int;
+    policy = Tail_drop;
     on_drop = no_drop_hook;
     deq_pkt = dummy_pkt;
     deq_crit = Realtime;
@@ -590,6 +591,16 @@ let create ?(vt_policy = Vt_mean) ?(eligible_policy = Eligible_paper)
 
 let root t = t.troot
 let is_leaf_cls c = match c.cchildren_rev with [] -> true | _ :: _ -> false
+
+(* Live classes in id order, which is creation order. *)
+let classes t =
+  let rec go i acc =
+    if i < 0 then acc
+    else
+      let c = t.by_id.(i) in
+      go (i - 1) (if c == nil then acc else c :: acc)
+  in
+  go (t.next_id - 1) []
 
 let add_class t ~parent ~name ?rsc ?fsc ?usc ?qlimit ?qlimit_bytes () =
   if parent.crsc <> None then
@@ -605,9 +616,15 @@ let add_class t ~parent ~name ?rsc ?fsc ?usc ?qlimit ?qlimit_bytes () =
     make_cls ~id:t.next_id ~name ~parent:(Some parent) ~rsc ~fsc ~usc ~qlimit
       ~qbytes:qlimit_bytes
   in
+  let n = Array.length t.by_id in
+  if t.next_id = n then begin
+    let bigger = Array.make (2 * n) nil in
+    Array.blit t.by_id 0 bigger 0 n;
+    t.by_id <- bigger
+  end;
+  t.by_id.(t.next_id) <- cl;
   t.next_id <- t.next_id + 1;
   parent.cchildren_rev <- cl :: parent.cchildren_rev;
-  t.all_rev <- cl :: t.all_rev;
   (* first class of a given name wins, preserving find_class's
      "earliest in creation order" contract under duplicates *)
   if not (Hashtbl.mem t.byname name) then Hashtbl.add t.byname name cl;
@@ -625,19 +642,28 @@ let remove_class t cl =
         invalid_arg "Hfsc.remove_class: class is active";
       parent.cchildren_rev <-
         List.filter (fun c -> c != cl) parent.cchildren_rev;
-      t.all_rev <- List.filter (fun c -> c != cl) t.all_rev;
-      (match Hashtbl.find_opt t.byname cl.cname with
-      | Some bound when bound == cl -> (
+      t.by_id.(cl.id) <- nil;
+      match Hashtbl.find_opt t.byname cl.cname with
+      | Some bound when bound == cl ->
           Hashtbl.remove t.byname cl.cname;
-          (* rebind the earliest surviving duplicate, if any *)
-          match
-            List.find_opt
-              (fun c -> String.equal c.cname cl.cname)
-              (List.rev t.all_rev)
-          with
-          | Some c2 -> Hashtbl.replace t.byname cl.cname c2
-          | None -> ())
-      | _ -> ())
+          (* rebind the earliest surviving duplicate, if any; as [cl]
+             was the earliest of its name, any duplicate has a larger
+             id *)
+          let rec rebind i =
+            if i < t.next_id then begin
+              let c = t.by_id.(i) in
+              if c != nil && String.equal c.cname cl.cname then
+                Hashtbl.replace t.byname cl.cname c
+              else rebind (i + 1)
+            end
+          in
+          rebind (cl.id + 1)
+      | _ -> ()
+
+let class_of_id t id =
+  if id < 0 || id >= t.next_id || Array.unsafe_get t.by_id id == nil then
+    invalid_arg (Printf.sprintf "Hfsc.class_of_id: unknown class id %d" id);
+  Array.unsafe_get t.by_id id
 
 let set_curves t cl ?rsc ?fsc ?usc () =
   ignore t;
@@ -957,7 +983,7 @@ let rec init_vf t cl go_active now =
    eq. (12)) — including for classes that are just going passive, so a
    reactivation later resumes from the vt actually earned — and
    detaching classes whose subtree went idle. [now] is in ticks. *)
-let rec update_vf t cl go_passive len now =
+let rec update_vf cl go_passive len now =
   cl.fs.total <- cl.fs.total + len;
   match cl.cparent with
   | None ->
@@ -995,7 +1021,7 @@ let rec update_vf t cl go_passive len now =
                   (* a rate-capped class that under-used its allowance
                      forfeits it beyond [ulimit_slack] — no unbounded
                      catch-up bursts *)
-                  if cl.fs.myf < now - t.ulimit_slack then begin
+                  if cl.fs.myf < now - ulimit_slack then begin
                     cl.fs.myfadj <- cl.fs.myfadj + (now - cl.fs.myf);
                     cl.fs.myf <- now
                   end
@@ -1006,7 +1032,7 @@ let rec update_vf t cl go_passive len now =
             passive_now
         | _ -> go_passive
       in
-      update_vf t parent go_passive len now
+      update_vf parent go_passive len now
 
 (* --- the public datapath ------------------------------------------ *)
 
@@ -1016,20 +1042,19 @@ let rec update_vf t cl go_passive len now =
    Requiring >= 2 packets means eviction removes a *tail* packet of a
    queue that stays nonempty with an unchanged head — so no ED/VT
    state needs recomputation: deadlines track the head packet and
-   activity tracks emptiness, and neither changes. *)
+   activity tracks emptiness, and neither changes. The scan walks the
+   class table in id order, so a strictly larger queue is what
+   replaces the best; a removed slot holds [nil], whose queue is
+   always empty. *)
 let find_victim t =
   let best = ref nil in
-  List.iter
-    (fun c ->
-      if is_leaf_cls c && Fq.length c.queue >= 2 then begin
-        let b = !best in
-        if b == nil then best := c
-        else begin
-          let qb = Fq.bytes c.queue and bb = Fq.bytes b.queue in
-          if qb > bb || (qb = bb && c.id < b.id) then best := c
-        end
-      end)
-    t.all_rev;
+  for i = 0 to t.next_id - 1 do
+    let c = Array.unsafe_get t.by_id i in
+    if is_leaf_cls c && Fq.length c.queue >= 2 then begin
+      let b = !best in
+      if b == nil || Fq.bytes c.queue > Fq.bytes b.queue then best := c
+    end
+  done;
   !best
 
 (* Evict until an arriving packet of [size] bytes fits under the
@@ -1129,7 +1154,7 @@ let dequeue_core t now =
       in
       t.bl_pkts <- t.bl_pkts - 1;
       t.bl_bytes <- t.bl_bytes - pkt.Pkt.Packet.size;
-      update_vf t leaf (Fq.is_empty leaf.queue) pkt.Pkt.Packet.size now;
+      update_vf leaf (Fq.is_empty leaf.queue) pkt.Pkt.Packet.size now;
       (match crit with
       | Realtime -> leaf.fs.cumul <- leaf.fs.cumul + pkt.Pkt.Packet.size
       | Linkshare -> ());
@@ -1215,7 +1240,6 @@ let id c = c.id
 let is_leaf c = is_leaf_cls c
 let parent c = c.cparent
 let children c = List.rev c.cchildren_rev
-let classes t = List.rev t.all_rev
 let find_class t n = Hashtbl.find_opt t.byname n
 let queue_length c = Fq.length c.queue
 let queue_bytes c = Fq.bytes c.queue
@@ -1381,12 +1405,19 @@ let audit t =
           err "VT(%s): tree member %s is not a child" c.cname n.cname)
       vt_members
   in
-  List.iter check_cls t.all_rev;
+  let live = classes t in
+  List.iter check_cls live;
+  (* the class table: every live slot holds the class of its own id *)
+  for i = 0 to t.next_id - 1 do
+    let c = t.by_id.(i) in
+    if c != nil && c.id <> i then
+      err "class table: slot %d holds %s (id %d)" i c.cname c.id
+  done;
   (* every ED member must be a known in_ed leaf *)
   Hashtbl.iter
     (fun _ n ->
       if not n.in_ed then err "ED: tree member %s not flagged in_ed" n.cname;
-      if not (List.exists (fun c -> c == n) t.all_rev) then
+      if n.id >= t.next_id || t.by_id.(n.id) != n then
         err "ED: tree member %s is not a class of this scheduler" n.cname)
     ed_members;
   if t.bl_pkts <> !sum_pkts then
@@ -1406,7 +1437,7 @@ let audit t =
               c.cname bound.id c.id
         | None -> err "byname: %S unbound" c.cname
       end)
-    (List.rev t.all_rev);
+    live;
   List.rev !errs
 
 let pp_hierarchy ppf t =

@@ -50,35 +50,21 @@ type eligible_policy =
           violated; exercised by the E9 bench to show why the paper's
           rule matters. *)
 
-(** What happens when an arriving packet would exceed the *aggregate*
-    backlog bounds (per-class limits always tail-drop the arrival). *)
-type drop_policy =
-  | Tail_drop  (** the arriving packet is dropped. Default. *)
-  | Drop_longest
-      (** tail packets of the leaf with the most queued bytes are
-          evicted until the arrival fits (ties to the smallest class
-          id); the arrival is dropped only if no queue holds two or
-          more packets. Queue heads are never evicted, so scheduling
-          state needs no repair and rt deadlines are unaffected. *)
+type drop_policy = Ds.Fifo_queue.drop_policy = Tail_drop | Drop_longest
+(** The one drop-policy type, shared with {!Sched.Hls}. *)
 
 val create :
   ?vt_policy:vt_policy ->
   ?eligible_policy:eligible_policy ->
-  ?ulimit_slack:float ->
-  ?agg_limit_pkts:int ->
-  ?agg_limit_bytes:int ->
-  ?drop_policy:drop_policy ->
   link_rate:float ->
   unit ->
   t
 (** [create ~link_rate ()] builds a scheduler for a link of [link_rate]
     bytes/second. The root class is created implicitly with a linear
-    fair service curve of that rate. [ulimit_slack] (seconds, default
-    1 ms) bounds how much unused upper-limit allowance a rate-capped
-    class may carry forward as a burst. [agg_limit_pkts] /
-    [agg_limit_bytes] bound the total backlog across all leaf queues
-    (default: unlimited) with [drop_policy] deciding who pays when the
-    bound is hit. *)
+    fair service curve of that rate. A rate-capped class may carry at
+    most 1 ms of unused upper-limit allowance forward as a burst. The
+    aggregate backlog starts unlimited under {!Tail_drop}; see
+    {!set_aggregate_limit} and {!set_drop_policy}. *)
 
 val root : t -> cls
 
@@ -231,6 +217,15 @@ val parent : cls -> cls option
 val children : cls -> cls list
 val classes : t -> cls list
 (** All classes including the root, in creation order. *)
+
+val class_of_id : t -> int -> cls
+(** [class_of_id t i] is the class whose {!id} is [i]: one bounds check
+    and one load from the scheduler's id-indexed class table, which
+    {!remove_class} clears. Runtime layers address classes by id and
+    resolve them here, so [t] is the only owner of the mapping.
+
+    @raise Invalid_argument if [i] is out of range or names a removed
+    class. *)
 
 val find_class : t -> string -> cls option
 val queue_length : cls -> int

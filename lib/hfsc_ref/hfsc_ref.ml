@@ -29,7 +29,7 @@ module Fq = Ds.Fifo_queue
 type criterion = Realtime | Linkshare
 type vt_policy = Vt_mean | Vt_min | Vt_max
 type eligible_policy = Eligible_paper | Eligible_deadline
-type drop_policy = Tail_drop | Drop_longest
+type drop_policy = Fq.drop_policy = Tail_drop | Drop_longest
 
 let ht_infinity = Fp.ht_infinity
 
@@ -84,7 +84,6 @@ type t = {
   link_rate : float;
   vt_policy : vt_policy;
   eligible_policy : eligible_policy;
-  ulimit_slack : int; (* ticks *)
   mutable next_id : int;
   mutable all_rev : cls list;
   troot : cls;
@@ -132,16 +131,13 @@ let make_cls ~id ~name ~parent ~rsc ~fsc ~usc ~qlimit ~qbytes =
     nperiods = 0;
   }
 
+(* 1 ms of carried-forward upper-limit allowance, in ticks (as Hfsc) *)
+let ulimit_slack = Fp.ticks_of_seconds 0.001
+
 let create ?(vt_policy = Vt_mean) ?(eligible_policy = Eligible_paper)
-    ?(ulimit_slack = 0.001) ?(agg_limit_pkts = max_int)
-    ?(agg_limit_bytes = max_int) ?(drop_policy = Tail_drop) ~link_rate () =
+    ~link_rate () =
   if (not (Float.is_finite link_rate)) || link_rate <= 0. then
     invalid_arg "Hfsc.create: link_rate must be finite and positive";
-  if ulimit_slack < 0. then invalid_arg "Hfsc.create: negative ulimit_slack";
-  if agg_limit_pkts <= 0 then
-    invalid_arg "Hfsc.create: aggregate packet limit must be positive";
-  if agg_limit_bytes <= 0 then
-    invalid_arg "Hfsc.create: aggregate byte limit must be positive";
   let troot =
     make_cls ~id:0 ~name:"root" ~parent:None ~rsc:None
       ~fsc:(Some (Sc.linear link_rate)) ~usc:None ~qlimit:None ~qbytes:None
@@ -150,15 +146,14 @@ let create ?(vt_policy = Vt_mean) ?(eligible_policy = Eligible_paper)
     link_rate;
     vt_policy;
     eligible_policy;
-    ulimit_slack = Fp.ticks_of_seconds ulimit_slack;
     next_id = 1;
     all_rev = [ troot ];
     troot;
     bl_pkts = 0;
     bl_bytes = 0;
-    agg_pkts = agg_limit_pkts;
-    agg_bytes = agg_limit_bytes;
-    policy = drop_policy;
+    agg_pkts = max_int;
+    agg_bytes = max_int;
+    policy = Tail_drop;
     on_drop = (fun _ _ _ -> ());
   }
 
@@ -455,7 +450,7 @@ let init_vf t cl0 now =
    eq. (12)) — including for classes that are just going passive, so a
    reactivation later resumes from the vt actually earned — and
    detaching classes whose subtree went idle. [now] is in ticks. *)
-let update_vf t cl0 len now =
+let update_vf cl0 len now =
   let go_passive = ref (Fq.is_empty cl0.queue) in
   let cl = ref cl0 in
   let continue_walk = ref true in
@@ -497,7 +492,7 @@ let update_vf t cl0 len now =
                  (* a rate-capped class that under-used its allowance
                     forfeits it beyond [ulimit_slack] — no unbounded
                     catch-up bursts *)
-                 if c.myf < now - t.ulimit_slack then begin
+                 if c.myf < now - ulimit_slack then begin
                    c.myfadj <- c.myfadj + (now - c.myf);
                    c.myf <- now
                  end
@@ -600,7 +595,7 @@ let dequeue t ~now =
         in
         t.bl_pkts <- t.bl_pkts - 1;
         t.bl_bytes <- t.bl_bytes - pkt.Pkt.Packet.size;
-        update_vf t leaf pkt.Pkt.Packet.size nowt;
+        update_vf leaf pkt.Pkt.Packet.size nowt;
         if crit = Realtime then
           leaf.cumul <- leaf.cumul + pkt.Pkt.Packet.size;
         (match Fq.peek leaf.queue with
@@ -667,6 +662,12 @@ let classes t = List.rev t.all_rev
 
 let find_class t n =
   List.find_opt (fun c -> String.equal c.cname n) (classes t)
+
+let class_of_id t i =
+  match List.find_opt (fun c -> c.id = i) t.all_rev with
+  | Some c -> c
+  | None ->
+      invalid_arg (Printf.sprintf "Hfsc.class_of_id: unknown class id %d" i)
 
 let queue_length c = Fq.length c.queue
 let queue_bytes c = Fq.bytes c.queue

@@ -138,8 +138,6 @@ type t = {
   audit : unit -> string list;
 }
 
-let dead_class op = Printf.sprintf "Backend.%s: unknown class id" op
-
 (* The single dequeue, written once over a backend's [deq_fill]: it
    rides a held one-slot batch and leaves the result in [out], so the
    option tuple a scheduler's own [dequeue] would allocate is never
@@ -175,26 +173,6 @@ let pp_violation ~what (at, demand, capacity) =
       what demand capacity
 
 let of_hfsc ~link_rate sched =
-  (* dense id -> class; ids are never reused so the array only grows *)
-  let byid = ref (Array.make 16 None) in
-  let put cls =
-    let id = Hfsc.id cls in
-    let n = Array.length !byid in
-    if id >= n then begin
-      let bigger = Array.make (max (id + 1) (2 * n)) None in
-      Array.blit !byid 0 bigger 0 n;
-      byid := bigger
-    end;
-    !byid.(id) <- Some cls
-  in
-  List.iter put (Hfsc.classes sched);
-  let get op id =
-    if id < 0 || id >= Array.length !byid then invalid_arg (dead_class op)
-    else
-      match Array.unsafe_get !byid id with
-      | Some c -> c
-      | None -> invalid_arg (dead_class op)
-  in
   (* Sum of all leaves' rsc with [replace] swapped in for [target] (or
      appended when [target] is None) must fit under the link curve. *)
   let check_rsc ~target ~replace =
@@ -285,7 +263,7 @@ let of_hfsc ~link_rate sched =
         errf Bad_value "class %S needs an rsc or an fsc" name
       else Ok ()
     in
-    let parent_cls = get "admit_add" parent in
+    let parent_cls = Hfsc.class_of_id sched parent in
     let* () =
       match p.rsc with
       | Some _ -> check_rsc ~target:None ~replace:p.rsc
@@ -307,7 +285,7 @@ let of_hfsc ~link_rate sched =
             name
       | None -> Ok ()
     in
-    let cls = get "admit_modify" id in
+    let cls = Hfsc.class_of_id sched id in
     let* () =
       match p.rsc with
       | Some _ -> check_rsc ~target:(Some cls) ~replace:p.rsc
@@ -343,18 +321,16 @@ let of_hfsc ~link_rate sched =
     check_usc ~name ~rsc:eff_rsc ~usc:eff_usc
   in
   let add_class ~parent ~name (p : params) ~qlimit ~qbytes =
-    let parent_cls = get "add_class" parent in
+    let parent_cls = Hfsc.class_of_id sched parent in
     match
       Hfsc.add_class sched ~parent:parent_cls ~name ?rsc:p.rsc ?fsc:p.fsc
         ?usc:p.usc ?qlimit ?qlimit_bytes:qbytes ()
     with
-    | cls ->
-        put cls;
-        Ok (Hfsc.id cls)
+    | cls -> Ok (Hfsc.id cls)
     | exception Invalid_argument e -> of_invalid e
   in
   let modify_class ~id (p : params) ~qlimit ~qbytes =
-    let cls = get "modify_class" id in
+    let cls = Hfsc.class_of_id sched id in
     (* apply transactionally: set_curves validates part-way through its
        mutations (e.g. the class going curveless), so roll the class
        back to the snapshot on any refusal *)
@@ -371,11 +347,9 @@ let of_hfsc ~link_rate sched =
       of_invalid e
   in
   let remove_class ~id =
-    let cls = get "remove_class" id in
+    let cls = Hfsc.class_of_id sched id in
     match Hfsc.remove_class sched cls with
-    | () ->
-        !byid.(id) <- None;
-        Ok ()
+    | () -> Ok ()
     | exception Invalid_argument e -> of_invalid e
   in
   let out, dequeue = single_dequeue (Hfsc.dequeue_batch sched) in
@@ -387,20 +361,20 @@ let of_hfsc ~link_rate sched =
     class_ids = (fun () -> List.map Hfsc.id (Hfsc.classes sched));
     find_id =
       (fun name -> Option.map Hfsc.id (Hfsc.find_class sched name));
-    cls_name = (fun id -> Hfsc.name (get "cls_name" id));
+    cls_name = (fun id -> Hfsc.name (Hfsc.class_of_id sched id));
     parent_id =
-      (fun id -> Option.map Hfsc.id (Hfsc.parent (get "parent_id" id)));
-    is_leaf = (fun id -> Hfsc.is_leaf (get "is_leaf" id));
-    rsc = (fun id -> Hfsc.rsc (get "rsc" id));
-    fsc = (fun id -> Hfsc.fsc (get "fsc" id));
-    usc = (fun id -> Hfsc.usc (get "usc" id));
+      (fun id -> Option.map Hfsc.id (Hfsc.parent (Hfsc.class_of_id sched id)));
+    is_leaf = (fun id -> Hfsc.is_leaf (Hfsc.class_of_id sched id));
+    rsc = (fun id -> Hfsc.rsc (Hfsc.class_of_id sched id));
+    fsc = (fun id -> Hfsc.fsc (Hfsc.class_of_id sched id));
+    usc = (fun id -> Hfsc.usc (Hfsc.class_of_id sched id));
     quantum = (fun _ -> None);
-    queue_length = (fun id -> Hfsc.queue_length (get "queue_length" id));
-    queue_bytes = (fun id -> Hfsc.queue_bytes (get "queue_bytes" id));
+    queue_length = (fun id -> Hfsc.queue_length (Hfsc.class_of_id sched id));
+    queue_bytes = (fun id -> Hfsc.queue_bytes (Hfsc.class_of_id sched id));
     queue_limit_pkts =
-      (fun id -> Hfsc.queue_limit_pkts (get "queue_limit_pkts" id));
+      (fun id -> Hfsc.queue_limit_pkts (Hfsc.class_of_id sched id));
     queue_limit_bytes =
-      (fun id -> Hfsc.queue_limit_bytes (get "queue_limit_bytes" id));
+      (fun id -> Hfsc.queue_limit_bytes (Hfsc.class_of_id sched id));
     admit_add;
     admit_modify;
     add_class;
@@ -417,9 +391,7 @@ let of_hfsc ~link_rate sched =
         Hfsc.set_drop_hook sched (fun now cls pkt -> hook now (Hfsc.id cls) pkt));
     enqueue =
       (fun ~now id pkt ->
-        match !byid.(id) with
-        | Some cls -> Hfsc.enqueue sched ~now cls pkt
-        | None -> invalid_arg (dead_class "enqueue"));
+        Hfsc.enqueue sched ~now (Hfsc.class_of_id sched id) pkt);
     dequeue;
     deq_fill = Hfsc.dequeue_batch sched;
     next_ready = (fun ~now -> Hfsc.next_ready_time sched ~now);
@@ -431,25 +403,6 @@ let of_hfsc ~link_rate sched =
 (* --- hierarchical round-robin over the record ------------------------ *)
 
 let of_hls ~link_rate sched =
-  let byid = ref (Array.make 16 None) in
-  let put cls =
-    let id = Hls.id cls in
-    let n = Array.length !byid in
-    if id >= n then begin
-      let bigger = Array.make (max (id + 1) (2 * n)) None in
-      Array.blit !byid 0 bigger 0 n;
-      byid := bigger
-    end;
-    !byid.(id) <- Some cls
-  in
-  List.iter put (Hls.classes sched);
-  let get op id =
-    if id < 0 || id >= Array.length !byid then invalid_arg (dead_class op)
-    else
-      match Array.unsafe_get !byid id with
-      | Some c -> c
-      | None -> invalid_arg (dead_class op)
-  in
   let ( let* ) = Result.bind in
   let no_curves ~name (p : params) =
     if p.rsc <> None || p.fsc <> None || p.usc <> None then
@@ -480,7 +433,7 @@ let of_hls ~link_rate sched =
   in
   let admit_add ~parent ~name p =
     let* () = no_curves ~name p in
-    let parent_cls = get "admit_add" parent in
+    let parent_cls = Hls.class_of_id sched parent in
     let q = Option.value p.quantum ~default:Hls.default_quantum in
     check_round ~parent_cls ~name ~old_q:0 q
   in
@@ -489,25 +442,23 @@ let of_hls ~link_rate sched =
     match p.quantum with
     | None -> Ok ()
     | Some q -> (
-        let cls = get "admit_modify" id in
+        let cls = Hls.class_of_id sched id in
         match Hls.parent cls with
         | None -> errf Structural "class %S: the root has no quantum" name
         | Some parent_cls ->
             check_round ~parent_cls ~name ~old_q:(Hls.quantum cls) q)
   in
   let add_class ~parent ~name (p : params) ~qlimit ~qbytes =
-    let parent_cls = get "add_class" parent in
+    let parent_cls = Hls.class_of_id sched parent in
     match
       Hls.add_class sched ~parent:parent_cls ~name ?quantum:p.quantum
         ?qlimit_pkts:qlimit ?qlimit_bytes:qbytes ()
     with
-    | cls ->
-        put cls;
-        Ok (Hls.id cls)
+    | cls -> Ok (Hls.id cls)
     | exception Invalid_argument e -> of_invalid e
   in
   let modify_class ~id (p : params) ~qlimit ~qbytes =
-    let cls = get "modify_class" id in
+    let cls = Hls.class_of_id sched id in
     let snap = Hls.snapshot_class cls in
     try
       (match p.quantum with
@@ -522,11 +473,9 @@ let of_hls ~link_rate sched =
       of_invalid e
   in
   let remove_class ~id =
-    let cls = get "remove_class" id in
+    let cls = Hls.class_of_id sched id in
     match Hls.remove_class sched cls with
-    | () ->
-        !byid.(id) <- None;
-        Ok ()
+    | () -> Ok ()
     | exception Invalid_argument e -> of_invalid e
   in
   let out, dequeue = single_dequeue (Hls.dequeue_batch sched) in
@@ -537,23 +486,23 @@ let of_hls ~link_rate sched =
     out;
     class_ids = (fun () -> List.map Hls.id (Hls.classes sched));
     find_id = (fun name -> Option.map Hls.id (Hls.find_class sched name));
-    cls_name = (fun id -> Hls.name (get "cls_name" id));
+    cls_name = (fun id -> Hls.name (Hls.class_of_id sched id));
     parent_id =
-      (fun id -> Option.map Hls.id (Hls.parent (get "parent_id" id)));
-    is_leaf = (fun id -> Hls.is_leaf (get "is_leaf" id));
+      (fun id -> Option.map Hls.id (Hls.parent (Hls.class_of_id sched id)));
+    is_leaf = (fun id -> Hls.is_leaf (Hls.class_of_id sched id));
     rsc = (fun _ -> None);
     fsc = (fun _ -> None);
     usc = (fun _ -> None);
     quantum =
       (fun id ->
-        let cls = get "quantum" id in
+        let cls = Hls.class_of_id sched id in
         if Hls.parent cls = None then None else Some (Hls.quantum cls));
-    queue_length = (fun id -> Hls.queue_length (get "queue_length" id));
-    queue_bytes = (fun id -> Hls.queue_bytes (get "queue_bytes" id));
+    queue_length = (fun id -> Hls.queue_length (Hls.class_of_id sched id));
+    queue_bytes = (fun id -> Hls.queue_bytes (Hls.class_of_id sched id));
     queue_limit_pkts =
-      (fun id -> Hls.queue_limit_pkts (get "queue_limit_pkts" id));
+      (fun id -> Hls.queue_limit_pkts (Hls.class_of_id sched id));
     queue_limit_bytes =
-      (fun id -> Hls.queue_limit_bytes (get "queue_limit_bytes" id));
+      (fun id -> Hls.queue_limit_bytes (Hls.class_of_id sched id));
     admit_add;
     admit_modify;
     add_class;
@@ -563,25 +512,14 @@ let of_hls ~link_rate sched =
       (fun ~pkts ~bytes -> Hls.set_aggregate_limit sched ?pkts ?bytes ());
     aggregate_pkts = (fun () -> Hls.aggregate_limit_pkts sched);
     aggregate_bytes = (fun () -> Hls.aggregate_limit_bytes sched);
-    set_policy =
-      (fun p ->
-        Hls.set_drop_policy sched
-          (match p with
-          | Hfsc.Tail_drop -> Hls.Tail_drop
-          | Hfsc.Drop_longest -> Hls.Drop_longest));
-    policy =
-      (fun () ->
-        match Hls.drop_policy sched with
-        | Hls.Tail_drop -> Hfsc.Tail_drop
-        | Hls.Drop_longest -> Hfsc.Drop_longest);
+    set_policy = (fun p -> Hls.set_drop_policy sched p);
+    policy = (fun () -> Hls.drop_policy sched);
     set_drop_hook =
       (fun hook ->
         Hls.set_drop_hook sched (fun now cls pkt -> hook now (Hls.id cls) pkt));
     enqueue =
       (fun ~now id pkt ->
-        match !byid.(id) with
-        | Some cls -> Hls.enqueue sched ~now cls pkt
-        | None -> invalid_arg (dead_class "enqueue"));
+        Hls.enqueue sched ~now (Hls.class_of_id sched id) pkt);
     dequeue;
     deq_fill = Hls.dequeue_batch sched;
     next_ready = (fun ~now -> Hls.next_ready_time sched ~now);

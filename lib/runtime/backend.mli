@@ -8,10 +8,12 @@
 
     {b Class handles are dense ids.} Every operation addresses classes
     by the scheduler's own dense [int] id (creation order, root = 0,
-    never reused). The backend keeps the id→class mapping internally
-    (a flat array, O(1), allocation-free on the packet path); callers
-    never see a class value, which is what lets one {!Engine} drive
-    either scheduler.
+    never reused). The scheduler owns the id→class mapping: every
+    operation resolves its id with {!Hfsc.class_of_id} or
+    {!Sched.Hls.class_of_id} (O(1), allocation-free on the packet path)
+    and raises [Invalid_argument] on an out-of-range or removed id;
+    the backend keeps no table of its own. Callers never see a class
+    value, which is what lets one {!Engine} drive either scheduler.
 
     {b Ownership.} A [Backend.t] wraps a single-domain scheduler and
     inherits its confinement: one owning domain at a time, moved
@@ -134,8 +136,8 @@ type t = {
   aggregate_pkts : unit -> int;
   aggregate_bytes : unit -> int;
   set_policy : Hfsc.drop_policy -> unit;
-      (** {!Hfsc.drop_policy} is the shared vocabulary; rr maps it onto
-          its own identical policy type *)
+      (** {!Hfsc.drop_policy} and {!Sched.Hls.drop_policy} are the
+          one type, [Ds.Fifo_queue.drop_policy] *)
   policy : unit -> Hfsc.drop_policy;
   set_drop_hook : (float -> int -> Pkt.Packet.t -> unit) -> unit;
       (** called for every lost packet with the losing class's id *)

@@ -26,7 +26,7 @@
 
 module Fq = Ds.Fifo_queue
 
-type drop_policy = Tail_drop | Drop_longest
+type drop_policy = Fq.drop_policy = Tail_drop | Drop_longest
 
 type cls = {
   id : int; (* dense: 0 = root, then creation order; never reused *)
@@ -50,7 +50,10 @@ type cls = {
 
 type t = {
   troot : cls;
-  mutable all_rev : cls list; (* every class, newest first *)
+  (* the class table: slot [i] holds the class with id [i], or [nil]
+     once that class is removed; ids are never reused, so [next_id]
+     slots are in use and the table only grows *)
+  mutable by_id : cls array;
   byname : (string, cls) Hashtbl.t;
   mutable next_id : int;
   mutable bl_pkts : int;
@@ -111,23 +114,21 @@ let mk_cls ~id ~name ~parent ~quantum ?qlimit_pkts ?qlimit_bytes () =
   in
   c
 
-let create ?(aggregate_pkts = max_int) ?(aggregate_bytes = max_int) () =
-  if aggregate_pkts <= 0 then
-    invalid_arg "Hls.create: aggregate packet limit must be positive";
-  if aggregate_bytes <= 0 then
-    invalid_arg "Hls.create: aggregate byte limit must be positive";
+let create () =
   let troot = mk_cls ~id:0 ~name:"root" ~parent:nil ~quantum:0 () in
   let byname = Hashtbl.create 64 in
   Hashtbl.replace byname "root" troot;
+  let by_id = Array.make 16 nil in
+  by_id.(0) <- troot;
   {
     troot;
-    all_rev = [ troot ];
+    by_id;
     byname;
     next_id = 1;
     bl_pkts = 0;
     bl_bytes = 0;
-    agg_pkts = aggregate_pkts;
-    agg_bytes = aggregate_bytes;
+    agg_pkts = max_int;
+    agg_bytes = max_int;
     policy = Tail_drop;
     on_drop = (fun _ _ _ -> ());
     deq_pkt = dummy_pkt;
@@ -161,10 +162,16 @@ let add_class t ~parent ~name ?(quantum = default_quantum) ?qlimit_pkts
   let c =
     mk_cls ~id:t.next_id ~name ~parent ~quantum ?qlimit_pkts ?qlimit_bytes ()
   in
+  let n = Array.length t.by_id in
+  if t.next_id = n then begin
+    let bigger = Array.make (2 * n) nil in
+    Array.blit t.by_id 0 bigger 0 n;
+    t.by_id <- bigger
+  end;
+  t.by_id.(t.next_id) <- c;
   t.next_id <- t.next_id + 1;
   parent.children_rev <- c :: parent.children_rev;
   parent.qsum <- parent.qsum + quantum;
-  t.all_rev <- c :: t.all_rev;
   Hashtbl.replace t.byname name c;
   c
 
@@ -178,9 +185,14 @@ let remove_class t cl =
   let p = cl.cparent in
   p.children_rev <- List.filter (fun c -> c != cl) p.children_rev;
   p.qsum <- p.qsum - cl.quantum;
-  t.all_rev <- List.filter (fun c -> c != cl) t.all_rev;
+  t.by_id.(cl.id) <- nil;
   (* earliest surviving duplicate would rebind, but names are unique *)
   Hashtbl.remove t.byname cl.cname
+
+let class_of_id t id =
+  if id < 0 || id >= t.next_id || Array.unsafe_get t.by_id id == nil then
+    invalid_arg (Printf.sprintf "Hls.class_of_id: unknown class id %d" id);
+  Array.unsafe_get t.by_id id
 
 let set_quantum t cl q =
   ignore t;
@@ -315,19 +327,19 @@ let rec activate_up c size =
     activate_up c.cparent size
   end
 
+(* Drop-from-longest victim, as in [Hfsc]: the most queued bytes among
+   leaves holding at least two packets, ties to the smallest id. The
+   id-order walk keeps the earlier of two equal queues; a removed slot
+   holds [nil], whose queue is always empty. *)
 let find_victim t =
   let best = ref nil in
-  List.iter
-    (fun c ->
-      if is_leaf_cls c && (not (is_root c)) && Fq.length c.queue >= 2 then begin
-        let b = !best in
-        if b == nil then best := c
-        else begin
-          let qb = Fq.bytes c.queue and bb = Fq.bytes b.queue in
-          if qb > bb || (qb = bb && c.id < b.id) then best := c
-        end
-      end)
-    t.all_rev;
+  for i = 0 to t.next_id - 1 do
+    let c = Array.unsafe_get t.by_id i in
+    if is_leaf_cls c && Fq.length c.queue >= 2 then begin
+      let b = !best in
+      if b == nil || Fq.bytes c.queue > Fq.bytes b.queue then best := c
+    end
+  done;
   !best
 
 (* Tail drops never empty a queue (victims hold >= 2 packets), so the
@@ -457,7 +469,16 @@ let id c = c.id
 let is_leaf c = is_leaf_cls c
 let parent c = if is_root c then None else Some c.cparent
 let children c = List.rev c.children_rev
-let classes t = List.rev t.all_rev
+(* Live classes in id order, which is creation order. *)
+let classes t =
+  let rec go i acc =
+    if i < 0 then acc
+    else
+      let c = t.by_id.(i) in
+      go (i - 1) (if c == nil then acc else c :: acc)
+  in
+  go (t.next_id - 1) []
+
 let find_class t n = Hashtbl.find_opt t.byname n
 let queue_length c = Fq.length c.queue
 let queue_bytes c = Fq.bytes c.queue
@@ -555,6 +576,12 @@ let audit t =
     List.iter check kids
   in
   check t.troot;
+  (* the class table: every live slot holds the class of its own id *)
+  for i = 0 to t.next_id - 1 do
+    let c = t.by_id.(i) in
+    if c != nil && c.id <> i then
+      err "class table: slot %d holds %S (id %d)" i c.cname c.id
+  done;
   if t.bl_pkts <> t.troot.sub_pkts then
     err "aggregate backlog %d but root subtree holds %d" t.bl_pkts
       t.troot.sub_pkts;

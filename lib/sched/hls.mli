@@ -27,16 +27,13 @@
 type t
 type cls
 
-type drop_policy =
-  | Tail_drop  (** refuse the arriving packet *)
-  | Drop_longest
-      (** evict from the longest (by bytes) leaf queue holding at
-          least 2 packets — never a queue head *)
+type drop_policy = Ds.Fifo_queue.drop_policy = Tail_drop | Drop_longest
+(** The one drop-policy type, shared with {!Hfsc}. *)
 
-val create : ?aggregate_pkts:int -> ?aggregate_bytes:int -> unit -> t
-(** A scheduler holding only its root (named ["root"], id 0).
-
-    @raise Invalid_argument on a non-positive aggregate limit. *)
+val create : unit -> t
+(** A scheduler holding only its root (named ["root"], id 0), with an
+    unlimited aggregate backlog under {!Tail_drop}: see
+    {!set_aggregate_limit} and {!set_drop_policy}. *)
 
 val root : t -> cls
 
@@ -142,6 +139,16 @@ val parent : cls -> cls option
 val children : cls -> cls list
 val classes : t -> cls list
 (** Creation order, root first. *)
+
+val class_of_id : t -> int -> cls
+(** [class_of_id t i] is the class whose {!id} is [i]: one bounds check
+    and one load from the scheduler's id-indexed class table, which
+    {!remove_class} clears in O(1). Runtime layers address classes by
+    id and resolve them here, so [t] is the only owner of the mapping
+    (as {!Hfsc.class_of_id}).
+
+    @raise Invalid_argument if [i] is out of range or names a removed
+    class. *)
 
 val find_class : t -> string -> cls option
 val queue_length : cls -> int

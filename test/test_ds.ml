@@ -1,7 +1,7 @@
-(* Unit and property tests for the data-structure substrate (lib/ds):
-   binary heap, packet FIFO, the two augmented trees of Section V and
-   the intrusive AVL functor under them. Property tests check each
-   structure against a brute-force reference model. *)
+(* Unit and property tests for lib/ds's binary heap and packet FIFO.
+   Property tests check each structure against a reference model. The
+   Section V trees live inside lib/hfsc/hfsc.ml; test_hfsc_diff and
+   test_fuzz pin them through the scheduler against Hfsc_ref. *)
 
 let qt ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -170,315 +170,6 @@ let test_fifo_iter () =
     [ 4; 5; 6; 7; 8; 9; 10; 11; 12 ]
     (List.rev !seen)
 
-(* --- intrusive trees ------------------------------------------------ *)
-
-(* The intrusive trees against brute-force models, plus the structural
-   invariants ([validate]) after churn. Elements are random
-   (eligible, deadline) or (vt, fit) pairs. *)
-
-let pair_gen =
-  QCheck2.Gen.(
-    list_size (int_range 0 40)
-      (pair (float_bound_inclusive 10.) (float_bound_inclusive 10.)))
-
-type iedc = {
-  ieid : int;
-  mutable iel : float;
-  mutable idl : float;
-  mutable ie_l : iedc;
-  mutable ie_r : iedc;
-  mutable ie_h : int;
-  mutable ie_agg : iedc;
-}
-
-let rec iedc_nil =
-  { ieid = -1; iel = 0.; idl = 0.; ie_l = iedc_nil; ie_r = iedc_nil;
-    ie_h = 0; ie_agg = iedc_nil }
-
-module EdI = Ds.Ed_itree.Make (struct
-  type t = iedc
-
-  let nil = iedc_nil
-
-  let compare a b =
-    let c = Float.compare a.iel b.iel in
-    if c <> 0 then c else Int.compare a.ieid b.ieid
-
-  let eligible_le c now = c.iel <= now
-  let better_deadline a b = a.idl < b.idl || (a.idl = b.idl && a.ieid < b.ieid)
-  let left c = c.ie_l
-  let set_left c x = c.ie_l <- x
-  let right c = c.ie_r
-  let set_right c x = c.ie_r <- x
-  let height c = c.ie_h
-  let set_height c h = c.ie_h <- h
-  let agg c = c.ie_agg
-  let set_agg c x = c.ie_agg <- x
-end)
-
-let ied_mk i (e, d) =
-  { ieid = i; iel = e; idl = d; ie_l = iedc_nil; ie_r = iedc_nil; ie_h = 0;
-    ie_agg = iedc_nil }
-
-let ied_brute_min_deadline cs ~now =
-  List.filter (fun c -> c.iel <= now) cs
-  |> List.fold_left
-       (fun acc c ->
-         match acc with
-         | None -> Some c
-         | Some b ->
-             if c.idl < b.idl || (c.idl = b.idl && c.ieid < b.ieid) then Some c
-             else acc)
-       None
-
-let edi_matches_brute =
-  qt "ed_itree: min_deadline_eligible = brute force" pair_gen (fun pairs ->
-      let cs = List.mapi ied_mk pairs in
-      let t = List.fold_left (fun t c -> EdI.insert c t) EdI.empty cs in
-      EdI.validate t;
-      List.for_all
-        (fun now ->
-          let got = EdI.min_deadline_eligible t ~now in
-          let want = ied_brute_min_deadline cs ~now in
-          match (got, want) with
-          | None, None -> true
-          | Some a, Some b -> a.ieid = b.ieid
-          | _ -> false)
-        [ 0.; 2.5; 5.; 7.5; 10.; 11. ])
-
-let edi_remove_works =
-  qt "ed_itree: remove really removes" pair_gen (fun pairs ->
-      let cs = List.mapi ied_mk pairs in
-      let t = List.fold_left (fun t c -> EdI.insert c t) EdI.empty cs in
-      (* drain by removing every element in turn, revalidating as we go *)
-      let t = ref t in
-      List.for_all
-        (fun c ->
-          let before = EdI.cardinal !t in
-          t := EdI.remove c !t;
-          EdI.validate !t;
-          (not (EdI.mem c !t)) && EdI.cardinal !t = before - 1)
-        cs
-      && EdI.is_empty !t)
-
-let test_edi_raw_sentinel () =
-  let a = ied_mk 1 (3., 9.) in
-  let b = ied_mk 2 (1., 5.) in
-  let t = EdI.insert b (EdI.insert a EdI.empty) in
-  Alcotest.(check bool) "raw hit" true
-    (EdI.min_deadline_eligible_raw t ~now:2. == b);
-  Alcotest.(check bool) "raw miss is nil" true
-    (EdI.min_deadline_eligible_raw t ~now:0.5 == EdI.nil);
-  Alcotest.(check bool) "min_eligible_raw" true (EdI.min_eligible_raw t == b);
-  Alcotest.(check bool) "empty raw is nil" true
-    (EdI.min_eligible_raw EdI.empty == EdI.nil)
-
-type ivtc = {
-  ivid : int;
-  mutable iv : float;
-  mutable ift : float;
-  mutable iv_l : ivtc;
-  mutable iv_r : ivtc;
-  mutable iv_h : int;
-  mutable iv_agg : float;
-}
-
-let rec ivtc_nil =
-  { ivid = -1; iv = 0.; ift = 0.; iv_l = ivtc_nil; iv_r = ivtc_nil;
-    iv_h = 0; iv_agg = infinity }
-
-module VtI = Ds.Vt_itree.Make (struct
-  type t = ivtc
-
-  let nil = ivtc_nil
-
-  let compare a b =
-    let c = Float.compare a.iv b.iv in
-    if c <> 0 then c else Int.compare a.ivid b.ivid
-
-  let fit_le c x = c.ift <= x
-  let agg_fit_le c x = c.iv_agg <= x
-  let min_fit_value c = c.iv_agg
-
-  let refresh_agg c =
-    let m = c.ift in
-    let l = c.iv_l in
-    let m = if l != ivtc_nil && l.iv_agg < m then l.iv_agg else m in
-    let r = c.iv_r in
-    let m = if r != ivtc_nil && r.iv_agg < m then r.iv_agg else m in
-    c.iv_agg <- m
-
-  let left c = c.iv_l
-  let set_left c x = c.iv_l <- x
-  let right c = c.iv_r
-  let set_right c x = c.iv_r <- x
-  let height c = c.iv_h
-  let set_height c h = c.iv_h <- h
-end)
-
-let ivt_mk i (v, f) =
-  { ivid = i; iv = v; ift = f; iv_l = ivtc_nil; iv_r = ivtc_nil; iv_h = 0;
-    iv_agg = infinity }
-
-let ivt_brute_first_fit cs ~now =
-  List.filter (fun c -> c.ift <= now) cs
-  |> List.fold_left
-       (fun acc c ->
-         match acc with
-         | None -> Some c
-         | Some b ->
-             if c.iv < b.iv || (c.iv = b.iv && c.ivid < b.ivid) then Some c
-             else acc)
-       None
-
-let vti_matches_brute =
-  qt "vt_itree: first_fit = brute force" pair_gen (fun pairs ->
-      let cs = List.mapi ivt_mk pairs in
-      let t = List.fold_left (fun t c -> VtI.insert c t) VtI.empty cs in
-      VtI.validate t;
-      List.for_all
-        (fun now ->
-          let got = VtI.first_fit t ~now in
-          let want = ivt_brute_first_fit cs ~now in
-          match (got, want) with
-          | None, None -> true
-          | Some a, Some b -> a.ivid = b.ivid
-          | _ -> false)
-        [ 0.; 3.; 6.; 10. ])
-
-let vti_min_max =
-  qt "vt_itree: min_vt/max_vt/min_fit" pair_gen (fun pairs ->
-      let cs = List.mapi ivt_mk pairs in
-      let t = List.fold_left (fun t c -> VtI.insert c t) VtI.empty cs in
-      let by_vt a b =
-        let c = Float.compare a.iv b.iv in
-        if c <> 0 then c else Int.compare a.ivid b.ivid
-      in
-      let sorted = List.sort by_vt cs in
-      let ok_min =
-        match (VtI.min_vt t, sorted) with
-        | None, [] -> true
-        | Some a, b :: _ -> a.ivid = b.ivid
-        | _ -> false
-      in
-      let ok_max =
-        match (VtI.max_vt t, List.rev sorted) with
-        | None, [] -> true
-        | Some a, b :: _ -> a.ivid = b.ivid
-        | _ -> false
-      in
-      let ok_fit =
-        let want =
-          List.fold_left (fun acc c -> Float.min acc c.ift) infinity cs
-        in
-        VtI.min_fit t = want
-      in
-      ok_min && ok_max && ok_fit)
-
-let test_vti_reposition_discipline () =
-  (* remove, mutate, reinsert — the usage pattern of the scheduler *)
-  let a = ivt_mk 1 (1., 0.) in
-  let b = ivt_mk 2 (2., 0.) in
-  let t = VtI.insert b (VtI.insert a VtI.empty) in
-  let t = VtI.remove a t in
-  a.iv <- 3.;
-  let t = VtI.insert a t in
-  VtI.validate t;
-  (match VtI.min_vt t with
-  | Some x -> Alcotest.(check int) "b now first" 2 x.ivid
-  | None -> Alcotest.fail "expected");
-  Alcotest.(check bool) "first_fit_raw" true (VtI.first_fit_raw t ~now:0. == b)
-
-let test_itree_duplicate_insert () =
-  let a = ivt_mk 1 (1., 0.) in
-  let t = VtI.insert a VtI.empty in
-  Alcotest.check_raises "duplicate rejected"
-    (Invalid_argument "Intrusive_tree.insert: duplicate key")
-    (fun () -> ignore (VtI.insert a t))
-
-(* --- the intrusive AVL functor itself --------------------------------
-
-   Ed_itree and Vt_itree are instances of Intrusive_tree.Make; here it is
-   driven directly, with subtree size as the aggregate, so a missed
-   [refresh_agg] on a rotation or removal path shows up as a wrong count
-   at the root. *)
-
-type itc = {
-  ik : int;
-  mutable it_l : itc;
-  mutable it_r : itc;
-  mutable it_h : int;
-  mutable it_sz : int;
-}
-
-let rec itc_nil = { ik = -1; it_l = itc_nil; it_r = itc_nil; it_h = 0; it_sz = 0 }
-
-module It = Ds.Intrusive_tree.Make (struct
-  type elt = itc
-
-  let nil = itc_nil
-  let compare a b = Int.compare a.ik b.ik
-  let left c = c.it_l
-  let set_left c x = c.it_l <- x
-  let right c = c.it_r
-  let set_right c x = c.it_r <- x
-  let height c = c.it_h
-  let set_height c h = c.it_h <- h
-  let refresh_agg c = c.it_sz <- 1 + c.it_l.it_sz + c.it_r.it_sz
-end)
-
-let itree_vs_set =
-  qt "intrusive_tree: insert/remove churn matches a sorted set"
-    QCheck2.Gen.(list (pair bool (int_bound 31)))
-    (fun ops ->
-      let elts =
-        Array.init 32 (fun k ->
-            { ik = k; it_l = itc_nil; it_r = itc_nil; it_h = 0; it_sz = 0 })
-      in
-      let root = ref It.nil and model = ref [] in
-      List.for_all
-        (fun (is_add, k) ->
-          let x = elts.(k) in
-          if is_add then begin
-            if not (List.mem k !model) then begin
-              root := It.insert x !root;
-              model := List.sort_uniq Int.compare (k :: !model)
-            end
-          end
-          else begin
-            root := It.remove x !root;
-            model := List.filter (fun m -> m <> k) !model
-          end;
-          It.validate !root;
-          let n = List.length !model in
-          let keys = List.rev (It.fold (fun c acc -> c.ik :: acc) !root []) in
-          keys = !model
-          && It.cardinal !root = n
-          && (!root).it_sz = n
-          && It.mem x !root = is_add
-          && (It.min_elt !root).ik = (match !model with [] -> -1 | m :: _ -> m)
-          && (It.max_elt !root).ik
-             = (match List.rev !model with [] -> -1 | m :: _ -> m))
-        ops)
-
-let test_itree_remove_detaches () =
-  let xs =
-    List.init 5 (fun k ->
-        { ik = k; it_l = itc_nil; it_r = itc_nil; it_h = 0; it_sz = 0 })
-  in
-  let root = List.fold_left (fun t x -> It.insert x t) It.nil xs in
-  let x = List.nth xs 1 in
-  let root = It.remove x root in
-  It.validate root;
-  Alcotest.(check bool) "links cleared" true
-    (x.it_l == itc_nil && x.it_r == itc_nil && x.it_h = 0);
-  Alcotest.(check bool) "no longer a member" false (It.mem x root);
-  Alcotest.(check bool) "removing a non-member is a no-op" true
-    (It.remove x root == root && It.cardinal root = 4);
-  let root = It.insert x root in
-  It.validate root;
-  Alcotest.(check int) "reinserted" 5 root.it_sz
-
 let () =
   Alcotest.run "ds"
     [
@@ -498,26 +189,5 @@ let () =
           Alcotest.test_case "peek/clear" `Quick test_fifo_peek_clear;
           Alcotest.test_case "iter wraparound" `Quick test_fifo_iter;
           fifo_vs_queue;
-        ] );
-      ( "ed_itree",
-        [
-          Alcotest.test_case "raw sentinel" `Quick test_edi_raw_sentinel;
-          edi_matches_brute;
-          edi_remove_works;
-        ] );
-      ( "vt_itree",
-        [
-          Alcotest.test_case "reposition discipline" `Quick
-            test_vti_reposition_discipline;
-          Alcotest.test_case "duplicate insert rejected" `Quick
-            test_itree_duplicate_insert;
-          vti_matches_brute;
-          vti_min_max;
-        ] );
-      ( "intrusive_tree",
-        [
-          Alcotest.test_case "remove detaches" `Quick
-            test_itree_remove_detaches;
-          itree_vs_set;
         ] );
     ]

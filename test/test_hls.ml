@@ -315,6 +315,48 @@ let test_batched_drain_allocates_nothing () =
 let rr_engine () =
   E.create_backend (B.of_hls ~link_rate:1.25e6 (Hls.create ())) ~flow_map:[] ()
 
+(* A backend refuses an id it does not own. After [b] is removed,
+   [cls_name], the class's parameter view ([view]: [rsc] on hfsc,
+   [quantum] on rr) and [enqueue] raise [Invalid_argument] on [b] and
+   on ids out of range; [class_ids] keeps creation order without [b];
+   and the next class gets a fresh id, never [b]'s. *)
+let check_unknown_ids ~what (be : B.t) params ~view =
+  let add name =
+    match be.B.add_class ~parent:0 ~name params ~qlimit:None ~qbytes:None with
+    | Ok id -> id
+    | Error e -> Alcotest.failf "%s: add %s: %s" what name (B.error_message e)
+  in
+  let a = add "a" in
+  let b = add "b" in
+  let c = add "c" in
+  (match be.B.remove_class ~id:b with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: remove b: %s" what (B.error_message e));
+  let refused id =
+    List.iter
+      (fun (op, f) ->
+        match f () with
+        | () -> Alcotest.failf "%s: %s accepted unknown id %d" what op id
+        | exception Invalid_argument _ -> ())
+      [
+        ("cls_name", fun () -> ignore (be.B.cls_name id));
+        ("view", fun () -> view be id);
+        ( "enqueue",
+          fun () -> ignore (be.B.enqueue ~now:0. id (pkt ~flow:1 ~seq:0 ())) );
+      ]
+  in
+  List.iter refused [ b; c + 1; max_int; -1 ];
+  Alcotest.(check (list int))
+    (what ^ ": class_ids in creation order, without the removed id")
+    [ 0; a; c ] (be.B.class_ids ());
+  let d = add "d" in
+  Alcotest.(check int) (what ^ ": a fresh id after the remove") (c + 1) d;
+  refused b;
+  Alcotest.(check (list int))
+    (what ^ ": class_ids after the add")
+    [ 0; a; c; d ] (be.B.class_ids ());
+  Alcotest.(check (list string)) (what ^ ": audit clean") [] (be.B.audit ())
+
 let test_rr_engine_grammar_and_admission () =
   let eng = rr_engine () in
   Alcotest.(check bool) "kind" true (E.backend_kind eng = B.Rr_kind);
@@ -347,7 +389,14 @@ let test_rr_engine_grammar_and_admission () =
   check_contains "quantum rejected on hfsc"
     (err_exec (exec1 hfsc_eng "add class q parent root quantum 1000"))
     "rr-backend";
-  Alcotest.(check (list string)) "audit clean" [] (E.audit eng)
+  Alcotest.(check (list string)) "audit clean" [] (E.audit eng);
+  let params = { B.rsc = None; fsc = None; usc = None; quantum = None } in
+  check_unknown_ids ~what:"rr" (B.of_hls ~link_rate:1.25e6 (Hls.create ()))
+    params ~view:(fun be id -> ignore (be.B.quantum id));
+  check_unknown_ids ~what:"hfsc"
+    (B.of_hfsc ~link_rate:1.25e6 (Hfsc.create ~link_rate:1.25e6 ()))
+    { params with fsc = Some (Curve.Service_curve.linear 1e5) }
+    ~view:(fun be id -> ignore (be.B.rsc id))
 
 let test_rr_engine_datapath_and_stats () =
   let eng = rr_engine () in
