@@ -137,11 +137,12 @@ let demo_cmd =
   Cmd.v (Cmd.info "demo" ~doc)
     Term.(const run $ n $ mbits $ dmax_ms $ seconds)
 
-(* The run loop behind 'simulate', shared by the sequential and
-   multicore routers: everything it needs from a router is behind these
-   arguments, so the two flavours cannot drift apart in the CLI. *)
-let drive ~cfg ~cmds ~seconds ~stats_json ~trace ~links ~exec ~link_of_flow
-    ~stats_text ~stats_doc =
+(* The run loop behind 'simulate', over either router's control plane
+   ([Router_core]), so the two flavours cannot drift apart in the CLI. *)
+let drive ~cfg ~cmds ~seconds ~stats_json ~trace core =
+  let module Core = Runtime.Router_core in
+  let links = Core.adapters core in
+  let link_of_flow = Core.link_of_flow core in
   let index = Hashtbl.create 8 in
   List.iteri (fun i (name, _, _) -> Hashtbl.replace index name i) links;
   let sim =
@@ -160,7 +161,7 @@ let drive ~cfg ~cmds ~seconds ~stats_json ~trace ~links ~exec ~link_of_flow
     (fun (at, cmd) ->
       Netsim.Sim.at sim at (fun ~now ->
           let cs = Runtime.Command.to_string cmd in
-          match exec ~now cmd with
+          match Core.exec core ~now cmd with
           | Ok resp ->
               Printf.printf "[%8.3f] ok: %s\n%s" now cs
                 (match cmd.Runtime.Command.op with
@@ -193,7 +194,7 @@ let drive ~cfg ~cmds ~seconds ~stats_json ~trace ~links ~exec ~link_of_flow
         (Netsim.Sim.link_transmitted_bytes sim i))
     links;
   print_newline ();
-  print_string (stats_text ());
+  print_string (Core.stats_text core);
   Printf.printf "\n%-8s %-12s %-10s %-12s %s\n" "flow" "link" "delivered"
     "mean delay" "max delay";
   List.iter
@@ -215,7 +216,8 @@ let drive ~cfg ~cmds ~seconds ~stats_json ~trace ~links ~exec ~link_of_flow
       let oc = open_out_bin path in
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (Json_lite.to_string (stats_doc ())));
+        (fun () ->
+          output_string oc (Json_lite.to_string (Core.stats_json core)));
       Printf.printf "\nwrote stats to %s\n" path
   | None -> ());
   (match trace with
@@ -311,49 +313,32 @@ let simulate_cmd =
         | Ok _ when domains < 1 ->
             prerr_endline "simulate: --domains must be >= 1";
             1
-        | Ok cmds when domains = 1 -> (
-            match Runtime.Router.of_config cfg with
-            | Error e -> refused e
-            | Ok (router, warnings) ->
-            warn warnings;
-            drive ~cfg ~cmds ~seconds ~stats_json ~trace
-              ~links:
-                (List.map
-                   (fun (name, eng) ->
-                     ( name,
-                       Runtime.Engine.link_rate eng,
-                       Runtime.Engine.adapter eng ))
-                   (Runtime.Router.links router))
-              ~exec:(fun ~now cmd -> Runtime.Router.exec router ~now cmd)
-              ~link_of_flow:(Runtime.Router.link_of_flow router)
-              ~stats_text:(fun () -> Runtime.Router.stats_text router)
-              ~stats_doc:(fun () -> Runtime.Router.stats_json router))
         | Ok cmds -> (
-            match Runtime.Mc_router.of_config ~domains cfg with
+            let built =
+              if domains = 1 then
+                Result.map
+                  (fun (r, warnings) ->
+                    (Runtime.Daemon.backend_of_router r, ignore, warnings))
+                  (Runtime.Router.of_config cfg)
+              else
+                Result.map
+                  (fun (m, warnings) ->
+                    ( Runtime.Daemon.backend_of_mc_router m,
+                      (fun () -> ignore (Runtime.Mc_router.stop m)),
+                      warnings ))
+                  (Runtime.Mc_router.of_config ~domains cfg)
+            in
+            match built with
             | Error e -> refused e
-            | Ok (m, warnings) ->
-            warn warnings;
-            Printf.printf "multicore router: %d links on %d worker domains\n"
-              (Runtime.Mc_router.link_count m)
-              (Runtime.Mc_router.domains m);
-            Fun.protect
-              ~finally:(fun () -> ignore (Runtime.Mc_router.stop m))
-              (fun () ->
-                drive ~cfg ~cmds ~seconds ~stats_json ~trace
-                  ~links:
-                    (List.map
-                       (fun link ->
-                         match
-                           ( Runtime.Mc_router.link_rate m ~link,
-                             Runtime.Mc_router.adapter m ~link )
-                         with
-                         | Some rate, Some a -> (link, rate, a)
-                         | _ -> assert false (* of_config just made it *))
-                       (Runtime.Mc_router.link_names m))
-                  ~exec:(fun ~now cmd -> Runtime.Mc_router.exec m ~now cmd)
-                  ~link_of_flow:(Runtime.Mc_router.link_of_flow m)
-                  ~stats_text:(fun () -> Runtime.Mc_router.stats_text m)
-                  ~stats_doc:(fun () -> Runtime.Mc_router.stats_json m))))
+            | Ok (Runtime.Daemon.Backend core, stop, warnings) ->
+                warn warnings;
+                if domains > 1 then
+                  Printf.printf
+                    "multicore router: %d links on %d worker domains\n"
+                    (Runtime.Router_core.link_count core)
+                    domains;
+                Fun.protect ~finally:stop (fun () ->
+                    drive ~cfg ~cmds ~seconds ~stats_json ~trace core)))
   in
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(const run $ file $ script $ seconds $ domains $ stats_json $ trace

@@ -132,8 +132,8 @@ let fig1_sources ?data_stop ?data_restart ~until () =
   in
   (audio :: video :: cmu_data) @ [ pitt_data ]
 
-let run_sim ?tput_bin ~sched ~sources ~until ?on_departure () =
-  let sim = Netsim.Sim.create ?tput_bin ~link_rate ~sched () in
+let run_sim ~sched ~sources ~until ?on_departure () =
+  let sim = Netsim.Sim.create ~link_rate ~sched () in
   List.iter (Netsim.Sim.add_source sim) sources;
   (match on_departure with
   | Some f -> Netsim.Sim.on_departure sim f

@@ -57,7 +57,6 @@ val fig1_sources :
     the CMU data flow (for the link-sharing experiment E5). *)
 
 val run_sim :
-  ?tput_bin:float ->
   sched:Sched.Scheduler.t ->
   sources:Netsim.Source.t list ->
   until:float ->

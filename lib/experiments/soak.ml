@@ -6,6 +6,7 @@ module Command = Runtime.Command
 module Engine = Runtime.Engine
 module Router = Runtime.Router
 module Mc_router = Runtime.Mc_router
+module Router_core = Runtime.Router_core
 module Daemon = Runtime.Daemon
 module Journal = Runtime.Journal
 module Trace_log = Runtime.Trace_log
@@ -49,6 +50,16 @@ type churn_counters = {
   mutable cc_audit_checks : int;
   mutable cc_audit_failures : int;
 }
+
+(* The device under test: the sequential router at one domain, the
+   multicore router above; the daemon serves either's control plane.
+   The second value stops it. *)
+let device ~domains ~audit_every =
+  if domains <= 1 then
+    (Daemon.backend_of_router (Router.create ~audit_every ()), ignore)
+  else
+    let m = Mc_router.create ~audit_every ~domains () in
+    (Daemon.backend_of_mc_router m, fun () -> ignore (Mc_router.stop m))
 
 let count_lines s =
   if s = "" then 0
@@ -145,16 +156,10 @@ let run ?(links = 3) ?(flows_per_link = 4) ?(seconds = 1.0) ?(seed = 7)
   let spill = match spill with Some s -> s | None -> temp "hfsc_soak" ".trace" in
 
   (* --- the device under test ---------------------------------------- *)
-  let seq_router, mc_router, backend, stop_device =
-    if domains <= 1 then
-      let r = Router.create ~audit_every () in
-      (Some r, None, Daemon.backend_of_router r, fun () -> ())
-    else
-      let m = Mc_router.create ~audit_every ~domains () in
-      (None, Some m, Daemon.backend_of_mc_router m, fun () -> ignore (Mc_router.stop m))
-  in
+  let backend, stop_device = device ~domains ~audit_every in
+  let (Daemon.Backend core) = backend in
   let exec ~now cmd =
-    match backend.Daemon.b_exec ~now cmd with
+    match Router_core.exec core ~now cmd with
     | Ok _ -> ()
     | Error e ->
         failwith
@@ -218,31 +223,10 @@ let run ?(links = 3) ?(flows_per_link = 4) ?(seconds = 1.0) ?(seed = 7)
   for i = 0 to links - 1 do
     Hashtbl.replace link_index (link_name i) i
   done;
-  let link_of_flow =
-    match (seq_router, mc_router) with
-    | Some r, _ -> Router.link_of_flow r
-    | _, Some m -> Mc_router.link_of_flow m
-    | None, None -> assert false
-  in
-  let sim_links =
-    match (seq_router, mc_router) with
-    | Some r, _ ->
-        List.map
-          (fun (name, eng) -> (name, Engine.link_rate eng, Engine.adapter eng))
-          (Router.links r)
-    | _, Some m ->
-        List.map
-          (fun name ->
-            match Mc_router.adapter m ~link:name with
-            | Some a -> (name, link_rate, a)
-            | None -> assert false)
-          (Mc_router.link_names m)
-    | None, None -> assert false
-  in
   let sim =
-    Netsim.Sim.create_multi ~links:sim_links
+    Netsim.Sim.create_multi ~links:(Router_core.adapters core)
       ~route:(fun pkt ->
-        match link_of_flow pkt.Pkt.Packet.flow with
+        match Router_core.link_of_flow core pkt.Pkt.Packet.flow with
         | Some name -> Hashtbl.find_opt link_index name
         | None -> None)
       ()
@@ -283,7 +267,7 @@ let run ?(links = 3) ?(flows_per_link = 4) ?(seconds = 1.0) ?(seed = 7)
       ~on_command:(fun ~now line ->
         match Command.parse line with
         | Error _ -> ()
-        | Ok cmd -> ignore (backend.Daemon.b_exec ~now cmd))
+        | Ok cmd -> ignore (Router_core.exec core ~now cmd))
   done;
 
   (* --- daemon + churn client ----------------------------------------- *)
@@ -425,14 +409,7 @@ let crash_fail fmt = Printf.ksprintf (fun s -> raise (Crash_failure s)) fmt
 let crash_child ~domains ~audit_every ~state_dir ~socket () =
   let code =
     try
-      let backend, stop_device =
-        if domains <= 1 then
-          let r = Router.create ~audit_every () in
-          (Daemon.backend_of_router r, fun () -> ())
-        else
-          let m = Mc_router.create ~audit_every ~domains () in
-          (Daemon.backend_of_mc_router m, fun () -> ignore (Mc_router.stop m))
-      in
+      let backend, stop_device = device ~domains ~audit_every in
       match Daemon.run ~durable:state_dir ~checkpoint_every:8 ~socket backend with
       | Ok _ ->
           stop_device ();

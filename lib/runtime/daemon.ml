@@ -5,39 +5,10 @@
    [Command.parse] + [exec] path a script replay uses, so the daemon
    cannot drift from the offline semantics. *)
 
-type backend = {
-  b_exec : now:float -> Command.t -> (string, Engine.error) result;
-  b_stats_json : unit -> Json_lite.t;
-  b_audit : unit -> string list;
-  b_link_names : unit -> string list;
-  b_snapshot : link:string -> Telemetry.snapshot option;
-  b_checkpoint : unit -> (float * Command.t) list;
-  b_fingerprint : unit -> string;
-}
+type backend = Backend : 'p Router_core.t -> backend
 
-let backend_of_router r =
-  {
-    b_exec = (fun ~now cmd -> Router.exec r ~now cmd);
-    b_stats_json = (fun () -> Router.stats_json r);
-    b_audit = (fun () -> Router.audit r);
-    b_link_names = (fun () -> List.map fst (Router.links r));
-    b_snapshot =
-      (fun ~link ->
-        Option.map Engine.snapshot (Router.find_link r link));
-    b_checkpoint = (fun () -> Router.checkpoint r);
-    b_fingerprint = (fun () -> Router.config_fingerprint r);
-  }
-
-let backend_of_mc_router m =
-  {
-    b_exec = (fun ~now cmd -> Mc_router.exec m ~now cmd);
-    b_stats_json = (fun () -> Mc_router.stats_json m);
-    b_audit = (fun () -> Mc_router.audit m);
-    b_link_names = (fun () -> Mc_router.link_names m);
-    b_snapshot = (fun ~link -> Mc_router.snapshot m ~link);
-    b_checkpoint = (fun () -> Mc_router.checkpoint m);
-    b_fingerprint = (fun () -> Mc_router.config_fingerprint m);
-  }
+let backend_of_router (r : Router.t) = Backend r
+let backend_of_mc_router m = Backend (Mc_router.core m)
 
 (* --- wire helpers ---------------------------------------------------- *)
 
@@ -122,10 +93,43 @@ let next_line c =
 
 (* --- the daemon ------------------------------------------------------ *)
 
+(* The journal of [run ~durable]: accepted mutating commands are
+   appended to [writer], which rotates into a checkpoint once it holds
+   at least [checkpoint_every] records and at least the checkpoint's
+   bytes. Every checkpoint byte is then paid for by a journal byte, so a
+   rotate costs O(bytes written since the last one), not O(configuration)
+   per [checkpoint_every] writes; recovery replays at most
+   max([checkpoint_every] records, one checkpoint's bytes) plus one
+   record of tail. *)
+type journal = { writer : Journal.writer; checkpoint_every : int }
+
+let rotate_due j =
+  Journal.appended j.writer >= j.checkpoint_every
+  &&
+  let f = Journal.footprint j.writer in
+  f.Journal.journal_bytes >= f.Journal.checkpoint_bytes
+
+(* The one exec path, for socket requests and for recovery's replay
+   (which runs before there is a journal). The write-behind of an
+   accepted command happens before its reply is sent: [Journal.append]
+   has handed the record to the OS by the time this returns. *)
+let exec (Backend core) journal ~now cmd =
+  let r = Router_core.exec core ~now cmd in
+  (match (r, journal) with
+  | Ok _, Some j when Command.is_mutating cmd ->
+      Journal.append j.writer ~now cmd;
+      if rotate_due j then
+        Journal.rotate j.writer
+          ~checkpoint:(Router_core.checkpoint core)
+          ~digest:(Router_core.config_fingerprint core)
+  | _ -> ());
+  r
+
 type t = {
   socket : string;
   listen_fd : Unix.file_descr;
   backend : backend;
+  journal : journal option;
   clock : unit -> float;
   mutable conns : conn list;
   mutable running : bool;
@@ -134,7 +138,9 @@ type t = {
   mutable last_totals : (string * int * int) list;
 }
 
-let create ?clock ?(backlog = 8) ~socket backend =
+let backlog = 8
+
+let make ?clock ~journal ~socket backend =
   let clock =
     match clock with
     | Some c -> c
@@ -153,6 +159,7 @@ let create ?clock ?(backlog = 8) ~socket backend =
     socket;
     listen_fd;
     backend;
+    journal;
     clock;
     conns = [];
     running = false;
@@ -161,6 +168,8 @@ let create ?clock ?(backlog = 8) ~socket backend =
     last_totals = [];
   }
 
+let create ?clock ~socket backend = make ?clock ~journal:None ~socket backend
+
 let shutdown_requested t = t.shutdown
 
 (* --- spill management ------------------------------------------------ *)
@@ -168,12 +177,28 @@ let shutdown_requested t = t.shutdown
 let spill_file path ~links link =
   match links with [ _ ] -> path | _ -> path ^ "." ^ link
 
+(* Each sink is drained by its link's engine, on the domain that owns
+   it: O(events since the last drain). A deleted or downed link is
+   skipped. A write error is raised here, on the serving domain, never
+   inside a port call, where a multicore router would take it for an
+   engine fault and down the link. *)
 let drain_sinks t =
+  let (Backend core) = t.backend in
   List.iter
     (fun (link, sink) ->
-      match t.backend.b_snapshot ~link with
-      | Some snap -> ignore (Trace_log.Sink.drain_snapshot sink snap)
-      | None -> ())
+      match Router_core.find_link core link with
+      | None -> ()
+      | Some p -> (
+          match
+            core.Router_core.ops.call p
+              ~down:(fun _ -> Ok 0)
+              (fun eng ->
+                match Engine.drain_trace eng sink with
+                | n -> Ok n
+                | exception e -> Error e)
+          with
+          | Ok _ -> ()
+          | Error e -> raise e))
     t.sinks
 
 let sink_totals t =
@@ -203,7 +228,8 @@ let totals_text totals =
 let spill_start t path =
   if t.sinks <> [] then Error "spill already active (spill stop first)"
   else
-    match t.backend.b_link_names () with
+    let (Backend core) = t.backend in
+    match List.map fst (Router_core.links core) with
     | [] -> Error "no links to spill"
     | links ->
         t.sinks <-
@@ -242,7 +268,7 @@ let exec_command t fd ~verb line =
       List.iter
         (fun (at, cmd) ->
           let now = if has_at then at else t.clock () in
-          match t.backend.b_exec ~now cmd with
+          match exec t.backend t.journal ~now cmd with
           | Ok body ->
               drain_sinks t;
               reply_ok fd body
@@ -254,6 +280,7 @@ let exec_command t fd ~verb line =
 
 let handle_line t conn line =
   let fd = conn.fd in
+  let (Backend core) = t.backend in
   let verb, rest = first_token line in
   match verb with
   | "ping" -> reply_ok fd "pong"
@@ -265,11 +292,11 @@ let handle_line t conn line =
       t.running <- false;
       reply_ok fd "shutting down"
   | "audit" -> (
-      match t.backend.b_audit () with
+      match Router_core.audit core with
       | [] -> reply_ok fd "audit clean"
       | errs -> reply_err fd "structural" (String.concat "\n" errs))
-  | "stats-json" -> reply_ok fd (Json_lite.to_string (t.backend.b_stats_json ()))
-  | "fingerprint" -> reply_ok fd (t.backend.b_fingerprint ())
+  | "stats-json" -> reply_ok fd (Json_lite.to_string (Router_core.stats_json core))
+  | "fingerprint" -> reply_ok fd (Router_core.config_fingerprint core)
   | "spill" -> (
       let sub, arg = first_token rest in
       match (sub, arg) with
@@ -331,7 +358,10 @@ let close_conn t conn =
   t.conns <- List.filter (fun c -> c != conn) t.conns;
   try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
-let serve ?(idle = fun () -> true) ?(idle_every = 0.05) t =
+(* the longest [select] wait, so [idle] runs at least this often *)
+let idle_every = 0.05
+
+let serve ?(idle = fun () -> true) t =
   t.running <- true;
   let step () =
     let fds = t.listen_fd :: List.map (fun c -> c.fd) t.conns in
@@ -393,35 +423,22 @@ type recovery_info = {
   ri_fingerprint : string;
 }
 
-type durable_state = {
-  d_backend : backend;
-  d_info : recovery_info;
-  d_writer : Journal.writer;
-}
-
 let ( let* ) = Result.bind
 
 (* Recovery is strict on purpose: the journal only ever holds commands
    the engine *accepted*, so a refusal during replay means the state
    directory and this backend disagree (wrong backend, wrong link
    rates, a non-empty engine) — serving a half-rebuilt configuration
-   would be worse than refusing to start.
-
-   Rotation is amortized: the journal becomes a checkpoint once it holds
-   at least [checkpoint_every] records *and* at least as many bytes as
-   the checkpoint it extends. Every checkpoint byte is then paid for by
-   a journal byte, so a rotate costs O(bytes written since the last
-   one), not O(configuration) per [checkpoint_every] writes; recovery
-   replays at most max([checkpoint_every] records, one checkpoint's
-   bytes) plus one record of tail. *)
-let durable ?(checkpoint_every = 256) ~dir backend =
-  if checkpoint_every < 1 then invalid_arg "Daemon.durable: checkpoint_every";
+   would be worse than refusing to start. *)
+let recover ~checkpoint_every ~dir backend =
+  if checkpoint_every < 1 then invalid_arg "Daemon.run: checkpoint_every";
+  let (Backend core) = backend in
   let* r = Result.map_error Journal.corruption_text (Journal.recover ~dir) in
   let replay label cmds =
     let rec go n = function
       | [] -> Ok n
       | (at, cmd) :: rest -> (
-          match backend.b_exec ~now:at cmd with
+          match exec backend None ~now:at cmd with
           | Ok _ -> go (n + 1) rest
           | Error e ->
               Error
@@ -435,7 +452,7 @@ let durable ?(checkpoint_every = 256) ~dir backend =
     match r.Journal.r_digest with
     | None -> Ok ()
     | Some d ->
-        let fp = backend.b_fingerprint () in
+        let fp = Router_core.config_fingerprint core in
         if d = fp then Ok ()
         else
           Error
@@ -444,58 +461,33 @@ let durable ?(checkpoint_every = 256) ~dir backend =
   in
   let* tail = replay "journal" r.Journal.r_tail in
   let generation = r.Journal.r_generation + 1 in
-  let fingerprint = backend.b_fingerprint () in
+  let fingerprint = Router_core.config_fingerprint core in
   let writer =
     (* start a fresh generation immediately: the recovered state becomes
        a checkpoint, so the next crash replays from here, not from the
        whole inherited history *)
-    Journal.start ~dir ~generation ~checkpoint:(backend.b_checkpoint ())
+    Journal.start ~dir ~generation ~checkpoint:(Router_core.checkpoint core)
       ~digest:fingerprint
   in
-  let rotate_due () =
-    Journal.appended writer >= checkpoint_every
-    &&
-    let f = Journal.footprint writer in
-    f.Journal.journal_bytes >= f.Journal.checkpoint_bytes
-  in
-  let rotate () =
-    Journal.rotate writer ~checkpoint:(backend.b_checkpoint ())
-      ~digest:(backend.b_fingerprint ())
-  in
-  let b_exec ~now cmd =
-    match backend.b_exec ~now cmd with
-    | Ok _ as ok ->
-        (* write-behind of an *accepted* command: the reply is not sent
-           until [Journal.append] has handed the record to the OS *)
-        if Command.is_mutating cmd then begin
-          Journal.append writer ~now cmd;
-          if rotate_due () then rotate ()
-        end;
-        ok
-    | Error _ as e -> e
-  in
   Ok
-    {
-      d_backend = { backend with b_exec };
-      d_info =
-        {
-          ri_generation = generation;
-          ri_checkpoint = List.length r.Journal.r_checkpoint;
-          ri_tail = tail;
-          ri_truncated = r.Journal.r_truncated;
-          ri_fingerprint = fingerprint;
-        };
-      d_writer = writer;
-    }
+    ( { writer; checkpoint_every },
+      {
+        ri_generation = generation;
+        ri_checkpoint = List.length r.Journal.r_checkpoint;
+        ri_tail = tail;
+        ri_truncated = r.Journal.r_truncated;
+        ri_fingerprint = fingerprint;
+      } )
 
-let run ?clock ?backlog ?(idle = fun () -> true) ?idle_every ?(sigterm = true)
-    ?checkpoint_every ?durable:state_dir ~socket backend =
-  let* d =
+let run ?clock ?(idle = fun () -> true) ?(sigterm = true)
+    ?(checkpoint_every = 256) ?durable:state_dir ~socket backend =
+  let* recovered =
     match state_dir with
     | None -> Ok None
-    | Some dir -> Result.map Option.some (durable ?checkpoint_every ~dir backend)
+    | Some dir ->
+        Result.map Option.some (recover ~checkpoint_every ~dir backend)
   in
-  let backend = match d with Some d -> d.d_backend | None -> backend in
+  let journal = Option.map fst recovered in
   let stop = Atomic.make false in
   let old_term =
     if sigterm then
@@ -506,7 +498,7 @@ let run ?clock ?backlog ?(idle = fun () -> true) ?idle_every ?(sigterm = true)
       with Invalid_argument _ | Sys_error _ -> None
     else None
   in
-  let t = create ?clock ?backlog ~socket backend in
+  let t = make ?clock ~journal ~socket backend in
   Fun.protect
     ~finally:(fun () ->
       (match old_term with
@@ -514,10 +506,10 @@ let run ?clock ?backlog ?(idle = fun () -> true) ?idle_every ?(sigterm = true)
       | None -> ());
       (* graceful stop: serve's own finally has already flushed and
          closed any active trace spill; the journal barrier is ours *)
-      match d with Some d -> Journal.close d.d_writer | None -> ())
+      Option.iter (fun j -> Journal.close j.writer) journal)
     (fun () ->
-      serve ?idle_every ~idle:(fun () -> (not (Atomic.get stop)) && idle ()) t;
-      Ok (Option.map (fun d -> d.d_info) d))
+      serve ~idle:(fun () -> (not (Atomic.get stop)) && idle ()) t;
+      Ok (Option.map snd recovered))
 
 (* --- client ---------------------------------------------------------- *)
 

@@ -51,57 +51,47 @@
     seconds since daemon start). Deterministic replays therefore prefix
     every line.
 
-    {b Ownership.} The daemon, its backend (router/engines) and its
+    {b Ownership.} The daemon, its backend's control plane and its
     spill sinks live on the domain that calls {!serve} — connections
-    are multiplexed with [select] on that one domain, so no engine
-    state ever crosses domains here ({!Mc_router} moves it behind its
-    own rings; its backend is driven from the serving domain like any
-    other caller). *)
+    are multiplexed with [select] on that one domain. No engine state
+    crosses domains here: {!Mc_router} keeps each engine behind its
+    rings, and a spill sink is drained by the link's own engine through
+    one port call ({!Engine.drain_trace}) while the serving domain
+    waits. *)
 
-(** What the daemon needs from a control plane. Where
-    {!Router_core.ops} abstracts one link's engine, this record
-    abstracts the whole device: anything with these operations can
-    be served — the sequential router or the multicore router. A single
-    engine is served as a one-link router ({!Router.of_engines}), which
-    is bit-identical to the bare engine. *)
-type backend = {
-  b_exec : now:float -> Command.t -> (string, Engine.error) result;
-  b_stats_json : unit -> Json_lite.t;
-  b_audit : unit -> string list;
-  b_link_names : unit -> string list;
-  b_snapshot : link:string -> Telemetry.snapshot option;
-      (** per-link telemetry for the spill sinks; [None] on an unknown
-          link (e.g. deleted since {!b_link_names}) *)
-  b_checkpoint : unit -> (float * Command.t) list;
-      (** the control-plane state as a replayable script
-          ({!Router.checkpoint}) — what {!Journal} checkpoints persist *)
-  b_fingerprint : unit -> string;
-      (** configuration fingerprint ({!Router.config_fingerprint});
-          recorded with every checkpoint and verified on recovery *)
-}
+(** What the daemon serves: a router's control plane, {!Router_core},
+    over either port — the sequential router's direct engines or the
+    multicore router's rings. Every request runs the same core
+    function either way. A single engine is served as a one-link
+    router ({!Router.of_engines}), which is bit-identical to the bare
+    engine. *)
+type backend = Backend : 'p Router_core.t -> backend
 
 val backend_of_router : Router.t -> backend
 val backend_of_mc_router : Mc_router.t -> backend
 
 type t
 
-val create : ?clock:(unit -> float) -> ?backlog:int -> socket:string -> backend -> t
+val create : ?clock:(unit -> float) -> socket:string -> backend -> t
 (** Bind and listen on the Unix-domain socket at path [socket] (an
-    existing socket file there is replaced; [backlog] defaults to 8).
-    [clock] supplies [now] for commands without an [at] prefix.
+    existing socket file there is replaced; a listen backlog of 8).
+    [clock] supplies [now] for commands without an [at] prefix; it is
+    called on the serving domain once per such command, before the
+    command runs.
 
     @raise Unix.Unix_error if the path cannot be bound (too long,
     bad directory, ...). *)
 
-val serve : ?idle:(unit -> bool) -> ?idle_every:float -> t -> unit
+val serve : ?idle:(unit -> bool) -> t -> unit
 (** Serve until a client sends [shutdown] or [idle] returns [false].
     [idle] (default [fun () -> true]) runs after every multiplexer
-    wake-up — at least every [idle_every] seconds (default 0.05) — on
-    the serving domain; it is the hook the soak harness advances its
-    simulation from. Spill sinks are drained after every executed
-    command and on every idle tick. On return all connections and
-    spill files are closed and the socket file is unlinked; {!serve}
-    may be called again. *)
+    wake-up — at least every 50 ms — on the serving domain; it is the
+    hook the soak harness advances its simulation from. Spill sinks
+    are drained after every executed command and on every wake-up;
+    a drain costs O(events recorded since the last one), however many
+    classes the link has. On return all connections and spill files
+    are closed and the socket file is unlinked; {!serve} may be called
+    again. *)
 
 val shutdown_requested : t -> bool
 
@@ -113,12 +103,13 @@ val spill_totals : t -> (string * int * int) list
 (** {2 Durability}
 
     [run ~durable:DIR] is {!create} + {!serve} with a crash-safe state
-    directory wrapped around the backend: on entry the directory is
+    directory kept by the daemon: on entry the directory is
     recovered through {!Journal.recover} — latest intact checkpoint
     replayed into the (empty) backend, recorded digest verified against
-    the rebuilt {!b_fingerprint}, journal tail replayed — and a fresh
-    generation is started. From then on every {e accepted} mutating
-    command is appended to the journal before its reply is sent. The
+    the rebuilt {!Router.config_fingerprint}, journal tail replayed —
+    and a fresh generation is started. From then on every {e accepted}
+    mutating command is appended to the journal, by the same exec path
+    that runs it, before its reply is sent. The
     journal rotates into a new checkpoint once {e both} hold: it has at
     least [checkpoint_every] records, and its bytes since the last
     checkpoint are at least that checkpoint's size
@@ -135,14 +126,13 @@ type recovery_info = {
   ri_checkpoint : int;  (** commands replayed from the checkpoint *)
   ri_tail : int;  (** commands replayed from the journal tail *)
   ri_truncated : bool;  (** a torn journal tail was discarded *)
-  ri_fingerprint : string;  (** {!b_fingerprint} after recovery *)
+  ri_fingerprint : string;
+      (** {!Router.config_fingerprint} after recovery *)
 }
 
 val run :
   ?clock:(unit -> float) ->
-  ?backlog:int ->
   ?idle:(unit -> bool) ->
-  ?idle_every:float ->
   ?sigterm:bool ->
   ?checkpoint_every:int ->
   ?durable:string ->

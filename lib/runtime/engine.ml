@@ -116,6 +116,7 @@ let scheduler t =
   | None -> invalid_arg "Engine.scheduler: not an hfsc-backend engine"
 
 let snapshot t = Telemetry.snapshot t.tele
+let drain_trace t sink = Trace_log.Sink.drain sink t.tele
 let link_rate t = t.link_rate
 let flow_class t flow = Hashtbl.find_opt t.flows flow
 

@@ -45,9 +45,11 @@
     the caller's domain; {!Mc_router} transfers each engine to its
     worker domain at attach (before any operation runs) and back to the
     caller at {!Mc_router.stop}, with every intervening access made
-    {e by} the owning worker on behalf of ring messages. The only
-    values designed to cross domains are immutable results:
-    {!Telemetry.snapshot}, response strings, and {!error}. *)
+    {e by} the owning worker on behalf of ring messages. The values
+    designed to cross domains are immutable results
+    ({!Telemetry.snapshot}, response strings, {!error}) and a spill
+    sink lent to {!drain_trace} for one call, while the lender waits
+    for the reply. *)
 
 type t
 
@@ -145,9 +147,16 @@ val scheduler : t -> Hfsc.t
 
 val snapshot : t -> Telemetry.snapshot
 (** An immutable copy of everything telemetry knows right now —
-    per-class counters, trace-ring occupancy, decoded events. This is
-    the engine's {e only} read surface for counters and traces; the
-    live {!Telemetry.t} stays private so the hot path owns it alone. *)
+    per-class counters, trace-ring occupancy, decoded events. This and
+    {!drain_trace} are the engine's {e only} read surfaces for counters
+    and traces; the live {!Telemetry.t} stays private so the hot path
+    owns it alone. *)
+
+val drain_trace : t -> Trace_log.Sink.t -> int
+(** {!Trace_log.Sink.drain} of this engine's event ring: append the
+    events the sink has not seen, O(new events). Call it on the domain
+    that owns the engine (a router reaches it through its port's
+    call). *)
 
 val link_rate : t -> float
 (** The admission capacity this engine was created with (bytes/s). *)

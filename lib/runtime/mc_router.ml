@@ -337,66 +337,6 @@ let port_on w eng =
   end;
   p
 
-type t = {
-  core : port Router_core.t;
-  workers : worker array;
-  mutable running : bool;
-}
-
-(* Spawn the workers; the links built later are assigned to them
-   round-robin. *)
-let create ?trace_capacity ?tracing ?audit_every ~domains () =
-  if domains < 1 then invalid_arg "Mc_router.create: domains must be >= 1";
-  let workers = Array.init domains (fun _ -> mk_worker ()) in
-  Array.iter
-    (fun w -> w.w_domain <- Some (Domain.spawn (fun () -> worker_run w)))
-    workers;
-  let next = ref 0 in
-  let port eng =
-    let w = workers.(!next mod domains) in
-    incr next;
-    port_on w eng
-  in
-  {
-    core =
-      Router_core.create ?trace_capacity ?tracing ?audit_every
-        ~ops:{ Router_core.call; retire } ~port ();
-    workers;
-    running = true;
-  }
-
-let domains t = Array.length t.workers
-let add_link ?(backend = Backend.Hfsc_kind) t ~name ~link_rate =
-  Router_core.add_link t.core ~name ~link_rate ~backend
-let link_names t = List.map fst t.core.Router_core.links
-let link_rate t ~link = Option.map fst (Router_core.link_spec t.core link)
-let link_count t = Router_core.link_count t.core
-let link_of_flow t flow = Router_core.link_of_flow t.core flow
-let exec t ~now cmd = Router_core.exec t.core ~now cmd
-let audit t = Router_core.audit t.core
-
-let snapshot t ~link =
-  match Router_core.find_link t.core link with
-  | None -> None
-  | Some p ->
-      call p ~down:(fun _ -> None) (fun eng -> Some (Engine.snapshot eng))
-
-(* --- fault injection & health ------------------------------------------- *)
-
-let link_down t ~link =
-  match Router_core.find_link t.core link with
-  | None -> None
-  | Some p -> Option.map Printexc.to_string (port_failure p)
-
-let inject_failure t ~link =
-  match Router_core.find_link t.core link with
-  | None -> false
-  | Some p ->
-      (* the call raises on the worker, so the ordinary failure path — a
-         failed reply, producer latch — is what downs the link *)
-      call p ~down:ignore (fun _ -> raise Injected_failure);
-      true
-
 (* --- the data path: the simulator adapter ------------------------------ *)
 
 (* [false] when the link is down (nothing was posted) *)
@@ -426,54 +366,109 @@ let dequeue_port p ~now ~max ~f =
           p.p_down <- Some e;
           0)
 
+let port_adapter p backend =
+  let served d =
+    {
+      Sched.Scheduler.pkt = d.dq_pkt;
+      cls = d.dq_cls;
+      criterion = (if d.dq_rt then "rt" else "ls");
+    }
+  in
+  {
+    Sched.Scheduler.name = Backend.kind_name backend;
+    enqueue = (fun ~now pkt -> post_enqueue p ~now pkt);
+    dequeue =
+      (fun ~now ->
+        let res = ref None in
+        ignore
+          (dequeue_port p ~now ~max:1 ~f:(fun d -> res := Some (served d)));
+        !res);
+    dequeue_many =
+      Some
+        (fun ~now ~max ->
+          let acc = ref [] in
+          ignore
+            (dequeue_port p ~now ~max ~f:(fun d -> acc := served d :: !acc));
+          List.rev !acc);
+    next_ready =
+      (fun ~now ->
+        call p ~down:(fun _ -> None) (fun eng ->
+            Engine.next_ready_time eng ~now));
+    backlog_pkts = (fun () -> call p ~down:(fun _ -> 0) Engine.backlog_pkts);
+    backlog_bytes = (fun () -> call p ~down:(fun _ -> 0) Engine.backlog_bytes);
+    (* a downed link — every link of a stopped router among them — is
+       not asked (its worker may be gone): the count is read as
+       published *)
+    deferred_drops =
+      Some
+        (fun () ->
+          let refused _ = Atomic.get p.p_refused in
+          call p ~down:refused refused);
+  }
+
+type t = {
+  core : port Router_core.t;
+  workers : worker array;
+  mutable running : bool;
+}
+
+(* Spawn the workers; the links built later are assigned to them
+   round-robin. *)
+let create ?trace_capacity ?tracing ?audit_every ~domains () =
+  if domains < 1 then invalid_arg "Mc_router.create: domains must be >= 1";
+  let workers = Array.init domains (fun _ -> mk_worker ()) in
+  Array.iter
+    (fun w -> w.w_domain <- Some (Domain.spawn (fun () -> worker_run w)))
+    workers;
+  let next = ref 0 in
+  let port eng =
+    let w = workers.(!next mod domains) in
+    incr next;
+    port_on w eng
+  in
+  {
+    core =
+      Router_core.create ?trace_capacity ?tracing ?audit_every
+        ~ops:{ Router_core.call; retire; adapter = port_adapter } ~port ();
+    workers;
+    running = true;
+  }
+
+let core t = t.core
+let add_link ?(backend = Backend.Hfsc_kind) t ~name ~link_rate =
+  Router_core.add_link t.core ~name ~link_rate ~backend
+let link_names t = List.map fst t.core.Router_core.links
+let link_count t = Router_core.link_count t.core
+let link_of_flow t flow = Router_core.link_of_flow t.core flow
+let exec t ~now cmd = Router_core.exec t.core ~now cmd
+let audit t = Router_core.audit t.core
+
 let adapter t ~link =
+  Option.map
+    (fun p -> port_adapter p (snd (Router_core.spec t.core link)))
+    (Router_core.find_link t.core link)
+
+let snapshot t ~link =
   match Router_core.find_link t.core link with
   | None -> None
   | Some p ->
-      let _, backend = Router_core.spec t.core link in
-      let served d =
-        {
-          Sched.Scheduler.pkt = d.dq_pkt;
-          cls = d.dq_cls;
-          criterion = (if d.dq_rt then "rt" else "ls");
-        }
-      in
-      Some
-        {
-          Sched.Scheduler.name = Backend.kind_name backend;
-          enqueue = (fun ~now pkt -> post_enqueue p ~now pkt);
-          dequeue =
-            (fun ~now ->
-              let res = ref None in
-              ignore
-                (dequeue_port p ~now ~max:1 ~f:(fun d ->
-                     res := Some (served d)));
-              !res);
-          dequeue_many =
-            Some
-              (fun ~now ~max ->
-                let acc = ref [] in
-                ignore
-                  (dequeue_port p ~now ~max ~f:(fun d ->
-                       acc := served d :: !acc));
-                List.rev !acc);
-          next_ready =
-            (fun ~now ->
-              call p ~down:(fun _ -> None) (fun eng ->
-                  Engine.next_ready_time eng ~now));
-          backlog_pkts =
-            (fun () -> call p ~down:(fun _ -> 0) Engine.backlog_pkts);
-          backlog_bytes =
-            (fun () -> call p ~down:(fun _ -> 0) Engine.backlog_bytes);
-          (* a downed link — every link of a stopped router among them —
-             is not asked (its worker may be gone): the count is read as
-             published *)
-          deferred_drops =
-            Some
-              (fun () ->
-                let refused _ = Atomic.get p.p_refused in
-                call p ~down:refused refused);
-        }
+      call p ~down:(fun _ -> None) (fun eng -> Some (Engine.snapshot eng))
+
+(* --- fault injection & health ------------------------------------------- *)
+
+let link_down t ~link =
+  match Router_core.find_link t.core link with
+  | None -> None
+  | Some p -> Option.map Printexc.to_string (port_failure p)
+
+let inject_failure t ~link =
+  match Router_core.find_link t.core link with
+  | None -> false
+  | Some p ->
+      (* the call raises on the worker, so the ordinary failure path — a
+         failed reply, producer latch — is what downs the link *)
+      call p ~down:ignore (fun _ -> raise Injected_failure);
+      true
 
 (* --- exporters ---------------------------------------------------------- *)
 

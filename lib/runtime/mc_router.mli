@@ -33,7 +33,9 @@
     construction. {!snapshot} is such a call: the worker copies its
     telemetry between packets and ships the immutable snapshot back,
     giving a consistent cross-domain read without a seqlock on the hot
-    path.
+    path. So is the daemon's trace spill: the worker drains the link's
+    event ring into the spill sink ({!Engine.drain_trace}) while the
+    caller waits.
 
     {b Ordering and determinism.} Each link's ring is FIFO and each
     link has exactly one owning worker, so a link observes enqueues,
@@ -50,6 +52,14 @@
     has at most one request in flight and one reply slot. *)
 
 type t
+
+type port
+(** One link's ring handle: its engine, rings, reply slot and failure
+    latch. *)
+
+val core : t -> port Router_core.t
+(** The shared control plane over this router's ring ports; what
+    {!Daemon.backend_of_mc_router} serves. *)
 
 val create :
   ?trace_capacity:int ->
@@ -77,7 +87,6 @@ val of_config :
     commands through {!exec}. On a refusal the spawned workers are
     stopped and joined before the error returns. *)
 
-val domains : t -> int
 val add_link :
   ?backend:Backend.kind ->
   t ->
@@ -89,9 +98,6 @@ val add_link :
 
 val link_names : t -> string list
 (** Links in creation order. *)
-
-val link_rate : t -> link:string -> float option
-(** The link's rate in bytes/second; [None] for an unknown link. *)
 
 val link_count : t -> int
 val link_of_flow : t -> int -> string option

@@ -8,7 +8,11 @@
 type t = Engine.t Router_core.t
 
 let seq_ops : Engine.t Router_core.ops =
-  { Router_core.call = (fun eng ~down:_ f -> f eng); retire = ignore }
+  {
+    Router_core.call = (fun eng ~down:_ f -> f eng);
+    retire = ignore;
+    adapter = (fun eng _ -> Engine.adapter eng);
+  }
 
 let create ?trace_capacity ?tracing ?audit_every () =
   Router_core.create ?trace_capacity ?tracing ?audit_every ~ops:seq_ops

@@ -41,7 +41,9 @@
     worker domain behind SPSC rings; its replies are bit-identical to
     this router's by construction. *)
 
-type t
+type t = Engine.t Router_core.t
+(** The shared control plane with every port a bare engine; what
+    {!Daemon.backend_of_router} serves. *)
 
 val create :
   ?trace_capacity:int -> ?tracing:bool -> ?audit_every:int -> unit -> t

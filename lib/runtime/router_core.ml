@@ -14,10 +14,12 @@
    [port] wrapper.
    The per-packet data path is port-specific (a directory hit must stay
    allocation-free in the sequential router, and must become a ring
-   message in the multicore one), so each router keeps its own. *)
+   message in the multicore one), so each router supplies its own
+   through [adapter]; [adapters] lists every link's, so a simulation
+   is wired the same way over either router. *)
 
-(* The port operations. Both are control-plane calls: they may block
-   (ring round trip) and may allocate.
+(* The port operations. [call] and [retire] are control-plane calls:
+   they may block (ring round trip) and may allocate.
 
    [call p ~down f] runs [f] on the link's engine and returns its
    result; on a link that is down it answers [down e] instead, [e]
@@ -30,6 +32,8 @@ type 'p ops = {
       (* the link was removed from the device: release whatever the
          port holds (no-op for a direct engine; for a ring port, drain
          and detach it from its worker domain) *)
+  adapter : 'p -> Backend.kind -> Sched.Scheduler.t;
+      (* the link's data path, packaged for {!Netsim.Sim} *)
 }
 
 type 'p t = {
@@ -80,9 +84,16 @@ let find_link t name = Option.map snd (find_entry t name)
 let link_count t = List.length t.links
 let link_of_flow t flow = Option.map fst (Hashtbl.find_opt t.flow_links flow)
 
-(* [(rate, backend)] of a link; [None] for an unknown one *)
-let link_spec t name = Hashtbl.find_opt t.specs name
+(* [(rate, backend)] of a link *)
 let spec t name = Hashtbl.find t.specs name
+
+(* [(name, rate, data path)] of every link, in creation order *)
+let adapters t =
+  List.map
+    (fun (name, p) ->
+      let rate, kind = spec t name in
+      (name, rate, t.ops.adapter p kind))
+    t.links
 
 let down_error name e =
   errf Engine.Link_failed "link %S is down: %s" name (Printexc.to_string e)

@@ -27,7 +27,11 @@
     domains and compared structurally, which is exactly how
     [Mc_router.snapshot] implements its cross-domain consistent read
     (the owning worker builds the snapshot between operations and ships
-    the finished value back). *)
+    the finished value back). A snapshot copies every class's counters
+    and decodes the whole ring, so it is a read for tests and
+    exporters, not for a hot loop: the daemon's trace spill instead
+    reads the live ring in place with {!iter_since}, on the owning
+    domain ([Engine.drain_trace]), at O(new events) a drain. *)
 
 type counters = {
   mutable enq_pkts : int;
@@ -170,10 +174,10 @@ val trace_text : t -> string
 
     A consistent, immutable copy of everything the telemetry knows at
     one instant — per-class counters, ring occupancy and the decoded
-    trace. This is the one read surface the control plane exposes
+    trace — the read surface the control plane exposes for counters
     (see {!Runtime.Engine.snapshot}): callers get a value they can
     inspect at leisure while the hot path keeps mutating the live
-    records underneath. *)
+    records underneath. Its cost is O(classes + ring capacity). *)
 
 type snapshot = {
   per_class : (int * counters) list;

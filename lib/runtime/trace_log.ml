@@ -107,23 +107,6 @@ module Sink = struct
           put t ~ts ~kind ~cls ~flow ~size ~seq);
     t.written - before
 
-  let drain_snapshot t (s : Telemetry.snapshot) =
-    let before = t.written in
-    let n = List.length s.Telemetry.snap_events in
-    let window_start = s.Telemetry.snap_recorded - n in
-    note_lost t ~window_start;
-    let skip = t.cursor - window_start in
-    List.iteri
-      (fun i (e : Telemetry.event) ->
-        if i >= skip then
-          put t ~ts:e.Telemetry.ts
-            ~kind:(Telemetry.kind_code e.Telemetry.kind)
-            ~cls:e.Telemetry.cls_id ~flow:e.Telemetry.flow
-            ~size:e.Telemetry.size ~seq:e.Telemetry.seq)
-      s.Telemetry.snap_events;
-    t.cursor <- max t.cursor s.Telemetry.snap_recorded;
-    t.written - before
-
   let written t = t.written
   let lost t = t.lost
 

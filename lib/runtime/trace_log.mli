@@ -29,12 +29,11 @@
     not a whole number of records (a truncated tail). Unknown kind
     codes are corrupt records.
 
-    {b Ownership.} A sink carries no synchronisation: drain it from the
-    domain that owns the telemetry it drains ({!Sink.drain}), or from
-    any domain via an immutable {!Telemetry.snapshot}
-    ({!Sink.drain_snapshot} — how the daemon spills a multicore
-    router's links). The two drain paths produce identical bytes for
-    identical event streams. *)
+    {b Ownership.} A sink carries no synchronisation: drain it on the
+    domain that owns the telemetry it drains, one domain at a time. The
+    daemon spills a multicore router's link by lending the sink to the
+    link's worker for one call ({!Engine.drain_trace}), so the same
+    {!Sink.drain} writes every spill file. *)
 
 (** {2 Writing} *)
 
@@ -63,11 +62,6 @@ module Sink : sig
       cursor), return how many records this call wrote. Events the ring
       overwrote before the call could see them are counted in {!lost}.
       Allocation-free per event. *)
-
-  val drain_snapshot : t -> Telemetry.snapshot -> int
-  (** The cross-domain form: append the snapshot's events that are new
-      relative to the sink's cursor. Snapshots of the same telemetry
-      must be fed in capture order. *)
 
   val written : t -> int
   (** Records written over the sink's lifetime. *)

@@ -579,12 +579,12 @@ let test_client_framing () =
       | exception D.Client.Timeout -> ()
       | _ -> Alcotest.fail "a stall after the status line must be Timeout")
 
-(* Serve [r] on another domain for the duration of [f conn]. *)
-let with_daemon ?(wrap = Fun.id) r f =
+(* Serve [r] on another domain for the duration of [f conn]. [clock]
+   runs on the serving domain, once per command without an [at]
+   prefix: the hook the allocation gates sample that domain through. *)
+let with_daemon ?(clock = fun () -> 0.) r f =
   let socket = temp ".sock" in
-  let d =
-    D.create ~clock:(fun () -> 0.) ~socket (wrap (D.backend_of_router r))
-  in
+  let d = D.create ~clock ~socket (D.backend_of_router r) in
   let server = Domain.spawn (fun () -> D.serve d) in
   let conn = D.Client.connect ~retries:100 ~backoff:0.01 socket in
   Fun.protect
@@ -629,25 +629,22 @@ let test_large_reply () =
 (* A warm connection's request costs both ends a few minor words and
    no major ones: the receive buffers are reused, not reallocated per
    read. Each domain's [Gc.counters] is its own, so the daemon's side
-   is sampled inside its [fingerprint] verb, sent around the pings. *)
+   is sampled by its clock, which runs for the marker command sent
+   around the pings. *)
 let test_request_allocation () =
   let major () =
     let _, _, major = Gc.counters () in
     major
   in
   let marks = ref [] in
-  let wrap b =
-    {
-      b with
-      D.b_fingerprint =
-        (fun () ->
-          marks := major () :: !marks;
-          b.D.b_fingerprint ());
-    }
+  let clock () =
+    marks := major () :: !marks;
+    0.
   in
+  let marker = "link list" in
   let pings = 1000 in
   let client_words =
-    with_daemon ~wrap (mk_router ()) (fun conn ->
+    with_daemon ~clock (mk_router ()) (fun conn ->
         let ping () =
           match D.Client.request conn "ping" with
           | Ok "pong" -> ()
@@ -656,13 +653,13 @@ let test_request_allocation () =
         for _ = 1 to 100 do
           ping ()
         done;
-        ignore (D.Client.request conn "fingerprint");
+        ignore (D.Client.request conn marker);
         let m0 = major () in
         for _ = 1 to pings do
           ping ()
         done;
         let words = major () -. m0 in
-        ignore (D.Client.request conn "fingerprint");
+        ignore (D.Client.request conn marker);
         words)
   in
   let daemon_words =
@@ -676,6 +673,147 @@ let test_request_allocation () =
       "%.1f major words per request (client %.0f, daemon %.0f over %d); \
        want < 16"
       per_request client_words daemon_words pings
+
+(* Spilling costs the serving domain O(new events) per drain, not
+   O(classes): with a spill active over a 20,000-class rr link, each
+   executed command (which drains after its reply, and again when the
+   multiplexer step ends) allocates a bounded number of minor words on
+   that domain. A drain that copied every class's counters would cost
+   hundreds of thousands of words a command here. *)
+let test_spill_cost () =
+  let classes = 20_000 and commands = 200 in
+  let r = R.create () in
+  let exec line =
+    match R.exec r ~now:0. (Result.get_ok (C.parse line)) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: %s" line (E.error_message e)
+  in
+  exec "link add big rate 1Gbit backend rr";
+  for i = 1 to classes do
+    exec
+      (Printf.sprintf "link big add class c%d parent root flow %d quantum 1500"
+         i i)
+  done;
+  let marks = ref [] in
+  let clock () =
+    marks := Gc.minor_words () :: !marks;
+    0.
+  in
+  let spill = temp ".trace" in
+  with_daemon ~clock r (fun conn ->
+      (match D.Client.request conn ("spill start " ^ spill) with
+      | Ok _ -> ()
+      | Error (_, m) -> Alcotest.failf "spill start refused: %s" m);
+      for i = 1 to commands do
+        match
+          D.Client.request conn (Printf.sprintf "link big stats c%d" i)
+        with
+        | Ok _ -> ()
+        | Error (_, m) -> Alcotest.failf "stats refused: %s" m
+      done;
+      ignore (D.Client.request conn "spill stop"));
+  Sys.remove spill;
+  Alcotest.(check int) "one sample per command" commands (List.length !marks);
+  let last = List.hd !marks and first = List.nth !marks (commands - 1) in
+  let per_command = (last -. first) /. float_of_int (commands - 1) in
+  if per_command >= 2000. then
+    Alcotest.failf
+      "%.0f minor words per command on the serving domain with %d classes; \
+       want < 2000"
+      per_command classes
+
+(* --- spill: multicore = sequential ------------------------------------ *)
+
+(* Two links, one per backend, overloaded so their rings hold
+   enqueues, both dequeue kinds and drops, and small enough rings that
+   the oldest events are overwritten before the spill starts. *)
+let spill_setup =
+  [
+    "link add west rate 1Mbit";
+    "link add east rate 1Mbit backend rr";
+    "link west add class a parent root flow 1 rsc umax 500 dmax 10ms rate \
+     300Kbit fsc 300Kbit qlimit 16";
+    "link west add class b parent root flow 2 fsc 600Kbit qlimit 16";
+    "link east add class c parent root flow 3 quantum 1500 qlimit 16";
+    "link east add class d parent root flow 4 quantum 3000 qlimit 16";
+  ]
+
+let spill_ring = 512
+
+(* Run the same traffic through [backend]'s links (their adapters, as a
+   simulation drives them), then spill both rings over the socket.
+   Returns each link's spill file and the [spill status] reply. *)
+let spill_after_traffic backend =
+  let (D.Backend core) = backend in
+  List.iter
+    (fun line ->
+      match Runtime.Router_core.exec core ~now:0. (Result.get_ok (C.parse line)) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s" line (E.error_message e))
+    spill_setup;
+  let links = Runtime.Router_core.adapters core in
+  let index = Hashtbl.create 4 in
+  List.iteri (fun i (name, _, _) -> Hashtbl.replace index name i) links;
+  let sim =
+    Netsim.Sim.create_multi ~links
+      ~route:(fun p ->
+        Option.bind
+          (Runtime.Router_core.link_of_flow core p.Pkt.Packet.flow)
+          (Hashtbl.find_opt index))
+      ()
+  in
+  List.iter
+    (fun flow ->
+      Netsim.Sim.add_source sim
+        (Netsim.Source.poisson ~flow ~rate:100_000. ~pkt_size:500
+           ~seed:(17 * flow) ~stop:1. ()))
+    [ 1; 2; 3; 4 ];
+  Netsim.Sim.run sim ~until:1.;
+  let spill = temp ".trace" in
+  let status = run_session ~spill backend "spill status" in
+  (List.map (fun (name, _, _) -> (name, spill ^ "." ^ name)) links, status)
+
+(* The multicore router's links are drained on their worker domains,
+   the sequential router's on the caller's, by the same sink code. After
+   identical traffic the spill files must be equal byte for byte, and
+   the sequential one must hold exactly each engine's surviving ring,
+   each event once. *)
+let test_spill_mc_equals_seq () =
+  let seq = R.create ~trace_capacity:spill_ring () in
+  let want_files, want_status = spill_after_traffic (D.backend_of_router seq) in
+  let mc = M.create ~trace_capacity:spill_ring ~domains:2 () in
+  let got_files, got_status =
+    Fun.protect
+      ~finally:(fun () -> ignore (M.stop mc))
+      (fun () -> spill_after_traffic (D.backend_of_mc_router mc))
+  in
+  List.iter
+    (fun (name, eng) ->
+      let snap = E.snapshot eng in
+      Alcotest.(check bool)
+        (name ^ ": the ring overflowed before the spill")
+        true
+        (snap.Runtime.Telemetry.snap_dropped > 0);
+      match L.read_file (List.assoc name want_files) with
+      | Ok (_, evs) ->
+          Alcotest.(check bool)
+            (name ^ ": the spill = the surviving ring, each event once")
+            true
+            (evs = snap.Runtime.Telemetry.snap_events)
+      | Error e -> Alcotest.failf "%s: spill unreadable: %s" name e)
+    (R.links seq);
+  Alcotest.(check (list (result string (pair string string))))
+    "same written and lost counts" want_status got_status;
+  List.iter2
+    (fun (name, want) (_, got) ->
+      let want = In_channel.with_open_bin want In_channel.input_all in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d bytes each, byte for byte" name
+           (String.length want))
+        true
+        (want = In_channel.with_open_bin got In_channel.input_all))
+    want_files got_files;
+  List.iter (fun (_, path) -> Sys.remove path) (want_files @ got_files)
 
 (* --- durable rotation ------------------------------------------------- *)
 
@@ -952,6 +1090,13 @@ let () =
             test_large_reply;
           Alcotest.test_case "requests allocate no major words" `Quick
             test_request_allocation;
+        ] );
+      ( "spill",
+        [
+          Alcotest.test_case "multicore spill = sequential, byte for byte"
+            `Quick test_spill_mc_equals_seq;
+          Alcotest.test_case "a drain costs O(new events), not O(classes)"
+            `Quick test_spill_cost;
         ] );
       ( "durable",
         [
