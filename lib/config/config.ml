@@ -37,7 +37,10 @@ let parse_rate_exn s =
     | [] -> fail "rate %S needs a unit (e.g. 45Mbit, 100KBps)" s
     | (u, mult) :: rest -> (
         match strip_suffix s u with
-        | Some num -> float_of_token num *. mult
+        | Some num ->
+            (* a finite number can overflow once scaled by its unit *)
+            let v = float_of_token num *. mult in
+            if Float.is_finite v then v else fail "rate %S is too large" s
         | None -> try_units rest)
   in
   try_units rate_units

@@ -109,7 +109,8 @@ val load : string -> (t, string) result
 
 val parse_rate : string -> (float, string) result
 (** Parse a rate token to bytes/second (exposed for tests and the
-    CLI). *)
+    CLI). A rate that is not finite once scaled by its unit (e.g.
+    [1e308GBps]) is an [Error]. *)
 
 val parse_time : string -> (float, string) result
 (** Parse a time token to seconds. *)

@@ -92,7 +92,7 @@ let fig1_hpfq () =
   in
   { sched = Sched.Hpfq.to_scheduler t; hfsc = None }
 
-let fig1_sources ?data_stop ?data_restart ~until () =
+let fig1_sources ~until =
   let audio =
     Netsim.Source.cbr ~flow:flow_audio ~rate:audio_rate ~pkt_size:audio_pkt
       ~stop:until ()
@@ -106,31 +106,14 @@ let fig1_sources ?data_stop ?data_restart ~until () =
   let cmu_data_rate_offered = 1.05 *. cmu_data_rate in
   let pitt_rate_offered = 1.05 *. pitt_rate in
   let cmu_data =
-    match (data_stop, data_restart) with
-    | Some stop, Some restart ->
-        [
-          Netsim.Source.saturating ~flow:flow_cmu_data
-            ~rate:cmu_data_rate_offered ~pkt_size:data_pkt ~stop ();
-          Netsim.Source.saturating ~flow:flow_cmu_data
-            ~rate:cmu_data_rate_offered ~pkt_size:data_pkt ~start:restart
-            ~stop:until ();
-        ]
-    | Some stop, None ->
-        [
-          Netsim.Source.saturating ~flow:flow_cmu_data
-            ~rate:cmu_data_rate_offered ~pkt_size:data_pkt ~stop ();
-        ]
-    | None, _ ->
-        [
-          Netsim.Source.saturating ~flow:flow_cmu_data
-            ~rate:cmu_data_rate_offered ~pkt_size:data_pkt ~stop:until ();
-        ]
+    Netsim.Source.saturating ~flow:flow_cmu_data ~rate:cmu_data_rate_offered
+      ~pkt_size:data_pkt ~stop:until ()
   in
   let pitt_data =
     Netsim.Source.saturating ~flow:flow_pitt_data ~rate:pitt_rate_offered
       ~pkt_size:data_pkt ~stop:until ()
   in
-  (audio :: video :: cmu_data) @ [ pitt_data ]
+  [ audio; video; cmu_data; pitt_data ]
 
 let run_sim ~sched ~sources ~until ?on_departure () =
   let sim = Netsim.Sim.create ~link_rate ~sched () in

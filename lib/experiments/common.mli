@@ -49,12 +49,9 @@ val fig1_hfsc :
 
 val fig1_hpfq : unit -> fig1
 
-val fig1_sources :
-  ?data_stop:float -> ?data_restart:float -> until:float -> unit ->
-  Netsim.Source.t list
-(** The scenario traffic: CBR audio and video, saturating CMU and
-    U.Pitt data. [data_stop]/[data_restart] carve an idle period into
-    the CMU data flow (for the link-sharing experiment E5). *)
+val fig1_sources : until:float -> Netsim.Source.t list
+(** The scenario traffic until [until]: CBR audio and video,
+    saturating CMU and U.Pitt data. *)
 
 val run_sim :
   sched:Sched.Scheduler.t ->

@@ -40,7 +40,7 @@ let delay_series ~bin ~flow sim_setup =
   |> List.sort (fun (a, _) (b, _) -> Float.compare a b)
 
 let run_one ~duration (fig : Common.fig1) =
-  let sources = Common.fig1_sources ~until:duration () in
+  let sources = Common.fig1_sources ~until:duration in
   let audio_series_box = ref [] in
   let sim = ref None in
   audio_series_box :=

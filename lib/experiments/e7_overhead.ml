@@ -125,7 +125,10 @@ let time_rr (t, leaves) =
     ~dequeue:(fun now -> ignore (Sched.Hls.dequeue t ~now))
     ~backlog:(fun () -> Sched.Hls.backlog_pkts t)
 
-let run ?(sizes = [ 1; 10; 100; 1000 ]) () =
+(* the flat and binary rows' class counts *)
+let sizes = [ 1; 10; 100; 1000 ]
+
+let run () =
   let rows = List.map (fun n -> time_hfsc (build ~n ~deep:false)) sizes in
   let depth_rows =
     List.filter_map

@@ -18,14 +18,13 @@ type result = {
   depth_rows : row list;
   backend_rows : (string * row) list;
 }
-(** [rows]: flat hierarchies of n leaves with an rsc+fsc of [link/n]
-    each; [depth_rows]: binary hierarchies of the same leaf count, to
+(** [rows]: flat hierarchies of n = 1, 10, 100 and 1000 leaves with
+    an rsc+fsc of [link/n] each; [depth_rows]: binary hierarchies of
+    the same leaf counts from 10 up, to
     show depth-independence of the per-packet cost; [backend_rows]:
     ["rr"] at 10k/100k/1M classes and ["hfsc"] at 10k/100k, both built
     as fsc-only leaves under interior aggregates of 1000 leaves. *)
 
-val run : ?sizes:int list -> unit -> result
-(** [sizes] (default 1, 10, 100, 1000) sets the flat and binary rows;
-    the backend rows always use the sizes above. *)
+val run : unit -> result
 
 val print : result -> unit

@@ -21,7 +21,7 @@ let run ?(duration = 10.) () =
   let fig = Common.fig1_hfsc () in
   let sim =
     Common.run_sim ~sched:fig.sched
-      ~sources:(Common.fig1_sources ~until:duration ())
+      ~sources:(Common.fig1_sources ~until:duration)
       ~until:duration ()
   in
   let measured flow =

@@ -11,31 +11,26 @@ let[@inline] event kind index = (index lsl 2) lor kind
    never boxes. *)
 type wire = {
   mutable rate : float;
-  mutable wire_free : float; (* when the last scheduled bit leaves *)
   mutable poll_at : float; (* earliest pending poll; infinity if none *)
   mutable busy_time : float;
   mutable tx_bytes : float;
 }
 
 (* Everything one output link owns: its scheduler, its wire state and
-   its share of the accounting. Index in [t.links] is the link id. The
-   packets on the wire wait in [ring], oldest at [head]: a link's
-   completions are queued at its [wire_free], which never decreases,
-   and equal times leave the event queue in insertion order, so they
-   complete in ring order. *)
+   its share of the accounting. Index in [t.links] is the link id. A
+   link transmits one packet at a time: while [busy], [on_wire] is the
+   packet whose completion is queued. *)
 type link_state = {
   lname : string;
   lsched : Sched.Scheduler.t;
   w : wire;
-  ring : Sched.Scheduler.served array; (* [tx_burst] slots *)
-  mutable head : int;
-  mutable inflight : int; (* packets dequeued but not yet departed *)
+  mutable on_wire : Sched.Scheduler.served;
+  mutable busy : bool;
   mutable up : bool; (* link outages park this link's dequeue loop *)
 }
 
 type t = {
   links : link_state array;
-  tx_burst : int;
   route : Pkt.Packet.t -> int option;
   q : Event_queue.t;
   mutable now : float;
@@ -51,7 +46,7 @@ type t = {
   mutable drops : int;
 }
 
-(* fills the ring slots no packet has used yet *)
+(* [on_wire] of a link that has sent nothing yet *)
 let empty_slot =
   {
     Sched.Scheduler.pkt = Pkt.Packet.make ~flow:0 ~size:1 ~seq:0 ~arrival:0.;
@@ -62,31 +57,21 @@ let empty_slot =
 (* replaces a callback once it has run, so its closure can be freed *)
 let fired ~now:_ = ()
 
-let create_multi ?(tput_bin = 1.0) ?(tx_burst = 1) ~links ~route () =
+let create_multi ?(tput_bin = 1.0) ~links ~route () =
   if links = [] then invalid_arg "Sim.create_multi: need at least one link";
-  if tx_burst < 1 then invalid_arg "Sim.create_multi: tx_burst must be >= 1";
   let mk (lname, rate, lsched) =
     if rate <= 0. then invalid_arg "Sim.create_multi: link rate must be > 0";
     {
       lname;
       lsched;
-      w =
-        {
-          rate;
-          wire_free = 0.;
-          poll_at = infinity;
-          busy_time = 0.;
-          tx_bytes = 0.;
-        };
-      ring = Array.make tx_burst empty_slot;
-      head = 0;
-      inflight = 0;
+      w = { rate; poll_at = infinity; busy_time = 0.; tx_bytes = 0. };
+      on_wire = empty_slot;
+      busy = false;
       up = true;
     }
   in
   {
     links = Array.of_list (List.map mk links);
-    tx_burst;
     route;
     q = Event_queue.create ();
     now = 0.;
@@ -101,9 +86,9 @@ let create_multi ?(tput_bin = 1.0) ?(tx_burst = 1) ~links ~route () =
     drops = 0;
   }
 
-let create ?tput_bin ?tx_burst ~link_rate ~sched () =
+let create ?tput_bin ~link_rate ~sched () =
   if link_rate <= 0. then invalid_arg "Sim.create: link_rate must be > 0";
-  create_multi ?tput_bin ?tx_burst
+  create_multi ?tput_bin
     ~links:[ ("link0", link_rate, sched) ]
     ~route:(fun _ -> Some 0)
     ()
@@ -143,44 +128,29 @@ let at t when_ f =
   t.n_callbacks <- k + 1;
   Event_queue.add t.q when_ (event callback k)
 
-(* Put a dequeued burst on link [i]'s wire, back to back. *)
-let rec transmit t i l = function
-  | [] -> ()
-  | (served : Sched.Scheduler.served) :: rest ->
-      let slot = l.head + l.inflight in
-      l.ring.(if slot >= t.tx_burst then slot - t.tx_burst else slot) <- served;
-      l.inflight <- l.inflight + 1;
-      let w = l.w in
-      let start = if w.wire_free > t.now then w.wire_free else t.now in
-      let tx = float_of_int served.pkt.Pkt.Packet.size /. w.rate in
-      w.busy_time <- w.busy_time +. tx;
-      w.wire_free <- start +. tx;
-      Event_queue.add t.q w.wire_free (event tx_complete i);
-      transmit t i l rest
-
-(* If link [i] has ring slots free and is up, pull its next packet(s) —
-   up to [tx_burst] outstanding, all polled at the same instant, their
-   departures serialized back to back on the wire; if its scheduler is
-   backlogged but rate-capped, arm a poll for its next-ready instant.
-   With [tx_burst = 1] this is the classic one-packet-at-a-time loop. *)
+(* If link [i] is idle and up, pull its next packet and put it on the
+   wire; if its scheduler is backlogged but rate-capped, arm a poll for
+   its next-ready instant. An idle link's last completion is not after
+   [t.now], so the packet starts now. *)
 let try_start t i =
   let l = t.links.(i) in
-  if l.inflight < t.tx_burst && l.up then begin
-    match
-      Sched.Scheduler.dequeue_burst l.lsched ~now:t.now
-        ~max:(t.tx_burst - l.inflight)
-    with
+  if (not l.busy) && l.up then
+    match Sched.Scheduler.dequeue_burst l.lsched ~now:t.now ~max:1 with
+    | served :: _ ->
+        l.on_wire <- served;
+        l.busy <- true;
+        let w = l.w in
+        let tx = float_of_int served.pkt.Pkt.Packet.size /. w.rate in
+        w.busy_time <- w.busy_time +. tx;
+        Event_queue.add t.q (t.now +. tx) (event tx_complete i)
     | [] -> (
-        if l.inflight = 0 then
-          match l.lsched.Sched.Scheduler.next_ready ~now:t.now with
-          | Some ts when ts > t.now ->
-              if ts < l.w.poll_at then begin
-                l.w.poll_at <- ts;
-                Event_queue.add t.q ts (event poll i)
-              end
-          | _ -> ())
-    | burst -> transmit t i l burst
-  end
+        match l.lsched.Sched.Scheduler.next_ready ~now:t.now with
+        | Some ts when ts > t.now ->
+            if ts < l.w.poll_at then begin
+              l.w.poll_at <- ts;
+              Event_queue.add t.q ts (event poll i)
+            end
+        | _ -> ())
 
 let try_start_all t =
   for i = 0 to Array.length t.links - 1 do
@@ -238,9 +208,8 @@ let arrive t k =
 
 let complete t i =
   let l = t.links.(i) in
-  let served = l.ring.(l.head) in
-  l.head <- (if l.head + 1 = t.tx_burst then 0 else l.head + 1);
-  l.inflight <- l.inflight - 1;
+  let served = l.on_wire in
+  l.busy <- false;
   let pkt = served.Sched.Scheduler.pkt in
   l.w.tx_bytes <- l.w.tx_bytes +. float_of_int pkt.Pkt.Packet.size;
   Stats.Delay.add

@@ -38,15 +38,14 @@
 
     {b Cost.} Events are ints in an {!Event_queue} (kind and index
     packed together), sources are pulled in place ({!Source.pull}),
-    packets on a wire wait in a per-link ring and the per-link float
-    state is unboxed, so a packet's own simulator work allocates little
+    the packet on a wire waits in its link's one slot and the per-link
+    float state is unboxed, so a packet's own simulator work allocates little
     beyond the {!Pkt.Packet.t} itself (DESIGN.md §17). *)
 
 type t
 
 val create :
   ?tput_bin:float ->
-  ?tx_burst:int ->
   link_rate:float ->
   sched:Sched.Scheduler.t ->
   unit ->
@@ -54,20 +53,13 @@ val create :
 (** One link named ["link0"], every packet routed to it. [tput_bin] is
     the throughput-series bin width in seconds (default 1.0).
 
-    [tx_burst] (default 1) models a NIC transmit ring of that depth:
-    each time a link can take work it polls its scheduler for up to
-    [tx_burst] packets {e at the same instant} (a batched dequeue) and
-    keeps that many in flight, their departures serialized back to back
-    at the link rate. Departure times, delays and utilization are
-    unchanged for [tx_burst = 1] — the classic one-packet-at-a-time
-    driver; larger rings trade scheduling timeliness (later packets of
-    a burst were chosen with the earlier instant's information) for
-    fewer scheduler polls, which is exactly the trade-off the batched
-    dequeue exists to measure. *)
+    Each link has at most one packet on the wire: when it is idle it
+    polls its scheduler for one packet
+    ([Sched.Scheduler.dequeue_burst ~max:1]), and it polls again when
+    that packet's last bit has left. *)
 
 val create_multi :
   ?tput_bin:float ->
-  ?tx_burst:int ->
   links:(string * float * Sched.Scheduler.t) list ->
   route:(Pkt.Packet.t -> int option) ->
   unit ->
@@ -75,10 +67,9 @@ val create_multi :
 (** [(name, rate, sched)] per link; link indices follow list order.
     [route] is consulted once per arrival; [None] (or an out-of-range
     index) counts the packet as an enqueue drop — no link owns it.
-    [tx_burst] as in {!create}, applied to every link.
 
-    @raise Invalid_argument on an empty link list, a non-positive
-    rate, or [tx_burst < 1]. *)
+    @raise Invalid_argument on an empty link list or a non-positive
+    rate. *)
 
 val add_source : t -> Source.t -> unit
 (** Register a source; its first arrival is scheduled immediately.

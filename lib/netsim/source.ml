@@ -139,15 +139,12 @@ let saturating ~flow ~rate ~pkt_size ?start ?stop () =
   cbr ~flow ~rate ~pkt_size ?start ?stop ()
 
 let adaptive ~flow ~pkt_size ~init_rate ~min_rate ~max_rate ?increase
-    ?(decrease = 0.5) ?(delay_target = 0.020) ?(start = 0.) ?(stop = infinity)
-    () =
+    ?(delay_target = 0.020) ?(start = 0.) ?(stop = infinity) () =
   check_size pkt_size;
   if min_rate <= 0. || max_rate < min_rate then
     invalid_arg "Source.adaptive: need 0 < min_rate <= max_rate";
   if init_rate < min_rate || init_rate > max_rate then
     invalid_arg "Source.adaptive: init_rate outside [min_rate, max_rate]";
-  if decrease <= 0. || decrease >= 1. then
-    invalid_arg "Source.adaptive: decrease must be in (0, 1)";
   let increase =
     match increase with
     | Some i when i > 0. -> i
@@ -173,7 +170,7 @@ let adaptive ~flow ~pkt_size ~init_rate ~min_rate ~max_rate ?increase
   let feedback ~delay =
     if delay <= delay_target then
       rate := Float.min max_rate (!rate +. increase)
-    else rate := Float.max min_rate (!rate *. decrease)
+    else rate := Float.max min_rate (!rate *. 0.5)
   in
   (stream ~flow gen, feedback)
 

@@ -78,7 +78,6 @@ val adaptive :
   min_rate:float ->
   max_rate:float ->
   ?increase:float ->
-  ?decrease:float ->
   ?delay_target:float ->
   ?start:float ->
   ?stop:float ->
@@ -93,8 +92,7 @@ val adaptive :
     packet's delay (wire it to {!Sim.on_departure}). Delay at or below
     [delay_target] (default 20 ms) additively grows the rate by
     [increase] bytes/s per feedback (default [pkt_size * 10]); above it,
-    the rate is multiplied by [decrease] (default 0.5). The rate stays
-    within [min_rate, max_rate]. *)
+    the rate halves. The rate stays within [min_rate, max_rate]. *)
 
 val shaped : sigma:float -> rho:float -> t -> t
 (** [shaped ~sigma ~rho src] — a token-bucket shaper in front of [src]:

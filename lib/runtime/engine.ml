@@ -655,41 +655,23 @@ let dequeue_batch t ~now (b : Pkt.Batch.t) =
   n
 
 let adapter t =
-  (* native batched poll for transmit-ring fills: one audit tick and
-     one clock conversion per burst. The batch is reused across calls
-     and only reallocated when the requested burst size changes. *)
-  let cache = ref (Pkt.Batch.create ~capacity:1 ()) in
-  let dequeue_many ~now ~max =
-    if max <= 0 then []
-    else begin
-      if Pkt.Batch.capacity !cache <> max then
-        cache := Pkt.Batch.create ~capacity:max ();
-      let b = !cache in
-      let n = dequeue_batch t ~now b in
-      List.init n (fun i ->
-          {
-            Sched.Scheduler.pkt = Pkt.Batch.pkt b i;
-            cls = t.be.Backend.cls_name (Pkt.Batch.id b i);
-            criterion = (if Pkt.Batch.realtime b i then "rt" else "ls");
-          })
-    end
-  in
+  (* one packet per poll: the batched dequeue over one reused slot,
+     which itself allocates nothing *)
+  let b = Pkt.Batch.create ~capacity:1 () in
   {
     Sched.Scheduler.name = Backend.kind_name t.be.Backend.kind ^ "-runtime";
     enqueue = (fun ~now p -> enqueue_flow t ~now p);
-    dequeue_many = Some dequeue_many;
     dequeue =
       (fun ~now ->
-        match dequeue t ~now with
-        | None -> None
-        | Some (pkt, id, crit) ->
-            Some
-              {
-                Sched.Scheduler.pkt;
-                cls = t.be.Backend.cls_name id;
-                criterion =
-                  (match crit with Hfsc.Realtime -> "rt" | Linkshare -> "ls");
-              });
+        if dequeue_batch t ~now b = 0 then None
+        else
+          Some
+            {
+              Sched.Scheduler.pkt = b.pkts.(0);
+              cls = t.be.Backend.cls_name b.ids.(0);
+              criterion = (if b.rt.(0) then "rt" else "ls");
+            });
+    dequeue_many = None;
     next_ready = (fun ~now -> t.be.Backend.next_ready ~now);
     backlog_pkts = (fun () -> t.be.Backend.backlog_pkts ());
     backlog_bytes = (fun () -> t.be.Backend.backlog_bytes ());

@@ -284,8 +284,9 @@ val dequeue_batch : t -> now:float -> Pkt.Batch.t -> int
 val adapter : t -> Sched.Scheduler.t
 (** Package the engine for {!Netsim.Sim} — the one H-FSC (and rr)
     adapter: every simulated H-FSC is an engine wrapped by this, so the
-    simulator measures the same path the router and daemon run. Batched
-    polls go through the backend's native [deq_fill]. *)
+    simulator measures the same path the router and daemon run. Its
+    [dequeue] is {!dequeue_batch} over one reused one-slot batch;
+    [dequeue_many] is [None]. *)
 
 (** {2 Exporters} *)
 

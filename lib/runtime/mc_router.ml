@@ -1,9 +1,8 @@
 (* The multicore router. Structure:
 
    - each link is wrapped in a [port]: an input SPSC ring of [msg]
-     (posted packets, dequeue requests, and calls: closures run on the
-     link's engine), an output SPSC ring of dequeued packets, and one
-     reusable reply slot;
+     (posted packets, and calls: closures run on the link's engine,
+     dequeues among them) and one reusable reply slot;
    - each worker domain owns a set of ports (round-robin assignment)
      plus an admin ring for attach/detach/stop, and loops: admin ring
      first, then one message per port per scan; idle workers spin
@@ -15,22 +14,22 @@
 
    Determinism: each port's ring is FIFO and each port has one owning
    worker, so a link's engine observes operations in exactly the
-   producer's issue order — the sequential router's order. Calls and
-   dequeues block on the port's reply slot, and the producer waits for
-   each reply before it issues anything else, so one slot is all a port
-   needs. Enqueues never wait: each is posted, and what the worker
-   refuses is added to the port's refusal count, read back by a call
-   that queues behind every post.
+   producer's issue order — the sequential router's order. Calls block
+   on the port's reply slot, and the producer waits for each reply
+   before it issues anything else, so one slot is all a port needs.
+   Enqueues never wait: each is posted, and what the worker refuses is
+   added to the port's refusal count, read back by a call that queues
+   behind every post.
 
    Memory model notes: ring publication is the SPSC ring's
    release/acquire pair (see {!Ds.Spsc_ring}). Replies and parking are
    {!Ds.Handoff}: the worker fills a port's reply slot with an SC
-   [Atomic.set] after pushing any dequeued packets or storing a call's
-   result, so the producer's take of the reply orders every out-ring
-   slot and the result cell before its reads; the worker parks on its
-   parker and the producer wakes it after each push. Both rest on the Dekker argument written once in handoff.mli;
-   both signal only after unlocking, and neither takes a lock while the
-   other side is awake. *)
+   [Atomic.set] after storing a call's result, so the producer's take
+   of the reply orders the result cell before its read; the worker
+   parks on its parker and the producer wakes it after each push. Both
+   rest on the Dekker argument written once in handoff.mli; both signal
+   only after unlocking, and neither takes a lock while the other side
+   is awake. *)
 
 module Ring = Ds.Spsc_ring
 module Handoff = Ds.Handoff
@@ -45,33 +44,22 @@ exception Stopped
 type msg =
   | M_nop (* ring dummy; never delivered *)
   | M_enqueue of { e_now : float; e_pkt : Pkt.Packet.t } (* never awaited *)
-  | M_dequeue of { d_now : float; d_max : int }
   | M_call of (Engine.t -> unit) (* stores its result before the reply *)
-
-(* one dequeued packet on the output ring *)
-type deq = { dq_pkt : Pkt.Packet.t; dq_cls : string; dq_rt : bool }
-
-let dummy_deq =
-  {
-    dq_pkt = Pkt.Packet.make ~flow:0 ~size:1 ~seq:0 ~arrival:0.;
-    dq_cls = "";
-    dq_rt = false;
-  }
 
 (* --- ports and workers -------------------------------------------------- *)
 
-(* a link's input ring, and its output ring — the largest dequeue batch *)
+(* a link's input ring *)
 let ring_capacity = 1024
-let out_capacity = 512
 
 type port = {
   p_eng : Engine.t; (* worker-owned between attach and stop *)
+  (* the engine's sequential adapter, run only on the worker: a
+     dequeue is one call of its [dequeue] *)
+  p_seq : Sched.Scheduler.t;
   p_in : msg Ring.t;
-  p_out : deq Ring.t;
   p_worker : worker;
-  (* the dequeue count, or 0 for a call; one request is in flight at
-     most *)
-  p_reply : int Handoff.slot;
+  (* one call is in flight at most *)
+  p_reply : unit Handoff.slot;
   (* failure of a posted enqueue, set by the worker (first wins),
      observed by the producer on its next touch of this port *)
   p_fail : exn option Atomic.t;
@@ -114,22 +102,11 @@ let poison w e =
 
 (* --- the worker domain -------------------------------------------------- *)
 
-(* out-ring pushes cannot block under the protocol (one request in
-   flight per link, [d_max] clamped to the ring's capacity, ring
-   drained before the next request); the spin is belt-and-braces *)
-let rec push_out p v =
-  if not (Ring.try_push p.p_out v) then begin
-    Domain.cpu_relax ();
-    push_out p v
-  end
-
 (* the worker is the count's only writer *)
 let refuse p = Atomic.set p.p_refused (Atomic.get p.p_refused + 1)
 
-(* serve one message on one port; [bcache] is the port's reusable
-   dequeue batch, reallocated only when the burst size changes (same
-   cadence as the sequential adapter, so audit ticks line up) *)
-let serve_msg (p, bcache) msg =
+(* serve one message on one port *)
+let serve_msg p msg =
   match msg with
   | M_nop -> ()
   | M_enqueue { e_now; e_pkt } -> (
@@ -141,40 +118,19 @@ let serve_msg (p, bcache) msg =
              the producer latches it into [p_down] on its next touch *)
           refuse p;
           if Atomic.get p.p_fail = None then Atomic.set p.p_fail (Some e))
-  | M_dequeue { d_now; d_max } -> (
-      match
-        if d_max <= 0 then 0
-        else begin
-          if Pkt.Batch.capacity !bcache <> d_max then
-            bcache := Pkt.Batch.create ~capacity:d_max ();
-          let b = !bcache in
-          let n = Engine.dequeue_batch p.p_eng ~now:d_now b in
-          for i = 0 to n - 1 do
-            push_out p
-              {
-                dq_pkt = Pkt.Batch.pkt b i;
-                dq_cls = Engine.class_name p.p_eng (Pkt.Batch.id b i);
-                dq_rt = Pkt.Batch.realtime b i;
-              }
-          done;
-          n
-        end
-      with
-      | n -> Handoff.fill p.p_reply n
-      | exception e -> Handoff.fail p.p_reply e)
   | M_call f -> (
       match f p.p_eng with
-      | () -> Handoff.fill p.p_reply 0
+      | () -> Handoff.fill p.p_reply ()
       | exception e -> Handoff.fail p.p_reply e)
 
 let worker_body w =
   let ports = ref [] in
   let running = ref true in
-  let drain_port ((p, _) as pb) =
+  let drain_port p =
     let rec go () =
       match Ring.try_pop p.p_in with
       | Some m ->
-          serve_msg pb m;
+          serve_msg p m;
           go ()
       | None -> ()
     in
@@ -182,14 +138,12 @@ let worker_body w =
   in
   let handle_admin = function
     | A_nop -> ()
-    | A_attach p ->
-        ports := !ports @ [ (p, ref (Pkt.Batch.create ~capacity:1 ())) ]
+    | A_attach p -> ports := !ports @ [ p ]
     | A_detach { dt_port; dt_reply } ->
-        (match List.find_opt (fun (p, _) -> p == dt_port) !ports with
-        | Some pb ->
-            drain_port pb;
-            ports := List.filter (fun (p, _) -> p != dt_port) !ports
-        | None -> ());
+        if List.memq dt_port !ports then begin
+          drain_port dt_port;
+          ports := List.filter (fun p -> p != dt_port) !ports
+        end;
         Handoff.fill dt_reply ()
     | A_stop ->
         List.iter drain_port !ports;
@@ -206,18 +160,18 @@ let worker_body w =
     | None -> ());
     if !running then
       List.iter
-        (fun ((p, _) as pb) ->
+        (fun p ->
           match Ring.try_pop p.p_in with
           | Some m ->
               did := true;
-              serve_msg pb m
+              serve_msg p m
           | None -> ())
         !ports;
     !did
   in
   let has_work () =
     (not (Ring.is_empty w.w_admin))
-    || List.exists (fun (p, _) -> not (Ring.is_empty p.p_in)) !ports
+    || List.exists (fun p -> not (Ring.is_empty p.p_in)) !ports
   in
   while !running do
     if not (step ()) then begin
@@ -322,8 +276,8 @@ let port_on w eng =
   let p =
     {
       p_eng = eng;
+      p_seq = Engine.adapter eng;
       p_in = Ring.create ~capacity:ring_capacity ~dummy:M_nop;
-      p_out = Ring.create ~capacity:out_capacity ~dummy:dummy_deq;
       p_worker = w;
       p_reply = Handoff.slot ();
       p_fail = Atomic.make None;
@@ -347,49 +301,17 @@ let post_enqueue p ~now pkt =
       post p (M_enqueue { e_now = now; e_pkt = pkt });
       true
 
-(* Ask the owning worker for up to [max] packets and hand each to [f]
-   in service order; 0 on a downed link. *)
-let dequeue_port p ~now ~max ~f =
-  match port_failure p with
-  | Some _ -> 0
-  | None -> (
-      post p (M_dequeue { d_now = now; d_max = min max out_capacity });
-      match Handoff.await p.p_reply with
-      | n ->
-          for _ = 1 to n do
-            match Ring.try_pop p.p_out with
-            | Some d -> f d
-            | None -> assert false (* pushed before the reply was filled *)
-          done;
-          n
-      | exception e ->
-          p.p_down <- Some e;
-          0)
-
 let port_adapter p backend =
-  let served d =
-    {
-      Sched.Scheduler.pkt = d.dq_pkt;
-      cls = d.dq_cls;
-      criterion = (if d.dq_rt then "rt" else "ls");
-    }
-  in
   {
     Sched.Scheduler.name = Backend.kind_name backend;
     enqueue = (fun ~now pkt -> post_enqueue p ~now pkt);
+    (* the sequential adapter's dequeue, run on the worker, so the
+       class name is resolved there *)
     dequeue =
       (fun ~now ->
-        let res = ref None in
-        ignore
-          (dequeue_port p ~now ~max:1 ~f:(fun d -> res := Some (served d)));
-        !res);
-    dequeue_many =
-      Some
-        (fun ~now ~max ->
-          let acc = ref [] in
-          ignore
-            (dequeue_port p ~now ~max ~f:(fun d -> acc := served d :: !acc));
-          List.rev !acc);
+        call p ~down:(fun _ -> None) (fun _ ->
+            p.p_seq.Sched.Scheduler.dequeue ~now));
+    dequeue_many = None;
     next_ready =
       (fun ~now ->
         call p ~down:(fun _ -> None) (fun eng ->

@@ -4,14 +4,13 @@
     OCaml domains instead of the caller's.
 
     {b Architecture.} PR 5's link-ownership rule is cashed in as a
-    domain boundary. Each link gets a pair of lock-free SPSC rings
-    ({!Ds.Spsc_ring}): an input ring carrying packets, dequeue requests
-    and calls (closures run on the link's engine) from the producer
-    (caller) domain to the owning worker, and an output ring carrying dequeued packets back.
-    The flow→link directory stays on the producer side; the worker
-    serves its ring through {!Engine.enqueue_flow} and
-    {!Engine.dequeue_batch}, so per-link scheduling state never crosses
-    domains. Workers spin briefly when idle, then park; the producer
+    domain boundary. Each link gets one lock-free SPSC ring
+    ({!Ds.Spsc_ring}) carrying posted packets and calls (closures run
+    on the link's engine) from the producer (caller) domain to the
+    owning worker, and one reply slot. The flow→link directory stays
+    on the producer side; the worker serves its ring through
+    {!Engine.enqueue_flow} and the engine's own {!Engine.adapter}, so
+    per-link scheduling state never crosses domains. Workers spin briefly when idle, then park; the producer
     wakes a parked worker after posting. Parking and every reply go
     through {!Ds.Handoff}, which takes no lock while the other side is
     awake and signals only after unlocking.
@@ -19,11 +18,12 @@
     {b One data path.} Packets move only through {!adapter}, the
     {!Sched.Scheduler.t} that {!Netsim.Sim} drives: its enqueue posts
     the packet and does not wait, and the worker counts what such posts
-    refuse; its dequeues and polls wait for the worker's reply.
+    refuse; its dequeues and polls are calls that wait for the worker's
+    reply.
 
     {b Control plane.} Every engine access other than a packet — a
     {!Command} operation, a read for the auditor, exporters or the
-    directory, a poll — is one call: a closure posted into the owning
+    directory, a poll, a dequeue — is one call: a closure posted into the owning
     domain's ring, which the worker runs on the link's engine, storing
     its result before it fills the link's reply slot
     ({!Ds.Handoff}); the caller blocks on that slot. Transactional
@@ -70,8 +70,7 @@ val create :
   t
 (** An empty router whose [domains] worker domains ([>= 1]) are spawned
     immediately; links are assigned to workers round-robin at creation.
-    Each link's input ring holds 1024 messages and its output ring 512
-    packets, the largest single dequeue batch. The engine knobs are
+    Each link's input ring holds 1024 messages. The engine knobs are
     those of {!Router.create}.
 
     @raise Invalid_argument if [domains < 1]. *)
@@ -167,8 +166,10 @@ val adapter : t -> link:string -> Sched.Scheduler.t option
       worker has served so far: all of them after {!inject_failure} or
       {!stop}, while packets a dead worker never served count nowhere.
       It never decreases.
-    - dequeues and polls block for the reply; [dequeue_many] is set, so
-      a transmit-ring fill (up to 512 packets) is one round trip. *)
+    - [dequeue] is one call: the worker runs the engine's
+      {!Engine.adapter} [dequeue], class name included, and the
+      caller waits for its packet. Polls are calls too;
+      [dequeue_many] is [None]. *)
 
 (** {2 Exporters} *)
 

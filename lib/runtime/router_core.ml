@@ -142,8 +142,9 @@ let add_link t ~name ~link_rate ~backend =
     | None -> Ok ()
   in
   let* () =
-    if link_rate <= 0. then
-      errf Engine.Bad_value "link rate must be positive, got %g" link_rate
+    if (not (Float.is_finite link_rate)) || link_rate <= 0. then
+      errf Engine.Bad_value "link rate must be finite and positive, got %g"
+        link_rate
     else Ok ()
   in
   let port = t.new_port ~link_rate backend in

@@ -203,13 +203,6 @@ let recorded_total t = t.trace.total
 (* Events that fell off the ring: recorded but no longer replayable. *)
 let dropped_events t = t.trace.total - min t.trace.total t.trace.cap
 
-let kind_of_int = function
-  | 0 -> Enq
-  | 1 -> Deq_rt
-  | 2 -> Deq_ls
-  | 3 -> Drop
-  | _ -> assert false
-
 let kind_code = function Enq -> 0 | Deq_rt -> 1 | Deq_ls -> 2 | Drop -> 3
 
 let kind_of_code = function
@@ -251,7 +244,7 @@ let fold_events t f acc =
     let e : event =
       {
         ts = tr.ts.(i);
-        kind = kind_of_int tr.kind.(i);
+        kind = Option.get (kind_of_code tr.kind.(i));
         cls_id = tr.cls.(i);
         flow = tr.flow.(i);
         size = tr.size.(i);

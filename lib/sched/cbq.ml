@@ -17,8 +17,6 @@ type node = {
 
 type t = {
   link_rate : float;
-  ewma_weight : float;
-  max_burst_pkts : int;
   troot : node;
   flows : (int, node) Hashtbl.t;
   mutable leaves : node list; (* in creation order *)
@@ -33,18 +31,19 @@ let mk_node ~name ~rate ~parent ~queue ~priority ~borrow ~maxidle ~quantum =
     maxidle; quantum; deficit = 0.; last = 0.; avgidle = maxidle;
     undertime = 0. }
 
-let create ?(ewma_weight = 1. /. 16.) ?(max_burst_pkts = 16) ~link_rate () =
+(* the estimator gain (the classic 1/16), and how many packets' worth
+   of unused idle time a class may accumulate *)
+let ewma_weight = 1. /. 16.
+let max_burst_pkts = 16
+let maxidle_of rate = float_of_int max_burst_pkts *. 1500. /. rate
+
+let create ~link_rate () =
   if link_rate <= 0. then invalid_arg "Cbq.create: link_rate must be > 0";
-  if ewma_weight <= 0. || ewma_weight > 1. then
-    invalid_arg "Cbq.create: ewma_weight must be in (0, 1]";
-  let maxidle = float_of_int max_burst_pkts *. 1500. /. link_rate in
   {
     link_rate;
-    ewma_weight;
-    max_burst_pkts;
     troot =
       mk_node ~name:"root" ~rate:link_rate ~parent:None ~queue:None
-        ~priority:0 ~borrow:false ~maxidle ~quantum:0.;
+        ~priority:0 ~borrow:false ~maxidle:(maxidle_of link_rate) ~quantum:0.;
     flows = Hashtbl.create 16;
     leaves = [];
     rr_cursor = 0;
@@ -58,14 +57,12 @@ let root t = t.troot
 let check_interior parent =
   if parent.queue <> None then invalid_arg "Cbq: cannot add under a leaf"
 
-let maxidle_of t rate = float_of_int t.max_burst_pkts *. 1500. /. rate
-
-let add_node t ~parent ~name ~rate =
+let add_node _ ~parent ~name ~rate =
   check_interior parent;
   if rate <= 0. then invalid_arg "Cbq.add_node: rate must be > 0";
   let n =
     mk_node ~name ~rate ~parent:(Some parent) ~queue:None ~priority:0
-      ~borrow:true ~maxidle:(maxidle_of t rate) ~quantum:0.
+      ~borrow:true ~maxidle:(maxidle_of rate) ~quantum:0.
   in
   parent.children <- parent.children @ [ n ];
   n
@@ -83,7 +80,7 @@ let add_leaf t ~parent ~name ~rate ~flow ?(priority = 1) ?(borrow = true)
   let n =
     mk_node ~name ~rate ~parent:(Some parent)
       ~queue:(Some (Ds.Fifo_queue.create ~limit_pkts:qlimit ()))
-      ~priority ~borrow ~maxidle:(maxidle_of t rate) ~quantum
+      ~priority ~borrow ~maxidle:(maxidle_of rate) ~quantum
   in
   parent.children <- parent.children @ [ n ];
   Hashtbl.replace t.flows flow n;
@@ -106,19 +103,19 @@ let may_send leaf ~now =
 
 (* Charge a departed packet to the estimator of the leaf and of every
    ancestor (each class's estimator observes its whole subtree). *)
-let update_estimators t leaf len ~now =
+let update_estimators leaf len ~now =
   let flen = float_of_int len in
   let rec go = function
     | None -> ()
     | Some c ->
         let idle = now -. c.last -. (flen /. c.rate) in
-        c.avgidle <- c.avgidle +. (t.ewma_weight *. (idle -. c.avgidle));
+        c.avgidle <- c.avgidle +. (ewma_weight *. (idle -. c.avgidle));
         if c.avgidle > c.maxidle then c.avgidle <- c.maxidle;
         c.last <- now;
         if c.avgidle < 0. then
           (* while the class idles, avgidle recovers by ~w per second of
              real idle: regulation until the estimator crosses zero *)
-          c.undertime <- now +. (-.c.avgidle /. t.ewma_weight);
+          c.undertime <- now +. (-.c.avgidle /. ewma_weight);
         go c.parent
   in
   go (Some leaf)
@@ -173,7 +170,7 @@ let select t ~now =
        Every two full rotations grant every candidate a quantum, so the
        guard never binds with positive quanta. *)
     let guard = ref 0 in
-    while !chosen = None && !guard < 4 * n * t.max_burst_pkts * 25 do
+    while !chosen = None && !guard < 4 * n * max_burst_pkts * 25 do
       incr guard;
       let c = leaves.(t.rr_cursor mod n) in
       if not (sendable c && c.priority = band) then advance ()
@@ -203,7 +200,7 @@ let dequeue t ~now =
         t.pkts <- t.pkts - 1;
         t.bytes <- t.bytes - p.Pkt.Packet.size;
         if Ds.Fifo_queue.is_empty q then leaf.deficit <- 0.;
-        update_estimators t leaf p.Pkt.Packet.size ~now;
+        update_estimators leaf p.Pkt.Packet.size ~now;
         Some
           { Scheduler.pkt = p; cls = leaf.nname;
             criterion = (if underlimit leaf ~now then "under" else "borrow") }

@@ -24,11 +24,9 @@
 type t
 type node
 
-val create :
-  ?ewma_weight:float -> ?max_burst_pkts:int -> link_rate:float -> unit -> t
-(** [ewma_weight] is the estimator gain (default 1/16, the classic
-    value); [max_burst_pkts] bounds how much unused idle time a class
-    may accumulate (default 16 packets' worth). *)
+val create : link_rate:float -> unit -> t
+(** The estimator gain is 1/16, the classic value; a class may
+    accumulate at most 16 packets' worth of unused idle time. *)
 
 val root : t -> node
 

@@ -14,15 +14,16 @@ type t = {
 let work_conserving_next_ready ~backlog ~now =
   if backlog () > 0 then Some now else None
 
+(* the singles loop, a top-level function so a poll allocates no
+   closure: every simulated poll takes it with [max = 1] *)
+let rec singles t ~now i max =
+  if i >= max then []
+  else
+    match t.dequeue ~now with
+    | None -> []
+    | Some s -> s :: singles t ~now (i + 1) max
+
 let dequeue_burst t ~now ~max =
   match t.dequeue_many with
   | Some f -> f ~now ~max
-  | None ->
-      let rec go i acc =
-        if i >= max then List.rev acc
-        else
-          match t.dequeue ~now with
-          | None -> List.rev acc
-          | Some s -> go (i + 1) (s :: acc)
-      in
-      go 0 []
+  | None -> singles t ~now 0 max

@@ -29,13 +29,11 @@ type t = {
           reports its later refusals in {!deferred_drops}. *)
   dequeue : now:float -> served option;
   dequeue_many : (now:float -> max:int -> served list) option;
-      (** Native batched poll, when the discipline has one: must return
-          exactly what [max] consecutive {!dequeue} calls at the same
-          [now] would (batch-equals-singles). [None] means
-          {!dequeue_burst} falls back to the singles loop. Adapters
-          whose [dequeue] crosses a domain boundary (the multicore
-          router) set this so a transmit-ring fill is one round trip,
-          not [max]. *)
+      (** A replacement for {!dequeue_burst}'s singles loop: must
+          return exactly what [max] consecutive {!dequeue} calls at the
+          same [now] would (batch-equals-singles). Every discipline and
+          adapter in the library sets [None]; only towerbench's
+          measuring probes set it, to wrap the poll they time. *)
   next_ready : now:float -> float option;
       (** [None] iff idle; [Some ts] = earliest instant a dequeue can
           succeed (equals [now] for work-conserving disciplines with
@@ -58,8 +56,6 @@ val work_conserving_next_ready :
 
 val dequeue_burst : t -> now:float -> max:int -> served list
 (** Up to [max] consecutive dequeues at the same [now], in service
-    order, stopping early at the first [None] — the generic form of the
-    NIC-ring batched poll (see {!Hfsc.dequeue_batch} for the native
-    zero-allocation one). Because a batch is defined to equal the same
-    sequence of single dequeues, this wrapper is semantically exact for
-    every discipline. *)
+    order, stopping early at the first [None] ({!dequeue_many} instead,
+    when set). {!Netsim.Sim} polls every link through this with
+    [max = 1]: one packet per transmit completion. *)

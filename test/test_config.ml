@@ -23,7 +23,10 @@ let test_rates () =
   Alcotest.(check bool) "missing unit" true
     (contains (err (Config.parse_rate "100")) "unit");
   Alcotest.(check bool) "negative" true
-    (contains (err (Config.parse_rate "-5Mbit")) "non-negative")
+    (contains (err (Config.parse_rate "-5Mbit")) "non-negative");
+  (* finite as written, infinite once scaled by its unit *)
+  Alcotest.(check bool) "overflowing rate" true
+    (contains (err (Config.parse_rate "1e308GBps")) "too large")
 
 let test_times () =
   Alcotest.(check (float 1e-12)) "ms" 0.005 (ok (Config.parse_time "5ms"));

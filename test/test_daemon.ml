@@ -317,6 +317,10 @@ let test_hardening () =
         let r3 = D.Client.request conn "pi\000ng" in
         let r4 = D.Client.request ~timeout:5. conn "ping" in
         let r5 = D.Client.request conn "fingerprint" in
+        (* a rate that overflows once scaled: a parse error, and the
+           daemon keeps serving *)
+        let r6 = D.Client.request conn "link add big rate 1e308GBps" in
+        let r7 = D.Client.request conn "ping" in
         (* the same request dribbled one byte at a time must read whole *)
         let fd = raw_connect socket in
         String.iter
@@ -342,10 +346,12 @@ let test_hardening () =
         Unix.close fd;
         ignore (D.Client.request conn "shutdown");
         D.Client.close conn;
-        (r1, r2, r3, r4, r5, dribble, floodr, eof))
+        (r1, r2, r3, r4, r5, r6, r7, dribble, floodr, eof))
   in
   D.serve d;
-  let r1, r2, r3, r4, r5, dribble, floodr, eof = Domain.join client in
+  let r1, r2, r3, r4, r5, r6, r7, dribble, floodr, eof =
+    Domain.join client
+  in
   (match r1 with
   | Error ("bad-value", m) ->
       Alcotest.(check bool) "oversize names the bound" true
@@ -368,6 +374,14 @@ let test_hardening () =
              (function 'a' .. 'f' | '0' .. '9' -> true | _ -> false)
              fp)
   | Error (c, m) -> Alcotest.failf "fingerprint refused: %s %s" c m);
+  (match r6 with
+  | Error ("parse-error", _) -> ()
+  | Ok s -> Alcotest.failf "overflowing rate accepted: %s" s
+  | Error (c, m) -> Alcotest.failf "overflowing rate: %s %s" c m);
+  Alcotest.(check (result string (pair string string)))
+    "daemon survives the overflowing rate" (Ok "pong") r7;
+  Alcotest.(check bool) "overflowing rate adds no link" true
+    (R.link_count live = 1);
   Alcotest.(check string) "byte-dribbled ping reads whole" "ok 4\npong\n"
     dribble;
   Alcotest.(check bool) "lineless flood answers an error" true

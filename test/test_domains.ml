@@ -8,10 +8,11 @@
    - every command reply (success string or typed error) — the control
      plane is [Router_core] on both sides, but this pins the ring
      handshake's transactional semantics too;
-   - every dequeued packet (identity, class, rt/ls criterion, order)
-     under identical batch cadence, so engine audit ticks line up —
-     half the drains are one [dequeue_many], half a loop of single
-     [dequeue]s — and the backlog and next-ready polls after each;
+   - every dequeued packet (identity, class, rt/ls criterion, order),
+     one packet per [dequeue] on both sides, so engine audit ticks line
+     up — half the drains are one [dequeue_burst], half a loop of
+     single [dequeue]s — and the backlog and next-ready polls after
+     each;
    - refusals: the multicore adapter's enqueue does not wait, so after
      every op but a packet, each link posted to since must show a
      [deferred_drops] equal to the number of [false]s the sequential
@@ -176,7 +177,7 @@ let run_differential ~domains ~seed ~nops =
         let name, eng = List.nth links (pick mod List.length links) in
         let max = 1 + (pick mod 8) in
         let now = !now in
-        (* even picks: one batched poll; odd: single dequeues *)
+        (* even picks: one [dequeue_burst]; odd: single dequeues *)
         let take (a : Sched.Scheduler.t) =
           List.map observe
             (if pick land 1 = 0 then Sched.Scheduler.dequeue_burst a ~now ~max
@@ -410,7 +411,7 @@ let run_degradation ~domains =
   (* the injection queued behind every post, so the count is complete *)
   check "downed link's deferred drops cover every post" (deferred a1 = 7);
   check "downed adapter enqueue answers false" (not (post a1 ~flow:2 170));
-  check "downed adapter dequeue_many yields nothing"
+  check "downed adapter dequeue_burst yields nothing"
     (Sched.Scheduler.dequeue_burst a1 ~now:0. ~max:4 = []);
   check "downed adapter dequeue yields nothing"
     (a1.Sched.Scheduler.dequeue ~now:0. = None);
@@ -630,7 +631,7 @@ let sim_setup =
   ]
 
 (* [domains = 0]: the sequential router *)
-let run_sim ~domains ~tx_burst =
+let run_sim ~domains =
   let exec, adapter, fingerprint, stop =
     if domains = 0 then
       let r = R.create ~audit_every () in
@@ -673,7 +674,7 @@ let run_sim ~domains ~tx_burst =
     | _ -> None
   in
   let sim =
-    Netsim.Sim.create_multi ~tx_burst
+    Netsim.Sim.create_multi
       ~links:[ ("hfsc", 1e6, adapter "hfsc"); ("rr", 2e5, rr) ]
       ~route ()
   in
@@ -728,28 +729,24 @@ let run_sim ~domains ~tx_burst =
   out
 
 let run_sim_differential () =
+  let want = run_sim ~domains:0 in
+  if want.drops = 0 then fail "sim differential: the scenario drops nothing";
   List.iter
-    (fun tx_burst ->
-      let want = run_sim ~domains:0 ~tx_burst in
-      if want.drops = 0 then fail "sim differential: the scenario drops nothing";
-      List.iter
-        (fun domains ->
-          let got = run_sim ~domains ~tx_burst in
-          let check what ok =
-            if not ok then
-              fail "sim differential (domains %d, tx_burst %d): %s differ" domains
-                tx_burst what
-          in
-          check "command replies" (got.replies = want.replies);
-          check "departure counts" (got.departures = want.departures);
-          check
-            (Printf.sprintf "enqueue drops (%d vs %d)" got.drops want.drops)
-            (got.drops = want.drops);
-          check "transmitted bytes" (got.bytes = want.bytes);
-          check "departure digests" (got.digest = want.digest);
-          check "config fingerprints" (got.fingerprint = want.fingerprint))
-        [ 1; 2 ])
-    [ 1; 3 ]
+    (fun domains ->
+      let got = run_sim ~domains in
+      let check what ok =
+        if not ok then
+          fail "sim differential (domains %d): %s differ" domains what
+      in
+      check "command replies" (got.replies = want.replies);
+      check "departure counts" (got.departures = want.departures);
+      check
+        (Printf.sprintf "enqueue drops (%d vs %d)" got.drops want.drops)
+        (got.drops = want.drops);
+      check "transmitted bytes" (got.bytes = want.bytes);
+      check "departure digests" (got.digest = want.digest);
+      check "config fingerprints" (got.fingerprint = want.fingerprint))
+    [ 1; 2 ]
 
 (* A two-hop [Netsim.Tandem] with cross traffic at hop 1, each hop the
    adapter of its own one-link router. The tandem carries a packet to
@@ -902,8 +899,8 @@ let () =
      the sequential adapter\n";
   Printf.printf
     "domains ok: a two-link simulation through Mc_router.adapter (1 and 2 \
-     domains, tx_burst 1 and 3) matches Router + Engine.adapter (digest, \
-     departures, drops, bytes, replies, fingerprint)\n";
+     domains) matches Router + Engine.adapter (digest, departures, drops, \
+     bytes, replies, fingerprint)\n";
   Printf.printf
     "domains ok: a two-hop tandem over one-link Mc_router hops (cross \
      traffic at hop 1) matches the same tandem over Engine.adapter hops \

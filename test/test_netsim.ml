@@ -838,7 +838,7 @@ let golden_rr ~link_rate ~qlimit quanta =
        (Runtime.Backend.of_hls ~link_rate s)
        ~flow_map ())
 
-let golden_multi ~tx_burst =
+let golden_multi () =
   let rr =
     golden_rr ~link_rate:2e5 ~qlimit:8 [ (6, 500); (7, 900); (8, 300) ]
   in
@@ -849,7 +849,7 @@ let golden_multi ~tx_burst =
     | _ -> None
   in
   let sim =
-    Netsim.Sim.create_multi ~tx_burst ~tput_bin:0.25
+    Netsim.Sim.create_multi ~tput_bin:0.25
       ~links:
         [ ("hfsc", 1e6, golden_hfsc ~link_rate:1e6); ("rr", 2e5, rr) ]
       ~route ()
@@ -937,10 +937,8 @@ let check_golden name (digest, n, drops, bytes, x)
   Alcotest.(check int) (name ^ " digest") want_digest digest
 
 let test_golden_digests () =
-  check_golden "multi tx_burst=1" (golden_multi ~tx_burst:1)
+  check_golden "multi" (golden_multi ())
     (3494223471466709645, 3405, 1486, 0x1.2ad9fp+21, 0x1.848fa210a8349p-1);
-  check_golden "multi tx_burst=3" (golden_multi ~tx_burst:3)
-    (-1381205127368420138, 3412, 1479, 0x1.2b9bbp+21, 0x1.85f9b82ef7abp-1);
   check_golden "tandem" (golden_tandem ())
     (-4369250345166198761, 3434, 329, 0x1.aec3p+18, 0x1.9944f38ef1a9fp+1)
 

@@ -301,6 +301,21 @@ let test_error_codes () =
   check_code "duplicate link" "duplicate-link"
     (exec1 r ~now:0. "link add one rate 1Mbit");
   check_code "bad rate" "bad-value" (R.add_link r ~name:"three" ~link_rate:0.);
+  (* a rate that is not finite is refused on either backend, leaving
+     the router as it was *)
+  let fp = R.config_fingerprint r in
+  List.iter
+    (fun (backend, rate) ->
+      check_code "non-finite rate" "bad-value"
+        (R.add_link ~backend r ~name:"three" ~link_rate:rate))
+    [
+      (Runtime.Backend.Hfsc_kind, infinity);
+      (Runtime.Backend.Rr_kind, infinity);
+      (Runtime.Backend.Hfsc_kind, nan);
+    ];
+  Alcotest.(check int) "refused links not added" 2 (R.link_count r);
+  Alcotest.(check string) "refused links leave the router unchanged" fp
+    (R.config_fingerprint r);
   check_code "unknown scope" "unknown-link"
     (exec1 r ~now:0. "link nowhere stats");
   ignore

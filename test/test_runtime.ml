@@ -597,6 +597,31 @@ let test_traced_dequeue_allocates_nothing_extra () =
   (* and the footprint is the returned option/tuple, nothing more *)
   Alcotest.(check bool) "bare footprint is the result value" true (bare <= 6.)
 
+(* One simulated poll: what [Netsim.Sim] calls per transmit completion,
+   through a traced engine's adapter, with a packet each time. *)
+let test_simulated_poll_allocation () =
+  let t = Hfsc.create ~link_rate:1e6 () in
+  let leaf =
+    Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"l" ~fsc:(Sc.linear 1e6)
+      ~qlimit:1_000_000 ()
+  in
+  let eng = E.create ~link_rate:1e6 t ~flow_map:[ (1, leaf) ] ~tracing:true () in
+  let a = E.adapter eng in
+  let leaf_id = Hfsc.id leaf in
+  let words =
+    words_per_dequeue
+      ~prefill:(fun n ->
+        for s = 0 to n - 1 do
+          ignore (E.enqueue eng ~now:0. leaf_id (pkt ~flow:1 ~seq:s ~now:0.))
+        done)
+      ~deq:(fun ~now ->
+        match Sched.Scheduler.dequeue_burst a ~now ~max:1 with
+        | [ _ ] -> ()
+        | _ -> Alcotest.fail "a backlogged poll must return one packet")
+  in
+  (* the served record, its option and the one-element list *)
+  Alcotest.(check (float 0.)) "minor words per simulated poll" 9. words
+
 (* Class names may hold any byte but space and tab, so the stats-json
    exporter must escape control bytes: strict JSON readers reject them
    raw inside a string. *)
@@ -1209,6 +1234,8 @@ let () =
           Alcotest.test_case "deadline misses" `Quick test_deadline_miss;
           Alcotest.test_case "traced dequeue allocation" `Quick
             test_traced_dequeue_allocates_nothing_extra;
+          Alcotest.test_case "simulated poll allocation" `Quick
+            test_simulated_poll_allocation;
           Alcotest.test_case "stats-json escapes control bytes" `Quick
             test_stats_json_escapes_control_bytes;
         ] );
