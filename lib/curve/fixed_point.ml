@@ -59,6 +59,24 @@ let isc_of_sc (s : Service_curve.t) =
 
 let isc_concave i = i.sm1 > i.sm2
 
+let min_rate = 0.5
+let max_breakpoint = ldexp 1. 31
+
+let check_breakpoint what (s : Service_curve.t) =
+  if s.d >= max_breakpoint then
+    invalid_arg
+      (Printf.sprintf "%s: breakpoint d=%gs out of range (must be under 2^31 s)"
+         what s.d)
+
+let check_sc what (s : Service_curve.t) =
+  if s.m2 < min_rate then
+    invalid_arg
+      (Printf.sprintf
+         "%s: long-run rate %g B/s out of range (under %g B/s it rounds to \
+          0 in fixed point)"
+         what s.m2 min_rate);
+  check_breakpoint what s
+
 type t = {
   x : int;
   y : int;

@@ -96,6 +96,26 @@ type isc = {
 
 val isc_of_sc : Service_curve.t -> isc
 
+(** {2 Representable curves} *)
+
+val min_rate : float
+(** [0.5] B/s: the smallest slope {!m2sm} does not round to 0. *)
+
+val check_breakpoint : string -> Service_curve.t -> unit
+(** [check_breakpoint what s] raises [Invalid_argument] naming [what]
+    and containing "out of range" unless the breakpoint [s.d] lies
+    under [2^31] s (about 68 years), so that its tick count ([2^61] at
+    most) still fits an [int] once added to a curve anchor. At [2^32] s
+    the tick count itself overflows and the curve is served as
+    garbage. *)
+
+val check_sc : string -> Service_curve.t -> unit
+(** {!check_breakpoint}, and the same refusal when the long-run rate
+    [s.m2] is under {!min_rate}: it would quantize to a zero slope, an
+    infinite deadline or virtual time the scheduler cannot order. For
+    real-time and link-sharing curves; [m1 = 0] stays legal (convex
+    curves use it). *)
+
 val isc_concave : isc -> bool
 (** Concavity of the {e quantized} curve ([sm1 > sm2]) — the branch
     the runtime minimum must take to stay internally consistent. *)

@@ -503,10 +503,10 @@ type t = {
   mutable on_drop : float -> cls -> Pkt.Packet.t -> unit;
   (* out-parameters of [dequeue_core], valid when it returned a
      non-nil leaf: what was served and under which criterion. Fields
-     of the instance rather than module-level refs so the single and
-     batched entry points stay allocation-free without any state
-     shared between schedulers — Runtime.Mc_router dequeues on
-     several [t]s concurrently, one per worker domain. *)
+     of the instance rather than module-level refs so [dequeue_into]
+     stays allocation-free without any state shared between
+     schedulers — Runtime.Mc_router dequeues on several [t]s
+     concurrently, one per worker domain. *)
   mutable deq_pkt : Pkt.Packet.t;
   mutable deq_crit : criterion;
 }
@@ -560,8 +560,8 @@ let ulimit_slack = Fp.ticks_of_seconds 0.001
 
 let create ?(vt_policy = Vt_mean) ?(eligible_policy = Eligible_paper)
     ~link_rate () =
-  if (not (Float.is_finite link_rate)) || link_rate <= 0. then
-    invalid_arg "Hfsc.create: link_rate must be finite and positive";
+  if (not (Float.is_finite link_rate)) || link_rate < Fp.min_rate then
+    invalid_arg "Hfsc.create: link_rate must be finite and at least 0.5 B/s";
   let troot =
     make_cls ~id:0 ~name:"root" ~parent:None ~rsc:None
       ~fsc:(Some (Sc.linear link_rate)) ~usc:None ~qlimit:None ~qbytes:None
@@ -602,6 +602,13 @@ let classes t =
   in
   go (t.next_id - 1) []
 
+(* Refuse curves the fixed-point arithmetic cannot represent, before
+   anything is mutated. *)
+let check_curves what ~rsc ~fsc ~usc =
+  Option.iter (Fp.check_sc (what ^ " rsc")) rsc;
+  Option.iter (Fp.check_sc (what ^ " fsc")) fsc;
+  Option.iter (Fp.check_breakpoint (what ^ " usc")) usc
+
 let add_class t ~parent ~name ?rsc ?fsc ?usc ?qlimit ?qlimit_bytes () =
   if parent.crsc <> None then
     invalid_arg "Hfsc.add_class: parent has a real-time curve (leaf only)";
@@ -612,6 +619,7 @@ let add_class t ~parent ~name ?rsc ?fsc ?usc ?qlimit ?qlimit_bytes () =
   let fsc = match fsc with Some _ as f -> f | None -> rsc in
   if rsc = None && fsc = None then
     invalid_arg "Hfsc.add_class: a class needs an rsc or an fsc";
+  check_curves "Hfsc.add_class" ~rsc ~fsc ~usc;
   let cl =
     make_cls ~id:t.next_id ~name ~parent:(Some parent) ~rsc ~fsc ~usc ~qlimit
       ~qbytes:qlimit_bytes
@@ -673,6 +681,7 @@ let set_curves t cl ?rsc ?fsc ?usc () =
   | Some _ when not (is_leaf_cls cl) ->
       invalid_arg "Hfsc.set_curves: rsc on an interior class"
   | _ -> ());
+  check_curves "Hfsc.set_curves" ~rsc ~fsc ~usc;
   (* re-anchor the runtime curves at the accumulated service so the next
      activation's min-update treats the new curve as the whole history *)
   (match rsc with
@@ -1130,8 +1139,8 @@ let rec descend_ls c now =
 (* One dequeue decision at tick [now]: returns the served leaf ([nil]
    for "nothing servable") and leaves the packet and criterion in the
    instance's [deq_pkt]/[deq_crit] out-params. Both [dequeue] and
-   [dequeue_batch] are thin wrappers, so a batch is bit-identical to
-   the equivalent sequence of singles by construction. *)
+   [dequeue_into] are thin wrappers, so the two serve bit-identical
+   sequences by construction. *)
 let dequeue_core t now =
   if t.bl_pkts = 0 then nil
   else begin
@@ -1177,34 +1186,19 @@ let dequeue t ~now =
   let leaf = dequeue_core t (Fp.ticks_of_seconds now) in
   if leaf == nil then None else Some (t.deq_pkt, leaf, t.deq_crit)
 
-(* --- batched dequeue ------------------------------------------------- *)
-
-(* The fill loop writes the served triple straight into the caller's
-   [Pkt.Batch] — the leaf's dense id, not the class value — so a
-   drained packet costs zero words of allocation (the single-packet
-   [dequeue] pays 6 for its [Some (pkt, cls, crit)]). *)
-let rec deq_batch_loop t now (b : Pkt.Batch.t) i cap =
-  if i >= cap then i
-  else begin
-    let leaf = dequeue_core t now in
-    if leaf == nil then i
-    else begin
-      (* [i < cap = Pkt.Batch.capacity b], the length of all three
-         arrays *)
-      Array.unsafe_set b.pkts i t.deq_pkt;
-      Array.unsafe_set b.ids i leaf.id;
-      Array.unsafe_set b.rt i
-        (match t.deq_crit with Realtime -> true | Linkshare -> false);
-      deq_batch_loop t now b (i + 1) cap
-    end
-  end
-
-let dequeue_batch t ~now (b : Pkt.Batch.t) =
-  let n =
-    deq_batch_loop t (Fp.ticks_of_seconds now) b 0 (Array.length b.pkts)
-  in
-  b.count <- n;
-  n
+(* The served triple goes straight into the caller's [Pkt.Served] —
+   the leaf's dense id, not the class value — so a served packet costs
+   zero words of allocation ([dequeue] pays 6 for its
+   [Some (pkt, cls, crit)]). *)
+let dequeue_into t ~now (s : Pkt.Served.t) =
+  let leaf = dequeue_core t (Fp.ticks_of_seconds now) in
+  leaf != nil
+  && begin
+       s.o_pkt <- t.deq_pkt;
+       s.o_id <- leaf.id;
+       s.o_rt <- (match t.deq_crit with Realtime -> true | Linkshare -> false);
+       true
+     end
 
 let next_ready_time t ~now =
   if t.bl_pkts = 0 then None

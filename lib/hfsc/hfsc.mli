@@ -64,7 +64,10 @@ val create :
     fair service curve of that rate. A rate-capped class may carry at
     most 1 ms of unused upper-limit allowance forward as a burst. The
     aggregate backlog starts unlimited under {!Tail_drop}; see
-    {!set_aggregate_limit} and {!set_drop_policy}. *)
+    {!set_aggregate_limit} and {!set_drop_policy}.
+
+    @raise Invalid_argument unless [link_rate] is finite and at least
+    {!Curve.Fixed_point.min_rate}. *)
 
 val root : t -> cls
 
@@ -88,7 +91,11 @@ val add_class :
     queue.
 
     @raise Invalid_argument on a parent with an [rsc], a parent that
-    already received packets as a leaf, or a class with neither curve. *)
+    already received packets as a leaf, a class with neither curve, or
+    a curve the fixed-point arithmetic cannot represent
+    ({!Curve.Fixed_point.check_sc} on [rsc] and [fsc],
+    {!Curve.Fixed_point.check_breakpoint} on [usc]; the message says
+    "out of range"). *)
 
 val remove_class : t -> cls -> unit
 (** Remove a passive leaf (or childless interior) class from the
@@ -111,8 +118,9 @@ val set_curves :
     the new curves take effect from its next backlogged period.
     Passing [rsc] to an interior class is rejected as in {!add_class}.
 
-    @raise Invalid_argument if the class is active, or the change is
-    structurally invalid. *)
+    @raise Invalid_argument if the class is active, the change is
+    structurally invalid, or a curve is unrepresentable (as in
+    {!add_class}, checked before anything changes). *)
 
 (** {2 Queue bounds and drop accounting} *)
 
@@ -174,25 +182,14 @@ val dequeue : t -> now:float -> (Pkt.Packet.t * cls * criterion) option
     rate-capped by an upper-limit curve until some later instant — see
     {!next_ready_time}. *)
 
-(** {2 Batched dequeue}
-
-    The NIC-ring-style variant of {!dequeue}. A batch call is
-    {e bit-identical in outcome} to the equivalent sequence of single
-    calls (it is a thin loop over the same core), so callers may adopt
-    it unconditionally; what it buys is amortization of the per-call
-    overhead — one time conversion per poll, and results written into
-    the caller's preallocated {!Pkt.Batch} so a drained packet costs
-    zero words of allocation (the single-packet {!dequeue} allocates 6
-    for its option-of-tuple). The differential suite asserts the
-    batch-equals-singles identity over fuzzed op streams. *)
-
-val dequeue_batch : t -> now:float -> Pkt.Batch.t -> int
-(** [dequeue_batch t ~now b] dequeues up to [Pkt.Batch.capacity b]
-    packets at time [now], filling [b] from slot 0 with each packet,
-    its leaf's {!id} and whether the real-time criterion served it, and
-    returns the count (also left in [Pkt.Batch.count b]). Stops early
-    when {!dequeue} would return [None]. Equivalent to that many single
-    {!dequeue} calls at the same [now]. *)
+val dequeue_into : t -> now:float -> Pkt.Served.t -> bool
+(** [dequeue_into t ~now s] is {!dequeue} writing its result into the
+    caller's record instead of an option: on [true], [s] holds the
+    packet, its leaf's {!id} and whether the real-time criterion
+    served it; on [false] (where {!dequeue} answers [None]) [s] is
+    untouched. Zero words of allocation ({!dequeue} allocates 6 for
+    its option-of-tuple); the differential suite asserts it serves
+    the same sequence as {!dequeue} over fuzzed op streams. *)
 
 val next_ready_time : t -> now:float -> float option
 (** [None] iff the backlog is empty; otherwise the earliest [t' >= now]

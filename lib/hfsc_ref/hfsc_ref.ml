@@ -136,8 +136,8 @@ let ulimit_slack = Fp.ticks_of_seconds 0.001
 
 let create ?(vt_policy = Vt_mean) ?(eligible_policy = Eligible_paper)
     ~link_rate () =
-  if (not (Float.is_finite link_rate)) || link_rate <= 0. then
-    invalid_arg "Hfsc.create: link_rate must be finite and positive";
+  if (not (Float.is_finite link_rate)) || link_rate < Fp.min_rate then
+    invalid_arg "Hfsc.create: link_rate must be finite and at least 0.5 B/s";
   let troot =
     make_cls ~id:0 ~name:"root" ~parent:None ~rsc:None
       ~fsc:(Some (Sc.linear link_rate)) ~usc:None ~qlimit:None ~qbytes:None
@@ -159,6 +159,13 @@ let create ?(vt_policy = Vt_mean) ?(eligible_policy = Eligible_paper)
 
 let root t = t.troot
 
+(* Refuse curves the fixed-point arithmetic cannot represent, before
+   anything is mutated. *)
+let check_curves what ~rsc ~fsc ~usc =
+  Option.iter (Fp.check_sc (what ^ " rsc")) rsc;
+  Option.iter (Fp.check_sc (what ^ " fsc")) fsc;
+  Option.iter (Fp.check_breakpoint (what ^ " usc")) usc
+
 let add_class t ~parent ~name ?rsc ?fsc ?usc ?qlimit ?qlimit_bytes () =
   if parent.crsc <> None then
     invalid_arg "Hfsc.add_class: parent has a real-time curve (leaf only)";
@@ -169,6 +176,7 @@ let add_class t ~parent ~name ?rsc ?fsc ?usc ?qlimit ?qlimit_bytes () =
   let fsc = match fsc with Some _ as f -> f | None -> rsc in
   if rsc = None && fsc = None then
     invalid_arg "Hfsc.add_class: a class needs an rsc or an fsc";
+  check_curves "Hfsc.add_class" ~rsc ~fsc ~usc;
   let cl =
     make_cls ~id:t.next_id ~name ~parent:(Some parent) ~rsc ~fsc ~usc ~qlimit
       ~qbytes:qlimit_bytes
@@ -199,6 +207,7 @@ let set_curves t cl ?rsc ?fsc ?usc () =
   | Some _ when cl.cchildren <> [] ->
       invalid_arg "Hfsc.set_curves: rsc on an interior class"
   | _ -> ());
+  check_curves "Hfsc.set_curves" ~rsc ~fsc ~usc;
   (* re-anchor the runtime curves at the accumulated service so the next
      activation's min-update treats the new curve as the whole history *)
   (match rsc with
@@ -609,26 +618,16 @@ let dequeue t ~now =
         Some (pkt, leaf, crit)
   end
 
-(* --- batched dequeue ------------------------------------------------- *)
-
-(* The reference keeps the batch trivially correct: a plain loop over
-   the single-packet [dequeue], which *defines* the semantics the
-   optimized scheduler's batch path must be bit-identical to. *)
-let dequeue_batch t ~now (b : Pkt.Batch.t) =
-  let cap = Array.length b.pkts in
-  let n = ref 0 in
-  let continue = ref true in
-  while !continue && !n < cap do
-    match dequeue t ~now with
-    | None -> continue := false
-    | Some (pkt, cls, crit) ->
-        b.pkts.(!n) <- pkt;
-        b.ids.(!n) <- cls.id;
-        b.rt.(!n) <- crit = Realtime;
-        incr n
-  done;
-  b.count <- !n;
-  !n
+(* [dequeue] copied into the record: the reference has no out-params
+   of its own, and [include module type of Hfsc] needs the entry. *)
+let dequeue_into t ~now (s : Pkt.Served.t) =
+  match dequeue t ~now with
+  | None -> false
+  | Some (pkt, cls, crit) ->
+      s.o_pkt <- pkt;
+      s.o_id <- cls.id;
+      s.o_rt <- crit = Realtime;
+      true
 
 let next_ready_time t ~now =
   if t.bl_pkts = 0 then None

@@ -3,10 +3,11 @@
     as {!Hfsc}, but every selection is a linear scan with the paper's
     rule and the id tie-break written out; see
     lib/hfsc_ref/hfsc_ref.ml's header for why this copy exists. Its
-    {!dequeue_batch} is a plain loop over the single-packet {!dequeue}
-    filling the same {!Pkt.Batch}, which {e defines} the
-    batch-equals-singles outcome {!Hfsc} must match. {!audit} checks the scheduler-level invariants only
-    (membership flags, counters, deadline ordering, overflow); the
-    oracle has no trees to validate. *)
+    {!dequeue_into} copies the single-packet {!dequeue} into the same
+    {!Pkt.Served} record, which {e defines} the outcome
+    {!Hfsc.dequeue_into} must match. {!audit} checks the
+    scheduler-level invariants only (membership flags, counters,
+    deadline ordering, overflow); the oracle has no trees to
+    validate. *)
 
 include module type of Hfsc

@@ -54,12 +54,14 @@ let contains s sub =
 
 (* Classify an [Invalid_argument] raised by the scheduler: refusals
    about live/backlogged classes are transient (retry once the class
-   drains), bad numeric arguments are the caller's fault, the rest are
-   structural (wrong place in the hierarchy). *)
+   drains), bad numeric arguments (a limit that is not positive, a
+   curve the fixed-point arithmetic cannot represent) are the caller's
+   fault, the rest are structural (wrong place in the hierarchy). *)
 let of_invalid message =
   let code =
     if contains message "active" || contains message "queued" then Class_active
-    else if contains message "positive" then Bad_value
+    else if contains message "positive" || contains message "out of range"
+    then Bad_value
     else Structural
   in
   Error { code; message }
@@ -77,9 +79,9 @@ type params = {
   quantum : int option;
 }
 
-(* Out-params of the last successful single [dequeue] — instance-held
-   so the hot path never allocates an option on the backend boundary. *)
-type out = {
+(* The last served packet — instance-held so the hot path never
+   allocates an option on the backend boundary. *)
+type out = Pkt.Served.t = {
   mutable o_pkt : Pkt.Packet.t;
   mutable o_id : int;
   mutable o_rt : bool;
@@ -131,34 +133,11 @@ type t = {
   (* the data path *)
   enqueue : now:float -> int -> Pkt.Packet.t -> bool;
   dequeue : now:float -> bool;
-  deq_fill : now:float -> Pkt.Batch.t -> int;
   next_ready : now:float -> float option;
   backlog_pkts : unit -> int;
   backlog_bytes : unit -> int;
   audit : unit -> string list;
 }
-
-(* The single dequeue, written once over a backend's [deq_fill]: it
-   rides a held one-slot batch and leaves the result in [out], so the
-   option tuple a scheduler's own [dequeue] would allocate is never
-   paid on the backend boundary (the engine already pays one for its
-   own result). *)
-let single_dequeue deq_fill =
-  let out =
-    { o_pkt = Pkt.Packet.make ~flow:0 ~size:1 ~seq:0 ~arrival:0.; o_id = 0;
-      o_rt = false }
-  in
-  let one = Pkt.Batch.create ~capacity:1 () in
-  let dequeue ~now =
-    deq_fill ~now one > 0
-    && begin
-         out.o_pkt <- Array.unsafe_get one.Pkt.Batch.pkts 0;
-         out.o_id <- Array.unsafe_get one.Pkt.Batch.ids 0;
-         out.o_rt <- Array.unsafe_get one.Pkt.Batch.rt 0;
-         true
-       end
-  in
-  (out, dequeue)
 
 (* --- H-FSC over the record ------------------------------------------ *)
 
@@ -352,7 +331,7 @@ let of_hfsc ~link_rate sched =
     | () -> Ok ()
     | exception Invalid_argument e -> of_invalid e
   in
-  let out, dequeue = single_dequeue (Hfsc.dequeue_batch sched) in
+  let out = Pkt.Served.create () in
   {
     kind = Hfsc_kind;
     link_rate;
@@ -392,8 +371,7 @@ let of_hfsc ~link_rate sched =
     enqueue =
       (fun ~now id pkt ->
         Hfsc.enqueue sched ~now (Hfsc.class_of_id sched id) pkt);
-    dequeue;
-    deq_fill = Hfsc.dequeue_batch sched;
+    dequeue = (fun ~now -> Hfsc.dequeue_into sched ~now out);
     next_ready = (fun ~now -> Hfsc.next_ready_time sched ~now);
     backlog_pkts = (fun () -> Hfsc.backlog_pkts sched);
     backlog_bytes = (fun () -> Hfsc.backlog_bytes sched);
@@ -478,7 +456,7 @@ let of_hls ~link_rate sched =
     | () -> Ok ()
     | exception Invalid_argument e -> of_invalid e
   in
-  let out, dequeue = single_dequeue (Hls.dequeue_batch sched) in
+  let out = Pkt.Served.create () in
   {
     kind = Rr_kind;
     link_rate;
@@ -520,8 +498,7 @@ let of_hls ~link_rate sched =
     enqueue =
       (fun ~now id pkt ->
         Hls.enqueue sched ~now (Hls.class_of_id sched id) pkt);
-    dequeue;
-    deq_fill = Hls.dequeue_batch sched;
+    dequeue = (fun ~now -> Hls.dequeue_into sched ~now out);
     next_ready = (fun ~now -> Hls.next_ready_time sched ~now);
     backlog_pkts = (fun () -> Hls.backlog_pkts sched);
     backlog_bytes = (fun () -> Hls.backlog_bytes sched);

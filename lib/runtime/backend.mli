@@ -81,13 +81,13 @@ type params = {
     quantum for round-robin. Each backend rejects the other family
     with {!Bad_value}. *)
 
-type out = {
+type out = Pkt.Served.t = {
   mutable o_pkt : Pkt.Packet.t;
   mutable o_id : int;
   mutable o_rt : bool;
 }
-(** Out-params of the last successful single [dequeue] — instance-held
-    so the backend boundary never allocates an option. *)
+(** The last packet [dequeue] served — instance-held so the backend
+    boundary never allocates an option. *)
 
 type t = {
   kind : kind;
@@ -145,14 +145,9 @@ type t = {
       (** [false] when refused (counted, reported to the drop hook);
           allocation-free on the admit path *)
   dequeue : now:float -> bool;
-      (** [true] = one packet served, result in [out]; [false] = the
-          scheduler has nothing servable *)
-  deq_fill : now:float -> Pkt.Batch.t -> int;
-      (** the scheduler's own [dequeue_batch], called directly: fills
-          up to [Pkt.Batch.capacity] slots with packets, dense class
-          ids and real-time flags, bit-identical in service order to
-          that many single [dequeue] calls; returns the count. Zero
-          allocation per packet in steady state. *)
+      (** the scheduler's own [dequeue_into] on [out]: [true] = one
+          packet served, the scheduler wrote it into [out] in place;
+          [false] = nothing servable. Zero words of allocation. *)
   next_ready : now:float -> float option;
   backlog_pkts : unit -> int;
   backlog_bytes : unit -> int;

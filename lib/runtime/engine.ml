@@ -626,51 +626,42 @@ let enqueue_flow t ~now pkt =
   | id -> enqueue t ~now id pkt
   | exception Not_found -> false
 
-let dequeue t ~now =
-  if t.be.Backend.dequeue ~now then begin
+(* The one dequeue under both entry points: the backend's, plus
+   telemetry and the audit tick; the packet stays in the backend's
+   [out]. *)
+let serve t ~now =
+  let served = t.be.Backend.dequeue ~now in
+  if served then begin
     let o = t.be.Backend.out in
-    let pkt = o.Backend.o_pkt and id = o.Backend.o_id in
-    let rt = o.Backend.o_rt in
-    Telemetry.note_dequeue t.tele ~id ~now ~size:pkt.Pkt.Packet.size
+    let pkt = o.Pkt.Served.o_pkt in
+    Telemetry.note_dequeue t.tele ~id:o.o_id ~now ~size:pkt.Pkt.Packet.size
       ~flow:pkt.Pkt.Packet.flow ~seq:pkt.Pkt.Packet.seq
-      ~arrival:pkt.Pkt.Packet.arrival ~realtime:rt;
-    maybe_audit t;
-    Some (pkt, id, if rt then Hfsc.Realtime else Hfsc.Linkshare)
-  end
-  else begin
-    maybe_audit t;
-    None
-  end
-
-let dequeue_batch t ~now (b : Pkt.Batch.t) =
-  let n = t.be.Backend.deq_fill ~now b in
-  for i = 0 to n - 1 do
-    let pkt = b.pkts.(i) in
-    Telemetry.note_dequeue t.tele ~id:b.ids.(i) ~now
-      ~size:pkt.Pkt.Packet.size ~flow:pkt.Pkt.Packet.flow
-      ~seq:pkt.Pkt.Packet.seq ~arrival:pkt.Pkt.Packet.arrival
-      ~realtime:b.rt.(i)
-  done;
+      ~arrival:pkt.Pkt.Packet.arrival ~realtime:o.o_rt
+  end;
   maybe_audit t;
-  n
+  served
+
+let dequeue t ~now =
+  if serve t ~now then
+    let o = t.be.Backend.out in
+    Some (o.o_pkt, o.o_id, if o.o_rt then Hfsc.Realtime else Hfsc.Linkshare)
+  else None
 
 let adapter t =
-  (* one packet per poll: the batched dequeue over one reused slot,
-     which itself allocates nothing *)
-  let b = Pkt.Batch.create ~capacity:1 () in
+  let o = t.be.Backend.out in
   {
     Sched.Scheduler.name = Backend.kind_name t.be.Backend.kind ^ "-runtime";
     enqueue = (fun ~now p -> enqueue_flow t ~now p);
     dequeue =
       (fun ~now ->
-        if dequeue_batch t ~now b = 0 then None
-        else
+        if serve t ~now then
           Some
             {
-              Sched.Scheduler.pkt = b.pkts.(0);
-              cls = t.be.Backend.cls_name b.ids.(0);
-              criterion = (if b.rt.(0) then "rt" else "ls");
-            });
+              Sched.Scheduler.pkt = o.o_pkt;
+              cls = t.be.Backend.cls_name o.o_id;
+              criterion = (if o.o_rt then "rt" else "ls");
+            }
+        else None);
     dequeue_many = None;
     next_ready = (fun ~now -> t.be.Backend.next_ready ~now);
     backlog_pkts = (fun () -> t.be.Backend.backlog_pkts ());

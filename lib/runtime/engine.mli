@@ -265,28 +265,20 @@ val enqueue_flow : t -> now:float -> Pkt.Packet.t -> bool
     the class queue is full (counted as a drop when mapped). *)
 
 val dequeue : t -> now:float -> (Pkt.Packet.t * int * Hfsc.criterion) option
-(** Exactly the backend's dequeue (the returned packet is the
-    scheduler's own, not a copy) plus counter and trace updates — the
-    returned class is its dense id; an rr backend always reports
-    {!Hfsc.Linkshare}. test_runtime's allocation test and towerbench's
+(** The backend's dequeue (the returned packet is the scheduler's own,
+    not a copy) plus counter and trace updates and the periodic-audit
+    tick — the returned class is its dense id; an rr backend always
+    reports {!Hfsc.Linkshare}. The packet also stays in the backend's
+    [out] record. test_runtime's allocation test and towerbench's
     [telemetry.*] trace rows measure this function against the bare
     scheduler. *)
-
-val dequeue_batch : t -> now:float -> Pkt.Batch.t -> int
-(** The native batched poll: the backend's [deq_fill] — the
-    scheduler's own [dequeue_batch] filling the caller's batch in
-    place, bit-identical in scheduling outcome to that many single
-    {!dequeue} calls — plus per-packet telemetry, at the cost of one
-    time conversion and one periodic-audit tick for the whole batch.
-    Returns the fill count; zero words of allocation per packet,
-    traced or not. *)
 
 val adapter : t -> Sched.Scheduler.t
 (** Package the engine for {!Netsim.Sim} — the one H-FSC (and rr)
     adapter: every simulated H-FSC is an engine wrapped by this, so the
     simulator measures the same path the router and daemon run. Its
-    [dequeue] is {!dequeue_batch} over one reused one-slot batch;
-    [dequeue_many] is [None]. *)
+    [dequeue] shares {!dequeue}'s one function and reads the packet
+    from the backend's [out] record; [dequeue_many] is [None]. *)
 
 (** {2 Exporters} *)
 

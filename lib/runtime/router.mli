@@ -160,8 +160,8 @@ val enqueue_flow : t -> now:float -> Pkt.Packet.t -> bool
     the owning link's engine; [false] if the flow is unmapped anywhere
     or the class queue refuses it. Dequeue has no router-level
     counterpart by design: each link drains independently (its own
-    transmitter), via its engine handle from {!links} — batched, with
-    {!Engine.dequeue_batch}, when the link models a transmit ring. *)
+    transmitter), one packet per transmit completion, via its engine
+    handle from {!links}. *)
 
 (** {2 Exporters} *)
 

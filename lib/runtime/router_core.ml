@@ -145,6 +145,13 @@ let add_link t ~name ~link_rate ~backend =
     if (not (Float.is_finite link_rate)) || link_rate <= 0. then
       errf Engine.Bad_value "link rate must be finite and positive, got %g"
         link_rate
+    else if
+      backend = Backend.Hfsc_kind && link_rate < Curve.Fixed_point.min_rate
+    then
+      errf Engine.Bad_value
+        "link rate %g B/s out of range for hfsc (under %g B/s it rounds to 0 \
+         in fixed point)"
+        link_rate Curve.Fixed_point.min_rate
     else Ok ()
   in
   let port = t.new_port ~link_rate backend in

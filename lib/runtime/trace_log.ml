@@ -51,7 +51,6 @@ module Sink = struct
     s_path : string;
     oc : out_channel;
     buf : Bytes.t; (* buffer_records * record_size staging area *)
-    cap : int; (* records the buffer holds *)
     mutable fill : int; (* records currently staged *)
     mutable cursor : int; (* next ring index to spill *)
     mutable written : int;
@@ -59,16 +58,16 @@ module Sink = struct
     mutable closed : bool;
   }
 
-  let create ?(buffer_records = 512) ~path () =
-    if buffer_records <= 0 then
-      invalid_arg "Trace_log.Sink.create: buffer_records must be positive";
+  (* records the staging buffer holds *)
+  let buffer_records = 512
+
+  let create ~path () =
     let oc = open_out_bin path in
     output_bytes oc (encode_header ());
     {
       s_path = path;
       oc;
       buf = Bytes.create (buffer_records * record_size);
-      cap = buffer_records;
       fill = 0;
       cursor = 0;
       written = 0;
@@ -85,7 +84,7 @@ module Sink = struct
     end
 
   let put t ~ts ~kind ~cls ~flow ~size ~seq =
-    if t.fill = t.cap then flush_buf t;
+    if t.fill = buffer_records then flush_buf t;
     encode t.buf (t.fill * record_size) ~ts ~kind ~cls ~flow ~size ~seq;
     t.fill <- t.fill + 1;
     t.written <- t.written + 1
@@ -184,9 +183,11 @@ let read_file path =
 (* --- the delay histogram --------------------------------------------- *)
 
 module Histogram = struct
+  (* the upper edge of bucket 0 (1 us), and the bucket count *)
+  let floor = 1e-6
+  let nb = 32
+
   type t = {
-    floor : float;
-    nb : int;
     rt : int array;
     ls : int array;
     pending : (int * int, float) Hashtbl.t; (* (flow, seq) -> enqueue ts *)
@@ -195,16 +196,10 @@ module Histogram = struct
     mutable max_delay : float;
   }
 
-  let create ?(floor = 1e-6) ?(buckets = 32) () =
-    if floor <= 0. then
-      invalid_arg "Trace_log.Histogram.create: floor must be positive";
-    if buckets < 2 then
-      invalid_arg "Trace_log.Histogram.create: need at least 2 buckets";
+  let create () =
     {
-      floor;
-      nb = buckets;
-      rt = Array.make buckets 0;
-      ls = Array.make buckets 0;
+      rt = Array.make nb 0;
+      ls = Array.make nb 0;
       pending = Hashtbl.create 256;
       samples = 0;
       unmatched = 0;
@@ -213,15 +208,15 @@ module Histogram = struct
 
   (* bucket 0: [0, floor); bucket i: [floor*2^(i-1), floor*2^i); the
      last bucket absorbs the rest *)
-  let bucket_of t d =
-    if d < t.floor then 0
+  let bucket_of d =
+    if d < floor then 0
     else
-      let rec go i lo = if i >= t.nb - 1 || d < lo *. 2. then i else go (i + 1) (lo *. 2.) in
-      go 1 t.floor
+      let rec go i lo = if i >= nb - 1 || d < lo *. 2. then i else go (i + 1) (lo *. 2.) in
+      go 1 floor
 
   let observe t ~rt d =
     let d = Float.max d 0. in
-    let i = bucket_of t d in
+    let i = bucket_of d in
     if rt then t.rt.(i) <- t.rt.(i) + 1 else t.ls.(i) <- t.ls.(i) + 1;
     t.samples <- t.samples + 1;
     if d > t.max_delay then t.max_delay <- d
@@ -248,15 +243,15 @@ module Histogram = struct
   let unmatched t = t.unmatched
   let max_delay t = t.max_delay
 
-  let edges t i =
-    if i = 0 then (0., t.floor)
+  let edges i =
+    if i = 0 then (0., floor)
     else
-      let lo = t.floor *. Float.of_int (1 lsl (i - 1)) in
-      (lo, if i = t.nb - 1 then Float.infinity else lo *. 2.)
+      let lo = floor *. Float.of_int (1 lsl (i - 1)) in
+      (lo, if i = nb - 1 then Float.infinity else lo *. 2.)
 
   let buckets t =
-    Array.init t.nb (fun i ->
-        let lo, hi = edges t i in
+    Array.init nb (fun i ->
+        let lo, hi = edges i in
         (lo, hi, t.rt.(i), t.ls.(i)))
 
   let to_text t =
@@ -265,7 +260,7 @@ module Histogram = struct
     Array.iteri
       (fun i r ->
         if r > 0 || t.ls.(i) > 0 then begin
-          let lo, hi = edges t i in
+          let lo, hi = edges i in
           let pp v =
             if v = Float.infinity then "inf"
             else if v >= 1. then Printf.sprintf "%.3gs" v

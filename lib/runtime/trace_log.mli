@@ -46,14 +46,13 @@ val record_size : int
 module Sink : sig
   type t
 
-  val create : ?buffer_records:int -> path:string -> unit -> t
-  (** Open (truncate) [path] and write the header. [buffer_records]
-      (default 512) sizes the staging {!Bytes} buffer: the drain hot
-      path encodes into it and hands the OS one batched write per
-      buffer fill, allocating nothing per event.
+  val create : path:string -> unit -> t
+  (** Open (truncate) [path] and write the header. A 512-record
+      staging {!Bytes} buffer backs the drain hot path: it encodes
+      into it and hands the OS one write per buffer fill, allocating
+      nothing per event.
 
-      @raise Sys_error as [open_out] does.
-      @raise Invalid_argument on a non-positive [buffer_records]. *)
+      @raise Sys_error as [open_out] does. *)
 
   val path : t -> string
 
@@ -104,13 +103,10 @@ val fold_file :
 module Histogram : sig
   type t
 
-  val create : ?floor:float -> ?buckets:int -> unit -> t
-  (** [floor] (default 1e-6 s) is the upper edge of bucket 0; bucket
-      [i > 0] covers [[floor * 2^(i-1), floor * 2^i)]; the last bucket
-      also absorbs everything above it. [buckets] (default 32) is the
-      total bucket count.
-
-      @raise Invalid_argument on [floor <= 0] or [buckets < 2]. *)
+  val create : unit -> t
+  (** 32 buckets: bucket 0 is [[0, 1 us)], bucket [i > 0] covers
+      [[2^(i-1), 2^i)] us, and the last bucket also absorbs everything
+      above it. *)
 
   val observe : t -> rt:bool -> float -> unit
   (** Account one sojourn directly (negative delays clamp to 0). *)

@@ -62,7 +62,7 @@ type t = {
   mutable agg_bytes : int;
   mutable policy : drop_policy;
   mutable on_drop : float -> cls -> Pkt.Packet.t -> unit;
-  (* out-params of [dequeue_core], so the batched path allocates
+  (* out-param of [dequeue_core], so [dequeue_into] allocates
      nothing (mirrors [Hfsc]) *)
   mutable deq_pkt : Pkt.Packet.t;
 }
@@ -432,29 +432,18 @@ let dequeue t ~now =
   let leaf = dequeue_core t in
   if leaf == nil then None else Some (t.deq_pkt, leaf)
 
-(* --- batched dequeue (mirrors [Hfsc]) ------------------------------- *)
-
-let rec deq_batch_loop t (b : Pkt.Batch.t) i cap =
-  if i >= cap then i
-  else begin
-    let leaf = dequeue_core t in
-    if leaf == nil then i
-    else begin
-      (* [i < cap = Pkt.Batch.capacity b], the length of all three
-         arrays *)
-      Array.unsafe_set b.pkts i t.deq_pkt;
-      Array.unsafe_set b.ids i leaf.id;
-      (* round-robin serves everything as link-sharing *)
-      Array.unsafe_set b.rt i false;
-      deq_batch_loop t b (i + 1) cap
-    end
-  end
-
-let dequeue_batch t ~now (b : Pkt.Batch.t) =
+(* mirrors [Hfsc.dequeue_into]; round-robin serves everything as
+   link-sharing *)
+let dequeue_into t ~now (s : Pkt.Served.t) =
   ignore now;
-  let n = deq_batch_loop t b 0 (Array.length b.pkts) in
-  b.count <- n;
-  n
+  let leaf = dequeue_core t in
+  leaf != nil
+  && begin
+       s.o_pkt <- t.deq_pkt;
+       s.o_id <- leaf.id;
+       s.o_rt <- false;
+       true
+     end
 
 (* Work-conserving with no rate caps: backlogged means servable now. *)
 let next_ready_time t ~now = if t.bl_pkts = 0 then None else Some now

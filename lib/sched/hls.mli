@@ -16,8 +16,8 @@
 
     The surface deliberately mirrors {!Hfsc} (dense ids, queue and
     aggregate limits with the same eviction policies, a drop hook,
-    class snapshots, a batched dequeue into the shared {!Pkt.Batch}
-    with instance-held out-params), so {!Runtime.Backend} can drive either through one
+    class snapshots, a dequeue into the shared {!Pkt.Served} record
+    from instance-held out-params), so {!Runtime.Backend} can drive either through one
     record.
 
     {b Domain ownership.} A [t] is a single-domain mutable object —
@@ -117,12 +117,11 @@ val dequeue : t -> now:float -> (Pkt.Packet.t * cls) option
 (** Serve one packet by the rotor chain; [None] iff idle (the
     scheduler is work-conserving: backlogged means servable). *)
 
-val dequeue_batch : t -> now:float -> Pkt.Batch.t -> int
-(** Fill up to [Pkt.Batch.capacity] slots of the caller's batch with
-    packets, leaf {!id}s and a [false] real-time flag, in place — a
-    drained packet costs zero words of allocation (mirrors
-    {!Hfsc.dequeue_batch}). Bit-identical in service order to that
-    many single {!dequeue} calls. Returns the fill count. *)
+val dequeue_into : t -> now:float -> Pkt.Served.t -> bool
+(** {!dequeue} into the caller's record: on [true] it holds the
+    packet, the leaf's {!id} and a [false] real-time flag; [false]
+    iff idle, leaving the record untouched. Zero words of allocation
+    (mirrors {!Hfsc.dequeue_into}). *)
 
 val next_ready_time : t -> now:float -> float option
 (** [Some now] when backlogged, [None] when idle — no rate caps. *)

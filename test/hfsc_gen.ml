@@ -48,14 +48,14 @@ let rec leaves_of_spec = function
 
 (* --- op streams ---------------------------------------------------- *)
 
-(* One scheduler-level operation: traffic, polls (single and batched),
+(* One scheduler-level operation: traffic, polls (single and bursts),
    and the live-reconfiguration commands the control plane issues.
    Leaf indices are taken mod the number of leaves by the driver. *)
 type act =
   | Enq of int * int (* leaf index, packet size *)
   | Deq
   | Enq_burst of (int * int) list (* a receive-ring delivery *)
-  | Deq_burst of int (* a transmit-ring fill of that depth *)
+  | Deq_burst of int (* up to that many dequeues at one instant *)
   | Class_limits of int * int * int (* leaf index, pkts, bytes *)
   | Agg_limit of int * int
   | Policy of bool (* true = drop-from-longest *)
@@ -185,12 +185,14 @@ end
 
 (* Drive a scheduler through an op stream, rendering every decision
    (and the final per-class aggregates) into a trace string; two runs
-   agree iff the strings are equal. With [expand_bursts:true] a
-   dequeue burst runs as the equivalent sequence of single calls (an
-   enqueue burst always does) — so comparing the two modes on the
-   {e same} module asserts the batch-equals-singles bit-identity, and
-   comparing across modules asserts the scheduler differential. Raises [Failure] when the
-   periodic audit finds a violated invariant. *)
+   agree iff the strings are equal. A dequeue burst runs as n
+   [dequeue_into] calls on one reused [Pkt.Served] record, or with
+   [expand_bursts:true] as n option-returning [dequeue] calls (an
+   enqueue burst always runs as singles) — so comparing the two modes
+   on the {e same} module asserts that both entry points serve the
+   same sequence, and comparing across modules asserts the scheduler
+   differential. Raises [Failure] when the periodic audit finds a
+   violated invariant. *)
 module Drive (H : module type of Hfsc) = struct
   module B = Build (H)
 
@@ -216,7 +218,8 @@ module Drive (H : module type of Hfsc) = struct
         (Printf.sprintf "D%d:%d:%s:%d;" p.Pkt.Packet.flow p.Pkt.Packet.seq
            name crit)
     in
-    (* a batch names the served leaf by its id; map it back *)
+    (* the served record names the leaf by its id; map it back *)
+    let served = Pkt.Served.create () in
     let leaf_name id =
       let _, c, _ =
         Option.get (Array.find_opt (fun (_, c, _) -> H.id c = id) leaves)
@@ -271,14 +274,16 @@ module Drive (H : module type of Hfsc) = struct
                 go 0
               end
               else begin
-                let b = Pkt.Batch.create ~capacity:n () in
-                let c = H.dequeue_batch t ~now:!now b in
-                for k = 0 to c - 1 do
-                  deq_record (Pkt.Batch.pkt b k)
-                    (leaf_name (Pkt.Batch.id b k))
-                    (if Pkt.Batch.realtime b k then 0 else 1)
-                done;
-                c
+                (* n record fills, stopping at the first [false] *)
+                let rec go i =
+                  if i >= n || not (H.dequeue_into t ~now:!now served) then i
+                  else begin
+                    deq_record served.o_pkt (leaf_name served.o_id)
+                      (if served.o_rt then 0 else 1);
+                    go (i + 1)
+                  end
+                in
+                go 0
               end
             in
             Buffer.add_string buf (Printf.sprintf "DB%d;" count)

@@ -321,6 +321,20 @@ let test_hardening () =
            daemon keeps serving *)
         let r6 = D.Client.request conn "link add big rate 1e308GBps" in
         let r7 = D.Client.request conn "ping" in
+        (* a link rate and a curve the fixed-point arithmetic cannot
+           represent: bad-value each, and the daemon keeps serving *)
+        let unrepresentable =
+          List.map
+            (fun line ->
+              let r = D.Client.request conn line in
+              (line, r, D.Client.request conn "ping"))
+            [
+              "link add e3 rate 1e-300bps";
+              "link link0 add class x parent root flow 77 fsc 1bps";
+              "link link0 add class x parent root flow 77 fsc m1 100KBps d \
+               1e10s m2 300KBps";
+            ]
+        in
         (* the same request dribbled one byte at a time must read whole *)
         let fd = raw_connect socket in
         String.iter
@@ -346,10 +360,10 @@ let test_hardening () =
         Unix.close fd;
         ignore (D.Client.request conn "shutdown");
         D.Client.close conn;
-        (r1, r2, r3, r4, r5, r6, r7, dribble, floodr, eof))
+        (r1, r2, r3, r4, r5, r6, r7, unrepresentable, dribble, floodr, eof))
   in
   D.serve d;
-  let r1, r2, r3, r4, r5, r6, r7, dribble, floodr, eof =
+  let r1, r2, r3, r4, r5, r6, r7, unrepresentable, dribble, floodr, eof =
     Domain.join client
   in
   (match r1 with
@@ -380,6 +394,15 @@ let test_hardening () =
   | Error (c, m) -> Alcotest.failf "overflowing rate: %s %s" c m);
   Alcotest.(check (result string (pair string string)))
     "daemon survives the overflowing rate" (Ok "pong") r7;
+  List.iter
+    (fun (line, r, pong) ->
+      (match r with
+      | Error ("bad-value", _) -> ()
+      | Ok s -> Alcotest.failf "%s: accepted: %s" line s
+      | Error (c, m) -> Alcotest.failf "%s: %s %s" line c m);
+      Alcotest.(check (result string (pair string string)))
+        (line ^ ": the daemon keeps serving") (Ok "pong") pong)
+    unrepresentable;
   Alcotest.(check bool) "overflowing rate adds no link" true
     (R.link_count live = 1);
   Alcotest.(check string) "byte-dribbled ping reads whole" "ok 4\npong\n"

@@ -138,9 +138,8 @@ let run_differential ~domains ~seed ~nops =
   let now = ref 0. in
   let pseq = ref 0 in
   let nop = ref 0 in
-  (* one sequential adapter per link, dropped with the link: its batch
-     cache is reallocated when the burst size changes, as the worker's
-     per-port cache is — identical audit-tick cadence *)
+  (* one sequential adapter per link, dropped with the link, as the
+     worker keeps one per port *)
   let seq_adapters : (string, Sched.Scheduler.t) Hashtbl.t =
     Hashtbl.create 8
   in

@@ -4,12 +4,12 @@
    Two layers:
 
    - scheduler differential fuzz: the same generated hierarchy and the
-     same op stream (enqueue/dequeue — single and batched —
+     same op stream (enqueue/dequeue — option and record —
      queue-limit/aggregate-limit/policy changes) driven through [Hfsc]
      and the linear-scan [Hfsc_ref], each in both burst modes, with [audit]
      run every 64 ops; all four traces must be bit-identical (floats
      rendered with %h) — pinning both the optimized-vs-reference
-     differential and the batch-equals-singles identity;
+     differential and the record-equals-singles identity;
 
    - engine fuzz: a live [Runtime.Engine] with [audit_every:64] fed a
      mix of traffic and control lines, including the malformed pool
@@ -52,17 +52,17 @@ let sched_fuzz ~seed ~nops =
   in
   let traces =
     [
-      ( "Hfsc/batched",
+      ( "Hfsc/record",
         guard (fun () ->
-            DOpt.run ~audit_every ~what:"Hfsc/batched" ~expand_bursts:false
+            DOpt.run ~audit_every ~what:"Hfsc/record" ~expand_bursts:false
               ~spec ~ops ()) );
       ( "Hfsc/singles",
         guard (fun () ->
             DOpt.run ~audit_every ~what:"Hfsc/singles" ~expand_bursts:true
               ~spec ~ops ()) );
-      ( "Hfsc_ref/batched",
+      ( "Hfsc_ref/record",
         guard (fun () ->
-            DRef.run ~audit_every ~what:"Hfsc_ref/batched"
+            DRef.run ~audit_every ~what:"Hfsc_ref/record"
               ~expand_bursts:false ~spec ~ops ()) );
       ( "Hfsc_ref/singles",
         guard (fun () ->
@@ -337,7 +337,7 @@ let () =
     r_rejected := !r_rejected + r
   done;
   Printf.printf
-    "fuzz ok: %d seed%s x %d ops: scheduler and batched paths match the \
+    "fuzz ok: %d seed%s x %d ops: scheduler option and record paths match the \
      reference under audit; engine applied %d and rejected %d commands with \
      state intact; router (3 links + churn) applied %d and rejected %d\n"
     seeds

@@ -1,7 +1,7 @@
 (* Tests for the H-FSC scheduler: construction rules, both scheduling
    criteria, the fairness/guarantee properties of Sections III-VI, the
    upper-limit extension, regression tests for churn scenarios, and
-   the batched dequeue's zero-allocation promise. *)
+   the record dequeue's zero-allocation promise. *)
 
 module Sc = Curve.Service_curve
 
@@ -60,6 +60,90 @@ let test_construction_errors () =
   Alcotest.(check bool) "leaf that served packets" true
     (raises_invalid (fun () ->
          ignore (Hfsc.add_class t ~parent:plain ~name:"y" ~fsc:(Sc.linear 1.) ())))
+
+(* Curves the fixed-point arithmetic cannot represent are refused
+   before anything is built. A long-run rate under 0.5 B/s quantizes
+   to a zero slope: such a class beside a busy one drove the scheduling
+   state negative ("negative (overflowed?) scheduling state" from
+   [audit]). A breakpoint of 2^32 s or more overflows its tick count:
+   [m1 100KBps d 1e10s m2 300KBps] against a [300KBps] sibling was
+   served 1:1 instead of 1:3. Each repro also runs at a representable
+   value, which must schedule correctly. *)
+let test_unrepresentable_curves_refused () =
+  let refused what f =
+    match f () with
+    | exception Invalid_argument msg ->
+        let has sub =
+          let n = String.length sub in
+          let rec go i =
+            i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+          in
+          go 0
+        in
+        Alcotest.(check bool) (what ^ ": says out of range") true
+          (has "out of range")
+    | () -> Alcotest.failf "%s: accepted" what
+  in
+  (* x and y (5 Mbit/s) fed by interleaved arrivals, one dequeue an
+     arrival slot, audited after every dequeue *)
+  let audit_repro ?rsc ~fsc () =
+    let link_rate = 1.25e6 in
+    let t = Hfsc.create ~link_rate () in
+    let root = Hfsc.root t in
+    let x = Hfsc.add_class t ~parent:root ~name:"x" ?rsc ~fsc () in
+    let y =
+      Hfsc.add_class t ~parent:root ~name:"y" ~fsc:(Sc.linear 625_000.) ()
+    in
+    let now = ref 0. in
+    for s = 1 to 400 do
+      let arrive cls flow =
+        ignore
+          (Hfsc.enqueue t ~now:!now cls
+             (pkt ~flow ~size:1000 ~seq:s ~arrival:!now))
+      in
+      if s mod 3 = 0 then arrive x 1;
+      if s mod 2 = 0 then arrive y 2;
+      (match Hfsc.dequeue t ~now:!now with
+      | Some (p, _, _) ->
+          now := !now +. (float_of_int p.Pkt.Packet.size /. link_rate)
+      | None -> now := !now +. 0.001);
+      Alcotest.(check (list string)) "audit clean" [] (Hfsc.audit t)
+    done
+  in
+  List.iter
+    (fun rate ->
+      let sc = Sc.linear rate in
+      refused (Printf.sprintf "fsc %g B/s" rate) (audit_repro ~fsc:sc);
+      refused (Printf.sprintf "rsc %g B/s" rate)
+        (audit_repro ~rsc:sc ~fsc:(Sc.linear 1e5)))
+    [ 0.; 0.125; 0.49 ];
+  audit_repro ~fsc:(Sc.linear 0.5) ();
+  audit_repro ~rsc:(Sc.linear 0.5) ~fsc:(Sc.linear 1e5) ();
+  (* x's fsc at m1 = 100KBps for [d] seconds beside y at 300KBps, both
+     backlogged: x takes a quarter of the first 400 packets *)
+  let share_repro d () =
+    let link_rate = 400_000. in
+    let t = Hfsc.create ~link_rate () in
+    let root = Hfsc.root t in
+    let x =
+      Hfsc.add_class t ~parent:root ~name:"x"
+        ~fsc:(Sc.make ~m1:100_000. ~d ~m2:300_000.) ()
+    in
+    let y = Hfsc.add_class t ~parent:root ~name:"y" ~fsc:(Sc.linear 300_000.) () in
+    for s = 0 to 499 do
+      ignore (Hfsc.enqueue t ~now:0. x (pkt ~flow:1 ~size:1000 ~seq:s ~arrival:0.));
+      ignore (Hfsc.enqueue t ~now:0. y (pkt ~flow:2 ~size:1000 ~seq:s ~arrival:0.))
+    done;
+    let first = List.filteri (fun i _ -> i < 400) (drain t ~link_rate) in
+    let xs = List.length (List.filter (fun (_, n, _, _) -> n = "x") first) in
+    Alcotest.(check bool)
+      (Printf.sprintf "d=%gs: x served %d of 400, about 100" d xs)
+      true
+      (abs (xs - 100) <= 5)
+  in
+  refused "fsc breakpoint d=1e10s" (share_repro 1e10);
+  refused "fsc breakpoint d=2^31s" (share_repro (ldexp 1. 31));
+  share_repro 1e8 ()
 
 let test_fsc_defaults_to_rsc () =
   let t = Hfsc.create ~link_rate:1e6 () in
@@ -583,46 +667,62 @@ let test_eligible_policies_basic_equiv () =
   let a = run Hfsc.Eligible_paper and b = run Hfsc.Eligible_deadline in
   Alcotest.(check (list (float 1e-9))) "same schedule for concave" a b
 
-(* --- the batched path allocates nothing ------------------------------ *)
+(* --- the record path allocates nothing ------------------------------- *)
 
-(* A burst drained through [dequeue_batch] lands in the batch's
-   preallocated slots: exactly zero minor words per packet, here on
-   1000 flat rsc+fsc leaves at burst 32. The timed drains read an
-   already-boxed clock so the caller's float boxing is not charged to
-   the scheduler. *)
-let test_dequeue_batch_allocates_nothing () =
+(* Serve up to [n] packets at [now], one [dequeue] (a held record
+   fill) each; top-level so a drain builds no closure. *)
+let rec drain_n dequeue ~now n i =
+  if i < n && dequeue ~now then drain_n dequeue ~now n (i + 1) else i
+
+(* Drains of 32 [dequeue_into] calls on one held [Pkt.Served] record,
+   bare and through [Runtime.Backend.dequeue]: exactly zero minor words
+   per packet, here on 1000 flat rsc+fsc leaves. The timed drains read
+   an already-boxed clock so the caller's float boxing is not charged
+   to the scheduler. *)
+let test_dequeue_into_allocates_nothing () =
   let n = 1000 and burst = 32 and warm = 8 and k = 128 in
   let link_rate = 12_500_000. in
-  let t = Hfsc.create ~link_rate () in
-  let sc = Sc.linear (link_rate /. float_of_int n) in
   let per = ((k + warm) * burst / n) + 2 in
-  for i = 0 to n - 1 do
-    let leaf =
-      Hfsc.add_class t ~parent:(Hfsc.root t) ~name:(Printf.sprintf "l%d" i)
-        ~rsc:sc ~fsc:sc ~qlimit:1_000_000 ()
-    in
-    for s = 0 to per - 1 do
-      ignore (Hfsc.enqueue t ~now:0. leaf (pkt ~flow:i ~size:1000 ~seq:s ~arrival:0.))
-    done
-  done;
-  let b = Pkt.Batch.create ~capacity:burst () in
-  let now = ref 0. in
-  for _ = 1 to warm do
-    now := !now +. (1000. *. float_of_int burst /. link_rate);
-    ignore (Hfsc.dequeue_batch t ~now:!now b)
-  done;
-  match Sys.opaque_identity [ !now ] with
-  | [ boxed_now ] ->
-      let served = ref 0 in
-      let w0 = Gc.minor_words () in
-      for _ = 1 to k do
-        served := !served + Hfsc.dequeue_batch t ~now:boxed_now b
-      done;
-      let words = Gc.minor_words () -. w0 in
-      Alcotest.(check int) "every drain filled the batch" (k * burst) !served;
-      Alcotest.(check (float 0.)) "minor words per batched packet" 0.
-        (words /. float_of_int (k * burst))
-  | _ -> assert false
+  let build () =
+    let t = Hfsc.create ~link_rate () in
+    let sc = Sc.linear (link_rate /. float_of_int n) in
+    for i = 0 to n - 1 do
+      let leaf =
+        Hfsc.add_class t ~parent:(Hfsc.root t) ~name:(Printf.sprintf "l%d" i)
+          ~rsc:sc ~fsc:sc ~qlimit:1_000_000 ()
+      in
+      for s = 0 to per - 1 do
+        ignore
+          (Hfsc.enqueue t ~now:0. leaf (pkt ~flow:i ~size:1000 ~seq:s ~arrival:0.))
+      done
+    done;
+    t
+  in
+  let words_per_packet ~what dequeue =
+    let now = ref 0. in
+    for _ = 1 to warm do
+      now := !now +. (1000. *. float_of_int burst /. link_rate);
+      ignore (drain_n dequeue ~now:!now burst 0)
+    done;
+    match Sys.opaque_identity [ !now ] with
+    | [ boxed_now ] ->
+        let served = ref 0 in
+        let w0 = Gc.minor_words () in
+        for _ = 1 to k do
+          served := !served + drain_n dequeue ~now:boxed_now burst 0
+        done;
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check int) (what ^ ": every drain was full") (k * burst)
+          !served;
+        Alcotest.(check (float 0.)) (what ^ ": minor words per packet") 0.
+          (words /. float_of_int (k * burst))
+    | _ -> assert false
+  in
+  (let t = build () and s = Pkt.Served.create () in
+   words_per_packet ~what:"Hfsc.dequeue_into" (fun ~now ->
+       Hfsc.dequeue_into t ~now s));
+  let be = Runtime.Backend.of_hfsc ~link_rate (build ()) in
+  words_per_packet ~what:"Backend.dequeue" be.Runtime.Backend.dequeue
 
 let () =
   Alcotest.run "hfsc"
@@ -630,6 +730,8 @@ let () =
       ( "construction",
         [
           Alcotest.test_case "errors" `Quick test_construction_errors;
+          Alcotest.test_case "unrepresentable curves refused" `Quick
+            test_unrepresentable_curves_refused;
           Alcotest.test_case "fsc defaults to rsc" `Quick
             test_fsc_defaults_to_rsc;
           Alcotest.test_case "introspection" `Quick test_introspection;
@@ -688,7 +790,7 @@ let () =
         ] );
       ( "batch",
         [
-          Alcotest.test_case "dequeue_batch allocates nothing" `Quick
-            test_dequeue_batch_allocates_nothing;
+          Alcotest.test_case "dequeue_into allocates nothing" `Quick
+            test_dequeue_into_allocates_nothing;
         ] );
     ]

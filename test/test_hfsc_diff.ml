@@ -86,17 +86,17 @@ let sched_diff_random =
     (fun (spec, seed) ->
       TOpt.run ~spec ~seed ~nops:400 = TRef.run ~spec ~seed ~nops:400)
 
-(* --- batched entry points vs singles -------------------------------- *)
+(* --- the record entry point vs singles ------------------------------ *)
 
-(* The batch API's contract is bit-identity with the equivalent single
-   calls. Drive the shared op stream (which includes Enq_burst and
-   Deq_burst ops) through the optimized scheduler in both modes and
-   through the reference, and require one trace — the short default
-   form of the @fuzz four-way differential. *)
+(* [dequeue_into]'s contract is bit-identity with [dequeue]. Drive the
+   shared op stream (which includes Enq_burst and Deq_burst ops)
+   through the optimized scheduler in both modes and through the
+   reference, and require one trace — the short default form of the
+   @fuzz four-way differential. *)
 module BOpt = Hfsc_gen.Drive (Hfsc)
 module BRef = Hfsc_gen.Drive (Hfsc_ref)
 
-let batch_identity =
+let record_identity =
   qt ~count:25 "batched = singles = reference over random op streams"
     QCheck2.Gen.(pair Hfsc_gen.tree_gen (int_range 0 100_000))
     (fun (spec, seed) ->
@@ -106,10 +106,10 @@ let batch_identity =
           ~nleaves:(Hfsc_gen.leaves_of_spec spec)
           ~nops:400
       in
-      let batched = BOpt.run ~expand_bursts:false ~spec ~ops () in
+      let record = BOpt.run ~expand_bursts:false ~spec ~ops () in
       let singles = BOpt.run ~expand_bursts:true ~spec ~ops () in
-      let ref_b = BRef.run ~expand_bursts:false ~spec ~ops () in
-      batched = singles && batched = ref_b)
+      let ref_r = BRef.run ~expand_bursts:false ~spec ~ops () in
+      record = singles && record = ref_r)
 
 (* --- tie-heavy inputs ------------------------------------------------ *)
 
@@ -150,11 +150,11 @@ let tie_ops =
 
 let test_ties () =
   let spec = tie_spec and ops = tie_ops in
-  let batched = BOpt.run ~expand_bursts:false ~spec ~ops () in
+  let record = BOpt.run ~expand_bursts:false ~spec ~ops () in
   let singles = BOpt.run ~expand_bursts:true ~spec ~ops () in
   let reference = BRef.run ~expand_bursts:false ~spec ~ops () in
-  Alcotest.(check string) "singles = batched" batched singles;
-  Alcotest.(check string) "reference = batched" batched reference
+  Alcotest.(check string) "singles = record" record singles;
+  Alcotest.(check string) "reference = record" record reference
 
 (* --- set_curves while the hierarchy holds backlog ------------------- *)
 
@@ -306,7 +306,7 @@ let () =
           sched_diff_random;
           Alcotest.test_case "tie-heavy bursts" `Quick test_ties;
         ] );
-      ("batch", [ batch_identity ]);
+      ("batch", [ record_identity ]);
       ( "set_curves",
         [
           Alcotest.test_case "mid-backlog big run" `Quick

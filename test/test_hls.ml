@@ -1,12 +1,12 @@
 (* Tests for the pluggable-backend tier (lib/sched/hls +
    lib/runtime/backend): the round-robin scheduler's own properties —
    work conservation, quantum-proportional long-run shares (flat and
-   hierarchical), batch-equals-singles, a batched drain that allocates
-   nothing at 10k classes (H-FSC's too) — the engine driving it through
-   the Runtime.Backend record (grammar, admission, telemetry, stats,
-   checkpoint round-trip), and the differential pin that the hfsc
-   backend behind the same record stays bit-identical to a raw Hfsc
-   scheduler driven directly. *)
+   hierarchical), [dequeue_into] against [dequeue], drains that
+   allocate nothing at 10k classes (H-FSC's too) — the engine driving
+   it through the Runtime.Backend record (grammar, admission,
+   telemetry, stats, checkpoint round-trip), and the differential pin
+   that the hfsc backend behind the same record stays bit-identical to
+   a raw Hfsc scheduler driven directly. *)
 
 module E = Runtime.Engine
 module B = Runtime.Backend
@@ -173,11 +173,10 @@ let test_quantum_shares_hierarchical () =
   check_shares ~what:"hierarchical 1:1:2" served [| 1; 1; 2 |];
   Alcotest.(check (list string)) "audit clean" [] (Hls.audit t)
 
-(* The batched entry point is bit-identical in service order to that
-   many single dequeues: two schedulers built identically, one drained
-   through [dequeue_batch] with varying capacities, one through
-   singles. *)
-let test_batch_equals_singles () =
+(* The record entry point is bit-identical in service order to the
+   option-returning one: two schedulers built identically, one drained
+   through [dequeue_into] on one held record, one through [dequeue]. *)
+let test_dequeue_into_equals_dequeue () =
   let build () =
     let t = Hls.create () in
     let root = Hls.root t in
@@ -191,6 +190,7 @@ let test_batch_equals_singles () =
     (t, leaves)
   in
   let ta, la = build () and tb, lb = build () in
+  let served = Pkt.Served.create () in
   let rng = Random.State.make [| 0xb47c4 |] in
   (* random interleaving of bursts and drains, mirrored on both *)
   for _ = 1 to 200 do
@@ -201,36 +201,37 @@ let test_batch_equals_singles () =
       ignore (Hls.enqueue ta ~now:0. la.(leaf) p);
       ignore (Hls.enqueue tb ~now:0. lb.(leaf) p)
     done;
-    let want = 1 + Random.State.int rng 6 in
-    let hb = Pkt.Batch.create ~capacity:want () in
-    let n = Hls.dequeue_batch ta ~now:0. hb in
-    Alcotest.(check int) "fill count kept" n (Pkt.Batch.count hb);
-    for i = 0 to n - 1 do
-      match Hls.dequeue tb ~now:0. with
-      | None -> Alcotest.fail "singles ran dry before the batch"
-      | Some (p, cls) ->
-          Alcotest.(check bool) "same packet" true (Pkt.Batch.pkt hb i == p);
-          Alcotest.(check int) "same class" (Hls.id cls) (Pkt.Batch.id hb i)
-    done;
-    if n < want then
-      Alcotest.(check bool) "both idle after a short fill" true
-        (Hls.dequeue tb ~now:0. = None)
+    for _ = 1 to 1 + Random.State.int rng 6 do
+      match (Hls.dequeue_into ta ~now:0. served, Hls.dequeue tb ~now:0.) with
+      | false, None -> ()
+      | true, Some (p, cls) ->
+          Alcotest.(check bool) "same packet" true (served.o_pkt == p);
+          Alcotest.(check int) "same class" (Hls.id cls) served.o_id;
+          Alcotest.(check bool) "never realtime" false served.o_rt
+      | true, None -> Alcotest.fail "dequeue ran dry before dequeue_into"
+      | false, Some _ -> Alcotest.fail "dequeue_into ran dry before dequeue"
+    done
   done;
   Alcotest.(check int) "same final backlog" (Hls.backlog_pkts ta)
     (Hls.backlog_pkts tb);
   Alcotest.(check (list string)) "audit a" [] (Hls.audit ta);
   Alcotest.(check (list string)) "audit b" [] (Hls.audit tb)
 
-(* Both backends' batched drains land in preallocated slots: exactly
-   zero minor words per packet at 10k classes, on the two-level
+(* Serve up to [n] packets, one [dequeue] each; top-level so a drain
+   builds no closure. *)
+let rec drain_n dequeue n i =
+  if i < n && dequeue ~now:0. then drain_n dequeue n (i + 1) else i
+
+(* Both backends' drains of [dequeue_into] calls fill one held record:
+   exactly zero minor words per packet at 10k classes, on the two-level
    hierarchy E7's backend table times (leaves under aggregates of
    1000; fsc-only for H-FSC). The standing backlog sits on the first
    4096 leaves. The clock never advances (the fsc-only H-FSC build
    serves by virtual time), so no float is boxed in the timed loop.
-   Each scheduler is drained twice: alone, and through a traced engine
-   over its backend — [Engine.dequeue_batch], the path every simulated
-   link's batched polls take. *)
-let test_batched_drain_allocates_nothing () =
+   Each scheduler is drained three times: bare, through its
+   [Backend.dequeue], and through a traced engine's [Engine.dequeue],
+   which costs exactly its 6-word [Some (pkt, id, crit)] result. *)
+let test_drains_allocate_nothing () =
   let n = 10_000 and fanout = 1000 and hot = 4096 in
   let burst = 64 and warm = 8 and k = 128 in
   let per = ((k + warm) * burst / hot) + 2 in
@@ -241,27 +242,25 @@ let test_batched_drain_allocates_nothing () =
           agg := add_agg (Printf.sprintf "agg%d" (i / fanout));
         add_leaf !agg (Printf.sprintf "leaf%d" i))
   in
-  let words_per_packet ~what ~enqueue ~drain =
+  let words_per_packet ~what ~words ~enqueue dequeue =
     for i = 0 to hot - 1 do
       for s = 0 to per - 1 do
         enqueue i (pkt ~flow:i ~seq:s ())
       done
     done;
     for _ = 1 to warm do
-      ignore (drain ())
+      ignore (drain_n dequeue burst 0)
     done;
     let served = ref 0 in
     let w0 = Gc.minor_words () in
     for _ = 1 to k do
-      served := !served + drain ()
+      served := !served + drain_n dequeue burst 0
     done;
-    let words = Gc.minor_words () -. w0 in
-    Alcotest.(check int) (what ^ ": every drain filled the batch") (k * burst)
-      !served;
-    Alcotest.(check (float 0.)) (what ^ ": minor words per batched packet") 0.
-      (words /. float_of_int (k * burst))
+    let w = Gc.minor_words () -. w0 in
+    Alcotest.(check int) (what ^ ": every drain was full") (k * burst) !served;
+    Alcotest.(check (float 0.)) (what ^ ": minor words per packet") words
+      (w /. float_of_int (k * burst))
   in
-  let b = Pkt.Batch.create ~capacity:burst () in
   let rr () =
     let t = Hls.create () in
     let leaves =
@@ -289,20 +288,31 @@ let test_batched_drain_allocates_nothing () =
     in
     (t, leaves)
   in
+  let served = Pkt.Served.create () in
+  (let t, leaves = rr () in
+   words_per_packet ~what:"rr" ~words:0.
+     ~enqueue:(fun i p -> ignore (Hls.enqueue t ~now:0. leaves.(i) p))
+     (fun ~now -> Hls.dequeue_into t ~now served));
+  (let t, leaves = hfsc () in
+   words_per_packet ~what:"hfsc" ~words:0.
+     ~enqueue:(fun i p -> ignore (Hfsc.enqueue t ~now:0. leaves.(i) p))
+     (fun ~now -> Hfsc.dequeue_into t ~now served));
+  let backend ~what be ids =
+    words_per_packet ~what ~words:0.
+      ~enqueue:(fun i p -> ignore (be.B.enqueue ~now:0. ids.(i) p))
+      be.B.dequeue
+  in
   let traced ~what be ids =
     let eng = E.create_backend ~tracing:true be ~flow_map:[] () in
-    words_per_packet ~what
+    words_per_packet ~what ~words:6.
       ~enqueue:(fun i p -> ignore (E.enqueue eng ~now:0. ids.(i) p))
-      ~drain:(fun () -> E.dequeue_batch eng ~now:0. b)
+      (fun ~now -> Option.is_some (E.dequeue eng ~now))
   in
   (let t, leaves = rr () in
-   words_per_packet ~what:"rr"
-     ~enqueue:(fun i p -> ignore (Hls.enqueue t ~now:0. leaves.(i) p))
-     ~drain:(fun () -> Hls.dequeue_batch t ~now:0. b));
+   backend ~what:"rr backend" (B.of_hls ~link_rate t) (Array.map Hls.id leaves));
   (let t, leaves = hfsc () in
-   words_per_packet ~what:"hfsc"
-     ~enqueue:(fun i p -> ignore (Hfsc.enqueue t ~now:0. leaves.(i) p))
-     ~drain:(fun () -> Hfsc.dequeue_batch t ~now:0. b));
+   backend ~what:"hfsc backend" (B.of_hfsc ~link_rate t)
+     (Array.map Hfsc.id leaves));
   (let t, leaves = rr () in
    traced ~what:"traced rr engine" (B.of_hls ~link_rate t)
      (Array.map Hls.id leaves));
@@ -415,18 +425,15 @@ let test_rr_engine_datapath_and_stats () =
       Alcotest.(check int) "drops counted" 4 c.T.drop_pkts;
       Alcotest.(check int) "enq counted" 4 c.T.enq_pkts
   | None -> Alcotest.fail "no counters for b");
-  (* drain through the batched path; rr serves everything as link-share *)
-  let batch = Pkt.Batch.create ~capacity:4 () in
+  (* drain through the engine; rr serves everything as link-share *)
   let served = ref 0 in
   let rec go () =
-    let n = E.dequeue_batch eng ~now:0. batch in
-    if n > 0 then begin
-      for i = 0 to n - 1 do
-        Alcotest.(check bool) "never realtime" false (Pkt.Batch.realtime batch i)
-      done;
-      served := !served + n;
-      go ()
-    end
+    match E.dequeue eng ~now:0. with
+    | None -> ()
+    | Some (_, _, crit) ->
+        Alcotest.(check bool) "never realtime" true (crit = Hfsc.Linkshare);
+        incr served;
+        go ()
   in
   go ();
   Alcotest.(check int) "all admitted packets served" 12 !served;
@@ -560,9 +567,9 @@ let () =
           Alcotest.test_case "quantum shares, hierarchical" `Quick
             test_quantum_shares_hierarchical;
           Alcotest.test_case "batch equals singles" `Quick
-            test_batch_equals_singles;
+            test_dequeue_into_equals_dequeue;
           Alcotest.test_case "batched drains allocate nothing" `Quick
-            test_batched_drain_allocates_nothing;
+            test_drains_allocate_nothing;
         ] );
       ( "drr",
         [

@@ -792,9 +792,9 @@ let fold_departure h ~now (p : Pkt.Packet.t) =
   mix (mix (mix h p.Pkt.Packet.flow) p.Pkt.Packet.seq)
     (Int64.to_int (Int64.bits_of_float now))
 
-(* An H-FSC link through the engine adapter (batched polls): a real-time
-   leaf, two link-sharing leaves and an upper-limited leaf that forces
-   polls. *)
+(* An H-FSC link through the engine adapter (one packet a poll): a
+   real-time leaf, two link-sharing leaves and an upper-limited leaf
+   that forces polls. *)
 let golden_hfsc ~link_rate =
   let t = Hfsc.create ~link_rate () in
   let root = Hfsc.root t in

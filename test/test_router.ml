@@ -333,6 +333,39 @@ let test_error_codes () =
     (exec1 r ~now:0. "attach filter flow 99 proto udp");
   Alcotest.(check (list string)) "auditor clean" [] (R.audit r)
 
+(* Curves and hfsc link rates the fixed-point arithmetic cannot
+   represent arrive as ordinary command lines (a socket, a config file,
+   a journal replay). Each is refused with [bad-value] and leaves the
+   router as it was; a legal flat first segment ([m1 0Bps]) stays
+   accepted. *)
+let test_unrepresentable_refused () =
+  let r = R.create () in
+  ignore (ok_exec (exec1 r ~now:0. "link add one rate 8Mbit"));
+  ignore
+    (ok_exec (exec1 r ~now:0. "link one add class a parent root flow 1 fsc 2Mbit"));
+  let fp = R.config_fingerprint r in
+  List.iter
+    (fun line ->
+      check_code line "bad-value" (exec1 r ~now:0. line);
+      Alcotest.(check string) (line ^ ": router unchanged") fp
+        (R.config_fingerprint r))
+    [
+      "link add e3 rate 1e-300bps";
+      "link add e4 rate 3bps";
+      "link one add class x parent root flow 7 fsc 1bps";
+      "link one add class x parent root flow 7 fsc 0bps";
+      "link one add class x parent root flow 7 rsc 3bps fsc 1Mbit";
+      "link one add class x parent root flow 7 fsc m1 100KBps d 1e10s m2 300KBps";
+      "link one modify class a fsc 1bps";
+      "link one modify class a fsc m1 100KBps d 1e10s m2 300KBps";
+    ];
+  Alcotest.(check int) "refused link not added" 1 (R.link_count r);
+  ignore
+    (ok_exec
+       (exec1 r ~now:0.
+          "link one add class cv parent root flow 8 fsc m1 0Bps d 0.01s m2 1Mbit"));
+  Alcotest.(check (list string)) "auditor clean" [] (R.audit r)
+
 (* --- device-wide routing and aggregation --------------------------- *)
 
 let test_routing_and_aggregation () =
@@ -704,6 +737,8 @@ let () =
             test_delete_isolation;
           Alcotest.test_case "wire faults isolate across links" `Quick
             test_fault_isolation;
+          Alcotest.test_case "unrepresentable curves and rates refused" `Quick
+            test_unrepresentable_refused;
           Alcotest.test_case "link-addressing error codes" `Quick
             test_error_codes;
           Alcotest.test_case "routing and aggregation" `Quick

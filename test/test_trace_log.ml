@@ -88,8 +88,9 @@ let test_incremental_drain () =
   let rng = Random.State.make [| 5 |] in
   let t = T.create ~trace_capacity:4096 () in
   let path = tmp ".trace" in
-  let sink = L.Sink.create ~buffer_records:7 ~path () in
-  (* drain after every burst: the cursor must skip what was spilled *)
+  let sink = L.Sink.create ~path () in
+  (* drain after every burst: the cursor must skip what was spilled,
+     across a full 512-record staging buffer *)
   for _ = 1 to 20 do
     random_events rng t 37;
     ignore (L.Sink.drain sink t)
@@ -254,19 +255,29 @@ let test_histogram_pairing () =
     (L.Histogram.buckets h)
 
 let test_histogram_buckets () =
-  let h = L.Histogram.create ~floor:1e-6 ~buckets:4 () in
-  (* bucket edges: [0,1us) [1us,2us) [2us,4us) [4us,inf) *)
+  let h = L.Histogram.create () in
+  (* bucket edges: [0,1us) [1us,2us) [2us,4us) ... [2^29us,2^30us)
+     [2^30us,inf) *)
+  let top = ldexp 1e-6 30 in
   L.Histogram.observe h ~rt:true 0.;
   L.Histogram.observe h ~rt:true 0.9e-6;
   L.Histogram.observe h ~rt:true 1.5e-6;
   L.Histogram.observe h ~rt:true 3e-6;
-  L.Histogram.observe h ~rt:true 1.0; (* far past the top: last bucket *)
+  L.Histogram.observe h ~rt:true (0.75 *. top); (* the last bounded one *)
+  L.Histogram.observe h ~rt:true (10. *. top); (* far past the top *)
   L.Histogram.observe h ~rt:false (-1.); (* clamps to 0 *)
   let b = L.Histogram.buckets h in
-  Alcotest.(check int) "4 buckets" 4 (Array.length b);
+  Alcotest.(check int) "32 buckets" 32 (Array.length b);
   let counts = Array.map (fun (_, _, rt, ls) -> rt + ls) b in
-  Alcotest.(check (array int)) "placement" [| 3; 1; 1; 1 |] counts;
-  let _, hi, _, _ = b.(3) in
+  let expected = Array.make 32 0 in
+  expected.(0) <- 3;
+  expected.(1) <- 1;
+  expected.(2) <- 1;
+  expected.(30) <- 1;
+  expected.(31) <- 1;
+  Alcotest.(check (array int)) "placement" expected counts;
+  let lo, hi, _, _ = b.(31) in
+  Alcotest.(check (float 0.)) "last bucket starts at 2^30 us" top lo;
   Alcotest.(check bool) "last bucket open-ended" true (hi = Float.infinity)
 
 let test_histogram_feed_file () =
