@@ -60,13 +60,21 @@ let isc_of_sc (s : Service_curve.t) =
 let isc_concave i = i.sm1 > i.sm2
 
 let min_rate = 0.5
+let max_rate = ldexp 1. 31
 let max_breakpoint = ldexp 1. 31
 
 let check_breakpoint what (s : Service_curve.t) =
   if s.d >= max_breakpoint then
     invalid_arg
       (Printf.sprintf "%s: breakpoint d=%gs out of range (must be under 2^31 s)"
-         what s.d)
+         what s.d);
+  let m = Float.max s.m1 s.m2 in
+  if m > max_rate then
+    invalid_arg
+      (Printf.sprintf
+         "%s: rate %g B/s out of range (over 2^31 B/s its fixed-point \
+          products overflow)"
+         what m)
 
 let check_sc what (s : Service_curve.t) =
   if s.m2 < min_rate then

@@ -27,10 +27,16 @@
 
     The arithmetic never overflows provided every
     [elapsed-ticks × sm] and [byte-delta × ism] product stays below
-    [2^62]; with the shifts below that holds for rates up to 2 GB/s
-    sustained over a backlog period, and for curves of rate ≥ 1 KB/s
-    over byte deltas up to [2^36] (≈ 64 GB) — far beyond anything the
-    simulator or benches produce. All quantities are nonnegative.
+    [2^62]. {!seg_x2y}'s low-bits product [(dt land mask)·sm] alone
+    reaches [2^30·sm], so it overflows for any [dt] once a slope
+    reaches [2^32] B/s (≈ 34 Gbit/s): [seg_x2y (2^30-1) (m2sm 4.4e9)]
+    is negative. {!check_sc} and {!check_breakpoint} therefore refuse
+    any slope above {!max_rate} ([2^31] B/s, ≈ 17 Gbit/s), and [Hfsc]
+    refuses link rates above it. Within that bound the products fit
+    for rates sustained over a backlog period, and for curves of rate
+    ≥ 1 KB/s over byte deltas up to [2^36] (≈ 64 GB) — far beyond
+    anything the simulator or benches produce. All quantities are
+    nonnegative.
 
     Both [Hfsc] and the linear-scan reference [Hfsc_ref] perform {e all}
     time/service arithmetic through this module (or verbatim in-unit
@@ -101,13 +107,19 @@ val isc_of_sc : Service_curve.t -> isc
 val min_rate : float
 (** [0.5] B/s: the smallest slope {!m2sm} does not round to 0. *)
 
+val max_rate : float
+(** [2^31] B/s (≈ 17 Gbit/s): the largest slope whose products stay
+    below [2^62] (see the overflow envelope above). *)
+
 val check_breakpoint : string -> Service_curve.t -> unit
 (** [check_breakpoint what s] raises [Invalid_argument] naming [what]
     and containing "out of range" unless the breakpoint [s.d] lies
     under [2^31] s (about 68 years), so that its tick count ([2^61] at
-    most) still fits an [int] once added to a curve anchor. At [2^32] s
+    most) still fits an [int] once added to a curve anchor, and
+    neither slope [s.m1] nor [s.m2] exceeds {!max_rate}. At [2^32] s
     the tick count itself overflows and the curve is served as
-    garbage. *)
+    garbage; from [2^32] B/s {!seg_x2y} overflows. For every curve,
+    upper-limit curves included. *)
 
 val check_sc : string -> Service_curve.t -> unit
 (** {!check_breakpoint}, and the same refusal when the long-run rate

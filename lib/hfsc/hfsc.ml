@@ -560,8 +560,11 @@ let ulimit_slack = Fp.ticks_of_seconds 0.001
 
 let create ?(vt_policy = Vt_mean) ?(eligible_policy = Eligible_paper)
     ~link_rate () =
-  if (not (Float.is_finite link_rate)) || link_rate < Fp.min_rate then
-    invalid_arg "Hfsc.create: link_rate must be finite and at least 0.5 B/s";
+  if
+    (not (Float.is_finite link_rate))
+    || link_rate < Fp.min_rate || link_rate > Fp.max_rate
+  then
+    invalid_arg "Hfsc.create: link_rate out of range (not in [0.5, 2^31] B/s)";
   let troot =
     make_cls ~id:0 ~name:"root" ~parent:None ~rsc:None
       ~fsc:(Some (Sc.linear link_rate)) ~usc:None ~qlimit:None ~qbytes:None

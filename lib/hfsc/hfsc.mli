@@ -66,8 +66,9 @@ val create :
     aggregate backlog starts unlimited under {!Tail_drop}; see
     {!set_aggregate_limit} and {!set_drop_policy}.
 
-    @raise Invalid_argument unless [link_rate] is finite and at least
-    {!Curve.Fixed_point.min_rate}. *)
+    @raise Invalid_argument unless [link_rate] is finite and lies
+    between {!Curve.Fixed_point.min_rate} and
+    {!Curve.Fixed_point.max_rate}. *)
 
 val root : t -> cls
 
@@ -96,6 +97,17 @@ val add_class :
     ({!Curve.Fixed_point.check_sc} on [rsc] and [fsc],
     {!Curve.Fixed_point.check_breakpoint} on [usc]; the message says
     "out of range"). *)
+
+val check_curves :
+  string ->
+  rsc:Curve.Service_curve.t option ->
+  fsc:Curve.Service_curve.t option ->
+  usc:Curve.Service_curve.t option ->
+  unit
+(** [check_curves what ~rsc ~fsc ~usc] is {!add_class}'s and
+    {!set_curves}' refusal of curves the fixed-point arithmetic cannot
+    represent, on its own: it raises [Invalid_argument] naming [what]
+    and saying "out of range", before anything is built. *)
 
 val remove_class : t -> cls -> unit
 (** Remove a passive leaf (or childless interior) class from the

@@ -226,17 +226,27 @@ let of_hfsc ~link_rate sched =
                  v))
     | _ -> Ok ()
   in
+  (* What every class op checks first: no quantum, and no curve the
+     fixed-point arithmetic cannot represent — refused as such
+     (bad-value) before admission weighs it against the link. *)
+  let check_params ~name (p : params) =
+    match p.quantum with
+    | Some _ ->
+        errf Bad_value
+          "class %S: quantum applies to rr-backend links (hfsc classes take \
+           curves)"
+          name
+    | None -> (
+        match
+          Hfsc.check_curves (Printf.sprintf "class %S" name) ~rsc:p.rsc
+            ~fsc:p.fsc ~usc:p.usc
+        with
+        | () -> Ok ()
+        | exception Invalid_argument e -> of_invalid e)
+  in
   let ( let* ) = Result.bind in
   let admit_add ~parent ~name (p : params) =
-    let* () =
-      match p.quantum with
-      | Some _ ->
-          errf Bad_value
-            "class %S: quantum applies to rr-backend links (hfsc classes \
-             take curves)"
-            name
-      | None -> Ok ()
-    in
+    let* () = check_params ~name p in
     let* () =
       if p.rsc = None && p.fsc = None then
         errf Bad_value "class %S needs an rsc or an fsc" name
@@ -255,15 +265,7 @@ let of_hfsc ~link_rate sched =
     check_usc ~name ~rsc:p.rsc ~usc:p.usc
   in
   let admit_modify ~id ~name (p : params) =
-    let* () =
-      match p.quantum with
-      | Some _ ->
-          errf Bad_value
-            "class %S: quantum applies to rr-backend links (hfsc classes \
-             take curves)"
-            name
-      | None -> Ok ()
-    in
+    let* () = check_params ~name p in
     let cls = Hfsc.class_of_id sched id in
     let* () =
       match p.rsc with

@@ -1,65 +1,56 @@
 (* The multicore router. Structure:
 
-   - each link is wrapped in a [port]: an input SPSC ring of [msg]
-     (posted packets, and calls: closures run on the link's engine,
-     dequeues among them) and one reusable reply slot;
-   - each worker domain owns a set of ports (round-robin assignment)
-     plus an admin ring for attach/detach/stop, and loops: admin ring
-     first, then one message per port per scan; idle workers spin
-     briefly and then park (essential on few-core hosts, where a
+   - each worker domain owns one inbound SPSC ring of [msg] (posted
+     packets naming their link's port, calls — closures run on a
+     link's engine, dequeues among them — and the stop) and one
+     reusable reply slot;
+   - a worker loops: pop a message and serve it; on an empty ring,
+     spin briefly and then park (essential on few-core hosts, where a
      spinning worker starves the producer);
+   - each link is wrapped in a [port]: its engine, its worker
+     (round-robin assignment) and its failure and refusal cells;
    - the control plane is {!Router_core} instantiated with ring-backed
      calls, so routing rules and reply strings are the sequential
      router's by construction.
 
-   Determinism: each port's ring is FIFO and each port has one owning
+   Determinism: each worker's ring is FIFO and each port has one owning
    worker, so a link's engine observes operations in exactly the
    producer's issue order — the sequential router's order. Calls block
-   on the port's reply slot, and the producer waits for each reply
-   before it issues anything else, so one slot is all a port needs.
-   Enqueues never wait: each is posted, and what the worker refuses is
-   added to the port's refusal count, read back by a call that queues
-   behind every post.
+   on the worker's reply slot, and the producer waits for each reply
+   before it issues anything else, so one slot per worker is all the
+   router needs. Enqueues never wait: each is posted, and what the
+   worker refuses is added to the port's refusal count, read back by a
+   call that queues behind every post. A deleted link needs no detach:
+   its queued posts drain in FIFO order onto an engine nobody reads.
 
    Memory model notes: ring publication is the SPSC ring's
-   release/acquire pair (see {!Ds.Spsc_ring}). Replies and parking are
-   {!Ds.Handoff}: the worker fills a port's reply slot with an SC
-   [Atomic.set] after storing a call's result, so the producer's take
-   of the reply orders the result cell before its read; the worker
-   parks on its parker and the producer wakes it after each push. Both
-   rest on the Dekker argument written once in handoff.mli; both signal
-   only after unlocking, and neither takes a lock while the other side
-   is awake. *)
+   release/acquire pair (see {!Ds.Spsc_ring}); the same pair hands a
+   new link's engine to its worker with the link's first message, so a
+   link needs no attach step. Replies and parking are {!Ds.Handoff}:
+   the worker fills its reply slot with an SC [Atomic.set] after a
+   call's closure stored its result, so the producer's take of the
+   reply orders the result cell before its read; the worker parks on
+   its parker and the producer wakes it after each push. Both rest on
+   the Dekker argument written once in handoff.mli; both signal only
+   after unlocking, and neither takes a lock while the other side is
+   awake. *)
 
 module Ring = Ds.Spsc_ring
 module Handoff = Ds.Handoff
-
-(* --- messages ----------------------------------------------------------- *)
 
 exception Injected_failure
 
 (* what every link of a stopped router is latched down with *)
 exception Stopped
 
-type msg =
-  | M_nop (* ring dummy; never delivered *)
-  | M_enqueue of { e_now : float; e_pkt : Pkt.Packet.t } (* never awaited *)
-  | M_call of (Engine.t -> unit) (* stores its result before the reply *)
+(* --- ports, workers and messages ---------------------------------------- *)
 
-(* --- ports and workers -------------------------------------------------- *)
-
-(* a link's input ring *)
+(* a worker's input ring *)
 let ring_capacity = 1024
 
 type port = {
-  p_eng : Engine.t; (* worker-owned between attach and stop *)
-  (* the engine's sequential adapter, run only on the worker: a
-     dequeue is one call of its [dequeue] *)
-  p_seq : Sched.Scheduler.t;
-  p_in : msg Ring.t;
+  p_eng : Engine.t; (* worker-owned until [stop] *)
   p_worker : worker;
-  (* one call is in flight at most *)
-  p_reply : unit Handoff.slot;
   (* failure of a posted enqueue, set by the worker (first wins),
      observed by the producer on its next touch of this port *)
   p_fail : exn option Atomic.t;
@@ -74,42 +65,31 @@ type port = {
 }
 
 and worker = {
-  w_admin : admin Ring.t;
+  w_in : msg Ring.t;
+  (* one call is in flight at most *)
+  w_reply : unit Handoff.slot;
   w_parker : Handoff.parker;
   (* async failure, reported later; [Stopped] once the router stops *)
   w_poison : exn option Atomic.t;
   mutable w_domain : unit Domain.t option;
 }
 
-and admin =
-  | A_nop (* ring dummy *)
-  | A_attach of port
-  | A_detach of { dt_port : port; dt_reply : unit Handoff.slot }
-  | A_stop
-
-let mk_worker () =
-  {
-    w_admin = Ring.create ~capacity:64 ~dummy:A_nop;
-    w_parker = Handoff.parker ();
-    w_poison = Atomic.make None;
-    w_domain = None;
-  }
-
-let poison w e =
-  match Atomic.get w.w_poison with
-  | None -> Atomic.set w.w_poison (Some e)
-  | Some _ -> () (* first failure wins *)
+and msg =
+  | M_nop (* ring dummy; never delivered *)
+  | M_enqueue of { e_port : port; e_now : float; e_pkt : Pkt.Packet.t }
+      (* never awaited *)
+  | M_call of (unit -> unit) (* stores its result before the reply *)
+  | M_stop (* the last message a worker serves *)
 
 (* --- the worker domain -------------------------------------------------- *)
 
 (* the worker is the count's only writer *)
 let refuse p = Atomic.set p.p_refused (Atomic.get p.p_refused + 1)
 
-(* serve one message on one port *)
-let serve_msg p msg =
+let serve w msg =
   match msg with
-  | M_nop -> ()
-  | M_enqueue { e_now; e_pkt } -> (
+  | M_nop | M_stop -> ()
+  | M_enqueue { e_port = p; e_now; e_pkt } -> (
       match Engine.enqueue_flow p.p_eng ~now:e_now e_pkt with
       | true -> ()
       | false -> refuse p
@@ -119,106 +99,54 @@ let serve_msg p msg =
           refuse p;
           if Atomic.get p.p_fail = None then Atomic.set p.p_fail (Some e))
   | M_call f -> (
-      match f p.p_eng with
-      | () -> Handoff.fill p.p_reply ()
-      | exception e -> Handoff.fail p.p_reply e)
+      match f () with
+      | () -> Handoff.fill w.w_reply ()
+      | exception e -> Handoff.fail w.w_reply e)
 
 let worker_body w =
-  let ports = ref [] in
-  let running = ref true in
-  let drain_port p =
-    let rec go () =
-      match Ring.try_pop p.p_in with
-      | Some m ->
-          serve_msg p m;
-          go ()
-      | None -> ()
-    in
-    go ()
+  let has_work () = not (Ring.is_empty w.w_in) in
+  let rec loop () =
+    match Ring.try_pop w.w_in with
+    | Some M_stop -> ()
+    | Some m ->
+        serve w m;
+        loop ()
+    | None ->
+        (* brief spin for sub-microsecond turnaround, then park *)
+        let spins = ref 0 in
+        while !spins < 64 && not (has_work ()) do
+          incr spins;
+          Domain.cpu_relax ()
+        done;
+        Handoff.park w.w_parker ~has_work;
+        loop ()
   in
-  let handle_admin = function
-    | A_nop -> ()
-    | A_attach p -> ports := !ports @ [ p ]
-    | A_detach { dt_port; dt_reply } ->
-        if List.memq dt_port !ports then begin
-          drain_port dt_port;
-          ports := List.filter (fun p -> p != dt_port) !ports
-        end;
-        Handoff.fill dt_reply ()
-    | A_stop ->
-        List.iter drain_port !ports;
-        running := false
-  in
-  (* one scan: admin ring, then one message per port (round-robin
-     across the worker's links, so no link starves another) *)
-  let step () =
-    let did = ref false in
-    (match Ring.try_pop w.w_admin with
-    | Some a ->
-        did := true;
-        handle_admin a
-    | None -> ());
-    if !running then
-      List.iter
-        (fun p ->
-          match Ring.try_pop p.p_in with
-          | Some m ->
-              did := true;
-              serve_msg p m
-          | None -> ())
-        !ports;
-    !did
-  in
-  let has_work () =
-    (not (Ring.is_empty w.w_admin))
-    || List.exists (fun p -> not (Ring.is_empty p.p_in)) !ports
-  in
-  while !running do
-    if not (step ()) then begin
-      (* brief spin for sub-microsecond turnaround, then park *)
-      let spins = ref 0 in
-      while !spins < 64 && not (has_work ()) do
-        incr spins;
-        Domain.cpu_relax ()
-      done;
-      Handoff.park w.w_parker ~has_work
-    end
-  done
+  loop ()
 
-(* [serve_msg] and [handle_admin] contain every engine call behind a
-   per-message catch, so this outer net only fires on something
-   catastrophic (OOM, a broken ring invariant). It must not let the
-   domain die silently: a dead worker's rings never drain, so every
-   port it owned is marked unreachable via [w_poison] and the producer
-   degrades those links instead of blocking forever. *)
+(* [serve] contains every engine call behind a per-message catch, so
+   this outer net only fires on something catastrophic (OOM, a broken
+   ring invariant). It must not let the domain die silently: a dead
+   worker's ring never drains, so every port it owned is marked
+   unreachable via [w_poison] and the producer degrades those links
+   instead of blocking forever. *)
 let worker_run w =
-  try worker_body w with e -> poison w e
+  try worker_body w with e -> Atomic.set w.w_poison (Some e)
 
 (* --- the producer side -------------------------------------------------- *)
 
-let rec push_msg p m =
-  if not (Ring.try_push p.p_in m) then begin
+let rec post w m =
+  if Ring.try_push w.w_in m then Handoff.wake w.w_parker
+  else begin
     (* ring full: the worker may be parked with a full ring only
        transiently; wake it and retry *)
-    Handoff.wake p.p_worker.w_parker;
-    Domain.cpu_relax ();
-    push_msg p m
-  end
-
-let post p m =
-  push_msg p m;
-  Handoff.wake p.p_worker.w_parker
-
-let rec push_admin w a =
-  if not (Ring.try_push w.w_admin a) then begin
     Handoff.wake w.w_parker;
     Domain.cpu_relax ();
-    push_admin w a
+    post w m
   end
 
 (* Has this link failed? Checks the producer-side latch first, then
    failures parked by the worker ([p_fail]) and worker death
-   ([w_poison], which downs every port that worker owned — its rings
+   ([w_poison], which downs every port that worker owned — its ring
    will never drain again), latching what it finds into [p_down] so
    the verdict is sticky. *)
 let port_failure p =
@@ -237,10 +165,10 @@ let port_failure p =
       | None -> None)
 
 (* Run [f] on the link's engine, on its worker's domain: the closure
-   stores its result in a cell before the worker fills the reply slot,
+   stores its result in a cell before the worker fills its reply slot,
    and [Handoff.fill] makes that store visible once [await] returns.
    Graceful degradation: a downed link answers [down] without touching
-   its ring, and a failure raised by [f] (the worker failing the reply)
+   the ring, and a failure raised by [f] (the worker failing the reply)
    downs the link and answers [down] — never raising into the caller,
    so one poisoned link cannot tear down the daemon serving the
    others. *)
@@ -248,48 +176,14 @@ let call p ~down f =
   match port_failure p with
   | Some e -> down e
   | None -> (
+      let w = p.p_worker in
       let cell = ref None in
-      post p (M_call (fun eng -> cell := Some (f eng)));
-      match Handoff.await p.p_reply with
-      | _ -> Option.get !cell
+      post w (M_call (fun () -> cell := Some (f p.p_eng)));
+      match Handoff.await w.w_reply with
+      | () -> Option.get !cell
       | exception e ->
           p.p_down <- Some e;
           down e)
-
-let retire p =
-  (* through the admin ring so the worker drains the port's input ring
-     before letting go of it — unless the worker itself is dead, in
-     which case the handshake would hang forever *)
-  if Atomic.get p.p_worker.w_poison = None then begin
-    let r = Handoff.slot () in
-    push_admin p.p_worker (A_detach { dt_port = p; dt_reply = r });
-    Handoff.wake p.p_worker.w_parker;
-    Handoff.await r
-  end
-
-(* A port on worker [w] for a freshly built engine — still on this
-   domain, handed to the worker through the admin ring's
-   release/acquire publication before any use. A dead or stopped
-   worker never drains that ring: the port is left unattached, and
-   [port_failure] already reports it down. *)
-let port_on w eng =
-  let p =
-    {
-      p_eng = eng;
-      p_seq = Engine.adapter eng;
-      p_in = Ring.create ~capacity:ring_capacity ~dummy:M_nop;
-      p_worker = w;
-      p_reply = Handoff.slot ();
-      p_fail = Atomic.make None;
-      p_down = None;
-      p_refused = Atomic.make 0;
-    }
-  in
-  if Atomic.get w.w_poison = None then begin
-    push_admin w (A_attach p);
-    Handoff.wake w.w_parker
-  end;
-  p
 
 (* --- the data path: the simulator adapter ------------------------------ *)
 
@@ -298,19 +192,20 @@ let post_enqueue p ~now pkt =
   match port_failure p with
   | Some _ -> false
   | None ->
-      post p (M_enqueue { e_now = now; e_pkt = pkt });
+      post p.p_worker (M_enqueue { e_port = p; e_now = now; e_pkt = pkt });
       true
 
 let port_adapter p backend =
+  (* the engine's sequential adapter, run only on the worker: a dequeue
+     is one call of its [dequeue], so the class name is resolved there *)
+  let seq = Engine.adapter p.p_eng in
   {
     Sched.Scheduler.name = Backend.kind_name backend;
     enqueue = (fun ~now pkt -> post_enqueue p ~now pkt);
-    (* the sequential adapter's dequeue, run on the worker, so the
-       class name is resolved there *)
     dequeue =
       (fun ~now ->
         call p ~down:(fun _ -> None) (fun _ ->
-            p.p_seq.Sched.Scheduler.dequeue ~now));
+            seq.Sched.Scheduler.dequeue ~now));
     dequeue_many = None;
     next_ready =
       (fun ~now ->
@@ -338,20 +233,38 @@ type t = {
    round-robin. *)
 let create ?trace_capacity ?tracing ?audit_every ~domains () =
   if domains < 1 then invalid_arg "Mc_router.create: domains must be >= 1";
-  let workers = Array.init domains (fun _ -> mk_worker ()) in
+  let workers =
+    Array.init domains (fun _ ->
+        {
+          w_in = Ring.create ~capacity:ring_capacity ~dummy:M_nop;
+          w_reply = Handoff.slot ();
+          w_parker = Handoff.parker ();
+          w_poison = Atomic.make None;
+          w_domain = None;
+        })
+  in
   Array.iter
     (fun w -> w.w_domain <- Some (Domain.spawn (fun () -> worker_run w)))
     workers;
   let next = ref 0 in
+  (* a port for a freshly built engine; its first message publishes
+     the engine to the worker. A stopped or dead worker downs it at
+     once through [port_failure]. *)
   let port eng =
     let w = workers.(!next mod domains) in
     incr next;
-    port_on w eng
+    {
+      p_eng = eng;
+      p_worker = w;
+      p_fail = Atomic.make None;
+      p_down = None;
+      p_refused = Atomic.make 0;
+    }
   in
   {
     core =
       Router_core.create ?trace_capacity ?tracing ?audit_every
-        ~ops:{ Router_core.call; retire; adapter = port_adapter } ~port ();
+        ~ops:{ Router_core.call; adapter = port_adapter } ~port ();
     workers;
     running = true;
   }
@@ -402,10 +315,9 @@ let config_fingerprint t = Router_core.config_fingerprint t.core
 let stop t =
   if t.running then begin
     t.running <- false;
+    (* a dead worker's ring never drains: post it nothing *)
     Array.iter
-      (fun w ->
-        push_admin w A_stop;
-        Handoff.wake w.w_parker)
+      (fun w -> if Atomic.get w.w_poison = None then post w M_stop)
       t.workers;
     Array.iter
       (fun w ->

@@ -4,14 +4,14 @@
     OCaml domains instead of the caller's.
 
     {b Architecture.} PR 5's link-ownership rule is cashed in as a
-    domain boundary. Each link gets one lock-free SPSC ring
+    domain boundary. Each worker domain gets one lock-free SPSC ring
     ({!Ds.Spsc_ring}) carrying posted packets and calls (closures run
-    on the link's engine) from the producer (caller) domain to the
-    owning worker, and one reply slot. The flow→link directory stays
-    on the producer side; the worker serves its ring through
-    {!Engine.enqueue_flow} and the engine's own {!Engine.adapter}, so
-    per-link scheduling state never crosses domains. Workers spin briefly when idle, then park; the producer
-    wakes a parked worker after posting. Parking and every reply go
+    on one of its links' engines) from the producer (caller) domain,
+    and one reply slot. The flow→link directory stays on the producer
+    side; the worker serves its ring through {!Engine.enqueue_flow} and
+    the engine's own {!Engine.adapter}, so per-link scheduling state
+    never crosses domains. Workers spin briefly when idle, then park;
+    the producer wakes a parked worker after posting. Parking and every reply go
     through {!Ds.Handoff}, which takes no lock while the other side is
     awake and signals only after unlocking.
 
@@ -23,9 +23,9 @@
 
     {b Control plane.} Every engine access other than a packet — a
     {!Command} operation, a read for the auditor, exporters or the
-    directory, a poll, a dequeue — is one call: a closure posted into the owning
-    domain's ring, which the worker runs on the link's engine, storing
-    its result before it fills the link's reply slot
+    directory, a poll, a dequeue — is one call: a closure posted into
+    the owning worker's ring, which the worker runs on the link's
+    engine, storing its result before it fills its reply slot
     ({!Ds.Handoff}); the caller blocks on that slot. Transactional
     semantics and typed error codes therefore survive the domain hop
     unchanged — the control logic itself is {!Router_core}, shared
@@ -37,7 +37,7 @@
     event ring into the spill sink ({!Engine.drain_trace}) while the
     caller waits.
 
-    {b Ordering and determinism.} Each link's ring is FIFO and each
+    {b Ordering and determinism.} Each worker's ring is FIFO and each
     link has exactly one owning worker, so a link observes enqueues,
     dequeues and commands in exactly the order the producer issued
     them — the same order the sequential router would have applied
@@ -48,14 +48,15 @@
     {b Caller discipline.} A value of this type is {e not} thread-safe:
     all calls — the adapters' closures included — must come from the
     domain that created it (the single producer of every ring). Every
-    call that waits returns before the next is issued, so each link
-    has at most one request in flight and one reply slot. *)
+    call that waits returns before the next is issued, so at most one
+    request is in flight and one reply slot per worker carries them
+    all. *)
 
 type t
 
 type port
-(** One link's ring handle: its engine, rings, reply slot and failure
-    latch. *)
+(** One link's handle: its engine, its worker, and its failure and
+    refusal cells. *)
 
 val core : t -> port Router_core.t
 (** The shared control plane over this router's ring ports; what
@@ -70,7 +71,7 @@ val create :
   t
 (** An empty router whose [domains] worker domains ([>= 1]) are spawned
     immediately; links are assigned to workers round-robin at creation.
-    Each link's input ring holds 1024 messages. The engine knobs are
+    Each worker's input ring holds 1024 messages. The engine knobs are
     those of {!Router.create}.
 
     @raise Invalid_argument if [domains < 1]. *)
@@ -93,7 +94,7 @@ val add_link :
   link_rate:float ->
   (string, Engine.error) result
 (** As {!Router.add_link}: create a link running [backend] (default
-    hfsc), attached round-robin to a worker domain. *)
+    hfsc), assigned round-robin to a worker domain. *)
 
 val link_names : t -> string list
 (** Links in creation order. *)
@@ -150,7 +151,7 @@ val inject_failure : t -> link:string -> bool
 
 val adapter : t -> link:string -> Sched.Scheduler.t option
 (** Package one link for {!Netsim.Sim}: the returned closures post into
-    the owning domain's rings. The simulator itself stays on the
+    the owning worker's ring. The simulator itself stays on the
     producer domain; only the scheduling work moves.
 
     - [enqueue] is fire-and-forget: it posts the packet and answers
@@ -187,7 +188,8 @@ val config_fingerprint : t -> string
     crash-recovery differential tests compare. *)
 
 val stop : t -> (string * Engine.t) list
-(** Stop every worker (draining its rings first), join the domains,
+(** Stop every worker (after it served every message posted before),
+    join the domains,
     and return each link's engine — now owned by the caller again, safe
     to inspect directly (the differential tests fingerprint them
     against the sequential router's). Idempotent. A failure the

@@ -10,7 +10,6 @@ type t = Engine.t Router_core.t
 let seq_ops : Engine.t Router_core.ops =
   {
     Router_core.call = (fun eng ~down:_ f -> f eng);
-    retire = ignore;
     adapter = (fun eng _ -> Engine.adapter eng);
   }
 

@@ -2,11 +2,11 @@
    "port". A port is one link's engine endpoint: the sequential
    {!Router} instantiates it with a bare [Engine.t] (direct calls); the
    multicore {!Mc_router} instantiates it with a ring handle whose
-   calls post a closure into the owning domain and wait on the link's
-   reply slot. Everything observable — reply strings, typed errors,
-   routing rules, directory bookkeeping — lives here, so the two
-   routers cannot drift apart: the N-domain router is bit-identical to
-   the sequential one on the control plane {e by construction}.
+   calls post a closure into the owning worker's ring and wait on that
+   worker's reply slot. Everything observable — reply strings, typed
+   errors, routing rules, directory bookkeeping — lives here, so the
+   two routers cannot drift apart: the N-domain router is bit-identical
+   to the sequential one on the control plane {e by construction}.
 
    Only the control plane lives here, and the building of links: every
    link's engine is made here, empty, by [link add] — a config's links
@@ -18,8 +18,8 @@
    through [adapter]; [adapters] lists every link's, so a simulation
    is wired the same way over either router. *)
 
-(* The port operations. [call] and [retire] are control-plane calls:
-   they may block (ring round trip) and may allocate.
+(* The port operations. [call] is the control-plane call: it may
+   block (ring round trip) and may allocate.
 
    [call p ~down f] runs [f] on the link's engine and returns its
    result; on a link that is down it answers [down e] instead, [e]
@@ -28,10 +28,6 @@
    before the reply. *)
 type 'p ops = {
   call : 'a. 'p -> down:(exn -> 'a) -> (Engine.t -> 'a) -> 'a;
-  retire : 'p -> unit;
-      (* the link was removed from the device: release whatever the
-         port holds (no-op for a direct engine; for a ring port, drain
-         and detach it from its worker domain) *)
   adapter : 'p -> Backend.kind -> Sched.Scheduler.t;
       (* the link's data path, packaged for {!Netsim.Sim} *)
 }
@@ -146,11 +142,13 @@ let add_link t ~name ~link_rate ~backend =
       errf Engine.Bad_value "link rate must be finite and positive, got %g"
         link_rate
     else if
-      backend = Backend.Hfsc_kind && link_rate < Curve.Fixed_point.min_rate
+      backend = Backend.Hfsc_kind
+      && (link_rate < Curve.Fixed_point.min_rate
+         || link_rate > Curve.Fixed_point.max_rate)
     then
       errf Engine.Bad_value
-        "link rate %g B/s out of range for hfsc (under %g B/s it rounds to 0 \
-         in fixed point)"
+        "link rate %g B/s out of range for hfsc (fixed point represents %g \
+         to 2^31 B/s)"
         link_rate Curve.Fixed_point.min_rate
     else Ok ()
   in
@@ -180,7 +178,6 @@ let delete_link t name =
       t.links <- List.filter (fun (n, _) -> n <> name) t.links;
       Hashtbl.remove t.specs name;
       rebuild_shard t;
-      t.ops.retire port;
       Ok
         (Printf.sprintf "deleted link %S%s (%d link%s left)" name
            (match orphans with

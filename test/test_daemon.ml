@@ -330,6 +330,7 @@ let test_hardening () =
               (line, r, D.Client.request conn "ping"))
             [
               "link add e3 rate 1e-300bps";
+              "link add e4 rate 100Gbit";
               "link link0 add class x parent root flow 77 fsc 1bps";
               "link link0 add class x parent root flow 77 fsc m1 100KBps d \
                1e10s m2 300KBps";

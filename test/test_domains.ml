@@ -23,8 +23,9 @@
    - the final auditor reports, stats exporters, and — after [stop]
      hands the engines back — the full per-engine state fingerprint.
 
-   Link add/delete churn is part of the stream, so worker attach/detach
-   and directory rebuilds are exercised under load.
+   Link add/delete churn is part of the stream, so links joining and
+   leaving a worker's ring and directory rebuilds are exercised under
+   load.
 
    Plain executable so op counts scale:
    [test_domains.exe [OPS] [SEEDS] [DOMAINS]], defaulting to 400 1 2 —
@@ -505,7 +506,7 @@ let run_degradation ~domains =
   check "every link is down after stop"
     (List.for_all (fun l -> M.link_down m ~link:l <> None) (M.link_names m));
   check_down_l1 "after stop";
-  (* more links than the admin ring holds: none may wait on a worker *)
+  (* many links added after stop: none may wait on a worker *)
   for i = 1 to 100 do
     ignore (exec_line (Printf.sprintf "link add late%d rate 1Mbit" i))
   done;
@@ -513,10 +514,10 @@ let run_degradation ~domains =
   check "link added after stop is down" (M.link_down m ~link:"late100" <> None);
   check "stop stays idempotent" (List.length (M.stop m) = 103)
 
-(* A full input ring: far more posts into one link than its ring holds
-   (1024 messages, see mc_router.mli), with no dequeue in between, so
-   the producer finds the ring full and has to wake the worker and
-   retry. A small qlimit refuses most of them. The refusal count, the
+(* A full input ring: far more posts into one link than its worker's
+   ring holds (1024 messages, see mc_router.mli), with no dequeue in
+   between, so the producer finds the ring full and has to wake the
+   worker and retry. A small qlimit refuses most of them. The refusal count, the
    drained (flow, seq) order and the final engine fingerprint must be
    the sequential adapter's. *)
 let run_full_ring () =
@@ -893,7 +894,7 @@ let () =
      checkpoint keeps its add) while the others keep serving; a stopped \
      router answers every call degraded\n";
   Printf.printf
-    "domains ok: 4096 posts into one link's 1024-message ring with no \
+    "domains ok: 4096 posts into its worker's 1024-message ring with no \
      dequeue between them: refusals, drained order and fingerprint match \
      the sequential adapter\n";
   Printf.printf

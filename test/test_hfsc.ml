@@ -67,8 +67,10 @@ let test_construction_errors () =
    state negative ("negative (overflowed?) scheduling state" from
    [audit]). A breakpoint of 2^32 s or more overflows its tick count:
    [m1 100KBps d 1e10s m2 300KBps] against a [300KBps] sibling was
-   served 1:1 instead of 1:3. Each repro also runs at a representable
-   value, which must schedule correctly. *)
+   served 1:1 instead of 1:3. A slope of 2^32 B/s or more overflows
+   [seg_x2y]'s low-bits product: an rsc of 50 Gbit/s on a 100 Gbit/s
+   link got a deadline in the past. Each repro also runs at a
+   representable value, which must schedule correctly. *)
 let test_unrepresentable_curves_refused () =
   let refused what f =
     match f () with
@@ -86,11 +88,10 @@ let test_unrepresentable_curves_refused () =
   in
   (* x and y (5 Mbit/s) fed by interleaved arrivals, one dequeue an
      arrival slot, audited after every dequeue *)
-  let audit_repro ?rsc ~fsc () =
-    let link_rate = 1.25e6 in
+  let audit_repro ?(link_rate = 1.25e6) ?rsc ?usc ~fsc () =
     let t = Hfsc.create ~link_rate () in
     let root = Hfsc.root t in
-    let x = Hfsc.add_class t ~parent:root ~name:"x" ?rsc ~fsc () in
+    let x = Hfsc.add_class t ~parent:root ~name:"x" ?rsc ?usc ~fsc () in
     let y =
       Hfsc.add_class t ~parent:root ~name:"y" ~fsc:(Sc.linear 625_000.) ()
     in
@@ -119,6 +120,25 @@ let test_unrepresentable_curves_refused () =
     [ 0.; 0.125; 0.49 ];
   audit_repro ~fsc:(Sc.linear 0.5) ();
   audit_repro ~rsc:(Sc.linear 0.5) ~fsc:(Sc.linear 1e5) ();
+  (* the high side: over 2^31 B/s, as a long-run rate, a first slope
+     or an upper limit, and as the link rate *)
+  let over = 4.4e9 and top = ldexp 1. 31 in
+  List.iter
+    (fun (what, sc) ->
+      refused ("fsc " ^ what) (audit_repro ~fsc:sc);
+      refused ("rsc " ^ what) (audit_repro ~rsc:sc ~fsc:(Sc.linear 1e5));
+      refused ("usc " ^ what) (audit_repro ~usc:sc ~fsc:(Sc.linear 1e5)))
+    [
+      ("4.4e9 B/s", Sc.linear over);
+      ("m1 4.4e9 B/s", Sc.make ~m1:over ~d:0.001 ~m2:1e5);
+      ("2^31+1 B/s", Sc.linear (top +. 1.));
+    ];
+  refused "link 4.4e9 B/s" (fun () ->
+      ignore (Hfsc.create ~link_rate:over ()));
+  audit_repro ~fsc:(Sc.linear top) ();
+  audit_repro ~rsc:(Sc.linear top) ~fsc:(Sc.linear 1e5) ();
+  audit_repro ~link_rate:top ~rsc:(Sc.linear (top /. 2.)) ~fsc:(Sc.linear 1e5)
+    ();
   (* x's fsc at m1 = 100KBps for [d] seconds beside y at 300KBps, both
      backlogged: x takes a quarter of the first 400 packets *)
   let share_repro d () =

@@ -352,6 +352,10 @@ let test_unrepresentable_refused () =
     [
       "link add e3 rate 1e-300bps";
       "link add e4 rate 3bps";
+      "link add e5 rate 100Gbit";
+      "link one add class x parent root flow 7 rsc 50Gbit";
+      "link one add class x parent root flow 7 fsc m1 50Gbit d 1ms m2 1Mbit";
+      "link one modify class a fsc 50Gbit";
       "link one add class x parent root flow 7 fsc 1bps";
       "link one add class x parent root flow 7 fsc 0bps";
       "link one add class x parent root flow 7 rsc 3bps fsc 1Mbit";
