@@ -241,7 +241,7 @@ let simulate_cmd =
      over-committed curves with the violating breakpoint. Prints each \
      command's outcome, per-link utilization, per-class statistics and \
      per-flow delays. With --domains N (N >= 2) every link's engine runs \
-     on one of N worker domains behind lock-free SPSC rings (the \
+     on one of N worker domains, each serving one call at a time (the \
      multicore router), with identical per-link schedules. A link created \
      mid-run by 'link add' accepts classes and filters but has no \
      transmitter in this simulation; configure links in the file to give \
@@ -264,8 +264,8 @@ let simulate_cmd =
          & info [ "domains" ] ~docv:"N"
              ~doc:"Worker domains for the links. 1 (default) runs the \
                    sequential router; N >= 2 runs every link's engine on \
-                   one of $(docv) OCaml domains behind lock-free SPSC \
-                   rings. Per-link schedules are identical either way.")
+                   one of $(docv) OCaml domains, each serving one call at \
+                   a time. Per-link schedules are identical either way.")
   in
   let stats_json =
     Arg.(value & opt (some string) None
@@ -368,7 +368,9 @@ let daemon_cmd =
   let domains =
     Arg.(value & opt int 1
          & info [ "domains" ] ~docv:"N"
-             ~doc:"Worker domains (1 = sequential router).")
+             ~doc:"Worker domains (1 = sequential router; N >= 2 runs \
+                   every link's engine on one of $(docv) OCaml domains, \
+                   each serving one call at a time).")
   in
   let audit_every =
     Arg.(value & opt int 0
@@ -543,7 +545,9 @@ let soak_cmd =
   let domains =
     Arg.(value & opt int 1
          & info [ "domains" ] ~docv:"N"
-             ~doc:"Worker domains (1 = sequential router).")
+             ~doc:"Worker domains (1 = sequential router; N >= 2 runs \
+                   every link's engine on one of $(docv) OCaml domains, \
+                   each serving one call at a time).")
   in
   let spill =
     Arg.(value & opt (some string) None
@@ -598,7 +602,9 @@ let crash_cmd =
   let domains =
     Arg.(value & opt int 1
          & info [ "domains" ] ~docv:"N"
-             ~doc:"Worker domains (1 = sequential router).")
+             ~doc:"Worker domains (1 = sequential router; N >= 2 runs \
+                   every link's engine on one of $(docv) OCaml domains, \
+                   each serving one call at a time).")
   in
   let state_dir =
     Arg.(value & opt (some string) None

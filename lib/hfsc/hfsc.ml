@@ -487,7 +487,9 @@ type t = {
      slots are in use and the table only grows *)
   mutable by_id : cls array;
   mutable next_id : int;
-  byname : (string, cls) Hashtbl.t; (* earliest class of each name *)
+  (* the live classes of each name, earliest first: [find_class] reads
+     the head, and an add or remove costs O(duplicates of that name) *)
+  byname : (string, cls list) Hashtbl.t;
   troot : cls;
   mutable eligible : cls; (* intrusive ED-tree root; [nil] when empty *)
   mutable bl_pkts : int;
@@ -570,7 +572,7 @@ let create ?(vt_policy = Vt_mean) ?(eligible_policy = Eligible_paper)
       ~fsc:(Some (Sc.linear link_rate)) ~usc:None ~qlimit:None ~qbytes:None
   in
   let byname = Hashtbl.create 64 in
-  Hashtbl.replace byname troot.cname troot;
+  Hashtbl.replace byname troot.cname [ troot ];
   let by_id = Array.make 16 nil in
   by_id.(0) <- troot;
   {
@@ -636,9 +638,10 @@ let add_class t ~parent ~name ?rsc ?fsc ?usc ?qlimit ?qlimit_bytes () =
   t.by_id.(t.next_id) <- cl;
   t.next_id <- t.next_id + 1;
   parent.cchildren_rev <- cl :: parent.cchildren_rev;
-  (* first class of a given name wins, preserving find_class's
-     "earliest in creation order" contract under duplicates *)
-  if not (Hashtbl.mem t.byname name) then Hashtbl.add t.byname name cl;
+  (* ids grow, so the newest class of a name goes last *)
+  (match Hashtbl.find_opt t.byname name with
+  | None -> Hashtbl.add t.byname name [ cl ]
+  | Some same -> Hashtbl.replace t.byname name (same @ [ cl ]));
   cl
 
 let remove_class t cl =
@@ -654,22 +657,11 @@ let remove_class t cl =
       parent.cchildren_rev <-
         List.filter (fun c -> c != cl) parent.cchildren_rev;
       t.by_id.(cl.id) <- nil;
-      match Hashtbl.find_opt t.byname cl.cname with
-      | Some bound when bound == cl ->
-          Hashtbl.remove t.byname cl.cname;
-          (* rebind the earliest surviving duplicate, if any; as [cl]
-             was the earliest of its name, any duplicate has a larger
-             id *)
-          let rec rebind i =
-            if i < t.next_id then begin
-              let c = t.by_id.(i) in
-              if c != nil && String.equal c.cname cl.cname then
-                Hashtbl.replace t.byname cl.cname c
-              else rebind (i + 1)
-            end
-          in
-          rebind (cl.id + 1)
-      | _ -> ()
+      match
+        List.filter (fun c -> c != cl) (Hashtbl.find t.byname cl.cname)
+      with
+      | [] -> Hashtbl.remove t.byname cl.cname
+      | same -> Hashtbl.replace t.byname cl.cname same
 
 let class_of_id t id =
   if id < 0 || id >= t.next_id || Array.unsafe_get t.by_id id == nil then
@@ -1237,7 +1229,10 @@ let id c = c.id
 let is_leaf c = is_leaf_cls c
 let parent c = c.cparent
 let children c = List.rev c.cchildren_rev
-let find_class t n = Hashtbl.find_opt t.byname n
+let find_class t n =
+  match Hashtbl.find_opt t.byname n with
+  | Some (c :: _) -> Some c
+  | Some [] | None -> None
 let queue_length c = Fq.length c.queue
 let queue_bytes c = Fq.bytes c.queue
 
@@ -1421,20 +1416,27 @@ let audit t =
     err "backlog: bl_pkts=%d but leaf queues hold %d" t.bl_pkts !sum_pkts;
   if t.bl_bytes <> !sum_bytes then
     err "backlog: bl_bytes=%d but leaf queues hold %d" t.bl_bytes !sum_bytes;
-  (* find_class must resolve to the earliest class of each name *)
-  let seen = Hashtbl.create 16 in
+  (* the name index must list exactly the live classes of each name,
+     earliest first, so find_class resolves to the earliest *)
+  let want = Hashtbl.create 16 in
   List.iter
     (fun c ->
-      if not (Hashtbl.mem seen c.cname) then begin
-        Hashtbl.add seen c.cname ();
-        match Hashtbl.find_opt t.byname c.cname with
-        | Some bound when bound == c -> ()
-        | Some bound ->
-            err "byname: %S resolves to id %d, expected earliest id %d"
-              c.cname bound.id c.id
-        | None -> err "byname: %S unbound" c.cname
-      end)
-    live;
+      let same = Option.value ~default:[] (Hashtbl.find_opt want c.cname) in
+      Hashtbl.replace want c.cname (c :: same))
+    (List.rev live);
+  let ids l = String.concat " " (List.map (fun c -> string_of_int c.id) l) in
+  Hashtbl.iter
+    (fun name same ->
+      match Hashtbl.find_opt t.byname name with
+      | Some bound when List.equal ( == ) bound same -> ()
+      | Some bound ->
+          err "byname: %S lists ids [%s], expected [%s]" name (ids bound)
+            (ids same)
+      | None -> err "byname: %S unbound" name)
+    want;
+  if Hashtbl.length t.byname <> Hashtbl.length want then
+    err "byname: %d names indexed, %d live" (Hashtbl.length t.byname)
+      (Hashtbl.length want);
   List.rev !errs
 
 let pp_hierarchy ppf t =

@@ -112,7 +112,8 @@ val check_curves :
 val remove_class : t -> cls -> unit
 (** Remove a passive leaf (or childless interior) class from the
     hierarchy, as kernel implementations allow between traffic.
-    A parent left childless becomes usable as a leaf again.
+    A parent left childless becomes usable as a leaf again. Costs
+    O(siblings + classes sharing its name), never O(classes).
 
     @raise Invalid_argument if the class is the root, still has
     children, or has queued packets. *)
@@ -237,6 +238,8 @@ val class_of_id : t -> int -> cls
     class. *)
 
 val find_class : t -> string -> cls option
+(** The earliest-created live class of that name. *)
+
 val queue_length : cls -> int
 val queue_bytes : cls -> int
 

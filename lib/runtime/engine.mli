@@ -43,9 +43,10 @@
     carries no internal synchronisation and must be confined to one
     domain at a time. The sequential {!Router} keeps every engine on
     the caller's domain; {!Mc_router} transfers each engine to its
-    worker domain at attach (before any operation runs) and back to the
-    caller at {!Mc_router.stop}, with every intervening access made
-    {e by} the owning worker on behalf of ring messages. The values
+    worker domain with its first call (before any operation runs) and
+    back to the caller at {!Mc_router.stop}, with every intervening
+    access made {e by} the owning worker on behalf of posted packets
+    and calls. The values
     designed to cross domains are immutable results
     ({!Telemetry.snapshot}, response strings, {!error}) and a spill
     sink lent to {!drain_trace} for one call, while the lender waits

@@ -1,59 +1,53 @@
 (* The multicore router. Structure:
 
-   - each worker domain owns one inbound SPSC ring of [msg] (posted
-     packets naming their link's port, calls — closures run on a
-     link's engine, dequeues among them — and the stop) and one
-     reusable reply slot;
-   - a worker loops: pop a message and serve it; on an empty ring,
-     spin briefly and then park (essential on few-core hosts, where a
-     spinning worker starves the producer);
+   - each worker domain has one turn: a mutex, two conditions, a
+     request cell, a reply cell, and the FIFO of packets posted to its
+     links and not yet applied;
+   - a posted packet is appended to its worker's FIFO without a lock,
+     and the producer returns at once; every other engine access — a
+     dequeue too — is one call: the producer hands the worker a
+     closure and waits for the reply;
+   - a worker waits for a request, applies every pending post in
+     order, runs the call, replies, and waits again;
    - each link is wrapped in a [port]: its engine, its worker
      (round-robin assignment) and its failure and refusal cells;
-   - the control plane is {!Router_core} instantiated with ring-backed
-     calls, so routing rules and reply strings are the sequential
-     router's by construction.
+   - the control plane is {!Router_core} instantiated with these calls,
+     so routing rules and reply strings are the sequential router's by
+     construction.
 
-   Determinism: each worker's ring is FIFO and each port has one owning
-   worker, so a link's engine observes operations in exactly the
-   producer's issue order — the sequential router's order. Calls block
-   on the worker's reply slot, and the producer waits for each reply
-   before it issues anything else, so one slot per worker is all the
-   router needs. Enqueues never wait: each is posted, and what the
-   worker refuses is added to the port's refusal count, read back by a
-   call that queues behind every post. A deleted link needs no detach:
-   its queued posts drain in FIFO order onto an engine nobody reads.
+   Determinism: a worker applies its FIFO before each call, and each
+   port has one owning worker, so a link's engine observes operations
+   in exactly the producer's issue order — the sequential router's
+   order. What the worker refuses is added to the port's refusal
+   count, read back by a call, which applies every earlier post first.
+   A deleted link needs no detach: its pending posts are applied in
+   FIFO order onto an engine nobody reads.
 
-   Memory model notes: ring publication is the SPSC ring's
-   release/acquire pair (see {!Ds.Spsc_ring}); the same pair hands a
-   new link's engine to its worker with the link's first message, so a
-   link needs no attach step. Replies and parking are {!Ds.Handoff}:
-   the worker fills its reply slot with an SC [Atomic.set] after a
-   call's closure stored its result, so the producer's take of the
-   reply orders the result cell before its read; the worker parks on
-   its parker and the producer wakes it after each push. Both rest on
-   the Dekker argument written once in handoff.mli; both signal only
-   after unlocking, and neither takes a lock while the other side is
-   awake. *)
-
-module Ring = Ds.Spsc_ring
-module Handoff = Ds.Handoff
+   The turn is a monitor. Every wait loops on its predicate under
+   [w_m]; every predicate changes under [w_m] and is signalled after
+   the unlock, so no wakeup is lost. The producer waits for the reply
+   of every request it hands over, so producer and worker never run at
+   the same time: the FIFO, the engines and the port cells belong to
+   whichever side holds the turn, and the mutex orders each hand-over.
+   The same hand-over publishes a new link's engine to its worker, so
+   a link needs no attach step. *)
 
 exception Injected_failure
 
 (* what every link of a stopped router is latched down with *)
 exception Stopped
 
-(* --- ports, workers and messages ---------------------------------------- *)
+(* --- ports, workers and turns ------------------------------------------- *)
 
-(* a worker's input ring *)
-let ring_capacity = 1024
+(* posts a worker's FIFO holds before the producer forces a flush *)
+let pending_capacity = 1024
 
 type port = {
   p_eng : Engine.t; (* worker-owned until [stop] *)
   p_worker : worker;
   (* failure of a posted enqueue, set by the worker (first wins),
      observed by the producer on its next touch of this port *)
-  p_fail : exn option Atomic.t;
+  mutable p_fail : exn option;
   (* producer-side latch: once a failure is observed the link is down —
      every subsequent operation short-circuits to a degraded reply
      (typed [Link_failed], empty lists, zero counts) instead of raising
@@ -61,100 +55,119 @@ type port = {
   mutable p_down : exn option;
   (* packets refused by posted enqueues (one whose engine call raised
      included); written by the worker only *)
-  p_refused : int Atomic.t;
+  mutable p_refused : int;
 }
 
 and worker = {
-  w_in : msg Ring.t;
-  (* one call is in flight at most *)
-  w_reply : unit Handoff.slot;
-  w_parker : Handoff.parker;
-  (* async failure, reported later; [Stopped] once the router stops *)
+  w_m : Mutex.t;
+  w_work : Condition.t; (* [w_req] is no longer [No_req] *)
+  w_done : Condition.t; (* [w_reply] is no longer [Waiting] *)
+  mutable w_req : req;
+  mutable w_reply : reply;
+  w_pending : posted Queue.t; (* posts not yet applied, oldest first *)
+  (* why the worker died, set under [w_m]; [Stopped] once the router
+     stops. Read without the lock on every post. *)
   w_poison : exn option Atomic.t;
   mutable w_domain : unit Domain.t option;
 }
 
-and msg =
-  | M_nop (* ring dummy; never delivered *)
-  | M_enqueue of { e_port : port; e_now : float; e_pkt : Pkt.Packet.t }
-      (* never awaited *)
-  | M_call of (unit -> unit) (* stores its result before the reply *)
-  | M_stop (* the last message a worker serves *)
+and posted = { port : port; now : float; pkt : Pkt.Packet.t }
+
+and req =
+  | No_req
+  | Call of (unit -> unit) (* stores its result before the reply *)
+  | Stop (* the last request a worker takes *)
+
+and reply = Waiting | Done | Failed of exn
 
 (* --- the worker domain -------------------------------------------------- *)
 
 (* the worker is the count's only writer *)
-let refuse p = Atomic.set p.p_refused (Atomic.get p.p_refused + 1)
+let refuse p = p.p_refused <- p.p_refused + 1
 
-let serve w msg =
-  match msg with
-  | M_nop | M_stop -> ()
-  | M_enqueue { e_port = p; e_now; e_pkt } -> (
-      match Engine.enqueue_flow p.p_eng ~now:e_now e_pkt with
-      | true -> ()
-      | false -> refuse p
-      | exception e ->
-          (* count the packet refused and park the failure on the port;
-             the producer latches it into [p_down] on its next touch *)
-          refuse p;
-          if Atomic.get p.p_fail = None then Atomic.set p.p_fail (Some e))
-  | M_call f -> (
-      match f () with
-      | () -> Handoff.fill w.w_reply ()
-      | exception e -> Handoff.fail w.w_reply e)
+let apply { port = p; now; pkt } =
+  match Engine.enqueue_flow p.p_eng ~now pkt with
+  | true -> ()
+  | false -> refuse p
+  | exception e ->
+      (* count the packet refused and record the failure on the port;
+         the producer latches it into [p_down] on its next touch *)
+      refuse p;
+      if p.p_fail = None then p.p_fail <- Some e
 
-let worker_body w =
-  let has_work () = not (Ring.is_empty w.w_in) in
-  let rec loop () =
-    match Ring.try_pop w.w_in with
-    | Some M_stop -> ()
-    | Some m ->
-        serve w m;
-        loop ()
-    | None ->
-        (* brief spin for sub-microsecond turnaround, then park *)
-        let spins = ref 0 in
-        while !spins < 64 && not (has_work ()) do
-          incr spins;
-          Domain.cpu_relax ()
-        done;
-        Handoff.park w.w_parker ~has_work;
-        loop ()
-  in
-  loop ()
+let reply w r =
+  Mutex.lock w.w_m;
+  w.w_reply <- r;
+  Mutex.unlock w.w_m;
+  Condition.signal w.w_done
 
-(* [serve] contains every engine call behind a per-message catch, so
-   this outer net only fires on something catastrophic (OOM, a broken
-   ring invariant). It must not let the domain die silently: a dead
-   worker's ring never drains, so every port it owned is marked
-   unreachable via [w_poison] and the producer degrades those links
-   instead of blocking forever. *)
+let rec worker_body w =
+  Mutex.lock w.w_m;
+  while w.w_req == No_req do
+    Condition.wait w.w_work w.w_m
+  done;
+  let req = w.w_req in
+  w.w_req <- No_req;
+  Mutex.unlock w.w_m;
+  while not (Queue.is_empty w.w_pending) do
+    apply (Queue.pop w.w_pending)
+  done;
+  match req with
+  | Call f ->
+      reply w (match f () with () -> Done | exception e -> Failed e);
+      worker_body w
+  | Stop | No_req -> ()
+
+(* [apply] and [Call] catch every engine exception, so this net only
+   fires on something catastrophic (OOM, a stack overflow), never while
+   the body holds [w_m]. A dead worker takes no more turns: it poisons
+   itself, which downs every port it owned, and fails the reply of the
+   turn it held, so a producer waiting in [call] latches the link down
+   instead of blocking. *)
 let worker_run w =
-  try worker_body w with e -> Atomic.set w.w_poison (Some e)
+  try worker_body w
+  with e ->
+    Mutex.lock w.w_m;
+    Atomic.set w.w_poison (Some e);
+    w.w_reply <- Failed e;
+    Mutex.unlock w.w_m;
+    Condition.signal w.w_done
 
 (* --- the producer side -------------------------------------------------- *)
 
-let rec post w m =
-  if Ring.try_push w.w_in m then Handoff.wake w.w_parker
-  else begin
-    (* ring full: the worker may be parked with a full ring only
-       transiently; wake it and retry *)
-    Handoff.wake w.w_parker;
-    Domain.cpu_relax ();
-    post w m
-  end
+(* Hand the worker the turn. A dead worker takes none: its turn fails
+   at once, even if it died after the caller last looked. *)
+let hand w req =
+  Mutex.lock w.w_m;
+  (match Atomic.get w.w_poison with
+  | None ->
+      w.w_req <- req;
+      w.w_reply <- Waiting
+  | Some e -> w.w_reply <- Failed e);
+  Mutex.unlock w.w_m;
+  Condition.signal w.w_work
+
+(* Wait for the turn back: [Some e] if it failed with [e]. *)
+let await w =
+  Mutex.lock w.w_m;
+  while w.w_reply == Waiting do
+    Condition.wait w.w_done w.w_m
+  done;
+  let r = w.w_reply in
+  Mutex.unlock w.w_m;
+  match r with Failed e -> Some e | Waiting | Done -> None
 
 (* Has this link failed? Checks the producer-side latch first, then
-   failures parked by the worker ([p_fail]) and worker death
-   ([w_poison], which downs every port that worker owned — its ring
-   will never drain again), latching what it finds into [p_down] so
-   the verdict is sticky. *)
+   failures recorded by the worker ([p_fail]) and worker death
+   ([w_poison], which downs every port that worker owned — it takes no
+   more turns), latching what it finds into [p_down] so the verdict is
+   sticky. *)
 let port_failure p =
   match p.p_down with
   | Some _ as e -> e
   | None -> (
       let e =
-        match Atomic.get p.p_fail with
+        match p.p_fail with
         | Some _ as e -> e
         | None -> Atomic.get p.p_worker.w_poison
       in
@@ -164,11 +177,11 @@ let port_failure p =
           e
       | None -> None)
 
-(* Run [f] on the link's engine, on its worker's domain: the closure
-   stores its result in a cell before the worker fills its reply slot,
-   and [Handoff.fill] makes that store visible once [await] returns.
-   Graceful degradation: a downed link answers [down] without touching
-   the ring, and a failure raised by [f] (the worker failing the reply)
+(* Run [f] on the link's engine, on its worker's domain, after every
+   pending post: the closure stores its result in a cell before the
+   worker replies, and the reply, taken under [w_m], orders that store
+   before the read. Graceful degradation: a downed link answers [down]
+   without a turn, and a failure raised by [f] (or the worker's death)
    downs the link and answers [down] — never raising into the caller,
    so one poisoned link cannot tear down the daemon serving the
    others. *)
@@ -178,21 +191,25 @@ let call p ~down f =
   | None -> (
       let w = p.p_worker in
       let cell = ref None in
-      post w (M_call (fun () -> cell := Some (f p.p_eng)));
-      match Handoff.await w.w_reply with
-      | () -> Option.get !cell
-      | exception e ->
+      hand w (Call (fun () -> cell := Some (f p.p_eng)));
+      match await w with
+      | None -> Option.get !cell
+      | Some e ->
           p.p_down <- Some e;
           down e)
 
 (* --- the data path: the simulator adapter ------------------------------ *)
 
-(* [false] when the link is down (nothing was posted) *)
+(* [false] when the link is down (nothing was posted). A full FIFO is
+   flushed by an empty call, which also charges each refusal to its
+   posting port. *)
 let post_enqueue p ~now pkt =
   match port_failure p with
   | Some _ -> false
   | None ->
-      post p.p_worker (M_enqueue { e_port = p; e_now = now; e_pkt = pkt });
+      let q = p.p_worker.w_pending in
+      Queue.push { port = p; now; pkt } q;
+      if Queue.length q >= pending_capacity then call p ~down:ignore ignore;
       true
 
 let port_adapter p backend =
@@ -219,7 +236,7 @@ let port_adapter p backend =
     deferred_drops =
       Some
         (fun () ->
-          let refused _ = Atomic.get p.p_refused in
+          let refused _ = p.p_refused in
           call p ~down:refused refused);
   }
 
@@ -236,9 +253,12 @@ let create ?trace_capacity ?tracing ?audit_every ~domains () =
   let workers =
     Array.init domains (fun _ ->
         {
-          w_in = Ring.create ~capacity:ring_capacity ~dummy:M_nop;
-          w_reply = Handoff.slot ();
-          w_parker = Handoff.parker ();
+          w_m = Mutex.create ();
+          w_work = Condition.create ();
+          w_done = Condition.create ();
+          w_req = No_req;
+          w_reply = Done;
+          w_pending = Queue.create ();
           w_poison = Atomic.make None;
           w_domain = None;
         })
@@ -247,19 +267,13 @@ let create ?trace_capacity ?tracing ?audit_every ~domains () =
     (fun w -> w.w_domain <- Some (Domain.spawn (fun () -> worker_run w)))
     workers;
   let next = ref 0 in
-  (* a port for a freshly built engine; its first message publishes
-     the engine to the worker. A stopped or dead worker downs it at
-     once through [port_failure]. *)
+  (* a port for a freshly built engine; its first turn publishes the
+     engine to the worker. A stopped or dead worker downs it at once
+     through [port_failure]. *)
   let port eng =
     let w = workers.(!next mod domains) in
     incr next;
-    {
-      p_eng = eng;
-      p_worker = w;
-      p_fail = Atomic.make None;
-      p_down = None;
-      p_refused = Atomic.make 0;
-    }
+    { p_eng = eng; p_worker = w; p_fail = None; p_down = None; p_refused = 0 }
   in
   {
     core =
@@ -315,10 +329,9 @@ let config_fingerprint t = Router_core.config_fingerprint t.core
 let stop t =
   if t.running then begin
     t.running <- false;
-    (* a dead worker's ring never drains: post it nothing *)
-    Array.iter
-      (fun w -> if Atomic.get w.w_poison = None then post w M_stop)
-      t.workers;
+    (* each live worker applies its pending posts and exits; [hand]
+       gives a dead one nothing *)
+    Array.iter (fun w -> hand w Stop) t.workers;
     Array.iter
       (fun w ->
         Option.iter Domain.join w.w_domain;
@@ -333,13 +346,12 @@ let stop t =
       | Some _ as e -> e
       | None ->
           List.find_map
-            (fun (_, p) ->
-              if p.p_down = None then Atomic.get p.p_fail else None)
+            (fun (_, p) -> if p.p_down = None then p.p_fail else None)
             t.core.Router_core.links
     in
     (* no worker is left to serve a port: every link, and any link
        added from now on, is down, so later calls take the degraded
-       answers instead of waiting on a ring nobody drains *)
+       answers instead of handing a turn nobody takes *)
     Array.iter (fun w -> Atomic.set w.w_poison (Some Stopped)) t.workers;
     Option.iter raise unobserved
   end;

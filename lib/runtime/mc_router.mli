@@ -4,16 +4,18 @@
     OCaml domains instead of the caller's.
 
     {b Architecture.} PR 5's link-ownership rule is cashed in as a
-    domain boundary. Each worker domain gets one lock-free SPSC ring
-    ({!Ds.Spsc_ring}) carrying posted packets and calls (closures run
-    on one of its links' engines) from the producer (caller) domain,
-    and one reply slot. The flow→link directory stays on the producer
-    side; the worker serves its ring through {!Engine.enqueue_flow} and
-    the engine's own {!Engine.adapter}, so per-link scheduling state
-    never crosses domains. Workers spin briefly when idle, then park;
-    the producer wakes a parked worker after posting. Parking and every reply go
-    through {!Ds.Handoff}, which takes no lock while the other side is
-    awake and signals only after unlocking.
+    domain boundary. Each worker domain has one turn: a mutex, two
+    conditions, a request cell and a reply cell, plus the FIFO of
+    packets posted to its links and not yet applied. The flow→link
+    directory stays on the producer (caller) side. A posted packet is
+    appended to its worker's FIFO without a lock; every other engine
+    access hands the worker a call (a closure run on one of its links'
+    engines) and waits for the reply. The worker applies every pending
+    post in order ({!Engine.enqueue_flow}), runs the call, replies, and
+    sleeps until the next one, so per-link scheduling state never
+    crosses domains. The turn is a textbook monitor: every wait loops
+    on its predicate under the mutex, every predicate changes under
+    it, and each signal comes after the unlock.
 
     {b One data path.} Packets move only through {!adapter}, the
     {!Sched.Scheduler.t} that {!Netsim.Sim} drives: its enqueue posts
@@ -23,34 +25,34 @@
 
     {b Control plane.} Every engine access other than a packet — a
     {!Command} operation, a read for the auditor, exporters or the
-    directory, a poll, a dequeue — is one call: a closure posted into
-    the owning worker's ring, which the worker runs on the link's
-    engine, storing its result before it fills its reply slot
-    ({!Ds.Handoff}); the caller blocks on that slot. Transactional
-    semantics and typed error codes therefore survive the domain hop
-    unchanged — the control logic itself is {!Router_core}, shared
-    with the sequential router, so replies are bit-identical by
-    construction. {!snapshot} is such a call: the worker copies its
-    telemetry between packets and ships the immutable snapshot back,
-    giving a consistent cross-domain read without a seqlock on the hot
-    path. So is the daemon's trace spill: the worker drains the link's
-    event ring into the spill sink ({!Engine.drain_trace}) while the
-    caller waits.
+    directory, a poll, a dequeue — is one call: a closure handed to
+    the owning worker, which runs it on the link's engine after every
+    pending post, storing its result before it replies; the caller
+    blocks until the reply. Transactional semantics and typed error
+    codes therefore survive the domain hop unchanged — the control
+    logic itself is {!Router_core}, shared with the sequential router,
+    so replies are bit-identical by construction. {!snapshot} is such
+    a call: the worker copies its telemetry between packets and ships
+    the immutable snapshot back, giving a consistent cross-domain read
+    without a seqlock on the hot path. So is the daemon's trace spill:
+    the worker drains the link's event ring into the spill sink
+    ({!Engine.drain_trace}) while the caller waits.
 
-    {b Ordering and determinism.} Each worker's ring is FIFO and each
-    link has exactly one owning worker, so a link observes enqueues,
-    dequeues and commands in exactly the order the producer issued
-    them — the same order the sequential router would have applied
-    them. Under the single-producer discipline below, every per-link
-    packet trace and every reply string is bit-identical to
-    {!Router}'s; the [@domains] differential fuzz pins this.
+    {b Ordering and determinism.} Each worker applies its FIFO before
+    every call and each link has exactly one owning worker, so a link
+    observes enqueues, dequeues and commands in exactly the order the
+    producer issued them — the same order the sequential router would
+    have applied them. Under the single-producer discipline below,
+    every per-link packet trace and every reply string is
+    bit-identical to {!Router}'s; the [@domains] differential fuzz
+    pins this.
 
     {b Caller discipline.} A value of this type is {e not} thread-safe:
     all calls — the adapters' closures included — must come from the
-    domain that created it (the single producer of every ring). Every
-    call that waits returns before the next is issued, so at most one
-    request is in flight and one reply slot per worker carries them
-    all. *)
+    domain that created it (the single producer of every worker's
+    FIFO). Every call that waits returns before the next is issued, so
+    at most one request is in flight and producer and worker never
+    run at the same time. *)
 
 type t
 
@@ -59,7 +61,7 @@ type port
     refusal cells. *)
 
 val core : t -> port Router_core.t
-(** The shared control plane over this router's ring ports; what
+(** The shared control plane over this router's worker ports; what
     {!Daemon.backend_of_mc_router} serves. *)
 
 val create :
@@ -71,8 +73,8 @@ val create :
   t
 (** An empty router whose [domains] worker domains ([>= 1]) are spawned
     immediately; links are assigned to workers round-robin at creation.
-    Each worker's input ring holds 1024 messages. The engine knobs are
-    those of {!Router.create}.
+    A post that fills a worker's FIFO to 1024 packets flushes it with
+    an empty call. The engine knobs are those of {!Router.create}.
 
     @raise Invalid_argument if [domains < 1]. *)
 
@@ -104,7 +106,7 @@ val link_of_flow : t -> int -> string option
 
 val exec : t -> now:float -> Command.t -> (string, Engine.error) result
 (** Same routing rules and reply strings as {!Router.exec}; the engine
-    hop is a ring handshake. *)
+    hop is one worker turn. *)
 
 val audit : t -> string list
 val snapshot : t -> link:string -> Telemetry.snapshot option
@@ -134,15 +136,16 @@ val snapshot : t -> link:string -> Telemetry.snapshot option
 
 val link_down : t -> link:string -> string option
 (** Why this link is down ([Printexc.to_string] of the latched
-    failure), or [None] if it is healthy or unknown. Observing a parked
-    failure through any operation — including this one — latches it. *)
+    failure), or [None] if it is healthy or unknown. Observing a
+    recorded failure through any operation — including this one —
+    latches it. *)
 
 exception Injected_failure
 (** What {!inject_failure} makes the worker raise. *)
 
 val inject_failure : t -> link:string -> bool
 (** Test hook: make the owning worker fail serving this link (it raises
-    {!Injected_failure} in its service loop), then observe and latch the
+    {!Injected_failure} from a call), then observe and latch the
     failure, leaving the link down exactly as a real engine fault
     would. [false] if the link is unknown. The worker itself survives —
     its other links are untouched. *)
@@ -150,8 +153,8 @@ val inject_failure : t -> link:string -> bool
 (** {2 The data path} *)
 
 val adapter : t -> link:string -> Sched.Scheduler.t option
-(** Package one link for {!Netsim.Sim}: the returned closures post into
-    the owning worker's ring. The simulator itself stays on the
+(** Package one link for {!Netsim.Sim}: the returned closures post to,
+    and call, the owning worker. The simulator itself stays on the
     producer domain; only the scheduling work moves.
 
     - [enqueue] is fire-and-forget: it posts the packet and answers
@@ -161,7 +164,7 @@ val adapter : t -> link:string -> Sched.Scheduler.t option
     - [deferred_drops] is [Some]: the link's refusal count — every
       packet a posted enqueue refused, one whose engine call raised
       included. On a healthy link it is one synchronous
-      call, queued behind every posted enqueue, hence exact. Once the
+      call, which the worker runs after every posted enqueue, hence exact. Once the
       link is down, or after {!stop}, it is read without asking the
       worker and never raises. It then covers the posted enqueues the
       worker has served so far: all of them after {!inject_failure} or
@@ -188,9 +191,8 @@ val config_fingerprint : t -> string
     crash-recovery differential tests compare. *)
 
 val stop : t -> (string * Engine.t) list
-(** Stop every worker (after it served every message posted before),
-    join the domains,
-    and return each link's engine — now owned by the caller again, safe
+(** Stop every worker (after it applied every packet posted before),
+    join the domains, and return each link's engine — now owned by the caller again, safe
     to inspect directly (the differential tests fingerprint them
     against the sequential router's). Idempotent. A failure the
     producer never got to observe — a worker death, a posted packet

@@ -2,7 +2,7 @@
    being a bare [Engine.t] — every control operation is a direct call
    on the owning engine, every data-path operation a direct call after
    one directory lookup. The multicore router ({!Mc_router}) reuses the
-   same core with ring-backed ports; this file only supplies the direct
+   same core with worker-backed ports; this file only supplies the direct
    port and the allocation-free data path. *)
 
 type t = Engine.t Router_core.t

@@ -38,7 +38,7 @@
     calling domain, and nothing here synchronises. It is the default
     and the semantic reference. {!Mc_router} is the same control plane
     (both are instances of [Router_core]) with each engine owned by a
-    worker domain behind SPSC rings; its replies are bit-identical to
+    worker domain that takes one call at a time; its replies are bit-identical to
     this router's by construction. *)
 
 type t = Engine.t Router_core.t

@@ -1,9 +1,9 @@
 (* The device-level control plane, written once over an abstract link
    "port". A port is one link's engine endpoint: the sequential
    {!Router} instantiates it with a bare [Engine.t] (direct calls); the
-   multicore {!Mc_router} instantiates it with a ring handle whose
-   calls post a closure into the owning worker's ring and wait on that
-   worker's reply slot. Everything observable — reply strings, typed
+   multicore {!Mc_router} instantiates it with a worker handle whose
+   calls hand a closure to the owning worker domain and wait for its
+   reply. Everything observable — reply strings, typed
    errors, routing rules, directory bookkeeping — lives here, so the
    two routers cannot drift apart: the N-domain router is bit-identical
    to the sequential one on the control plane {e by construction}.
@@ -13,17 +13,17 @@
    too, since a config is run as commands — and handed to the router's
    [port] wrapper.
    The per-packet data path is port-specific (a directory hit must stay
-   allocation-free in the sequential router, and must become a ring
-   message in the multicore one), so each router supplies its own
+   allocation-free in the sequential router, and must become a post to
+   the owning worker in the multicore one), so each router supplies its own
    through [adapter]; [adapters] lists every link's, so a simulation
    is wired the same way over either router. *)
 
 (* The port operations. [call] is the control-plane call: it may
-   block (ring round trip) and may allocate.
+   block (a worker round trip) and may allocate.
 
    [call p ~down f] runs [f] on the link's engine and returns its
    result; on a link that is down it answers [down e] instead, [e]
-   being why. For a ring port [f] runs on the worker's domain, so it
+   being why. For a worker port [f] runs on the worker's domain, so it
    may touch only the engine and values the producer does not mutate
    before the reply. *)
 type 'p ops = {
@@ -57,7 +57,7 @@ let errf code fmt =
 let ( let* ) = Result.bind
 
 (* [port eng] wraps a freshly built engine as the router's port: the
-   engine itself for the sequential router, a ring handle on a worker
+   engine itself for the sequential router, a handle on a worker
    domain for the multicore one. The engine knobs apply to every link
    the router builds, including those added later. *)
 let create ?trace_capacity ?tracing ?audit_every ~ops ~port () =

@@ -10,8 +10,9 @@
     {b Domain ownership.} The record itself carries no synchronisation:
     all closures of one [t] must be called from a single domain at a
     time. A closure may internally cross domains — [Mc_router.adapter]
-    builds a [t] whose operations post to a worker's ring (awaiting the
-    reply for everything but [enqueue]) — but that is the
+    builds a [t] whose operations are each one turn of a worker domain
+    (the caller waits for the reply), while [enqueue] only posts the
+    packet, to ride with the next turn — but that is the
     implementation's contract, invisible here: callers always treat a
     [t] as a plain single-domain value. *)
 
@@ -45,8 +46,10 @@ type t = {
           [false]. [Some f]: [f ()] is the running total of packets
           the scheduler refused after {!enqueue} had answered [true]
           for them (the multicore router's fire-and-forget enqueue),
-          covering every enqueue issued before the call. It may cost a
-          round trip: read it at accounting time, not per packet. *)
+          covering every enqueue issued before the call: the multicore
+          router applies every posted enqueue before it counts. It may
+          cost a round trip: read it at accounting time, not per
+          packet. *)
 }
 
 val work_conserving_next_ready :

@@ -6,8 +6,8 @@
    bit-identically per link:
 
    - every command reply (success string or typed error) — the control
-     plane is [Router_core] on both sides, but this pins the ring
-     handshake's transactional semantics too;
+     plane is [Router_core] on both sides, but this pins the worker
+     turn's transactional semantics too;
    - every dequeued packet (identity, class, rt/ls criterion, order),
      one packet per [dequeue] on both sides, so engine audit ticks line
      up — half the drains are one [dequeue_burst], half a loop of
@@ -24,13 +24,15 @@
      hands the engines back — the full per-engine state fingerprint.
 
    Link add/delete churn is part of the stream, so links joining and
-   leaving a worker's ring and directory rebuilds are exercised under
+   leaving a worker and directory rebuilds are exercised under
    load.
 
    Plain executable so op counts scale:
-   [test_domains.exe [OPS] [SEEDS] [DOMAINS]], defaulting to 400 1 2 —
-   the short deterministic run wired into [dune runtest]. The
-   [@domains] alias runs longer streams with 2 and 4 domains. *)
+   [test_domains.exe [OPS] [SEEDS] [DOMAINS] [CALLS]], defaulting to
+   400 1 2 2000 — the short deterministic run wired into [dune
+   runtest]; CALLS is the watchdog case's call count per router. The
+   [@domains] alias runs longer streams with 2 and 4 domains, and
+   200,000 watchdog calls. *)
 
 open Hfsc_gen
 
@@ -126,7 +128,7 @@ let run_differential ~domains ~seed ~nops =
     ];
   let rng = Random.State.make [| 0x5eed; seed; 3 |] in
   (* a fixed opening: 20 posts into a 16-packet class, then the class's
-     delete while they may still be unserved on the ring *)
+     delete while they may still be pending on the worker *)
   let at0 eact = { edt = 0.; eact } in
   let ops =
     (at0 (Cmd "link l0 add class tmp parent root flow 10 fsc 0.5Mbit qlimit 16")
@@ -400,8 +402,8 @@ let run_degradation ~domains =
   check "pre-failure post on l0" (post a0 ~flow:1 1);
   check "pre-failure post on l1" (post a1 ~flow:2 2);
   check "pre-failure posts admitted" (deferred a0 = 0 && deferred a1 = 0);
-  (* 70 posts into l1's 64-packet class (one slot taken), left unserved
-     on the ring when the failure is injected *)
+  (* 70 posts into l1's 64-packet class (one slot taken), left pending
+     on the worker when the failure is injected *)
   for seq = 100 to 169 do
     check "healthy adapter enqueue answers true" (post a1 ~flow:2 seq)
   done;
@@ -491,7 +493,7 @@ let run_degradation ~domains =
   check "stop hands back every engine" (List.length links = 3);
   check "deferred drops after stop" (deferred a1 = 7);
   (* a stopped router has no workers: every call answers degraded at
-     once instead of waiting on a ring nobody drains *)
+     once instead of waiting on a worker that is gone *)
   check_link_failed "command after stop" "link l0 stats";
   check "snapshot after stop is None" (M.snapshot m ~link:"l0" = None);
   check "post after stop answers false" (not (post a0 ~flow:1 5));
@@ -514,10 +516,10 @@ let run_degradation ~domains =
   check "link added after stop is down" (M.link_down m ~link:"late100" <> None);
   check "stop stays idempotent" (List.length (M.stop m) = 103)
 
-(* A full input ring: far more posts into one link than its worker's
-   ring holds (1024 messages, see mc_router.mli), with no dequeue in
-   between, so the producer finds the ring full and has to wake the
-   worker and retry. A small qlimit refuses most of them. The refusal count, the
+(* A full pending FIFO: far more posts into one link than its worker's
+   FIFO holds (1024 posts, see mc_router.mli), with no dequeue in
+   between, so the producer flushes the FIFO with an empty call four
+   times. A small qlimit refuses most of them. The refusal count, the
    drained (flow, seq) order and the final engine fingerprint must be
    the sequential adapter's. *)
 let run_full_ring () =
@@ -751,7 +753,7 @@ let run_sim_differential () =
 (* A two-hop [Netsim.Tandem] with cross traffic at hop 1, each hop the
    adapter of its own one-link router. The tandem carries a packet to
    the next hop from a departure hook, so over [Mc_router] a departure
-   on one worker's link posts into the other worker's ring between two
+   on one worker's link posts to the other worker between two
    dequeues; every output must equal the same tandem over
    [Engine.adapter] hops. Hop 0's upper-limited class exercises the
    next-ready polls, hop 1's short queues the late refusals. *)
@@ -871,6 +873,112 @@ let run_refused_config () =
         then fail "refused config: build %d: unexpected error %S" i e
   done
 
+(* --- the turn under a watchdog ------------------------------------------ *)
+
+(* Turns through 1- and 2-domain routers: back-to-back calls, and
+   post/flush cycles — 1500 posts between two calls, more than the 1024
+   a worker's FIFO holds before the producer flushes it — each followed
+   by the refusal count, a backlog poll and a drain. At two domains the
+   links alternate workers. A lost wakeup leaves producer and worker
+   asleep for good; the watchdog domain turns that into a failed run:
+   if the call count stops moving for 30 s it names the router and
+   exits 2. [calls] is the call count per router. *)
+let with_watchdog what f =
+  let progress = Atomic.make 0 and finished = Atomic.make false in
+  let dog =
+    Domain.spawn (fun () ->
+        let last = ref (-1) and since = ref (Unix.gettimeofday ()) in
+        while not (Atomic.get finished) do
+          Unix.sleepf 0.05;
+          let p = Atomic.get progress and now = Unix.gettimeofday () in
+          if p <> !last then begin
+            last := p;
+            since := now
+          end
+          else if now -. !since > 30. then begin
+            Printf.eprintf
+              "domains: %s made no progress for 30 s at call %d (lost \
+               wakeup?)\n%!"
+              what p;
+            Unix._exit 2
+          end
+        done)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Domain.join dog)
+    (fun () -> f progress)
+
+let run_turns ~domains ~calls =
+  let what = Printf.sprintf "turns (domains %d)" domains in
+  let check name b = if not b then fail "%s: %s" what name in
+  let m = M.create ~audit_every ~domains () in
+  let links = [| "l0"; "l1" |] in
+  let qlimit = 16 and posts = 1500 in
+  Array.iteri
+    (fun i name ->
+      List.iter
+        (fun line ->
+          match Runtime.Command.parse line with
+          | Error e -> fail "%s: parse %S: %s" what line e
+          | Ok cmd ->
+              check (line ^ " accepted") (Result.is_ok (M.exec m ~now:0. cmd)))
+        [
+          Printf.sprintf "link add %s rate 1Mbit" name;
+          Printf.sprintf "link %s add class c parent root flow %d fsc 500Kbit \
+                          qlimit %d"
+            name (i + 1) qlimit;
+        ])
+    links;
+  let adapters =
+    Array.map
+      (fun name ->
+        match M.adapter m ~link:name with
+        | Some a -> a
+        | None -> fail "%s: no adapter for %s" what name)
+      links
+  in
+  let refused = Array.make 2 0 in
+  with_watchdog what (fun progress ->
+      let made = ref 0 and step = ref 0 in
+      while !made < calls do
+        let k = !step land 1 in
+        let a = adapters.(k) and now = float_of_int !step in
+        if !step land 127 = 127 then begin
+          for seq = 1 to posts do
+            check "a healthy post answers true"
+              (a.Sched.Scheduler.enqueue ~now
+                 (Pkt.Packet.make ~flow:(k + 1) ~size:100 ~seq ~arrival:now))
+          done;
+          refused.(k) <- refused.(k) + posts - qlimit;
+          (match a.Sched.Scheduler.deferred_drops with
+          | Some f ->
+              let got = f () in
+              if got <> refused.(k) then
+                fail "%s: deferred drops %d after a flush cycle, want %d" what
+                  got refused.(k)
+          | None -> fail "%s: no deferred count" what);
+          check "the class holds its qlimit"
+            (a.Sched.Scheduler.backlog_pkts () = qlimit);
+          let rec drain n =
+            match a.Sched.Scheduler.dequeue ~now with
+            | Some _ -> drain (n + 1)
+            | None -> n
+          in
+          check "the drain serves what the class held" (drain 0 = qlimit);
+          made := !made + qlimit + 3
+        end
+        else begin
+          check "an idle link polls empty"
+            (a.Sched.Scheduler.backlog_pkts () = 0);
+          incr made
+        end;
+        incr step;
+        Atomic.set progress !made
+      done);
+  ignore (M.stop m)
+
 let () =
   let arg i d =
     if Array.length Sys.argv > i then int_of_string Sys.argv.(i) else d
@@ -878,11 +986,13 @@ let () =
   let nops = arg 1 400 in
   let seeds = arg 2 1 in
   let domains = arg 3 2 in
+  let calls = arg 4 2000 in
   List.iter (fun domains -> run_degradation ~domains) [ 1; 2 ];
   run_full_ring ();
   run_sim_differential ();
   run_tandem_differential ();
   run_refused_config ();
+  List.iter (fun domains -> run_turns ~domains ~calls) [ 1; 2 ];
   let posted = ref 0 and late = ref 0 in
   for seed = 0 to seeds - 1 do
     let p, l = run_differential ~domains ~seed ~nops in
@@ -894,7 +1004,7 @@ let () =
      checkpoint keeps its add) while the others keep serving; a stopped \
      router answers every call degraded\n";
   Printf.printf
-    "domains ok: 4096 posts into its worker's 1024-message ring with no \
+    "domains ok: 4096 posts into its worker's 1024-post FIFO with no \
      dequeue between them: refusals, drained order and fingerprint match \
      the sequential adapter\n";
   Printf.printf
@@ -908,6 +1018,11 @@ let () =
   Printf.printf
     "domains ok: 150 refused configurations at 2 domains each: every \
      build's workers stopped\n";
+  Printf.printf
+    "domains ok: %d calls through each of a 1- and a 2-domain router under \
+     a watchdog (back-to-back calls; post/flush cycles of 1500 posts \
+     between two calls): refusal counts and drains exact\n"
+    calls;
   Printf.printf
     "domains ok: %d seed%s x %d ops x %d domain%s: multicore router \
      bit-identical to the sequential router through the adapters (replies, \

@@ -296,6 +296,62 @@ let test_reconf_takes_effect () =
   Alcotest.(check bool) "3:1 after (next backlogged period)" true
     (abs_float ((db /. da /. 3.) -. 1.) < 0.15)
 
+(* --- the name index: Hfsc's find_class against Hfsc_ref's scan ----- *)
+
+(* Random adds and removes over a 4-name pool, so names repeat and the
+   class removed is often the earliest of its name. After every op both
+   schedulers must list the same classes (id, name), resolve every name
+   to the same id, and Hfsc's audit (which checks its name index) must
+   be clean. *)
+let name_pool = [| "root"; "a"; "b"; "c"; "d" |]
+
+let name_index_diff =
+  qt ~count:200 "add/remove churn: find_class and classes agree"
+    QCheck2.Gen.(
+      list_size (int_range 1 120)
+        (triple bool (int_range 1 4) (int_range 0 1000)))
+    (fun ops ->
+      let t = Hfsc.create ~link_rate:1e6 ()
+      and r = Hfsc_ref.create ~link_rate:1e6 () in
+      let fsc = Curve.Service_curve.linear 1000. in
+      (* the pairs of live classes, in creation order *)
+      let live = ref [] in
+      let agree () =
+        List.map (fun c -> (Hfsc.id c, Hfsc.name c)) (Hfsc.classes t)
+        = List.map (fun c -> (Hfsc_ref.id c, Hfsc_ref.name c))
+            (Hfsc_ref.classes r)
+        && Array.for_all
+             (fun n ->
+               Option.map Hfsc.id (Hfsc.find_class t n)
+               = Option.map Hfsc_ref.id (Hfsc_ref.find_class r n))
+             name_pool
+        && Hfsc.audit t = []
+      in
+      List.for_all
+        (fun (add, k, pick) ->
+          let l = !live in
+          (if add then begin
+             let n = List.length l in
+             let pt, pr =
+               if pick mod (n + 1) = n then (Hfsc.root t, Hfsc_ref.root r)
+               else List.nth l (pick mod (n + 1))
+             in
+             let name = name_pool.(k) in
+             let ct = Hfsc.add_class t ~parent:pt ~name ~fsc ()
+             and cr = Hfsc_ref.add_class r ~parent:pr ~name ~fsc () in
+             live := l @ [ (ct, cr) ]
+           end
+           else
+             match List.filter (fun (ct, _) -> Hfsc.is_leaf ct) l with
+             | [] -> ()
+             | leaves ->
+                 let ct, cr = List.nth leaves (pick mod List.length leaves) in
+                 Hfsc.remove_class t ct;
+                 Hfsc_ref.remove_class r cr;
+                 live := List.filter (fun (c, _) -> c != ct) l);
+          agree ())
+        ops)
+
 let () =
   Alcotest.run "hfsc-diff"
     [
@@ -307,6 +363,7 @@ let () =
           Alcotest.test_case "tie-heavy bursts" `Quick test_ties;
         ] );
       ("batch", [ record_identity ]);
+      ("name index", [ name_index_diff ]);
       ( "set_curves",
         [
           Alcotest.test_case "mid-backlog big run" `Quick
