@@ -112,8 +112,6 @@ type cls = {
   mutable nactive : int;
   mutable in_actc : bool;
   mutable ulimit_c : Fp.t;
-  (* statistics *)
-  mutable nperiods : int;
 }
 
 let zero_isc = Fp.isc_of_sc Sc.zero
@@ -163,7 +161,6 @@ let nil =
       nactive = 0;
       in_actc = false;
       ulimit_c = zero_rc;
-      nperiods = 0;
       ed_l = c;
       ed_r = c;
       ed_h = 0;
@@ -543,7 +540,6 @@ let make_cls ~id ~name ~parent ~rsc ~fsc ~usc ~qlimit ~qbytes =
     in_actc = false;
     ulimit_c =
       (match usc with Some _ -> Fp.of_isc uisc ~x:0 ~y:0 | None -> zero_rc);
-    nperiods = 0;
     ed_l = nil;
     ed_r = nil;
     ed_h = 0;
@@ -668,15 +664,28 @@ let class_of_id t id =
     invalid_arg (Printf.sprintf "Hfsc.class_of_id: unknown class id %d" id);
   Array.unsafe_get t.by_id id
 
-let set_curves t cl ?rsc ?fsc ?usc () =
-  ignore t;
-  if not (Fq.is_empty cl.queue) || cl.nactive > 0 || cl.in_ed || cl.in_actc
-  then invalid_arg "Hfsc.set_curves: class is active";
-  (match rsc with
-  | Some _ when not (is_leaf_cls cl) ->
-      invalid_arg "Hfsc.set_curves: rsc on an interior class"
-  | _ -> ());
-  check_curves "Hfsc.set_curves" ~rsc ~fsc ~usc;
+(* Every check runs before the first store, so a refused change leaves
+   the class exactly as it was: the curves' checks, then the limits'. *)
+let modify_class t cl ?rsc ?fsc ?usc ?qlimit ?qlimit_bytes () =
+  if rsc <> None || fsc <> None || usc <> None then begin
+    if not (Fq.is_empty cl.queue) || cl.nactive > 0 || cl.in_ed || cl.in_actc
+    then invalid_arg "Hfsc.modify_class: class is active";
+    if rsc <> None && not (is_leaf_cls cl) then
+      invalid_arg "Hfsc.modify_class: rsc on an interior class";
+    check_curves "Hfsc.modify_class" ~rsc ~fsc ~usc
+  end;
+  if qlimit <> None || qlimit_bytes <> None then begin
+    if cl == t.troot || not (is_leaf_cls cl) then
+      invalid_arg "Hfsc.modify_class: class is not a leaf";
+    (match qlimit with
+    | Some n when n <= 0 ->
+        invalid_arg "Hfsc.modify_class: limit must be positive"
+    | _ -> ());
+    match qlimit_bytes with
+    | Some n when n <= 0 ->
+        invalid_arg "Hfsc.modify_class: byte limit must be positive"
+    | _ -> ()
+  end;
   (* re-anchor the runtime curves at the accumulated service so the next
      activation's min-update treats the new curve as the whole history *)
   (match rsc with
@@ -698,23 +707,9 @@ let set_curves t cl ?rsc ?fsc ?usc () =
       cl.uisc <- Fp.isc_of_sc s;
       cl.ulimit_c <- Fp.of_isc cl.uisc ~x:0 ~y:cl.fs.total
   | None -> ());
-  if cl.crsc = None && cl.cfsc = None then
-    invalid_arg "Hfsc.set_curves: a class needs an rsc or an fsc"
+  Fq.set_limits ?pkts:qlimit ?bytes:qlimit_bytes cl.queue
 
-(* --- bounds, drop policy and transactional support ----------------- *)
-
-let set_class_limits t cl ?pkts ?bytes () =
-  if cl == t.troot || not (is_leaf_cls cl) then
-    invalid_arg "Hfsc.set_class_limits: class is not a leaf";
-  (match pkts with
-  | Some n when n <= 0 ->
-      invalid_arg "Hfsc.set_class_limits: limit must be positive"
-  | _ -> ());
-  (match bytes with
-  | Some n when n <= 0 ->
-      invalid_arg "Hfsc.set_class_limits: byte limit must be positive"
-  | _ -> ());
-  Fq.set_limits ?pkts ?bytes cl.queue
+(* --- bounds and drop policy ----------------------------------------- *)
 
 let queue_limit_pkts c = Fq.limit_pkts c.queue
 let queue_limit_bytes c = Fq.limit_bytes c.queue
@@ -738,57 +733,6 @@ let aggregate_limit_bytes t = t.agg_bytes
 let set_drop_policy t p = t.policy <- p
 let drop_policy t = t.policy
 let set_drop_hook t f = t.on_drop <- f
-
-(* Everything an Engine command may mutate on a class, so a failed
-   multi-step command can roll back to a bit-identical configuration.
-   Runtime-curve values ([Fp.t]) and shifted curves ([Fp.isc]) are
-   immutable records, so capturing the references captures the state.
-   Scheduling state (fs, trees) is only mutated by the datapath, never
-   by configuration commands, and is deliberately not part of the
-   snapshot. *)
-type class_snapshot = {
-  s_rsc : Sc.t option;
-  s_fsc : Sc.t option;
-  s_usc : Sc.t option;
-  s_risc : Fp.isc;
-  s_fisc : Fp.isc;
-  s_uisc : Fp.isc;
-  s_deadline : Fp.t;
-  s_eligible : Fp.t;
-  s_virtual : Fp.t;
-  s_ulimit : Fp.t;
-  s_qlim_pkts : int;
-  s_qlim_bytes : int;
-}
-
-let snapshot_class cl =
-  {
-    s_rsc = cl.crsc;
-    s_fsc = cl.cfsc;
-    s_usc = cl.cusc;
-    s_risc = cl.risc;
-    s_fisc = cl.fisc;
-    s_uisc = cl.uisc;
-    s_deadline = cl.deadline_c;
-    s_eligible = cl.eligible_c;
-    s_virtual = cl.virtual_c;
-    s_ulimit = cl.ulimit_c;
-    s_qlim_pkts = Fq.limit_pkts cl.queue;
-    s_qlim_bytes = Fq.limit_bytes cl.queue;
-  }
-
-let restore_class cl s =
-  cl.crsc <- s.s_rsc;
-  cl.cfsc <- s.s_fsc;
-  cl.cusc <- s.s_usc;
-  cl.risc <- s.s_risc;
-  cl.fisc <- s.s_fisc;
-  cl.uisc <- s.s_uisc;
-  cl.deadline_c <- s.s_deadline;
-  cl.eligible_c <- s.s_eligible;
-  cl.virtual_c <- s.s_virtual;
-  cl.ulimit_c <- s.s_ulimit;
-  Fq.set_limits ~pkts:s.s_qlim_pkts ~bytes:s.s_qlim_bytes cl.queue
 
 (* Same-unit copies of the Curve.Fixed_point hot functions. Dune's dev
    profile compiles interfaces with -opaque, which turns off
@@ -921,10 +865,7 @@ let rec init_vf t cl go_active now =
       if go_active then begin
         let was = cl.nactive in
         cl.nactive <- was + 1;
-        if was = 0 then begin
-          cl.vtperiod <- cl.vtperiod + 1;
-          cl.nperiods <- cl.nperiods + 1
-        end
+        if was = 0 then cl.vtperiod <- cl.vtperiod + 1
       end
   | Some parent ->
       let newly =
@@ -936,7 +877,6 @@ let rec init_vf t cl go_active now =
         else false
       in
       if newly then begin
-        cl.nperiods <- cl.nperiods + 1;
         let vmax_cl = vt_max_node parent.actc_root in
         if vmax_cl != nil then begin
           let vmax = vmax_cl.fs.vt in
@@ -1241,7 +1181,6 @@ let queue_bytes c = Fq.bytes c.queue
 let total_bytes c = float_of_int c.fs.total
 let realtime_bytes c = float_of_int c.fs.cumul
 let drops c = Fq.drops c.queue
-let periods c = c.nperiods
 let virtual_time c = Fp.seconds_of_ticks c.fs.vt
 let rsc c = c.crsc
 let fsc c = c.cfsc

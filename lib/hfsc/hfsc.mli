@@ -105,7 +105,7 @@ val check_curves :
   usc:Curve.Service_curve.t option ->
   unit
 (** [check_curves what ~rsc ~fsc ~usc] is {!add_class}'s and
-    {!set_curves}' refusal of curves the fixed-point arithmetic cannot
+    {!modify_class}'s refusal of curves the fixed-point arithmetic cannot
     represent, on its own: it raises [Invalid_argument] naming [what]
     and saying "out of range", before anything is built. *)
 
@@ -118,31 +118,34 @@ val remove_class : t -> cls -> unit
     @raise Invalid_argument if the class is the root, still has
     children, or has queued packets. *)
 
-val set_curves :
+val modify_class :
   t ->
   cls ->
   ?rsc:Curve.Service_curve.t ->
   ?fsc:Curve.Service_curve.t ->
   ?usc:Curve.Service_curve.t ->
+  ?qlimit:int ->
+  ?qlimit_bytes:int ->
   unit ->
   unit
-(** Replace the class's curves (only the given ones change). The class
-    must be passive (no queued packets, not active in the hierarchy);
-    the new curves take effect from its next backlogged period.
-    Passing [rsc] to an interior class is rejected as in {!add_class}.
+(** Change a class's curves and leaf queue limits, with {!add_class}'s
+    labels; only what is given changes. Every part of the change is
+    checked before any part is made, so a refusal leaves the class
+    exactly as it was.
 
-    @raise Invalid_argument if the class is active, the change is
-    structurally invalid, or a curve is unrepresentable (as in
-    {!add_class}, checked before anything changes). *)
+    New curves need a passive class (no queued packets, not active in
+    the hierarchy) and take effect from its next backlogged period;
+    an [rsc] on an interior class is rejected as in {!add_class}. New
+    limits need a leaf; existing backlog is never dropped, they apply
+    to later arrivals, so a limits-only change is safe on a live
+    class.
+
+    @raise Invalid_argument if curves are given for an active class,
+    an [rsc] for an interior class, a curve is unrepresentable (as in
+    {!add_class}), limits are given for the root or an interior class,
+    or a limit is not positive. *)
 
 (** {2 Queue bounds and drop accounting} *)
-
-val set_class_limits : t -> cls -> ?pkts:int -> ?bytes:int -> unit -> unit
-(** Update a leaf's queue limits in place (only the given bounds
-    change). Existing backlog is never dropped; the new bounds apply
-    to subsequent arrivals, so this is safe on a live class.
-
-    @raise Invalid_argument on a non-leaf class or non-positive bound. *)
 
 val queue_limit_pkts : cls -> int
 val queue_limit_bytes : cls -> int
@@ -164,20 +167,6 @@ val set_drop_hook : t -> (float -> cls -> Pkt.Packet.t -> unit) -> unit
     per dropped packet: for a refused arrival [cls] is the destination
     leaf, for a {!Drop_longest} eviction the victim. One hook per
     scheduler; setting replaces. The default hook does nothing. *)
-
-(** {2 Transactional support} *)
-
-type class_snapshot
-(** The configuration state of one class — curves, their runtime
-    anchors, and queue limits — as captured by {!snapshot_class}. *)
-
-val snapshot_class : cls -> class_snapshot
-
-val restore_class : cls -> class_snapshot -> unit
-(** Restore a class's configuration to a prior snapshot, bit-exactly.
-    Only configuration is covered: packet-driven scheduling state
-    (virtual times, trees, counters) is never mutated by configuration
-    commands and so never needs rollback. *)
 
 val enqueue : t -> now:float -> cls -> Pkt.Packet.t -> bool
 (** [enqueue t ~now cls p] queues [p] at leaf [cls]; [false] means the
@@ -252,8 +241,6 @@ val realtime_bytes : cls -> float
     (the [c] of the algorithm); 0 for interior classes. *)
 
 val drops : cls -> int
-val periods : cls -> int
-(** Number of active (backlogged) periods so far. *)
 
 val virtual_time : cls -> float
 (** Current virtual time — meaningful relative to siblings only. *)

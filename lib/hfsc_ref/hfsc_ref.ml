@@ -76,8 +76,6 @@ type cls = {
   mutable myf : int;
   mutable myfadj : int;
   mutable f : int;
-  (* statistics *)
-  mutable nperiods : int;
 }
 
 type t = {
@@ -128,7 +126,6 @@ let make_cls ~id ~name ~parent ~rsc ~fsc ~usc ~qlimit ~qbytes =
     myf = 0;
     myfadj = 0;
     f = 0;
-    nperiods = 0;
   }
 
 (* 1 ms of carried-forward upper-limit allowance, in ticks (as Hfsc) *)
@@ -202,15 +199,27 @@ let remove_class t cl =
       parent.cchildren <- List.filter (fun c -> c != cl) parent.cchildren;
       t.all_rev <- List.filter (fun c -> c != cl) t.all_rev
 
-let set_curves t cl ?rsc ?fsc ?usc () =
-  ignore t;
-  if not (Fq.is_empty cl.queue) || cl.nactive > 0 || cl.in_ed || cl.in_actc
-  then invalid_arg "Hfsc.set_curves: class is active";
-  (match rsc with
-  | Some _ when cl.cchildren <> [] ->
-      invalid_arg "Hfsc.set_curves: rsc on an interior class"
-  | _ -> ());
-  check_curves "Hfsc.set_curves" ~rsc ~fsc ~usc;
+(* Every check runs before the first store, as in Hfsc. *)
+let modify_class t cl ?rsc ?fsc ?usc ?qlimit ?qlimit_bytes () =
+  if rsc <> None || fsc <> None || usc <> None then begin
+    if not (Fq.is_empty cl.queue) || cl.nactive > 0 || cl.in_ed || cl.in_actc
+    then invalid_arg "Hfsc.modify_class: class is active";
+    if rsc <> None && cl.cchildren <> [] then
+      invalid_arg "Hfsc.modify_class: rsc on an interior class";
+    check_curves "Hfsc.modify_class" ~rsc ~fsc ~usc
+  end;
+  if qlimit <> None || qlimit_bytes <> None then begin
+    if cl == t.troot || cl.cchildren <> [] then
+      invalid_arg "Hfsc.modify_class: class is not a leaf";
+    (match qlimit with
+    | Some n when n <= 0 ->
+        invalid_arg "Hfsc.modify_class: limit must be positive"
+    | _ -> ());
+    match qlimit_bytes with
+    | Some n when n <= 0 ->
+        invalid_arg "Hfsc.modify_class: byte limit must be positive"
+    | _ -> ()
+  end;
   (* re-anchor the runtime curves at the accumulated service so the next
      activation's min-update treats the new curve as the whole history *)
   (match rsc with
@@ -229,23 +238,9 @@ let set_curves t cl ?rsc ?fsc ?usc () =
       cl.cusc <- Some s;
       cl.ulimit_c <- rc_of s ~y:cl.total
   | None -> ());
-  if cl.crsc = None && cl.cfsc = None then
-    invalid_arg "Hfsc.set_curves: a class needs an rsc or an fsc"
+  Fq.set_limits ?pkts:qlimit ?bytes:qlimit_bytes cl.queue
 
-(* --- bounds, drop policy and transactional support ----------------- *)
-
-let set_class_limits t cl ?pkts ?bytes () =
-  if cl == t.troot || cl.cchildren <> [] then
-    invalid_arg "Hfsc.set_class_limits: class is not a leaf";
-  (match pkts with
-  | Some n when n <= 0 ->
-      invalid_arg "Hfsc.set_class_limits: limit must be positive"
-  | _ -> ());
-  (match bytes with
-  | Some n when n <= 0 ->
-      invalid_arg "Hfsc.set_class_limits: byte limit must be positive"
-  | _ -> ());
-  Fq.set_limits ?pkts ?bytes cl.queue
+(* --- bounds and drop policy ----------------------------------------- *)
 
 let queue_limit_pkts c = Fq.limit_pkts c.queue
 let queue_limit_bytes c = Fq.limit_bytes c.queue
@@ -269,41 +264,6 @@ let aggregate_limit_bytes t = t.agg_bytes
 let set_drop_policy t p = t.policy <- p
 let drop_policy t = t.policy
 let set_drop_hook t f = t.on_drop <- f
-
-type class_snapshot = {
-  s_rsc : Sc.t option;
-  s_fsc : Sc.t option;
-  s_usc : Sc.t option;
-  s_deadline : Fp.t;
-  s_eligible : Fp.t;
-  s_virtual : Fp.t;
-  s_ulimit : Fp.t;
-  s_qlim_pkts : int;
-  s_qlim_bytes : int;
-}
-
-let snapshot_class cl =
-  {
-    s_rsc = cl.crsc;
-    s_fsc = cl.cfsc;
-    s_usc = cl.cusc;
-    s_deadline = cl.deadline_c;
-    s_eligible = cl.eligible_c;
-    s_virtual = cl.virtual_c;
-    s_ulimit = cl.ulimit_c;
-    s_qlim_pkts = Fq.limit_pkts cl.queue;
-    s_qlim_bytes = Fq.limit_bytes cl.queue;
-  }
-
-let restore_class cl s =
-  cl.crsc <- s.s_rsc;
-  cl.cfsc <- s.s_fsc;
-  cl.cusc <- s.s_usc;
-  cl.deadline_c <- s.s_deadline;
-  cl.eligible_c <- s.s_eligible;
-  cl.virtual_c <- s.s_virtual;
-  cl.ulimit_c <- s.s_ulimit;
-  Fq.set_limits ~pkts:s.s_qlim_pkts ~bytes:s.s_qlim_bytes cl.queue
 
 (* --- selection scans ------------------------------------------------ *)
 
@@ -392,10 +352,7 @@ let init_vf t cl0 now =
         if !go_active then begin
           let was = r.nactive in
           r.nactive <- was + 1;
-          if was = 0 then begin
-            r.vtperiod <- r.vtperiod + 1;
-            r.nperiods <- r.nperiods + 1
-          end
+          if was = 0 then r.vtperiod <- r.vtperiod + 1
         end;
         continue_walk := false
     | Some parent ->
@@ -410,7 +367,6 @@ let init_vf t cl0 now =
         in
         go_active := newly;
         if newly then begin
-          c.nperiods <- c.nperiods + 1;
           (match active_children parent with
           | _ :: _ as siblings ->
               let vmax =
@@ -676,7 +632,6 @@ let queue_bytes c = Fq.bytes c.queue
 let total_bytes c = float_of_int c.total
 let realtime_bytes c = float_of_int c.cumul
 let drops c = Fq.drops c.queue
-let periods c = c.nperiods
 let virtual_time c = Fp.seconds_of_ticks c.vt
 let rsc c = c.crsc
 let fsc c = c.cfsc

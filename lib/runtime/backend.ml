@@ -228,7 +228,9 @@ let of_hfsc ~link_rate sched =
   in
   (* What every class op checks first: no quantum, and no curve the
      fixed-point arithmetic cannot represent — refused as such
-     (bad-value) before admission weighs it against the link. *)
+     (bad-value) before admission weighs it against the link. The
+     refusal names the class, so [of_invalid] must not sniff it: a
+     class named "interactive" would read as class-active. *)
   let check_params ~name (p : params) =
     match p.quantum with
     | Some _ ->
@@ -242,7 +244,8 @@ let of_hfsc ~link_rate sched =
             ~fsc:p.fsc ~usc:p.usc
         with
         | () -> Ok ()
-        | exception Invalid_argument e -> of_invalid e)
+        | exception Invalid_argument message ->
+            Error { code = Bad_value; message })
   in
   let ( let* ) = Result.bind in
   let admit_add ~parent ~name (p : params) =
@@ -312,20 +315,12 @@ let of_hfsc ~link_rate sched =
   in
   let modify_class ~id (p : params) ~qlimit ~qbytes =
     let cls = Hfsc.class_of_id sched id in
-    (* apply transactionally: set_curves validates part-way through its
-       mutations (e.g. the class going curveless), so roll the class
-       back to the snapshot on any refusal *)
-    let snap = Hfsc.snapshot_class cls in
-    try
-      if p.rsc <> None || p.fsc <> None || p.usc <> None then
-        Hfsc.set_curves sched cls ?rsc:p.rsc ?fsc:p.fsc ?usc:p.usc ();
-      (match (qlimit, qbytes) with
-      | None, None -> ()
-      | _ -> Hfsc.set_class_limits sched cls ?pkts:qlimit ?bytes:qbytes ());
-      Ok ()
-    with Invalid_argument e ->
-      Hfsc.restore_class cls snap;
-      of_invalid e
+    match
+      Hfsc.modify_class sched cls ?rsc:p.rsc ?fsc:p.fsc ?usc:p.usc ?qlimit
+        ?qlimit_bytes:qbytes ()
+    with
+    | () -> Ok ()
+    | exception Invalid_argument e -> of_invalid e
   in
   let remove_class ~id =
     let cls = Hfsc.class_of_id sched id in
@@ -439,18 +434,12 @@ let of_hls ~link_rate sched =
   in
   let modify_class ~id (p : params) ~qlimit ~qbytes =
     let cls = Hls.class_of_id sched id in
-    let snap = Hls.snapshot_class cls in
-    try
-      (match p.quantum with
-      | Some q -> Hls.set_quantum sched cls q
-      | None -> ());
-      (match (qlimit, qbytes) with
-      | None, None -> ()
-      | _ -> Hls.set_class_limits sched cls ?pkts:qlimit ?bytes:qbytes ());
-      Ok ()
-    with Invalid_argument e ->
-      Hls.restore_class cls snap;
-      of_invalid e
+    match
+      Hls.modify_class sched cls ?quantum:p.quantum ?qlimit_pkts:qlimit
+        ?qlimit_bytes:qbytes ()
+    with
+    | () -> Ok ()
+    | exception Invalid_argument e -> of_invalid e
   in
   let remove_class ~id =
     let cls = Hls.class_of_id sched id in

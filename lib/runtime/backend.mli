@@ -30,8 +30,9 @@
     [[1, Sched.Hls.max_quantum]] and the quanta under any one parent
     must sum to at most {!Sched.Hls.max_round_bytes} (one round of a
     parent bounds a newly backlogged child's wait). Mutations
-    themselves are transactional: [modify_class] rolls the class back
-    to a snapshot on any mid-way refusal. *)
+    themselves are all-or-nothing: [modify_class] is one call to the
+    scheduler's [modify_class], which checks the whole change before
+    making any of it. *)
 
 (** {2 Typed errors} — shared by every backend and re-exported by
     {!Engine}. *)
@@ -130,7 +131,7 @@ type t = {
     qlimit:int option ->
     qbytes:int option ->
     (unit, error) result;
-      (** transactional: rolls back to a snapshot on refusal *)
+      (** all-or-nothing: a refusal changes nothing *)
   remove_class : id:int -> (unit, error) result;
   set_aggregate : pkts:int option -> bytes:int option -> unit;
   aggregate_pkts : unit -> int;

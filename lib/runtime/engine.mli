@@ -35,7 +35,7 @@
     (modifying an active class, deleting a backlogged one) are rejected
     with the scheduler's own reason. {b Every command is transactional}:
     it either applies in full or leaves the scheduler bit-identical to
-    before — partial failures are rolled back from a snapshot.
+    before — each refusal is decided before anything changes.
 
     {b Domain ownership.} An [Engine.t] — and everything reachable from
     it: the backend's scheduler, its intrusive trees or rings, the flow
@@ -183,7 +183,8 @@ val class_flows : t -> string -> int list
 
 val rules : t -> Classify.Rules.t
 (** The compiled filter table, rebuilt after every attach/detach — a
-    router shards over these per-link tables (see {!Classify.Shard}). *)
+    router classifies through these per-link tables in link creation
+    order. *)
 
 val has_filter : t -> int -> bool
 (** Whether any attached filter targets flow [flow]. *)

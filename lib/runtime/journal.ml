@@ -395,11 +395,9 @@ let rotate w ~checkpoint ~digest =
   w.w_checkpoint_bytes <- size;
   delete_older ~dir:w.w_dir ~gen
 
-let sync w = Unix.fsync w.w_fd
-
 let close w =
   if not w.w_closed then begin
     w.w_closed <- true;
-    sync w;
+    Unix.fsync w.w_fd;
     Unix.close w.w_fd
   end

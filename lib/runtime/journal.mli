@@ -107,7 +107,7 @@ val append : writer -> now:float -> Command.t -> unit
 (** Frame and append one accepted command, handed to the OS (a plain
     [write]) before returning — so no {e process} death, SIGKILL
     included, can revoke it. Power-loss durability is the stronger
-    barrier {!sync} and {!close} provide. *)
+    barrier {!close} provides. *)
 
 val appended : writer -> int
 (** Commands appended to the current generation's journal so far. *)
@@ -134,13 +134,10 @@ val rotate : writer -> checkpoint:(float * Command.t) list -> digest:string -> u
     writer survives rotation; [appended] and [journal_bytes] reset to
     0. *)
 
-val sync : writer -> unit
-(** fsync the journal — the durability barrier a graceful shutdown
-    takes before exiting. *)
-
 val close : writer -> unit
-(** [sync] then close the journal fd. The writer must not be used
-    after. *)
+(** fsync then close the journal fd — the durability barrier a
+    graceful shutdown takes before exiting. The writer must not be
+    used after. *)
 
 val crc32 : string -> int32
 (** CRC-32 (IEEE 802.3, reflected) over a whole string — exposed so the

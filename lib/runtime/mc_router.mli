@@ -1,6 +1,6 @@
 (** The multicore router: the same device as {!Router} — same command
-    grammar, same typed errors, same reply strings, same directory and
-    sharded classifier — with every link's engine running on one of [N]
+    grammar, same typed errors, same reply strings, same directory —
+    with every link's engine running on one of [N]
     OCaml domains instead of the caller's.
 
     {b Architecture.} PR 5's link-ownership rule is cashed in as a

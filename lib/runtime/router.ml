@@ -28,7 +28,6 @@ let of_engines ?trace_capacity ?tracing ?audit_every links =
       then invalid_arg "Router.of_engines: a flow is mapped on two links";
       Router_core.adopt t (name, eng))
     links;
-  Router_core.rebuild_shard t;
   t
 
 let of_config ?trace_capacity ?tracing ?audit_every cfg =
@@ -50,14 +49,21 @@ let flow_class t flow =
 
 (* --- the data path -------------------------------------------------- *)
 
+(* The first link, in creation order, whose filter table matches; its
+   flow must be mapped on that same link. *)
 let classify t h =
-  match Classify.Shard.classify t.Router_core.shard h with
-  | None -> None
-  | Some (name, flow) -> (
-      match Hashtbl.find_opt t.Router_core.flow_links flow with
-      | Some (owner, eng) when owner = name ->
-          Option.map (fun cls -> (name, cls)) (Engine.flow_class eng flow)
-      | _ -> None)
+  let rec go = function
+    | [] -> None
+    | (name, eng) :: rest -> (
+        match Classify.Rules.classify (Engine.rules eng) h with
+        | None -> go rest
+        | Some flow -> (
+            match Hashtbl.find_opt t.Router_core.flow_links flow with
+            | Some (owner, _) when owner = name ->
+                Option.map (fun cls -> (name, cls)) (Engine.flow_class eng flow)
+            | _ -> None))
+  in
+  go t.Router_core.links
 
 (* [Hashtbl.find], not [find_opt]: the hit path of the per-packet
    routing lookup must not allocate an option *)

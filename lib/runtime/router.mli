@@ -8,9 +8,9 @@
     them directly: all state changes flow through {!Engine.exec_op} on
     the owning engine. What the router adds on top is the {e device}
     view: a flow-to-link directory (each flow id lives on at most one
-    link, device-wide), a sharded classifier
-    ({!Classify.Shard}: per-link rule tables searched in link creation
-    order, first match wins), and command routing.
+    link, device-wide), a classifier over the links' own rule tables
+    (searched in link creation order, first match wins), and command
+    routing.
 
     {b Command routing.} A {!Command.t} whose target is [link NAME]
     goes to that link's engine. An unscoped command goes to the sole
@@ -34,12 +34,12 @@
     [Unknown_link], [Duplicate_link] and [Cross_link_filter].
 
     {b Domain ownership.} This router is single-domain: the [t], its
-    directory, its classifier shard and all of its engines live on the
-    calling domain, and nothing here synchronises. It is the default
-    and the semantic reference. {!Mc_router} is the same control plane
-    (both are instances of [Router_core]) with each engine owned by a
-    worker domain that takes one call at a time; its replies are bit-identical to
-    this router's by construction. *)
+    directory and all of its engines live on the calling domain, and
+    nothing here synchronises. It is the default and the semantic
+    reference. {!Mc_router} is the same control plane (both are
+    instances of [Router_core]) with each engine owned by a worker
+    domain that takes one call at a time; its replies are
+    bit-identical to this router's by construction. *)
 
 type t = Engine.t Router_core.t
 (** The shared control plane with every port a bare engine; what
@@ -92,7 +92,7 @@ val add_link :
     calls. *)
 
 val links : t -> (string * Engine.t) list
-(** Links in creation order — also the classifier's shard order. *)
+(** Links in creation order — also the classifier's search order. *)
 
 val find_link : t -> string -> Engine.t option
 val link_count : t -> int
@@ -104,9 +104,11 @@ val flow_class : t -> int -> (string * int) option
 (** Owning link and current leaf class id for a flow id. *)
 
 val classify : t -> Pkt.Header.t -> (string * int) option
-(** Route a header through the sharded classifier: first matching
-    filter across links in creation order names the owning link; the
-    matched flow's leaf class comes from that link's engine. *)
+(** Route a header through the links' filter tables: the first
+    matching filter across links in creation order names the owning
+    link; the matched flow's leaf class comes from that link's engine.
+    O(links) per header: the simulator routes by flow id
+    ({!enqueue_flow}), not through this. *)
 
 val exec : t -> now:float -> Command.t -> (string, Engine.error) result
 (** Execute one command, routed per the rules above. Transactionality

@@ -33,7 +33,7 @@ type 'p ops = {
 }
 
 type 'p t = {
-  mutable links : (string * 'p) list; (* creation = shard order *)
+  mutable links : (string * 'p) list; (* creation = classifier order *)
   (* device-wide flow directory; the port rides along so the per-packet
      path of the instantiating router is one hash lookup. The engines
      own the flow maps; this is a cache of their union, updated in
@@ -41,7 +41,6 @@ type 'p t = {
      never rebuilt by scanning, so a class op costs O(its flows), not
      O(the link's flows). *)
   flow_links : (int, string * 'p) Hashtbl.t;
-  mutable shard : string Classify.Shard.t;
   (* each link's rate and backend, fixed for its lifetime and recorded
      when the link is made, so a downed link still lists and
      checkpoints as itself *)
@@ -50,9 +49,6 @@ type 'p t = {
   new_port : link_rate:float -> Backend.kind -> 'p;
       (* what [link add] attaches: an empty engine in the router's port *)
 }
-
-let errf code fmt =
-  Printf.ksprintf (fun message -> Error { Engine.code; message }) fmt
 
 let ( let* ) = Result.bind
 
@@ -64,7 +60,6 @@ let create ?trace_capacity ?tracing ?audit_every ~ops ~port () =
   {
     links = [];
     flow_links = Hashtbl.create 16;
-    shard = Classify.Shard.create [];
     specs = Hashtbl.create 16;
     ops;
     new_port =
@@ -92,26 +87,16 @@ let adapters t =
     t.links
 
 let down_error name e =
-  errf Engine.Link_failed "link %S is down: %s" name (Printexc.to_string e)
+  Engine.errf Engine.Link_failed "link %S is down: %s" name
+    (Printexc.to_string e)
 
 (* one command on one link's engine; a downed link answers [Link_failed] *)
 let exec_op t (name, p) ~now op =
   t.ops.call p ~down:(down_error name) (fun eng -> Engine.exec_op eng ~now op)
 
-let rebuild_shard t =
-  t.shard <-
-    Classify.Shard.create
-      (List.map
-         (fun (name, p) ->
-           ( name,
-             t.ops.call p ~down:(fun _ -> Classify.Rules.create []) Engine.rules
-           ))
-         t.links)
-
 (* Append a link that arrives with flows already mapped (a prebuilt
    engine) and fill the directory from its flow map: O(the link's
-   flows); commands keep the directory current in place afterwards. The
-   caller rebuilds the shard once its links are all in. *)
+   flows); commands keep the directory current in place afterwards. *)
 let adopt t ((name, port) as link) =
   let spec, flows =
     t.ops.call port ~down:raise (fun eng ->
@@ -128,25 +113,25 @@ let reserved_link_names = [ "add"; "delete"; "list" ]
 let add_link t ~name ~link_rate ~backend =
   let* () =
     if List.mem name reserved_link_names then
-      errf Engine.Bad_value "link name %S is reserved (a control-command verb)"
-        name
+      Engine.errf Engine.Bad_value
+        "link name %S is reserved (a control-command verb)" name
     else Ok ()
   in
   let* () =
     match find_link t name with
-    | Some _ -> errf Engine.Duplicate_link "link %S already exists" name
+    | Some _ -> Engine.errf Engine.Duplicate_link "link %S already exists" name
     | None -> Ok ()
   in
   let* () =
     if (not (Float.is_finite link_rate)) || link_rate <= 0. then
-      errf Engine.Bad_value "link rate must be finite and positive, got %g"
-        link_rate
+      Engine.errf Engine.Bad_value
+        "link rate must be finite and positive, got %g" link_rate
     else if
       backend = Backend.Hfsc_kind
       && (link_rate < Curve.Fixed_point.min_rate
          || link_rate > Curve.Fixed_point.max_rate)
     then
-      errf Engine.Bad_value
+      Engine.errf Engine.Bad_value
         "link rate %g B/s out of range for hfsc (fixed point represents %g \
          to 2^31 B/s)"
         link_rate Curve.Fixed_point.min_rate
@@ -155,7 +140,6 @@ let add_link t ~name ~link_rate ~backend =
   let port = t.new_port ~link_rate backend in
   t.links <- t.links @ [ (name, port) ];
   Hashtbl.replace t.specs name (link_rate, backend);
-  rebuild_shard t;
   Ok
     (Printf.sprintf "added link %S (rate %.0f B/s%s, %d link%s)" name link_rate
        (match backend with
@@ -166,7 +150,7 @@ let add_link t ~name ~link_rate ~backend =
 
 let delete_link t name =
   match find_link t name with
-  | None -> errf Engine.Unknown_link "unknown link %S" name
+  | None -> Engine.errf Engine.Unknown_link "unknown link %S" name
   | Some port ->
       let orphans =
         Hashtbl.fold
@@ -177,7 +161,6 @@ let delete_link t name =
       List.iter (Hashtbl.remove t.flow_links) orphans;
       t.links <- List.filter (fun (n, _) -> n <> name) t.links;
       Hashtbl.remove t.specs name;
-      rebuild_shard t;
       Ok
         (Printf.sprintf "deleted link %S%s (%d link%s left)" name
            (match orphans with
@@ -223,13 +206,13 @@ let precheck t name port (op : Command.op) =
   | Command.Add_class { flow = Some f; _ } -> (
       match Hashtbl.find_opt t.flow_links f with
       | Some (owner, p) when p != port ->
-          errf Engine.Duplicate_flow "flow %d is already mapped on link %S" f
-            owner
+          Engine.errf Engine.Duplicate_flow
+            "flow %d is already mapped on link %S" f owner
       | _ -> Ok ())
   | Command.Attach_filter { fflow; _ } -> (
       match Hashtbl.find_opt t.flow_links fflow with
       | Some (owner, p) when p != port ->
-          errf Engine.Cross_link_filter
+          Engine.errf Engine.Cross_link_filter
             "flow %d belongs to link %S, not %S: a filter must live on the \
              link that owns its flow"
             fflow owner name
@@ -240,10 +223,9 @@ let precheck t name port (op : Command.op) =
    [add class ... flow F] maps exactly F, a successful [delete class]
    unmaps exactly the flows the class owned (asked of the engine before
    the delete, while the class still exists), and no other command
-   touches flows. Filter changes rebuild the shard. [link] is the
-   link's own [(name, port)] entry in [links]; every directory entry of
-   the link shares it, so a lookup touches one hot pair, not a pair per
-   flow. *)
+   touches flows. [link] is the link's own [(name, port)] entry in
+   [links]; every directory entry of the link shares it, so a lookup
+   touches one hot pair, not a pair per flow. *)
 let exec_on t ~now ((name, port) as link) op =
   let* () = precheck t name port op in
   let unmapped =
@@ -258,7 +240,6 @@ let exec_on t ~now ((name, port) as link) op =
   | Command.Add_class { flow = Some f; _ } ->
       Hashtbl.replace t.flow_links f link
   | Command.Delete_class _ -> List.iter (Hashtbl.remove t.flow_links) unmapped
-  | Command.Attach_filter _ | Command.Detach_filter _ -> rebuild_shard t
   | _ -> ());
   Ok reply
 
@@ -275,7 +256,8 @@ let all_links_stats t ~now cls =
   match bodies with
   | [] -> (
       match cls with
-      | Some c -> errf Engine.Unknown_class "unknown class %S on any link" c
+      | Some c ->
+          Engine.errf Engine.Unknown_class "unknown class %S on any link" c
       | None -> Ok "")
   | _ -> Ok (String.concat "" bodies)
 
@@ -309,11 +291,11 @@ let exec t ~now { Command.target; op } =
       match target with
       | Command.On_link name -> (
           match find_entry t name with
-          | None -> errf Engine.Unknown_link "unknown link %S" name
+          | None -> Engine.errf Engine.Unknown_link "unknown link %S" name
           | Some link -> exec_on t ~now link op)
       | Command.Default_link -> (
           match t.links with
-          | [] -> errf Engine.Unknown_link "router has no links"
+          | [] -> Engine.errf Engine.Unknown_link "router has no links"
           | [ link ] -> exec_on t ~now link op
           | _ -> (
               (* several links: aggregate what aggregates, route what
@@ -325,7 +307,7 @@ let exec t ~now { Command.target; op } =
                   match Hashtbl.find_opt t.flow_links fflow with
                   | Some link -> exec_on t ~now link op
                   | None ->
-                      errf Engine.Unknown_flow
+                      Engine.errf Engine.Unknown_flow
                         "filter flow %d is not mapped on any link" fflow)
               | Command.Detach_filter flow -> (
                   match Hashtbl.find_opt t.flow_links flow with
@@ -340,10 +322,10 @@ let exec t ~now { Command.target; op } =
                       with
                       | Some link -> exec_on t ~now link op
                       | None ->
-                          errf Engine.Unknown_flow
+                          Engine.errf Engine.Unknown_flow
                             "no filter attached to flow %d on any link" flow))
               | _ ->
-                  errf Engine.Unknown_link
+                  Engine.errf Engine.Unknown_link
                     "router has %d links; scope the command with 'link NAME'"
                     (link_count t))))
 

@@ -134,7 +134,6 @@ let set_rsc t ~id sc =
       t.m2.(id) <- s.Curve.Service_curve.m2;
       t.dy.(id) <- s.Curve.Service_curve.m1 *. s.Curve.Service_curve.d
 
-let tracing t = t.tracing
 let set_tracing t v = t.tracing <- v
 
 (* --- hot path ------------------------------------------------------ *)
@@ -202,8 +201,6 @@ let recorded_total t = t.trace.total
 
 (* Events that fell off the ring: recorded but no longer replayable. *)
 let dropped_events t = t.trace.total - min t.trace.total t.trace.cap
-
-let kind_code = function Enq -> 0 | Deq_rt -> 1 | Deq_ls -> 2 | Drop -> 3
 
 let kind_of_code = function
   | 0 -> Some Enq

@@ -85,7 +85,6 @@ val counters : t -> id:int -> counters
     @raise Invalid_argument if [id] was never announced via
     {!ensure_class}. *)
 
-val tracing : t -> bool
 val set_tracing : t -> bool -> unit
 
 (** {2 Hot-path hooks} — allocation-free; [id] is {!Hfsc.id}. *)
@@ -131,14 +130,11 @@ val dropped_events : t -> int
 val events : t -> event list
 (** Decode the ring, oldest surviving event first. *)
 
-val kind_code : kind -> int
-(** The ring's integer encoding of a kind ([Enq] = 0, [Deq_rt] = 1,
-    [Deq_ls] = 2, [Drop] = 3) — also the on-disk encoding of
-    {!Trace_log}'s binary records. *)
-
 val kind_of_code : int -> kind option
-(** Inverse of {!kind_code}; [None] on an unknown code (a corrupt
-    record). *)
+(** The kind the ring's integer code names ([Enq] = 0, [Deq_rt] = 1,
+    [Deq_ls] = 2, [Drop] = 3 — also the on-disk encoding of
+    {!Trace_log}'s binary records); [None] on an unknown code (a
+    corrupt record). *)
 
 val iter_since :
   t ->

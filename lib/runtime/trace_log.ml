@@ -109,10 +109,6 @@ module Sink = struct
   let written t = t.written
   let lost t = t.lost
 
-  let flush t =
-    flush_buf t;
-    flush t.oc
-
   let close t =
     if not t.closed then begin
       t.closed <- true;

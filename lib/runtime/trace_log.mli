@@ -20,7 +20,7 @@
       16 cls   u32   Hfsc.id of the class
       20 flow  u32   flow id
       24 size  u32   packet size in bytes
-      28 kind  u16   Telemetry.kind_code (0 enq, 1 deq-rt, 2 deq-ls, 3 drop)
+      28 kind  u16   event kind (0 enq, 1 deq-rt, 2 deq-ls, 3 drop)
       30 pad   u16   zero
     v}
 
@@ -69,8 +69,6 @@ module Sink : sig
   (** Events the ring overwrote before any drain saw them — the spill
       equivalent of {!Telemetry.dropped_events}, zero when the sink is
       drained at least every [capacity] events. *)
-
-  val flush : t -> unit
 
   val close : t -> unit
   (** Flush and close; idempotent. Further drains raise [Sys_error]. *)

@@ -44,7 +44,6 @@ type cls = {
   mutable sub_pkts : int; (* backlog in this subtree *)
   mutable sub_bytes : int;
   mutable served : int; (* bytes ever served from this subtree *)
-  mutable nperiods : int; (* backlogged-period (activation) count *)
   queue : Fq.t; (* leaves only; interiors keep an empty one *)
 }
 
@@ -87,7 +86,6 @@ let rec nil =
     sub_pkts = 0;
     sub_bytes = 0;
     served = 0;
-    nperiods = 0;
     queue = Fq.create ();
   }
 
@@ -108,7 +106,6 @@ let mk_cls ~id ~name ~parent ~quantum ?qlimit_pkts ?qlimit_bytes () =
       sub_pkts = 0;
       sub_bytes = 0;
       served = 0;
-      nperiods = 0;
       queue = Fq.create ?limit_pkts:qlimit_pkts ?limit_bytes:qlimit_bytes ();
     }
   in
@@ -194,29 +191,37 @@ let class_of_id t id =
     invalid_arg (Printf.sprintf "Hls.class_of_id: unknown class id %d" id);
   Array.unsafe_get t.by_id id
 
-let set_quantum t cl q =
+(* Every check runs before the first store — the parent's [qsum]
+   included — so a refused change leaves the class as it was. *)
+let modify_class t cl ?quantum ?qlimit_pkts ?qlimit_bytes () =
   ignore t;
-  if is_root cl then invalid_arg "Hls.set_quantum: the root has no quantum";
-  if q <= 0 then invalid_arg "Hls.set_quantum: quantum must be positive";
-  if q > max_quantum then
-    invalid_arg "Hls.set_quantum: quantum must be at most 2^30";
-  let p = cl.cparent in
-  p.qsum <- p.qsum - cl.quantum + q;
-  cl.quantum <- q
-
-let set_class_limits t cl ?pkts ?bytes () =
-  ignore t;
-  if is_root cl || not (is_leaf_cls cl) then
-    invalid_arg "Hls.set_class_limits: class is not a leaf";
-  (match pkts with
-  | Some n when n <= 0 ->
-      invalid_arg "Hls.set_class_limits: limit must be positive"
-  | _ -> ());
-  (match bytes with
-  | Some n when n <= 0 ->
-      invalid_arg "Hls.set_class_limits: byte limit must be positive"
-  | _ -> ());
-  Fq.set_limits ?pkts ?bytes cl.queue
+  (match quantum with
+  | Some q ->
+      if is_root cl then
+        invalid_arg "Hls.modify_class: the root has no quantum";
+      if q <= 0 then invalid_arg "Hls.modify_class: quantum must be positive";
+      if q > max_quantum then
+        invalid_arg "Hls.modify_class: quantum must be at most 2^30"
+  | None -> ());
+  if qlimit_pkts <> None || qlimit_bytes <> None then begin
+    if is_root cl || not (is_leaf_cls cl) then
+      invalid_arg "Hls.modify_class: class is not a leaf";
+    (match qlimit_pkts with
+    | Some n when n <= 0 ->
+        invalid_arg "Hls.modify_class: limit must be positive"
+    | _ -> ());
+    match qlimit_bytes with
+    | Some n when n <= 0 ->
+        invalid_arg "Hls.modify_class: byte limit must be positive"
+    | _ -> ()
+  end;
+  (match quantum with
+  | Some q ->
+      let p = cl.cparent in
+      p.qsum <- p.qsum - cl.quantum + q;
+      cl.quantum <- q
+  | None -> ());
+  Fq.set_limits ?pkts:qlimit_pkts ?bytes:qlimit_bytes cl.queue
 
 let queue_limit_pkts c = Fq.limit_pkts c.queue
 let queue_limit_bytes c = Fq.limit_bytes c.queue
@@ -241,29 +246,6 @@ let set_drop_policy t p = t.policy <- p
 let drop_policy t = t.policy
 let set_drop_hook t f = t.on_drop <- f
 
-(* --- class snapshot (transactional rollback) ------------------------ *)
-
-type class_snapshot = {
-  s_quantum : int;
-  s_limit_pkts : int;
-  s_limit_bytes : int;
-}
-
-let snapshot_class cl =
-  {
-    s_quantum = cl.quantum;
-    s_limit_pkts = Fq.limit_pkts cl.queue;
-    s_limit_bytes = Fq.limit_bytes cl.queue;
-  }
-
-let restore_class cl s =
-  if not (is_root cl) then begin
-    let p = cl.cparent in
-    p.qsum <- p.qsum - cl.quantum + s.s_quantum;
-    cl.quantum <- s.s_quantum
-  end;
-  Fq.set_limits ~pkts:s.s_limit_pkts ~bytes:s.s_limit_bytes cl.queue
-
 (* --- the active-children ring --------------------------------------- *)
 
 (* Insert [c] at the tail of the current round: just before the rotor,
@@ -285,8 +267,7 @@ let ring_insert p c =
     c.anext <- head;
     head.aprev <- c
   end;
-  c.active <- true;
-  c.nperiods <- c.nperiods + 1
+  c.active <- true
 
 (* Advance the rotor off [p.rotor]; the next member's round starts, so
    it collects its arrival grant. A single-member ring advances to
@@ -475,12 +456,11 @@ let quantum c = c.quantum
 let deficit c = c.deficit
 let served_bytes c = float_of_int c.served
 let drops c = Fq.drops c.queue
-let periods c = c.nperiods
 
 let debug_state c =
-  Printf.sprintf "q=%d/%dB def=%d quantum=%d act=%b sub=%d/%dB srv=%d per=%d"
+  Printf.sprintf "q=%d/%dB def=%d quantum=%d act=%b sub=%d/%dB srv=%d"
     (Fq.length c.queue) (Fq.bytes c.queue) c.deficit c.quantum c.active
-    c.sub_pkts c.sub_bytes c.served c.nperiods
+    c.sub_pkts c.sub_bytes c.served
 
 let pp_hierarchy ppf t =
   let rec go indent c =

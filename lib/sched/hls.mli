@@ -15,10 +15,10 @@
     what this engine trades away for scale.
 
     The surface deliberately mirrors {!Hfsc} (dense ids, queue and
-    aggregate limits with the same eviction policies, a drop hook,
-    class snapshots, a dequeue into the shared {!Pkt.Served} record
-    from instance-held out-params), so {!Runtime.Backend} can drive either through one
-    record.
+    aggregate limits with the same eviction policies, a drop hook, one
+    check-then-store class mutator, a dequeue into the shared
+    {!Pkt.Served} record from instance-held out-params), so
+    {!Runtime.Backend} can drive either through one record.
 
     {b Domain ownership.} A [t] is a single-domain mutable object —
     no internal synchronisation, one owning domain at a time, exactly
@@ -72,13 +72,23 @@ val remove_class : t -> cls -> unit
 (** @raise Invalid_argument on the root, a class with children, or a
     class with queued packets. *)
 
-val set_quantum : t -> cls -> int -> unit
-(** Live quantum change; takes effect at the class's next arrival
-    grant. @raise Invalid_argument on the root or an out-of-range
-    quantum. *)
+val modify_class :
+  t ->
+  cls ->
+  ?quantum:int ->
+  ?qlimit_pkts:int ->
+  ?qlimit_bytes:int ->
+  unit ->
+  unit
+(** Change a class's quantum and leaf queue limits, with {!add_class}'s
+    labels; only what is given changes. Every part is checked before
+    any part is made (the parent's {!quantum_sum_under} included), so
+    a refusal leaves the class as it was. A new quantum takes effect
+    at the class's next arrival grant.
 
-val set_class_limits : t -> cls -> ?pkts:int -> ?bytes:int -> unit -> unit
-(** @raise Invalid_argument on a non-leaf or non-positive limit. *)
+    @raise Invalid_argument on a quantum for the root, an
+    out-of-range quantum, limits for the root or an interior class, or
+    a non-positive limit. *)
 
 val queue_limit_pkts : cls -> int
 val queue_limit_bytes : cls -> int
@@ -95,14 +105,6 @@ val drop_policy : t -> drop_policy
 val set_drop_hook : t -> (float -> cls -> Pkt.Packet.t -> unit) -> unit
 (** Called for every lost packet — refused arrival or eviction — with
     the drop time, the losing class and the packet. *)
-
-type class_snapshot
-(** Control-plane state of one class (quantum, queue limits) for
-    transactional rollback; runtime state (backlog, deficit) is not
-    captured — a failed reconfiguration never touched it. *)
-
-val snapshot_class : cls -> class_snapshot
-val restore_class : cls -> class_snapshot -> unit
 
 (** {2 The data path} — allocation-free in steady state *)
 
@@ -158,8 +160,6 @@ val served_bytes : cls -> float
 (** Bytes ever served from this subtree (exact: far below 2{^53}). *)
 
 val drops : cls -> int
-val periods : cls -> int
-(** Backlogged periods: how often the class activated. *)
 
 val debug_state : cls -> string
 val pp_hierarchy : Format.formatter -> t -> unit

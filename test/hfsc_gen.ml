@@ -289,7 +289,7 @@ module Drive (H : module type of Hfsc) = struct
             Buffer.add_string buf (Printf.sprintf "DB%d;" count)
         | Class_limits (i, pkts, bytes) ->
             let _, cls, _ = leaves.(i mod nl) in
-            H.set_class_limits t cls ~pkts ~bytes ()
+            H.modify_class t cls ~qlimit:pkts ~qlimit_bytes:bytes ()
         | Agg_limit (pkts, bytes) -> H.set_aggregate_limit t ~pkts ~bytes ()
         | Policy longest ->
             H.set_drop_policy t

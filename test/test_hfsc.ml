@@ -652,8 +652,8 @@ let test_set_curves () =
   let before = run () in
   Alcotest.(check bool) "3:1 before" true (abs (before - 150) <= 2);
   (* flip the shares and rerun: now 1:3 *)
-  Hfsc.set_curves t a ~fsc:(Sc.linear 2.5e5) ();
-  Hfsc.set_curves t b ~fsc:(Sc.linear 7.5e5) ();
+  Hfsc.modify_class t a ~fsc:(Sc.linear 2.5e5) ();
+  Hfsc.modify_class t b ~fsc:(Sc.linear 7.5e5) ();
   let after = run () in
   Alcotest.(check bool)
     (Printf.sprintf "1:3 after (a got %d/200)" after)
@@ -665,11 +665,20 @@ let test_set_curves_validation () =
   let a = Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"a" ~fsc:(Sc.linear 1e5) () in
   let _b = Hfsc.add_class t ~parent:a ~name:"b" ~fsc:(Sc.linear 1e5) () in
   Alcotest.(check bool) "rsc on interior" true
-    (raises_invalid (fun () -> Hfsc.set_curves t a ~rsc:(Sc.linear 1.) ()));
+    (raises_invalid (fun () -> Hfsc.modify_class t a ~rsc:(Sc.linear 1.) ()));
   let c = Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"c" ~fsc:(Sc.linear 1e5) () in
   ignore (Hfsc.enqueue t ~now:0. c (pkt ~flow:1 ~size:100 ~seq:0 ~arrival:0.));
   Alcotest.(check bool) "active class rejected" true
-    (raises_invalid (fun () -> Hfsc.set_curves t c ~fsc:(Sc.linear 2e5) ()))
+    (raises_invalid (fun () -> Hfsc.modify_class t c ~fsc:(Sc.linear 2e5) ()));
+  (* a bad limit refuses the whole change: the valid new curve is not
+     stored either *)
+  let d = Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"d" ~fsc:(Sc.linear 1e5) () in
+  let fsc_before = Hfsc.fsc d and state_before = Hfsc.debug_state d in
+  Alcotest.(check bool) "zero qlimit rejected" true
+    (raises_invalid (fun () ->
+         Hfsc.modify_class t d ~fsc:(Sc.linear 2e5) ~qlimit:0 ()));
+  Alcotest.(check bool) "fsc unchanged" true (Hfsc.fsc d = fsc_before);
+  Alcotest.(check string) "state unchanged" state_before (Hfsc.debug_state d)
 
 (* --- eligible-policy knob ---------------------------------------------- *)
 

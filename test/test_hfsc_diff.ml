@@ -156,7 +156,7 @@ let test_ties () =
   Alcotest.(check string) "singles = record" record singles;
   Alcotest.(check string) "reference = record" record reference
 
-(* --- set_curves while the hierarchy holds backlog ------------------- *)
+(* --- modify_class while the hierarchy holds backlog ----------------- *)
 
 (* The runtime control plane reconfigures passive classes while their
    siblings stay backlogged. Drive that exact pattern through both
@@ -209,7 +209,7 @@ module Reconf (H : module type of Hfsc) = struct
     done;
     (* mid-run, with [a]'s backlog live: give passive [b] a concave rsc
        and a bigger share — the control plane's modify *)
-    H.set_curves t b
+    H.modify_class t b
       ~rsc:(Curve.Service_curve.make ~m1:(0.6 *. link) ~d:0.01
               ~m2:(0.25 *. link))
       ~fsc:(Curve.Service_curve.linear (0.6 *. link))
@@ -291,7 +291,7 @@ let test_reconf_takes_effect () =
     end
   in
   drain_b ();
-  Hfsc.set_curves t b ~fsc:(Curve.Service_curve.linear (1.5 *. link)) ();
+  Hfsc.modify_class t b ~fsc:(Curve.Service_curve.linear (1.5 *. link)) ();
   let da, db = run_window () in
   Alcotest.(check bool) "3:1 after (next backlogged period)" true
     (abs_float ((db /. da /. 3.) -. 1.) < 0.15)

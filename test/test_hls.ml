@@ -408,6 +408,45 @@ let test_rr_engine_grammar_and_admission () =
     { params with fsc = Some (Curve.Service_curve.linear 1e5) }
     ~view:(fun be id -> ignore (be.B.rsc id))
 
+(* A refused [modify class] changes nothing: neither the class's
+   quantum, nor its parent's quantum sum, nor its limits — even when
+   the quantum part of the command was valid on its own. *)
+let test_rr_modify_refusals_change_nothing () =
+  let sched = Hls.create () in
+  let eng =
+    E.create_backend (B.of_hls ~link_rate:1.25e6 sched) ~flow_map:[] ()
+  in
+  List.iter
+    (fun line -> ignore (ok_exec (exec1 eng line)))
+    [
+      "add class g parent root quantum 2000";
+      "add class a parent g flow 1 quantum 3000 qlimit 8";
+      "add class b parent g flow 2 quantum 1500";
+    ];
+  let cls name = Option.get (Hls.find_class sched name) in
+  let state name =
+    let c = cls name in
+    ( Hls.quantum c,
+      Hls.quantum_sum_under (Option.get (Hls.parent c)),
+      Hls.queue_limit_pkts c,
+      Hls.queue_limit_bytes c )
+  in
+  List.iter
+    (fun (name, line, code) ->
+      let before = state name in
+      (match exec1 eng line with
+      | Ok _ -> Alcotest.failf "%s: accepted" line
+      | Error e ->
+          Alcotest.(check string) line (B.error_code_name code)
+            (B.error_code_name (E.error_code e)));
+      Alcotest.(check bool) (line ^ ": class unchanged") true
+        (state name = before))
+    [
+      ("a", "modify class a quantum 4500 qlimit -3", B.Bad_value);
+      ("g", "modify class g quantum 2500 qlimit 5", B.Structural);
+    ];
+  Alcotest.(check (list string)) "audit clean" [] (E.audit eng)
+
 let test_rr_engine_datapath_and_stats () =
   let eng = rr_engine () in
   ignore (ok_exec (exec1 eng "add class a parent root flow 1 quantum 3000"));
@@ -580,6 +619,8 @@ let () =
         [
           Alcotest.test_case "grammar + admission" `Quick
             test_rr_engine_grammar_and_admission;
+          Alcotest.test_case "modify refusals change nothing" `Quick
+            test_rr_modify_refusals_change_nothing;
           Alcotest.test_case "datapath + stats" `Quick
             test_rr_engine_datapath_and_stats;
           Alcotest.test_case "checkpoint round-trip" `Quick

@@ -357,6 +357,7 @@ let test_unrepresentable_refused () =
       "link one add class x parent root flow 7 fsc m1 50Gbit d 1ms m2 1Mbit";
       "link one modify class a fsc 50Gbit";
       "link one add class x parent root flow 7 fsc 1bps";
+      "link one add class interactive parent root flow 7 fsc 1bps";
       "link one add class x parent root flow 7 fsc 0bps";
       "link one add class x parent root flow 7 rsc 3bps fsc 1Mbit";
       "link one add class x parent root flow 7 fsc m1 100KBps d 1e10s m2 300KBps";

@@ -722,8 +722,9 @@ let test_error_paths_leave_state () =
     cases;
   Alcotest.(check (list string)) "still audits clean" [] (E.audit eng)
 
-(* set_curves applies curve by curve, so a modify that fails on its
-   queue limits after the curves landed must roll the class back. *)
+(* A modify whose new curve is valid but whose queue limit is not must
+   change nothing: the curve must not land before the limit is
+   refused. *)
 let test_modify_rollback () =
   let eng = make_engine () in
   let sched = E.scheduler eng in
