@@ -99,3 +99,161 @@ let violating_breakpoint ~capacity curves =
 
 let usc_violating_breakpoint ~rsc ~usc =
   violating_breakpoint ~capacity:(P.of_service_curve usc) [ rsc ]
+
+(* --- running sums ------------------------------------------------------ *)
+
+module Running = struct
+  module Fmap = Map.Make (Float)
+
+  (* One distinct knee time's share of the sum: its curves' m1s and m2s,
+     and how many curves share it (the entry goes when that reaches 0). *)
+  type knee = { s1 : float; s2 : float; k : int }
+
+  type t = {
+    mutable count : int;
+    mutable nlinear : int;
+    mutable linear : float; (* the knee-less curves' rates *)
+    mutable knees : knee Fmap.t;
+    (* sum of m1 + m2 over every curve summed or taken out since the
+       last [reset]: a bound on any partial sum an accumulator held *)
+    mutable weight : float;
+    mutable updates : int; (* adds and removes since the last [reset] *)
+  }
+
+  let create () =
+    {
+      count = 0;
+      nlinear = 0;
+      linear = 0.;
+      knees = Fmap.empty;
+      weight = 0.;
+      updates = 0;
+    }
+
+  let stale r ~walk = r.updates > r.count && r.updates > walk
+
+  (* [sign] is 1 to add [c], -1 to take it out; a sum that empties
+     becomes exactly 0 again, with no rounding residue. *)
+  let bump knees (c : Sc.t) sign =
+    let f = float_of_int sign in
+    Fmap.update c.d
+      (function
+        | None -> Some { s1 = f *. c.m1; s2 = f *. c.m2; k = sign }
+        | Some e when e.k + sign = 0 -> None
+        | Some e ->
+            Some
+              {
+                s1 = e.s1 +. (f *. c.m1);
+                s2 = e.s2 +. (f *. c.m2);
+                k = e.k + sign;
+              })
+      knees
+
+  let change r (c : Sc.t) sign =
+    r.count <- r.count + sign;
+    r.updates <- r.updates + 1;
+    r.weight <- r.weight +. c.m1 +. c.m2;
+    if has_knee c then r.knees <- bump r.knees c sign
+    else begin
+      r.nlinear <- r.nlinear + sign;
+      r.linear <-
+        (if r.nlinear = 0 then 0. else r.linear +. (float_of_int sign *. c.m2))
+    end
+
+  let add r c = change r c 1
+  let remove r c = change r c (-1)
+
+  let reset r curves =
+    r.count <- 0;
+    r.nlinear <- 0;
+    r.linear <- 0.;
+    r.knees <- Fmap.empty;
+    r.weight <- 0.;
+    List.iter (add r) curves;
+    r.updates <- 0
+
+  let of_list curves =
+    let r = create () in
+    reset r curves;
+    r
+
+  (* The error bound both the running sums and the fold stay inside:
+     each float operation errs by at most epsilon/2 of a value no larger
+     than [weight] times the abscissa, and neither side performs more
+     than [count + updates + knees] of them per accumulator. *)
+  let slack_rate ~terms ~weight =
+    2. *. float_of_int terms *. epsilon_float *. weight
+
+  (* [fits]' sweep state, in one all-float record so that no step
+     boxes a float. *)
+  type sweep = {
+    mutable ahead1 : float; (* the m1s of the knees at or after t *)
+    mutable behind2 : float; (* the m2s of the knees before t *)
+    mutable base : float; (* sum of (m1 - m2) * d over the knees before t *)
+    mutable fits : float; (* 1. while every margin has beaten the slack *)
+  }
+
+  let no_knee = { s1 = 0.; s2 = 0.; k = 0 }
+
+  let fits r ~(capacity : Sc.t) ~remove ~add =
+    (* the change, made to a copy: the knee map is persistent *)
+    let v = { r with count = r.count } in
+    Option.iter (fun c -> change v c (-1)) remove;
+    Option.iter (fun c -> change v c 1) add;
+    let cap_knee = has_knee capacity in
+    let knees =
+      if cap_knee && not (Fmap.mem capacity.d v.knees) then
+        Fmap.add capacity.d no_knee v.knees
+      else v.knees
+    in
+    let linear = v.linear in
+    let slack =
+      slack_rate
+        ~terms:(v.count + v.updates + Fmap.cardinal knees + 2)
+        ~weight:(v.weight +. capacity.m1 +. capacity.m2)
+    in
+    let s = { ahead1 = 0.; behind2 = 0.; base = 0.; fits = 1. } in
+    Fmap.iter (fun _ e -> s.ahead1 <- s.ahead1 +. e.s1) knees;
+    Fmap.iter
+      (fun t e ->
+        let demand = ((linear +. s.ahead1 +. s.behind2) *. t) +. s.base in
+        let cap =
+          if cap_knee && t > capacity.d then
+            (capacity.m1 *. capacity.d) +. (capacity.m2 *. (t -. capacity.d))
+          else if cap_knee then capacity.m1 *. t
+          else capacity.m2 *. t
+        in
+        (* written so that a NaN margin does not fit *)
+        if not (cap -. demand > slack *. t) then s.fits <- 0.;
+        s.ahead1 <- s.ahead1 -. e.s1;
+        s.behind2 <- s.behind2 +. e.s2;
+        s.base <- s.base +. ((e.s1 -. e.s2) *. t))
+      knees;
+    s.fits = 1. && capacity.m2 -. (linear +. s.behind2) > slack
+
+  let drift (r : t) ~against:(fresh : t) =
+    let tol =
+      slack_rate
+        ~terms:(r.count + r.updates + Fmap.cardinal r.knees)
+        ~weight:r.weight
+    in
+    let near a b = Float.abs (a -. b) <= tol in
+    if r.count <> fresh.count || r.nlinear <> fresh.nlinear then
+      Some
+        (Printf.sprintf "%d curves (%d linear), a rebuild sums %d (%d linear)"
+           r.count r.nlinear fresh.count fresh.nlinear)
+    else if not (near r.linear fresh.linear) then
+      Some
+        (Printf.sprintf "linear rate %h, a rebuild sums %h" r.linear
+           fresh.linear)
+    else if
+      not
+        (Fmap.equal
+           (fun a b -> a.k = b.k && near a.s1 b.s1 && near a.s2 b.s2)
+           r.knees fresh.knees)
+    then
+      Some
+        (Printf.sprintf "%d knees, a rebuild has %d with other sums"
+           (Fmap.cardinal r.knees) (Fmap.cardinal fresh.knees))
+    else None
+end

@@ -10,12 +10,18 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
 (* --- token-level parsers -------------------------------------------- *)
 
+(* Whether [s] holds [suffix] from [off] on, from its [i]th character. *)
+let rec suffix_from s suffix ~off i =
+  i = String.length suffix
+  || (s.[off + i] = suffix.[i] && suffix_from s suffix ~off (i + 1))
+
+(* The number in front of [suffix], if [s] is one followed by it; the
+   suffix is compared in place, so a unit that does not match costs no
+   allocation. *)
 let strip_suffix s suffix =
-  if
-    String.length s > String.length suffix
-    && String.sub s (String.length s - String.length suffix) (String.length suffix)
-       = suffix
-  then Some (String.sub s 0 (String.length s - String.length suffix))
+  let n = String.length s and k = String.length suffix in
+  if n > k && suffix_from s suffix ~off:(n - k) 0 then
+    Some (String.sub s 0 (n - k))
   else None
 
 let float_of_token s =

@@ -151,38 +151,104 @@ let pp_violation ~what (at, demand, capacity) =
       "%s infeasible asymptotically: demand rate %.0f B/s > capacity %.0f B/s"
       what demand capacity
 
+module Running = Analysis.Admission.Running
+
 let of_hfsc ~link_rate sched =
+  (* The admission scopes' running sums: [link_sum] holds every leaf's
+     rsc, [child_sums] each class's children's fsc (a class without
+     children has no entry). A class op asks them first; only a change
+     they cannot call clearly admissible reaches the folds below. *)
+  let link_curve = Sc.linear link_rate in
+  let leaf_rscs () =
+    List.filter_map
+      (fun c -> if Hfsc.is_leaf c then Hfsc.rsc c else None)
+      (Hfsc.classes sched)
+  in
+  let child_fscs cls = List.filter_map Hfsc.fsc (Hfsc.children cls) in
+  (* what a rebuild of [link_sum] walks *)
+  let nclasses = ref (List.length (Hfsc.classes sched)) in
+  let link_sum = Running.of_list (leaf_rscs ()) in
+  let child_sums = Hashtbl.create 16 in
+  List.iter
+    (fun c ->
+      if not (Hfsc.is_leaf c) then
+        Hashtbl.replace child_sums (Hfsc.id c) (Running.of_list (child_fscs c)))
+    (Hfsc.classes sched);
+  let no_children = Running.create () in
+  let children_sum cls =
+    Option.value ~default:no_children
+      (Hashtbl.find_opt child_sums (Hfsc.id cls))
+  in
+  (* After a successful class op: [old] out of a sum and [by] in. A
+     stale sum is rebuilt from the scheduler, and a class left without
+     children drops its sum. *)
+  let swap r ~old ~by =
+    Option.iter (Running.remove r) old;
+    Option.iter (Running.add r) by
+  in
+  let update_link ~old ~by =
+    swap link_sum ~old ~by;
+    if Running.stale link_sum ~walk:!nclasses then
+      Running.reset link_sum (leaf_rscs ())
+  in
+  let update_children parent ~old ~by =
+    let id = Hfsc.id parent in
+    let r =
+      match Hashtbl.find_opt child_sums id with
+      | Some r -> r
+      | None ->
+          let r = Running.create () in
+          Hashtbl.replace child_sums id r;
+          r
+    in
+    swap r ~old ~by;
+    if Hfsc.is_leaf parent then Hashtbl.remove child_sums id
+    else if Running.stale r ~walk:0 then Running.reset r (child_fscs parent)
+  in
   (* Sum of all leaves' rsc with [replace] swapped in for [target] (or
-     appended when [target] is None) must fit under the link curve. *)
+     appended when [target] is None) must fit under the link curve. The
+     running sum answers when it can call that clearly true; otherwise
+     the fold over every leaf decides, and words any refusal. *)
   let check_rsc ~target ~replace =
-    let curves =
-      List.filter_map
-        (fun c ->
-          match target with
-          | Some tc when tc == c -> replace
-          | _ -> if Hfsc.is_leaf c then Hfsc.rsc c else None)
-        (Hfsc.classes sched)
+    let old =
+      match target with Some c when Hfsc.is_leaf c -> Hfsc.rsc c | _ -> None
     in
-    let curves =
-      match target with
-      | None -> Option.to_list replace @ curves
-      | Some _ -> curves
-    in
-    match
-      Analysis.Admission.violating_breakpoint
-        ~capacity:(Pw.linear ~slope:link_rate) curves
-    with
-    | None -> Ok ()
-    | Some v ->
-        errf Admission_realtime "%s"
-          (pp_violation ~what:"real-time guarantees" v)
+    if Running.fits link_sum ~capacity:link_curve ~remove:old ~add:replace
+    then Ok ()
+    else
+      let curves =
+        List.filter_map
+          (fun c ->
+            match target with
+            | Some tc when tc == c -> replace
+            | _ -> if Hfsc.is_leaf c then Hfsc.rsc c else None)
+          (Hfsc.classes sched)
+      in
+      let curves =
+        match target with
+        | None -> Option.to_list replace @ curves
+        | Some _ -> curves
+      in
+      match
+        Analysis.Admission.violating_breakpoint
+          ~capacity:(Pw.linear ~slope:link_rate) curves
+      with
+      | None -> Ok ()
+      | Some v ->
+          errf Admission_realtime "%s"
+            (pp_violation ~what:"real-time guarantees" v)
   in
   (* Children's fsc under [parent] — with [replace] for [target], or
      appended as a prospective new child — must fit under the parent's
-     own fsc. A parent with no fsc of its own constrains nothing. *)
+     own fsc, asked of the running sum first as above. A parent with no
+     fsc of its own constrains nothing. *)
   let check_fsc_under ~parent ~target ~replace =
     match Hfsc.fsc parent with
     | None -> Ok ()
+    | Some pfsc
+      when Running.fits (children_sum parent) ~capacity:pfsc
+             ~remove:(Option.bind target Hfsc.fsc) ~add:replace ->
+        Ok ()
     | Some pfsc -> (
         let curves =
           List.filter_map
@@ -230,7 +296,9 @@ let of_hfsc ~link_rate sched =
      fixed-point arithmetic cannot represent — refused as such
      (bad-value) before admission weighs it against the link. The
      refusal names the class, so [of_invalid] must not sniff it: a
-     class named "interactive" would read as class-active. *)
+     class named "interactive" would read as class-active. The name is
+     formatted only for a refusal: the check is pure, so it is asked
+     again to word one. *)
   let check_params ~name (p : params) =
     match p.quantum with
     | Some _ ->
@@ -239,13 +307,16 @@ let of_hfsc ~link_rate sched =
            curves)"
           name
     | None -> (
-        match
-          Hfsc.check_curves (Printf.sprintf "class %S" name) ~rsc:p.rsc
-            ~fsc:p.fsc ~usc:p.usc
-        with
+        let check what =
+          Hfsc.check_curves what ~rsc:p.rsc ~fsc:p.fsc ~usc:p.usc
+        in
+        match check "class" with
         | () -> Ok ()
-        | exception Invalid_argument message ->
-            Error { code = Bad_value; message })
+        | exception Invalid_argument _ -> (
+            match check (Printf.sprintf "class %S" name) with
+            | () -> Ok ()
+            | exception Invalid_argument message ->
+                Error { code = Bad_value; message }))
   in
   let ( let* ) = Result.bind in
   let admit_add ~parent ~name (p : params) =
@@ -284,7 +355,12 @@ let of_hfsc ~link_rate sched =
     (* an interior class's new fsc must still cover its own children *)
     let* () =
       match p.fsc with
-      | Some nfsc when not (Hfsc.is_leaf cls) -> (
+      | Some nfsc
+        when Hfsc.is_leaf cls
+             || Running.fits (children_sum cls) ~capacity:nfsc ~remove:None
+                  ~add:None ->
+          Ok ()
+      | Some nfsc -> (
           match
             Analysis.Admission.violating_breakpoint
               ~capacity:(Pw.of_service_curve nfsc)
@@ -298,7 +374,7 @@ let of_hfsc ~link_rate sched =
                      (Printf.sprintf "children of class %S against its new fsc"
                         name)
                    v))
-      | _ -> Ok ()
+      | None -> Ok ()
     in
     let eff_rsc = match p.rsc with Some _ as r -> r | None -> Hfsc.rsc cls in
     let eff_usc = match p.usc with Some _ as u -> u | None -> Hfsc.usc cls in
@@ -310,23 +386,64 @@ let of_hfsc ~link_rate sched =
       Hfsc.add_class sched ~parent:parent_cls ~name ?rsc:p.rsc ?fsc:p.fsc
         ?usc:p.usc ?qlimit ?qlimit_bytes:qbytes ()
     with
-    | cls -> Ok (Hfsc.id cls)
+    | cls ->
+        (* a new class is a leaf, and its parent had no rsc to lose *)
+        incr nclasses;
+        update_link ~old:None ~by:(Hfsc.rsc cls);
+        update_children parent_cls ~old:None ~by:(Hfsc.fsc cls);
+        Ok (Hfsc.id cls)
     | exception Invalid_argument e -> of_invalid e
   in
   let modify_class ~id (p : params) ~qlimit ~qbytes =
     let cls = Hfsc.class_of_id sched id in
+    let old_rsc = Hfsc.rsc cls and old_fsc = Hfsc.fsc cls in
     match
       Hfsc.modify_class sched cls ?rsc:p.rsc ?fsc:p.fsc ?usc:p.usc ?qlimit
         ?qlimit_bytes:qbytes ()
     with
-    | () -> Ok ()
+    | () ->
+        (* an rsc change succeeds on leaves only *)
+        if p.rsc <> None then update_link ~old:old_rsc ~by:p.rsc;
+        (match (p.fsc, Hfsc.parent cls) with
+        | Some _, Some par -> update_children par ~old:old_fsc ~by:p.fsc
+        | _ -> ());
+        Ok ()
     | exception Invalid_argument e -> of_invalid e
   in
   let remove_class ~id =
     let cls = Hfsc.class_of_id sched id in
     match Hfsc.remove_class sched cls with
-    | () -> Ok ()
+    | () ->
+        (* only a leaf can go *)
+        decr nclasses;
+        update_link ~old:(Hfsc.rsc cls) ~by:None;
+        Option.iter
+          (fun par -> update_children par ~old:(Hfsc.fsc cls) ~by:None)
+          (Hfsc.parent cls);
+        Ok ()
     | exception Invalid_argument e -> of_invalid e
+  in
+  (* Each running sum against a rebuild from the scheduler, within the
+     slack: drift, or an op the upkeep missed, shows here. *)
+  let audit_sums () =
+    let check what r curves =
+      match Running.drift r ~against:(Running.of_list curves) with
+      | None -> []
+      | Some d -> [ Printf.sprintf "admission sum of %s: %s" what d ]
+    in
+    let classes = Hfsc.classes sched in
+    check "the link's real-time curves" link_sum (leaf_rscs ())
+    @ List.concat_map
+        (fun c ->
+          let what =
+            Printf.sprintf "the fair curves under class %S" (Hfsc.name c)
+          in
+          match Hashtbl.find_opt child_sums (Hfsc.id c) with
+          | None when Hfsc.is_leaf c -> []
+          | Some _ when Hfsc.is_leaf c -> [ what ^ " kept for a leaf" ]
+          | None -> [ what ^ " missing" ]
+          | Some r -> check what r (child_fscs c))
+        classes
   in
   let out = Pkt.Served.create () in
   {
@@ -372,7 +489,7 @@ let of_hfsc ~link_rate sched =
     next_ready = (fun ~now -> Hfsc.next_ready_time sched ~now);
     backlog_pkts = (fun () -> Hfsc.backlog_pkts sched);
     backlog_bytes = (fun () -> Hfsc.backlog_bytes sched);
-    audit = (fun () -> Hfsc.audit sched);
+    audit = (fun () -> Hfsc.audit sched @ audit_sums ());
   }
 
 (* --- hierarchical round-robin over the record ------------------------ *)

@@ -32,7 +32,20 @@
     parent bounds a newly backlogged child's wait). Mutations
     themselves are all-or-nothing: [modify_class] is one call to the
     scheduler's [modify_class], which checks the whole change before
-    making any of it. *)
+    making any of it.
+
+    {b Running sums.} The H-FSC backend keeps each admission scope's
+    curve sum as an {!Analysis.Admission.Running} aggregate — the
+    link's leaf rscs, and each class's children's fscs — built from
+    the tree it wraps and updated by every successful [add_class],
+    [modify_class] and [remove_class]. A check the aggregate calls
+    clearly admissible costs O(K) in the scope's distinct knee times
+    instead of a fold over the scope; every other check, each refusal
+    among them, is the fold, so verdicts and refusal texts are the
+    fold's. Hence {b a wrapped [Hfsc.t] may be mutated only through
+    its backend} once wrapped: a class added, changed or removed
+    behind it leaves the sums stale ([audit] reports it). Building the
+    tree first and wrapping it after is fine. *)
 
 (** {2 Typed errors} — shared by every backend and re-exported by
     {!Engine}. *)
@@ -152,7 +165,10 @@ type t = {
   next_ready : now:float -> float option;
   backlog_pkts : unit -> int;
   backlog_bytes : unit -> int;
-  audit : unit -> string list;  (** structural invariants; [] = healthy *)
+  audit : unit -> string list;
+      (** structural invariants; [] = healthy. On hfsc this includes
+          each running admission sum against a rebuild from the
+          scheduler, within the sums' rounding slack. *)
 }
 
 (** {2 Constructors} *)
@@ -160,7 +176,8 @@ type t = {
 val of_hfsc : link_rate:float -> Hfsc.t -> t
 (** The paper's engine over the record: SCED breakpoint admission,
     byte-identical behaviour to driving the {!Hfsc.t} directly (pinned
-    by differential fuzz in the test suite). *)
+    by differential fuzz in the test suite). The scheduler may already
+    hold classes; from here on it is mutated only through the record. *)
 
 val of_hls : link_rate:float -> Sched.Hls.t -> t
 (** The O(1) hierarchical round-robin scale tier over the record:

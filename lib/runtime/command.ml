@@ -233,15 +233,28 @@ let parse_tokens = function
          'link delete NAME' or 'link list'"
   | toks -> { target = Default_link; op = parse_op_tokens toks }
 
+let is_blank c = c = ' ' || c = '\t'
+
+(* One scan, right to left so the tokens cons up in order; a '#' starts
+   a comment that runs to the end of the line. *)
 let tokenize line =
-  let line =
-    match String.index_opt line '#' with
-    | Some i -> String.sub line 0 i
-    | None -> line
+  let stop =
+    match String.index line '#' with
+    | i -> i
+    | exception Not_found -> String.length line
   in
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
+  (* [skip i]: [line.[0 .. i-1]] is unscanned; [word j e]: [line.[j .. e-1]]
+     is the non-blank tail of a token that may reach further left *)
+  let rec skip i acc =
+    if i = 0 then acc
+    else if is_blank (String.unsafe_get line (i - 1)) then skip (i - 1) acc
+    else word (i - 1) i acc
+  and word j e acc =
+    if j > 0 && not (is_blank (String.unsafe_get line (j - 1))) then
+      word (j - 1) e acc
+    else skip j (String.sub line j (e - j) :: acc)
+  in
+  skip stop []
 
 let parse s =
   match tokenize s with

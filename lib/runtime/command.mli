@@ -124,6 +124,10 @@ type t = { target : target; op : op }
 
 type error = { line : int; reason : string }
 
+val is_blank : char -> bool
+(** The grammar's whitespace, which separates tokens: a space or a tab.
+    The daemon splits its own verbs on the same set. *)
+
 val parse : string -> (t, string) result
 (** Parse a single command (no [at] prefix, no comment handling). *)
 

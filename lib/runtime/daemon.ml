@@ -250,9 +250,13 @@ let spill_start t path =
 
 let first_token line =
   let n = String.length line in
-  let rec start i = if i < n && line.[i] = ' ' then start (i + 1) else i in
+  let rec start i =
+    if i < n && Command.is_blank line.[i] then start (i + 1) else i
+  in
   let s = start 0 in
-  let rec stop i = if i < n && line.[i] <> ' ' then stop (i + 1) else i in
+  let rec stop i =
+    if i < n && not (Command.is_blank line.[i]) then stop (i + 1) else i
+  in
   let e = stop s in
   (String.sub line s (e - s), String.trim (String.sub line e (n - e)))
 

@@ -190,6 +190,28 @@ let find t name =
   | Some id -> Ok id
   | None -> errf Unknown_class "unknown class %S" name
 
+(* Printf's [%h] and [%S] without the format interpreter: [%h] is the
+   primitive Printf calls, at its default precision -6 ("as many digits
+   as needed") with sign flag '-' (none); [%S] is the escaped string in
+   double quotes. *)
+external hexstring_of_float : float -> int -> char -> string
+  = "caml_hexstring_of_float"
+
+let add_hex_float b x = Buffer.add_string b (hexstring_of_float x (-6) '-')
+
+let add_quoted b s =
+  Buffer.add_char b '"';
+  Buffer.add_string b (String.escaped s);
+  Buffer.add_char b '"'
+
+(* A class op's reply, [VERB class "NAME"], for the caller to finish. *)
+let class_reply verb name =
+  let b = Buffer.create 64 in
+  Buffer.add_string b verb;
+  Buffer.add_string b " class ";
+  add_quoted b name;
+  b
+
 let params_of (a : Command.curve_updates) quantum =
   { Backend.rsc = a.rsc; fsc = a.fsc; usc = a.usc; quantum }
 
@@ -212,11 +234,17 @@ let exec_add t (a : Command.curve_updates) ~name ~parent ~flow ~quantum
   let* id = t.be.Backend.add_class ~parent:parent_id ~name p ~qlimit ~qbytes in
   announce t id;
   (match flow with Some f -> map_flow t f id | None -> ());
-  Ok
-    (Printf.sprintf "added class %S (id %d) under %S%s" name id parent
-       (match flow with
-       | Some f -> Printf.sprintf ", flow %d" f
-       | None -> ""))
+  let b = class_reply "added" name in
+  Buffer.add_string b " (id ";
+  Command.add_int b id;
+  Buffer.add_string b ") under ";
+  add_quoted b parent;
+  (match flow with
+  | Some f ->
+      Buffer.add_string b ", flow ";
+      Command.add_int b f
+  | None -> ());
+  Ok (Buffer.contents b)
 
 let exec_modify t (a : Command.curve_updates) ~name ~quantum ~qlimit ~qbytes =
   let* id = find t name in
@@ -226,7 +254,7 @@ let exec_modify t (a : Command.curve_updates) ~name ~quantum ~qlimit ~qbytes =
   (match a.rsc with
   | Some _ -> Telemetry.set_rsc t.tele ~id (t.be.Backend.rsc id)
   | None -> ());
-  Ok (Printf.sprintf "modified class %S" name)
+  Ok (Buffer.contents (class_reply "modified" name))
 
 let exec_delete t ~name =
   let* id = find t name in
@@ -234,14 +262,20 @@ let exec_delete t ~name =
   let dead = class_flows_of t id in
   List.iter (Hashtbl.remove t.flows) dead;
   Hashtbl.remove t.by_class id;
-  Ok
-    (Printf.sprintf "deleted class %S%s" name
-       (match dead with
-       | [] -> ""
-       | fs ->
-           Printf.sprintf " (unmapped flow%s %s)"
-             (if List.length fs > 1 then "s" else "")
-             (String.concat ", " (List.map string_of_int fs))))
+  let b = class_reply "deleted" name in
+  (match dead with
+  | [] -> ()
+  | f :: fs ->
+      Buffer.add_string b
+        (if fs = [] then " (unmapped flow " else " (unmapped flows ");
+      Command.add_int b f;
+      List.iter
+        (fun f ->
+          Buffer.add_string b ", ";
+          Command.add_int b f)
+        fs;
+      Buffer.add_char b ')');
+  Ok (Buffer.contents b)
 
 let rebuild_table t =
   t.table <- Classify.Rules.create (List.map snd t.filters)
@@ -517,20 +551,6 @@ let checkpoint_ops t =
     List.map (fun (f, _) -> Command.Attach_filter f) t.filters
   in
   class_ops @ (limit_op :: filter_ops)
-
-(* Printf's [%h] and [%S] without the format interpreter: [%h] is the
-   primitive Printf calls, at its default precision -6 ("as many digits
-   as needed") with sign flag '-' (none); [%S] is the escaped string in
-   double quotes. *)
-external hexstring_of_float : float -> int -> char -> string
-  = "caml_hexstring_of_float"
-
-let add_hex_float b x = Buffer.add_string b (hexstring_of_float x (-6) '-')
-
-let add_quoted b s =
-  Buffer.add_char b '"';
-  Buffer.add_string b (String.escaped s);
-  Buffer.add_char b '"'
 
 (* Digest of the control-plane configuration only — everything a
    checkpoint persists and nothing it doesn't. Must NOT fold in

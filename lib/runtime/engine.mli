@@ -233,7 +233,7 @@ val add_hex_float : Buffer.t -> float -> unit
 
 val add_quoted : Buffer.t -> string -> unit
 (** [Printf.sprintf "%S"] of a string, written into a buffer — the
-    fingerprint's name writer. *)
+    name writer of the fingerprint and of the class ops' replies. *)
 
 val exec_op : t -> now:float -> Command.op -> (string, error) result
 (** Execute one operation at time [now], ignoring link addressing —

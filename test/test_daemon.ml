@@ -632,6 +632,33 @@ let with_daemon ?(clock = fun () -> 0.) r f =
       Domain.join server)
     (fun () -> f conn)
 
+(* The daemon's own verbs split on the command grammar's whitespace: a
+   tab is a separator there as it is in every command, so a trailing or
+   separating tab does not turn a meta verb into an unknown command. *)
+let test_meta_verbs_take_tabs () =
+  let spill = temp ".trace" in
+  let replies =
+    with_daemon (mk_router ()) (fun conn ->
+        List.map
+          (fun line -> (line, D.Client.request conn line))
+          [ "ping\t"; "\taudit\t"; "spill\tstart " ^ spill; "spill\tstatus";
+            "spill \tstop" ])
+  in
+  let body line =
+    match List.assoc line replies with
+    | Ok body -> body
+    | Error (c, m) -> Alcotest.failf "%S refused: %s %s" line c m
+  in
+  Alcotest.(check string) "ping, tab" "pong" (body "ping\t");
+  Alcotest.(check string) "audit, tabs" "audit clean" (body "\taudit\t");
+  let started = body ("spill\tstart " ^ spill) in
+  Alcotest.(check string) "spill start, tab"
+    (Printf.sprintf "spilling link %S to %s" "link0" spill)
+    started;
+  ignore (body "spill\tstatus");
+  ignore (body "spill \tstop");
+  Sys.remove spill
+
 (* A reply past 1 MiB outgrows the client's buffer several times over;
    it must arrive byte for byte, and the connection must stay framed. *)
 let test_large_reply () =
@@ -1128,6 +1155,8 @@ let () =
             test_large_reply;
           Alcotest.test_case "requests allocate no major words" `Quick
             test_request_allocation;
+          Alcotest.test_case "meta verbs take tabs" `Quick
+            test_meta_verbs_take_tabs;
         ] );
       ( "spill",
         [

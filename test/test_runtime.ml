@@ -1179,6 +1179,316 @@ let test_reserved_link_names () =
   | Ok _ -> Alcotest.fail "expected read failure"
   | Error { C.line; _ } -> Alcotest.(check int) "line 0" 0 line
 
+(* --- admission by running sums ------------------------------------- *)
+
+(* The backend answers most class ops from running curve sums and falls
+   back to the fold over every curve of the scope only when those
+   cannot call the change clearly admissible. The oracle here is that
+   fold alone, redone from [Hfsc.classes] on every op: an engine whose
+   backend has its two admission tests swapped for it. Every reply —
+   the text, or the error code and message — must be the same. *)
+
+module B = Runtime.Backend
+module Adm = Analysis.Admission
+
+let pp_violation ~what (at, demand, capacity) =
+  if Float.is_finite at then
+    Printf.sprintf
+      "%s infeasible at breakpoint t=%.6gs: demand %.0f B > capacity %.0f B"
+      what at demand capacity
+  else
+    Printf.sprintf
+      "%s infeasible asymptotically: demand rate %.0f B/s > capacity %.0f B/s"
+      what demand capacity
+
+let fold_admission ~link_rate sched (be : B.t) =
+  let ( let* ) = Result.bind in
+  let refuse code what = function
+    | None -> Ok ()
+    | Some v -> Error { B.code; message = pp_violation ~what v }
+  in
+  (* the scope's curves with [replace] for [target], or put first when
+     there is no target: the order the backend's fold sums in *)
+  let scope ~target ~replace cls_curve classes =
+    let curves =
+      List.filter_map
+        (fun c ->
+          match target with
+          | Some tc when tc == c -> replace
+          | _ -> cls_curve c)
+        classes
+    in
+    if target = None then Option.to_list replace @ curves else curves
+  in
+  let rsc ~target ~replace =
+    refuse B.Admission_realtime "real-time guarantees"
+      (Adm.violating_breakpoint
+         ~capacity:(Curve.Piecewise.linear ~slope:link_rate)
+         (scope ~target ~replace
+            (fun c -> if Hfsc.is_leaf c then Hfsc.rsc c else None)
+            (Hfsc.classes sched)))
+  in
+  let fsc_under ~parent ~target ~replace =
+    match Hfsc.fsc parent with
+    | None -> Ok ()
+    | Some pfsc ->
+        refuse B.Admission_linkshare
+          (Printf.sprintf "link-sharing under class %S" (Hfsc.name parent))
+          (Adm.violating_breakpoint
+             ~capacity:(Curve.Piecewise.of_service_curve pfsc)
+             (scope ~target ~replace Hfsc.fsc (Hfsc.children parent)))
+  in
+  let usc ~name ~rsc ~usc =
+    match (rsc, usc) with
+    | Some rsc, Some usc ->
+        refuse B.Admission_ulimit
+          (Printf.sprintf "upper limit of class %S against its rsc" name)
+          (Adm.usc_violating_breakpoint ~rsc ~usc)
+    | _ -> Ok ()
+  in
+  let params ~name (p : B.params) =
+    match
+      Hfsc.check_curves (Printf.sprintf "class %S" name) ~rsc:p.rsc ~fsc:p.fsc
+        ~usc:p.usc
+    with
+    | () -> Ok ()
+    | exception Invalid_argument message ->
+        Error { B.code = B.Bad_value; message }
+  in
+  let admit_add ~parent ~name (p : B.params) =
+    let* () = params ~name p in
+    let* () =
+      if p.rsc = None && p.fsc = None then
+        Error
+          {
+            B.code = B.Bad_value;
+            message = Printf.sprintf "class %S needs an rsc or an fsc" name;
+          }
+      else Ok ()
+    in
+    let parent = Hfsc.class_of_id sched parent in
+    let* () = if p.rsc = None then Ok () else rsc ~target:None ~replace:p.rsc in
+    let eff_fsc = if p.fsc = None then p.rsc else p.fsc in
+    let* () = fsc_under ~parent ~target:None ~replace:eff_fsc in
+    usc ~name ~rsc:p.rsc ~usc:p.usc
+  in
+  let admit_modify ~id ~name (p : B.params) =
+    let* () = params ~name p in
+    let cls = Hfsc.class_of_id sched id in
+    let* () =
+      if p.rsc = None then Ok () else rsc ~target:(Some cls) ~replace:p.rsc
+    in
+    let* () =
+      match (p.fsc, Hfsc.parent cls) with
+      | Some _, Some parent ->
+          fsc_under ~parent ~target:(Some cls) ~replace:p.fsc
+      | _ -> Ok ()
+    in
+    let* () =
+      match p.fsc with
+      | Some nfsc when not (Hfsc.is_leaf cls) ->
+          refuse B.Admission_linkshare
+            (Printf.sprintf "children of class %S against its new fsc" name)
+            (Adm.violating_breakpoint
+               ~capacity:(Curve.Piecewise.of_service_curve nfsc)
+               (List.filter_map Hfsc.fsc (Hfsc.children cls)))
+      | _ -> Ok ()
+    in
+    let or_own o f = if o = None then f cls else o in
+    usc ~name ~rsc:(or_own p.rsc Hfsc.rsc) ~usc:(or_own p.usc Hfsc.usc)
+  in
+  { be with B.admit_add; admit_modify }
+
+let fold_engine ~link_rate =
+  let sched = Hfsc.create ~link_rate () in
+  E.create_backend
+    (fold_admission ~link_rate sched (B.of_hfsc ~link_rate sched))
+    ~flow_map:[] ()
+
+let reply = function
+  | Ok text -> "ok " ^ text
+  | Error e -> E.error_code_name (E.error_code e) ^ " " ^ E.error_message e
+
+let add_op ?rsc ?fsc ?usc name parent =
+  C.Add_class
+    {
+      name;
+      parent;
+      flow = None;
+      curves = { C.rsc; fsc; usc };
+      quantum = None;
+      qlimit = None;
+      qbytes = None;
+    }
+
+let modify_op ?rsc ?fsc ?usc name =
+  C.Modify_class
+    {
+      name;
+      curves = { C.rsc; fsc; usc };
+      quantum = None;
+      qlimit = None;
+      qbytes = None;
+    }
+
+(* 0.2 + 0.3 + 0.4 is 0.9 summed in that order and one ulp more summed
+   0.4 + 0.2 + 0.3, which is the order the fold takes for a new class
+   behind two older ones. At 2^30 B/s that ulp is 1.2e-7 B/s, above the
+   fold's 1e-9 tolerance, so the verdict rests on the order: the fold
+   refuses, and running sums that judged a zero margin themselves would
+   admit. *)
+let order_scale = 1073741824.
+
+let order_ops =
+  let lin k = Sc.linear (k *. order_scale) in
+  let small = Sc.linear 1e3 in
+  [
+    add_op "a" "root" ~rsc:(lin 0.2) ~fsc:small;
+    add_op "b" "root" ~rsc:(lin 0.3) ~fsc:small;
+    add_op "c" "root" ~rsc:(lin 0.4) ~fsc:small;
+    modify_op "b" ~rsc:(lin 0.3);
+    modify_op "a" ~rsc:(lin 0.2);
+  ]
+
+let test_order_case () =
+  let link_rate = 0.9 *. order_scale in
+  let eng =
+    E.create ~audit_every:1 ~link_rate (Hfsc.create ~link_rate ())
+      ~flow_map:[] ()
+  and oracle = fold_engine ~link_rate in
+  let replies e =
+    List.map (fun op -> reply (E.exec_op e ~now:0. op)) order_ops
+  in
+  let got = replies eng in
+  Alcotest.(check (list string)) "replies = the fold's" (replies oracle) got;
+  check_contains "the third rsc is refused on its tail" (List.nth got 2)
+    "admission-realtime real-time guarantees infeasible asymptotically"
+
+(* Curves shaped as test_analysis's sweep cases draws them, at 0.8-1.2x
+   of [base]: a few ops fill a scope to around its capacity, so
+   verdicts land on both sides of it and near the boundary. *)
+let curve_gen base =
+  let open G in
+  (* 0.8 + [0, 0.4]: float_range's shrinker leaves its own range *)
+  let scale = map (( +. ) 0.8) (float_bound_inclusive 0.4) in
+  let* a = scale and* b = scale in
+  let a = a *. base and b = b *. base in
+  let* d = oneofl [ 0.001; 0.002; 0.01; 0.05 ] in
+  oneofl
+    [
+      Sc.make ~m1:(Float.max a b) ~d ~m2:(Float.min a b);
+      Sc.make ~m1:(Float.min a b) ~d ~m2:(Float.max a b);
+      Sc.linear a;
+      Sc.make ~m1:a ~d:0. ~m2:b;
+      Sc.make ~m1:a ~d ~m2:a;
+    ]
+
+let class_names = [ "a"; "b"; "c"; "d"; "e"; "f" ]
+
+let ops_gen ~link_rate =
+  let open G in
+  let name = oneofl class_names in
+  let curve =
+    let* share = oneofl [ 4.; 4.; 12. ] in
+    curve_gen (link_rate /. share)
+  in
+  let maybe p g = frequency [ (p, map Option.some g); (10 - p, pure None) ] in
+  let op =
+    frequency
+      [
+        ( 6,
+          let* n = name
+          and* parent = frequency [ (2, pure "root"); (3, name) ] in
+          let* rsc = maybe 5 curve and* fsc = maybe 7 curve in
+          let* usc = maybe 1 curve in
+          pure (add_op ?rsc ?fsc ?usc n parent) );
+        ( 3,
+          let* n = oneofl ("root" :: class_names) in
+          let* rsc = maybe 4 curve and* fsc = maybe 6 curve in
+          let* usc = maybe 1 curve in
+          pure (modify_op ?rsc ?fsc ?usc n) );
+        (2, map (fun n -> C.Delete_class n) name);
+      ]
+  in
+  list_size (int_range 1 60) op
+
+let sums_match_fold =
+  let gen =
+    let open G in
+    let* link_rate = oneofl [ 1e6; 1.25e8; 0.9 *. order_scale ] in
+    let* ops =
+      frequency
+        [ (9, ops_gen ~link_rate); (1, pure order_ops) ]
+    in
+    pure (link_rate, ops)
+  in
+  let print (link_rate, ops) =
+    Printf.sprintf "link %h:\n%s" link_rate
+      (String.concat "\n"
+         (List.map (fun op -> pp_cmd { C.target = C.Default_link; op }) ops))
+  in
+  qt ~count:300 "replies = a fold from scratch, op by op" gen print
+    (fun (link_rate, ops) ->
+      let eng =
+        E.create ~audit_every:1 ~link_rate (Hfsc.create ~link_rate ())
+          ~flow_map:[] ()
+      and oracle = fold_engine ~link_rate in
+      List.for_all
+        (fun op ->
+          let want = reply (E.exec_op oracle ~now:0. op) in
+          let got = reply (E.exec_op eng ~now:0. op) in
+          want = got
+          || QCheck2.Test.fail_reportf "%s\n  fold: %s\n  sums: %s"
+               (pp_cmd { C.target = C.Default_link; op })
+               want got)
+        ops)
+
+(* A class op's cost must not grow with the classes the link already
+   holds: with 16 groups of leaves the next op costs what it does with
+   one group. Adds go into a tree where every leaf has an rsc, so a
+   fold over the link's real-time curves would walk all of them; an
+   rsc leaf added and deleted again, in a tree of fsc-only leaves,
+   leaves the link's sum near empty, where rebuilding it from every
+   class at each emptying would cost as much. The ids stay clear of a
+   power of two, where the telemetry tables double. *)
+let test_add_allocation () =
+  let rsc = Sc.make ~m1:6e4 ~d:0.002 ~m2:4e4 and fsc = Sc.linear 4e4 in
+  let words_per_op ~leaf_rsc ~churn groups =
+    let link_rate = 2e9 in
+    let eng =
+      E.create ~link_rate (Hfsc.create ~link_rate ()) ~flow_map:[] ()
+    in
+    let exec op = ignore (ok_exec (E.exec_op eng ~now:0. op)) in
+    for g = 0 to groups - 1 do
+      let group = Printf.sprintf "g%d" g in
+      exec (add_op group "root" ~fsc:(Sc.linear 1e8));
+      for i = 0 to 959 do
+        exec (add_op (Printf.sprintf "%s.%d" group i) group ?rsc:leaf_rsc ~fsc)
+      done
+    done;
+    let names = List.init 32 (Printf.sprintf "x%d") in
+    let before = Gc.minor_words () in
+    List.iter
+      (fun n ->
+        exec (add_op n "g0" ~rsc ~fsc);
+        if churn then exec (C.Delete_class n))
+      names;
+    (Gc.minor_words () -. before) /. 32.
+  in
+  List.iter
+    (fun (what, leaf_rsc, churn) ->
+      let small = words_per_op ~leaf_rsc ~churn 1
+      and large = words_per_op ~leaf_rsc ~churn 16 in
+      if large > 2. *. small then
+        Alcotest.failf
+          "%s at 16k classes allocates %.0f minor words, at 1k %.0f: want \
+           at most twice"
+          what large small)
+    [
+      ("an add among rsc leaves", Some rsc, false);
+      ("an rsc add and delete among fsc-only leaves", None, true);
+    ]
+
 let () =
   Alcotest.run "runtime"
     [
@@ -1206,6 +1516,11 @@ let () =
           Alcotest.test_case "fsc under parent" `Quick
             test_admission_fsc_under_parent;
           Alcotest.test_case "ulimit vs rsc" `Quick test_usc_admission;
+          Alcotest.test_case "summation order left to the fold" `Quick
+            test_order_case;
+          sums_match_fold;
+          Alcotest.test_case "add allocation independent of classes" `Quick
+            test_add_allocation;
         ] );
       ( "transactional",
         [
