@@ -63,27 +63,29 @@ let min_rate = 0.5
 let max_rate = ldexp 1. 31
 let max_breakpoint = ldexp 1. 31
 
-let check_breakpoint what (s : Service_curve.t) =
+(* The label ["WHAT CURVE"] is built only when a check refuses. *)
+let check_breakpoint what curve (s : Service_curve.t) =
   if s.d >= max_breakpoint then
     invalid_arg
-      (Printf.sprintf "%s: breakpoint d=%gs out of range (must be under 2^31 s)"
-         what s.d);
+      (Printf.sprintf
+         "%s %s: breakpoint d=%gs out of range (must be under 2^31 s)" what
+         curve s.d);
   let m = Float.max s.m1 s.m2 in
   if m > max_rate then
     invalid_arg
       (Printf.sprintf
-         "%s: rate %g B/s out of range (over 2^31 B/s its fixed-point \
+         "%s %s: rate %g B/s out of range (over 2^31 B/s its fixed-point \
           products overflow)"
-         what m)
+         what curve m)
 
-let check_sc what (s : Service_curve.t) =
+let check_sc what curve (s : Service_curve.t) =
   if s.m2 < min_rate then
     invalid_arg
       (Printf.sprintf
-         "%s: long-run rate %g B/s out of range (under %g B/s it rounds to \
-          0 in fixed point)"
-         what s.m2 min_rate);
-  check_breakpoint what s
+         "%s %s: long-run rate %g B/s out of range (under %g B/s it rounds \
+          to 0 in fixed point)"
+         what curve s.m2 min_rate);
+  check_breakpoint what curve s
 
 type t = {
   x : int;

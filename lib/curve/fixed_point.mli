@@ -111,9 +111,10 @@ val max_rate : float
 (** [2^31] B/s (≈ 17 Gbit/s): the largest slope whose products stay
     below [2^62] (see the overflow envelope above). *)
 
-val check_breakpoint : string -> Service_curve.t -> unit
-(** [check_breakpoint what s] raises [Invalid_argument] naming [what]
-    and containing "out of range" unless the breakpoint [s.d] lies
+val check_breakpoint : string -> string -> Service_curve.t -> unit
+(** [check_breakpoint what curve s] raises [Invalid_argument] naming
+    ["what curve"] (e.g. ["Hfsc.add_class usc"]; the label is built only
+    on a refusal) and containing "out of range" unless the breakpoint [s.d] lies
     under [2^31] s (about 68 years), so that its tick count ([2^61] at
     most) still fits an [int] once added to a curve anchor, and
     neither slope [s.m1] nor [s.m2] exceeds {!max_rate}. At [2^32] s
@@ -121,7 +122,7 @@ val check_breakpoint : string -> Service_curve.t -> unit
     garbage; from [2^32] B/s {!seg_x2y} overflows. For every curve,
     upper-limit curves included. *)
 
-val check_sc : string -> Service_curve.t -> unit
+val check_sc : string -> string -> Service_curve.t -> unit
 (** {!check_breakpoint}, and the same refusal when the long-run rate
     [s.m2] is under {!min_rate}: it would quantize to a zero slope, an
     infinite deadline or virtual time the scheduler cannot order. For

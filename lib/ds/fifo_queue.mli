@@ -1,8 +1,11 @@
 (** Per-class packet FIFO with byte accounting and drop-tail limits.
 
     Every leaf class of every scheduler in this repository owns one of
-    these. Backed by a growable ring buffer; all operations O(1)
-    amortized except [drop_tail] which is O(1) exactly. *)
+    these. Backed by a growable ring whose length is a power of two (an
+    index wraps with a mask). A slot holds the packet itself, with no
+    option cell around it, so once the ring has grown [push] and
+    {!take} allocate nothing. All operations O(1) amortized except
+    [drop_tail], {!take} and {!head}, which are O(1) exactly. *)
 
 type t
 
@@ -54,15 +57,18 @@ val push : t -> Pkt.Packet.t -> bool
 (** [push q p] appends [p]; returns [false] (and drops [p]) iff the
     queue is at its packet or byte limit. *)
 
-val pop : t -> Pkt.Packet.t option
-(** Remove and return the head packet. *)
+val take : t -> Pkt.Packet.t
+(** Remove and return the head packet.
+    @raise Invalid_argument if the queue is empty. *)
 
-val drop_tail : t -> Pkt.Packet.t option
-(** Remove and return the *newest* packet, counting it as a drop;
-    [None] iff empty. The head packet is never touched. *)
+val head : t -> Pkt.Packet.t
+(** Head packet without removing it.
+    @raise Invalid_argument if the queue is empty. *)
 
-val peek : t -> Pkt.Packet.t option
-(** Head packet without removing it; [None] iff empty. *)
+val drop_tail : t -> Pkt.Packet.t
+(** Remove and return the {e newest} packet, counting it as a drop.
+    The head packet is never touched unless it is the only one.
+    @raise Invalid_argument if the queue is empty. *)
 
 val clear : t -> unit
 val drops : t -> int

@@ -606,9 +606,9 @@ let classes t =
 (* Refuse curves the fixed-point arithmetic cannot represent, before
    anything is mutated. *)
 let check_curves what ~rsc ~fsc ~usc =
-  Option.iter (Fp.check_sc (what ^ " rsc")) rsc;
-  Option.iter (Fp.check_sc (what ^ " fsc")) fsc;
-  Option.iter (Fp.check_breakpoint (what ^ " usc")) usc
+  (match rsc with Some s -> Fp.check_sc what "rsc" s | None -> ());
+  (match fsc with Some s -> Fp.check_sc what "fsc" s | None -> ());
+  match usc with Some s -> Fp.check_breakpoint what "usc" s | None -> ()
 
 let add_class t ~parent ~name ?rsc ?fsc ?usc ?qlimit ?qlimit_bytes () =
   if parent.crsc <> None then
@@ -1010,16 +1010,14 @@ let rec make_room t ~now size =
     let v = find_victim t in
     if v == nil then false
     else begin
-      (match Fq.drop_tail v.queue with
-      | Some dropped ->
-          t.bl_pkts <- t.bl_pkts - 1;
-          t.bl_bytes <- t.bl_bytes - dropped.Pkt.Packet.size;
-          if debug_on () then
-            Log.debug (fun m ->
-                m "evict %s at %.6f: seq=%d size=%d (aggregate limit)"
-                  v.cname now dropped.Pkt.Packet.seq dropped.Pkt.Packet.size);
-          t.on_drop now v dropped
-      | None -> assert false);
+      let dropped = Fq.drop_tail v.queue in
+      t.bl_pkts <- t.bl_pkts - 1;
+      t.bl_bytes <- t.bl_bytes - dropped.Pkt.Packet.size;
+      if debug_on () then
+        Log.debug (fun m ->
+            m "evict %s at %.6f: seq=%d size=%d (aggregate limit)"
+              v.cname now dropped.Pkt.Packet.seq dropped.Pkt.Packet.size);
+      t.on_drop now v dropped;
       make_room t ~now size
     end
   end
@@ -1093,24 +1091,23 @@ let dequeue_core t now =
             m "dequeue at tick %d: %s via %s (vt=%d e=%d d=%d)" now leaf.cname
               (match crit with Realtime -> "realtime" | Linkshare -> "linkshare")
               leaf.fs.vt leaf.fs.e leaf.fs.d);
-      let pkt =
-        match Fq.pop leaf.queue with Some p -> p | None -> assert false
-      in
+      let pkt = Fq.take leaf.queue in
       t.bl_pkts <- t.bl_pkts - 1;
       t.bl_bytes <- t.bl_bytes - pkt.Pkt.Packet.size;
       update_vf leaf (Fq.is_empty leaf.queue) pkt.Pkt.Packet.size now;
       (match crit with
       | Realtime -> leaf.fs.cumul <- leaf.fs.cumul + pkt.Pkt.Packet.size
       | Linkshare -> ());
-      (match Fq.peek leaf.queue with
-      | Some next -> (
-          match leaf.crsc with
-          | Some _ -> (
-              match crit with
-              | Realtime -> update_ed t leaf next.Pkt.Packet.size
-              | Linkshare -> update_d t leaf next.Pkt.Packet.size)
-          | None -> ())
-      | None -> ed_remove t leaf);
+      if Fq.is_empty leaf.queue then ed_remove t leaf
+      else begin
+        match leaf.crsc with
+        | Some _ -> (
+            let next = (Fq.head leaf.queue).Pkt.Packet.size in
+            match crit with
+            | Realtime -> update_ed t leaf next
+            | Linkshare -> update_d t leaf next)
+        | None -> ()
+      end;
       t.deq_pkt <- pkt;
       t.deq_crit <- crit;
       leaf

@@ -162,9 +162,9 @@ let root t = t.troot
 (* Refuse curves the fixed-point arithmetic cannot represent, before
    anything is mutated. *)
 let check_curves what ~rsc ~fsc ~usc =
-  Option.iter (Fp.check_sc (what ^ " rsc")) rsc;
-  Option.iter (Fp.check_sc (what ^ " fsc")) fsc;
-  Option.iter (Fp.check_breakpoint (what ^ " usc")) usc
+  (match rsc with Some s -> Fp.check_sc what "rsc" s | None -> ());
+  (match fsc with Some s -> Fp.check_sc what "fsc" s | None -> ());
+  match usc with Some s -> Fp.check_breakpoint what "usc" s | None -> ()
 
 let add_class t ~parent ~name ?rsc ?fsc ?usc ?qlimit ?qlimit_bytes () =
   if parent.crsc <> None then
@@ -496,12 +496,10 @@ let rec make_room t ~now size =
     match find_victim t with
     | None -> false
     | Some v ->
-        (match Fq.drop_tail v.queue with
-        | Some dropped ->
-            t.bl_pkts <- t.bl_pkts - 1;
-            t.bl_bytes <- t.bl_bytes - dropped.Pkt.Packet.size;
-            t.on_drop now v dropped
-        | None -> assert false);
+        let dropped = Fq.drop_tail v.queue in
+        t.bl_pkts <- t.bl_pkts - 1;
+        t.bl_bytes <- t.bl_bytes - dropped.Pkt.Packet.size;
+        t.on_drop now v dropped;
         make_room t ~now size
 
 let enqueue t ~now cl pkt =
@@ -558,22 +556,18 @@ let dequeue t ~now =
     match selected with
     | None -> None
     | Some (leaf, crit) ->
-        let pkt =
-          match Fq.pop leaf.queue with Some p -> p | None -> assert false
-        in
+        let pkt = Fq.take leaf.queue in
         t.bl_pkts <- t.bl_pkts - 1;
         t.bl_bytes <- t.bl_bytes - pkt.Pkt.Packet.size;
         update_vf leaf pkt.Pkt.Packet.size nowt;
         if crit = Realtime then
           leaf.cumul <- leaf.cumul + pkt.Pkt.Packet.size;
-        (match Fq.peek leaf.queue with
-        | Some next ->
-            if leaf.crsc <> None then begin
-              let next_len = next.Pkt.Packet.size in
-              if crit = Realtime then update_ed leaf next_len
-              else update_d leaf next_len
-            end
-        | None -> leaf.in_ed <- false);
+        if Fq.is_empty leaf.queue then leaf.in_ed <- false
+        else if leaf.crsc <> None then begin
+          let next_len = (Fq.head leaf.queue).Pkt.Packet.size in
+          if crit = Realtime then update_ed leaf next_len
+          else update_d leaf next_len
+        end;
         Some (pkt, leaf, crit)
   end
 

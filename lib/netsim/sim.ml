@@ -35,13 +35,17 @@ type t = {
   q : Event_queue.t;
   mutable now : float;
   mutable sources : Source.t array;
+  (* each source's flow's seq counter, resolved when the source is
+     added: sources of one flow share one counter, so the flow's seqs
+     stay one gap-free stream *)
+  mutable seq_of : int ref array;
   mutable n_sources : int;
   mutable callbacks : (now:float -> unit) array;
   mutable n_callbacks : int;
-  seqs : (int, int ref) Hashtbl.t;
+  seqs : int ref Ds.Int_table.t; (* flow -> its seq counter *)
   mutable on_departure :
     (link:int -> now:float -> Sched.Scheduler.served -> unit) list;
-  delays : (int, Stats.Delay.t) Hashtbl.t;
+  delays : Stats.Delay.t Ds.Int_table.t;
   tput : Stats.Throughput.t;
   mutable drops : int;
 }
@@ -76,12 +80,13 @@ let create_multi ?(tput_bin = 1.0) ~links ~route () =
     q = Event_queue.create ();
     now = 0.;
     sources = [||];
+    seq_of = [||];
     n_sources = 0;
     callbacks = [||];
     n_callbacks = 0;
-    seqs = Hashtbl.create 16;
+    seqs = Ds.Int_table.create 16;
     on_departure = [];
-    delays = Hashtbl.create 16;
+    delays = Ds.Int_table.create 16;
     tput = Stats.Throughput.create ~bin:tput_bin ();
     drops = 0;
   }
@@ -109,8 +114,19 @@ let schedule_arrival t k =
 
 let add_source t src =
   let k = t.n_sources in
+  let flow = Source.flow src in
+  let seq =
+    match Ds.Int_table.find t.seqs flow with
+    | r -> r
+    | exception Not_found ->
+        let r = ref 0 in
+        Ds.Int_table.replace t.seqs flow r;
+        r
+  in
   t.sources <- ensure t.sources k src;
   t.sources.(k) <- src;
+  t.seq_of <- ensure t.seq_of k seq;
+  t.seq_of.(k) <- seq;
   t.n_sources <- k + 1;
   schedule_arrival t k
 
@@ -157,22 +173,12 @@ let try_start_all t =
     try_start t i
   done
 
-let next_seq t flow =
-  match Hashtbl.find t.seqs flow with
-  | r ->
-      let seq = !r in
-      r := seq + 1;
-      seq
-  | exception Not_found ->
-      Hashtbl.add t.seqs flow (ref 1);
-      0
-
 let delay_stats t flow =
-  match Hashtbl.find t.delays flow with
+  match Ds.Int_table.find t.delays flow with
   | d -> d
   | exception Not_found ->
       let d = Stats.Delay.create () in
-      Hashtbl.add t.delays flow d;
+      Ds.Int_table.replace t.delays flow d;
       d
 
 let rec fire link now served = function
@@ -191,7 +197,9 @@ let offer t i pkt =
 let arrive t k =
   let src = t.sources.(k) in
   let flow = Source.flow src in
-  let seq = next_seq t flow in
+  let r = t.seq_of.(k) in
+  let seq = !r in
+  r := seq + 1;
   let pkt =
     Pkt.Packet.make ~flow ~size:(Source.size src) ~seq ~arrival:t.now
   in
@@ -299,7 +307,7 @@ let link_transmitted_bytes t i =
   (get_link "link_transmitted_bytes" t i).w.tx_bytes
 
 let now t = t.now
-let delay_of_flow t flow = Hashtbl.find_opt t.delays flow
+let delay_of_flow t flow = Ds.Int_table.find_opt t.delays flow
 let throughput t = t.tput
 
 let transmitted_bytes t =

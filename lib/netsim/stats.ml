@@ -1,15 +1,12 @@
 module Delay = struct
-  type t = {
-    mutable data : float array;
-    mutable used : int;
-    mutable sum : float;
-    mutable mx : float;
-    mutable mn : float;
-  }
+  (* All-float, hence a flat record: accumulating never boxes. *)
+  type acc = { mutable sum : float; mutable mx : float; mutable mn : float }
+
+  type t = { mutable data : float array; mutable used : int; acc : acc }
 
   let create () =
-    { data = Array.make 64 0.; used = 0; sum = 0.; mx = neg_infinity;
-      mn = infinity }
+    { data = Array.make 64 0.; used = 0;
+      acc = { sum = 0.; mx = neg_infinity; mn = infinity } }
 
   let add t v =
     if t.used = Array.length t.data then begin
@@ -19,14 +16,15 @@ module Delay = struct
     end;
     t.data.(t.used) <- v;
     t.used <- t.used + 1;
-    t.sum <- t.sum +. v;
-    if v > t.mx then t.mx <- v;
-    if v < t.mn then t.mn <- v
+    let a = t.acc in
+    a.sum <- a.sum +. v;
+    if v > a.mx then a.mx <- v;
+    if v < a.mn then a.mn <- v
 
   let count t = t.used
-  let mean t = if t.used = 0 then 0. else t.sum /. float_of_int t.used
-  let max t = t.mx
-  let min t = t.mn
+  let mean t = if t.used = 0 then 0. else t.acc.sum /. float_of_int t.used
+  let max t = t.acc.mx
+  let min t = t.acc.mn
 
   let percentile t p =
     if t.used = 0 then invalid_arg "Delay.percentile: no samples";
@@ -47,19 +45,29 @@ module Throughput = struct
      so accumulating never boxes); [used] is one past the highest bin
      touched. *)
   type bins = { mutable bytes : float array; mutable used : int }
-  type t = { bin : float; tbl : (string, bins) Hashtbl.t }
+
+  (* keyed by class name with [String.equal], not the polymorphic
+     compare *)
+  module Tbl = Hashtbl.Make (struct
+    type t = string
+
+    let equal = String.equal
+    let hash (s : string) = Hashtbl.hash s
+  end)
+
+  type t = { bin : float; tbl : bins Tbl.t }
 
   let create ~bin () =
     if bin <= 0. then invalid_arg "Throughput.create: bin must be > 0";
-    { bin; tbl = Hashtbl.create 16 }
+    { bin; tbl = Tbl.create 16 }
 
   let add t ~cls ~now bytes =
     let b =
-      match Hashtbl.find t.tbl cls with
+      match Tbl.find t.tbl cls with
       | b -> b
       | exception Not_found ->
           let b = { bytes = Array.make 64 0.; used = 0 } in
-          Hashtbl.add t.tbl cls b;
+          Tbl.add t.tbl cls b;
           b
     in
     let i = if Float.is_nan now then -1 else int_of_float (now /. t.bin) in
@@ -73,7 +81,7 @@ module Throughput = struct
     if i >= b.used then b.used <- i + 1
 
   let series t ~cls =
-    match Hashtbl.find_opt t.tbl cls with
+    match Tbl.find_opt t.tbl cls with
     | None -> []
     | Some b ->
         List.init b.used (fun i ->
@@ -81,5 +89,5 @@ module Throughput = struct
 
   let classes t =
     List.sort String.compare
-      (Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [])
+      (Tbl.fold (fun k _ acc -> k :: acc) t.tbl [])
 end

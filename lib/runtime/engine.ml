@@ -35,7 +35,7 @@ type t = {
   be : Backend.t;
   link_rate : float;
   tele : Telemetry.t;
-  flows : (int, int) Hashtbl.t; (* flow id -> class id *)
+  flows : int Ds.Int_table.t; (* flow id -> class id *)
   (* the inverse of [flows], kept in step with it: class id -> the flows
      mapped to that class (unordered, never empty; a class without flows
      has no entry), so a class delete or checkpoint never scans [flows] *)
@@ -53,7 +53,7 @@ let announce t id =
   Telemetry.set_rsc t.tele ~id (t.be.Backend.rsc id)
 
 let map_flow t flow id =
-  Hashtbl.replace t.flows flow id;
+  Ds.Int_table.replace t.flows flow id;
   Hashtbl.replace t.by_class id
     (flow :: Option.value ~default:[] (Hashtbl.find_opt t.by_class id))
 
@@ -67,7 +67,7 @@ let create_backend ?trace_capacity ?tracing ?(audit_every = 0)
       be;
       link_rate = be.Backend.link_rate;
       tele = Telemetry.create ?trace_capacity ?tracing ();
-      flows = Hashtbl.create 16;
+      flows = Ds.Int_table.create 16;
       by_class = Hashtbl.create 16;
       filters = [];
       table = Classify.Rules.create [];
@@ -80,7 +80,7 @@ let create_backend ?trace_capacity ?tracing ?(audit_every = 0)
     (fun (flow, id) ->
       if not (be.Backend.is_leaf id) then
         invalid_arg "Engine.create: flow mapped to interior class";
-      if Hashtbl.mem t.flows flow then
+      if Ds.Int_table.mem t.flows flow then
         invalid_arg "Engine.create: duplicate flow id";
       map_flow t flow id)
     flow_map;
@@ -118,12 +118,13 @@ let scheduler t =
 let snapshot t = Telemetry.snapshot t.tele
 let drain_trace t sink = Trace_log.Sink.drain sink t.tele
 let link_rate t = t.link_rate
-let flow_class t flow = Hashtbl.find_opt t.flows flow
+let flow_class t flow = Ds.Int_table.find_opt t.flows flow
 
 let flows t =
-  Hashtbl.fold (fun f _ acc -> f :: acc) t.flows [] |> List.sort Int.compare
+  Ds.Int_table.fold (fun f _ acc -> f :: acc) t.flows []
+  |> List.sort Int.compare
 
-let flow_count t = Hashtbl.length t.flows
+let flow_count t = Ds.Int_table.length t.flows
 
 let class_flows t name =
   match t.be.Backend.find_id name with
@@ -154,7 +155,7 @@ let audit t =
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
   let live = Hashtbl.create 64 in
   List.iter (fun id -> Hashtbl.replace live id ()) (t.be.Backend.class_ids ());
-  Hashtbl.iter
+  Ds.Int_table.iter
     (fun flow id ->
       if not (Hashtbl.mem live id) then
         err "flow %d maps to removed class %d" flow id
@@ -167,9 +168,9 @@ let audit t =
   (* every flow is in its class's index entry, so equal sizes leave no
      room for a stale or duplicated entry *)
   let indexed = Hashtbl.fold (fun _ fs n -> n + List.length fs) t.by_class 0 in
-  if indexed <> Hashtbl.length t.flows then
+  if indexed <> Ds.Int_table.length t.flows then
     err "flow index holds %d entries for %d mapped flows" indexed
-      (Hashtbl.length t.flows);
+      (Ds.Int_table.length t.flows);
   t.be.Backend.audit () @ List.rev !errs
 
 let maybe_audit t =
@@ -225,7 +226,7 @@ let exec_add t (a : Command.curve_updates) ~name ~parent ~flow ~quantum
   let* parent_id = find t parent in
   let* () =
     match flow with
-    | Some f when Hashtbl.mem t.flows f ->
+    | Some f when Ds.Int_table.mem t.flows f ->
         errf Duplicate_flow "flow %d is already mapped" f
     | _ -> Ok ()
   in
@@ -260,7 +261,7 @@ let exec_delete t ~name =
   let* id = find t name in
   let* () = t.be.Backend.remove_class ~id in
   let dead = class_flows_of t id in
-  List.iter (Hashtbl.remove t.flows) dead;
+  List.iter (Ds.Int_table.remove t.flows) dead;
   Hashtbl.remove t.by_class id;
   let b = class_reply "deleted" name in
   (match dead with
@@ -282,7 +283,7 @@ let rebuild_table t =
 
 let exec_attach t (f : Command.filter_spec) =
   let* () =
-    if Hashtbl.mem t.flows f.fflow then Ok ()
+    if Ds.Int_table.mem t.flows f.fflow then Ok ()
     else errf Unknown_flow "filter flow %d is not mapped to a class" f.fflow
   in
   let* rule =
@@ -613,7 +614,7 @@ let config_fingerprint t =
   List.iter
     (fun f ->
       str "flow "; int f; str " -> ";
-      quoted (be.Backend.cls_name (Hashtbl.find t.flows f));
+      quoted (be.Backend.cls_name (Ds.Int_table.find t.flows f));
       str "\n")
     (flows t);
   List.iter
@@ -639,10 +640,10 @@ let enqueue t ~now id pkt =
   maybe_audit t;
   admitted
 
-(* [Hashtbl.find], not [find_opt]: the hit path of the per-packet
-   flow lookup must not allocate an option *)
+(* [find], not [find_opt]: the hit path of the per-packet flow lookup
+   must not allocate an option *)
 let enqueue_flow t ~now pkt =
-  match Hashtbl.find t.flows pkt.Pkt.Packet.flow with
+  match Ds.Int_table.find t.flows pkt.Pkt.Packet.flow with
   | id -> enqueue t ~now id pkt
   | exception Not_found -> false
 

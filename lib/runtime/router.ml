@@ -42,7 +42,7 @@ let link_count = Router_core.link_count
 let link_of_flow = Router_core.link_of_flow
 
 let flow_class t flow =
-  match Hashtbl.find_opt t.Router_core.flow_links flow with
+  match Ds.Int_table.find_opt t.Router_core.flow_links flow with
   | None -> None
   | Some (name, eng) ->
       Option.map (fun cls -> (name, cls)) (Engine.flow_class eng flow)
@@ -58,17 +58,17 @@ let classify t h =
         match Classify.Rules.classify (Engine.rules eng) h with
         | None -> go rest
         | Some flow -> (
-            match Hashtbl.find_opt t.Router_core.flow_links flow with
+            match Ds.Int_table.find_opt t.Router_core.flow_links flow with
             | Some (owner, _) when owner = name ->
                 Option.map (fun cls -> (name, cls)) (Engine.flow_class eng flow)
             | _ -> None))
   in
   go t.Router_core.links
 
-(* [Hashtbl.find], not [find_opt]: the hit path of the per-packet
-   routing lookup must not allocate an option *)
+(* [find], not [find_opt]: the hit path of the per-packet routing
+   lookup must not allocate an option *)
 let enqueue_flow t ~now pkt =
-  match Hashtbl.find t.Router_core.flow_links pkt.Pkt.Packet.flow with
+  match Ds.Int_table.find t.Router_core.flow_links pkt.Pkt.Packet.flow with
   | _, eng -> Engine.enqueue_flow eng ~now pkt
   | exception Not_found -> false
 

@@ -34,13 +34,14 @@ type 'p ops = {
 
 type 'p t = {
   mutable links : (string * 'p) list; (* creation = classifier order *)
-  (* device-wide flow directory; the port rides along so the per-packet
-     path of the instantiating router is one hash lookup. The engines
-     own the flow maps; this is a cache of their union, updated in
-     place by each command that maps or unmaps flows (see [exec_on]) —
-     never rebuilt by scanning, so a class op costs O(its flows), not
-     O(the link's flows). *)
-  flow_links : (int, string * 'p) Hashtbl.t;
+  (* device-wide flow directory (a flat int-keyed table); the port
+     rides along so the per-packet path of the instantiating router is
+     one lookup that allocates nothing. The engines own the flow maps;
+     this is a cache of their union, updated in place by each command
+     that maps or unmaps flows (see [exec_on]) — never rebuilt by
+     scanning, so a class op costs O(its flows), not O(the link's
+     flows). *)
+  flow_links : (string * 'p) Ds.Int_table.t;
   (* each link's rate and backend, fixed for its lifetime and recorded
      when the link is made, so a downed link still lists and
      checkpoints as itself *)
@@ -59,7 +60,7 @@ let ( let* ) = Result.bind
 let create ?trace_capacity ?tracing ?audit_every ~ops ~port () =
   {
     links = [];
-    flow_links = Hashtbl.create 16;
+    flow_links = Ds.Int_table.create 16;
     specs = Hashtbl.create 16;
     ops;
     new_port =
@@ -73,7 +74,8 @@ let links t = t.links
 let find_entry t name = List.find_opt (fun (n, _) -> n = name) t.links
 let find_link t name = Option.map snd (find_entry t name)
 let link_count t = List.length t.links
-let link_of_flow t flow = Option.map fst (Hashtbl.find_opt t.flow_links flow)
+let link_of_flow t flow =
+  Option.map fst (Ds.Int_table.find_opt t.flow_links flow)
 
 (* [(rate, backend)] of a link *)
 let spec t name = Hashtbl.find t.specs name
@@ -104,7 +106,7 @@ let adopt t ((name, port) as link) =
   in
   t.links <- t.links @ [ link ];
   Hashtbl.replace t.specs name spec;
-  List.iter (fun f -> Hashtbl.replace t.flow_links f link) flows
+  List.iter (fun f -> Ds.Int_table.replace t.flow_links f link) flows
 
 (* The router verbs: a link so named could never be addressed, since
    [link add NAME ...] parses as the verb. *)
@@ -153,12 +155,12 @@ let delete_link t name =
   | None -> Engine.errf Engine.Unknown_link "unknown link %S" name
   | Some port ->
       let orphans =
-        Hashtbl.fold
+        Ds.Int_table.fold
           (fun f (_, p) acc -> if p == port then f :: acc else acc)
           t.flow_links []
         |> List.sort compare
       in
-      List.iter (Hashtbl.remove t.flow_links) orphans;
+      List.iter (Ds.Int_table.remove t.flow_links) orphans;
       t.links <- List.filter (fun (n, _) -> n <> name) t.links;
       Hashtbl.remove t.specs name;
       Ok
@@ -204,13 +206,13 @@ let link_list t =
 let precheck t name port (op : Command.op) =
   match op with
   | Command.Add_class { flow = Some f; _ } -> (
-      match Hashtbl.find_opt t.flow_links f with
+      match Ds.Int_table.find_opt t.flow_links f with
       | Some (owner, p) when p != port ->
           Engine.errf Engine.Duplicate_flow
             "flow %d is already mapped on link %S" f owner
       | _ -> Ok ())
   | Command.Attach_filter { fflow; _ } -> (
-      match Hashtbl.find_opt t.flow_links fflow with
+      match Ds.Int_table.find_opt t.flow_links fflow with
       | Some (owner, p) when p != port ->
           Engine.errf Engine.Cross_link_filter
             "flow %d belongs to link %S, not %S: a filter must live on the \
@@ -238,8 +240,9 @@ let exec_on t ~now ((name, port) as link) op =
   let* reply = exec_op t link ~now op in
   (match op with
   | Command.Add_class { flow = Some f; _ } ->
-      Hashtbl.replace t.flow_links f link
-  | Command.Delete_class _ -> List.iter (Hashtbl.remove t.flow_links) unmapped
+      Ds.Int_table.replace t.flow_links f link
+  | Command.Delete_class _ ->
+      List.iter (Ds.Int_table.remove t.flow_links) unmapped
   | _ -> ());
   Ok reply
 
@@ -304,13 +307,13 @@ let exec t ~now { Command.target; op } =
               | Command.Stats cls -> all_links_stats t ~now cls
               | Command.Trace tr -> all_links_trace t ~now tr
               | Command.Attach_filter { fflow; _ } -> (
-                  match Hashtbl.find_opt t.flow_links fflow with
+                  match Ds.Int_table.find_opt t.flow_links fflow with
                   | Some link -> exec_on t ~now link op
                   | None ->
                       Engine.errf Engine.Unknown_flow
                         "filter flow %d is not mapped on any link" fflow)
               | Command.Detach_filter flow -> (
-                  match Hashtbl.find_opt t.flow_links flow with
+                  match Ds.Int_table.find_opt t.flow_links flow with
                   | Some link -> exec_on t ~now link op
                   | None -> (
                       match
@@ -371,7 +374,7 @@ let of_config t (cfg : Config.t) =
   let* () =
     match
       List.find_opt
-        (fun (_, f) -> not (Hashtbl.mem t.flow_links f))
+        (fun (_, f) -> not (Ds.Int_table.mem t.flow_links f))
         cfg.Config.source_flows
     with
     | Some (line, f) ->
@@ -387,7 +390,7 @@ let of_config t (cfg : Config.t) =
   Ok
     (List.concat_map
        (fun (name, port) ->
-         Hashtbl.fold
+         Ds.Int_table.fold
            (fun f (_, p) acc ->
              if p == port && not (List.mem f sourced) then f :: acc else acc)
            t.flow_links []
@@ -468,7 +471,7 @@ let audit t =
     t.links;
   (* directory -> engine: every entry names a live link and a flow the
      engine actually maps *)
-  Hashtbl.iter
+  Ds.Int_table.iter
     (fun flow (name, p) ->
       (match find_link t name with
       | Some p' when p' == p -> ()
@@ -482,7 +485,7 @@ let audit t =
     (fun (name, p) ->
       List.iter
         (fun flow ->
-          match Hashtbl.find_opt t.flow_links flow with
+          match Ds.Int_table.find_opt t.flow_links flow with
           | Some (owner, p') when p' == p && owner = name -> ()
           | Some (owner, _) ->
               add "flow %d mapped on link %S but directory says %S" flow name

@@ -41,14 +41,13 @@ type t = {
   mutable tracing : bool;
   mutable tbl : counters array; (* index: Hfsc.id *)
   mutable known : int; (* ids < known are valid *)
-  (* deadline-miss parameters of each class's rsc, in parallel float
-     arrays (kept out of [counters] so that record stays all-int and
-     its stores unboxed). [dy] is m1*d. *)
+  (* deadline-miss parameters of each class's rsc, kept out of
+     [counters] so that record stays all-int and its stores unboxed:
+     class [id]'s [dy] (= m1*d), [m1], [d] and [m2] at [4*id] to
+     [4*id+3] of one flat float array, so a real-time dequeue's check
+     reads 32 adjacent bytes, not one float from each of four arrays. *)
   mutable has_rsc : bool array;
-  mutable m1 : float array;
-  mutable dy : float array;
-  mutable d : float array;
-  mutable m2 : float array;
+  mutable rsc : float array;
 }
 
 let fresh_counters () =
@@ -84,10 +83,7 @@ let create ?(trace_capacity = 4096) ?(tracing = true) () =
     tbl = [||];
     known = 0;
     has_rsc = [||];
-    m1 = [||];
-    dy = [||];
-    d = [||];
-    m2 = [||];
+    rsc = [||];
   }
 
 let grow_array a n fill =
@@ -107,10 +103,7 @@ let ensure_class t ~id =
       done;
       t.tbl <- tbl;
       t.has_rsc <- grow_array t.has_rsc n false;
-      t.m1 <- grow_array t.m1 n 0.;
-      t.dy <- grow_array t.dy n 0.;
-      t.d <- grow_array t.d n 0.;
-      t.m2 <- grow_array t.m2 n 0.
+      t.rsc <- grow_array t.rsc (4 * n) 0.
     end;
     t.known <- id + 1
   end
@@ -127,12 +120,13 @@ let set_rsc t ~id sc =
   check_id t id;
   match sc with
   | None -> t.has_rsc.(id) <- false
-  | Some s ->
+  | Some { Curve.Service_curve.m1; d; m2 } ->
       t.has_rsc.(id) <- true;
-      t.m1.(id) <- s.Curve.Service_curve.m1;
-      t.d.(id) <- s.Curve.Service_curve.d;
-      t.m2.(id) <- s.Curve.Service_curve.m2;
-      t.dy.(id) <- s.Curve.Service_curve.m1 *. s.Curve.Service_curve.d
+      let i = 4 * id in
+      t.rsc.(i) <- m1 *. d;
+      t.rsc.(i + 1) <- m1;
+      t.rsc.(i + 2) <- d;
+      t.rsc.(i + 3) <- m2
 
 let set_tracing t v = t.tracing <- v
 
@@ -176,12 +170,13 @@ let note_dequeue t ~id ~now ~size ~flow ~seq ~arrival ~realtime =
          in registers (a call into Service_curve would box the fresh
          argument in classic mode) *)
       let sz = float_of_int size in
-      let dy = Array.unsafe_get t.dy id in
+      let rsc = t.rsc and i = 4 * id in
+      let dy = Array.unsafe_get rsc i in
       let allowed =
-        if sz <= dy then sz /. Array.unsafe_get t.m1 id
+        if sz <= dy then sz /. Array.unsafe_get rsc (i + 1)
         else
-          Array.unsafe_get t.d id
-          +. ((sz -. dy) /. Array.unsafe_get t.m2 id)
+          Array.unsafe_get rsc (i + 2)
+          +. ((sz -. dy) /. Array.unsafe_get rsc (i + 3))
       in
       if now -. arrival > allowed +. 1e-9 then
         c.deadline_misses <- c.deadline_misses + 1

@@ -143,10 +143,9 @@ let enqueue t ~now:_ p =
    head packet. *)
 let head_len c =
   match c.queue with
-  | Some q -> (
-      match Ds.Fifo_queue.peek q with
-      | Some p -> p.Pkt.Packet.size
-      | None -> max_int)
+  | Some q ->
+      if Ds.Fifo_queue.is_empty q then max_int
+      else (Ds.Fifo_queue.head q).Pkt.Packet.size
   | None -> max_int
 
 let select t ~now =
@@ -194,9 +193,7 @@ let dequeue t ~now =
     | None -> None (* every backlogged class is regulated *)
     | Some leaf ->
         let q = match leaf.queue with Some q -> q | None -> assert false in
-        let p =
-          match Ds.Fifo_queue.pop q with Some p -> p | None -> assert false
-        in
+        let p = Ds.Fifo_queue.take q in
         t.pkts <- t.pkts - 1;
         t.bytes <- t.bytes - p.Pkt.Packet.size;
         if Ds.Fifo_queue.is_empty q then leaf.deficit <- 0.;

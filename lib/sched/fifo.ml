@@ -5,11 +5,11 @@ let create ?qlimit () =
     enqueue = (fun ~now:_ p -> Ds.Fifo_queue.push q p);
     dequeue =
       (fun ~now:_ ->
-        match Ds.Fifo_queue.pop q with
-        | None -> None
-        | Some pkt ->
-            Some { Scheduler.pkt; cls = string_of_int pkt.Pkt.Packet.flow;
-                   criterion = "fifo" });
+        if Ds.Fifo_queue.is_empty q then None
+        else
+          let pkt = Ds.Fifo_queue.take q in
+          Some { Scheduler.pkt; cls = string_of_int pkt.Pkt.Packet.flow;
+                 criterion = "fifo" });
     dequeue_many = None;
     next_ready =
       (fun ~now ->

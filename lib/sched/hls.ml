@@ -336,13 +336,11 @@ let rec make_room t ~now size =
     let v = find_victim t in
     if v == nil then false
     else begin
-      (match Fq.drop_tail v.queue with
-      | Some dropped ->
-          t.bl_pkts <- t.bl_pkts - 1;
-          t.bl_bytes <- t.bl_bytes - dropped.Pkt.Packet.size;
-          uncharge_up v dropped.Pkt.Packet.size;
-          t.on_drop now v dropped
-      | None -> assert false);
+      let dropped = Fq.drop_tail v.queue in
+      t.bl_pkts <- t.bl_pkts - 1;
+      t.bl_bytes <- t.bl_bytes - dropped.Pkt.Packet.size;
+      uncharge_up v dropped.Pkt.Packet.size;
+      t.on_drop now v dropped;
       make_room t ~now size
     end
   end
@@ -398,9 +396,7 @@ let dequeue_core t =
   if t.bl_pkts = 0 then nil
   else begin
     let leaf = descend t.troot in
-    let pkt =
-      match Fq.pop leaf.queue with Some p -> p | None -> assert false
-    in
+    let pkt = Fq.take leaf.queue in
     t.bl_pkts <- t.bl_pkts - 1;
     t.bl_bytes <- t.bl_bytes - pkt.Pkt.Packet.size;
     charge_up leaf pkt.Pkt.Packet.size;

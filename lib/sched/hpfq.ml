@@ -96,10 +96,9 @@ let seff_select n =
    This is what the finish tag of [n] inside its parent must cover. *)
 let rec head_len n =
   match n.queue with
-  | Some q -> (
-      match Ds.Fifo_queue.peek q with
-      | Some p -> Some p.Pkt.Packet.size
-      | None -> None)
+  | Some q ->
+      if Ds.Fifo_queue.is_empty q then None
+      else Some (Ds.Fifo_queue.head q).Pkt.Packet.size
   | None -> ( match seff_select n with Some c -> head_len c | None -> None)
 
 let enqueue t ~now:_ p =
@@ -148,7 +147,7 @@ let dequeue t ~now:_ =
     in
     let leaf, path = walk t.troot [] in
     let q = match leaf.queue with Some q -> q | None -> assert false in
-    let p = match Ds.Fifo_queue.pop q with Some p -> p | None -> assert false in
+    let p = Ds.Fifo_queue.take q in
     t.pkts <- t.pkts - 1;
     t.bytes <- t.bytes - p.Pkt.Packet.size;
     let len = float_of_int p.Pkt.Packet.size in

@@ -21,11 +21,10 @@ let create ?(qlimit = 100_000) ~curves () =
   let pkts = ref 0 in
   let bytes = ref 0 in
   let set_head_deadline s =
-    match Ds.Fifo_queue.peek s.queue with
-    | None -> ()
-    | Some p ->
-        s.d <-
-          Rc.inverse s.deadline_c (s.cumul +. float_of_int p.Pkt.Packet.size)
+    if not (Ds.Fifo_queue.is_empty s.queue) then
+      let p = Ds.Fifo_queue.head s.queue in
+      s.d <-
+        Rc.inverse s.deadline_c (s.cumul +. float_of_int p.Pkt.Packet.size)
   in
   let enqueue ~now p =
     match Hashtbl.find_opt sessions p.Pkt.Packet.flow with
@@ -60,11 +59,7 @@ let create ?(qlimit = 100_000) ~curves () =
       match !best with
       | None -> None
       | Some (id, s) ->
-          let p =
-            match Ds.Fifo_queue.pop s.queue with
-            | Some p -> p
-            | None -> assert false
-          in
+          let p = Ds.Fifo_queue.take s.queue in
           decr pkts;
           bytes := !bytes - p.Pkt.Packet.size;
           s.cumul <- s.cumul +. float_of_int p.Pkt.Packet.size;

@@ -69,19 +69,15 @@ let create ?(qlimit = 100_000) ~link_rate ~rates () =
       match !best with
       | None -> None (* cannot happen: sync_v floors V at min start *)
       | Some (id, s) ->
-          let p =
-            match Ds.Fifo_queue.pop s.queue with
-            | Some p -> p
-            | None -> assert false
-          in
+          let p = Ds.Fifo_queue.take s.queue in
           decr pkts;
           bytes := !bytes - p.Pkt.Packet.size;
           served_bytes := !served_bytes +. float_of_int p.Pkt.Packet.size;
-          (match Ds.Fifo_queue.peek s.queue with
-          | Some next ->
-              s.s <- s.f;
-              s.f <- s.s +. (float_of_int next.Pkt.Packet.size /. s.rate)
-          | None -> ());
+          if not (Ds.Fifo_queue.is_empty s.queue) then begin
+            let next = Ds.Fifo_queue.head s.queue in
+            s.s <- s.f;
+            s.f <- s.s +. (float_of_int next.Pkt.Packet.size /. s.rate)
+          end;
           Some { Scheduler.pkt = p; cls = string_of_int id;
                  criterion = "wf2q+" }
     end

@@ -87,11 +87,7 @@ let create ?(qlimit = 100_000) ~link_rate ~rates () =
       match !best with
       | None -> None
       | Some (id, s, _) ->
-          let p =
-            match Ds.Fifo_queue.pop s.queue with
-            | Some p -> p
-            | None -> assert false
-          in
+          let p = Ds.Fifo_queue.take s.queue in
           ignore (Queue.pop s.tags);
           decr pkts;
           bytes := !bytes - p.Pkt.Packet.size;

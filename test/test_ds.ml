@@ -1,4 +1,5 @@
-(* Unit and property tests for lib/ds's binary heap and packet FIFO.
+(* Unit and property tests for lib/ds's binary heap, packet FIFO and
+   int-keyed table.
    Property tests check each structure against a reference model. The
    Section V trees live inside lib/hfsc/hfsc.ml; test_hfsc_diff and
    test_fuzz pin them through the scheduler against Hfsc_ref. *)
@@ -88,9 +89,7 @@ let test_fifo_order () =
     assert (Ds.Fifo_queue.push q (pkt i))
   done;
   for i = 0 to 99 do
-    match Ds.Fifo_queue.pop q with
-    | Some p -> Alcotest.(check int) "seq order" i p.Pkt.Packet.seq
-    | None -> Alcotest.fail "unexpected empty"
+    Alcotest.(check int) "seq order" i (Ds.Fifo_queue.take q).Pkt.Packet.seq
   done;
   Alcotest.(check bool) "drained" true (Ds.Fifo_queue.is_empty q)
 
@@ -99,8 +98,8 @@ let test_fifo_bytes () =
   ignore (Ds.Fifo_queue.push q (pkt ~size:100 0));
   ignore (Ds.Fifo_queue.push q (pkt ~size:250 1));
   Alcotest.(check int) "bytes" 350 (Ds.Fifo_queue.bytes q);
-  ignore (Ds.Fifo_queue.pop q);
-  Alcotest.(check int) "bytes after pop" 250 (Ds.Fifo_queue.bytes q)
+  ignore (Ds.Fifo_queue.take q);
+  Alcotest.(check int) "bytes after take" 250 (Ds.Fifo_queue.bytes q)
 
 let test_fifo_droptail () =
   let q = Ds.Fifo_queue.create ~limit_pkts:3 () in
@@ -109,21 +108,30 @@ let test_fifo_droptail () =
   Alcotest.(check bool) "3" true (Ds.Fifo_queue.push q (pkt 2));
   Alcotest.(check bool) "4 dropped" false (Ds.Fifo_queue.push q (pkt 3));
   Alcotest.(check int) "drop count" 1 (Ds.Fifo_queue.drops q);
-  ignore (Ds.Fifo_queue.pop q);
-  Alcotest.(check bool) "room again" true (Ds.Fifo_queue.push q (pkt 4))
+  Alcotest.(check int) "drop_tail takes the newest" 2
+    (Ds.Fifo_queue.drop_tail q).Pkt.Packet.seq;
+  Alcotest.(check int) "eviction counted" 2 (Ds.Fifo_queue.drops q);
+  Alcotest.(check bool) "room again" true (Ds.Fifo_queue.push q (pkt 4));
+  Alcotest.(check int) "head kept" 0 (Ds.Fifo_queue.take q).Pkt.Packet.seq;
+  Alcotest.(check bool) "room after take" true (Ds.Fifo_queue.push q (pkt 5))
 
 let test_fifo_peek_clear () =
   let q = Ds.Fifo_queue.create () in
-  Alcotest.(check (option reject)) "peek empty" None
-    (Option.map ignore (Ds.Fifo_queue.peek q));
+  let refused name f =
+    match f q with
+    | _ -> Alcotest.failf "%s on an empty queue answered" name
+    | exception Invalid_argument _ -> ()
+  in
+  refused "head" Ds.Fifo_queue.head;
+  refused "take" Ds.Fifo_queue.take;
+  refused "drop_tail" Ds.Fifo_queue.drop_tail;
   ignore (Ds.Fifo_queue.push q (pkt 7));
-  (match Ds.Fifo_queue.peek q with
-  | Some p -> Alcotest.(check int) "peek head" 7 p.Pkt.Packet.seq
-  | None -> Alcotest.fail "expected head");
-  Alcotest.(check int) "peek keeps" 1 (Ds.Fifo_queue.length q);
+  Alcotest.(check int) "head" 7 (Ds.Fifo_queue.head q).Pkt.Packet.seq;
+  Alcotest.(check int) "head keeps" 1 (Ds.Fifo_queue.length q);
   Ds.Fifo_queue.clear q;
   Alcotest.(check int) "cleared" 0 (Ds.Fifo_queue.length q);
-  Alcotest.(check int) "bytes cleared" 0 (Ds.Fifo_queue.bytes q)
+  Alcotest.(check int) "bytes cleared" 0 (Ds.Fifo_queue.bytes q);
+  refused "head after clear" Ds.Fifo_queue.head
 
 let fifo_vs_queue =
   qt "fifo_queue: interleaved ops match Stdlib.Queue"
@@ -142,13 +150,18 @@ let fifo_vs_queue =
             true
           end
           else begin
-            let got = Ds.Fifo_queue.pop q in
+            let got =
+              if Ds.Fifo_queue.is_empty q then None
+              else Some (Ds.Fifo_queue.take q)
+            in
             let want = Queue.take_opt model in
             (match (got, want) with
             | None, None -> true
             | Some a, Some b -> Pkt.Packet.equal a b
             | _ -> false)
             && Ds.Fifo_queue.length q = Queue.length model
+            && Ds.Fifo_queue.bytes q
+               = Queue.fold (fun n p -> n + p.Pkt.Packet.size) 0 model
           end)
         ops)
 
@@ -159,7 +172,7 @@ let test_fifo_iter () =
     ignore (Ds.Fifo_queue.push q (pkt i))
   done;
   for _ = 0 to 3 do
-    ignore (Ds.Fifo_queue.pop q)
+    ignore (Ds.Fifo_queue.take q)
   done;
   for i = 6 to 12 do
     ignore (Ds.Fifo_queue.push q (pkt i))
@@ -169,6 +182,131 @@ let test_fifo_iter () =
   Alcotest.(check (list int)) "iter head-to-tail"
     [ 4; 5; 6; 7; 8; 9; 10; 11; 12 ]
     (List.rev !seen)
+
+(* Once the ring has grown, a push and a take move a pointer and a few
+   ints: no option cell, no allocation at all. *)
+let test_fifo_no_alloc () =
+  let q = Ds.Fifo_queue.create () in
+  let pkts = Array.init 64 (fun i -> pkt i) in
+  Array.iter (fun p -> ignore (Ds.Fifo_queue.push q p)) pkts;
+  Array.iter (fun _ -> ignore (Ds.Fifo_queue.take q)) pkts;
+  let cycle () =
+    for i = 0 to 63 do
+      ignore (Ds.Fifo_queue.push q (Array.unsafe_get pkts i));
+      ignore (Ds.Fifo_queue.push q (Array.unsafe_get pkts (63 - i)));
+      ignore (Ds.Fifo_queue.take q);
+      ignore (Ds.Fifo_queue.take q)
+    done
+  in
+  cycle ();
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let base = words ignore in
+  let w =
+    words (fun () ->
+        for _ = 1 to 100 do
+          cycle ()
+        done)
+  in
+  Alcotest.(check (float 0.)) "12.8k push/take pairs: 0 minor words" 0.
+    (w -. base);
+  Alcotest.(check int) "drained" 0 (Ds.Fifo_queue.length q)
+
+(* --- int table ------------------------------------------------------ *)
+
+type table_op = Replace of int * int | Remove of int | Find of int
+
+(* Keys from a small dense range (long probe runs, so removals shift),
+   the extremes, and sparse ones far apart. *)
+let key_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, int_range (-24) 24);
+        (2, oneofl [ min_int; max_int; -1; 0; min_int + 1; max_int - 1 ]);
+        (1, map (fun k -> k lsl 40) (int_range (-8) 8));
+        (1, int);
+      ])
+
+let table_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (5, map2 (fun k v -> Replace (k, v)) key_gen small_int);
+        (3, map (fun k -> Remove k) key_gen);
+        (2, map (fun k -> Find k) key_gen);
+      ])
+
+let bindings_of_table t =
+  List.sort compare (Ds.Int_table.fold (fun k v acc -> (k, v) :: acc) t [])
+
+let bindings_of_hashtbl h =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [])
+
+let print_table_op = function
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Find k -> Printf.sprintf "find %d" k
+
+let int_table_vs_hashtbl =
+  QCheck_alcotest.to_alcotest
+  @@ QCheck2.Test.make ~count:200 ~name:"int_table: ops match Stdlib.Hashtbl"
+       ~print:(fun ops -> String.concat "; " (List.map print_table_op ops))
+       QCheck2.Gen.(list_size (int_range 0 300) table_op_gen)
+  @@ fun ops ->
+      let t = Ds.Int_table.create 0 and h = Hashtbl.create 8 in
+      let agree k =
+        Ds.Int_table.find_opt t k = Hashtbl.find_opt h k
+        && Ds.Int_table.mem t k = Hashtbl.mem h k
+        && (match Ds.Int_table.find t k with
+           | v -> Hashtbl.find_opt h k = Some v
+           | exception Not_found -> not (Hashtbl.mem h k))
+      in
+      List.for_all
+        (fun op ->
+          let k =
+            match op with
+            | Replace (k, v) ->
+                Ds.Int_table.replace t k v;
+                Hashtbl.replace h k v;
+                k
+            | Remove k ->
+                Ds.Int_table.remove t k;
+                Hashtbl.remove h k;
+                k
+            | Find k -> k
+          in
+          agree k
+          && Ds.Int_table.length t = Hashtbl.length h
+          && Hashtbl.fold (fun k _ ok -> ok && agree k) h true)
+        ops
+      && bindings_of_table t = bindings_of_hashtbl h
+      &&
+      let seen = ref [] in
+      Ds.Int_table.iter (fun k v -> seen := (k, v) :: !seen) t;
+      List.sort compare !seen = bindings_of_hashtbl h
+
+let test_int_table_no_alloc () =
+  let t = Ds.Int_table.create 16 in
+  let keys = [| min_int; -3; 0; 1 lsl 40; max_int; 7 |] in
+  for i = 0 to 4 do
+    Ds.Int_table.replace t keys.(i) i
+  done;
+  let w0 = Gc.minor_words () in
+  let hits = ref 0 in
+  for _ = 1 to 1000 do
+    for i = 0 to Array.length keys - 1 do
+      let k = Array.unsafe_get keys i in
+      if Ds.Int_table.mem t k then hits := !hits + Ds.Int_table.find t k
+    done
+  done;
+  let w = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "6k mem + 5k find: 0 minor words" 0. w;
+  Alcotest.(check int) "found every bound key" (1000 * (0 + 1 + 2 + 3 + 4))
+    !hits
 
 let () =
   Alcotest.run "ds"
@@ -188,6 +326,14 @@ let () =
           Alcotest.test_case "droptail" `Quick test_fifo_droptail;
           Alcotest.test_case "peek/clear" `Quick test_fifo_peek_clear;
           Alcotest.test_case "iter wraparound" `Quick test_fifo_iter;
+          Alcotest.test_case "push/take allocate nothing" `Quick
+            test_fifo_no_alloc;
           fifo_vs_queue;
+        ] );
+      ( "int_table",
+        [
+          Alcotest.test_case "lookups allocate nothing" `Quick
+            test_int_table_no_alloc;
+          int_table_vs_hashtbl;
         ] );
     ]

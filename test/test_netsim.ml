@@ -596,6 +596,110 @@ let test_sim_nonworkconserving_poll () =
   Alcotest.(check (float 1e-9)) "all bytes out" 300_000.
     (Netsim.Sim.transmitted_bytes sim)
 
+(* Sources of one flow share its seq counter: whichever source sends,
+   the flow's packets carry 0, 1, 2, ... with no gap or repeat, a
+   source added mid-run continues the stream, and another flow counts
+   on its own. *)
+let test_sim_shared_flow_seqs () =
+  let sim = Netsim.Sim.create ~link_rate:1e6 ~sched:(Sched.Fifo.create ()) () in
+  List.iter (Netsim.Sim.add_source sim)
+    [
+      Netsim.Source.cbr ~flow:1 ~rate:10_000. ~pkt_size:100 ~stop:1. ();
+      Netsim.Source.poisson ~flow:1 ~rate:20_000. ~pkt_size:200 ~seed:4
+        ~stop:1. ();
+      Netsim.Source.cbr ~flow:2 ~rate:5_000. ~pkt_size:100 ~start:0.003
+        ~stop:1. ();
+    ];
+  Netsim.Sim.at sim 0.5 (fun ~now ->
+      Netsim.Sim.add_source sim
+        (Netsim.Source.burst ~flow:1 ~pkt_size:50 ~count:20 ~at:now));
+  let seqs = Hashtbl.create 2 and sizes = Hashtbl.create 2 in
+  let sent flow = Option.value ~default:[] (Hashtbl.find_opt seqs flow) in
+  Netsim.Sim.on_departure sim (fun ~now:_ served ->
+      let p = served.Sched.Scheduler.pkt in
+      let flow = p.Pkt.Packet.flow in
+      Hashtbl.replace seqs flow (p.Pkt.Packet.seq :: sent flow);
+      Hashtbl.replace sizes (flow, p.Pkt.Packet.size) ());
+  Netsim.Sim.run_until_idle sim ~max_time:5.;
+  let stream flow = List.sort Int.compare (sent flow) in
+  let gap_free name flow =
+    let s = stream flow in
+    Alcotest.(check (list int)) name (List.init (List.length s) Fun.id) s
+  in
+  gap_free "flow 1: one stream over three sources" 1;
+  gap_free "flow 2: its own stream" 2;
+  Alcotest.(check bool) "every flow-1 source sent" true
+    (List.for_all (fun sz -> Hashtbl.mem sizes (1, sz)) [ 50; 100; 200 ])
+
+(* Words the simulator itself allocates per arrival and per departure,
+   over a one-slot scheduler whose only allocation is a poll's result
+   (the served record, its option and the one-element list: 9 words).
+   Each packet arrives to an idle link, so it is polled onto the wire
+   at once; its completion polls once more and finds nothing. *)
+let test_sim_words_per_packet () =
+  let words ~accept =
+    let held = ref (Pkt.Packet.make ~flow:1 ~size:1 ~seq:0 ~arrival:0.) in
+    let full = ref false in
+    let sched =
+      {
+        Sched.Scheduler.name = "slot";
+        enqueue =
+          (fun ~now:_ p ->
+            accept && (not !full)
+            && begin
+                 held := p;
+                 full := true;
+                 true
+               end);
+        dequeue =
+          (fun ~now:_ ->
+            if !full then begin
+              full := false;
+              Some { Sched.Scheduler.pkt = !held; cls = "c"; criterion = "x" }
+            end
+            else None);
+        dequeue_many = None;
+        next_ready = (fun ~now:_ -> None);
+        backlog_pkts = (fun () -> if !full then 1 else 0);
+        backlog_bytes = (fun () -> 0);
+        deferred_drops = None;
+      }
+    in
+    let sim = Netsim.Sim.create ~link_rate:1e6 ~sched () in
+    Netsim.Sim.add_source sim
+      (Netsim.Source.cbr ~flow:1 ~rate:100_000. ~pkt_size:100 ~stop:5. ());
+    (* arrivals land on whole milliseconds and take 0.1 ms to send, so
+       every window ends with the link idle; the first second grows
+       every array past the minor heap *)
+    Netsim.Sim.run sim ~until:1.0005;
+    (* arrivals so far: each is refused or departs *)
+    let arrivals () =
+      Netsim.Sim.enqueue_drops sim
+      + int_of_float (Netsim.Sim.transmitted_bytes sim /. 100.)
+    in
+    let words_until until =
+      let n0 = arrivals () in
+      let w0 = Gc.minor_words () in
+      Netsim.Sim.run sim ~until;
+      let w = Gc.minor_words () -. w0 in
+      (w, arrivals () - n0)
+    in
+    (* 1000 then 2000 arrivals: the difference cancels what a [run]
+       call costs whatever it carries *)
+    let w1, n1 = words_until 2.0005 in
+    let w2, n2 = words_until 4.0005 in
+    (w2 -. w1) /. float_of_int (n2 - n1)
+  in
+  let arrival = words ~accept:false in
+  let packet = words ~accept:true in
+  (* the packet record (5 words) and two boxed floats: the event clock
+     and the next arrival's time *)
+  Alcotest.(check (float 0.)) "minor words per arrival" 9. arrival;
+  (* three boxed floats: the completion event's clock, the completion
+     time and the delay sample *)
+  Alcotest.(check (float 0.)) "minor words per departure, past the poll's 9"
+    6. (packet -. arrival -. 9.)
+
 let test_sim_at_rejects_nan () =
   let fired = ref false in
   let sim = Netsim.Sim.create ~link_rate:1000. ~sched:(Sched.Fifo.create ()) () in
@@ -995,6 +1099,10 @@ let () =
           Alcotest.test_case "non-work-conserving poll" `Quick
             test_sim_nonworkconserving_poll;
           Alcotest.test_case "at rejects NaN" `Quick test_sim_at_rejects_nan;
+          Alcotest.test_case "sources of one flow share its seqs" `Quick
+            test_sim_shared_flow_seqs;
+          Alcotest.test_case "words per arrival and departure" `Quick
+            test_sim_words_per_packet;
         ] );
       ( "faults",
         [

@@ -622,6 +622,90 @@ let test_simulated_poll_allocation () =
   (* the served record, its option and the one-element list *)
   Alcotest.(check (float 0.)) "minor words per simulated poll" 9. words
 
+(* The per-packet flow lookup ([Engine.enqueue_flow] on a mapped flow)
+   through either backend into a queue whose ring has grown: the
+   lookup, the enqueue and the traced telemetry hook allocate nothing,
+   and a queued packet needs no option cell. *)
+let test_enqueue_flow_hit_allocation () =
+  List.iter
+    (fun (kind, attrs) ->
+      let eng = E.create_link ~link_rate:1e6 kind in
+      ignore
+        (ok_exec
+           (exec1 eng ~now:0.
+              ("add class a parent root flow 1 qlimit 1000000 " ^ attrs)));
+      let pkts = Array.init 4096 (fun s -> pkt ~flow:1 ~seq:s ~now:0.) in
+      let fill () =
+        for i = 0 to Array.length pkts - 1 do
+          if not (E.enqueue_flow eng ~now:0. (Array.unsafe_get pkts i)) then
+            Alcotest.fail "a mapped flow's packet was refused"
+        done
+      in
+      fill ();
+      drain eng;
+      ignore (E.enqueue_flow eng ~now:0. pkts.(0));
+      let w0 = Gc.minor_words () in
+      fill ();
+      let w = Gc.minor_words () -. w0 in
+      Alcotest.(check (float 0.))
+        (Runtime.Backend.kind_name kind ^ ": minor words per enqueue_flow hit")
+        0.
+        (w /. float_of_int (Array.length pkts)))
+    [
+      (Runtime.Backend.Hfsc_kind, "fsc 1Mbit");
+      (Runtime.Backend.Rr_kind, "quantum 1500");
+    ]
+
+(* Flow ids are any int: one far above 2^32 and a negative one map,
+   carry packets, unmap with their class and map again. *)
+let test_extreme_flow_ids () =
+  let eng =
+    E.create_link ~audit_every:1 ~link_rate:1e6 Runtime.Backend.Hfsc_kind
+  in
+  let big = 1 lsl 40 in
+  let add name flow =
+    ok_exec
+      (exec1 eng ~now:0.
+         (Printf.sprintf "add class %s parent root flow %d fsc 1Mbit" name
+            flow))
+  in
+  ignore (add "a" big);
+  ignore (add "b" (-3));
+  Alcotest.(check (list int)) "flows, sorted" [ -3; big ] (E.flows eng);
+  Alcotest.(check (option int)) "big maps to a" (E.find_class_id eng "a")
+    (E.flow_class eng big);
+  Alcotest.(check (option int)) "-3 maps to b" (E.find_class_id eng "b")
+    (E.flow_class eng (-3));
+  let offer flow = E.enqueue_flow eng ~now:0. (pkt ~flow ~seq:0 ~now:0.) in
+  Alcotest.(check bool) "big enqueued" true (offer big);
+  Alcotest.(check bool) "-3 enqueued" true (offer (-3));
+  Alcotest.(check bool) "unmapped flow refused" false (offer 3);
+  Alcotest.(check bool) "big's neighbour refused" false (offer (big + 1));
+  Alcotest.(check int) "both queued" 2 (E.backlog_pkts eng);
+  let served = ref [] in
+  let rec go now =
+    match E.dequeue eng ~now with
+    | Some (p, _, _) ->
+        served := p.Pkt.Packet.flow :: !served;
+        go (now +. 0.01)
+    | None -> ()
+  in
+  go 1.;
+  Alcotest.(check (list int)) "both served" [ -3; big ]
+    (List.sort Int.compare !served);
+  let reply = ok_exec (exec1 eng ~now:0. "delete class a") in
+  check_contains "delete unmaps big" reply
+    (Printf.sprintf "(unmapped flow %d)" big);
+  Alcotest.(check (option int)) "big unmapped" None (E.flow_class eng big);
+  Alcotest.(check bool) "big refused after delete" false (offer big);
+  Alcotest.(check bool) "-3 still mapped" true (offer (-3));
+  ignore (add "a2" big);
+  Alcotest.(check (option int)) "big re-mapped" (E.find_class_id eng "a2")
+    (E.flow_class eng big);
+  Alcotest.(check bool) "big enqueued again" true (offer big);
+  Alcotest.(check (list int)) "flows after re-map" [ -3; big ] (E.flows eng);
+  Alcotest.(check (list string)) "audit clean" [] (E.audit eng)
+
 (* Class names may hold any byte but space and tab, so the stats-json
    exporter must escape control bytes: strict JSON readers reject them
    raw inside a string. *)
@@ -1554,6 +1638,12 @@ let () =
             test_simulated_poll_allocation;
           Alcotest.test_case "stats-json escapes control bytes" `Quick
             test_stats_json_escapes_control_bytes;
+        ] );
+      ( "flows",
+        [
+          Alcotest.test_case "enqueue_flow hit allocates nothing" `Quick
+            test_enqueue_flow_hit_allocation;
+          Alcotest.test_case "extreme flow ids" `Quick test_extreme_flow_ids;
         ] );
       ( "classify",
         [ Alcotest.test_case "attach/detach" `Quick test_attach_detach ] );
