@@ -105,6 +105,7 @@ let demo_cmd =
           (Runtime.Engine.create ~link_rate t ~flow_map:((1, rt) :: classes) ())
       in
       let sim = Netsim.Sim.create ~link_rate ~sched () in
+      let delays = Netsim.Stats.Flow_delay.attach sim in
       Netsim.Sim.add_source sim
         (Netsim.Source.cbr ~flow:1 ~rate:rt_rate ~pkt_size:160 ~stop:seconds ());
       List.iteri
@@ -121,7 +122,7 @@ let demo_cmd =
           Printf.printf "%-10s %10.2f Mb/s\n" (Hfsc.name cls)
             (Hfsc.total_bytes cls /. seconds *. 8. /. 1e6))
         classes;
-      (match Netsim.Sim.delay_of_flow sim 1 with
+      (match Netsim.Stats.Flow_delay.find delays 1 with
       | Some d ->
           Printf.printf
             "\nrealtime class: mean %.3f ms, max %.3f ms (guarantee %.1f ms + Lmax/R)\n"
@@ -155,6 +156,7 @@ let drive ~cfg ~cmds ~seconds ~stats_json ~trace core =
         | None -> None)
       ()
   in
+  let delays = Netsim.Stats.Flow_delay.attach sim in
   let recorder = Netsim.Recorder.create () in
   if trace <> None then Netsim.Recorder.attach recorder sim;
   List.iter
@@ -200,7 +202,7 @@ let drive ~cfg ~cmds ~seconds ~stats_json ~trace core =
   List.iter
     (fun flow ->
       let n, mean, mx =
-        match Netsim.Sim.delay_of_flow sim flow with
+        match Netsim.Stats.Flow_delay.find delays flow with
         | Some d ->
             ( Netsim.Stats.Delay.count d,
               Printf.sprintf "%.3f ms" (Netsim.Stats.Delay.mean d *. 1e3),

@@ -33,6 +33,7 @@ let run_wfq () =
 
 let measure name sched =
   let sim = Netsim.Sim.create ~link_rate ~sched () in
+  let delays = Netsim.Stats.Flow_delay.attach sim in
   Netsim.Sim.add_source sim
     (Netsim.Source.cbr ~flow:1 ~rate:(mbit 0.064) ~pkt_size:160 ~stop:10. ());
   Netsim.Sim.add_source sim
@@ -41,7 +42,7 @@ let measure name sched =
     (Netsim.Source.saturating ~flow:3 ~rate:link_rate ~pkt_size:1000 ~stop:10. ());
   Netsim.Sim.run sim ~until:11.;
   let f flow =
-    match Netsim.Sim.delay_of_flow sim flow with
+    match Netsim.Stats.Flow_delay.find delays flow with
     | Some d ->
         Printf.sprintf "mean %.2f / max %.2f ms"
           (Netsim.Stats.Delay.mean d *. 1000.)

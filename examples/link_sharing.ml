@@ -33,7 +33,9 @@ let () =
          ~flow_map:[ (1, audio); (2, video); (3, data); (4, pitt_data) ]
          ())
   in
-  let sim = Netsim.Sim.create ~tput_bin:1.0 ~link_rate ~sched () in
+  let sim = Netsim.Sim.create ~link_rate ~sched () in
+  let tput = Netsim.Stats.Throughput.attach ~bin:1.0 sim in
+  let delays = Netsim.Stats.Flow_delay.attach sim in
 
   (* audio: CBR; video and both data classes: greedy. CMU data stops
      offering traffic during [8, 16). *)
@@ -50,7 +52,6 @@ let () =
 
   Netsim.Sim.run sim ~until:24.;
 
-  let tput = Netsim.Sim.throughput sim in
   Printf.printf "%-5s %-11s %-11s %-11s %-11s\n" "t(s)" "audio" "video" "cmu-data" "pitt-data";
   let series cls = Netsim.Stats.Throughput.series tput ~cls in
   let at cls i =
@@ -68,7 +69,7 @@ let () =
      cmu-data idles at t=8..16, and pitt-data pinned at 20 Mb/s \
      throughout: CMU's spare capacity stays inside CMU.)";
   (* and the audio guarantee held through all of it *)
-  match Netsim.Sim.delay_of_flow sim 1 with
+  match Netsim.Stats.Flow_delay.find delays 1 with
   | Some d ->
       Printf.printf "audio worst delay: %.3f ms (bound 5 ms + Lmax/R)\n"
         (Netsim.Stats.Delay.max d *. 1000.)

@@ -24,10 +24,10 @@ let sources () =
   ]
 
 let run name sched =
-  let sim = Netsim.Sim.create ~tput_bin:0.25 ~link_rate:link ~sched () in
+  let sim = Netsim.Sim.create ~link_rate:link ~sched () in
+  let tput = Netsim.Stats.Throughput.attach ~bin:0.25 sim in
   List.iter (Netsim.Sim.add_source sim) (sources ());
   Netsim.Sim.run sim ~until:4.;
-  let tput = Netsim.Sim.throughput sim in
   Printf.printf "\n%s — session 1 rate per 0.25 s bin (kB/s):\n  " name;
   List.iter
     (fun (_, v) -> Printf.printf "%4.0f " (v /. 1000.))

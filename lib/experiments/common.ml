@@ -2,6 +2,7 @@ let mbit m = m *. 1_000_000. /. 8.
 let kbit k = k *. 1_000. /. 8.
 let pp_rate r = Printf.sprintf "%.2f Mb/s" (r *. 8. /. 1_000_000.)
 let pp_delay d = Printf.sprintf "%.3f ms" (d *. 1000.)
+let max_delay = function Some d -> Netsim.Stats.Delay.max d | None -> 0.
 
 let flow_audio = 1
 let flow_video = 2
@@ -117,12 +118,13 @@ let fig1_sources ~until =
 
 let run_sim ~sched ~sources ~until ?on_departure () =
   let sim = Netsim.Sim.create ~link_rate ~sched () in
+  let delays = Netsim.Stats.Flow_delay.attach sim in
   List.iter (Netsim.Sim.add_source sim) sources;
   (match on_departure with
   | Some f -> Netsim.Sim.on_departure sim f
   | None -> ());
   Netsim.Sim.run sim ~until;
-  sim
+  delays
 
 let fluid_replay ~fluid ~sources ~cls_of ~sample_every ~sample_classes ~until =
   let outs = List.map (fun c -> (c, ref [])) sample_classes in

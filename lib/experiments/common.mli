@@ -13,6 +13,9 @@ val pp_rate : float -> string
 val pp_delay : float -> string
 (** Render seconds as "x.xxx ms". *)
 
+val max_delay : Netsim.Stats.Delay.t option -> float
+(** The largest sample; 0 for a flow with none. *)
+
 (** Flow ids of the Fig. 1 scenario. *)
 val flow_audio : int
 
@@ -59,7 +62,8 @@ val run_sim :
   until:float ->
   ?on_departure:(now:float -> Sched.Scheduler.served -> unit) ->
   unit ->
-  Netsim.Sim.t
+  Netsim.Stats.Flow_delay.t
+(** Every flow's delays through [sched] on the scenario's link. *)
 
 val fluid_replay :
   fluid:Fluid.Fluid_fsc.t ->

@@ -63,22 +63,21 @@ let sources () =
   ]
 
 let run_one sched =
-  let sim = Netsim.Sim.create ~link_rate:Common.link_rate ~sched () in
-  List.iter (Netsim.Sim.add_source sim) (sources ());
   let video = ref 0. and pitt = ref 0. in
-  Netsim.Sim.on_departure sim (fun ~now served ->
-      let p = served.Sched.Scheduler.pkt in
-      if now > stop +. 1. && now <= restart -. 1. then begin
-        if p.Pkt.Packet.flow = Common.flow_video then
-          video := !video +. float_of_int p.Pkt.Packet.size;
-        if p.Pkt.Packet.flow = Common.flow_pitt_data then
-          pitt := !pitt +. float_of_int p.Pkt.Packet.size
-      end);
-  Netsim.Sim.run sim ~until;
+  let on_departure ~now served =
+    let p = served.Sched.Scheduler.pkt in
+    if now > stop +. 1. && now <= restart -. 1. then begin
+      if p.Pkt.Packet.flow = Common.flow_video then
+        video := !video +. float_of_int p.Pkt.Packet.size;
+      if p.Pkt.Packet.flow = Common.flow_pitt_data then
+        pitt := !pitt +. float_of_int p.Pkt.Packet.size
+    end
+  in
+  let delays =
+    Common.run_sim ~sched ~sources:(sources ()) ~until ~on_departure ()
+  in
   let audio_max =
-    match Netsim.Sim.delay_of_flow sim Common.flow_audio with
-    | Some d -> Netsim.Stats.Delay.max d
-    | None -> 0.
+    Common.max_delay (Netsim.Stats.Flow_delay.find delays Common.flow_audio)
   in
   let w = restart -. stop -. 2. in
   (audio_max, !video /. w, !pitt /. w)

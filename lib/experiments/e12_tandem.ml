@@ -53,9 +53,7 @@ let run ?(duration = 20.) () =
   done;
   Netsim.Tandem.run tandem ~until:(duration +. 5.);
   let measured_max =
-    match Netsim.Tandem.end_to_end_delay tandem flow_rt with
-    | Some d -> Netsim.Stats.Delay.max d
-    | None -> 0.
+    Common.max_delay (Netsim.Tandem.end_to_end_delay tandem flow_rt)
   in
   let alpha = Analysis.Arrival_curve.of_cbr ~rate:rt_rate ~pkt_size:rt_pkt in
   let hops = List.init nhops (fun _ -> (hop_sc, link)) in

@@ -73,6 +73,7 @@ let run () =
          ())
   in
   let sim = Netsim.Sim.create ~link_rate:link ~sched () in
+  let delays = Netsim.Stats.Flow_delay.attach sim in
   List.iter (Netsim.Sim.add_source sim) (sources ());
   let samples_a = ref [] in
   let s1_window = ref 0. in
@@ -110,9 +111,7 @@ let run () =
     value_at (t1 +. 1.0) -. value_at t1
   in
   let s1_max_delay =
-    match Netsim.Sim.delay_of_flow sim 1 with
-    | Some d -> Netsim.Stats.Delay.max d
-    | None -> 0.
+    Common.max_delay (Netsim.Stats.Flow_delay.find delays 1)
   in
   {
     s1_window_bytes = !s1_window;

@@ -23,8 +23,9 @@ let summarize d =
 let empty_summary = { count = 0; mean = 0.; p99 = 0.; max = 0. }
 
 (* Max audio-packet delay per [bin]-second bin — the "delay of each
-   packet over time" series of the evaluation figures, compacted. *)
-let delay_series ~bin ~flow sim_setup =
+   packet over time" series of the evaluation figures, compacted: a
+   departure hook and the series it has recorded. *)
+let delay_series ~bin ~flow =
   let bins : (int, float) Hashtbl.t = Hashtbl.create 64 in
   let record ~now served =
     let p = served.Sched.Scheduler.pkt in
@@ -35,28 +36,25 @@ let delay_series ~bin ~flow sim_setup =
       if d > cur then Hashtbl.replace bins i d
     end
   in
-  sim_setup record;
-  Hashtbl.fold (fun i v acc -> (float_of_int i *. bin, v) :: acc) bins []
-  |> List.sort (fun (a, _) (b, _) -> Float.compare a b)
+  let series () =
+    Hashtbl.fold (fun i v acc -> (float_of_int i *. bin, v) :: acc) bins []
+    |> List.sort (fun (a, _) (b, _) -> Float.compare a b)
+  in
+  (record, series)
 
 let run_one ~duration (fig : Common.fig1) =
-  let sources = Common.fig1_sources ~until:duration in
-  let audio_series_box = ref [] in
-  let sim = ref None in
-  audio_series_box :=
-    delay_series ~bin:1.0 ~flow:Common.flow_audio (fun record ->
-        let s =
-          Common.run_sim ~sched:fig.sched ~sources ~until:duration
-            ~on_departure:record ()
-        in
-        sim := Some s);
-  let s = match !sim with Some s -> s | None -> assert false in
+  let record, audio_series = delay_series ~bin:1.0 ~flow:Common.flow_audio in
+  let delays =
+    Common.run_sim ~sched:fig.sched
+      ~sources:(Common.fig1_sources ~until:duration)
+      ~until:duration ~on_departure:record ()
+  in
   let summary flow =
-    match Netsim.Sim.delay_of_flow s flow with
+    match Netsim.Stats.Flow_delay.find delays flow with
     | Some d -> summarize d
     | None -> empty_summary
   in
-  (summary Common.flow_audio, summary Common.flow_video, !audio_series_box)
+  (summary Common.flow_audio, summary Common.flow_video, audio_series ())
 
 let run ?(duration = 20.) () =
   let hfsc_audio, hfsc_video, hfsc_series =

@@ -32,10 +32,13 @@ let sources until =
       ~stop:until ();
   ]
 
-let max_delay sim flow =
-  match Netsim.Sim.delay_of_flow sim flow with
-  | Some d -> Netsim.Stats.Delay.max d
-  | None -> 0.
+(* each flow's worst delay in the scenario through [sched] *)
+let max_delays ~duration sched =
+  let sim = Netsim.Sim.create ~link_rate:link ~sched () in
+  let delays = Netsim.Stats.Flow_delay.attach sim in
+  List.iter (Netsim.Sim.add_source sim) (sources duration);
+  Netsim.Sim.run sim ~until:duration;
+  fun flow -> Common.max_delay (Netsim.Stats.Flow_delay.find delays flow)
 
 let run ?(duration = 20.) () =
   let slow_sc =
@@ -64,26 +67,22 @@ let run ?(duration = 20.) () =
          ~flow_map:[ (flow_slow, slow); (flow_fast, fast); (flow_be, be) ]
          ())
   in
-  let hsim = Netsim.Sim.create ~link_rate:link ~sched:hfsc () in
-  List.iter (Netsim.Sim.add_source hsim) (sources duration);
-  Netsim.Sim.run hsim ~until:duration;
+  let hfsc_max = max_delays ~duration hfsc in
   let wfq =
     Sched.Wfq.create ~link_rate:link
       ~rates:
         [ (flow_slow, slow_rate); (flow_fast, fast_rate); (flow_be, be_rate) ]
       ()
   in
-  let wsim = Netsim.Sim.create ~link_rate:link ~sched:wfq () in
-  List.iter (Netsim.Sim.add_source wsim) (sources duration);
-  Netsim.Sim.run wsim ~until:duration;
+  let wfq_max = max_delays ~duration wfq in
   let alpha =
     Analysis.Arrival_curve.of_cbr ~rate:slow_rate ~pkt_size:slow_pkt
   in
   {
-    hfsc_slow_max = max_delay hsim flow_slow;
-    hfsc_fast_max = max_delay hsim flow_fast;
-    wfq_slow_max = max_delay wsim flow_slow;
-    wfq_fast_max = max_delay wsim flow_fast;
+    hfsc_slow_max = hfsc_max flow_slow;
+    hfsc_fast_max = hfsc_max flow_fast;
+    wfq_slow_max = wfq_max flow_slow;
+    wfq_fast_max = wfq_max flow_fast;
     dmax;
     bound =
       Analysis.Delay_bound.hfsc ~alpha ~beta:slow_sc ~lmax:be_pkt

@@ -19,15 +19,13 @@ let mk_row ~label ~alpha ~beta ~lmax ~link_rate ~measured =
 let run ?(duration = 10.) () =
   (* E3 scenario *)
   let fig = Common.fig1_hfsc () in
-  let sim =
+  let delays =
     Common.run_sim ~sched:fig.sched
       ~sources:(Common.fig1_sources ~until:duration)
       ~until:duration ()
   in
   let measured flow =
-    match Netsim.Sim.delay_of_flow sim flow with
-    | Some d -> Netsim.Stats.Delay.max d
-    | None -> 0.
+    Common.max_delay (Netsim.Stats.Flow_delay.find delays flow)
   in
   let audio_sc =
     Curve.Service_curve.of_requirements ~umax:(float_of_int Common.audio_pkt)

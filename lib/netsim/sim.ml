@@ -45,8 +45,6 @@ type t = {
   seqs : int ref Ds.Int_table.t; (* flow -> its seq counter *)
   mutable on_departure :
     (link:int -> now:float -> Sched.Scheduler.served -> unit) list;
-  delays : Stats.Delay.t Ds.Int_table.t;
-  tput : Stats.Throughput.t;
   mutable drops : int;
 }
 
@@ -61,10 +59,11 @@ let empty_slot =
 (* replaces a callback once it has run, so its closure can be freed *)
 let fired ~now:_ = ()
 
-let create_multi ?(tput_bin = 1.0) ~links ~route () =
+let create_multi ~links ~route () =
   if links = [] then invalid_arg "Sim.create_multi: need at least one link";
   let mk (lname, rate, lsched) =
-    if rate <= 0. then invalid_arg "Sim.create_multi: link rate must be > 0";
+    if (not (Float.is_finite rate)) || rate <= 0. then
+      invalid_arg "Sim.create_multi: link rate must be finite and positive";
     {
       lname;
       lsched;
@@ -86,14 +85,11 @@ let create_multi ?(tput_bin = 1.0) ~links ~route () =
     n_callbacks = 0;
     seqs = Ds.Int_table.create 16;
     on_departure = [];
-    delays = Ds.Int_table.create 16;
-    tput = Stats.Throughput.create ~bin:tput_bin ();
     drops = 0;
   }
 
-let create ?tput_bin ~link_rate ~sched () =
-  if link_rate <= 0. then invalid_arg "Sim.create: link_rate must be > 0";
-  create_multi ?tput_bin
+let create ~link_rate ~sched () =
+  create_multi
     ~links:[ ("link0", link_rate, sched) ]
     ~route:(fun _ -> Some 0)
     ()
@@ -173,14 +169,6 @@ let try_start_all t =
     try_start t i
   done
 
-let delay_stats t flow =
-  match Ds.Int_table.find t.delays flow with
-  | d -> d
-  | exception Not_found ->
-      let d = Stats.Delay.create () in
-      Ds.Int_table.replace t.delays flow d;
-      d
-
 let rec fire link now served = function
   | [] -> ()
   | f :: fs ->
@@ -220,11 +208,6 @@ let complete t i =
   l.busy <- false;
   let pkt = served.Sched.Scheduler.pkt in
   l.w.tx_bytes <- l.w.tx_bytes +. float_of_int pkt.Pkt.Packet.size;
-  Stats.Delay.add
-    (delay_stats t pkt.Pkt.Packet.flow)
-    (t.now -. pkt.Pkt.Packet.arrival);
-  Stats.Throughput.add t.tput ~cls:served.Sched.Scheduler.cls ~now:t.now
-    pkt.Pkt.Packet.size;
   fire i t.now served t.on_departure;
   try_start t i
 
@@ -307,8 +290,6 @@ let link_transmitted_bytes t i =
   (get_link "link_transmitted_bytes" t i).w.tx_bytes
 
 let now t = t.now
-let delay_of_flow t flow = Ds.Int_table.find_opt t.delays flow
-let throughput t = t.tput
 
 let transmitted_bytes t =
   Array.fold_left (fun acc l -> acc +. l.w.tx_bytes) 0. t.links

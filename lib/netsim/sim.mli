@@ -6,8 +6,9 @@
     rate; whenever a link goes idle it asks {e its} scheduler for the
     next packet — precisely the enqueue/dequeue driver a kernel
     interface would be, replicated per interface. Departure time of a
-    packet is when its last bit leaves (the convention of Section VI),
-    and the recorded delay of a packet is departure minus arrival.
+    packet is when its last bit leaves (the convention of Section VI);
+    per-flow delay, throughput and traces are {!on_departure} hooks a
+    caller attaches before {!run}.
 
     The classic single-link form ({!create}) is a one-link router with
     the identity route; every accessor below defaults to link 0, so
@@ -24,17 +25,17 @@
     emit.
 
     {b Domain ownership.} The simulator is single-domain: the event
-    queue, per-link transmitters and statistics are owned by the domain
-    that calls {!run}, and every scheduler closure is invoked from that
+    queue and per-link transmitters are owned by the domain that calls
+    {!run}, and every scheduler closure and hook is invoked from that
     domain. Driving a scheduler whose state lives on another domain is
     the {e closure's} job, not the simulator's — [Mc_router.adapter]
-    returns a {!Sched.Scheduler.t} whose operations marshal through a
-    FIFO SPSC ring: dequeues and polls block for the reply, enqueues are
-    posted without waiting and answer [true], their refusals counted
-    by the worker and read back through
+    returns a {!Sched.Scheduler.t} whose operations run as one
+    mutex-guarded turn of the link's worker: dequeues and polls wait
+    for the reply, enqueues are posted without waiting and answer
+    [true], their refusals counted by the worker and read back through
     {!Sched.Scheduler.deferred_drops}. The worker applies every posted
-    enqueue before the next dequeue, so the simulator stays oblivious
-    and the schedule stays deterministic.
+    enqueue before its next call, so the simulator stays oblivious and
+    the schedule stays deterministic.
 
     {b Cost.} Events are ints in an {!Event_queue} (kind and index
     packed together), sources are pulled in place ({!Source.pull}),
@@ -45,21 +46,21 @@
 type t
 
 val create :
-  ?tput_bin:float ->
   link_rate:float ->
   sched:Sched.Scheduler.t ->
   unit ->
   t
-(** One link named ["link0"], every packet routed to it. [tput_bin] is
-    the throughput-series bin width in seconds (default 1.0).
+(** One link named ["link0"], every packet routed to it.
 
     Each link has at most one packet on the wire: when it is idle it
     polls its scheduler for one packet
     ([Sched.Scheduler.dequeue_burst ~max:1]), and it polls again when
-    that packet's last bit has left. *)
+    that packet's last bit has left.
+
+    @raise Invalid_argument (from {!create_multi}) unless [link_rate]
+    is finite and positive. *)
 
 val create_multi :
-  ?tput_bin:float ->
   links:(string * float * Sched.Scheduler.t) list ->
   route:(Pkt.Packet.t -> int option) ->
   unit ->
@@ -68,8 +69,8 @@ val create_multi :
     [route] is consulted once per arrival; [None] (or an out-of-range
     index) counts the packet as an enqueue drop — no link owns it.
 
-    @raise Invalid_argument on an empty link list or a non-positive
-    rate. *)
+    @raise Invalid_argument on an empty link list or a rate that is
+    not finite and positive. *)
 
 val add_source : t -> Source.t -> unit
 (** Register a source; its first arrival is scheduled immediately.
@@ -160,10 +161,6 @@ val link_transmitted_bytes : t -> int -> float
 
 val now : t -> float
 
-val delay_of_flow : t -> int -> Stats.Delay.t option
-(** Delay statistics of a flow; [None] if it never completed a packet. *)
-
-val throughput : t -> Stats.Throughput.t
 val transmitted_bytes : t -> float
 (** Total across all links. *)
 

@@ -28,7 +28,8 @@ module Delay = struct
 
   let percentile t p =
     if t.used = 0 then invalid_arg "Delay.percentile: no samples";
-    if p < 0. || p > 1. then invalid_arg "Delay.percentile: p outside [0,1]";
+    if not (p >= 0. && p <= 1.) then
+      invalid_arg "Delay.percentile: p outside [0,1]";
     let sorted = Array.sub t.data 0 t.used in
     Array.sort Float.compare sorted;
     let rank =
@@ -40,38 +41,46 @@ module Delay = struct
   let samples t = Array.sub t.data 0 t.used
 end
 
+module Flow_delay = struct
+  type t = Delay.t Ds.Int_table.t
+
+  let create () = Ds.Int_table.create 16
+  let find = Ds.Int_table.find_opt
+
+  let add t ~flow v =
+    match Ds.Int_table.find t flow with
+    | d -> Delay.add d v
+    | exception Not_found ->
+        let d = Delay.create () in
+        Ds.Int_table.replace t flow d;
+        Delay.add d v
+
+  let attach sim =
+    let t = create () in
+    Sim.on_departure sim (fun ~now served ->
+        let p = served.Sched.Scheduler.pkt in
+        add t ~flow:p.Pkt.Packet.flow (now -. p.Pkt.Packet.arrival));
+    t
+end
+
 module Throughput = struct
   (* One class's bytes per bin, dense from bin 0 (a flat float array,
      so accumulating never boxes); [used] is one past the highest bin
      touched. *)
   type bins = { mutable bytes : float array; mutable used : int }
-
-  (* keyed by class name with [String.equal], not the polymorphic
-     compare *)
-  module Tbl = Hashtbl.Make (struct
-    type t = string
-
-    let equal = String.equal
-    let hash (s : string) = Hashtbl.hash s
-  end)
-
-  type t = { bin : float; tbl : bins Tbl.t }
-
-  let create ~bin () =
-    if bin <= 0. then invalid_arg "Throughput.create: bin must be > 0";
-    { bin; tbl = Tbl.create 16 }
+  type t = { bin : float; tbl : (string, bins) Hashtbl.t }
 
   let add t ~cls ~now bytes =
     let b =
-      match Tbl.find t.tbl cls with
+      match Hashtbl.find t.tbl cls with
       | b -> b
       | exception Not_found ->
           let b = { bytes = Array.make 64 0.; used = 0 } in
-          Tbl.add t.tbl cls b;
+          Hashtbl.add t.tbl cls b;
           b
     in
-    let i = if Float.is_nan now then -1 else int_of_float (now /. t.bin) in
-    if i < 0 then invalid_arg "Throughput.add: time before 0 or NaN";
+    (* a departure time is finite and not negative *)
+    let i = int_of_float (now /. t.bin) in
     if i >= Array.length b.bytes then begin
       let a = Array.make (Stdlib.max (i + 1) (2 * Array.length b.bytes)) 0. in
       Array.blit b.bytes 0 a 0 b.used;
@@ -81,13 +90,22 @@ module Throughput = struct
     if i >= b.used then b.used <- i + 1
 
   let series t ~cls =
-    match Tbl.find_opt t.tbl cls with
+    match Hashtbl.find_opt t.tbl cls with
     | None -> []
     | Some b ->
         List.init b.used (fun i ->
             (float_of_int i *. t.bin, b.bytes.(i) /. t.bin))
 
+  let attach ~bin sim =
+    if not (Float.is_finite bin && bin > 0.) then
+      invalid_arg "Throughput.attach: bin must be finite and positive";
+    let t = { bin; tbl = Hashtbl.create 16 } in
+    Sim.on_departure sim (fun ~now served ->
+        add t ~cls:served.Sched.Scheduler.cls ~now
+          served.Sched.Scheduler.pkt.Pkt.Packet.size);
+    t
+
   let classes t =
     List.sort String.compare
-      (Tbl.fold (fun k _ acc -> k :: acc) t.tbl [])
+      (Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [])
 end

@@ -1,6 +1,6 @@
 (** Measurement instruments for experiments: per-flow delay statistics
     and per-class throughput time series (the raw material of every
-    figure in the evaluation). *)
+    figure in the evaluation), each attached to a {!Sim} before it runs. *)
 
 module Delay : sig
   type t
@@ -22,18 +22,28 @@ module Delay : sig
   (** All recorded values, in recording order. *)
 end
 
+(** One {!Delay.t} per flow. *)
+module Flow_delay : sig
+  type t
+
+  val create : unit -> t
+  val add : t -> flow:int -> float -> unit
+  val find : t -> int -> Delay.t option
+
+  val attach : Sim.t -> t
+  (** Fed by every departure of the simulation, on any link: the
+      packet's departure time minus its arrival. *)
+end
+
 module Throughput : sig
   type t
 
-  val create : bin:float -> unit -> t
-  (** Bytes accumulated into time bins of width [bin] seconds, keyed by
-      class name. *)
+  val attach : bin:float -> Sim.t -> t
+  (** Bytes accumulated into time bins of width [bin] seconds, dense
+      from time 0, fed by every departure of the simulation, on any
+      link: the packet's bytes, under the class that served it.
 
-  val add : t -> cls:string -> now:float -> int -> unit
-  (** Bins are dense from time 0.
-
-      @raise Invalid_argument if [now] is NaN or at or before [-bin]
-      (a negative bin). *)
+      @raise Invalid_argument unless [bin] is finite and positive. *)
 
   val series : t -> cls:string -> (float * float) list
   (** [(bin start time, average rate in bytes/s during the bin)] in

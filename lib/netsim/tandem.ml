@@ -11,16 +11,8 @@ type t = {
      each hop restamps the arrival, so the key identifies the packet
      across hops *)
   entered : (int * int, float) Hashtbl.t;
-  delays : (int, Stats.Delay.t) Hashtbl.t;
+  delays : Stats.Flow_delay.t;
 }
-
-let delay_stats t flow =
-  match Hashtbl.find_opt t.delays flow with
-  | Some d -> d
-  | None ->
-      let d = Stats.Delay.create () in
-      Hashtbl.replace t.delays flow d;
-      d
 
 let depart t ~link:hop ~now (served : Sched.Scheduler.served) =
   let pkt = served.Sched.Scheduler.pkt in
@@ -40,7 +32,7 @@ let depart t ~link:hop ~now (served : Sched.Scheduler.served) =
     match Hashtbl.find_opt t.entered key with
     | Some t0 ->
         Hashtbl.remove t.entered key;
-        Stats.Delay.add (delay_stats t flow) (now -. t0)
+        Stats.Flow_delay.add t.delays ~flow (now -. t0)
     | None -> ()
 
 let create ~hops () =
@@ -57,7 +49,7 @@ let create ~hops () =
       last = List.length hops - 1;
       entry;
       entered = Hashtbl.create 256;
-      delays = Hashtbl.create 16;
+      delays = Stats.Flow_delay.create ();
     }
   in
   Sim.on_link_departure sim (depart t);
@@ -83,6 +75,6 @@ let on_hop_departure t f =
 let run t ~until = Sim.run t.sim ~until
 let run_until_idle t ~max_time = Sim.run_until_idle t.sim ~max_time
 let now t = Sim.now t.sim
-let end_to_end_delay t flow = Hashtbl.find_opt t.delays flow
+let end_to_end_delay t flow = Stats.Flow_delay.find t.delays flow
 let delivered_bytes t = Sim.link_transmitted_bytes t.sim t.last
 let drops t = Sim.enqueue_drops t.sim

@@ -20,7 +20,8 @@ type t
 val create : hops:(float * Sched.Scheduler.t) list -> unit -> t
 (** [create ~hops] — [(link_rate, scheduler)] per hop, first hop first.
 
-    @raise Invalid_argument on empty [hops] or non-positive rates. *)
+    @raise Invalid_argument on empty [hops] or a rate that is not
+    finite and positive. *)
 
 val add_source : t -> Source.t -> unit
 (** Sources feed the first hop: [add_source_at ~hop:0]. *)

@@ -182,9 +182,10 @@ let test_end_to_end_sim () =
   let sim =
     Netsim.Sim.create ~link_rate:(Runtime.Engine.link_rate eng) ~sched ()
   in
+  let delays = Netsim.Stats.Flow_delay.attach sim in
   List.iter (Netsim.Sim.add_source sim) (cfg.Config.sources ~until:3.);
   Netsim.Sim.run sim ~until:3.;
-  match Netsim.Sim.delay_of_flow sim 1 with
+  match Netsim.Stats.Flow_delay.find delays 1 with
   | Some d ->
       Alcotest.(check bool) "rt guarantee honored" true
         (Netsim.Stats.Delay.max d <= 0.005 +. (1000. /. 1e6) +. 1e-9)

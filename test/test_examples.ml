@@ -121,6 +121,7 @@ let test_overload_degrades () =
     Netsim.Sim.create ~link_rate:(Runtime.Engine.link_rate eng)
       ~sched:(Runtime.Engine.adapter eng) ()
   in
+  let delays = Netsim.Stats.Flow_delay.attach sim in
   List.iter (Netsim.Sim.add_source sim) (cfg.Config.sources ~until:3.0);
   let rejected = ref [] in
   List.iter
@@ -168,7 +169,7 @@ let test_overload_degrades () =
   (* the link kept moving and the real-time class kept its guarantee *)
   Alcotest.(check bool) "link transmitted" true
     (Netsim.Sim.transmitted_bytes sim > 0.);
-  (match Netsim.Sim.delay_of_flow sim 1 with
+  (match Netsim.Stats.Flow_delay.find delays 1 with
   | Some d ->
       Alcotest.(check bool)
         (Printf.sprintf "voice max delay %.4fs under overload"

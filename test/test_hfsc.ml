@@ -288,13 +288,14 @@ let run_rt_guarantee ~link_rate ~umax ~dmax ~rate ~pkt_size ~competitor_size =
   in
   let sched = sim_sched ~link_rate t [ (1, rt); (2, be) ] in
   let sim = Netsim.Sim.create ~link_rate ~sched () in
+  let delays = Netsim.Stats.Flow_delay.attach sim in
   Netsim.Sim.add_source sim
     (Netsim.Source.cbr ~flow:1 ~rate ~pkt_size ~stop:5. ());
   Netsim.Sim.add_source sim
     (Netsim.Source.saturating ~flow:2 ~rate:link_rate
        ~pkt_size:competitor_size ~stop:5. ());
   Netsim.Sim.run sim ~until:6.;
-  match Netsim.Sim.delay_of_flow sim 1 with
+  match Netsim.Stats.Flow_delay.find delays 1 with
   | Some d -> Netsim.Stats.Delay.max d
   | None -> Alcotest.fail "no rt packets served"
 
@@ -361,13 +362,14 @@ let test_depth_independent_delay () =
     in
     let sched = sim_sched ~link_rate t [ (1, rt); (2, be) ] in
     let sim = Netsim.Sim.create ~link_rate ~sched () in
+    let delays = Netsim.Stats.Flow_delay.attach sim in
     Netsim.Sim.add_source sim
       (Netsim.Source.cbr ~flow:1 ~rate:8000. ~pkt_size:160 ~stop:3. ());
     Netsim.Sim.add_source sim
       (Netsim.Source.saturating ~flow:2 ~rate:link_rate ~pkt_size:1500
          ~stop:3. ());
     Netsim.Sim.run sim ~until:4.;
-    match Netsim.Sim.delay_of_flow sim 1 with
+    match Netsim.Stats.Flow_delay.find delays 1 with
     | Some d -> Netsim.Stats.Delay.max d
     | None -> Alcotest.fail "no packets"
   in

@@ -439,6 +439,13 @@ let test_delay_stats () =
   Alcotest.(check (float 0.)) "p50" 3. (Netsim.Stats.Delay.percentile d 0.5);
   Alcotest.(check (float 0.)) "p100" 5. (Netsim.Stats.Delay.percentile d 1.0);
   Alcotest.(check (float 0.)) "p0" 1. (Netsim.Stats.Delay.percentile d 0.0);
+  List.iter
+    (fun p ->
+      Alcotest.check_raises
+        (Printf.sprintf "p = %g refused" p)
+        (Invalid_argument "Delay.percentile: p outside [0,1]")
+        (fun () -> ignore (Netsim.Stats.Delay.percentile d p)))
+    [ -0.1; 1.1; Float.nan ];
   Alcotest.(check int) "samples" 5 (Array.length (Netsim.Stats.Delay.samples d))
 
 let delay_percentile_prop =
@@ -452,18 +459,28 @@ let delay_percentile_prop =
       && Netsim.Stats.Delay.percentile d 1.0 = List.nth sorted (List.length sorted - 1))
 
 let test_throughput_bins () =
-  let t = Netsim.Stats.Throughput.create ~bin:1.0 () in
-  Netsim.Stats.Throughput.add t ~cls:"a" ~now:0.5 1000;
-  Netsim.Stats.Throughput.add t ~cls:"a" ~now:0.9 500;
-  Netsim.Stats.Throughput.add t ~cls:"a" ~now:2.5 300;
+  (* FIFO names the class after the flow; each packet leaves 1 us or
+     less after it arrives *)
+  let sim = Netsim.Sim.create ~link_rate:1e9 ~sched:(Sched.Fifo.create ()) () in
+  let t = Netsim.Stats.Throughput.attach ~bin:1.0 sim in
+  Netsim.Sim.add_source sim
+    (Netsim.Source.script ~flow:1 [ (0.5, 1000); (0.9, 500); (2.5, 300) ]);
+  Netsim.Sim.run sim ~until:3.;
   Alcotest.(check (list (pair (float 0.) (float 0.))))
     "series with gap"
     [ (0., 1500.); (1., 0.); (2., 300.) ]
-    (Netsim.Stats.Throughput.series t ~cls:"a");
-  Alcotest.(check (list string)) "classes" [ "a" ]
+    (Netsim.Stats.Throughput.series t ~cls:"1");
+  Alcotest.(check (list string)) "classes" [ "1" ]
     (Netsim.Stats.Throughput.classes t);
   Alcotest.(check (list (pair (float 0.) (float 0.)))) "unknown class" []
-    (Netsim.Stats.Throughput.series t ~cls:"zzz")
+    (Netsim.Stats.Throughput.series t ~cls:"zzz");
+  List.iter
+    (fun bin ->
+      Alcotest.check_raises
+        (Printf.sprintf "bin %g refused" bin)
+        (Invalid_argument "Throughput.attach: bin must be finite and positive")
+        (fun () -> ignore (Netsim.Stats.Throughput.attach ~bin sim)))
+    [ 0.; Float.nan; Float.infinity ]
 
 (* --- engine -------------------------------------------------------------- *)
 
@@ -472,10 +489,11 @@ let test_sim_delay_accounting () =
      exactly tx and tx + queueing *)
   let sched = Sched.Fifo.create () in
   let sim = Netsim.Sim.create ~link_rate:1000. ~sched () in
+  let delays = Netsim.Stats.Flow_delay.attach sim in
   Netsim.Sim.add_source sim
     (Netsim.Source.script ~flow:1 [ (0., 100); (0., 100) ]);
   Netsim.Sim.run sim ~until:10.;
-  match Netsim.Sim.delay_of_flow sim 1 with
+  match Netsim.Stats.Flow_delay.find delays 1 with
   | Some d ->
       let s = Netsim.Stats.Delay.samples d in
       Alcotest.(check int) "two packets" 2 (Array.length s);
@@ -505,6 +523,9 @@ let test_sim_multi_link () =
       ~links:[ ("fast", 1000., fast); ("slow", 100., slow) ]
       ~route ()
   in
+  (* the instruments see every link's departures *)
+  let delays = Netsim.Stats.Flow_delay.attach sim in
+  let tput = Netsim.Stats.Throughput.attach ~bin:1.0 sim in
   Alcotest.(check int) "two links" 2 (Netsim.Sim.n_links sim);
   Alcotest.(check (option int)) "index by name" (Some 1)
     (Netsim.Sim.link_index sim "slow");
@@ -547,7 +568,21 @@ let test_sim_multi_link () =
     (Netsim.Sim.link_transmitted_bytes sim 1);
   (* busy 0.5 s for flow 2's first packet, then 1 s at 25 B/s *)
   Alcotest.(check (float 1e-9)) "slow busy half of 3 s" 0.5
-    (Netsim.Sim.link_utilization sim 1)
+    (Netsim.Sim.link_utilization sim 1);
+  let samples flow =
+    match Netsim.Stats.Flow_delay.find delays flow with
+    | Some d -> Array.to_list (Netsim.Stats.Delay.samples d)
+    | None -> []
+  in
+  Alcotest.(check (list (float 1e-9))) "flow 1 delays" [ 0.5 ] (samples 1);
+  Alcotest.(check (list (float 1e-9))) "flow 2 delays, offer included"
+    [ 0.5; 1.0 ] (samples 2);
+  Alcotest.(check (list (float 1e-9))) "flow 9 never departed" [] (samples 9);
+  Alcotest.(check (list string)) "classes served" [ "1"; "2" ]
+    (Netsim.Stats.Throughput.classes tput);
+  Alcotest.(check (list (pair (float 0.) (float 0.))))
+    "flow 2 bytes per second" [ (0., 50.); (1., 0.); (2., 25.) ]
+    (Netsim.Stats.Throughput.series tput ~cls:"2")
 
 let test_sim_drops_counted () =
   let sched = Sched.Fifo.create ~qlimit:2 () in
@@ -637,7 +672,7 @@ let test_sim_shared_flow_seqs () =
    Each packet arrives to an idle link, so it is polled onto the wire
    at once; its completion polls once more and finds nothing. *)
 let test_sim_words_per_packet () =
-  let words ~accept =
+  let words ?(delays = false) ~accept () =
     let held = ref (Pkt.Packet.make ~flow:1 ~size:1 ~seq:0 ~arrival:0.) in
     let full = ref false in
     let sched =
@@ -666,6 +701,7 @@ let test_sim_words_per_packet () =
       }
     in
     let sim = Netsim.Sim.create ~link_rate:1e6 ~sched () in
+    if delays then ignore (Netsim.Stats.Flow_delay.attach sim);
     Netsim.Sim.add_source sim
       (Netsim.Source.cbr ~flow:1 ~rate:100_000. ~pkt_size:100 ~stop:5. ());
     (* arrivals land on whole milliseconds and take 0.1 ms to send, so
@@ -690,15 +726,44 @@ let test_sim_words_per_packet () =
     let w2, n2 = words_until 4.0005 in
     (w2 -. w1) /. float_of_int (n2 - n1)
   in
-  let arrival = words ~accept:false in
-  let packet = words ~accept:true in
+  let arrival = words ~accept:false () in
+  let packet = words ~accept:true () in
+  let measured = words ~delays:true ~accept:true () in
   (* the packet record (5 words) and two boxed floats: the event clock
      and the next arrival's time *)
   Alcotest.(check (float 0.)) "minor words per arrival" 9. arrival;
-  (* three boxed floats: the completion event's clock, the completion
-     time and the delay sample *)
+  (* two boxed floats: the completion event's clock and the completion
+     time *)
   Alcotest.(check (float 0.)) "minor words per departure, past the poll's 9"
-    6. (packet -. arrival -. 9.)
+    4. (packet -. arrival -. 9.);
+  (* the per-flow delay collector inlines its sample into the flow's
+     float array: attached, a departure costs no more *)
+  Alcotest.(check (float 0.)) "minor words per departure, delays attached"
+    4. (measured -. arrival -. 9.)
+
+(* A NaN rate would die at the first transmit ("NaN time"), an
+   infinite one would send bytes in no time at all *)
+let test_sim_rejects_bad_rates () =
+  let sched = Sched.Fifo.create () in
+  let refused =
+    Invalid_argument "Sim.create_multi: link rate must be finite and positive"
+  in
+  List.iter
+    (fun rate ->
+      Alcotest.check_raises
+        (Printf.sprintf "create at %g" rate)
+        refused
+        (fun () -> ignore (Netsim.Sim.create ~link_rate:rate ~sched ()));
+      Alcotest.check_raises
+        (Printf.sprintf "create_multi at %g" rate)
+        refused
+        (fun () ->
+          ignore
+            (Netsim.Sim.create_multi
+               ~links:[ ("ok", 1000., sched); ("bad", rate, sched) ]
+               ~route:(fun _ -> Some 0)
+               ())))
+    [ Float.nan; Float.infinity; 0.; -1. ]
 
 let test_sim_at_rejects_nan () =
   let fired = ref false in
@@ -717,12 +782,13 @@ let test_faults_rate_flap () =
      degraded rate. *)
   let sched = Sched.Fifo.create () in
   let sim = Netsim.Sim.create ~link_rate:1000. ~sched () in
+  let delays = Netsim.Stats.Flow_delay.attach sim in
   Netsim.Sim.add_source sim
     (Netsim.Source.script ~flow:1 [ (0., 100); (1., 100) ]);
   Netsim.Faults.schedule sim [ (0.5, Netsim.Faults.Set_rate 100.) ];
   Netsim.Sim.run_until_idle sim ~max_time:10.;
   Alcotest.(check (float 1e-9)) "rate applied" 100. (Netsim.Sim.link_rate sim);
-  (match Netsim.Sim.delay_of_flow sim 1 with
+  (match Netsim.Stats.Flow_delay.find delays 1 with
   | Some d ->
       let s = Netsim.Stats.Delay.samples d in
       Alcotest.(check (float 1e-9)) "pre-flap tx at 1000 B/s" 0.1 s.(0);
@@ -736,6 +802,7 @@ let test_faults_outage () =
      the up edge, then transmits normally *)
   let sched = Sched.Fifo.create () in
   let sim = Netsim.Sim.create ~link_rate:1000. ~sched () in
+  let delays = Netsim.Stats.Flow_delay.attach sim in
   Netsim.Sim.add_source sim (Netsim.Source.script ~flow:1 [ (1., 100) ]);
   Netsim.Faults.schedule sim [ (0.5, Netsim.Faults.Outage 1.0) ];
   let seen_down = ref true in
@@ -743,7 +810,7 @@ let test_faults_outage () =
   Netsim.Sim.run_until_idle sim ~max_time:10.;
   Alcotest.(check bool) "down mid-outage" false !seen_down;
   Alcotest.(check bool) "up after" true (Netsim.Sim.link_up sim);
-  match Netsim.Sim.delay_of_flow sim 1 with
+  match Netsim.Stats.Flow_delay.find delays 1 with
   | Some d ->
       Alcotest.(check (float 1e-9)) "waited for the up edge" 0.6
         (Netsim.Stats.Delay.samples d).(0)
@@ -953,7 +1020,7 @@ let golden_multi () =
     | _ -> None
   in
   let sim =
-    Netsim.Sim.create_multi ~tput_bin:0.25
+    Netsim.Sim.create_multi
       ~links:
         [ ("hfsc", 1e6, golden_hfsc ~link_rate:1e6); ("rr", 2e5, rr) ]
       ~route ()
@@ -1099,6 +1166,8 @@ let () =
           Alcotest.test_case "non-work-conserving poll" `Quick
             test_sim_nonworkconserving_poll;
           Alcotest.test_case "at rejects NaN" `Quick test_sim_at_rejects_nan;
+          Alcotest.test_case "rates must be finite and positive" `Quick
+            test_sim_rejects_bad_rates;
           Alcotest.test_case "sources of one flow share its seqs" `Quick
             test_sim_shared_flow_seqs;
           Alcotest.test_case "words per arrival and departure" `Quick

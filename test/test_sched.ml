@@ -172,12 +172,13 @@ let test_sced_meets_deadlines () =
     Sched.Sced.create ~curves:[ (1, sc); (2, Sc.linear (link -. 5e4)) ] ()
   in
   let sim = Netsim.Sim.create ~link_rate:link ~sched:s () in
+  let delays = Netsim.Stats.Flow_delay.attach sim in
   Netsim.Sim.add_source sim
     (Netsim.Source.cbr ~flow:1 ~rate:5e4 ~pkt_size:500 ~stop:3. ());
   Netsim.Sim.add_source sim
     (Netsim.Source.saturating ~flow:2 ~rate:link ~pkt_size:1500 ~stop:3. ());
   Netsim.Sim.run sim ~until:4.;
-  match Netsim.Sim.delay_of_flow sim 1 with
+  match Netsim.Stats.Flow_delay.find delays 1 with
   | Some d ->
       Alcotest.(check bool)
         (Printf.sprintf "max %.4f <= bound" (Netsim.Stats.Delay.max d))
@@ -192,12 +193,13 @@ let test_wfq_cbr_delay () =
   let link = 1e6 in
   let s = Sched.Wfq.create ~link_rate:link ~rates:[ (1, 5e4); (2, 9.5e5) ] () in
   let sim = Netsim.Sim.create ~link_rate:link ~sched:s () in
+  let delays = Netsim.Stats.Flow_delay.attach sim in
   Netsim.Sim.add_source sim
     (Netsim.Source.cbr ~flow:1 ~rate:5e4 ~pkt_size:500 ~stop:3. ());
   Netsim.Sim.add_source sim
     (Netsim.Source.saturating ~flow:2 ~rate:link ~pkt_size:1000 ~stop:3. ());
   Netsim.Sim.run sim ~until:4.;
-  match Netsim.Sim.delay_of_flow sim 1 with
+  match Netsim.Stats.Flow_delay.find delays 1 with
   | Some d ->
       let bound = (500. /. 5e4) +. (1000. /. link) +. 1e-9 in
       Alcotest.(check bool)
@@ -460,6 +462,7 @@ let test_hpfq_delay_grows_with_depth () =
     in
     let s = Sched.Hpfq.to_scheduler t in
     let sim = Netsim.Sim.create ~link_rate:link ~sched:s () in
+    let delays = Netsim.Stats.Flow_delay.attach sim in
     Netsim.Sim.add_source sim
       (Netsim.Source.cbr ~flow:1 ~rate:8000. ~pkt_size:160 ~stop:3. ());
     Netsim.Sim.add_source sim
@@ -470,7 +473,7 @@ let test_hpfq_delay_grows_with_depth () =
           (Netsim.Source.saturating ~flow ~rate:link ~pkt_size:1000 ~stop:3. ()))
       !cross_flows;
     Netsim.Sim.run sim ~until:4.;
-    match Netsim.Sim.delay_of_flow sim 1 with
+    match Netsim.Stats.Flow_delay.find delays 1 with
     | Some d -> Netsim.Stats.Delay.max d
     | None -> Alcotest.fail "no packets"
   in
