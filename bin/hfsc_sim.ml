@@ -3,9 +3,8 @@
 
      hfsc_sim list                 enumerate the reproduction experiments
      hfsc_sim run E1 E3 ...        run selected experiments (or "all")
-     hfsc_sim demo                 a quick ad-hoc simulation with knobs
-     hfsc_sim simulate CONFIG [SCRIPT] [--time S] [--domains N]
-              [--stats-json F] [--trace F] [--debug]
+     hfsc_sim simulate CONFIG [SCRIPT] [--time S] [--stats-json F]
+              [--trace F] [--debug]
                                    simulate a config (any backend, any
                                    number of links), replaying a timed
                                    command script against it
@@ -54,92 +53,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc) Term.(const run $ ids)
 
-let demo_cmd =
-  let doc =
-    "Ad-hoc demo: N greedy classes with equal shares plus one real-time \
-     CBR class; prints shares and the real-time class's delay."
-  in
-  let n =
-    Arg.(value & opt int 4 & info [ "n"; "classes" ] ~docv:"N"
-           ~doc:"Number of greedy classes.")
-  in
-  let mbits =
-    Arg.(value & opt float 10. & info [ "rate" ] ~docv:"MBITS"
-           ~doc:"Link rate in Mb/s.")
-  in
-  let dmax_ms =
-    Arg.(value & opt float 5. & info [ "dmax" ] ~docv:"MS"
-           ~doc:"Real-time delay guarantee in milliseconds.")
-  in
-  let seconds =
-    Arg.(value & opt float 5. & info [ "time" ] ~docv:"S"
-           ~doc:"Simulated seconds.")
-  in
-  let run n mbits dmax_ms seconds =
-    if n < 1 || mbits <= 0. || dmax_ms <= 0. || seconds <= 0. then begin
-      prerr_endline "demo: all parameters must be positive";
-      1
-    end
-    else begin
-      let link_rate = mbits *. 1e6 /. 8. in
-      let dmax = dmax_ms /. 1000. in
-      let t = Hfsc.create ~link_rate () in
-      let rt_rate = 8000. in
-      let rt_sc =
-        Curve.Service_curve.of_requirements ~umax:160. ~dmax ~rate:rt_rate
-      in
-      let rt =
-        Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"realtime" ~rsc:rt_sc ()
-      in
-      let share = (link_rate -. rt_rate) /. float_of_int n in
-      let classes =
-        List.init n (fun i ->
-            ( 10 + i,
-              Hfsc.add_class t ~parent:(Hfsc.root t)
-                ~name:(Printf.sprintf "bulk%d" i)
-                ~fsc:(Curve.Service_curve.linear share)
-                () ))
-      in
-      let sched =
-        Runtime.Engine.adapter
-          (Runtime.Engine.create ~link_rate t ~flow_map:((1, rt) :: classes) ())
-      in
-      let sim = Netsim.Sim.create ~link_rate ~sched () in
-      let delays = Netsim.Stats.Flow_delay.attach sim in
-      Netsim.Sim.add_source sim
-        (Netsim.Source.cbr ~flow:1 ~rate:rt_rate ~pkt_size:160 ~stop:seconds ());
-      List.iteri
-        (fun i (flow, _) ->
-          Netsim.Sim.add_source sim
-            (Netsim.Source.poisson ~flow ~rate:(1.5 *. share) ~pkt_size:1000
-               ~seed:(100 + i) ~stop:seconds ()))
-        classes;
-      Netsim.Sim.run sim ~until:seconds;
-      Printf.printf "link %.1f Mb/s, %d greedy classes, %.1fs simulated\n\n"
-        mbits n seconds;
-      List.iter
-        (fun (_, cls) ->
-          Printf.printf "%-10s %10.2f Mb/s\n" (Hfsc.name cls)
-            (Hfsc.total_bytes cls /. seconds *. 8. /. 1e6))
-        classes;
-      (match Netsim.Stats.Flow_delay.find delays 1 with
-      | Some d ->
-          Printf.printf
-            "\nrealtime class: mean %.3f ms, max %.3f ms (guarantee %.1f ms + Lmax/R)\n"
-            (Netsim.Stats.Delay.mean d *. 1000.)
-            (Netsim.Stats.Delay.max d *. 1000.)
-            dmax_ms
-      | None -> ());
-      Printf.printf "link utilization: %.1f%%\n"
-        (Netsim.Sim.utilization sim *. 100.);
-      0
-    end
-  in
-  Cmd.v (Cmd.info "demo" ~doc)
-    Term.(const run $ n $ mbits $ dmax_ms $ seconds)
-
-(* The run loop behind 'simulate', over either router's control plane
-   ([Router_core]), so the two flavours cannot drift apart in the CLI. *)
+(* The run loop behind 'simulate', over the router's control plane. *)
 let drive ~cfg ~cmds ~seconds ~stats_json ~trace core =
   let module Core = Runtime.Router_core in
   let links = Core.adapters core in
@@ -242,12 +156,10 @@ let simulate_cmd =
      link add/delete/list, stats, trace; admission control rejects \
      over-committed curves with the violating breakpoint. Prints each \
      command's outcome, per-link utilization, per-class statistics and \
-     per-flow delays. With --domains N (N >= 2) every link's engine runs \
-     on one of N worker domains, each serving one call at a time (the \
-     multicore router), with identical per-link schedules. A link created \
-     mid-run by 'link add' accepts classes and filters but has no \
-     transmitter in this simulation; configure links in the file to give \
-     them wires. See examples/fig1.hfsc, examples/control.hfsc with \
+     per-flow delays. A link created mid-run by 'link add' accepts \
+     classes and filters but has no transmitter in this simulation; \
+     configure links in the file to give them wires. See \
+     examples/fig1.hfsc, examples/control.hfsc with \
      examples/reconfigure.ctl, and examples/router.hfsc with \
      examples/router.ctl."
   in
@@ -260,14 +172,6 @@ let simulate_cmd =
   let seconds =
     Arg.(value & opt float 10. & info [ "time" ] ~docv:"S"
            ~doc:"Simulated seconds.")
-  in
-  let domains =
-    Arg.(value & opt int 1
-         & info [ "domains" ] ~docv:"N"
-             ~doc:"Worker domains for the links. 1 (default) runs the \
-                   sequential router; N >= 2 runs every link's engine on \
-                   one of $(docv) OCaml domains, each serving one call at \
-                   a time. Per-link schedules are identical either way.")
   in
   let stats_json =
     Arg.(value & opt (some string) None
@@ -285,7 +189,7 @@ let simulate_cmd =
          & info [ "debug" ]
              ~doc:"Print the scheduler's internal decisions (very verbose).")
   in
-  let run file script seconds domains stats_json trace debug =
+  let run file script seconds stats_json trace debug =
     let refused e =
       Printf.eprintf "%s: %s\n" file e;
       1
@@ -312,39 +216,15 @@ let simulate_cmd =
         in
         match cmds with
         | Error () -> 1
-        | Ok _ when domains < 1 ->
-            prerr_endline "simulate: --domains must be >= 1";
-            1
         | Ok cmds -> (
-            let built =
-              if domains = 1 then
-                Result.map
-                  (fun (r, warnings) ->
-                    (Runtime.Daemon.backend_of_router r, ignore, warnings))
-                  (Runtime.Router.of_config cfg)
-              else
-                Result.map
-                  (fun (m, warnings) ->
-                    ( Runtime.Daemon.backend_of_mc_router m,
-                      (fun () -> ignore (Runtime.Mc_router.stop m)),
-                      warnings ))
-                  (Runtime.Mc_router.of_config ~domains cfg)
-            in
-            match built with
+            match Runtime.Router.of_config cfg with
             | Error e -> refused e
-            | Ok (Runtime.Daemon.Backend core, stop, warnings) ->
+            | Ok (router, warnings) ->
                 warn warnings;
-                if domains > 1 then
-                  Printf.printf
-                    "multicore router: %d links on %d worker domains\n"
-                    (Runtime.Router_core.link_count core)
-                    domains;
-                Fun.protect ~finally:stop (fun () ->
-                    drive ~cfg ~cmds ~seconds ~stats_json ~trace core)))
+                drive ~cfg ~cmds ~seconds ~stats_json ~trace router))
   in
   Cmd.v (Cmd.info "simulate" ~doc)
-    Term.(const run $ file $ script $ seconds $ domains $ stats_json $ trace
-          $ debug)
+    Term.(const run $ file $ script $ seconds $ stats_json $ trace $ debug)
 
 let daemon_cmd =
   let doc =
@@ -352,12 +232,11 @@ let daemon_cmd =
      configuration (every link statement becomes a live H-FSC engine) and \
      answer line-oriented requests — the full command grammar plus ping, \
      audit, stats-json, fingerprint, spill start/stop/status (binary \
-     trace spill), quit and shutdown. With --domains N every link's \
-     engine runs on a worker domain (the multicore router). With \
-     --state-dir DIR the daemon is crash-safe: accepted commands are \
-     write-ahead journaled and checkpointed under DIR, and a restart \
-     recovers the configuration exactly (SIGTERM and shutdown fsync the \
-     journal first). Talk to it with 'hfsc_sim ctl'."
+     trace spill), quit and shutdown. With --state-dir DIR the daemon is \
+     crash-safe: accepted commands are write-ahead journaled and \
+     checkpointed under DIR, and a restart recovers the configuration \
+     exactly (SIGTERM and shutdown fsync the journal first). Talk to it \
+     with 'hfsc_sim ctl'."
   in
   let file =
     Arg.(value & pos 0 (some file) None & info [] ~docv:"CONFIG")
@@ -366,13 +245,6 @@ let daemon_cmd =
     Arg.(required & opt (some string) None
          & info [ "socket" ] ~docv:"PATH"
              ~doc:"Unix-domain socket path to listen on.")
-  in
-  let domains =
-    Arg.(value & opt int 1
-         & info [ "domains" ] ~docv:"N"
-             ~doc:"Worker domains (1 = sequential router; N >= 2 runs \
-                   every link's engine on one of $(docv) OCaml domains, \
-                   each serving one call at a time).")
   in
   let audit_every =
     Arg.(value & opt int 0
@@ -389,7 +261,7 @@ let daemon_cmd =
                    keeps journaling; a fresh directory is seeded from \
                    CONFIG (or empty without one).")
   in
-  let run file socket domains audit_every state_dir =
+  let run file socket audit_every state_dir =
     let state_has_checkpoint =
       match state_dir with
       | None -> false
@@ -421,65 +293,47 @@ let daemon_cmd =
     let built =
       match cfg with
       | Error e -> Error e
-      | Ok _ when domains < 1 -> Error "daemon: --domains must be >= 1"
-      | Ok cfg ->
-          let build of_config create wrap =
-            match cfg with
-            | None -> Ok (wrap (create ()))
-            | Some (f, c) -> (
-                match of_config c with
-                | Ok (r, warnings) ->
-                    List.iter (Printf.eprintf "warning: %s\n") warnings;
-                    Ok (wrap r)
-                | Error e -> Error (Printf.sprintf "%s: %s" f e))
-          in
-          if domains = 1 then
-            build
-              (Runtime.Router.of_config ~audit_every)
-              (Runtime.Router.create ~audit_every)
-              (fun r -> (Runtime.Daemon.backend_of_router r, fun () -> ()))
-          else
-            build
-              (Runtime.Mc_router.of_config ~audit_every ~domains)
-              (Runtime.Mc_router.create ~audit_every ~domains)
-              (fun m ->
-                ( Runtime.Daemon.backend_of_mc_router m,
-                  fun () -> ignore (Runtime.Mc_router.stop m) ))
+      | Ok None -> Ok (Runtime.Router.create ~audit_every ())
+      | Ok (Some (f, c)) -> (
+          match Runtime.Router.of_config ~audit_every c with
+          | Ok (r, warnings) ->
+              List.iter (Printf.eprintf "warning: %s\n") warnings;
+              Ok r
+          | Error e -> Error (Printf.sprintf "%s: %s" f e))
     in
     match built with
     | Error e ->
         prerr_endline e;
         1
-    | Ok (backend, finish) ->
-        Printf.printf "hfsc_sim daemon: %d domain%s, listening on %s%s\n%!"
-          domains
-          (if domains = 1 then "" else "s")
-          socket
+    | Ok router -> (
+        Printf.printf "hfsc_sim daemon: listening on %s%s\n%!" socket
           (match state_dir with
           | Some d -> Printf.sprintf ", durable state in %s" d
           | None -> "");
-        Fun.protect ~finally:finish (fun () ->
-            match Runtime.Daemon.run ?durable:state_dir ~socket backend with
-            | Ok info ->
-                (match info with
-                | Some i ->
-                    Printf.printf
-                      "daemon: served generation %d (%d checkpoint + %d \
-                       journal commands recovered%s)\n"
-                      i.Runtime.Daemon.ri_generation i.Runtime.Daemon.ri_checkpoint
-                      i.Runtime.Daemon.ri_tail
-                      (if i.Runtime.Daemon.ri_truncated then
-                         ", torn journal tail discarded"
-                       else "")
-                | None -> ());
-                print_endline "daemon: shutdown";
-                0
-            | Error msg ->
-                Printf.eprintf "daemon: recovery refused: %s\n" msg;
-                1)
+        match
+          Runtime.Daemon.run ?durable:state_dir ~socket
+            (Runtime.Daemon.backend_of_router router)
+        with
+        | Ok info ->
+            (match info with
+            | Some i ->
+                Printf.printf
+                  "daemon: served generation %d (%d checkpoint + %d journal \
+                   commands recovered%s)\n"
+                  i.Runtime.Daemon.ri_generation i.Runtime.Daemon.ri_checkpoint
+                  i.Runtime.Daemon.ri_tail
+                  (if i.Runtime.Daemon.ri_truncated then
+                     ", torn journal tail discarded"
+                   else "")
+            | None -> ());
+            print_endline "daemon: shutdown";
+            0
+        | Error msg ->
+            Printf.eprintf "daemon: recovery refused: %s\n" msg;
+            1)
   in
   Cmd.v (Cmd.info "daemon" ~doc)
-    Term.(const run $ file $ socket $ domains $ audit_every $ state_dir)
+    Term.(const run $ file $ socket $ audit_every $ state_dir)
 
 let ctl_cmd =
   let doc =
@@ -544,28 +398,21 @@ let soak_cmd =
            ~doc:"Simulated seconds.")
   in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"N" ~doc:"Seed.") in
-  let domains =
-    Arg.(value & opt int 1
-         & info [ "domains" ] ~docv:"N"
-             ~doc:"Worker domains (1 = sequential router; N >= 2 runs \
-                   every link's engine on one of $(docv) OCaml domains, \
-                   each serving one call at a time).")
-  in
   let spill =
     Arg.(value & opt (some string) None
          & info [ "spill" ] ~docv:"PATH"
              ~doc:"Keep the binary trace spill at $(docv) (one file per \
                    link: $(docv).LINK) instead of a removed temp file.")
   in
-  let run links flows seconds seed domains spill =
-    if links < 1 || flows < 1 || seconds <= 0. || domains < 1 then begin
+  let run links flows seconds seed spill =
+    if links < 1 || flows < 1 || seconds <= 0. then begin
       prerr_endline "soak: all parameters must be positive";
       1
     end
     else begin
       let report =
         Experiments.Soak.run ~links ~flows_per_link:flows ~seconds ~seed
-          ~domains ?spill ~log:print_endline ()
+          ?spill ~log:print_endline ()
       in
       print_string (Experiments.Soak.report_text report);
       match Experiments.Soak.healthy report with
@@ -578,7 +425,7 @@ let soak_cmd =
     end
   in
   Cmd.v (Cmd.info "soak" ~doc)
-    Term.(const run $ links $ flows $ seconds $ seed $ domains $ spill)
+    Term.(const run $ links $ flows $ seconds $ seed $ spill)
 
 let crash_cmd =
   let doc =
@@ -601,27 +448,20 @@ let crash_cmd =
     Arg.(value & opt int 40
          & info [ "ops" ] ~docv:"N" ~doc:"Churn rounds per cycle.")
   in
-  let domains =
-    Arg.(value & opt int 1
-         & info [ "domains" ] ~docv:"N"
-             ~doc:"Worker domains (1 = sequential router; N >= 2 runs \
-                   every link's engine on one of $(docv) OCaml domains, \
-                   each serving one call at a time).")
-  in
   let state_dir =
     Arg.(value & opt (some string) None
          & info [ "state-dir" ] ~docv:"DIR"
              ~doc:"Keep the journal/checkpoints at $(docv) instead of a \
                    removed temp directory.")
   in
-  let run links cycles ops domains state_dir =
-    if links < 1 || cycles < 1 || ops < 1 || domains < 1 then begin
+  let run links cycles ops state_dir =
+    if links < 1 || cycles < 1 || ops < 1 then begin
       prerr_endline "crash: all parameters must be positive";
       1
     end
     else
       match
-        Experiments.Soak.run_crash ~links ~cycles ~ops_per_cycle:ops ~domains
+        Experiments.Soak.run_crash ~links ~cycles ~ops_per_cycle:ops
           ?state_dir ~log:print_endline ()
       with
       | Ok r ->
@@ -633,7 +473,7 @@ let crash_cmd =
           1
   in
   Cmd.v (Cmd.info "crash" ~doc)
-    Term.(const run $ links $ cycles $ ops $ domains $ state_dir)
+    Term.(const run $ links $ cycles $ ops $ state_dir)
 
 let trace_report_cmd =
   let doc =
@@ -664,11 +504,11 @@ let trace_report_cmd =
 let () =
   let doc =
     "Reproduction of the H-FSC scheduler (Stoica, Zhang, Ng): experiments, \
-     ad-hoc simulations, and an operable daemon."
+     simulations of configuration files, and an operable daemon."
   in
   let info = Cmd.info "hfsc_sim" ~version:"1.0.0" ~doc in
   exit
     (Cmd.eval'
        (Cmd.group info
-          [ list_cmd; run_cmd; demo_cmd; simulate_cmd; daemon_cmd; ctl_cmd;
-            soak_cmd; crash_cmd; trace_report_cmd ]))
+          [ list_cmd; run_cmd; simulate_cmd; daemon_cmd; ctl_cmd; soak_cmd;
+            crash_cmd; trace_report_cmd ]))

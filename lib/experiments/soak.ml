@@ -5,7 +5,6 @@
 module Command = Runtime.Command
 module Engine = Runtime.Engine
 module Router = Runtime.Router
-module Mc_router = Runtime.Mc_router
 module Router_core = Runtime.Router_core
 module Daemon = Runtime.Daemon
 module Journal = Runtime.Journal
@@ -14,7 +13,6 @@ module Trace_log = Runtime.Trace_log
 type report = {
   sk_links : int;
   sk_flows : int;
-  sk_domains : int;
   sk_seconds : float;
   sk_departures : int;
   sk_enqueue_drops : int;
@@ -50,16 +48,6 @@ type churn_counters = {
   mutable cc_audit_checks : int;
   mutable cc_audit_failures : int;
 }
-
-(* The device under test: the sequential router at one domain, the
-   multicore router above; the daemon serves either's control plane.
-   The second value stops it. *)
-let device ~domains ~audit_every =
-  if domains <= 1 then
-    (Daemon.backend_of_router (Router.create ~audit_every ()), ignore)
-  else
-    let m = Mc_router.create ~audit_every ~domains () in
-    (Daemon.backend_of_mc_router m, fun () -> ignore (Mc_router.stop m))
 
 let count_lines s =
   if s = "" then 0
@@ -140,7 +128,7 @@ let churn ~socket ~spill ~links ~sim_finished c =
   totals
 
 let run ?(links = 3) ?(flows_per_link = 4) ?(seconds = 1.0) ?(seed = 7)
-    ?(domains = 1) ?socket ?spill ?(audit_every = 4096) ?(log = ignore) () =
+    ?socket ?spill ?(audit_every = 4096) ?(log = ignore) () =
   if links < 1 || flows_per_link < 1 then
     invalid_arg "Soak.run: links and flows_per_link must be >= 1";
   let temp tag suffix =
@@ -156,8 +144,8 @@ let run ?(links = 3) ?(flows_per_link = 4) ?(seconds = 1.0) ?(seed = 7)
   let spill = match spill with Some s -> s | None -> temp "hfsc_soak" ".trace" in
 
   (* --- the device under test ---------------------------------------- *)
-  let backend, stop_device = device ~domains ~audit_every in
-  let (Daemon.Backend core) = backend in
+  let core = Router.create ~audit_every () in
+  let backend = Daemon.backend_of_router core in
   let exec ~now cmd =
     match Router_core.exec core ~now cmd with
     | Ok _ -> ()
@@ -321,8 +309,7 @@ let run ?(links = 3) ?(flows_per_link = 4) ?(seconds = 1.0) ?(seed = 7)
         Atomic.set sim_finished true;
         (* serve's own protect already closed the socket, so a client
            still in flight unblocks with EOF and bails out via [abort] *)
-        ignore (Domain.join client);
-        stop_device ())
+        ignore (Domain.join client))
       (fun () ->
         Daemon.serve ~idle daemon;
         Daemon.spill_totals daemon)
@@ -350,7 +337,6 @@ let run ?(links = 3) ?(flows_per_link = 4) ?(seconds = 1.0) ?(seed = 7)
   {
     sk_links = links;
     sk_flows = links * flows_per_link;
-    sk_domains = domains;
     sk_seconds = seconds;
     sk_departures = !departures;
     sk_enqueue_drops = Netsim.Sim.enqueue_drops sim;
@@ -367,10 +353,9 @@ let run ?(links = 3) ?(flows_per_link = 4) ?(seconds = 1.0) ?(seed = 7)
 let report_text r =
   let b = Buffer.create 1024 in
   Printf.bprintf b
-    "soak: %d links x %d flows, %.1fs simulated, %d domain%s\n" r.sk_links
+    "soak: %d links x %d flows, %.1fs simulated\n" r.sk_links
     (if r.sk_links = 0 then 0 else r.sk_flows / r.sk_links)
-    r.sk_seconds r.sk_domains
-    (if r.sk_domains = 1 then "" else "s");
+    r.sk_seconds;
   Printf.bprintf b "  packets:  %d delivered, %d enqueue drops\n"
     r.sk_departures r.sk_enqueue_drops;
   Printf.bprintf b "  faults:   %d timeline events\n" r.sk_fault_events;
@@ -389,7 +374,6 @@ let report_text r =
 
 type crash_report = {
   cr_cycles : int;
-  cr_domains : int;
   cr_kills : int;
   cr_commands : int;
   cr_rotations : int list;
@@ -401,19 +385,15 @@ exception Crash_failure of string
 
 let crash_fail fmt = Printf.ksprintf (fun s -> raise (Crash_failure s)) fmt
 
-(* The daemon side of one crash cycle, in a forked child. The device is
-   built *after* the fork, so no worker domain ever crosses the fork
-   boundary (fork only duplicates the forking thread; a pre-fork
-   Mc_router would leave orphaned rings). The parent stays domain-free
-   until all children are reaped for the same reason. *)
-let crash_child ~domains ~audit_every ~state_dir ~socket () =
+(* The daemon side of one crash cycle, in a forked child. OCaml will not
+   fork a process that has spawned a domain, so the parent stays
+   domain-free until all children are reaped. *)
+let crash_child ~audit_every ~state_dir ~socket () =
   let code =
     try
-      let backend, stop_device = device ~domains ~audit_every in
+      let backend = Daemon.backend_of_router (Router.create ~audit_every ()) in
       match Daemon.run ~durable:state_dir ~checkpoint_every:8 ~socket backend with
-      | Ok _ ->
-          stop_device ();
-          0
+      | Ok _ -> 0
       | Error msg ->
           prerr_endline ("crash child: recovery refused: " ^ msg);
           3
@@ -473,9 +453,9 @@ let crash_lines ~links ~cycle ~ops =
   done;
   List.rev !out
 
-let run_crash ?(links = 2) ?(cycles = 3) ?(ops_per_cycle = 12) ?(domains = 1)
-    ?state_dir ?socket ?(log = ignore) () =
-  if links < 1 || cycles < 1 || ops_per_cycle < 1 || domains < 1 then
+let run_crash ?(links = 2) ?(cycles = 3) ?(ops_per_cycle = 12) ?state_dir
+    ?socket ?(log = ignore) () =
+  if links < 1 || cycles < 1 || ops_per_cycle < 1 then
     invalid_arg "Soak.run_crash: all parameters must be >= 1";
   let temp tag suffix =
     let p = Filename.temp_file tag suffix in
@@ -492,12 +472,12 @@ let run_crash ?(links = 2) ?(cycles = 3) ?(ops_per_cycle = 12) ?(domains = 1)
   let kills = ref 0 in
   let child = ref None in
   let spawn () =
-    (* the child inherits these buffers; anything unflushed would be
-       written twice (worker domains flush std channels on exit) *)
+    (* the child inherits these buffers; anything unflushed could be
+       written twice *)
     flush stdout;
     flush stderr;
     match Unix.fork () with
-    | 0 -> crash_child ~domains ~audit_every:512 ~state_dir ~socket ()
+    | 0 -> crash_child ~audit_every:512 ~state_dir ~socket ()
     | pid ->
         child := Some pid;
         pid
@@ -647,7 +627,6 @@ let run_crash ?(links = 2) ?(cycles = 3) ?(ops_per_cycle = 12) ?(domains = 1)
             final_fp oracle_fp;
         {
           cr_cycles = cycles;
-          cr_domains = domains;
           cr_kills = !kills;
           cr_commands = List.length !accepted;
           cr_rotations = List.rev !rotations;
@@ -660,13 +639,11 @@ let run_crash ?(links = 2) ?(cycles = 3) ?(ops_per_cycle = 12) ?(domains = 1)
 
 let crash_report_text r =
   Printf.sprintf
-    "crash soak: %d cycles (%d SIGKILLs) on %d domain%s\n\
+    "crash soak: %d cycles (%d SIGKILLs)\n\
     \  %d commands acknowledged and recovered\n\
     \  journal rotations per cycle: %s\n\
     \  fingerprint %s == sequential oracle\n"
-    r.cr_cycles r.cr_kills r.cr_domains
-    (if r.cr_domains = 1 then "" else "s")
-    r.cr_commands
+    r.cr_cycles r.cr_kills r.cr_commands
     (String.concat " " (List.map string_of_int r.cr_rotations))
     r.cr_fingerprint
 

@@ -2,7 +2,7 @@
     operations against a {e live daemon}, with every safety net armed.
 
     One run wires together the whole operational stack this repository
-    has grown: a multi-link router (sequential or multicore), a
+    has grown: a multi-link {!Runtime.Router}, a
     {!Netsim.Sim.create_multi} simulation feeding every link from
     Poisson/on-off/CBR sources, {!Netsim.Faults.random_timeline}s
     flapping each link and injecting malformed control lines, the
@@ -26,7 +26,6 @@
 type report = {
   sk_links : int;
   sk_flows : int;
-  sk_domains : int;
   sk_seconds : float;  (** simulated horizon *)
   sk_departures : int;  (** packets that finished transmission *)
   sk_enqueue_drops : int;
@@ -46,7 +45,6 @@ val run :
   ?flows_per_link:int ->
   ?seconds:float ->
   ?seed:int ->
-  ?domains:int ->
   ?socket:string ->
   ?spill:string ->
   ?audit_every:int ->
@@ -54,11 +52,10 @@ val run :
   unit ->
   report
 (** Run one soak. Defaults: 3 links, 4 flows per link, 1.0 simulated
-    second, seed 7, [domains = 1] (the sequential router; [> 1] runs
-    {!Runtime.Mc_router} with that many workers), a fresh socket and
-    spill path under the temp directory (both removed afterwards when
-    defaulted, kept when given), [audit_every = 4096]. [log] receives
-    progress lines (default: silent).
+    second, seed 7, a fresh socket and spill path under the temp
+    directory (both removed afterwards when defaulted, kept when
+    given), [audit_every = 4096]. [log] receives progress lines
+    (default: silent).
 
     @raise Runtime.Engine.Audit_failure if the armed auditor trips on
     the data path — a soak {e crash}, deliberately not caught.
@@ -80,11 +77,10 @@ val healthy : report -> (unit, string) result
     process drives a durable daemon ({!Runtime.Daemon.run} with a state
     directory) running in a {e forked child}, SIGKILLs it mid-churn,
     restarts it from the state directory, and requires that recovery
-    lost nothing. Each cycle: start the daemon (the device is built
-    after the fork, so worker domains never cross a fork), check its
-    recovered fingerprint equals the one recorded just before the
-    previous kill, send a deterministic batch of [at]-stamped mutating
-    commands, run the auditor, record the fingerprint, kill. The last
+    lost nothing. Each cycle: start the daemon, check its recovered
+    fingerprint equals the one recorded just before the previous kill,
+    send a deterministic batch of [at]-stamped mutating commands, run
+    the auditor, record the fingerprint, kill. The last
     cycle stops cleanly ([shutdown]), then one more restart proves a
     clean journal recovers bit-identically, stopped via SIGTERM to
     prove the signal-driven graceful path. Finally every acknowledged
@@ -94,7 +90,6 @@ val healthy : report -> (unit, string) result
 
 type crash_report = {
   cr_cycles : int;
-  cr_domains : int;
   cr_kills : int;  (** SIGKILLs delivered *)
   cr_commands : int;  (** mutating commands acknowledged (and recovered) *)
   cr_rotations : int list;
@@ -108,16 +103,14 @@ val run_crash :
   ?links:int ->
   ?cycles:int ->
   ?ops_per_cycle:int ->
-  ?domains:int ->
   ?state_dir:string ->
   ?socket:string ->
   ?log:(string -> unit) ->
   unit ->
   (crash_report, string) result
 (** Run one kill/restart soak. Defaults: 2 links, 3 cycles, 12 op
-    rounds per cycle, [domains = 1] ([> 1] runs the daemon over
-    {!Runtime.Mc_router} in the child), fresh temp state directory and
-    socket (removed afterwards when defaulted, kept when given).
+    rounds per cycle, fresh temp state directory and socket (removed
+    afterwards when defaulted, kept when given).
     [Error] names the first broken guarantee: a lost or phantom
     command, a failed audit, a refused recovery, a fingerprint
     diverging from the oracle, or a churn cycle during which the

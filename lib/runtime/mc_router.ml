@@ -356,13 +356,3 @@ let stop t =
     Option.iter raise unobserved
   end;
   List.map (fun (name, p) -> (name, p.p_eng)) t.core.Router_core.links
-
-(* A refused configuration stops the workers it spawned before the
-   refusal is reported, so a caller that retries leaks no domain. *)
-let of_config ?trace_capacity ?tracing ?audit_every ~domains cfg =
-  let t = create ?trace_capacity ?tracing ?audit_every ~domains () in
-  match Router_core.of_config t.core cfg with
-  | Ok warnings -> Ok (t, warnings)
-  | Error e ->
-      ignore (stop t);
-      Error e

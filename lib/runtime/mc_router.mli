@@ -78,17 +78,6 @@ val create :
 
     @raise Invalid_argument if [domains < 1]. *)
 
-val of_config :
-  ?trace_capacity:int ->
-  ?tracing:bool ->
-  ?audit_every:int ->
-  domains:int ->
-  Config.t ->
-  (t * string list, string) result
-(** As {!Router.of_config}: {!create}, then the configuration's
-    commands through {!exec}. On a refusal the spawned workers are
-    stopped and joined before the error returns. *)
-
 val add_link :
   ?backend:Backend.kind ->
   t ->

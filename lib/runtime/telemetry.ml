@@ -91,20 +91,22 @@ let grow_array a n fill =
   Array.blit a 0 b 0 (Array.length a);
   b
 
+(* Fills the unannounced tail of a grown table. Only ids below [known]
+   are ever read or written, so this record is never touched. *)
+let unannounced = fresh_counters ()
+
 let ensure_class t ~id =
   if id < 0 then invalid_arg "Telemetry.ensure_class: negative id";
   if id >= t.known then begin
     if id >= Array.length t.tbl then begin
       let n = max 8 (max (id + 1) (2 * Array.length t.tbl)) in
-      let tbl = Array.make n (fresh_counters ()) in
-      Array.blit t.tbl 0 tbl 0 (Array.length t.tbl);
-      for i = Array.length t.tbl to n - 1 do
-        tbl.(i) <- fresh_counters ()
-      done;
-      t.tbl <- tbl;
+      t.tbl <- grow_array t.tbl n unannounced;
       t.has_rsc <- grow_array t.has_rsc n false;
       t.rsc <- grow_array t.rsc (4 * n) 0.
     end;
+    for i = t.known to id do
+      t.tbl.(i) <- fresh_counters ()
+    done;
     t.known <- id + 1
   end
 

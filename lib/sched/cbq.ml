@@ -38,7 +38,8 @@ let max_burst_pkts = 16
 let maxidle_of rate = float_of_int max_burst_pkts *. 1500. /. rate
 
 let create ~link_rate () =
-  if link_rate <= 0. then invalid_arg "Cbq.create: link_rate must be > 0";
+  if not (Float.is_finite link_rate && link_rate > 0.) then
+    invalid_arg "Cbq.create: link_rate must be finite and > 0";
   {
     link_rate;
     troot =
@@ -59,7 +60,8 @@ let check_interior parent =
 
 let add_node _ ~parent ~name ~rate =
   check_interior parent;
-  if rate <= 0. then invalid_arg "Cbq.add_node: rate must be > 0";
+  if not (Float.is_finite rate && rate > 0.) then
+    invalid_arg "Cbq.add_node: rate must be finite and > 0";
   let n =
     mk_node ~name ~rate ~parent:(Some parent) ~queue:None ~priority:0
       ~borrow:true ~maxidle:(maxidle_of rate) ~quantum:0.
@@ -70,7 +72,8 @@ let add_node _ ~parent ~name ~rate =
 let add_leaf t ~parent ~name ~rate ~flow ?(priority = 1) ?(borrow = true)
     ?(qlimit = 100_000) () =
   check_interior parent;
-  if rate <= 0. then invalid_arg "Cbq.add_leaf: rate must be > 0";
+  if not (Float.is_finite rate && rate > 0.) then
+    invalid_arg "Cbq.add_leaf: rate must be finite and > 0";
   if priority < 0 || priority > 7 then
     invalid_arg "Cbq.add_leaf: priority must be in 0..7";
   if Hashtbl.mem t.flows flow then invalid_arg "Cbq.add_leaf: duplicate flow";

@@ -28,7 +28,8 @@ let mk_node ~name ~rate ~parent ~queue =
     backlogged = false }
 
 let create ~link_rate () =
-  if link_rate <= 0. then invalid_arg "Hpfq.create: link_rate must be > 0";
+  if not (Float.is_finite link_rate && link_rate > 0.) then
+    invalid_arg "Hpfq.create: link_rate must be finite and > 0";
   { link_rate;
     troot = mk_node ~name:"root" ~rate:link_rate ~parent:None ~queue:None;
     flows = Hashtbl.create 16; pkts = 0; bytes = 0 }
@@ -41,7 +42,8 @@ let check_interior parent =
 
 let add_node _t ~parent ~name ~rate =
   check_interior parent;
-  if rate <= 0. then invalid_arg "Hpfq.add_node: rate must be > 0";
+  if not (Float.is_finite rate && rate > 0.) then
+    invalid_arg "Hpfq.add_node: rate must be finite and > 0";
   let n = mk_node ~name ~rate ~parent:(Some parent) ~queue:None in
   parent.children <- parent.children @ [ n ];
   parent.child_rate_sum <- parent.child_rate_sum +. rate;
@@ -49,7 +51,8 @@ let add_node _t ~parent ~name ~rate =
 
 let add_leaf t ~parent ~name ~rate ~flow ?(qlimit = 100_000) () =
   check_interior parent;
-  if rate <= 0. then invalid_arg "Hpfq.add_leaf: rate must be > 0";
+  if not (Float.is_finite rate && rate > 0.) then
+    invalid_arg "Hpfq.add_leaf: rate must be finite and > 0";
   if Hashtbl.mem t.flows flow then
     invalid_arg "Hpfq.add_leaf: flow already attached";
   let n =

@@ -12,7 +12,8 @@ let create ?(qlimit = 100_000) ~rates () =
   let rate_tbl = Hashtbl.create 16 in
   List.iter
     (fun (flow, r) ->
-      if r <= 0. then invalid_arg "Virtual_clock.create: rate must be > 0";
+      if not (Float.is_finite r && r > 0.) then
+        invalid_arg "Virtual_clock.create: rate must be finite and > 0";
       Hashtbl.replace rate_tbl flow r)
     rates;
   let vc = Hashtbl.create 16 in

@@ -6,11 +6,13 @@ type session = {
 }
 
 let create ?(qlimit = 100_000) ~link_rate ~rates () =
-  if link_rate <= 0. then invalid_arg "Wfq.create: link_rate must be > 0";
+  if not (Float.is_finite link_rate && link_rate > 0.) then
+    invalid_arg "Wfq.create: link_rate must be finite and > 0";
   let sessions = Hashtbl.create 16 in
   List.iter
     (fun (id, r) ->
-      if r <= 0. then invalid_arg "Wfq.create: rate must be > 0";
+      if not (Float.is_finite r && r > 0.) then
+        invalid_arg "Wfq.create: rate must be finite and > 0";
       Hashtbl.replace sessions id
         { rate = r; queue = Ds.Fifo_queue.create ~limit_pkts:qlimit ();
           tags = Queue.create (); f_last = 0. })

@@ -7,8 +7,8 @@
      ./test_crash.exe [CYCLES [OPS]]
 
    Argument-less (the runtest/quick slice) it runs small and sub-second:
-   sequential and 2-domain, 2 cycles of 6 op rounds each. The @crash
-   alias passes larger numbers. *)
+   2 cycles of 6 op rounds each. The @crash alias passes larger
+   numbers. *)
 
 let () =
   let arg n default =
@@ -16,24 +16,17 @@ let () =
   in
   let cycles = arg 1 2 in
   let ops = arg 2 6 in
-  let failed = ref false in
-  List.iter
-    (fun domains ->
-      match
-        Experiments.Soak.run_crash ~links:2 ~cycles ~ops_per_cycle:ops ~domains
-          ()
-      with
-      | Ok r ->
-          assert (r.Experiments.Soak.cr_fingerprint = r.Experiments.Soak.cr_oracle);
-          assert (r.Experiments.Soak.cr_kills = cycles - 1);
-          assert (r.Experiments.Soak.cr_commands > 0);
-          (* run_crash itself fails a churn cycle that never rotated *)
-          assert (List.length r.Experiments.Soak.cr_rotations = cycles);
-          Printf.printf "crash soak (domains %d): OK — %s" domains
-            (Experiments.Soak.crash_report_text r)
-      | Error why ->
-          failed := true;
-          Printf.printf "crash soak (domains %d): FAILED: %s\n" domains why)
-    [ 1; 2 ];
-  if !failed then exit 1;
-  print_endline "test_crash: all crash soaks recovered bit-identically"
+  match
+    Experiments.Soak.run_crash ~links:2 ~cycles ~ops_per_cycle:ops ()
+  with
+  | Ok r ->
+      assert (r.Experiments.Soak.cr_fingerprint = r.Experiments.Soak.cr_oracle);
+      assert (r.Experiments.Soak.cr_kills = cycles - 1);
+      assert (r.Experiments.Soak.cr_commands > 0);
+      (* run_crash itself fails a churn cycle that never rotated *)
+      assert (List.length r.Experiments.Soak.cr_rotations = cycles);
+      Printf.printf "crash soak: OK — %s" (Experiments.Soak.crash_report_text r);
+      print_endline "test_crash: the crash soak recovered bit-identically"
+  | Error why ->
+      Printf.printf "crash soak: FAILED: %s\n" why;
+      exit 1

@@ -4,7 +4,7 @@
    must produce reply bodies and final engine fingerprints bit-identical
    to the same command stream replayed offline through
    Router.exec_script, for a one-link router over a bare engine, the
-   sequential router, and the multicore router (--domains N). Plus the
+   sequential router, and the multicore router (Mc_router). Plus the
    wire protocol's own corners and the runtest-sized soak slice. *)
 
 module C = Runtime.Command
@@ -1104,8 +1104,7 @@ let test_configs_seed_recoverable_state () =
 
 let test_soak_slice () =
   let report =
-    Experiments.Soak.run ~links:2 ~flows_per_link:3 ~seconds:0.15 ~seed:7
-      ~domains:1 ()
+    Experiments.Soak.run ~links:2 ~flows_per_link:3 ~seconds:0.15 ~seed:7 ()
   in
   (match Experiments.Soak.healthy report with
   | Ok () -> ()

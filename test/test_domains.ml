@@ -850,29 +850,6 @@ let run_tandem_differential () =
   check "end times" (Float.equal got.t_end want.t_end);
   check "departure digests" (got.t_digest = want.t_digest)
 
-(* A configuration the router refuses must not leak the worker domains
-   [Mc_router.of_config] spawned for it: 150 refusals at two domains
-   each would pass OCaml's 128-domain limit if the workers of a refused
-   build were left running. *)
-let run_refused_config () =
-  let cfg =
-    match
-      Config.parse
-        "link rate 1Mbit\n\
-         class a parent root flow 1 rsc 800Kbit\n\
-         class b parent root flow 2 rsc 800Kbit\n"
-    with
-    | Ok c -> c
-    | Error e -> fail "refused config: %s" e
-  in
-  for i = 1 to 150 do
-    match M.of_config ~domains:2 cfg with
-    | Ok _ -> fail "refused config: build %d admitted two 800Kbit rsc leaves" i
-    | Error e ->
-        if not (String.starts_with ~prefix:"line 3: admission-realtime: " e)
-        then fail "refused config: build %d: unexpected error %S" i e
-  done
-
 (* --- the turn under a watchdog ------------------------------------------ *)
 
 (* Turns through 1- and 2-domain routers: back-to-back calls, and
@@ -991,7 +968,6 @@ let () =
   run_full_ring ();
   run_sim_differential ();
   run_tandem_differential ();
-  run_refused_config ();
   List.iter (fun domains -> run_turns ~domains ~calls) [ 1; 2 ];
   let posted = ref 0 and late = ref 0 in
   for seed = 0 to seeds - 1 do
@@ -1015,9 +991,6 @@ let () =
     "domains ok: a two-hop tandem over one-link Mc_router hops (cross \
      traffic at hop 1) matches the same tandem over Engine.adapter hops \
      (digest, departures, drops, delivered bytes, end time)\n";
-  Printf.printf
-    "domains ok: 150 refused configurations at 2 domains each: every \
-     build's workers stopped\n";
   Printf.printf
     "domains ok: %d calls through each of a 1- and a 2-domain router under \
      a watchdog (back-to-back calls; post/flush cycles of 1500 posts \

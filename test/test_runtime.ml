@@ -1535,6 +1535,26 @@ let sums_match_fold =
    leaves the link's sum near empty, where rebuilding it from every
    class at each emptying would cost as much. The ids stay clear of a
    power of two, where the telemetry tables double. *)
+(* Announcing class ids makes one counters record per announced id,
+   not one per slot of the grown table. Ids 0-1010 grow the tables to
+   1,024 slots: 1,011 records of 11 words, plus the growth steps still
+   small enough for the minor heap (the record and flag tables at 8 to
+   256 slots, 510 words each; the curve table at 32 to 256 floats, 484
+   words), 12,625 words in all. A record per slot, made at each
+   doubling, costs 231 words more. *)
+let test_ensure_class_allocation () =
+  let t = T.create () in
+  let before = Gc.minor_words () in
+  for id = 0 to 1010 do
+    T.ensure_class t ~id
+  done;
+  let words = Gc.minor_words () -. before in
+  let expected = float_of_int ((1011 * 11) + (2 * 510) + 484) in
+  if words > expected then
+    Alcotest.failf
+      "announcing ids 0-1010 allocated %.0f minor words, want at most %.0f"
+      words expected
+
 let test_add_allocation () =
   let rsc = Sc.make ~m1:6e4 ~d:0.002 ~m2:4e4 and fsc = Sc.linear 4e4 in
   let words_per_op ~leaf_rsc ~churn groups =
@@ -1638,6 +1658,8 @@ let () =
             test_simulated_poll_allocation;
           Alcotest.test_case "stats-json escapes control bytes" `Quick
             test_stats_json_escapes_control_bytes;
+          Alcotest.test_case "class announcement allocation" `Quick
+            test_ensure_class_allocation;
         ] );
       ( "flows",
         [

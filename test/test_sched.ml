@@ -390,6 +390,55 @@ let test_hpfq_construction_errors () =
        false
      with Invalid_argument _ -> true)
 
+(* Every rate a baseline takes must be finite and positive: a NaN rate
+   would otherwise reach the tags and leave the order to NaN
+   comparisons. Each of the 11 rate parameters, fed each non-finite
+   value, with every other argument valid. *)
+let test_non_finite_rates_refused () =
+  let module H = Sched.Hpfq in
+  let module C = Sched.Cbq in
+  let params =
+    [
+      ("Wfq.create link_rate", fun r ->
+          ignore (Sched.Wfq.create ~link_rate:r ~rates:[ (1, 1e5) ] ()));
+      ("Wfq.create rate", fun r ->
+          ignore (Sched.Wfq.create ~link_rate:1e6 ~rates:[ (1, r) ] ()));
+      ("Wf2q.create link_rate", fun r ->
+          ignore (Sched.Wf2q.create ~link_rate:r ~rates:[ (1, 1e5) ] ()));
+      ("Wf2q.create rate", fun r ->
+          ignore (Sched.Wf2q.create ~link_rate:1e6 ~rates:[ (1, r) ] ()));
+      ("Virtual_clock.create rate", fun r ->
+          ignore (Sched.Virtual_clock.create ~rates:[ (1, r) ] ()));
+      ("Hpfq.create link_rate", fun r -> ignore (H.create ~link_rate:r ()));
+      ("Hpfq.add_node rate", fun r ->
+          let t = H.create ~link_rate:1e6 () in
+          ignore (H.add_node t ~parent:(H.root t) ~name:"n" ~rate:r));
+      ("Hpfq.add_leaf rate", fun r ->
+          let t = H.create ~link_rate:1e6 () in
+          ignore (H.add_leaf t ~parent:(H.root t) ~name:"l" ~rate:r ~flow:1 ()));
+      ("Cbq.create link_rate", fun r -> ignore (C.create ~link_rate:r ()));
+      ("Cbq.add_node rate", fun r ->
+          let t = C.create ~link_rate:1e6 () in
+          ignore (C.add_node t ~parent:(C.root t) ~name:"n" ~rate:r));
+      ("Cbq.add_leaf rate", fun r ->
+          let t = C.create ~link_rate:1e6 () in
+          ignore (C.add_leaf t ~parent:(C.root t) ~name:"l" ~rate:r ~flow:1 ()));
+    ]
+  in
+  List.iter
+    (fun (what, build) ->
+      List.iter
+        (fun r ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s = %g refused" what r)
+            true
+            (try
+               build r;
+               false
+             with Invalid_argument _ -> true))
+        [ nan; infinity; neg_infinity ])
+    params
+
 let test_hpfq_sibling_priority () =
   (* a2 idle: a1 absorbs A's whole 50%, not 25% *)
   let s = mk_hpfq () in
@@ -489,6 +538,8 @@ let () =
         [
           conservation_all;
           Alcotest.test_case "weighted splits" `Slow test_weighted_splits;
+          Alcotest.test_case "non-finite rates refused" `Quick
+            test_non_finite_rates_refused;
         ] );
       ("fifo", [ Alcotest.test_case "global order" `Quick test_fifo_is_fifo ]);
       ( "virtual-clock",
