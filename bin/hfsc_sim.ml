@@ -4,7 +4,7 @@
      hfsc_sim list                 enumerate the reproduction experiments
      hfsc_sim run E1 E3 ...        run selected experiments (or "all")
      hfsc_sim simulate CONFIG [SCRIPT] [--time S] [--stats-json F]
-              [--trace F] [--debug]
+              [--trace F]
                                    simulate a config (any backend, any
                                    number of links), replaying a timed
                                    command script against it
@@ -53,7 +53,8 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc) Term.(const run $ ids)
 
-(* The run loop behind 'simulate', over the router's control plane. *)
+(* The run loop behind 'simulate', over the router's control plane;
+   [stats_json] and [trace] are open (path, channel) pairs. *)
 let drive ~cfg ~cmds ~seconds ~stats_json ~trace core =
   let module Core = Runtime.Router_core in
   let links = Core.adapters core in
@@ -71,8 +72,11 @@ let drive ~cfg ~cmds ~seconds ~stats_json ~trace core =
       ()
   in
   let delays = Netsim.Stats.Flow_delay.attach sim in
-  let recorder = Netsim.Recorder.create () in
-  if trace <> None then Netsim.Recorder.attach recorder sim;
+  let trace =
+    Option.map
+      (fun (path, oc) -> (path, oc, Netsim.Stats.Csv_trace.attach oc sim))
+      trace
+  in
   List.iter
     (fun (at, cmd) ->
       Netsim.Sim.at sim at (fun ~now ->
@@ -128,22 +132,17 @@ let drive ~cfg ~cmds ~seconds ~stats_json ~trace core =
         n mean mx)
     (List.sort_uniq compare (List.map Netsim.Source.flow sources));
   (match stats_json with
-  | Some path ->
-      let oc = open_out_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc (Json_lite.to_string (Core.stats_json core)));
+  | Some (path, oc) ->
+      output_string oc (Json_lite.to_string (Core.stats_json core));
+      close_out oc;
       Printf.printf "\nwrote stats to %s\n" path
   | None -> ());
   (match trace with
-  | Some path -> (
-      match Netsim.Recorder.save_csv recorder path with
-      | Ok () ->
-          Printf.printf "wrote %d packet records to %s\n"
-            (Netsim.Recorder.length recorder)
-            path
-      | Error e -> Printf.eprintf "trace: %s\n" e)
+  | Some (path, oc, csv) ->
+      close_out oc;
+      Printf.printf "wrote %d packet records to %s\n"
+        (Netsim.Stats.Csv_trace.rows csv)
+        path
   | None -> ());
   0
 
@@ -184,25 +183,13 @@ let simulate_cmd =
          & info [ "trace" ] ~docv:"FILE"
              ~doc:"Write a per-packet CSV trace to $(docv).")
   in
-  let debug =
-    Arg.(value & flag
-         & info [ "debug" ]
-             ~doc:"Print the scheduler's internal decisions (very verbose).")
-  in
-  let run file script seconds stats_json trace debug =
+  let run file script seconds stats_json trace =
     let refused e =
       Printf.eprintf "%s: %s\n" file e;
       1
     in
-    let warn = List.iter (Printf.eprintf "warning: %s\n") in
-    if debug then begin
-      Logs.set_reporter (Logs.format_reporter ());
-      Logs.set_level (Some Logs.Debug)
-    end;
     match Config.load file with
-    | Error e ->
-        Printf.eprintf "%s: %s\n" file e;
-        1
+    | Error e -> refused e
     | Ok cfg -> (
         let cmds =
           match script with
@@ -220,11 +207,20 @@ let simulate_cmd =
             match Runtime.Router.of_config cfg with
             | Error e -> refused e
             | Ok (router, warnings) ->
-                warn warnings;
-                drive ~cfg ~cmds ~seconds ~stats_json ~trace router))
+                List.iter (Printf.eprintf "warning: %s\n") warnings;
+                (* outputs open before the run, so an unwritable path
+                   fails at once, as "PATH: reason" *)
+                let open_output = Option.map (fun p -> (p, open_out_bin p)) in
+                try
+                  let stats_json = open_output stats_json in
+                  let trace = open_output trace in
+                  drive ~cfg ~cmds ~seconds ~stats_json ~trace router
+                with Sys_error e ->
+                  Printf.eprintf "%s\n" e;
+                  1))
   in
   Cmd.v (Cmd.info "simulate" ~doc)
-    Term.(const run $ file $ script $ seconds $ stats_json $ trace $ debug)
+    Term.(const run $ file $ script $ seconds $ stats_json $ trace)
 
 let daemon_cmd =
   let doc =

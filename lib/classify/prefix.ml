@@ -24,5 +24,3 @@ let to_string p =
 
 let matches p a = Int32.logand a (mask p.len) = p.addr
 let any = { addr = 0l; len = 0 }
-
-let pp ppf p = Format.pp_print_string ppf (to_string p)

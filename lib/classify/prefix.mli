@@ -19,5 +19,3 @@ val matches : t -> int32 -> bool
 
 val any : t
 (** 0.0.0.0/0 — matches everything. *)
-
-val pp : Format.formatter -> t -> unit

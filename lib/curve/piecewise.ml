@@ -319,10 +319,3 @@ let equal ?(eps = 1e-9) a b =
     go xs
   in
   List.for_all (fun x -> Float.abs (eval a x -. eval b x) <= eps) (xs @ mids)
-
-let pp ppf f =
-  Format.fprintf ppf "[@[%a@]]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-       (fun ppf (x, y, s) -> Format.fprintf ppf "(%g,%g,%g)" x y s))
-    (segments f)

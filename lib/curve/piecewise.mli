@@ -88,5 +88,3 @@ val vdev : t -> t -> float
 val equal : ?eps:float -> t -> t -> bool
 (** Pointwise equality up to [eps] (default 1e-9) at all breakpoints of
     both curves and midpoints between them, plus equal final slopes. *)
-
-val pp : Format.formatter -> t -> unit

@@ -53,7 +53,3 @@ let min_with c (s : Service_curve.t) ~x ~y =
 
 let translate_x c delta = { c with x = c.x +. delta }
 let flatten c = { c with dx = 0.; dy = 0. }
-
-let pp ppf c =
-  Format.fprintf ppf "{(%g,%g) dx=%g dy=%g m1=%g m2=%g}" c.x c.y c.dx c.dy c.m1
-    c.m2

@@ -75,5 +75,3 @@ val flatten : t -> t
     class with a {e convex} service curve (end of Section IV-B): a
     convex curve's future demand is what forces early eligibility, and
     its envelope is the second slope from the activation point. *)
-
-val pp : Format.formatter -> t -> unit

@@ -2,17 +2,6 @@ module Sc = Curve.Service_curve
 module Fp = Curve.Fixed_point
 module Fq = Ds.Fifo_queue
 
-(* Debug tracing; enable with Logs.Src.set_level on the "hfsc" source.
-   Message closures are only constructed when the level is enabled (the
-   [debug_on] guard), so disabled logging neither allocates nor costs
-   more than one load+compare per site. *)
-let log_src = Logs.Src.create "hfsc" ~doc:"H-FSC scheduler internals"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
-let debug_on () =
-  match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
-
 type criterion = Realtime | Linkshare
 type vt_policy = Vt_mean | Vt_min | Vt_max
 type eligible_policy = Eligible_paper | Eligible_deadline
@@ -814,10 +803,6 @@ let init_ed t cl now next_len =
           cl.eligible_c <- (if Fp.isc_concave s then ec else Fp.flatten ec));
       cl.fs.e <- rc_inverse cl.eligible_c cl.fs.cumul;
       cl.fs.d <- rc_inverse cl.deadline_c (cl.fs.cumul + next_len);
-      if debug_on () then
-        Log.debug (fun m ->
-            m "activate %s at tick %d: e=%d d=%d cumul=%d" cl.cname now
-              cl.fs.e cl.fs.d cl.fs.cumul);
       ed_insert t cl
 
 (* Recompute e and d after real-time service (cumul advanced). *)
@@ -1013,10 +998,6 @@ let rec make_room t ~now size =
       let dropped = Fq.drop_tail v.queue in
       t.bl_pkts <- t.bl_pkts - 1;
       t.bl_bytes <- t.bl_bytes - dropped.Pkt.Packet.size;
-      if debug_on () then
-        Log.debug (fun m ->
-            m "evict %s at %.6f: seq=%d size=%d (aggregate limit)"
-              v.cname now dropped.Pkt.Packet.seq dropped.Pkt.Packet.size);
       t.on_drop now v dropped;
       make_room t ~now size
     end
@@ -1080,17 +1061,8 @@ let dequeue_core t now =
     let rt = ed_go_mde now t.eligible nil in
     let leaf = if rt != nil then rt else descend_ls t.troot now in
     let crit = if rt != nil then Realtime else Linkshare in
-    if leaf == nil then begin
-      if debug_on () then
-        Log.debug (fun m -> m "dequeue at tick %d: backlogged but rate-capped" now);
-      nil
-    end
+    if leaf == nil then nil
     else begin
-      if debug_on () then
-        Log.debug (fun m ->
-            m "dequeue at tick %d: %s via %s (vt=%d e=%d d=%d)" now leaf.cname
-              (match crit with Realtime -> "realtime" | Linkshare -> "linkshare")
-              leaf.fs.vt leaf.fs.e leaf.fs.d);
       let pkt = Fq.take leaf.queue in
       t.bl_pkts <- t.bl_pkts - 1;
       t.bl_bytes <- t.bl_bytes - pkt.Pkt.Packet.size;

@@ -109,3 +109,20 @@ module Throughput = struct
     List.sort String.compare
       (Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [])
 end
+
+module Csv_trace = struct
+  type t = int ref
+
+  let attach oc sim =
+    output_string oc "time,flow,seq,size,class,criterion,delay\n";
+    let t = ref 0 in
+    Sim.on_departure sim (fun ~now served ->
+        let p = served.Sched.Scheduler.pkt in
+        Printf.fprintf oc "%.9f,%d,%d,%d,%s,%s,%.9f\n" now p.Pkt.Packet.flow
+          p.Pkt.Packet.seq p.Pkt.Packet.size served.Sched.Scheduler.cls
+          served.Sched.Scheduler.criterion (now -. p.Pkt.Packet.arrival);
+        incr t);
+    t
+
+  let rows t = !t
+end

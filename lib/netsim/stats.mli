@@ -1,6 +1,7 @@
 (** Measurement instruments for experiments: per-flow delay statistics
     and per-class throughput time series (the raw material of every
-    figure in the evaluation), each attached to a {!Sim} before it runs. *)
+    figure in the evaluation), each attached to a {!Sim} before it runs,
+    like the per-packet CSV trace. *)
 
 module Delay : sig
   type t
@@ -50,4 +51,15 @@ module Throughput : sig
       time order, empty bins included up to the last nonempty one. *)
 
   val classes : t -> string list
+end
+
+module Csv_trace : sig
+  type t
+
+  val attach : out_channel -> Sim.t -> t
+  (** Writes the header [time,flow,seq,size,class,criterion,delay] now,
+      then one row per departure, on any link, as it happens (nothing is
+      kept). The caller closes the channel. *)
+
+  val rows : t -> int
 end

@@ -34,8 +34,4 @@ let proto_number = function
   | Icmp -> 1
   | Other n -> n
 
-let pp ppf h =
-  Format.fprintf ppf "%s:%d -> %s:%d proto=%d" (addr_to_string h.src) h.sport
-    (addr_to_string h.dst) h.dport (proto_number h.proto)
-
 let equal a b = a = b

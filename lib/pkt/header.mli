@@ -31,5 +31,4 @@ val addr_to_string : int32 -> string
 val proto_number : proto -> int
 (** IANA protocol number (6, 17, 1, or the [Other] payload). *)
 
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

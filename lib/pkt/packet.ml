@@ -12,7 +12,3 @@ let compare a b =
   if c <> 0 then c else Int.compare a.seq b.seq
 
 let equal a b = compare a b = 0
-
-let pp ppf p =
-  Format.fprintf ppf "flow=%d seq=%d size=%d arr=%.6f" p.flow p.seq p.size
-    p.arrival

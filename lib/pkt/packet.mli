@@ -1,9 +1,9 @@
 (** Packets and flows.
 
     The shared vocabulary of every scheduler and of the simulator. A
-    packet is immutable once created; schedulers queue packets, the
-    simulator stamps arrival and departure times through the
-    {!module:Recorder}-style sinks in [netsim]. *)
+    packet is immutable once created; schedulers queue packets, and the
+    simulator hands each departed packet to the departure hooks its
+    readers attach ([Netsim.Stats]: delay, throughput, CSV trace). *)
 
 type t = private {
   flow : int;  (** flow (= leaf class) identifier *)
@@ -22,7 +22,3 @@ val compare : t -> t -> int
 (** Total order: by flow, then sequence number. *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable one-line rendering, e.g. [flow=3 seq=17 size=1500
-    arr=0.042]. *)

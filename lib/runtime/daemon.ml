@@ -136,6 +136,7 @@ type t = {
   mutable shutdown : bool;
   mutable sinks : (string * Trace_log.Sink.t) list; (* active spill *)
   mutable last_totals : (string * int * int) list;
+  mutable spill_error : string option; (* why the spill stopped itself *)
 }
 
 let backlog = 8
@@ -166,6 +167,7 @@ let make ?clock ~journal ~socket backend =
     shutdown = false;
     sinks = [];
     last_totals = [];
+    spill_error = None;
   }
 
 let create ?clock ~socket backend = make ?clock ~journal:None ~socket backend
@@ -177,29 +179,49 @@ let shutdown_requested t = t.shutdown
 let spill_file path ~links link =
   match links with [ _ ] -> path | _ -> path ^ "." ^ link
 
+(* The first failure stops the spill; the next [spill status] or
+   [spill stop] reports it. *)
+let failed t link sink e =
+  if t.spill_error = None then
+    t.spill_error <-
+      Some
+        (Printf.sprintf "spill of link %S to %s failed: %s (spill stopped)"
+           link (Trace_log.Sink.path sink) e)
+
+(* Close every sink, best effort. *)
+let close_all t =
+  List.iter
+    (fun (link, s) ->
+      try Trace_log.Sink.close s with Sys_error e -> failed t link s e)
+    t.sinks;
+  t.sinks <- []
+
 (* Each sink is drained by its link's engine, on the domain that owns
    it: O(events since the last drain). A deleted or downed link is
-   skipped. A write error is raised here, on the serving domain, never
-   inside a port call, where a multicore router would take it for an
-   engine fault and down the link. *)
+   skipped. A write error comes back here, on the serving domain, never
+   escaping a port call, where a multicore router would take it for an
+   engine fault and down the link; it stops the spill, not the daemon. *)
 let drain_sinks t =
   let (Backend core) = t.backend in
-  List.iter
-    (fun (link, sink) ->
-      match Router_core.find_link core link with
-      | None -> ()
-      | Some p -> (
-          match
-            core.Router_core.ops.call p
-              ~down:(fun _ -> Ok 0)
-              (fun eng ->
-                match Engine.drain_trace eng sink with
-                | n -> Ok n
-                | exception e -> Error e)
-          with
-          | Ok _ -> ()
-          | Error e -> raise e))
-    t.sinks
+  let drained (link, sink) =
+    match Router_core.find_link core link with
+    | None -> true
+    | Some p -> (
+        match
+          core.Router_core.ops.call p
+            ~down:(fun _ -> Ok 0)
+            (fun eng ->
+              match Engine.drain_trace eng sink with
+              | n -> Ok n
+              | exception e -> Error e)
+        with
+        | Ok _ -> true
+        | Error (Sys_error e) ->
+            failed t link sink e;
+            false
+        | Error e -> raise e)
+  in
+  if not (List.for_all drained t.sinks) then close_all t
 
 let sink_totals t =
   List.map
@@ -207,12 +229,16 @@ let sink_totals t =
     t.sinks
 
 let close_sinks t =
+  drain_sinks t;
   if t.sinks <> [] then begin
-    drain_sinks t;
     t.last_totals <- sink_totals t;
-    List.iter (fun (_, s) -> Trace_log.Sink.close s) t.sinks;
-    t.sinks <- []
+    close_all t
   end
+
+let take_spill_error t =
+  let e = t.spill_error in
+  t.spill_error <- None;
+  e
 
 let spill_totals t = if t.sinks <> [] then sink_totals t else t.last_totals
 
@@ -231,20 +257,27 @@ let spill_start t path =
     let (Backend core) = t.backend in
     match List.map fst (Router_core.links core) with
     | [] -> Error "no links to spill"
-    | links ->
-        t.sinks <-
-          List.map
-            (fun l ->
-              (l, Trace_log.Sink.create ~path:(spill_file path ~links l) ()))
-            links;
-        drain_sinks t;
-        Ok
-          (String.concat "\n"
-             (List.map
-                (fun (l, s) ->
-                  Printf.sprintf "spilling link %S to %s" l
-                    (Trace_log.Sink.path s))
-                t.sinks))
+    | links -> (
+        t.spill_error <- None;
+        let opened l =
+          let s = Trace_log.Sink.create ~path:(spill_file path ~links l) () in
+          t.sinks <- t.sinks @ [ (l, s) ]
+        in
+        match List.iter opened links with
+        | exception Sys_error e ->
+            close_all t;
+            Error e (* [open_out]'s message names the path *)
+        | () ->
+            let body =
+              String.concat "\n"
+                (List.map
+                   (fun (l, s) ->
+                     Printf.sprintf "spilling link %S to %s" l
+                       (Trace_log.Sink.path s))
+                   t.sinks)
+            in
+            drain_sinks t; (* a failure keeps this reply *)
+            Ok body)
 
 (* --- request handling ------------------------------------------------ *)
 
@@ -308,18 +341,19 @@ let handle_line t conn line =
           match spill_start t path with
           | Ok body -> reply_ok fd body
           | Error m -> reply_err fd "bad-value" m)
-      | "stop", "" ->
-          if t.sinks = [] then reply_err fd "bad-value" "no spill active"
-          else begin
-            close_sinks t;
-            reply_ok fd (totals_text t.last_totals)
-          end
-      | "status", "" ->
-          if t.sinks = [] then reply_ok fd "no spill active"
-          else begin
-            drain_sinks t;
-            reply_ok fd (totals_text (sink_totals t))
-          end
+      | "stop", "" -> (
+          let active = t.sinks <> [] in
+          close_sinks t;
+          match take_spill_error t with
+          | Some m -> reply_err fd "bad-value" m
+          | None when active -> reply_ok fd (totals_text t.last_totals)
+          | None -> reply_err fd "bad-value" "no spill active")
+      | "status", "" -> (
+          drain_sinks t;
+          match take_spill_error t with
+          | Some m -> reply_err fd "bad-value" m
+          | None when t.sinks = [] -> reply_ok fd "no spill active"
+          | None -> reply_ok fd (totals_text (sink_totals t)))
       | _ ->
           reply_err fd "parse-error"
             "usage: spill start PATH | spill stop | spill status")

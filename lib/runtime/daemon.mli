@@ -31,6 +31,11 @@
     one byte at a time are fine: lines are cut from a per-connection
     buffer, never from a single [read].
 
+    {b Spill failures} stop the spill, never the daemon: an unopenable
+    path refuses [spill start] with [err bad-value]; a failed write
+    closes every spill file, and the next [spill status] or [spill
+    stop] answers [err bad-value] with the reason.
+
     Every request gets exactly one reply:
 
     {v

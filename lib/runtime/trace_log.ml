@@ -112,8 +112,10 @@ module Sink = struct
   let close t =
     if not t.closed then begin
       t.closed <- true;
-      flush_buf t;
-      close_out t.oc
+      (* the file is closed even when the flush fails *)
+      Fun.protect ~finally:(fun () -> close_out_noerr t.oc) (fun () ->
+          flush_buf t;
+          close_out t.oc)
     end
 end
 

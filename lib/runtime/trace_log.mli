@@ -71,7 +71,8 @@ module Sink : sig
       drained at least every [capacity] events. *)
 
   val close : t -> unit
-  (** Flush and close; idempotent. Further drains raise [Sys_error]. *)
+  (** Flush and close; idempotent. The file is closed even when the
+      flush raises [Sys_error]. Further drains raise [Sys_error]. *)
 end
 
 (** {2 Reading} *)

@@ -458,14 +458,6 @@ let debug_state c =
     (Fq.length c.queue) (Fq.bytes c.queue) c.deficit c.quantum c.active
     c.sub_pkts c.sub_bytes c.served
 
-let pp_hierarchy ppf t =
-  let rec go indent c =
-    Format.fprintf ppf "%s%s (id %d): %s@." indent c.cname c.id
-      (debug_state c);
-    List.iter (go (indent ^ "  ")) (List.rev c.children_rev)
-  in
-  go "" t.troot
-
 (* --- invariant auditor ----------------------------------------------- *)
 
 let audit t =

@@ -162,7 +162,6 @@ val served_bytes : cls -> float
 val drops : cls -> int
 
 val debug_state : cls -> string
-val pp_hierarchy : Format.formatter -> t -> unit
 
 val audit : t -> string list
 (** Structural invariants (subtree counters vs queues, ring

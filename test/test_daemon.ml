@@ -787,6 +787,76 @@ let test_spill_cost () =
        want < 2000"
       per_command classes
 
+(* --- spill: failures ---------------------------------------------------- *)
+
+let contains s sub =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* A spill the daemon cannot open or write stops itself, never the
+   daemon: after each failure [ping] answers and the configuration is
+   untouched. The ring holds 3000 events (96 kB of records) before the
+   first drain, more than an output channel buffers, so a spill to
+   /dev/full fails inside [spill start]'s own drain; a second one,
+   with nothing new to drain, fails only when [spill stop] closes it. *)
+let test_spill_failures () =
+  let r = mk_router () in
+  let (D.Backend core) = D.backend_of_router r in
+  (match
+     Runtime.Router_core.exec core ~now:0.
+       (Result.get_ok (C.parse "add class a parent root flow 1 fsc 1Mbit"))
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "add class: %s" (E.error_message e));
+  let sched =
+    match Runtime.Router_core.adapters core with
+    | [ (_, _, s) ] -> s
+    | _ -> Alcotest.fail "one link expected"
+  in
+  for seq = 0 to 1499 do
+    let now = float_of_int seq *. 1e-3 in
+    ignore
+      (sched.Sched.Scheduler.enqueue ~now
+         (Pkt.Packet.make ~flow:1 ~size:100 ~seq ~arrival:now));
+    ignore (sched.Sched.Scheduler.dequeue ~now)
+  done;
+  let reply = Alcotest.(result string (pair string string)) in
+  with_daemon r (fun conn ->
+      let req = D.Client.request conn in
+      let fp = req "fingerprint" in
+      let alive what =
+        Alcotest.check reply (what ^ ": ping") (Ok "pong") (req "ping");
+        Alcotest.check reply (what ^ ": fingerprint unchanged") fp
+          (req "fingerprint")
+      in
+      let refused what path = function
+        | Error ("bad-value", m) ->
+            Alcotest.(check bool) (what ^ " names " ^ path) true
+              (contains m path)
+        | Ok b -> Alcotest.failf "%s: accepted: %s" what b
+        | Error (c, m) -> Alcotest.failf "%s: %s %s" what c m
+      in
+      let missing = "/nonexistent-hfsc-dir/x" in
+      refused "unopenable spill start" missing (req ("spill start " ^ missing));
+      alive "unopenable";
+      Alcotest.check reply "nothing spilling" (Ok "no spill active")
+        (req "spill status");
+      if Sys.file_exists "/dev/full" then begin
+        Alcotest.check reply "spill start keeps its reply"
+          (Ok "spilling link \"link0\" to /dev/full")
+          (req "spill start /dev/full");
+        refused "status after a failed drain" "/dev/full" (req "spill status");
+        alive "failed drain";
+        Alcotest.check reply "the spill stopped" (Ok "no spill active")
+          (req "spill status");
+        Alcotest.check reply "second spill start"
+          (Ok "spilling link \"link0\" to /dev/full")
+          (req "spill start /dev/full");
+        refused "stop with a failed close" "/dev/full" (req "spill stop");
+        alive "failed close"
+      end)
+
 (* --- spill: multicore = sequential ------------------------------------ *)
 
 (* Two links, one per backend, overloaded so their rings hold
@@ -1163,6 +1233,8 @@ let () =
             `Quick test_spill_mc_equals_seq;
           Alcotest.test_case "a drain costs O(new events), not O(classes)"
             `Quick test_spill_cost;
+          Alcotest.test_case "open and write failures stop the spill only"
+            `Quick test_spill_failures;
         ] );
       ( "durable",
         [

@@ -333,100 +333,6 @@ let test_adaptive_source () =
        false
      with Invalid_argument _ -> true)
 
-(* --- recorder ------------------------------------------------------------ *)
-
-let test_recorder () =
-  let sched = Sched.Fifo.create () in
-  let sim = Netsim.Sim.create ~link_rate:1000. ~sched () in
-  let rec_ = Netsim.Recorder.create () in
-  Netsim.Recorder.attach rec_ sim;
-  Netsim.Sim.add_source sim
-    (Netsim.Source.script ~flow:7 [ (0., 100); (0., 50) ]);
-  Netsim.Sim.run_until_idle sim ~max_time:10.;
-  Alcotest.(check int) "two records" 2 (Netsim.Recorder.length rec_);
-  (match Netsim.Recorder.records rec_ with
-  | [ r1; r2 ] ->
-      Alcotest.(check int) "flow" 7 r1.Netsim.Recorder.flow;
-      Alcotest.(check (float 1e-9)) "t1" 0.1 r1.Netsim.Recorder.time;
-      Alcotest.(check (float 1e-9)) "delay2" 0.15 r2.Netsim.Recorder.delay
-  | _ -> Alcotest.fail "expected 2");
-  Alcotest.(check int) "filter" 1
-    (List.length
-       (Netsim.Recorder.filter rec_ (fun r -> r.Netsim.Recorder.size = 50)));
-  (* CSV round trip through a buffer file *)
-  let path = Filename.temp_file "hfsc_trace" ".csv" in
-  (match Netsim.Recorder.save_csv rec_ path with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  let ic = open_in path in
-  let header = input_line ic in
-  let row1 = input_line ic in
-  close_in ic;
-  Sys.remove path;
-  Alcotest.(check string) "header" "time,flow,seq,size,class,criterion,delay"
-    header;
-  Alcotest.(check bool) "row has flow 7" true
-    (String.length row1 > 0 && String.contains row1 '7')
-
-let test_trace_replay_roundtrip () =
-  (* capture a run, save, load, replay: the replayed source reproduces
-     the original arrival process exactly *)
-  let sched = Sched.Fifo.create () in
-  let sim = Netsim.Sim.create ~link_rate:10_000. ~sched () in
-  let rec_ = Netsim.Recorder.create () in
-  Netsim.Recorder.attach rec_ sim;
-  Netsim.Sim.add_source sim
-    (Netsim.Source.poisson ~flow:3 ~rate:5_000. ~pkt_size:200 ~seed:11
-       ~stop:2. ());
-  Netsim.Sim.run_until_idle sim ~max_time:30.;
-  let path = Filename.temp_file "hfsc_replay" ".csv" in
-  (match Netsim.Recorder.save_csv rec_ path with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  let records =
-    match Netsim.Recorder.load_csv path with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
-  in
-  Sys.remove path;
-  Alcotest.(check int) "all records loaded" (Netsim.Recorder.length rec_)
-    (List.length records);
-  let replay = Netsim.Recorder.replay_source ~flow:3 records in
-  let original =
-    collect
-      (Netsim.Source.poisson ~flow:3 ~rate:5_000. ~pkt_size:200 ~seed:11
-         ~stop:2. ())
-      100_000
-  in
-  let replayed = collect replay 100_000 in
-  Alcotest.(check int) "same count" (List.length original)
-    (List.length replayed);
-  List.iter2
-    (fun (t1, s1) (t2, s2) ->
-      Alcotest.(check int) "size" s1 s2;
-      Alcotest.(check bool) "time within csv precision" true
-        (Float.abs (t1 -. t2) < 1e-8))
-    original replayed
-
-let test_load_csv_errors () =
-  let path = Filename.temp_file "hfsc_bad" ".csv" in
-  let write s =
-    let oc = open_out path in
-    output_string oc s;
-    close_out oc
-  in
-  write "nonsense\n";
-  (match Netsim.Recorder.load_csv path with
-  | Error e -> Alcotest.(check string) "header" "unrecognized header" e
-  | Ok _ -> Alcotest.fail "expected error");
-  write "time,flow,seq,size,class,criterion,delay\n1,2,3\n";
-  (match Netsim.Recorder.load_csv path with
-  | Error e ->
-      Alcotest.(check bool) "column error mentions line" true
-        (String.length e > 0)
-  | Ok _ -> Alcotest.fail "expected error");
-  Sys.remove path
-
 (* --- stats -------------------------------------------------------------- *)
 
 let test_delay_stats () =
@@ -481,6 +387,29 @@ let test_throughput_bins () =
         (Invalid_argument "Throughput.attach: bin must be finite and positive")
         (fun () -> ignore (Netsim.Stats.Throughput.attach ~bin sim)))
     [ 0.; Float.nan; Float.infinity ]
+
+let test_csv_trace () =
+  (* the whole file, byte for byte: header, then one row per departure
+     as it happens *)
+  let sched = Sched.Fifo.create () in
+  let sim = Netsim.Sim.create ~link_rate:1000. ~sched () in
+  let path = Filename.temp_file "hfsc_trace" ".csv" in
+  let oc = open_out_bin path in
+  let csv = Netsim.Stats.Csv_trace.attach oc sim in
+  Netsim.Sim.add_source sim
+    (Netsim.Source.script ~flow:7 [ (0., 100); (0., 50) ]);
+  Netsim.Sim.run_until_idle sim ~max_time:10.;
+  close_out oc;
+  Alcotest.(check int) "two rows" 2 (Netsim.Stats.Csv_trace.rows csv);
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  Alcotest.(check string) "file"
+    "time,flow,seq,size,class,criterion,delay\n\
+     0.100000000,7,0,100,7,fifo,0.100000000\n\
+     0.150000000,7,1,50,7,fifo,0.150000000\n"
+    text
 
 (* --- engine -------------------------------------------------------------- *)
 
@@ -1144,16 +1073,14 @@ let () =
           Alcotest.test_case "adaptive source" `Quick test_adaptive_source;
           Alcotest.test_case "pull/time/size = next, every constructor" `Quick
             test_pull_matches_next;
-          Alcotest.test_case "recorder + csv" `Quick test_recorder;
-          Alcotest.test_case "trace replay roundtrip" `Quick
-            test_trace_replay_roundtrip;
-          Alcotest.test_case "load_csv errors" `Quick test_load_csv_errors;
         ] );
       ( "stats",
         [
           Alcotest.test_case "delay summary" `Quick test_delay_stats;
           delay_percentile_prop;
           Alcotest.test_case "throughput bins" `Quick test_throughput_bins;
+          Alcotest.test_case "csv trace streams each departure" `Quick
+            test_csv_trace;
         ] );
       ( "engine",
         [

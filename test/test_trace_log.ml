@@ -46,7 +46,7 @@ let random_events rng t n =
 
 let event =
   Alcotest.testable
-    (fun ppf (e : T.event) -> Fmt.string ppf (T.event_to_string e))
+    (fun ppf (e : T.event) -> Format.pp_print_string ppf (T.event_to_string e))
     ( = )
 
 let read_bytes path =
