@@ -53,6 +53,11 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc) Term.(const run $ ids)
 
+(* A failed write or close names its file, as a failed open does:
+   "PATH: reason". *)
+let writing path f =
+  try f () with Sys_error e -> raise (Sys_error (path ^ ": " ^ e))
+
 (* The run loop behind 'simulate', over the router's control plane;
    [stats_json] and [trace] are open (path, channel) pairs. *)
 let drive ~cfg ~cmds ~seconds ~stats_json ~trace core =
@@ -100,7 +105,11 @@ let drive ~cfg ~cmds ~seconds ~stats_json ~trace core =
     cmds;
   let sources = cfg.Config.sources ~until:seconds in
   List.iter (Netsim.Sim.add_source sim) sources;
-  Netsim.Sim.run sim ~until:seconds;
+  (* the trace is the one file the run itself writes *)
+  (match trace with
+  | Some (path, _, _) ->
+      writing path (fun () -> Netsim.Sim.run sim ~until:seconds)
+  | None -> Netsim.Sim.run sim ~until:seconds);
   let n = Netsim.Sim.n_links sim in
   Printf.printf "\n%.1fs simulated, %d link%s\n" seconds n
     (if n = 1 then "" else "s");
@@ -133,13 +142,14 @@ let drive ~cfg ~cmds ~seconds ~stats_json ~trace core =
     (List.sort_uniq compare (List.map Netsim.Source.flow sources));
   (match stats_json with
   | Some (path, oc) ->
-      output_string oc (Json_lite.to_string (Core.stats_json core));
-      close_out oc;
+      writing path (fun () ->
+          output_string oc (Json_lite.to_string (Core.stats_json core));
+          close_out oc);
       Printf.printf "\nwrote stats to %s\n" path
   | None -> ());
   (match trace with
   | Some (path, oc, csv) ->
-      close_out oc;
+      writing path (fun () -> close_out oc);
       Printf.printf "wrote %d packet records to %s\n"
         (Netsim.Stats.Csv_trace.rows csv)
         path
@@ -209,7 +219,8 @@ let simulate_cmd =
             | Ok (router, warnings) ->
                 List.iter (Printf.eprintf "warning: %s\n") warnings;
                 (* outputs open before the run, so an unwritable path
-                   fails at once, as "PATH: reason" *)
+                   fails at once, as "PATH: reason"; a later failed
+                   write or close says the same *)
                 let open_output = Option.map (fun p -> (p, open_out_bin p)) in
                 try
                   let stats_json = open_output stats_json in

@@ -21,7 +21,9 @@ type drop_policy =
           id); the arrival is dropped only if no queue holds two or
           more packets. Queue heads are never evicted, so scheduling
           state needs no repair and real-time deadlines are
-          unaffected. *)
+          unaffected. {!Class_table} picks the victim for [Hfsc] and
+          [Sched.Hls] (the top of its heap); [Hfsc_ref] scans its
+          leaves. *)
 
 val create : ?limit_pkts:int -> ?limit_bytes:int -> unit -> t
 (** [create ?limit_pkts ?limit_bytes ()] is an empty queue.

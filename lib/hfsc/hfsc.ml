@@ -1,6 +1,7 @@
 module Sc = Curve.Service_curve
 module Fp = Curve.Fixed_point
 module Fq = Ds.Fifo_queue
+module Ct = Ds.Class_table
 
 type criterion = Realtime | Linkshare
 type vt_policy = Vt_mean | Vt_min | Vt_max
@@ -82,7 +83,9 @@ type cls = {
   queue : Fq.t;
   cname : string;
   cparent : cls option;
-  mutable cchildren_rev : cls list; (* newest first; O(1) add_class *)
+  (* no children: a copy of the class table's answer, so the per-packet
+     path reads it without a call *)
+  mutable leaf : bool;
   mutable crsc : Sc.t option;
   mutable cfsc : Sc.t option;
   mutable cusc : Sc.t option;
@@ -101,6 +104,7 @@ type cls = {
   mutable nactive : int;
   mutable in_actc : bool;
   mutable ulimit_c : Fp.t;
+  tab : cls Ct.t; (* the scheduler's class table, for {!children} *)
 }
 
 let zero_isc = Fp.isc_of_sc Sc.zero
@@ -122,17 +126,23 @@ let make_fs () =
     vt_agg = ht_infinity;
   }
 
+let new_table () =
+  Ct.create ~what:"Hfsc" ~id:(fun c -> c.id) ~name:(fun c -> c.cname)
+    ~queue:(fun c -> c.queue) ()
+
 (* The "no node" sentinel of the intrusive trees. Never enqueued, never
    inserted; recognized by physical equality only. *)
 let nil =
   let q = Fq.create () in
   let fs = make_fs () in
+  let tab = new_table () in
   let rec c =
     {
       id = -1;
       cname = "<nil>";
       cparent = None;
-      cchildren_rev = [];
+      leaf = true;
+      tab;
       crsc = None;
       cfsc = None;
       cusc = None;
@@ -468,27 +478,12 @@ type t = {
   link_rate : float;
   vt_policy : vt_policy;
   eligible_policy : eligible_policy;
-  (* the class table: slot [i] holds the class with id [i], or [nil]
-     once that class is removed; ids are never reused, so [next_id]
-     slots are in use and the table only grows *)
-  mutable by_id : cls array;
-  mutable next_id : int;
-  (* the live classes of each name, earliest first: [find_class] reads
-     the head, and an add or remove costs O(duplicates of that name) *)
-  byname : (string, cls list) Hashtbl.t;
+  (* ids, names, links, the aggregate backlog and its bounds, the drop
+     policy and hook; the per-packet path reads its counters and bounds
+     as fields *)
+  tab : cls Ct.t;
   troot : cls;
   mutable eligible : cls; (* intrusive ED-tree root; [nil] when empty *)
-  mutable bl_pkts : int;
-  mutable bl_bytes : int;
-  (* aggregate backlog bounds across all leaf queues; [max_int] means
-     unlimited. Checked on every enqueue before the per-class limit. *)
-  mutable agg_pkts : int;
-  mutable agg_bytes : int;
-  mutable policy : drop_policy;
-  (* called once per dropped packet: (now, owning class, packet). For
-     an arriving packet refused admission the class is the destination
-     leaf; under {!Drop_longest} eviction it is the victim. *)
-  mutable on_drop : float -> cls -> Pkt.Packet.t -> unit;
   (* out-parameters of [dequeue_core], valid when it returned a
      non-nil leaf: what was served and under which criterion. Fields
      of the instance rather than module-level refs so [dequeue_into]
@@ -501,13 +496,14 @@ type t = {
 
 let isc_opt = function Some s -> Fp.isc_of_sc s | None -> zero_isc
 
-let make_cls ~id ~name ~parent ~rsc ~fsc ~usc ~qlimit ~qbytes =
+let make_cls ~tab ~name ~parent ~rsc ~fsc ~usc ~qlimit ~qbytes =
   let risc = isc_opt rsc and fisc = isc_opt fsc and uisc = isc_opt usc in
   {
-    id;
+    id = Ct.next_id tab;
     cname = name;
     cparent = parent;
-    cchildren_rev = [];
+    leaf = true;
+    tab;
     crsc = rsc;
     cfsc = fsc;
     cusc = usc;
@@ -539,8 +535,6 @@ let make_cls ~id ~name ~parent ~rsc ~fsc ~usc ~qlimit ~qbytes =
     actc_root = nil;
   }
 
-let no_drop_hook : float -> cls -> Pkt.Packet.t -> unit = fun _ _ _ -> ()
-
 (* How much unused upper-limit allowance a rate-capped class may carry
    forward as a burst: 1 ms, in ticks. *)
 let ulimit_slack = Fp.ticks_of_seconds 0.001
@@ -552,45 +546,25 @@ let create ?(vt_policy = Vt_mean) ?(eligible_policy = Eligible_paper)
     || link_rate < Fp.min_rate || link_rate > Fp.max_rate
   then
     invalid_arg "Hfsc.create: link_rate out of range (not in [0.5, 2^31] B/s)";
+  let tab = new_table () in
   let troot =
-    make_cls ~id:0 ~name:"root" ~parent:None ~rsc:None
+    make_cls ~tab ~name:"root" ~parent:None ~rsc:None
       ~fsc:(Some (Sc.linear link_rate)) ~usc:None ~qlimit:None ~qbytes:None
   in
-  let byname = Hashtbl.create 64 in
-  Hashtbl.replace byname troot.cname [ troot ];
-  let by_id = Array.make 16 nil in
-  by_id.(0) <- troot;
+  Ct.add tab troot;
   {
     link_rate;
     vt_policy;
     eligible_policy;
-    by_id;
-    next_id = 1;
-    byname;
+    tab;
     troot;
     eligible = nil;
-    bl_pkts = 0;
-    bl_bytes = 0;
-    agg_pkts = max_int;
-    agg_bytes = max_int;
-    policy = Tail_drop;
-    on_drop = no_drop_hook;
     deq_pkt = dummy_pkt;
     deq_crit = Realtime;
   }
 
 let root t = t.troot
-let is_leaf_cls c = match c.cchildren_rev with [] -> true | _ :: _ -> false
-
-(* Live classes in id order, which is creation order. *)
-let classes t =
-  let rec go i acc =
-    if i < 0 then acc
-    else
-      let c = t.by_id.(i) in
-      go (i - 1) (if c == nil then acc else c :: acc)
-  in
-  go (t.next_id - 1) []
+let classes t = Ct.classes t.tab
 
 (* Refuse curves the fixed-point arithmetic cannot represent, before
    anything is mutated. *)
@@ -604,54 +578,25 @@ let add_class t ~parent ~name ?rsc ?fsc ?usc ?qlimit ?qlimit_bytes () =
     invalid_arg "Hfsc.add_class: parent has a real-time curve (leaf only)";
   if not (Fq.is_empty parent.queue) then
     invalid_arg "Hfsc.add_class: parent has queued packets";
-  if is_leaf_cls parent && parent.fs.total > 0 then
+  if parent.leaf && parent.fs.total > 0 then
     invalid_arg "Hfsc.add_class: parent already served packets as a leaf";
   let fsc = match fsc with Some _ as f -> f | None -> rsc in
   if rsc = None && fsc = None then
     invalid_arg "Hfsc.add_class: a class needs an rsc or an fsc";
   check_curves "Hfsc.add_class" ~rsc ~fsc ~usc;
   let cl =
-    make_cls ~id:t.next_id ~name ~parent:(Some parent) ~rsc ~fsc ~usc ~qlimit
+    make_cls ~tab:t.tab ~name ~parent:(Some parent) ~rsc ~fsc ~usc ~qlimit
       ~qbytes:qlimit_bytes
   in
-  let n = Array.length t.by_id in
-  if t.next_id = n then begin
-    let bigger = Array.make (2 * n) nil in
-    Array.blit t.by_id 0 bigger 0 n;
-    t.by_id <- bigger
-  end;
-  t.by_id.(t.next_id) <- cl;
-  t.next_id <- t.next_id + 1;
-  parent.cchildren_rev <- cl :: parent.cchildren_rev;
-  (* ids grow, so the newest class of a name goes last *)
-  (match Hashtbl.find_opt t.byname name with
-  | None -> Hashtbl.add t.byname name [ cl ]
-  | Some same -> Hashtbl.replace t.byname name (same @ [ cl ]));
+  Ct.add t.tab ~parent cl;
+  parent.leaf <- false;
   cl
 
 let remove_class t cl =
-  match cl.cparent with
-  | None -> invalid_arg "Hfsc.remove_class: cannot remove the root"
-  | Some parent ->
-      if not (is_leaf_cls cl) then
-        invalid_arg "Hfsc.remove_class: class still has children";
-      if not (Fq.is_empty cl.queue) then
-        invalid_arg "Hfsc.remove_class: class has queued packets";
-      if cl.nactive > 0 || cl.in_ed || cl.in_actc then
-        invalid_arg "Hfsc.remove_class: class is active";
-      parent.cchildren_rev <-
-        List.filter (fun c -> c != cl) parent.cchildren_rev;
-      t.by_id.(cl.id) <- nil;
-      match
-        List.filter (fun c -> c != cl) (Hashtbl.find t.byname cl.cname)
-      with
-      | [] -> Hashtbl.remove t.byname cl.cname
-      | same -> Hashtbl.replace t.byname cl.cname same
+  Ct.remove t.tab cl ~active:(cl.nactive > 0 || cl.in_ed || cl.in_actc);
+  Option.iter (fun p -> p.leaf <- Ct.is_leaf t.tab p) cl.cparent
 
-let class_of_id t id =
-  if id < 0 || id >= t.next_id || Array.unsafe_get t.by_id id == nil then
-    invalid_arg (Printf.sprintf "Hfsc.class_of_id: unknown class id %d" id);
-  Array.unsafe_get t.by_id id
+let class_of_id t id = Ct.class_of_id t.tab id
 
 (* Every check runs before the first store, so a refused change leaves
    the class exactly as it was: the curves' checks, then the limits'. *)
@@ -659,22 +604,11 @@ let modify_class t cl ?rsc ?fsc ?usc ?qlimit ?qlimit_bytes () =
   if rsc <> None || fsc <> None || usc <> None then begin
     if not (Fq.is_empty cl.queue) || cl.nactive > 0 || cl.in_ed || cl.in_actc
     then invalid_arg "Hfsc.modify_class: class is active";
-    if rsc <> None && not (is_leaf_cls cl) then
+    if rsc <> None && not cl.leaf then
       invalid_arg "Hfsc.modify_class: rsc on an interior class";
     check_curves "Hfsc.modify_class" ~rsc ~fsc ~usc
   end;
-  if qlimit <> None || qlimit_bytes <> None then begin
-    if cl == t.troot || not (is_leaf_cls cl) then
-      invalid_arg "Hfsc.modify_class: class is not a leaf";
-    (match qlimit with
-    | Some n when n <= 0 ->
-        invalid_arg "Hfsc.modify_class: limit must be positive"
-    | _ -> ());
-    match qlimit_bytes with
-    | Some n when n <= 0 ->
-        invalid_arg "Hfsc.modify_class: byte limit must be positive"
-    | _ -> ()
-  end;
+  Ct.check_limits t.tab cl ?pkts:qlimit ?bytes:qlimit_bytes ();
   (* re-anchor the runtime curves at the accumulated service so the next
      activation's min-update treats the new curve as the whole history *)
   (match rsc with
@@ -703,25 +637,12 @@ let modify_class t cl ?rsc ?fsc ?usc ?qlimit ?qlimit_bytes () =
 let queue_limit_pkts c = Fq.limit_pkts c.queue
 let queue_limit_bytes c = Fq.limit_bytes c.queue
 
-let set_aggregate_limit t ?pkts ?bytes () =
-  (match pkts with
-  | Some n ->
-      if n <= 0 then
-        invalid_arg "Hfsc.set_aggregate_limit: limit must be positive";
-      t.agg_pkts <- n
-  | None -> ());
-  match bytes with
-  | Some n ->
-      if n <= 0 then
-        invalid_arg "Hfsc.set_aggregate_limit: byte limit must be positive";
-      t.agg_bytes <- n
-  | None -> ()
-
-let aggregate_limit_pkts t = t.agg_pkts
-let aggregate_limit_bytes t = t.agg_bytes
-let set_drop_policy t p = t.policy <- p
-let drop_policy t = t.policy
-let set_drop_hook t f = t.on_drop <- f
+let set_aggregate_limit t = Ct.set_aggregate_limit t.tab
+let aggregate_limit_pkts t = t.tab.max_pkts
+let aggregate_limit_bytes t = t.tab.max_bytes
+let set_drop_policy t p = Ct.set_drop_policy t.tab p
+let drop_policy t = Ct.drop_policy t.tab
+let set_drop_hook t f = t.tab.on_drop <- f
 
 (* Same-unit copies of the Curve.Fixed_point hot functions. Dune's dev
    profile compiles interfaces with -opaque, which turns off
@@ -965,66 +886,30 @@ let rec update_vf cl go_passive len now =
 
 (* --- the public datapath ------------------------------------------ *)
 
-(* Drop-from-longest victim: the leaf with the largest queued byte
-   count among leaves holding at least two packets, ties to the
-   smallest id (deterministic, and mirrored bit-exactly in Hfsc_ref).
-   Requiring >= 2 packets means eviction removes a *tail* packet of a
-   queue that stays nonempty with an unchanged head — so no ED/VT
-   state needs recomputation: deadlines track the head packet and
-   activity tracks emptiness, and neither changes. The scan walks the
-   class table in id order, so a strictly larger queue is what
-   replaces the best; a removed slot holds [nil], whose queue is
-   always empty. *)
-let find_victim t =
-  let best = ref nil in
-  for i = 0 to t.next_id - 1 do
-    let c = Array.unsafe_get t.by_id i in
-    if is_leaf_cls c && Fq.length c.queue >= 2 then begin
-      let b = !best in
-      if b == nil || Fq.bytes c.queue > Fq.bytes b.queue then best := c
-    end
-  done;
-  !best
-
-(* Evict until an arriving packet of [size] bytes fits under the
-   aggregate bounds; [false] if it cannot be made to fit. Terminates:
-   every iteration removes a packet from a >=2-packet queue. *)
-let rec make_room t ~now size =
-  if t.bl_pkts < t.agg_pkts && t.bl_bytes + size <= t.agg_bytes then true
-  else begin
-    let v = find_victim t in
-    if v == nil then false
-    else begin
-      let dropped = Fq.drop_tail v.queue in
-      t.bl_pkts <- t.bl_pkts - 1;
-      t.bl_bytes <- t.bl_bytes - dropped.Pkt.Packet.size;
-      t.on_drop now v dropped;
-      make_room t ~now size
-    end
-  end
-
 let enqueue t ~now cl pkt =
-  if cl == t.troot || not (is_leaf_cls cl) then
+  if cl == t.troot || not cl.leaf then
     invalid_arg "Hfsc.enqueue: class is not a leaf";
   let size = pkt.Pkt.Packet.size in
+  let tab = t.tab in
+  (* a Drop_longest eviction takes a tail from a queue of two or more,
+     so no ED/VT state needs repair: deadlines track the head packet and
+     activity tracks emptiness, and neither changes *)
   let admitted =
     Fq.can_accept cl.queue size
-    && (t.bl_pkts < t.agg_pkts && t.bl_bytes + size <= t.agg_bytes
-       ||
-       match t.policy with
-       | Tail_drop -> false
-       | Drop_longest -> make_room t ~now size)
+    && (tab.pkts < tab.max_pkts && tab.bytes + size <= tab.max_bytes
+       || (tab.evicting && Ct.make_room tab ~now size))
   in
   if not admitted then begin
     Fq.count_drop cl.queue;
-    t.on_drop now cl pkt;
+    tab.on_drop now cl pkt;
     false
   end
   else begin
     let was_empty = Fq.is_empty cl.queue in
     if not (Fq.push cl.queue pkt) then assert false;
-    t.bl_pkts <- t.bl_pkts + 1;
-    t.bl_bytes <- t.bl_bytes + size;
+    tab.pkts <- tab.pkts + 1;
+    tab.bytes <- tab.bytes + size;
+    if tab.evicting then Ct.rekey tab cl.id;
     if was_empty then begin
       (* ticks are needed only on the activation path; the backlogged
          fast path stays conversion-free *)
@@ -1040,7 +925,7 @@ let enqueue t ~now cl pkt =
 (* link-sharing: descend by smallest virtual time that fits. Top-level
    so no closure is built per dequeue. *)
 let rec descend_ls c now =
-  if is_leaf_cls c then c
+  if c.leaf then c
   else begin
     let child = vt_go_ff now c.actc_root in
     if child == nil then nil
@@ -1056,7 +941,8 @@ let rec descend_ls c now =
    [dequeue_into] are thin wrappers, so the two serve bit-identical
    sequences by construction. *)
 let dequeue_core t now =
-  if t.bl_pkts = 0 then nil
+  let tab = t.tab in
+  if tab.pkts = 0 then nil
   else begin
     let rt = ed_go_mde now t.eligible nil in
     let leaf = if rt != nil then rt else descend_ls t.troot now in
@@ -1064,8 +950,9 @@ let dequeue_core t now =
     if leaf == nil then nil
     else begin
       let pkt = Fq.take leaf.queue in
-      t.bl_pkts <- t.bl_pkts - 1;
-      t.bl_bytes <- t.bl_bytes - pkt.Pkt.Packet.size;
+      tab.pkts <- tab.pkts - 1;
+      tab.bytes <- tab.bytes - pkt.Pkt.Packet.size;
+      if tab.evicting then Ct.rekey tab leaf.id;
       update_vf leaf (Fq.is_empty leaf.queue) pkt.Pkt.Packet.size now;
       (match crit with
       | Realtime -> leaf.fs.cumul <- leaf.fs.cumul + pkt.Pkt.Packet.size
@@ -1105,7 +992,7 @@ let dequeue_into t ~now (s : Pkt.Served.t) =
      end
 
 let next_ready_time t ~now =
-  if t.bl_pkts = 0 then None
+  if t.tab.pkts = 0 then None
   else begin
     let nowt = Fp.ticks_of_seconds now in
     let ls_root = t.troot.actc_root in
@@ -1128,20 +1015,17 @@ let next_ready_time t ~now =
     end
   end
 
-let backlog_pkts t = t.bl_pkts
-let backlog_bytes t = t.bl_bytes
+let backlog_pkts t = t.tab.pkts
+let backlog_bytes t = t.tab.bytes
 
 (* --- introspection ------------------------------------------------- *)
 
 let name c = c.cname
 let id c = c.id
-let is_leaf c = is_leaf_cls c
+let is_leaf c = c.leaf
 let parent c = c.cparent
-let children c = List.rev c.cchildren_rev
-let find_class t n =
-  match Hashtbl.find_opt t.byname n with
-  | Some (c :: _) -> Some c
-  | Some [] | None -> None
+let children (c : cls) = Ct.children c.tab c
+let find_class t n = Ct.find t.tab n
 let queue_length c = Fq.length c.queue
 let queue_bytes c = Fq.bytes c.queue
 
@@ -1213,9 +1097,12 @@ let audit t =
   in
   ignore (chk_ed t.eligible);
   (* per-class checks, leaves and interior alike *)
-  let sum_pkts = ref 0 and sum_bytes = ref 0 in
   let check_cls c =
-    let leaf = is_leaf_cls c in
+    let leaf = c.leaf in
+    let kids = Ct.children t.tab c in
+    if leaf <> (kids = []) then
+      err "class %s: leaf flag %b with %d children" c.cname leaf
+        (List.length kids);
     let fsn = c.fs in
     if
       neg fsn.e || neg fsn.d || neg fsn.vt || neg fsn.f || neg fsn.cumul
@@ -1223,8 +1110,6 @@ let audit t =
       || neg fsn.myf || neg fsn.myfadj
     then err "class %s: negative (overflowed?) scheduling state" c.cname;
     if leaf && c != t.troot then begin
-      sum_pkts := !sum_pkts + Fq.length c.queue;
-      sum_bytes := !sum_bytes + Fq.bytes c.queue;
       let backlogged = not (Fq.is_empty c.queue) in
       let should_ed = backlogged && c.crsc <> None in
       if c.in_ed && not should_ed then
@@ -1246,7 +1131,7 @@ let audit t =
       let active_children =
         List.fold_left
           (fun acc ch -> if ch.nactive > 0 then acc + 1 else acc)
-          0 c.cchildren_rev
+          0 kids
       in
       if c.nactive <> active_children then
         err "class %s: nactive=%d but %d children are active" c.cname
@@ -1298,54 +1183,24 @@ let audit t =
             ch.cname;
         if (not ch.in_actc) && Hashtbl.mem vt_members ch.id then
           err "VT(%s): passive child %s still in the tree" c.cname ch.cname)
-      c.cchildren_rev;
+      kids;
     Hashtbl.iter
       (fun _ n ->
-        if not (List.exists (fun ch -> ch == n) c.cchildren_rev) then
+        if not (List.exists (fun ch -> ch == n) kids) then
           err "VT(%s): tree member %s is not a child" c.cname n.cname)
       vt_members
   in
-  let live = classes t in
-  List.iter check_cls live;
-  (* the class table: every live slot holds the class of its own id *)
-  for i = 0 to t.next_id - 1 do
-    let c = t.by_id.(i) in
-    if c != nil && c.id <> i then
-      err "class table: slot %d holds %s (id %d)" i c.cname c.id
-  done;
+  List.iter check_cls (classes t);
   (* every ED member must be a known in_ed leaf *)
   Hashtbl.iter
     (fun _ n ->
       if not n.in_ed then err "ED: tree member %s not flagged in_ed" n.cname;
-      if n.id >= t.next_id || t.by_id.(n.id) != n then
-        err "ED: tree member %s is not a class of this scheduler" n.cname)
+      match Ct.class_of_id t.tab n.id with
+      | c when c == n -> ()
+      | _ | (exception Invalid_argument _) ->
+          err "ED: tree member %s is not a class of this scheduler" n.cname)
     ed_members;
-  if t.bl_pkts <> !sum_pkts then
-    err "backlog: bl_pkts=%d but leaf queues hold %d" t.bl_pkts !sum_pkts;
-  if t.bl_bytes <> !sum_bytes then
-    err "backlog: bl_bytes=%d but leaf queues hold %d" t.bl_bytes !sum_bytes;
-  (* the name index must list exactly the live classes of each name,
-     earliest first, so find_class resolves to the earliest *)
-  let want = Hashtbl.create 16 in
-  List.iter
-    (fun c ->
-      let same = Option.value ~default:[] (Hashtbl.find_opt want c.cname) in
-      Hashtbl.replace want c.cname (c :: same))
-    (List.rev live);
-  let ids l = String.concat " " (List.map (fun c -> string_of_int c.id) l) in
-  Hashtbl.iter
-    (fun name same ->
-      match Hashtbl.find_opt t.byname name with
-      | Some bound when List.equal ( == ) bound same -> ()
-      | Some bound ->
-          err "byname: %S lists ids [%s], expected [%s]" name (ids bound)
-            (ids same)
-      | None -> err "byname: %S unbound" name)
-    want;
-  if Hashtbl.length t.byname <> Hashtbl.length want then
-    err "byname: %d names indexed, %d live" (Hashtbl.length t.byname)
-      (Hashtbl.length want);
-  List.rev !errs
+  List.rev_append !errs (Ct.audit t.tab)
 
 let pp_hierarchy ppf t =
   let rec go indent c =

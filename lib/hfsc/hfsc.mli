@@ -113,7 +113,8 @@ val remove_class : t -> cls -> unit
 (** Remove a passive leaf (or childless interior) class from the
     hierarchy, as kernel implementations allow between traffic.
     A parent left childless becomes usable as a leaf again. Costs
-    O(siblings + classes sharing its name), never O(classes).
+    O(1) plus the classes sharing its name: the class table unlinks it
+    from its siblings' ring.
 
     @raise Invalid_argument if the class is the root, still has
     children, or has queued packets. *)
@@ -218,9 +219,9 @@ val classes : t -> cls list
 (** All classes including the root, in creation order. *)
 
 val class_of_id : t -> int -> cls
-(** [class_of_id t i] is the class whose {!id} is [i]: one bounds check
-    and one load from the scheduler's id-indexed class table, which
-    {!remove_class} clears. Runtime layers address classes by id and
+(** [class_of_id t i] is the class whose {!id} is [i]: a bounds check,
+    a liveness check and a load in the scheduler's id-indexed
+    {!Ds.Class_table}, where {!remove_class} marks the id removed. Runtime layers address classes by id and
     resolve them here, so [t] is the only owner of the mapping.
 
     @raise Invalid_argument if [i] is out of range or names a removed

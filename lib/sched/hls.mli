@@ -69,8 +69,11 @@ val add_class :
     parent that already served packets as a leaf. *)
 
 val remove_class : t -> cls -> unit
-(** @raise Invalid_argument on the root, a class with children, or a
-    class with queued packets. *)
+(** O(1): the class table unlinks the class from its siblings' ring and
+    frees its name.
+
+    @raise Invalid_argument on the root, a class with children, a
+    class with queued packets, or an active class. *)
 
 val modify_class :
   t ->
@@ -142,9 +145,9 @@ val classes : t -> cls list
 (** Creation order, root first. *)
 
 val class_of_id : t -> int -> cls
-(** [class_of_id t i] is the class whose {!id} is [i]: one bounds check
-    and one load from the scheduler's id-indexed class table, which
-    {!remove_class} clears in O(1). Runtime layers address classes by
+(** [class_of_id t i] is the class whose {!id} is [i]: a bounds check,
+    a liveness check and a load in the scheduler's id-indexed
+    {!Ds.Class_table}, where {!remove_class} marks the id removed. Runtime layers address classes by
     id and resolve them here, so [t] is the only owner of the mapping
     (as {!Hfsc.class_of_id}).
 
