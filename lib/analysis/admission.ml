@@ -1,259 +1,165 @@
-module P = Curve.Piecewise
 module Sc = Curve.Service_curve
+module Fp = Curve.Fixed_point
+module Imap = Map.Make (Int)
 
-let has_knee (c : Sc.t) = c.d > 0. && c.m1 <> c.m2
+(* One distinct knee tick's share of the sum: its curves' sm1s and sm2s,
+   and how many curves share it (the entry goes when that reaches 0). *)
+type knee = { s1 : int; s2 : int; k : int }
 
-(* The sum of [curves] in one sweep over their knees. A curve runs at
-   m1 until d and at m2 after it ([P.of_service_curve]: linear at m2
-   when d = 0 or m1 = m2), so the sum's slope changes only at the
-   sorted, distinct knees: O(n log n), where a pairwise [P.sum] fold
-   re-merges and re-validates the whole accumulated curve n times.
+type t = {
+  mutable count : int;
+  mutable linear : int; (* the knee-less curves' sm *)
+  mutable knees : knee Imap.t;
+}
 
-   Every slope is a sum of rates, never a running difference, so
-   rounding cannot drive one negative: between knees it is the linear
-   curves' rates plus the m2s of the knees behind and the m1s of those
-   ahead. The first and the tail slope are the in-order sums a pairwise
-   fold computes, bit for bit — the tail decides asymptotic verdicts,
-   and a fully allocated link can fit or not depending on the order of
-   summation. A knee where the slope does not change is dropped, as
-   [P.sum]'s compression does. *)
-let sum_curves curves =
-  let cs = Array.of_list curves in
-  let first = ref 0. and tail = ref 0. and linear = ref 0. and n = ref 0 in
-  for i = 0 to Array.length cs - 1 do
-    let c : Sc.t = cs.(i) in
-    tail := !tail +. c.m2;
-    if has_knee c then begin
-      first := !first +. c.m1;
-      incr n
-    end
-    else begin
-      first := !first +. c.m2;
-      linear := !linear +. c.m2
-    end
-  done;
-  let n = !n in
-  let knees = Array.make n Sc.zero in
-  let k = ref 0 in
-  Array.iter
-    (fun c ->
-      if has_knee c then begin
-        knees.(!k) <- c;
-        incr k
-      end)
-    cs;
-  (* siblings often share one delay bound, so the knees tend to arrive
-     in order already, and a merge sort does not exploit that *)
-  let in_order = ref true in
-  for i = 1 to n - 1 do
-    if knees.(i).d < knees.(i - 1).d then in_order := false
-  done;
-  if not !in_order then
-    Array.stable_sort (fun (a : Sc.t) (b : Sc.t) -> Float.compare a.d b.d) knees;
-  let ahead = Array.make (n + 1) 0. in
-  for i = n - 1 downto 0 do
-    ahead.(i) <- ahead.(i + 1) +. knees.(i).m1
-  done;
-  (* (x, y, s): the last kept segment; [behind]: the m2s of knees < i *)
-  let segs = ref [ (0., 0., !first) ] in
-  let x = ref 0. and y = ref 0. and s = ref !first in
-  let i = ref 0 and behind = ref 0. in
-  while !i < n do
-    let d = knees.(!i).d in
-    while !i < n && knees.(!i).d = d do
-      behind := !behind +. knees.(!i).m2;
-      incr i
-    done;
-    let s' = if !i = n then !tail else !linear +. !behind +. ahead.(!i) in
-    if s' <> !s then begin
-      y := !y +. (!s *. (d -. !x));
-      x := d;
-      s := s';
-      segs := (d, !y, s') :: !segs
-    end
-  done;
-  P.make (List.rev !segs)
+let create () = { count = 0; linear = 0; knees = Imap.empty }
 
-let violating_breakpoint ~capacity curves =
-  let demand = sum_curves curves in
-  let xs =
-    List.sort_uniq Float.compare
-      (List.map (fun (x, _, _) -> x) (P.segments demand)
-      @ List.map (fun (x, _, _) -> x) (P.segments capacity))
+(* [c] as [Fp.isc_of_sc] converts it for the scheduler: [(dx, sm1,
+   sm2)], with [dx = 0] when the knee vanishes there (d rounds to 0
+   ticks, or both slopes round to one) and the curve runs at sm2. A
+   linear curve needs only its sm2. *)
+let convert (c : Sc.t) =
+  let sm2 = Fp.m2sm c.m2 in
+  if c.d = 0. || c.m1 = c.m2 then (0, sm2, sm2)
+  else
+    let sm1 = Fp.m2sm c.m1 and dx = Fp.knee_ticks c.d in
+    if dx = 0 || sm1 = sm2 then (0, sm2, sm2) else (dx, sm1, sm2)
+
+(* [sign] is 1 to add [c], -1 to take it out *)
+let change r c sign =
+  let dx, sm1, sm2 = convert c in
+  r.count <- r.count + sign;
+  if dx = 0 then r.linear <- r.linear + (sign * sm2)
+  else
+    r.knees <-
+      Imap.update dx
+        (function
+          | None -> Some { s1 = sign * sm1; s2 = sign * sm2; k = sign }
+          | Some e when e.k + sign = 0 -> None
+          | Some e ->
+              Some
+                {
+                  s1 = e.s1 + (sign * sm1);
+                  s2 = e.s2 + (sign * sm2);
+                  k = e.k + sign;
+                })
+        r.knees
+
+let add r c = change r c 1
+let remove r c = change r c (-1)
+
+let of_list curves =
+  let r = create () in
+  List.iter (add r) curves;
+  r
+
+let equal a b =
+  a.count = b.count && a.linear = b.linear && Imap.equal ( = ) a.knees b.knees
+
+(* Demand and capacity at a tick, in B/s x ticks, reach 2^114 (slope
+   sums under 2^53, ticks under 2^61), so the sweep keeps them exact as
+   [hi * 2^61 + lo] with 0 <= lo < 2^61, updated in place: the value is
+   negative exactly when [hi] is. *)
+type wide = { mutable hi : int; mutable lo : int }
+
+let bits = 61
+let mask = (1 lsl bits) - 1
+let wide () = { hi = 0; lo = 0 }
+
+(* [lo] may lie anywhere in (-2^61, 2^62): [asr] and [land] carry it *)
+let set w hi lo =
+  w.hi <- hi + (lo asr bits);
+  w.lo <- lo land mask
+
+let copy ~into w = set into w.hi w.lo
+
+(* [w <- w + a * t] for |a| < 2^55 and 0 <= t < 2^61, from 31-bit
+   halves so that no partial product reaches 2^62 *)
+let add_mul w a t =
+  let m = abs a in
+  let a0 = m land 0x7fff_ffff and a1 = m lsr 31 in
+  let t0 = t land 0x7fff_ffff and t1 = t lsr 31 in
+  let p0 = a0 * t0 and mid = (a1 * t0) + (a0 * t1) in
+  let lo = (p0 land mask) + ((mid land 0x3fff_ffff) lsl 31) in
+  let hi = (2 * a1 * t1) + (mid lsr 30) + (p0 lsr bits) + (lo lsr bits) in
+  let lo = lo land mask in
+  if a < 0 then set w (w.hi - hi) (w.lo - lo) else set w (w.hi + hi) (w.lo + lo)
+
+(* [w <- w - x] *)
+let sub w x = set w (w.hi - x.hi) (w.lo - x.lo)
+
+let lt a b = a.hi < b.hi || (a.hi = b.hi && a.lo < b.lo)
+
+(* [slope * t + offset] in bytes, for the witness's text *)
+let bytes slope t offset =
+  let w = wide () in
+  copy ~into:w offset;
+  add_mul w slope t;
+  ldexp (ldexp (float_of_int w.hi) bits +. float_of_int w.lo) (-30)
+
+let no_knee = { s1 = 0; s2 = 0; k = 0 }
+
+(* The knee of [knees] with the largest excess of demand over the
+   capacity [(cdx, csm1, csm2)], the earlier on a tie, as (t, demand,
+   capacity); [None] when every knee fits. *)
+let worst_knee ~linear knees (cdx, csm1, csm2) =
+  let cap_knee = cdx > 0 in
+  let knees =
+    if cap_knee && not (Imap.mem cdx knees) then Imap.add cdx no_knee knees
+    else knees
   in
-  let worst =
-    List.fold_left
-      (fun acc x ->
-        let d = P.eval demand x and c = P.eval capacity x in
-        match acc with
-        | Some (_, d0, c0) when d0 -. c0 >= d -. c -> acc
-        | _ when d -. c > 1e-6 -> Some (x, d, c)
-        | acc -> acc)
-      None xs
-  in
-  match worst with
-  | Some _ as v -> v
-  | None ->
-      let dr = P.final_slope demand and cr = P.final_slope capacity in
-      if dr > cr +. 1e-9 then Some (infinity, dr, cr) else None
-
-let usc_violating_breakpoint ~rsc ~usc =
-  violating_breakpoint ~capacity:(P.of_service_curve usc) [ rsc ]
-
-(* --- running sums ------------------------------------------------------ *)
-
-module Running = struct
-  module Fmap = Map.Make (Float)
-
-  (* One distinct knee time's share of the sum: its curves' m1s and m2s,
-     and how many curves share it (the entry goes when that reaches 0). *)
-  type knee = { s1 : float; s2 : float; k : int }
-
-  type t = {
-    mutable count : int;
-    mutable nlinear : int;
-    mutable linear : float; (* the knee-less curves' rates *)
-    mutable knees : knee Fmap.t;
-    (* sum of m1 + m2 over every curve summed or taken out since the
-       last [reset]: a bound on any partial sum an accumulator held *)
-    mutable weight : float;
-    mutable updates : int; (* adds and removes since the last [reset] *)
-  }
-
-  let create () =
-    {
-      count = 0;
-      nlinear = 0;
-      linear = 0.;
-      knees = Fmap.empty;
-      weight = 0.;
-      updates = 0;
-    }
-
-  let stale r ~walk = r.updates > r.count && r.updates > walk
-
-  (* [sign] is 1 to add [c], -1 to take it out; a sum that empties
-     becomes exactly 0 again, with no rounding residue. *)
-  let bump knees (c : Sc.t) sign =
-    let f = float_of_int sign in
-    Fmap.update c.d
-      (function
-        | None -> Some { s1 = f *. c.m1; s2 = f *. c.m2; k = sign }
-        | Some e when e.k + sign = 0 -> None
-        | Some e ->
-            Some
-              {
-                s1 = e.s1 +. (f *. c.m1);
-                s2 = e.s2 +. (f *. c.m2);
-                k = e.k + sign;
-              })
-      knees
-
-  let change r (c : Sc.t) sign =
-    r.count <- r.count + sign;
-    r.updates <- r.updates + 1;
-    r.weight <- r.weight +. c.m1 +. c.m2;
-    if has_knee c then r.knees <- bump r.knees c sign
-    else begin
-      r.nlinear <- r.nlinear + sign;
-      r.linear <-
-        (if r.nlinear = 0 then 0. else r.linear +. (float_of_int sign *. c.m2))
-    end
-
-  let add r c = change r c 1
-  let remove r c = change r c (-1)
-
-  let reset r curves =
-    r.count <- 0;
-    r.nlinear <- 0;
-    r.linear <- 0.;
-    r.knees <- Fmap.empty;
-    r.weight <- 0.;
-    List.iter (add r) curves;
-    r.updates <- 0
-
-  let of_list curves =
-    let r = create () in
-    reset r curves;
-    r
-
-  (* The error bound both the running sums and the fold stay inside:
-     each float operation errs by at most epsilon/2 of a value no larger
-     than [weight] times the abscissa, and neither side performs more
-     than [count + updates + knees] of them per accumulator. *)
-  let slack_rate ~terms ~weight =
-    2. *. float_of_int terms *. epsilon_float *. weight
-
-  (* [fits]' sweep state, in one all-float record so that no step
-     boxes a float. *)
-  type sweep = {
-    mutable ahead1 : float; (* the m1s of the knees at or after t *)
-    mutable behind2 : float; (* the m2s of the knees before t *)
-    mutable base : float; (* sum of (m1 - m2) * d over the knees before t *)
-    mutable fits : float; (* 1. while every margin has beaten the slack *)
-  }
-
-  let no_knee = { s1 = 0.; s2 = 0.; k = 0 }
-
-  let fits r ~(capacity : Sc.t) ~remove ~add =
-    (* the change, made to a copy: the knee map is persistent *)
-    let v = { r with count = r.count } in
-    Option.iter (fun c -> change v c (-1)) remove;
-    Option.iter (fun c -> change v c 1) add;
-    let cap_knee = has_knee capacity in
-    let knees =
-      if cap_knee && not (Fmap.mem capacity.d v.knees) then
-        Fmap.add capacity.d no_knee v.knees
-      else v.knees
-    in
-    let linear = v.linear in
-    let slack =
-      slack_rate
-        ~terms:(v.count + v.updates + Fmap.cardinal knees + 2)
-        ~weight:(v.weight +. capacity.m1 +. capacity.m2)
-    in
-    let s = { ahead1 = 0.; behind2 = 0.; base = 0.; fits = 1. } in
-    Fmap.iter (fun _ e -> s.ahead1 <- s.ahead1 +. e.s1) knees;
-    Fmap.iter
-      (fun t e ->
-        let demand = ((linear +. s.ahead1 +. s.behind2) *. t) +. s.base in
-        let cap =
-          if cap_knee && t > capacity.d then
-            (capacity.m1 *. capacity.d) +. (capacity.m2 *. (t -. capacity.d))
-          else if cap_knee then capacity.m1 *. t
-          else capacity.m2 *. t
-        in
-        (* written so that a NaN margin does not fit *)
-        if not (cap -. demand > slack *. t) then s.fits <- 0.;
-        s.ahead1 <- s.ahead1 -. e.s1;
-        s.behind2 <- s.behind2 +. e.s2;
-        s.base <- s.base +. ((e.s1 -. e.s2) *. t))
+  if Imap.is_empty knees then None
+  else begin
+    (* past its knee the capacity is sm2 * t + (sm1 - sm2) * dx *)
+    let cap_base = wide () and none = wide () in
+    if cap_knee then add_mul cap_base (csm1 - csm2) cdx;
+    let ahead1 = ref (Imap.fold (fun _ e a -> a + e.s1) knees 0) in
+    let behind2 = ref 0 in
+    (* [base]: sum of (sm1 - sm2) * dx over the knees behind; [margin]:
+       capacity - demand at the knee; [worst]: the smallest negative
+       margin, met at tick [at] (0: none yet) with the demand's and the
+       capacity's slopes [slope_at] and [cslope_at] and [base] then
+       [worst_base] *)
+    let base = wide () and margin = wide () and worst = wide () in
+    let worst_base = wide () in
+    let at = ref 0 and slope_at = ref 0 and cslope_at = ref 0 in
+    Imap.iter
+      (fun tick e ->
+        let slope = linear + !ahead1 + !behind2 in
+        let past = cap_knee && tick > cdx in
+        let cslope = if past || not cap_knee then csm2 else csm1 in
+        copy ~into:margin (if past then cap_base else none);
+        sub margin base;
+        add_mul margin (cslope - slope) tick;
+        if margin.hi < 0 && (!at = 0 || lt margin worst) then begin
+          copy ~into:worst margin;
+          copy ~into:worst_base base;
+          at := tick;
+          slope_at := slope;
+          cslope_at := cslope
+        end;
+        ahead1 := !ahead1 - e.s1;
+        behind2 := !behind2 + e.s2;
+        add_mul base (e.s1 - e.s2) tick)
       knees;
-    s.fits = 1. && capacity.m2 -. (linear +. s.behind2) > slack
+    let t = !at in
+    if t = 0 then None
+    else
+      Some
+        ( float_of_int t /. Fp.tick_hz,
+          bytes !slope_at t worst_base,
+          bytes !cslope_at t (if cap_knee && t > cdx then cap_base else none) )
+  end
 
-  let drift (r : t) ~against:(fresh : t) =
-    let tol =
-      slack_rate
-        ~terms:(r.count + r.updates + Fmap.cardinal r.knees)
-        ~weight:r.weight
-    in
-    let near a b = Float.abs (a -. b) <= tol in
-    if r.count <> fresh.count || r.nlinear <> fresh.nlinear then
-      Some
-        (Printf.sprintf "%d curves (%d linear), a rebuild sums %d (%d linear)"
-           r.count r.nlinear fresh.count fresh.nlinear)
-    else if not (near r.linear fresh.linear) then
-      Some
-        (Printf.sprintf "linear rate %h, a rebuild sums %h" r.linear
-           fresh.linear)
-    else if
-      not
-        (Fmap.equal
-           (fun a b -> a.k = b.k && near a.s1 b.s1 && near a.s2 b.s2)
-           r.knees fresh.knees)
-    then
-      Some
-        (Printf.sprintf "%d knees, a rebuild has %d with other sums"
-           (Fmap.cardinal r.knees) (Fmap.cardinal fresh.knees))
-    else None
-end
+let fits r ~capacity ~remove ~add =
+  (* the change, made to a copy: the knee map is persistent *)
+  let v = { r with count = r.count } in
+  Option.iter (fun c -> change v c (-1)) remove;
+  Option.iter (fun c -> change v c 1) add;
+  let ((_, _, csm2) as cap) = convert capacity in
+  match worst_knee ~linear:v.linear v.knees cap with
+  | Some w -> Error w
+  | None ->
+      let tail = Imap.fold (fun _ e a -> a + e.s2) v.knees v.linear in
+      if tail > csm2 then Error (infinity, float_of_int tail, float_of_int csm2)
+      else Ok ()

@@ -16,6 +16,8 @@ let ht_infinity = max_int
 
 let ticks_of_seconds s = int_of_float (s *. tick_hz)
 
+let knee_ticks d = int_of_float (Float.round (d *. tick_hz))
+
 let seconds_of_ticks k =
   if k >= ht_infinity then infinity else float_of_int k /. tick_hz
 
@@ -45,7 +47,7 @@ type isc = { sm1 : int; ism1 : int; dx : int; dy : int; sm2 : int; ism2 : int }
 
 let isc_of_sc (s : Service_curve.t) =
   let sm1 = m2sm s.m1 and sm2 = m2sm s.m2 in
-  let dx = int_of_float (Float.round (s.d *. tick_hz)) in
+  let dx = knee_ticks s.d in
   {
     sm1;
     ism1 = m2ism s.m1;

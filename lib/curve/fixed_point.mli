@@ -68,6 +68,10 @@ val seconds_of_ticks : int -> float
 (** Exact for all reachable tick values (they sit far below [2^53]);
     [ht_infinity] maps to [infinity]. *)
 
+val knee_ticks : float -> int
+(** A breakpoint in seconds to ticks, round-to-nearest: the [dx] of
+    {!isc_of_sc}. *)
+
 val m2sm : float -> int
 (** Slope (B/s) to shifted forward slope, round-to-nearest. *)
 

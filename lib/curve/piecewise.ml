@@ -177,8 +177,17 @@ let combine pick_lower a b =
   let seg_of x =
     let ya = eval a x and yb = eval b x in
     let sa = slope_at a x and sb = slope_at b x in
-    if Float.abs (ya -. yb) <= 1e-12 then
-      (x, ya, if pick_lower then Float.min sa sb else Float.max sa sb)
+    (* A tie is relative: a crossing's y carries rounding error that
+       grows with y, and an absolute bound lets that noise pick the
+       wrong tail. On a tie both the value and the slope are the
+       picked side's, so the segment never starts above (for min) or
+       below (for max) either curve. *)
+    if
+      Float.abs (ya -. yb)
+      <= 1e-9 *. Float.max 1. (Float.max (Float.abs ya) (Float.abs yb))
+    then
+      if pick_lower then (x, Float.min ya yb, Float.min sa sb)
+      else (x, Float.max ya yb, Float.max sa sb)
     else if (ya < yb) = pick_lower then (x, ya, sa)
     else (x, yb, sb)
   in

@@ -1184,10 +1184,17 @@ let audit t =
         if (not ch.in_actc) && Hashtbl.mem vt_members ch.id then
           err "VT(%s): passive child %s still in the tree" c.cname ch.cname)
       kids;
+    (* a child is a live class whose parent is [c]: O(1) a member *)
     Hashtbl.iter
       (fun _ n ->
-        if not (List.exists (fun ch -> ch == n) kids) then
-          err "VT(%s): tree member %s is not a child" c.cname n.cname)
+        let live =
+          match Ct.class_of_id t.tab n.id with
+          | l -> l == n
+          | exception Invalid_argument _ -> false
+        in
+        match n.cparent with
+        | Some p when p == c && live -> ()
+        | _ -> err "VT(%s): tree member %s is not a child" c.cname n.cname)
       vt_members
   in
   List.iter check_cls (classes t);

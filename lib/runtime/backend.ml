@@ -1,5 +1,4 @@
 module Sc = Curve.Service_curve
-module Pw = Curve.Piecewise
 module Hls = Sched.Hls
 
 (* --- typed errors (moved here from Engine so every backend speaks
@@ -151,13 +150,13 @@ let pp_violation ~what (at, demand, capacity) =
       "%s infeasible asymptotically: demand rate %.0f B/s > capacity %.0f B/s"
       what demand capacity
 
-module Running = Analysis.Admission.Running
+module Adm = Analysis.Admission
 
 let of_hfsc ~link_rate sched =
-  (* The admission scopes' running sums: [link_sum] holds every leaf's
+  (* The admission scopes' aggregates: [link_sum] holds every leaf's
      rsc, [child_sums] each class's children's fsc (a class without
-     children has no entry). A class op asks them first; only a change
-     they cannot call clearly admissible reaches the folds below. *)
+     children has no entry). Every successful class op keeps them; every
+     check is one sweep over one of them. *)
   let link_curve = Sc.linear link_rate in
   let leaf_rscs () =
     List.filter_map
@@ -165,131 +164,76 @@ let of_hfsc ~link_rate sched =
       (Hfsc.classes sched)
   in
   let child_fscs cls = List.filter_map Hfsc.fsc (Hfsc.children cls) in
-  (* what a rebuild of [link_sum] walks *)
-  let nclasses = ref (List.length (Hfsc.classes sched)) in
-  let link_sum = Running.of_list (leaf_rscs ()) in
+  let link_sum = Adm.of_list (leaf_rscs ()) in
   let child_sums = Hashtbl.create 16 in
   List.iter
     (fun c ->
       if not (Hfsc.is_leaf c) then
-        Hashtbl.replace child_sums (Hfsc.id c) (Running.of_list (child_fscs c)))
+        Hashtbl.replace child_sums (Hfsc.id c) (Adm.of_list (child_fscs c)))
     (Hfsc.classes sched);
-  let no_children = Running.create () in
+  let empty = Adm.create () in
   let children_sum cls =
-    Option.value ~default:no_children
-      (Hashtbl.find_opt child_sums (Hfsc.id cls))
+    Option.value ~default:empty (Hashtbl.find_opt child_sums (Hfsc.id cls))
   in
   (* After a successful class op: [old] out of a sum and [by] in. A
-     stale sum is rebuilt from the scheduler, and a class left without
-     children drops its sum. *)
+     class left without children drops its sum. *)
   let swap r ~old ~by =
-    Option.iter (Running.remove r) old;
-    Option.iter (Running.add r) by
-  in
-  let update_link ~old ~by =
-    swap link_sum ~old ~by;
-    if Running.stale link_sum ~walk:!nclasses then
-      Running.reset link_sum (leaf_rscs ())
+    Option.iter (Adm.remove r) old;
+    Option.iter (Adm.add r) by
   in
   let update_children parent ~old ~by =
     let id = Hfsc.id parent in
-    let r =
-      match Hashtbl.find_opt child_sums id with
-      | Some r -> r
-      | None ->
-          let r = Running.create () in
-          Hashtbl.replace child_sums id r;
-          r
-    in
-    swap r ~old ~by;
     if Hfsc.is_leaf parent then Hashtbl.remove child_sums id
-    else if Running.stale r ~walk:0 then Running.reset r (child_fscs parent)
+    else
+      let r =
+        match Hashtbl.find_opt child_sums id with
+        | Some r -> r
+        | None ->
+            let r = Adm.create () in
+            Hashtbl.replace child_sums id r;
+            r
+      in
+      swap r ~old ~by
   in
-  (* Sum of all leaves' rsc with [replace] swapped in for [target] (or
-     appended when [target] is None) must fit under the link curve. The
-     running sum answers when it can call that clearly true; otherwise
-     the fold over every leaf decides, and words any refusal. *)
+  (* One sweep over [r] with the change applied; [what] words a refusal
+     and is built only for one. *)
+  let check code what r ~capacity ~remove ~add =
+    match Adm.fits r ~capacity ~remove ~add with
+    | Ok () -> Ok ()
+    | Error v -> Error { code; message = pp_violation ~what:(what ()) v }
+  in
+  (* Every leaf's rsc, with [replace] in place of [target]'s (or added
+     for a new class), must fit under the link curve. *)
   let check_rsc ~target ~replace =
-    let old =
+    let remove =
       match target with Some c when Hfsc.is_leaf c -> Hfsc.rsc c | _ -> None
     in
-    if Running.fits link_sum ~capacity:link_curve ~remove:old ~add:replace
-    then Ok ()
-    else
-      let curves =
-        List.filter_map
-          (fun c ->
-            match target with
-            | Some tc when tc == c -> replace
-            | _ -> if Hfsc.is_leaf c then Hfsc.rsc c else None)
-          (Hfsc.classes sched)
-      in
-      let curves =
-        match target with
-        | None -> Option.to_list replace @ curves
-        | Some _ -> curves
-      in
-      match
-        Analysis.Admission.violating_breakpoint
-          ~capacity:(Pw.linear ~slope:link_rate) curves
-      with
-      | None -> Ok ()
-      | Some v ->
-          errf Admission_realtime "%s"
-            (pp_violation ~what:"real-time guarantees" v)
+    check Admission_realtime
+      (fun () -> "real-time guarantees")
+      link_sum ~capacity:link_curve ~remove ~add:replace
   in
   (* Children's fsc under [parent] — with [replace] for [target], or
-     appended as a prospective new child — must fit under the parent's
-     own fsc, asked of the running sum first as above. A parent with no
-     fsc of its own constrains nothing. *)
+     added as a prospective new child — must fit under the parent's own
+     fsc. A parent with no fsc of its own constrains nothing. *)
   let check_fsc_under ~parent ~target ~replace =
     match Hfsc.fsc parent with
     | None -> Ok ()
-    | Some pfsc
-      when Running.fits (children_sum parent) ~capacity:pfsc
-             ~remove:(Option.bind target Hfsc.fsc) ~add:replace ->
-        Ok ()
-    | Some pfsc -> (
-        let curves =
-          List.filter_map
-            (fun c ->
-              match target with
-              | Some tc when tc == c -> replace
-              | _ -> Hfsc.fsc c)
-            (Hfsc.children parent)
-        in
-        let curves =
-          match target with
-          | None -> Option.to_list replace @ curves
-          | Some _ -> curves
-        in
-        match
-          Analysis.Admission.violating_breakpoint
-            ~capacity:(Pw.of_service_curve pfsc) curves
-        with
-        | None -> Ok ()
-        | Some v ->
-            errf Admission_linkshare "%s"
-              (pp_violation
-                 ~what:
-                   (Printf.sprintf "link-sharing under class %S"
-                      (Hfsc.name parent))
-                 v))
+    | Some pfsc ->
+        check Admission_linkshare
+          (fun () ->
+            Printf.sprintf "link-sharing under class %S" (Hfsc.name parent))
+          (children_sum parent) ~capacity:pfsc
+          ~remove:(Option.bind target Hfsc.fsc) ~add:replace
   in
   (* An upper-limit curve below the class's own rsc would let the
      real-time criterion promise service the ulimit then forbids. *)
   let check_usc ~name ~rsc ~usc =
     match (rsc, usc) with
-    | Some rsc, Some usc -> (
-        match Analysis.Admission.usc_violating_breakpoint ~rsc ~usc with
-        | None -> Ok ()
-        | Some v ->
-            errf Admission_ulimit "%s"
-              (pp_violation
-                 ~what:
-                   (Printf.sprintf "upper limit of class %S against its rsc"
-                      name)
-                 v))
+    | Some rsc, Some usc ->
+        check Admission_ulimit
+          (fun () ->
+            Printf.sprintf "upper limit of class %S against its rsc" name)
+          empty ~capacity:usc ~remove:None ~add:(Some rsc)
     | _ -> Ok ()
   in
   (* What every class op checks first: no quantum, and no curve the
@@ -355,26 +299,12 @@ let of_hfsc ~link_rate sched =
     (* an interior class's new fsc must still cover its own children *)
     let* () =
       match p.fsc with
-      | Some nfsc
-        when Hfsc.is_leaf cls
-             || Running.fits (children_sum cls) ~capacity:nfsc ~remove:None
-                  ~add:None ->
-          Ok ()
-      | Some nfsc -> (
-          match
-            Analysis.Admission.violating_breakpoint
-              ~capacity:(Pw.of_service_curve nfsc)
-              (List.filter_map Hfsc.fsc (Hfsc.children cls))
-          with
-          | None -> Ok ()
-          | Some v ->
-              errf Admission_linkshare "%s"
-                (pp_violation
-                   ~what:
-                     (Printf.sprintf "children of class %S against its new fsc"
-                        name)
-                   v))
-      | None -> Ok ()
+      | Some nfsc when not (Hfsc.is_leaf cls) ->
+          check Admission_linkshare
+            (fun () ->
+              Printf.sprintf "children of class %S against its new fsc" name)
+            (children_sum cls) ~capacity:nfsc ~remove:None ~add:None
+      | _ -> Ok ()
     in
     let eff_rsc = match p.rsc with Some _ as r -> r | None -> Hfsc.rsc cls in
     let eff_usc = match p.usc with Some _ as u -> u | None -> Hfsc.usc cls in
@@ -388,8 +318,7 @@ let of_hfsc ~link_rate sched =
     with
     | cls ->
         (* a new class is a leaf, and its parent had no rsc to lose *)
-        incr nclasses;
-        update_link ~old:None ~by:(Hfsc.rsc cls);
+        swap link_sum ~old:None ~by:(Hfsc.rsc cls);
         update_children parent_cls ~old:None ~by:(Hfsc.fsc cls);
         Ok (Hfsc.id cls)
     | exception Invalid_argument e -> of_invalid e
@@ -403,7 +332,7 @@ let of_hfsc ~link_rate sched =
     with
     | () ->
         (* an rsc change succeeds on leaves only *)
-        if p.rsc <> None then update_link ~old:old_rsc ~by:p.rsc;
+        if p.rsc <> None then swap link_sum ~old:old_rsc ~by:p.rsc;
         (match (p.fsc, Hfsc.parent cls) with
         | Some _, Some par -> update_children par ~old:old_fsc ~by:p.fsc
         | _ -> ());
@@ -415,21 +344,19 @@ let of_hfsc ~link_rate sched =
     match Hfsc.remove_class sched cls with
     | () ->
         (* only a leaf can go *)
-        decr nclasses;
-        update_link ~old:(Hfsc.rsc cls) ~by:None;
+        swap link_sum ~old:(Hfsc.rsc cls) ~by:None;
         Option.iter
           (fun par -> update_children par ~old:(Hfsc.fsc cls) ~by:None)
           (Hfsc.parent cls);
         Ok ()
     | exception Invalid_argument e -> of_invalid e
   in
-  (* Each running sum against a rebuild from the scheduler, within the
-     slack: drift, or an op the upkeep missed, shows here. *)
+  (* Each aggregate against a rebuild from the scheduler: an op the
+     upkeep missed shows here. *)
   let audit_sums () =
     let check what r curves =
-      match Running.drift r ~against:(Running.of_list curves) with
-      | None -> []
-      | Some d -> [ Printf.sprintf "admission sum of %s: %s" what d ]
+      if Adm.equal r (Adm.of_list curves) then []
+      else [ Printf.sprintf "admission sum of %s: a rebuild differs" what ]
     in
     let classes = Hfsc.classes sched in
     check "the link's real-time curves" link_sum (leaf_rscs ())

@@ -34,18 +34,19 @@
     scheduler's [modify_class], which checks the whole change before
     making any of it.
 
-    {b Running sums.} The H-FSC backend keeps each admission scope's
-    curve sum as an {!Analysis.Admission.Running} aggregate — the
-    link's leaf rscs, and each class's children's fscs — built from
-    the tree it wraps and updated by every successful [add_class],
-    [modify_class] and [remove_class]. A check the aggregate calls
-    clearly admissible costs O(K) in the scope's distinct knee times
-    instead of a fold over the scope; every other check, each refusal
-    among them, is the fold, so verdicts and refusal texts are the
-    fold's. Hence {b a wrapped [Hfsc.t] may be mutated only through
-    its backend} once wrapped: a class added, changed or removed
-    behind it leaves the sums stale ([audit] reports it). Building the
-    tree first and wrapping it after is fine. *)
+    {b Admission sums.} The H-FSC backend keeps each admission scope's
+    curves as an {!Analysis.Admission.t} aggregate in the scheduler's
+    integers — the link's leaf rscs, and each class's children's fscs —
+    built from the tree it wraps and updated by every successful
+    [add_class], [modify_class] and [remove_class]. Every check, refusal
+    included, is one sweep over one aggregate: O(K) in the scope's
+    distinct knee ticks, never a walk over the scope's classes, and its
+    verdict and refusal text depend only on the scope's curves, not on
+    the order they were added. Hence {b a wrapped [Hfsc.t] may be
+    mutated only through its backend} once wrapped: a class added,
+    changed or removed behind it leaves the sums out of step with the
+    tree ([audit] reports it). Building the tree first and wrapping it
+    after is fine. *)
 
 (** {2 Typed errors} — shared by every backend and re-exported by
     {!Engine}. *)
@@ -167,8 +168,8 @@ type t = {
   backlog_bytes : unit -> int;
   audit : unit -> string list;
       (** structural invariants; [] = healthy. On hfsc this includes
-          each running admission sum against a rebuild from the
-          scheduler, within the sums' rounding slack. *)
+          each admission sum, exactly equal to a rebuild from the
+          scheduler. *)
 }
 
 (** {2 Constructors} *)

@@ -21,8 +21,9 @@
       sum to at most the parent's own fair service curve.
 
     Both sides are piecewise linear, so checking each breakpoint plus
-    the asymptotic rates is exact; a rejection reports the violating
-    breakpoint (time, demand, capacity). A third rule guards upper
+    the asymptotic rates is a complete test, made on the whole-B/s
+    slopes and tick knees the scheduler runs; a rejection reports the
+    violating breakpoint (time, demand, capacity). A third rule guards upper
     limits: a class's ulimit curve must dominate its own rsc, else the
     real-time criterion would promise service the ulimit forbids.
 

@@ -7,8 +7,11 @@ module Sc = Curve.Service_curve
 module Rc = Curve.Runtime_curve
 module P = Curve.Piecewise
 
-let qt ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+(* [long_factor]: how many times [count] the long run ([QCHECK_LONG],
+   the @fuzz alias) draws *)
+let qt ?(count = 200) ?print name gen prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count ~long_factor:100 ?print ~name gen prop)
 
 let feq ?(eps = 1e-6) a b =
   Float.abs (a -. b) <= eps *. Float.max 1. (Float.max (Float.abs a) (Float.abs b))
@@ -259,14 +262,27 @@ let pw_gen =
     in
     return (P.make (List.rev acc)))
 
+(* Every segment in hex, so a printed counterexample rebuilds exactly. *)
+let pw_print f =
+  "["
+  ^ String.concat "; "
+      (List.map
+         (fun (x, y, s) -> Printf.sprintf "(%h, %h, %h)" x y s)
+         (P.segments f))
+  ^ "]"
+
+let pw_pair_print (a, b) = pw_print a ^ "\n" ^ pw_print b
+
 let pw_sum_pointwise =
-  qt "piecewise: sum pointwise" QCheck2.Gen.(pair pw_gen pw_gen)
+  qt "piecewise: sum pointwise" ~print:pw_pair_print
+    QCheck2.Gen.(pair pw_gen pw_gen)
     (fun (a, b) ->
       let s = P.sum a b in
       List.for_all (fun x -> feq (P.eval s x) (P.eval a x +. P.eval b x)) sample_xs)
 
 let pw_min_pointwise =
-  qt "piecewise: min_curve pointwise" QCheck2.Gen.(pair pw_gen pw_gen)
+  qt "piecewise: min_curve pointwise" ~print:pw_pair_print
+    QCheck2.Gen.(pair pw_gen pw_gen)
     (fun (a, b) ->
       let m = P.min_curve a b in
       List.for_all
@@ -274,12 +290,48 @@ let pw_min_pointwise =
         sample_xs)
 
 let pw_max_pointwise =
-  qt "piecewise: max_curve pointwise" QCheck2.Gen.(pair pw_gen pw_gen)
+  qt "piecewise: max_curve pointwise" ~print:pw_pair_print
+    QCheck2.Gen.(pair pw_gen pw_gen)
     (fun (a, b) ->
       let m = P.max_curve a b in
       List.for_all
         (fun x -> feq ~eps:1e-5 (P.eval m x) (Float.max (P.eval a x) (P.eval b x)))
         sample_xs)
+
+(* A pair whose final segments cross past the last breakpoint, near
+   x = 4.6 and y = 140: the crossing's y carries rounding error above an
+   absolute 1e-12, so an absolute tie test let that noise pick the
+   steeper tail for the minimum (and the shallower for the maximum),
+   and the wrong curve ran on to x = 100. *)
+let test_pw_tail_crossing () =
+  let a =
+    P.make
+      [
+        (0x0p+0, 0x0p+0, 0x1.709edb6df102cp+4);
+        (0x1.67fb6e6d43784p+0, 0x1.032c683cf46ccp+5, 0x0p+0);
+        (0x1.12b1e9176089ep+2, 0x1.f58a0e7cd15d8p+6, 0x1.73f3da5e57272p+6);
+      ]
+  and b =
+    P.make
+      [
+        (0x0p+0, 0x1.4063ebf44219ep+6, 0x1.f2fcf3fc8f5fdp+3);
+        (0x1.999999999999ap-3, 0x1.4cdd720dc5af8p+6, 0x0p+0);
+        (0x1.999999999999ap-2, 0x1.5f3d42bb382cdp+6, 0x1.25fd0ad727d55p+2);
+        (0x1.5aa1b8001503p+1, 0x1.789f2a75ec0bp+7, 0x1.679861d954ac3p+6);
+      ]
+  in
+  List.iter
+    (fun x ->
+      let ya = P.eval a x and yb = P.eval b x in
+      Alcotest.(check bool)
+        (Printf.sprintf "min at x=%g" x)
+        true
+        (feq ~eps:1e-5 (P.eval (P.min_curve a b) x) (Float.min ya yb));
+      Alcotest.(check bool)
+        (Printf.sprintf "max at x=%g" x)
+        true
+        (feq ~eps:1e-5 (P.eval (P.max_curve a b) x) (Float.max ya yb)))
+    sample_xs
 
 let pw_shift =
   qt "piecewise: shift_right" pw_gen (fun f ->
@@ -483,6 +535,8 @@ let () =
           pw_sum_pointwise;
           pw_min_pointwise;
           pw_max_pointwise;
+          Alcotest.test_case "min/max past a tail crossing" `Quick
+            test_pw_tail_crossing;
           pw_shift;
           pw_hdev_brute;
           pw_vdev_brute;

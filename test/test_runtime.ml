@@ -953,8 +953,11 @@ let test_exec_script_strict () =
 
 module G = QCheck2.Gen
 
-let qt ?(count = 250) name gen print prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name ~print gen prop)
+(* [long_factor]: how many times [count] the long run ([QCHECK_LONG],
+   the @fuzz alias) draws *)
+let qt ?(count = 250) ?(long_factor = 1) name gen print prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count ~long_factor ~name ~print gen prop)
 
 let name_gen = G.string_size ~gen:(G.char_range 'a' 'z') (G.int_range 1 8)
 
@@ -1263,17 +1266,18 @@ let test_reserved_link_names () =
   | Ok _ -> Alcotest.fail "expected read failure"
   | Error { C.line; _ } -> Alcotest.(check int) "line 0" 0 line
 
-(* --- admission by running sums ------------------------------------- *)
+(* --- admission from scratch ------------------------------------------ *)
 
-(* The backend answers most class ops from running curve sums and falls
-   back to the fold over every curve of the scope only when those
-   cannot call the change clearly admissible. The oracle here is that
-   fold alone, redone from [Hfsc.classes] on every op: an engine whose
-   backend has its two admission tests swapped for it. Every reply —
-   the text, or the error code and message — must be the same. *)
+(* The backend answers every class op from integer aggregates it keeps
+   op by op. The oracle here shares no code with them: on every op it
+   collects the scope's curves from [Hfsc.classes] afresh, converts each
+   as the scheduler does, and evaluates demand and capacity at every
+   knee tick of either side from the definition — an engine whose
+   backend has its admission tests swapped for that. Every reply — the
+   text, or the error code and message — must be the same. *)
 
 module B = Runtime.Backend
-module Adm = Analysis.Admission
+module Fp = Curve.Fixed_point
 
 let pp_violation ~what (at, demand, capacity) =
   if Float.is_finite at then
@@ -1285,14 +1289,55 @@ let pp_violation ~what (at, demand, capacity) =
       "%s infeasible asymptotically: demand rate %.0f B/s > capacity %.0f B/s"
       what demand capacity
 
+(* [curves] under [capacity]: the witness with the largest excess, the
+   earlier knee on a tie, else the tail rates; [None] when they fit *)
+let scratch_violation ~capacity curves =
+  let knee c =
+    let i = Fp.isc_of_sc c in
+    if i.Fp.dx = 0 || i.sm1 = i.sm2 then (0, i.sm2, i.sm2)
+    else (i.dx, i.sm1, i.sm2)
+  in
+  let secs tick = float_of_int tick /. Fp.tick_hz in
+  let eval (dx, sm1, sm2) tick =
+    if tick <= dx then float_of_int sm1 *. secs tick
+    else
+      (float_of_int sm1 *. secs dx)
+      +. (float_of_int sm2 *. (secs tick -. secs dx))
+  in
+  let cap = knee capacity and ks = List.map knee curves in
+  let ticks =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (dx, _, _) -> if dx > 0 then Some dx else None)
+         (cap :: ks))
+  in
+  let worst =
+    List.fold_left
+      (fun acc tick ->
+        let d = List.fold_left (fun s k -> s +. eval k tick) 0. ks in
+        let c = eval cap tick in
+        match acc with
+        | Some (_, d0, c0) when d0 -. c0 >= d -. c -> acc
+        | _ when d > c -> Some (secs tick, d, c)
+        | acc -> acc)
+      None ticks
+  in
+  let tail = List.fold_left (fun s (_, _, sm2) -> s + sm2) 0 ks in
+  let _, _, cap_rate = cap in
+  match worst with
+  | Some _ -> worst
+  | None when tail > cap_rate ->
+      Some (infinity, float_of_int tail, float_of_int cap_rate)
+  | None -> None
+
 let fold_admission ~link_rate sched (be : B.t) =
   let ( let* ) = Result.bind in
   let refuse code what = function
     | None -> Ok ()
     | Some v -> Error { B.code; message = pp_violation ~what v }
   in
-  (* the scope's curves with [replace] for [target], or put first when
-     there is no target: the order the backend's fold sums in *)
+  (* the scope's curves with [replace] for [target], or added when there
+     is no target *)
   let scope ~target ~replace cls_curve classes =
     let curves =
       List.filter_map
@@ -1306,8 +1351,7 @@ let fold_admission ~link_rate sched (be : B.t) =
   in
   let rsc ~target ~replace =
     refuse B.Admission_realtime "real-time guarantees"
-      (Adm.violating_breakpoint
-         ~capacity:(Curve.Piecewise.linear ~slope:link_rate)
+      (scratch_violation ~capacity:(Sc.linear link_rate)
          (scope ~target ~replace
             (fun c -> if Hfsc.is_leaf c then Hfsc.rsc c else None)
             (Hfsc.classes sched)))
@@ -1318,8 +1362,7 @@ let fold_admission ~link_rate sched (be : B.t) =
     | Some pfsc ->
         refuse B.Admission_linkshare
           (Printf.sprintf "link-sharing under class %S" (Hfsc.name parent))
-          (Adm.violating_breakpoint
-             ~capacity:(Curve.Piecewise.of_service_curve pfsc)
+          (scratch_violation ~capacity:pfsc
              (scope ~target ~replace Hfsc.fsc (Hfsc.children parent)))
   in
   let usc ~name ~rsc ~usc =
@@ -1327,7 +1370,7 @@ let fold_admission ~link_rate sched (be : B.t) =
     | Some rsc, Some usc ->
         refuse B.Admission_ulimit
           (Printf.sprintf "upper limit of class %S against its rsc" name)
-          (Adm.usc_violating_breakpoint ~rsc ~usc)
+          (scratch_violation ~capacity:usc [ rsc ])
     | _ -> Ok ()
   in
   let params ~name (p : B.params) =
@@ -1373,8 +1416,7 @@ let fold_admission ~link_rate sched (be : B.t) =
       | Some nfsc when not (Hfsc.is_leaf cls) ->
           refuse B.Admission_linkshare
             (Printf.sprintf "children of class %S against its new fsc" name)
-            (Adm.violating_breakpoint
-               ~capacity:(Curve.Piecewise.of_service_curve nfsc)
+            (scratch_violation ~capacity:nfsc
                (List.filter_map Hfsc.fsc (Hfsc.children cls)))
       | _ -> Ok ()
     in
@@ -1415,38 +1457,56 @@ let modify_op ?rsc ?fsc ?usc name =
       qbytes = None;
     }
 
-(* 0.2 + 0.3 + 0.4 is 0.9 summed in that order and one ulp more summed
-   0.4 + 0.2 + 0.3, which is the order the fold takes for a new class
-   behind two older ones. At 2^30 B/s that ulp is 1.2e-7 B/s, above the
-   fold's 1e-9 tolerance, so the verdict rests on the order: the fold
-   refuses, and running sums that judged a zero margin themselves would
-   admit. *)
+(* 0.2 + 0.3 + 0.4 (x 2^30 B/s) is 0.9 summed in that order and one
+   ulp more summed 0.4 + 0.2 + 0.3: at 2^30 B/s that ulp is 1.2e-7 B/s,
+   so a float sum's verdict on a 0.9 x 2^30 B/s link rests on the order
+   the classes arrived in. In the scheduler's whole B/s the rates are
+   214748365, 322122547 and 429496730 and the link 966367642: an exact
+   fit in every order. *)
 let order_scale = 1073741824.
 
-let order_ops =
+let order_ops order =
   let lin k = Sc.linear (k *. order_scale) in
   let small = Sc.linear 1e3 in
-  [
-    add_op "a" "root" ~rsc:(lin 0.2) ~fsc:small;
-    add_op "b" "root" ~rsc:(lin 0.3) ~fsc:small;
-    add_op "c" "root" ~rsc:(lin 0.4) ~fsc:small;
-    modify_op "b" ~rsc:(lin 0.3);
-    modify_op "a" ~rsc:(lin 0.2);
-  ]
+  List.map
+    (fun (name, k) -> add_op name "root" ~rsc:(lin k) ~fsc:small)
+    order
+  @ [ modify_op "b" ~rsc:(lin 0.3); modify_op "a" ~rsc:(lin 0.2) ]
 
 let test_order_case () =
   let link_rate = 0.9 *. order_scale in
-  let eng =
-    E.create ~audit_every:1 ~link_rate (Hfsc.create ~link_rate ())
-      ~flow_map:[] ()
-  and oracle = fold_engine ~link_rate in
-  let replies e =
-    List.map (fun op -> reply (E.exec_op e ~now:0. op)) order_ops
+  let abc = [ ("a", 0.2); ("b", 0.3); ("c", 0.4) ] in
+  let orders =
+    List.concat_map
+      (fun x ->
+        let rest = List.filter (( != ) x) abc in
+        List.concat_map
+          (fun y -> [ [ x; y; List.find (fun z -> z != x && z != y) rest ] ])
+          rest)
+      abc
   in
-  let got = replies eng in
-  Alcotest.(check (list string)) "replies = the fold's" (replies oracle) got;
-  check_contains "the third rsc is refused on its tail" (List.nth got 2)
-    "admission-realtime real-time guarantees infeasible asymptotically"
+  Alcotest.(check int) "six orders" 6 (List.length orders);
+  List.iter
+    (fun order ->
+      let eng =
+        E.create ~audit_every:1 ~link_rate (Hfsc.create ~link_rate ())
+          ~flow_map:[] ()
+      and oracle = fold_engine ~link_rate in
+      let replies e =
+        List.map (fun op -> reply (E.exec_op e ~now:0. op)) (order_ops order)
+      in
+      let got = replies eng in
+      Alcotest.(check (list string))
+        "replies = the reference's" (replies oracle) got;
+      List.iter
+        (fun r -> Alcotest.(check bool) ("admitted: " ^ r) true (r.[0] = 'o'))
+        got;
+      check_contains "a fourth rsc is refused on its tail"
+        (reply
+           (E.exec_op eng ~now:0.
+              (add_op "d" "root" ~rsc:(Sc.linear 1.) ~fsc:(Sc.linear 1e3))))
+        "admission-realtime real-time guarantees infeasible asymptotically")
+    orders
 
 (* Curves shaped as test_analysis's sweep cases draws them, at 0.8-1.2x
    of [base]: a few ops fill a scope to around its capacity, so
@@ -1502,7 +1562,10 @@ let sums_match_fold =
     let* link_rate = oneofl [ 1e6; 1.25e8; 0.9 *. order_scale ] in
     let* ops =
       frequency
-        [ (9, ops_gen ~link_rate); (1, pure order_ops) ]
+        [
+          (9, ops_gen ~link_rate);
+          (1, pure (order_ops [ ("c", 0.4); ("a", 0.2); ("b", 0.3) ]));
+        ]
     in
     pure (link_rate, ops)
   in
@@ -1511,7 +1574,8 @@ let sums_match_fold =
       (String.concat "\n"
          (List.map (fun op -> pp_cmd { C.target = C.Default_link; op }) ops))
   in
-  qt ~count:300 "replies = a fold from scratch, op by op" gen print
+  qt ~count:300 ~long_factor:20 "replies = a fold from scratch, op by op" gen
+    print
     (fun (link_rate, ops) ->
       let eng =
         E.create ~audit_every:1 ~link_rate (Hfsc.create ~link_rate ())
@@ -1522,19 +1586,114 @@ let sums_match_fold =
           let want = reply (E.exec_op oracle ~now:0. op) in
           let got = reply (E.exec_op eng ~now:0. op) in
           want = got
-          || QCheck2.Test.fail_reportf "%s\n  fold: %s\n  sums: %s"
+          || QCheck2.Test.fail_reportf "%s\n  scratch: %s\n  sums: %s"
                (pp_cmd { C.target = C.Default_link; op })
                want got)
         ops)
+
+(* One multiset of curves, inserted in random orders interleaved with
+   adds and removes of other classes, must get one reply for a probe:
+   the same verdict and, on a refusal, the same text. The multiset's
+   classes are leaves under a parent [p], each with its curve as rsc
+   and fsc, so they fill both the link's scope and [p]'s; at most 0.12
+   of the link each, under a [p] of at least 0.64, they fit both in
+   any order. The others are
+   small leaves under the root, all gone before the probe, which adds
+   one more class to [p] with an rsc and a small fsc (judged on the
+   link) or an fsc only (judged under [p]), sized around what is
+   left. *)
+let order_independent =
+  let gen =
+    let open G in
+    let* link_rate = oneofl [ 1e6; 1.25e8; 0.9 *. order_scale ] in
+    let* members = list_size (int_range 2 5) (curve_gen (link_rate /. 10.)) in
+    let* pfsc = curve_gen (link_rate *. 0.8) in
+    let left =
+      link_rate -. List.fold_left (fun s c -> s +. Sc.rate c) 0. members
+    in
+    let* with_rsc = bool in
+    let* probe =
+      curve_gen (if with_rsc then left else Sc.rate pfsc -. (link_rate -. left))
+    in
+    (* per order: the permutation, and before each member maybe an
+       other class added (true) or the oldest removed (false) *)
+    let order =
+      pair (shuffle_l (List.init (List.length members) Fun.id))
+        (list_repeat (List.length members) (opt bool))
+    in
+    let* orders = list_size (int_range 2 5) order in
+    pure (link_rate, members, pfsc, with_rsc, probe, orders)
+  in
+  let print (link_rate, members, pfsc, with_rsc, probe, orders) =
+    Format.asprintf "link %h, p %a, members [%a], probe %s %a, orders %s"
+      link_rate Sc.pp pfsc
+      (Format.pp_print_list ~pp_sep:Format.pp_print_space Sc.pp)
+      members
+      (if with_rsc then "rsc" else "fsc")
+      Sc.pp probe
+      (String.concat "; "
+         (List.map
+            (fun (perm, _) -> String.concat "," (List.map string_of_int perm))
+            orders))
+  in
+  qt ~count:200 ~long_factor:20 "one multiset, one reply, in any order" gen
+    print
+    (fun (link_rate, members, pfsc, with_rsc, probe, orders) ->
+      let members = Array.of_list members in
+      let run (perm, others) =
+        let eng =
+          E.create ~audit_every:1 ~link_rate (Hfsc.create ~link_rate ())
+            ~flow_map:[] ()
+        in
+        let exec op =
+          let r = reply (E.exec_op eng ~now:0. op) in
+          if r.[0] <> 'o' then
+            QCheck2.Test.fail_reportf "%s refused: %s"
+              (pp_cmd { C.target = C.Default_link; op })
+              r
+        in
+        exec (add_op "p" "root" ~fsc:pfsc);
+        let small = Sc.linear (link_rate /. 128.) in
+        let alive = Queue.create () and next = ref 0 in
+        List.iter2
+          (fun i other ->
+            (match other with
+            | Some true when Queue.length alive < 3 ->
+                let n = Printf.sprintf "o%d" !next in
+                incr next;
+                exec (add_op n "root" ~rsc:small ~fsc:small);
+                Queue.push n alive
+            | Some false when not (Queue.is_empty alive) ->
+                exec (C.Delete_class (Queue.pop alive))
+            | _ -> ());
+            let c = members.(i) in
+            exec (add_op (Printf.sprintf "m%d" i) "p" ~rsc:c ~fsc:c))
+          perm others;
+        Queue.iter (fun n -> exec (C.Delete_class n)) alive;
+        (* an acceptance names the new id, which the others moved *)
+        match
+          E.exec_op eng ~now:0.
+            (if with_rsc then add_op "z" "p" ~rsc:probe ~fsc:small
+             else add_op "z" "p" ~fsc:probe)
+        with
+        | Ok _ -> "ok"
+        | r -> reply r
+      in
+      match List.map run orders with
+      | [] -> true
+      | first :: rest ->
+          List.for_all (String.equal first) rest
+          || QCheck2.Test.fail_reportf "replies differ:\n%s"
+               (String.concat "\n" (first :: rest)))
 
 (* A class op's cost must not grow with the classes the link already
    holds: with 16 groups of leaves the next op costs what it does with
    one group. Adds go into a tree where every leaf has an rsc, so a
    fold over the link's real-time curves would walk all of them; an
    rsc leaf added and deleted again, in a tree of fsc-only leaves,
-   leaves the link's sum near empty, where rebuilding it from every
-   class at each emptying would cost as much. The ids stay clear of a
-   power of two, where the telemetry tables double. *)
+   empties the link's sum each time, where any rebuild from the
+   classes would cost as much. The ids stay clear of a power of two,
+   where the telemetry tables double. *)
 (* Announcing class ids makes one counters record per announced id,
    not one per slot of the grown table. Ids 0-1010 grow the tables to
    1,024 slots: 1,011 records of 11 words, plus the growth steps still
@@ -1620,9 +1779,10 @@ let () =
           Alcotest.test_case "fsc under parent" `Quick
             test_admission_fsc_under_parent;
           Alcotest.test_case "ulimit vs rsc" `Quick test_usc_admission;
-          Alcotest.test_case "summation order left to the fold" `Quick
+          Alcotest.test_case "every order admits 0.2 + 0.3 + 0.4" `Quick
             test_order_case;
           sums_match_fold;
+          order_independent;
           Alcotest.test_case "add allocation independent of classes" `Quick
             test_add_allocation;
         ] );
