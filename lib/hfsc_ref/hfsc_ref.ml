@@ -572,7 +572,7 @@ let dequeue t ~now =
   end
 
 (* [dequeue] copied into the record: the reference has no out-params
-   of its own, and [include module type of Hfsc] needs the entry. *)
+   of its own, and [include Hfsc.S] needs the entry. *)
 let dequeue_into t ~now (s : Pkt.Served.t) =
   match dequeue t ~now with
   | None -> false

@@ -10,4 +10,4 @@
     deadline ordering, overflow); the oracle has no trees to
     validate. *)
 
-include module type of Hfsc
+include Hfsc.S

@@ -138,7 +138,7 @@ let dump ~seed ~spec ~ops =
   Buffer.add_string b "]\n";
   Buffer.contents b
 
-module Build (H : module type of Hfsc) = struct
+module Build (H : Hfsc.S) = struct
   (* Build the generated tree; returns the leaves (flow, cls, has_usc). *)
   let build_tree link_rate spec =
     let t = H.create ~link_rate () in
@@ -193,7 +193,7 @@ end
    same sequence, and comparing across modules asserts the scheduler
    differential. Raises [Failure] when the periodic audit finds a
    violated invariant. *)
-module Drive (H : module type of Hfsc) = struct
+module Drive (H : Hfsc.S) = struct
   module B = Build (H)
 
   let crit_int (c : H.criterion) =

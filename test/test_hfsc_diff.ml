@@ -16,7 +16,7 @@ let qt ?(count = 30) name gen prop =
    render every decision and the final per-class aggregates into a
    string; two implementations agree iff the strings are equal. Floats
    are printed with %h, so agreement is bit-exact. *)
-module Trace (H : module type of Hfsc) = struct
+module Trace (H : Hfsc.S) = struct
   module B = Hfsc_gen.Build (H)
 
   let crit_int (c : H.criterion) =
@@ -164,7 +164,7 @@ let test_ties () =
    [b]'s curves mid-run (including giving it an rsc), then let [b]
    start its next backlogged period and compete. Decisions and
    aggregates must stay bit-identical to the reference. *)
-module Reconf (H : module type of Hfsc) = struct
+module Reconf (H : Hfsc.S) = struct
   let crit_int (c : H.criterion) =
     match c with H.Realtime -> 0 | H.Linkshare -> 1
 
