@@ -248,7 +248,7 @@ type t = {
 
 (* Spawn the workers; the links built later are assigned to them
    round-robin. *)
-let create ?trace_capacity ?tracing ?audit_every ~domains () =
+let create ?trace_capacity ?audit_every ~domains () =
   if domains < 1 then invalid_arg "Mc_router.create: domains must be >= 1";
   let workers =
     Array.init domains (fun _ ->
@@ -277,7 +277,7 @@ let create ?trace_capacity ?tracing ?audit_every ~domains () =
   in
   {
     core =
-      Router_core.create ?trace_capacity ?tracing ?audit_every
+      Router_core.create ?trace_capacity ?audit_every
         ~ops:{ Router_core.call; adapter = port_adapter } ~port ();
     workers;
     running = true;

@@ -66,7 +66,6 @@ val core : t -> port Router_core.t
 
 val create :
   ?trace_capacity:int ->
-  ?tracing:bool ->
   ?audit_every:int ->
   domains:int ->
   unit ->

@@ -13,12 +13,12 @@ let seq_ops : Engine.t Router_core.ops =
     adapter = (fun eng _ -> Engine.adapter eng);
   }
 
-let create ?trace_capacity ?tracing ?audit_every () =
-  Router_core.create ?trace_capacity ?tracing ?audit_every ~ops:seq_ops
+let create ?trace_capacity ?audit_every () =
+  Router_core.create ?trace_capacity ?audit_every ~ops:seq_ops
     ~port:Fun.id ()
 
-let of_engines ?trace_capacity ?tracing ?audit_every links =
-  let t = create ?trace_capacity ?tracing ?audit_every () in
+let of_engines ?trace_capacity ?audit_every links =
+  let t = create ?trace_capacity ?audit_every () in
   List.iter
     (fun (name, eng) ->
       if Router_core.find_link t name <> None then
@@ -30,8 +30,8 @@ let of_engines ?trace_capacity ?tracing ?audit_every links =
     links;
   t
 
-let of_config ?trace_capacity ?tracing ?audit_every cfg =
-  let t = create ?trace_capacity ?tracing ?audit_every () in
+let of_config ?trace_capacity ?audit_every cfg =
+  let t = create ?trace_capacity ?audit_every () in
   Result.map (fun warnings -> (t, warnings)) (Router_core.of_config t cfg)
 
 let add_link ?(backend = Backend.Hfsc_kind) t ~name ~link_rate =

@@ -45,15 +45,13 @@ type t = Engine.t Router_core.t
 (** The shared control plane with every port a bare engine; what
     {!Daemon.backend_of_router} serves. *)
 
-val create :
-  ?trace_capacity:int -> ?tracing:bool -> ?audit_every:int -> unit -> t
+val create : ?trace_capacity:int -> ?audit_every:int -> unit -> t
 (** An empty router (no links). The optional knobs are remembered and
     applied to every engine the router creates, including links added
     later via [link add]. *)
 
 val of_config :
   ?trace_capacity:int ->
-  ?tracing:bool ->
   ?audit_every:int ->
   Config.t ->
   (t * string list, string) result
@@ -68,7 +66,6 @@ val of_config :
 
 val of_engines :
   ?trace_capacity:int ->
-  ?tracing:bool ->
   ?audit_every:int ->
   (string * Engine.t) list ->
   t

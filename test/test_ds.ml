@@ -351,7 +351,9 @@ let print_ct_op = function
 (* The model: every node ever added, with its parent id and liveness;
    the queues are the nodes' own, so the victim scan reads them. Each
    op picks its node among the live ones that satisfy its precondition
-   and does nothing when there are none. *)
+   and does nothing when there are none. After every op each reader,
+   by class and by id, answers as the model does, and the id readers
+   refuse removed and out-of-range ids. *)
 let class_table_vs_model =
   QCheck_alcotest.to_alcotest
   @@ QCheck2.Test.make ~count:200 ~name:"class_table: ops match a list model"
@@ -445,19 +447,44 @@ let class_table_vs_model =
             Ct.set_drop_policy t (if on then Drop_longest else Tail_drop);
             true
       in
+      (* every id-level reader refuses [id] *)
+      let refused id =
+        List.for_all
+          (fun read ->
+            match read id with
+            | () -> false
+            | exception Invalid_argument _ -> true)
+          [
+            (fun i -> ignore (Ct.name_of_id t i));
+            (fun i -> ignore (Ct.parent_of_id t i));
+            (fun i -> ignore (Ct.is_leaf_id t i));
+            (fun i -> ignore (Ct.queue_of_id t i));
+          ]
+      in
       let agree () =
         let l = live () in
         let ids = List.map (fun (n, _) -> n.nid) in
         List.map (fun n -> n.nid) (Ct.classes t) = ids l
+        && Ct.ids t = ids l
         && Array.for_all
-             (fun (n, _, alive) ->
+             (fun (n, p, alive) ->
                match Ct.class_of_id t n.nid with
-               | m -> alive && m == n
-               | exception Invalid_argument _ -> not alive)
+               | m ->
+                   alive && m == n
+                   && Ct.id t n = n.nid
+                   && Ct.name_of_id t n.nid = n.nname
+                   && Ct.parent_of_id t n.nid
+                      = (if p < 0 then None else Some p)
+                   && Ct.is_leaf_id t n.nid = not (has_kids n)
+                   && Ct.queue_of_id t n.nid == n.q
+               | exception Invalid_argument _ -> (not alive) && refused n.nid)
              !model
+        && List.for_all refused [ -1; Array.length !model; max_int ]
         && Array.for_all
              (fun name ->
                let first = List.find_opt (fun (n, _) -> n.nname = name) l in
+               Ct.find_id t name = Option.map (fun (n, _) -> n.nid) first
+               &&
                match (Ct.find t name, first) with
                | None, None -> true
                | Some m, Some (n, _) -> m == n
