@@ -54,7 +54,7 @@ let class_of_flow eng flow =
   | Some id ->
       Option.get
         (Hfsc.find_class (Runtime.Engine.scheduler eng)
-           (Runtime.Engine.class_name eng id))
+           (Runtime.Backend.cls_name (Runtime.Engine.backend eng) id))
   | None -> Alcotest.failf "flow %d unmapped" flow
 
 let minimal =
@@ -77,7 +77,7 @@ let test_minimal () =
   let names =
     List.map
       (fun f ->
-        Runtime.Engine.class_name eng
+        Runtime.Backend.cls_name (Runtime.Engine.backend eng)
           (Option.get (Runtime.Engine.flow_class eng f)))
       (Runtime.Engine.flows eng)
   in
@@ -248,9 +248,9 @@ let test_multi_link_sections () =
   Alcotest.(check (float 1e-9)) "east rate" 5e5 (Runtime.Engine.link_rate east);
   (* classes bind to the section they follow *)
   Alcotest.(check int) "west classes (incl. root)" 4
-    (List.length (Runtime.Engine.class_ids west));
+    (List.length (Runtime.Backend.class_ids (Runtime.Engine.backend west)));
   Alcotest.(check int) "east classes (incl. root)" 2
-    (List.length (Runtime.Engine.class_ids east));
+    (List.length (Runtime.Backend.class_ids (Runtime.Engine.backend east)));
   (* limit binds to its section too *)
   Alcotest.(check int) "west aggregate limit" 100
     (Hfsc.aggregate_limit_pkts (Runtime.Engine.scheduler west));

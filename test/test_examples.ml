@@ -43,7 +43,9 @@ let test_configs_parse () =
           Alcotest.(check bool)
             (Printf.sprintf "%s link %s has classes" path name)
             true
-            (List.length (Runtime.Engine.class_ids eng) > 1))
+            (List.length
+               (Runtime.Backend.class_ids (Runtime.Engine.backend eng))
+             > 1))
         (Runtime.Router.links router))
     configs
 
@@ -143,7 +145,7 @@ let test_overload_degrades () =
   (match Runtime.Engine.flow_class eng 2 with
   | Some web ->
       Alcotest.(check bool) "web within its tightened qlimit" true
-        (Runtime.Engine.class_queue_length eng web <= 25)
+        (Runtime.Backend.queue_length (Runtime.Engine.backend eng) web <= 25)
   | None -> Alcotest.fail "flow 2 unmapped");
   (* the shed load is visible as telemetry drops *)
   let snap = Runtime.Engine.snapshot eng in

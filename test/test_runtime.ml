@@ -523,7 +523,9 @@ let test_attach_detach () =
           "attach filter flow 1 src 10.0.0.0/8 proto udp dport 5004 5005"));
   Alcotest.(check int) "one filter" 1 (E.filter_count eng);
   (match Option.bind (route (h ())) (E.flow_class eng) with
-  | Some id -> Alcotest.(check string) "routed to a" "a" (E.class_name eng id)
+  | Some id ->
+      Alcotest.(check string) "routed to a" "a"
+        (Runtime.Backend.cls_name (E.backend eng) id)
   | None -> Alcotest.fail "udp/5004 should match");
   Alcotest.(check bool) "tcp does not match" true
     (route (h ~proto:Pkt.Header.Tcp ()) = None);
@@ -672,9 +674,11 @@ let test_extreme_flow_ids () =
   ignore (add "a" big);
   ignore (add "b" (-3));
   Alcotest.(check (list int)) "flows, sorted" [ -3; big ] (E.flows eng);
-  Alcotest.(check (option int)) "big maps to a" (E.find_class_id eng "a")
+  Alcotest.(check (option int)) "big maps to a"
+    (Runtime.Backend.find_id (E.backend eng) "a")
     (E.flow_class eng big);
-  Alcotest.(check (option int)) "-3 maps to b" (E.find_class_id eng "b")
+  Alcotest.(check (option int)) "-3 maps to b"
+    (Runtime.Backend.find_id (E.backend eng) "b")
     (E.flow_class eng (-3));
   let offer flow = E.enqueue_flow eng ~now:0. (pkt ~flow ~seq:0 ~now:0.) in
   Alcotest.(check bool) "big enqueued" true (offer big);
@@ -700,7 +704,8 @@ let test_extreme_flow_ids () =
   Alcotest.(check bool) "big refused after delete" false (offer big);
   Alcotest.(check bool) "-3 still mapped" true (offer (-3));
   ignore (add "a2" big);
-  Alcotest.(check (option int)) "big re-mapped" (E.find_class_id eng "a2")
+  Alcotest.(check (option int)) "big re-mapped"
+    (Runtime.Backend.find_id (E.backend eng) "a2")
     (E.flow_class eng big);
   Alcotest.(check bool) "big enqueued again" true (offer big);
   Alcotest.(check (list int)) "flows after re-map" [ -3; big ] (E.flows eng);
