@@ -115,40 +115,49 @@ let[@inline always] y2x c v =
   else if c.sm2 > 0 then c.x + c.dx + seg_y2x (v - c.y - c.dy) c.ism2
   else ht_infinity (* flat tail: v > y + dy is never reached *)
 
+(* [x2y] of the anchor (cx, cy, cdx, cdy) over the slopes of [s] *)
+let[@inline always] anchor_x2y cx cy cdx cdy (s : isc) t =
+  if t <= cx then cy
+  else if t <= cx + cdx then cy + seg_x2y (t - cx) s.sm1
+  else cy + cdy + seg_x2y (t - cx - cdx) s.sm2
+
 (* Branch-for-branch port of Runtime_curve.min_with (Fig. 8 /
-   rtsc_min), with the crossing division done as a two-step
-   quotient/remainder so [(y1 - y) lsl sm_shift] is never formed:
-   [(q lsl s) + ((r lsl s) / d)] equals [(a lsl s) / d] exactly for
-   nonnegative [a = q*d + r]. *)
-let min_with c (s : isc) ~x ~y =
+   rtsc_min) over the anchor [a.(i) .. a.(i+3)] = x, y, dx, dy, with
+   the slopes taken from [s], the generator. The crossing division is
+   a two-step quotient/remainder so [(y1 - y) lsl sm_shift] is never
+   formed: [(q lsl s) + ((r lsl s) / d)] equals [(a lsl s) / d] exactly
+   for nonnegative [a = q*d + r]. *)
+let min_into a i (s : isc) ~x ~y =
+  let cx = a.(i) and cy = a.(i + 1) and cdx = a.(i + 2) and cdy = a.(i + 3) in
+  let y1 = anchor_x2y cx cy cdx cdy s x in
   if s.sm1 <= s.sm2 then begin
     (* convex: parallel translates; take whichever lies lower *)
-    if x2y c x < y then c else { c with x; y }
-  end
-  else begin
-    let y1 = x2y c x in
-    if y1 <= y then c
-    else begin
-      let y2 = x2y c (x + s.dx) in
-      if y2 >= y + s.dy then of_isc s ~x ~y
-      else begin
-        let a = y1 - y in
-        let dsm = s.sm1 - s.sm2 in
-        let dx = ((a / dsm) lsl sm_shift) + (((a mod dsm) lsl sm_shift) / dsm) in
-        let dx = if c.x + c.dx > x then dx + (c.x + c.dx - x) else dx in
-        {
-          x;
-          y;
-          dx;
-          dy = seg_x2y dx s.sm1;
-          sm1 = s.sm1;
-          ism1 = s.ism1;
-          sm2 = s.sm2;
-          ism2 = s.ism2;
-        }
-      end
+    if y1 >= y then begin
+      a.(i) <- x;
+      a.(i + 1) <- y
     end
   end
+  else if y1 > y then begin
+    a.(i) <- x;
+    a.(i + 1) <- y;
+    if anchor_x2y cx cy cdx cdy s (x + s.dx) >= y + s.dy then begin
+      a.(i + 2) <- s.dx;
+      a.(i + 3) <- s.dy
+    end
+    else begin
+      let d = y1 - y in
+      let dsm = s.sm1 - s.sm2 in
+      let dx = ((d / dsm) lsl sm_shift) + (((d mod dsm) lsl sm_shift) / dsm) in
+      let dx = if cx + cdx > x then dx + (cx + cdx - x) else dx in
+      a.(i + 2) <- dx;
+      a.(i + 3) <- seg_x2y dx s.sm1
+    end
+  end
+
+let min_with c (s : isc) ~x ~y =
+  let a = [| c.x; c.y; c.dx; c.dy |] in
+  min_into a 0 s ~x ~y;
+  { (of_isc s ~x:a.(0) ~y:a.(1)) with dx = a.(2); dy = a.(3) }
 
 let translate_x c delta = { c with x = c.x + delta }
 let flatten c = { c with dx = 0; dy = 0 }

@@ -163,10 +163,18 @@ val y2x : t -> int -> int
 (** Mirror of {!Runtime_curve.inverse}; [ht_infinity] where the float
     version returns [infinity]. *)
 
+val min_into : int array -> int -> isc -> x:int -> y:int -> unit
+(** [min_into a i s ~x ~y] is the runtime minimum in place: the curve
+    whose anchor is [a.(i)], [a.(i+1)], [a.(i+2)], [a.(i+3)] (x, y, dx,
+    dy) over the slopes of its generator [s] becomes its minimum with
+    [s] anchored at [(x, y)]. Mirror of {!Runtime_curve.min_with}
+    (Fig. 8 / [rtsc_min]), branch-for-branch, on the quantized slopes;
+    allocates nothing. *)
+
 val min_with : t -> isc -> x:int -> y:int -> t
-(** Mirror of {!Runtime_curve.min_with} (Fig. 8 / [rtsc_min]),
-    branch-for-branch, on the quantized slopes. The same precondition
-    applies: [c] and the fresh curve share their generator. *)
+(** {!min_into} on a fresh copy of [c]'s anchor. The same precondition
+    applies: [c] and the fresh curve share their generator [s], whose
+    slopes the result carries. *)
 
 val translate_x : t -> int -> t
 val flatten : t -> t

@@ -1,8 +1,8 @@
 module Fq = Fifo_queue
 
-(* Slot [i] holds class [i]; the slot of a removed class repeats the
-   root, so the table keeps no removed class alive, and its parent link
-   reads [gone]. [links] holds four ints per id (see [get]). The
+(* Slot [i] of [t.slots] holds class [i]; the slot of a removed class
+   repeats the root, so the table keeps no removed class alive, and its
+   parent link reads [gone]. [links] holds four ints per id (see [get]). The
    children of [p] form a circular ring through the sibling links,
    entered at [p]'s first child, the oldest: ids only grow, so
    appending just before it keeps creation order. [heap.(0 ..
@@ -14,7 +14,6 @@ type 'c store = {
   name_of : 'c -> string;
   queue_of : 'c -> Fq.t;
   on_evict : 'c -> int -> unit;
-  mutable slots : 'c array;
   mutable next : int;
   mutable links : int array;
   names : (string, int list) Hashtbl.t; (* live ids, earliest first *)
@@ -30,6 +29,7 @@ type 'c t = {
   mutable max_bytes : int;
   mutable evicting : bool;
   mutable on_drop : float -> 'c -> Pkt.Packet.t -> unit;
+  mutable slots : 'c array;
   s : 'c store;
 }
 
@@ -43,6 +43,7 @@ let create ~what ~id ~name ~queue ?(on_evict = fun _ _ -> ()) () =
     max_bytes = max_int;
     evicting = false;
     on_drop = (fun _ _ _ -> ());
+    slots = [||];
     s =
       {
         what;
@@ -50,7 +51,6 @@ let create ~what ~id ~name ~queue ?(on_evict = fun _ _ -> ()) () =
         name_of = name;
         queue_of = queue;
         on_evict;
-        slots = [||];
         next = 0;
         links = [||];
         names = Hashtbl.create 64;
@@ -72,14 +72,14 @@ let prv = 3
 let[@inline] get s i link = s.links.((4 * i) + link)
 let set s i link v = s.links.((4 * i) + link) <- v
 let[@inline] live s i = get s i up <> gone
-let queue s id = s.queue_of s.slots.(id)
+let queue t id = t.s.queue_of t.slots.(id)
 let is_leaf t c = get t.s (t.s.id_of c) first < 0
 
 (* --- the victim heap ------------------------------------------------ *)
 
 (* [a] before [b]: more queued bytes, then the smaller id *)
-let before s a b =
-  let ba = Fq.bytes (queue s a) and bb = Fq.bytes (queue s b) in
+let before t a b =
+  let ba = Fq.bytes (queue t a) and bb = Fq.bytes (queue t b) in
   ba > bb || (ba = bb && a < b)
 
 let swap s i j =
@@ -89,24 +89,26 @@ let swap s i j =
   s.heap.(j) <- a;
   s.pos.(a) <- j
 
-let rec down s i =
+let rec down t i =
+  let s = t.s in
   let l = (2 * i) + 1 in
   let c =
-    if l + 1 < s.hlen && before s s.heap.(l + 1) s.heap.(l) then l + 1 else l
+    if l + 1 < s.hlen && before t s.heap.(l + 1) s.heap.(l) then l + 1 else l
   in
-  if c < s.hlen && before s s.heap.(c) s.heap.(i) then begin
+  if c < s.hlen && before t s.heap.(c) s.heap.(i) then begin
     swap s i c;
-    down s c
+    down t c
   end
 
 (* move the entry at [i] up, else down, to its place *)
-let rec sift s i =
+let rec sift t i =
+  let s = t.s in
   let p = (i - 1) / 2 in
-  if i > 0 && before s s.heap.(i) s.heap.(p) then begin
+  if i > 0 && before t s.heap.(i) s.heap.(p) then begin
     swap s i p;
-    sift s p
+    sift t p
   end
-  else down s i
+  else down t i
 
 let push s id =
   s.heap.(s.hlen) <- id;
@@ -116,30 +118,30 @@ let push s id =
 let rekey t id =
   let s = t.s in
   let i = s.pos.(id) in
-  if Fq.length (queue s id) >= 2 then begin
+  if Fq.length (queue t id) >= 2 then begin
     if i < 0 then push s id;
-    sift s s.pos.(id)
+    sift t s.pos.(id)
   end
   else if i >= 0 then begin
     s.hlen <- s.hlen - 1;
     swap s i s.hlen;
     s.pos.(id) <- -1;
-    if i < s.hlen then sift s i
+    if i < s.hlen then sift t i
   end
 
-let victim t = if t.s.hlen = 0 then None else Some t.s.slots.(t.s.heap.(0))
+let victim t = if t.s.hlen = 0 then None else Some t.slots.(t.s.heap.(0))
 
 let set_drop_policy t (p : Fq.drop_policy) =
   let s = t.s in
   match p with
   | Drop_longest when not t.evicting ->
-      s.heap <- Array.make (Array.length s.slots) 0;
-      s.pos <- Array.make (Array.length s.slots) (-1);
+      s.heap <- Array.make (Array.length t.slots) 0;
+      s.pos <- Array.make (Array.length t.slots) (-1);
       for id = 0 to s.next - 1 do
-        if live s id && Fq.length (queue s id) >= 2 then push s id
+        if live s id && Fq.length (queue t id) >= 2 then push s id
       done;
       for i = (s.hlen / 2) - 1 downto 0 do
-        down s i
+        down t i
       done;
       t.evicting <- true
   | Tail_drop when t.evicting ->
@@ -157,7 +159,7 @@ let rec make_room t ~now size =
   (t.pkts < t.max_pkts && t.bytes + size <= t.max_bytes)
   || t.s.hlen > 0
      && begin
-          let c = t.s.slots.(t.s.heap.(0)) in
+          let c = t.slots.(t.s.heap.(0)) in
           let p = Fq.drop_tail (t.s.queue_of c) in
           t.pkts <- t.pkts - 1;
           t.bytes <- t.bytes - p.Pkt.Packet.size;
@@ -190,19 +192,21 @@ let check_limits t c ?pkts ?bytes () =
 let add t ?parent c =
   let s = t.s and id = t.s.next in
   if s.id_of c <> id then fail s "add: class built with a stale id";
-  if id = Array.length s.slots then begin
+  if id = Array.length t.slots then begin
     let n = max 16 (2 * id) in
     let ext a m x =
-      Array.init m (fun i -> if i < Array.length a then a.(i) else x)
+      let b = Array.make m x in
+      Array.blit a 0 b 0 (Array.length a);
+      b
     in
-    s.slots <- ext s.slots n (if id = 0 then c else s.slots.(0));
+    t.slots <- ext t.slots n (if id = 0 then c else t.slots.(0));
     s.links <- ext s.links (4 * n) 0;
     if t.evicting then begin
       s.heap <- ext s.heap n 0;
       s.pos <- ext s.pos n (-1)
     end
   end;
-  s.slots.(id) <- c;
+  t.slots.(id) <- c;
   s.next <- id + 1;
   set s id first (-1);
   (match parent with
@@ -241,7 +245,7 @@ let remove t c ~active =
     if get s p first = id then set s p first nx
   end;
   set s id up gone;
-  s.slots.(id) <- s.slots.(0);
+  t.slots.(id) <- t.slots.(0);
   let name = s.name_of c in
   match List.filter (( <> ) id) (Hashtbl.find s.names name) with
   | [] -> Hashtbl.remove s.names name
@@ -254,7 +258,7 @@ let[@inline] live_id t i =
     fail t.s "class_of_id: unknown class id %d" i;
   i
 
-let[@inline] class_of_id t i = Array.unsafe_get t.s.slots (live_id t i)
+let[@inline] class_of_id t i = Array.unsafe_get t.slots (live_id t i)
 let id t c = t.s.id_of c
 let name_of_id t i = t.s.name_of (class_of_id t i)
 let queue_of_id t i = t.s.queue_of (class_of_id t i)
@@ -269,7 +273,7 @@ let find_id t name =
   | Some (id :: _) -> Some id
   | Some [] | None -> None
 
-let find t name = Option.map (Array.get t.s.slots) (find_id t name)
+let find t name = Option.map (Array.get t.slots) (find_id t name)
 
 let ids t =
   let rec go i acc =
@@ -277,7 +281,7 @@ let ids t =
   in
   go (t.s.next - 1) []
 
-let classes t = List.map (Array.get t.s.slots) (ids t)
+let classes t = List.map (Array.get t.slots) (ids t)
 
 (* the ring backwards from its newest member, so oldest first; at
    most [next] steps, so a broken ring still ends (in the audit) *)
@@ -285,7 +289,7 @@ let children t c =
   let s = t.s in
   let f = get s (s.id_of c) first in
   let rec go i n acc =
-    let acc = s.slots.(i) :: acc in
+    let acc = t.slots.(i) :: acc in
     if i = f || n >= s.next then acc else go (get s i prv) (n + 1) acc
   in
   if f < 0 then [] else go (get s f prv) 1 []
@@ -300,7 +304,7 @@ let audit t =
   let pkts = ref 0 and bytes = ref 0 and twos = ref 0 in
   for id = s.next - 1 downto 0 do
     if live s id then begin
-      let c = s.slots.(id) and p = get s id up in
+      let c = t.slots.(id) and p = get s id up in
       if s.id_of c <> id then
         err "class table: slot %d holds %d" id (s.id_of c);
       if (id = 0) <> (p = -1) || (p >= 0 && not (live s p)) then
@@ -316,7 +320,7 @@ let audit t =
   done;
   for p = 0 to s.next - 1 do
     if live s p then begin
-      if List.map s.id_of (children t s.slots.(p)) <> kids.(p) then
+      if List.map s.id_of (children t t.slots.(p)) <> kids.(p) then
         err "class table: the ring of %d is not its children in id order" p;
       if p > 0 && get s (get s p prv) nxt <> p then
         err "class table: sibling links broken at %d" p
@@ -336,8 +340,8 @@ let audit t =
     let id = s.heap.(i) in
     if
       (not (id < s.next && live s id && s.pos.(id) = i))
-      || Fq.length (queue s id) < 2
-      || (i > 0 && before s id s.heap.((i - 1) / 2))
+      || Fq.length (queue t id) < 2
+      || (i > 0 && before t id s.heap.((i - 1) / 2))
     then err "victim heap: slot %d holds %d" i id
   done;
   if s.hlen <> (if t.evicting then !twos else 0) then

@@ -27,6 +27,10 @@ type 'c t = {
   mutable evicting : bool;  (** the policy is [Drop_longest] *)
   mutable on_drop : float -> 'c -> Pkt.Packet.t -> unit;
       (** per lost packet: a refused arrival's class or the victim *)
+  mutable slots : 'c array;
+      (** class [i] at index [i], for an id the scheduler itself holds
+          live (a removed id's slot repeats the root); its length is the
+          capacity, which {!add} doubles when full *)
   s : 'c store;
 }
 

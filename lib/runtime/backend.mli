@@ -172,6 +172,11 @@ val parent_id : t -> int -> int option
 (** [None] for the root. *)
 
 val is_leaf : t -> int -> bool
+
+val queue : t -> int -> Ds.Fifo_queue.t
+(** The class's queue, for a caller that reads several of its counters
+    at once: one checked table read. *)
+
 val queue_length : t -> int -> int
 val queue_bytes : t -> int -> int
 val queue_limit_pkts : t -> int -> int

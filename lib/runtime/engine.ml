@@ -633,11 +633,12 @@ let enqueue t ~now id pkt =
   let admitted = t.be.Backend.enqueue ~now id pkt in
   (* drops (refusals and evictions alike) reach telemetry through the
      scheduler's drop hook, charged to the queue that lost the packet *)
-  if admitted then
+  if admitted then begin
+    let q = Backend.queue t.be id in
     Telemetry.note_enqueue t.tele ~id ~now ~size:pkt.Pkt.Packet.size
       ~flow:pkt.Pkt.Packet.flow ~seq:pkt.Pkt.Packet.seq
-      ~qlen:(Backend.queue_length t.be id)
-      ~qbytes:(Backend.queue_bytes t.be id);
+      ~qlen:(Ds.Fifo_queue.length q) ~qbytes:(Ds.Fifo_queue.bytes q)
+  end;
   maybe_audit t;
   admitted
 

@@ -45,7 +45,6 @@ type cls = {
   mutable sub_bytes : int;
   mutable served : int; (* bytes ever served from this subtree *)
   queue : Fq.t; (* leaves only; interiors keep an empty one *)
-  tab : cls Ct.t; (* the scheduler's class table, for {!children} *)
 }
 
 type t = {
@@ -81,8 +80,6 @@ let new_table () =
   Ct.create ~what:"Hls" ~id:(fun c -> c.id) ~name:(fun c -> c.cname)
     ~queue:(fun c -> c.queue) ~on_evict:uncharge_up ()
 
-let nil_tab = new_table ()
-
 let rec nil =
   {
     id = -1;
@@ -99,7 +96,6 @@ let rec nil =
     sub_bytes = 0;
     served = 0;
     queue = Fq.create ();
-    tab = nil_tab;
   }
 
 let mk_cls ~tab ~name ~parent ~quantum ?qlimit_pkts ?qlimit_bytes () =
@@ -119,7 +115,6 @@ let mk_cls ~tab ~name ~parent ~quantum ?qlimit_pkts ?qlimit_bytes () =
       sub_bytes = 0;
       served = 0;
       queue = Fq.create ?limit_pkts:qlimit_pkts ?limit_bytes:qlimit_bytes ();
-      tab;
     }
   in
   c
@@ -347,7 +342,6 @@ let backlog_bytes t = t.tab.bytes
 let name c = c.cname
 let id c = c.id
 let parent c = if is_root c then None else Some c.cparent
-let children (c : cls) = Ct.children c.tab c
 let classes t = Ct.classes t.tab
 let find_class t n = Ct.find t.tab n
 let queue_length c = Fq.length c.queue

@@ -138,7 +138,6 @@ val name : cls -> string
 val id : cls -> int
 val is_leaf : cls -> bool
 val parent : cls -> cls option
-val children : cls -> cls list
 val classes : t -> cls list
 (** Creation order, root first. *)
 

@@ -755,6 +755,58 @@ let test_dequeue_into_allocates_nothing () =
   let be = Runtime.Backend.of_hfsc ~link_rate (build ()) in
   words_per_packet ~what:"Backend.dequeue" be.Runtime.Backend.dequeue
 
+(* Activation cycles: each enqueues one packet into an empty leaf with
+   an rsc, an fsc and a usc, whose parent goes active with it, then
+   dequeues until the scheduler is empty, so every cycle runs both
+   curve min-updates, the eligible-curve flattening (the convex leaf),
+   both levels of the activation walk and the passive walk. The drains
+   above never activate a class; this gate does, under both eligible
+   policies: exactly zero minor words per cycle. Each cycle's clock
+   reading is boxed before the count, as above. *)
+let test_activation_allocates_nothing () =
+  let link_rate = 1_000_000. and warm = 16 and k = 256 in
+  let run policy what =
+    let t = Hfsc.create ~eligible_policy:policy ~link_rate () in
+    let group =
+      Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"g"
+        ~fsc:(Sc.linear (0.5 *. link_rate)) ()
+    in
+    let leaf name rsc =
+      Hfsc.add_class t ~parent:group ~name ~rsc ~fsc:(Sc.linear 100_000.)
+        ~usc:(Sc.linear (0.5 *. link_rate)) ()
+    in
+    let leaves =
+      [|
+        leaf "concave" (Sc.make ~m1:200_000. ~d:0.005 ~m2:50_000.);
+        leaf "convex" (Sc.make ~m1:0. ~d:0.005 ~m2:100_000.);
+      |]
+    in
+    let pkts = Array.init 2 (fun f -> pkt ~flow:f ~size:500 ~seq:0 ~arrival:0.) in
+    let s = Pkt.Served.create () in
+    let served = ref 0 and cycles = ref 0 in
+    let cycle now =
+      let i = !cycles land 1 in
+      incr cycles;
+      if not (Hfsc.enqueue t ~now leaves.(i) pkts.(i)) then assert false;
+      while Hfsc.dequeue_into t ~now s do
+        incr served
+      done
+    in
+    let nows a n = List.init n (fun i -> float_of_int (a + i) *. 0.01) in
+    List.iter cycle (nows 0 warm);
+    let timed = nows warm k in
+    served := 0;
+    let w0 = Gc.minor_words () in
+    List.iter cycle timed;
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check int) (what ^ ": one packet served per cycle") k !served;
+    Alcotest.(check (list string)) (what ^ ": audit") [] (Hfsc.audit t);
+    Alcotest.(check (float 0.)) (what ^ ": minor words per cycle") 0.
+      (words /. float_of_int k)
+  in
+  run Hfsc.Eligible_paper "Eligible_paper";
+  run Hfsc.Eligible_deadline "Eligible_deadline"
+
 let () =
   Alcotest.run "hfsc"
     [
@@ -823,5 +875,7 @@ let () =
         [
           Alcotest.test_case "dequeue_into allocates nothing" `Quick
             test_dequeue_into_allocates_nothing;
+          Alcotest.test_case "activation allocates nothing" `Quick
+            test_activation_allocates_nothing;
         ] );
     ]

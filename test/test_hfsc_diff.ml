@@ -296,6 +296,130 @@ let test_reconf_takes_effect () =
   Alcotest.(check bool) "3:1 after (next backlogged period)" true
     (abs_float ((db /. da /. 3.) -. 1.) < 0.15)
 
+(* --- class adds under backlog --------------------------------------- *)
+
+(* Hfsc keeps each class's tree nodes and curve anchors in per-id arrays
+   that double with its class table (16, 32, 64, 128 ids). Add classes
+   one at a time past three doublings while earlier leaves hold backlog
+   in the eligible tree and in the virtual-time trees: every decision
+   must match the reference, with the audit clean after every op. Each
+   add writes whether a real-time and a link-sharing-only leaf were
+   backlogged at that moment, so the test can require both at every
+   doubling. *)
+module Grow (H : Hfsc.S) = struct
+  module Sc = Curve.Service_curve
+
+  let crit_int (c : H.criterion) =
+    match c with H.Realtime -> 0 | H.Linkshare -> 1
+
+  let run ~seed ~classes =
+    let link = 1e6 in
+    let t = H.create ~link_rate:link () in
+    let rng = Random.State.make [| seed |] in
+    let buf = Buffer.create 65536 in
+    let now = ref 0. and seq = ref 0 and nops = ref 0 in
+    let groups = ref [||] and leaves = ref [||] in
+    let audit () =
+      incr nops;
+      match H.audit t with
+      | [] -> ()
+      | e :: _ -> failwith (Printf.sprintf "audit after op %d: %s" !nops e)
+    in
+    let backlogged rt =
+      Array.exists
+        (fun c -> H.queue_length c > 0 && (H.rsc c <> None) = rt)
+        !leaves
+    in
+    let add () =
+      let n = List.length (H.classes t) in
+      Buffer.add_string buf
+        (Printf.sprintf "A%d:%b:%b;" n (backlogged true) (backlogged false));
+      let name = Printf.sprintf "c%d" n in
+      if Array.length !groups = 0 || Random.State.int rng 8 = 0 then
+        groups :=
+          Array.append !groups
+            [| H.add_class t ~parent:(H.root t) ~name ~fsc:(Sc.linear 200_000.) () |]
+      else begin
+        let parent = !groups.(Random.State.int rng (Array.length !groups)) in
+        let rsc =
+          match Random.State.int rng 3 with
+          | 0 -> Some (Sc.make ~m1:60_000. ~d:0.005 ~m2:10_000.)
+          | 1 -> Some (Sc.make ~m1:0. ~d:0.01 ~m2:10_000.)
+          | _ -> None
+        in
+        let usc =
+          if Random.State.int rng 5 = 0 then Some (Sc.linear 30_000.) else None
+        in
+        leaves :=
+          Array.append !leaves
+            [|
+              H.add_class t ~parent ~name ?rsc ~fsc:(Sc.linear 20_000.) ?usc
+                ~qlimit:50 ();
+            |]
+      end;
+      audit ()
+    in
+    let enq () =
+      let l = !leaves.(Random.State.int rng (Array.length !leaves)) in
+      let size = 40 + Random.State.int rng 1460 in
+      let p = Pkt.Packet.make ~flow:(H.id l) ~size ~seq:!seq ~arrival:!now in
+      incr seq;
+      Buffer.add_string buf
+        (Printf.sprintf "E%d:%b;" (H.id l) (H.enqueue t ~now:!now l p));
+      audit ()
+    in
+    let deq () =
+      (match H.dequeue t ~now:!now with
+      | None -> Buffer.add_string buf "D-;"
+      | Some (p, c, crit) ->
+          Buffer.add_string buf
+            (Printf.sprintf "D%d:%d:%s:%d;" p.Pkt.Packet.flow
+               p.Pkt.Packet.seq (H.name c) (crit_int crit)));
+      audit ()
+    in
+    while List.length (H.classes t) < classes do
+      add ();
+      if Array.length !leaves > 0 then
+        for _ = 1 to 12 do
+          now := !now +. Random.State.float rng 0.001;
+          if Random.State.int rng 3 < 2 then enq () else deq ()
+        done
+    done;
+    List.iter
+      (fun c ->
+        Buffer.add_string buf
+          (Printf.sprintf "C%s:%h:%h:%h:%d;" (H.name c) (H.total_bytes c)
+             (H.realtime_bytes c) (H.virtual_time c) (H.queue_length c)))
+      (H.classes t);
+    (t, Buffer.contents buf)
+end
+
+module GOpt = Grow (Hfsc)
+module GRef = Grow (Hfsc_ref)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let test_growth_under_backlog () =
+  List.iter
+    (fun seed ->
+      let t, a = GOpt.run ~seed ~classes:100 in
+      let _, b = GRef.run ~seed ~classes:100 in
+      Alcotest.(check string) (Printf.sprintf "seed %d: identical trace" seed)
+        b a;
+      Alcotest.(check bool) "three doublings" true
+        (Array.length (Hfsc.table t).Ds.Class_table.slots >= 128);
+      List.iter
+        (fun n ->
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d: both trees backlogged at id %d" seed n)
+            true
+            (contains a (Printf.sprintf "A%d:true:true;" n)))
+        [ 16; 32; 64 ])
+    [ 1; 2; 3 ]
+
 (* --- the name index: Hfsc's find_class against Hfsc_ref's scan ----- *)
 
 (* Random adds and removes over a 4-name pool, so names repeat and the
@@ -364,6 +488,11 @@ let () =
         ] );
       ("batch", [ record_identity ]);
       ("name index", [ name_index_diff ]);
+      ( "growth",
+        [
+          Alcotest.test_case "class adds under backlog" `Quick
+            test_growth_under_backlog;
+        ] );
       ( "set_curves",
         [
           Alcotest.test_case "mid-backlog big run" `Quick
