@@ -131,13 +131,13 @@ let new_rows () =
 
 (* Doubling, with the class table: [n] is its new slot count. *)
 let grow k n =
-  let ext a w =
-    let b = Array.make (w * n) 0 in
+  let ext a =
+    let b = Array.make (stride * n) 0 in
     Array.blit a 0 b 0 (Array.length a);
     b
   in
-  k.ed <- ext k.ed stride;
-  k.vn <- ext k.vn stride
+  k.ed <- ext k.ed;
+  k.vn <- ext k.vn
 
 (* The anchor at offset [c] of [id]'s row at (0, y), with its
    generator's first segment. *)
