@@ -33,12 +33,16 @@ let grow t =
   t.seqs <- seqs;
   t.evs <- evs
 
+let stamp t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
 let add t at ev =
   if Float.is_nan at then invalid_arg "Event_queue.add: NaN time";
   if t.size = Array.length t.seqs then grow t;
   let times = t.times and seqs = t.seqs and evs = t.evs in
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
+  let seq = stamp t in
   (* the new entry's seq is the largest yet, so it rises only past
      strictly later times: ties stay behind their elders (FIFO) *)
   let i = ref t.size and rising = ref true in
@@ -58,6 +62,7 @@ let add t at ev =
   Array.unsafe_set evs !i ev
 
 let next_time t = if t.size = 0 then infinity else Float.Array.get t.times 0
+let next_stamp t = if t.size = 0 then max_int else Array.unsafe_get t.seqs 0
 
 let take t =
   if t.size = 0 then invalid_arg "Event_queue.take: empty queue";

@@ -1,10 +1,10 @@
 (* An event is an int, [(index lsl 2) lor kind]: the source index of an
-   arrival, the link index of a transmit completion or a poll, the
-   callback-table slot of a callback. *)
+   arrival, the link index of a poll, the callback-table slot of a
+   callback. A transmit completion is no event: it waits in its link's
+   state (see [link_state]). *)
 let arrival = 0
-let tx_complete = 1
-let poll = 2
-let callback = 3
+let poll = 1
+let callback = 2
 let[@inline] event kind index = (index lsl 2) lor kind
 
 (* A link's float state. All-float, hence a flat record: updating it
@@ -12,19 +12,22 @@ let[@inline] event kind index = (index lsl 2) lor kind
 type wire = {
   mutable rate : float;
   mutable poll_at : float; (* earliest pending poll; infinity if none *)
-  mutable busy_time : float;
+  mutable tx_at : float; (* while busy: when the packet on the wire is sent *)
+  mutable busy_time : float; (* whole transmit times of started packets *)
   mutable tx_bytes : float;
 }
 
 (* Everything one output link owns: its scheduler, its wire state and
    its share of the accounting. Index in [t.links] is the link id. A
    link transmits one packet at a time: while [busy], [on_wire] is the
-   packet whose completion is queued. *)
+   packet on the wire, and its completion is due at [w.tx_at] with the
+   event-queue stamp [tx_stamp], drawn when the packet started. *)
 type link_state = {
   lname : string;
   lsched : Sched.Scheduler.t;
   w : wire;
   mutable on_wire : Sched.Scheduler.served;
+  mutable tx_stamp : int;
   mutable busy : bool;
   mutable up : bool; (* link outages park this link's dequeue loop *)
 }
@@ -33,6 +36,9 @@ type t = {
   links : link_state array;
   route : Pkt.Packet.t -> int option;
   q : Event_queue.t;
+  (* the busy link whose completion is first in (tx_at, tx_stamp)
+     order; -1 when every link is idle *)
+  mutable next_tx : int;
   mutable now : float;
   mutable sources : Source.t array;
   (* each source's flow's seq counter, resolved when the source is
@@ -67,8 +73,16 @@ let create_multi ~links ~route () =
     {
       lname;
       lsched;
-      w = { rate; poll_at = infinity; busy_time = 0.; tx_bytes = 0. };
+      w =
+        {
+          rate;
+          poll_at = infinity;
+          tx_at = infinity;
+          busy_time = 0.;
+          tx_bytes = 0.;
+        };
       on_wire = empty_slot;
+      tx_stamp = max_int;
       busy = false;
       up = true;
     }
@@ -77,6 +91,7 @@ let create_multi ~links ~route () =
     links = Array.of_list (List.map mk links);
     route;
     q = Event_queue.create ();
+    next_tx = -1;
     now = 0.;
     sources = [||];
     seq_of = [||];
@@ -140,6 +155,20 @@ let at t when_ f =
   t.n_callbacks <- k + 1;
   Event_queue.add t.q when_ (event callback k)
 
+(* Whether busy link [a]'s completion comes before busy link [b]'s *)
+let[@inline] before a b =
+  a.w.tx_at < b.w.tx_at || (a.w.tx_at = b.w.tx_at && a.tx_stamp < b.tx_stamp)
+
+(* The busy link whose completion comes first; -1 if every link is idle *)
+let earliest_tx t =
+  let links = t.links in
+  let best = ref (-1) in
+  for i = 0 to Array.length links - 1 do
+    let l = links.(i) in
+    if l.busy && (!best < 0 || before l links.(!best)) then best := i
+  done;
+  !best
+
 (* If link [i] is idle and up, pull its next packet and put it on the
    wire; if its scheduler is backlogged but rate-capped, arm a poll for
    its next-ready instant. An idle link's last completion is not after
@@ -154,7 +183,12 @@ let try_start t i =
         let w = l.w in
         let tx = float_of_int served.pkt.Pkt.Packet.size /. w.rate in
         w.busy_time <- w.busy_time +. tx;
-        Event_queue.add t.q (t.now +. tx) (event tx_complete i)
+        w.tx_at <- t.now +. tx;
+        l.tx_stamp <- Event_queue.stamp t.q;
+        (* the newest stamp: this completion goes first only if it is
+           strictly earlier *)
+        let j = t.next_tx in
+        if j < 0 || w.tx_at < t.links.(j).w.tx_at then t.next_tx <- i
     | [] -> (
         match l.lsched.Sched.Scheduler.next_ready ~now:t.now with
         | Some ts when ts > t.now ->
@@ -193,8 +227,8 @@ let arrive t k =
   in
   match t.route pkt with
   | Some i when i >= 0 && i < Array.length t.links ->
-      (* the source's next arrival is queued before the link's
-         completion: equal-time events leave in insertion order *)
+      (* the source's next arrival is stamped before the link's
+         completion: equal-time events are handled in stamp order *)
       schedule_arrival t k;
       ignore (offer t i pkt)
   | _ ->
@@ -206,6 +240,7 @@ let complete t i =
   let l = t.links.(i) in
   let served = l.on_wire in
   l.busy <- false;
+  t.next_tx <- earliest_tx t;
   let pkt = served.Sched.Scheduler.pkt in
   l.w.tx_bytes <- l.w.tx_bytes +. float_of_int pkt.Pkt.Packet.size;
   fire i t.now served t.on_departure;
@@ -215,8 +250,7 @@ let handle t ev =
   let k = ev lsr 2 in
   match ev land 3 with
   | 0 (* arrival *) -> arrive t k
-  | 1 (* tx_complete *) -> complete t k
-  | 2 (* poll *) ->
+  | 1 (* poll *) ->
       t.links.(k).w.poll_at <- infinity;
       try_start t k
   | _ (* callback *) ->
@@ -227,14 +261,29 @@ let handle t ev =
          added/removed, curves changed): re-poll them all *)
       try_start_all t
 
-(* Process every event due by [until]; [t.now] ends at the last one's
-   time. *)
+(* Process every event and completion due by [until], in (time,
+   stamp) order; [t.now] ends at the last one's time. *)
 let drain t ~until =
   let q = t.q in
   let continue_ = ref true in
   while !continue_ do
     let next = Event_queue.next_time q in
-    if next <= until && not (Event_queue.is_empty q) then begin
+    let i = t.next_tx in
+    if
+      i >= 0
+      &&
+      let l = t.links.(i) in
+      l.w.tx_at < next
+      || (l.w.tx_at = next && l.tx_stamp < Event_queue.next_stamp q)
+    then begin
+      let at = t.links.(i).w.tx_at in
+      if at <= until then begin
+        if at > t.now then t.now <- at;
+        complete t i
+      end
+      else continue_ := false
+    end
+    else if next <= until && not (Event_queue.is_empty q) then begin
       let ev = Event_queue.take q in
       if next > t.now then t.now <- next;
       handle t ev
@@ -282,9 +331,15 @@ let link_index t name =
 
 let link_name t i = (get_link "link_name" t i).lname
 
+(* Time link [l] spent transmitting in [0, now]: a packet still on the
+   wire was charged its whole transmit time when it started, so its
+   unsent remainder comes off. *)
+let busy_time t l =
+  if l.busy then l.w.busy_time -. (l.w.tx_at -. t.now) else l.w.busy_time
+
 let link_utilization t i =
   let l = get_link "link_utilization" t i in
-  if t.now <= 0. then 0. else l.w.busy_time /. t.now
+  if t.now <= 0. then 0. else busy_time t l /. t.now
 
 let link_transmitted_bytes t i =
   (get_link "link_transmitted_bytes" t i).w.tx_bytes
@@ -305,5 +360,5 @@ let enqueue_drops t =
 let utilization t =
   if t.now <= 0. then 0.
   else
-    Array.fold_left (fun acc l -> acc +. l.w.busy_time) 0. t.links
+    Array.fold_left (fun acc l -> acc +. busy_time t l) 0. t.links
     /. (t.now *. float_of_int (Array.length t.links))

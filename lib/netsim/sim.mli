@@ -37,10 +37,15 @@
     enqueue before its next call, so the simulator stays oblivious and
     the schedule stays deterministic.
 
-    {b Cost.} Events are ints in an {!Event_queue} (kind and index
-    packed together), sources are pulled in place ({!Source.pull}),
-    the packet on a wire waits in its link's one slot and the per-link
-    float state is unboxed, so a packet's own simulator work allocates little
+    {b Cost.} Arrivals, polls and callbacks are ints in an
+    {!Event_queue} (kind and index packed together), and sources are
+    pulled in place ({!Source.pull}). A transmit completion is no
+    event: the packet on a wire, its completion time and its
+    {!Event_queue.stamp} wait in its link's one slot, and the run
+    takes whichever comes first in (time, stamp) order, the earliest
+    busy link's completion or the queue's top. A packet therefore
+    costs the heap its arrival's add and take only. The per-link float
+    state is unboxed, so a packet's own simulator work allocates little
     beyond the {!Pkt.Packet.t} itself (DESIGN.md §17). *)
 
 type t
@@ -54,8 +59,9 @@ val create :
 
     Each link has at most one packet on the wire: when it is idle it
     polls its scheduler for one packet
-    ([Sched.Scheduler.dequeue_burst ~max:1]), and it polls again when
-    that packet's last bit has left.
+    ([Sched.Scheduler.dequeue_burst ~max:1]), keeps that packet's
+    completion time in its own state, and polls again when that
+    packet's last bit has left.
 
     @raise Invalid_argument (from {!create_multi}) unless [link_rate]
     is finite and positive. *)
@@ -155,7 +161,8 @@ val link_index : t -> string -> int option
 val link_name : t -> int -> string
 
 val link_utilization : t -> int -> float
-(** Fraction of [0, now] link [i] spent transmitting. *)
+(** Fraction of [0, now] link [i] spent transmitting; a packet still
+    on the wire counts only for the part already sent. *)
 
 val link_transmitted_bytes : t -> int -> float
 

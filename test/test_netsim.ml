@@ -440,6 +440,40 @@ let test_sim_utilization () =
   Netsim.Sim.run sim ~until:1.0;
   Alcotest.(check (float 1e-9)) "50% busy" 0.5 (Netsim.Sim.utilization sim)
 
+(* A run that stops mid-packet counts only the part already sent. A
+   packet's whole transmit time is charged when it starts, so without
+   its unsent remainder taken off, link a read 200% at 1/16 s. Times
+   are exact binary fractions (128 B at 1024 B/s is 1/8 s). *)
+let test_sim_utilization_mid_packet () =
+  let sim =
+    Netsim.Sim.create_multi
+      ~links:
+        [ ("a", 1024., Sched.Fifo.create ()); ("b", 1024., Sched.Fifo.create ()) ]
+      ~route:(fun p -> Some (p.Pkt.Packet.flow - 1))
+      ()
+  in
+  Netsim.Sim.add_source sim (Netsim.Source.script ~flow:1 [ (0., 128) ]);
+  Netsim.Sim.add_source sim
+    (Netsim.Source.script ~flow:2 [ (0., 128); (0.125, 256) ]);
+  let check until ~a ~b =
+    Netsim.Sim.run sim ~until;
+    let at = Printf.sprintf "%s at %g s" in
+    Alcotest.(check (float 0.)) (at "link a" until) a
+      (Netsim.Sim.link_utilization sim 0);
+    Alcotest.(check (float 0.)) (at "link b" until) b
+      (Netsim.Sim.link_utilization sim 1);
+    Alcotest.(check (float 0.)) (at "mean" until) ((a +. b) /. 2.)
+      (Netsim.Sim.utilization sim)
+  in
+  (* both links mid-packet *)
+  check 0.0625 ~a:1. ~b:1.;
+  (* a sent its packet in [0, 1/8]; b is 1/8 s into its 256-B packet,
+     which ends at 3/8 *)
+  check 0.25 ~a:0.5 ~b:1.;
+  check 0.5 ~a:0.25 ~b:0.75;
+  Alcotest.(check (float 0.)) "bytes: finished packets only" 512.
+    (Netsim.Sim.transmitted_bytes sim)
+
 let test_sim_multi_link () =
   (* two independent wires behind one event queue: per-flow routing,
      per-link accounting, and per-link fault targeting *)
@@ -669,6 +703,112 @@ let test_sim_words_per_packet () =
      float array: attached, a departure costs no more *)
   Alcotest.(check (float 0.)) "minor words per departure, delays attached"
     4. (measured -. arrival -. 9.)
+
+(* Transmit completions wait in their links, outside the event queue,
+   but keep its (time, stamp) order: of two things due at one instant,
+   the one stamped first runs first. A completion is stamped when its
+   packet starts, an arrival when the previous one is handled, a
+   callback when [Sim.at] is called. Times are exact binary fractions
+   (128 B at 1024 B/s is 1/8 s), so every tie below is exact. The log
+   holds each scheduler call and departure as it happens. *)
+let test_sim_tie_order () =
+  let log = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+  let id (p : Pkt.Packet.t) = Printf.sprintf "%d.%d" p.flow p.seq in
+  let logged name =
+    let s = Sched.Fifo.create () in
+    {
+      s with
+      Sched.Scheduler.enqueue =
+        (fun ~now p ->
+          note "%g %s enq %s" now name (id p);
+          s.enqueue ~now p);
+      dequeue =
+        (fun ~now ->
+          let r = s.dequeue ~now in
+          note "%g %s deq %s" now name
+            (match r with Some sv -> id sv.pkt | None -> "-");
+          r);
+      dequeue_many = None;
+    }
+  in
+  (* links named by index; flow f goes to link [route f] *)
+  let run names route setup =
+    log := [];
+    let sim =
+      Netsim.Sim.create_multi
+        ~links:(List.map (fun n -> (n, 1024., logged n)) names)
+        ~route:(fun p -> Some (route p.Pkt.Packet.flow))
+        ()
+    in
+    Netsim.Sim.on_link_departure sim (fun ~link ~now served ->
+        note "%g %s dep %s" now (Netsim.Sim.link_name sim link) (id served.pkt));
+    setup sim;
+    Netsim.Sim.run sim ~until:1.;
+    List.rev !log
+  in
+  let one_link = run [ "a" ] (fun _ -> 0) in
+  Alcotest.(check (list string))
+    "an arrival stamped before a completion runs first"
+    [
+      "0 a enq 1.0";
+      "0 a deq 1.0";
+      (* 1.1 was stamped while 1.0 arrived, before 1.0 started *)
+      "0.125 a enq 1.1";
+      "0.125 a dep 1.0";
+      "0.125 a deq 1.1";
+      "0.25 a dep 1.1";
+      "0.25 a deq -";
+    ]
+    (one_link (fun sim ->
+         Netsim.Sim.add_source sim
+           (Netsim.Source.script ~flow:1 [ (0., 128); (0.125, 128) ])));
+  Alcotest.(check (list string))
+    "a completion stamped before a callback and an arrival runs first"
+    [
+      "0 a enq 1.0";
+      "0 a deq 1.0";
+      "0.125 a dep 1.0";
+      "0.125 a deq -";
+      "0.125 cb";
+      (* the callback re-polls every link *)
+      "0.125 a deq -";
+      "0.125 a enq 2.0";
+      "0.125 a deq 2.0";
+      "0.25 a dep 2.0";
+      "0.25 a deq -";
+    ]
+    (one_link (fun sim ->
+         Netsim.Sim.add_source sim (Netsim.Source.script ~flow:1 [ (0., 128) ]);
+         Netsim.Sim.run sim ~until:0.0625;
+         (* both stamped after 1.0 started *)
+         Netsim.Sim.at sim 0.125 (fun ~now -> note "%g cb" now);
+         Netsim.Sim.add_source sim
+           (Netsim.Source.script ~flow:2 [ (0.125, 128) ])));
+  Alcotest.(check (list string))
+    "links completing together go in stamp order, not index order"
+    [
+      "0 c enq 1.0";
+      "0 c deq 1.0";
+      "0 b enq 2.0";
+      "0 b deq 2.0";
+      "0 a enq 3.0";
+      "0 a deq 3.0";
+      "0.125 c dep 1.0";
+      "0.125 c deq -";
+      "0.125 b dep 2.0";
+      "0.125 b deq -";
+      "0.125 a dep 3.0";
+      "0.125 a deq -";
+    ]
+    (run [ "a"; "b"; "c" ]
+       (fun flow -> 3 - flow)
+       (fun sim ->
+         List.iter
+           (fun flow ->
+             Netsim.Sim.add_source sim
+               (Netsim.Source.script ~flow [ (0., 128) ]))
+           [ 1; 2; 3 ]))
 
 (* A NaN rate would die at the first transmit ("NaN time"), an
    infinite one would send bytes in no time at all *)
@@ -1087,6 +1227,8 @@ let () =
           Alcotest.test_case "delay accounting" `Quick
             test_sim_delay_accounting;
           Alcotest.test_case "utilization" `Quick test_sim_utilization;
+          Alcotest.test_case "utilization stops mid-packet" `Quick
+            test_sim_utilization_mid_packet;
           Alcotest.test_case "multi-link" `Quick test_sim_multi_link;
           Alcotest.test_case "drops counted" `Quick test_sim_drops_counted;
           Alcotest.test_case "run_until_idle" `Quick test_sim_run_until_idle;
@@ -1099,6 +1241,8 @@ let () =
             test_sim_shared_flow_seqs;
           Alcotest.test_case "words per arrival and departure" `Quick
             test_sim_words_per_packet;
+          Alcotest.test_case "completions tie in stamp order" `Quick
+            test_sim_tie_order;
         ] );
       ( "faults",
         [
