@@ -29,13 +29,15 @@ let ht_infinity = Fp.ht_infinity
 
    The state the trees and the curves keep lives beside the record, in
    two [int array]s with one row per dense id of the class table
-   ([rows] below): the eligible/deadline tree's node (e, d, links,
-   height, min-deadline id) with the deadline and eligible curves'
-   anchors, and the virtual-time tree's node (vt, f, links, height,
-   min-fit, the root of the class's own active-children tree) with the
-   virtual and upper-limit curves' anchors. A tree link is an id,
-   absence is -1, so restructuring a tree or updating a curve is a run
-   of integer stores: none goes through the write barrier a
+   ([rows] below). Both rows open with the same augmented AVL node —
+   key, the aggregate's source, links, height, cached aggregate — so
+   one tree implementation serves both: in [ed] the eligible/deadline
+   tree's node (e, d, ..., min-deadline id) with the deadline and
+   eligible curves' anchors, in [vn] the virtual-time tree's node (vt,
+   f, ..., min-fit) with the root of the class's own active-children
+   tree and the virtual and upper-limit curves' anchors. A tree link is
+   an id, absence is -1, so restructuring a tree or updating a curve is
+   a run of integer stores: none goes through the write barrier a
    pointer-field store pays, and activating a class allocates
    nothing. *)
 type cls = {
@@ -90,24 +92,19 @@ and rows = {
 
 let stride = 16
 
-(* eligible/deadline node *)
-let ed_e = 0
-let ed_d = 1
-let ed_l = 2
-let ed_r = 3
-let ed_h = 4
-let ed_m = 5 (* id of the subtree's minimum (deadline, id) *)
+(* The tree node, the same in both rows: in [ed] the eligible/deadline
+   tree's, in [vn] this class as a member of its parent's
+   active-children tree. *)
+let n_key = 0 (* e; vt *)
+let n_src = 1 (* what the aggregate is taken over: d; the fit time f,
+                 max of myf and the children's min-fit *)
+let n_l = 2
+let n_r = 3
+let n_h = 4
+let n_agg = 5 (* id of the subtree's minimum (d, id); the subtree's min f *)
+let vt_c = 6 (* [vn]: root of this class's own active-children tree *)
 let ed_dc = 8 (* the deadline curve's anchor, over risc: x, y, dx, dy *)
 let ed_ec = 12 (* the eligible curve's, over risc *)
-
-(* virtual-time node: this class as a member of its parent's tree *)
-let vt_v = 0 (* vt *)
-let vt_f = 1 (* fit time: max of myf and the children's min-fit *)
-let vt_m = 2 (* min fit over the subtree *)
-let vt_l = 3
-let vt_r = 4
-let vt_h = 5
-let vt_c = 6 (* root of this class's own active-children tree *)
 let vt_vc = 8 (* the virtual curve's anchor, over fisc *)
 let vt_uc = 12 (* the upper-limit curve's, over uisc *)
 
@@ -147,6 +144,15 @@ let set_anchor (a : int array) id c (s : Fp.isc) ~y =
   set a id (c + 2) s.dx;
   set a id (c + 3) s.dy
 
+(* A node in no tree, with zero key and source *)
+let blank_node (a : int array) id ~agg =
+  set a id n_key 0;
+  set a id n_src 0;
+  set a id n_l (-1);
+  set a id n_r (-1);
+  set a id n_h 0;
+  set a id n_agg agg
+
 (* Enter a new class in the table and give its id blank rows: no
    service, zero times, in no tree, its curves anchored at the origin. *)
 let register k ?parent cl =
@@ -154,29 +160,25 @@ let register k ?parent cl =
   let n = Array.length k.tab.slots in
   if Array.length k.ed < stride * n then grow k n;
   let id = cl.id in
-  set k.ed id ed_e 0;
-  set k.ed id ed_d 0;
-  set k.ed id ed_l (-1);
-  set k.ed id ed_r (-1);
-  set k.ed id ed_h 0;
-  set k.ed id ed_m (-1);
-  set k.vn id vt_v 0;
-  set k.vn id vt_f 0;
-  set k.vn id vt_m ht_infinity;
-  set k.vn id vt_l (-1);
-  set k.vn id vt_r (-1);
-  set k.vn id vt_h 0;
+  blank_node k.ed id ~agg:(-1);
+  blank_node k.vn id ~agg:ht_infinity;
   set k.vn id vt_c (-1);
   set_anchor k.ed id ed_dc cl.risc ~y:0;
   set_anchor k.ed id ed_ec cl.risc ~y:0;
   set_anchor k.vn id vt_vc cl.fisc ~y:0;
   set_anchor k.vn id vt_uc cl.uisc ~y:0
 
-(* --- specialized tree operations ----------------------------------- *)
+(* --- the Section V trees ------------------------------------------- *)
 
-(* The two augmented AVL trees of Section V, written directly over the
-   per-id rows rather than as a functor: without flambda a call
-   through a functor argument is never inlined, so a generic tree
+(* Both augmented AVL trees of Section V — the eligible/deadline tree
+   over the leaves and one virtual-time tree of active children per
+   interior class — are one implementation over the per-id rows, keyed
+   by (key, id). Every operation takes the row array and [ed], which
+   chooses the cached aggregate: [true] for the ED tree, whose [n_agg]
+   is the id of the subtree's minimum (d, id), [false] for a VT tree,
+   whose [n_agg] is the subtree's minimum f. The flag is a plain
+   argument, not a functor or closure: without flambda a call through
+   a functor argument or closure is never inlined, so a generic tree
    costs about a dozen indirect calls per tree level on the per-packet
    path; the NetBSD implementation specializes its intrusive trees
    with macros for the same reason. Here every accessor is an array
@@ -187,296 +189,184 @@ let register k ?parent cl =
    Hfsc_ref's linear scans, with {!audit} checking order, balance and
    every cached aggregate after each operation. *)
 
-(* Eligible/deadline tree over the leaves: an AVL tree keyed by
-   (e, id), each node caching in [ed_m] the subtree element of
-   minimum (deadline, id). *)
+let t_cmp a x y =
+  let c = Int.compare (get a x n_key) (get a y n_key) in
+  if c <> 0 then c else Int.compare x y
 
-let ed_cmp ed a b =
-  let c = Int.compare (get ed a ed_e) (get ed b ed_e) in
-  if c <> 0 then c else Int.compare a b
+let better_deadline ed x y =
+  let dx = get ed x n_src and dy = get ed y n_src in
+  dx < dy || (dx = dy && x < y)
 
-let better_deadline ed a b =
-  let da = get ed a ed_d and db = get ed b ed_d in
-  da < db || (da = db && a < b)
+let t_height a n = if n < 0 then 0 else get a n n_h
 
-let ed_height ed n = if n < 0 then 0 else get ed n ed_h
+let t_fixup a ed n =
+  let l = get a n n_l and r = get a n n_r in
+  let hl = t_height a l and hr = t_height a r in
+  set a n n_h (1 + if hl > hr then hl else hr);
+  if ed then begin
+    let best = n in
+    let best =
+      if l >= 0 && better_deadline a (get a l n_agg) best then get a l n_agg
+      else best
+    in
+    let best =
+      if r >= 0 && better_deadline a (get a r n_agg) best then get a r n_agg
+      else best
+    in
+    set a n n_agg best
+  end
+  else begin
+    let m = get a n n_src in
+    let m = if l >= 0 && get a l n_agg < m then get a l n_agg else m in
+    let m = if r >= 0 && get a r n_agg < m then get a r n_agg else m in
+    set a n n_agg m
+  end
 
-let ed_fixup ed n =
-  let l = get ed n ed_l and r = get ed n ed_r in
-  let hl = ed_height ed l and hr = ed_height ed r in
-  set ed n ed_h (1 + if hl > hr then hl else hr);
-  let best = n in
-  let best =
-    if l >= 0 && better_deadline ed (get ed l ed_m) best then get ed l ed_m
-    else best
-  in
-  let best =
-    if r >= 0 && better_deadline ed (get ed r ed_m) best then get ed r ed_m
-    else best
-  in
-  set ed n ed_m best
-
-let ed_rot_right ed n =
-  let l = get ed n ed_l in
-  set ed n ed_l (get ed l ed_r);
-  set ed l ed_r n;
-  ed_fixup ed n;
-  ed_fixup ed l;
+let t_rot_right a ed n =
+  let l = get a n n_l in
+  set a n n_l (get a l n_r);
+  set a l n_r n;
+  t_fixup a ed n;
+  t_fixup a ed l;
   l
 
-let ed_rot_left ed n =
-  let r = get ed n ed_r in
-  set ed n ed_r (get ed r ed_l);
-  set ed r ed_l n;
-  ed_fixup ed n;
-  ed_fixup ed r;
+let t_rot_left a ed n =
+  let r = get a n n_r in
+  set a n n_r (get a r n_l);
+  set a r n_l n;
+  t_fixup a ed n;
+  t_fixup a ed r;
   r
 
-let ed_bal ed n =
-  let l = get ed n ed_l and r = get ed n ed_r in
-  let hl = ed_height ed l and hr = ed_height ed r in
+let t_bal a ed n =
+  let l = get a n n_l and r = get a n n_r in
+  let hl = t_height a l and hr = t_height a r in
   if hl > hr + 1 then begin
-    if ed_height ed (get ed l ed_l) >= ed_height ed (get ed l ed_r) then
-      ed_rot_right ed n
+    if t_height a (get a l n_l) >= t_height a (get a l n_r) then
+      t_rot_right a ed n
     else begin
-      set ed n ed_l (ed_rot_left ed l);
-      ed_rot_right ed n
+      set a n n_l (t_rot_left a ed l);
+      t_rot_right a ed n
     end
   end
   else if hr > hl + 1 then begin
-    if ed_height ed (get ed r ed_r) >= ed_height ed (get ed r ed_l) then
-      ed_rot_left ed n
+    if t_height a (get a r n_r) >= t_height a (get a r n_l) then
+      t_rot_left a ed n
     else begin
-      set ed n ed_r (ed_rot_right ed r);
-      ed_rot_left ed n
+      set a n n_r (t_rot_right a ed r);
+      t_rot_left a ed n
     end
   end
   else begin
-    ed_fixup ed n;
+    t_fixup a ed n;
     n
   end
 
-let rec ed_insert_node ed x root =
+let rec t_insert a ed x root =
   if root < 0 then begin
-    set ed x ed_l (-1);
-    set ed x ed_r (-1);
-    set ed x ed_h 1;
-    set ed x ed_m x;
+    set a x n_l (-1);
+    set a x n_r (-1);
+    set a x n_h 1;
+    set a x n_agg (if ed then x else get a x n_src);
     x
   end
   else begin
-    let c = ed_cmp ed x root in
-    if c = 0 then invalid_arg "Hfsc: duplicate class in eligible tree";
-    if c < 0 then set ed root ed_l (ed_insert_node ed x (get ed root ed_l))
-    else set ed root ed_r (ed_insert_node ed x (get ed root ed_r));
-    ed_bal ed root
+    let c = t_cmp a x root in
+    if c = 0 then
+      invalid_arg
+        (if ed then "Hfsc: duplicate class in eligible tree"
+         else "Hfsc: duplicate class in active-children tree");
+    if c < 0 then set a root n_l (t_insert a ed x (get a root n_l))
+    else set a root n_r (t_insert a ed x (get a root n_r));
+    t_bal a ed root
   end
 
-let rec ed_min_node ed root =
+let rec t_min a root =
   if root < 0 then -1
   else begin
-    let l = get ed root ed_l in
-    if l < 0 then root else ed_min_node ed l
+    let l = get a root n_l in
+    if l < 0 then root else t_min a l
   end
 
 (* Successor extraction for removal is two left-spine descents: find
-   the minimum ([ed_min_node]), then detach it. One combined descent
-   would need either an allocated result pair or a shared out-param;
-   the pair costs a heap word per removal on the per-packet path and a
+   the minimum ([t_min]), then detach it. One combined descent would
+   need either an allocated result pair or a shared out-param; the
+   pair costs a heap word per removal on the per-packet path and a
    module-level ref is shared mutable state across every [t] — a data
    race once Runtime.Mc_router runs one scheduler per domain. *)
-let rec ed_detach_min ed root =
-  let l = get ed root ed_l in
-  if l < 0 then get ed root ed_r
+let rec t_detach_min a ed root =
+  let l = get a root n_l in
+  if l < 0 then get a root n_r
   else begin
-    set ed root ed_l (ed_detach_min ed l);
-    ed_bal ed root
+    set a root n_l (t_detach_min a ed l);
+    t_bal a ed root
   end
 
-let rec ed_remove_node ed x root =
+let rec t_remove a ed x root =
   if root < 0 then -1
   else begin
-    let c = ed_cmp ed x root in
+    let c = t_cmp a x root in
     if c < 0 then begin
-      set ed root ed_l (ed_remove_node ed x (get ed root ed_l));
-      ed_bal ed root
+      set a root n_l (t_remove a ed x (get a root n_l));
+      t_bal a ed root
     end
     else if c > 0 then begin
-      set ed root ed_r (ed_remove_node ed x (get ed root ed_r));
-      ed_bal ed root
+      set a root n_r (t_remove a ed x (get a root n_r));
+      t_bal a ed root
     end
     else begin
-      let l = get ed root ed_l and r = get ed root ed_r in
-      set ed root ed_l (-1);
-      set ed root ed_r (-1);
-      set ed root ed_h 0;
+      let l = get a root n_l and r = get a root n_r in
+      set a root n_l (-1);
+      set a root n_r (-1);
+      set a root n_h 0;
       if r < 0 then l
       else begin
-        let s = ed_min_node ed r in
-        let r' = ed_detach_min ed r in
-        set ed s ed_l l;
-        set ed s ed_r r';
-        ed_bal ed s
+        let s = t_min a r in
+        let r' = t_detach_min a ed r in
+        set a s n_l l;
+        set a s n_r r';
+        t_bal a ed s
       end
     end
   end
 
-(* Minimum-(deadline, id) among nodes with e <= now: if a node is
-   eligible its whole left subtree is too, so its left cache can be
+(* ED tree: minimum-(deadline, id) among nodes with e <= now. If a node
+   is eligible its whole left subtree is too, so its left cache can be
    taken wholesale before continuing right; otherwise descend left. *)
 let rec ed_go_mde ed now n best =
   if n < 0 then best
-  else if get ed n ed_e <= now then begin
-    let l = get ed n ed_l in
+  else if get ed n n_key <= now then begin
+    let l = get ed n n_l in
     let best =
       if l < 0 then best
       else begin
-        let a = get ed l ed_m in
+        let a = get ed l n_agg in
         if best < 0 || better_deadline ed a best then a else best
       end
     in
     let best = if best < 0 || better_deadline ed n best then n else best in
-    ed_go_mde ed now (get ed n ed_r) best
+    ed_go_mde ed now (get ed n n_r) best
   end
-  else ed_go_mde ed now (get ed n ed_l) best
-
-(* Virtual-time (active children) trees: AVL keyed by (vt, id), each
-   node caching the minimum fit time of its subtree in [vt_m]. *)
-
-let vt_cmp vn a b =
-  let c = Int.compare (get vn a vt_v) (get vn b vt_v) in
-  if c <> 0 then c else Int.compare a b
-
-let vt_height vn n = if n < 0 then 0 else get vn n vt_h
-
-let vt_fixup vn n =
-  let l = get vn n vt_l and r = get vn n vt_r in
-  let hl = vt_height vn l and hr = vt_height vn r in
-  set vn n vt_h (1 + if hl > hr then hl else hr);
-  let m = get vn n vt_f in
-  let m = if l >= 0 && get vn l vt_m < m then get vn l vt_m else m in
-  let m = if r >= 0 && get vn r vt_m < m then get vn r vt_m else m in
-  set vn n vt_m m
-
-let vt_rot_right vn n =
-  let l = get vn n vt_l in
-  set vn n vt_l (get vn l vt_r);
-  set vn l vt_r n;
-  vt_fixup vn n;
-  vt_fixup vn l;
-  l
-
-let vt_rot_left vn n =
-  let r = get vn n vt_r in
-  set vn n vt_r (get vn r vt_l);
-  set vn r vt_l n;
-  vt_fixup vn n;
-  vt_fixup vn r;
-  r
-
-let vt_bal vn n =
-  let l = get vn n vt_l and r = get vn n vt_r in
-  let hl = vt_height vn l and hr = vt_height vn r in
-  if hl > hr + 1 then begin
-    if vt_height vn (get vn l vt_l) >= vt_height vn (get vn l vt_r) then
-      vt_rot_right vn n
-    else begin
-      set vn n vt_l (vt_rot_left vn l);
-      vt_rot_right vn n
-    end
-  end
-  else if hr > hl + 1 then begin
-    if vt_height vn (get vn r vt_r) >= vt_height vn (get vn r vt_l) then
-      vt_rot_left vn n
-    else begin
-      set vn n vt_r (vt_rot_right vn r);
-      vt_rot_left vn n
-    end
-  end
-  else begin
-    vt_fixup vn n;
-    n
-  end
-
-let rec vt_insert_node vn x root =
-  if root < 0 then begin
-    set vn x vt_l (-1);
-    set vn x vt_r (-1);
-    set vn x vt_h 1;
-    set vn x vt_m (get vn x vt_f);
-    x
-  end
-  else begin
-    let c = vt_cmp vn x root in
-    if c = 0 then invalid_arg "Hfsc: duplicate class in active-children tree";
-    if c < 0 then set vn root vt_l (vt_insert_node vn x (get vn root vt_l))
-    else set vn root vt_r (vt_insert_node vn x (get vn root vt_r));
-    vt_bal vn root
-  end
-
-let rec vt_min_node vn root =
-  if root < 0 then -1
-  else begin
-    let l = get vn root vt_l in
-    if l < 0 then root else vt_min_node vn l
-  end
-
-(* find-then-detach, for the same no-shared-state reason as
-   [ed_detach_min] *)
-let rec vt_detach_min vn root =
-  let l = get vn root vt_l in
-  if l < 0 then get vn root vt_r
-  else begin
-    set vn root vt_l (vt_detach_min vn l);
-    vt_bal vn root
-  end
-
-let rec vt_remove_node vn x root =
-  if root < 0 then -1
-  else begin
-    let c = vt_cmp vn x root in
-    if c < 0 then begin
-      set vn root vt_l (vt_remove_node vn x (get vn root vt_l));
-      vt_bal vn root
-    end
-    else if c > 0 then begin
-      set vn root vt_r (vt_remove_node vn x (get vn root vt_r));
-      vt_bal vn root
-    end
-    else begin
-      let l = get vn root vt_l and r = get vn root vt_r in
-      set vn root vt_l (-1);
-      set vn root vt_r (-1);
-      set vn root vt_h 0;
-      if r < 0 then l
-      else begin
-        let s = vt_min_node vn r in
-        let r' = vt_detach_min vn r in
-        set vn s vt_l l;
-        set vn s vt_r r';
-        vt_bal vn s
-      end
-    end
-  end
+  else ed_go_mde ed now (get ed n n_l) best
 
 let rec vt_max_node vn root =
   if root < 0 then -1
   else begin
-    let r = get vn root vt_r in
+    let r = get vn root n_r in
     if r < 0 then root else vt_max_node vn r
   end
 
-(* Leftmost (smallest (vt, id)) element with fit <= now, pruning on the
-   cached subtree min-fit. *)
+(* VT tree: leftmost (smallest (vt, id)) element with fit <= now,
+   pruning on the cached subtree min-fit. *)
 let rec vt_go_ff vn now n =
   if n < 0 then -1
   else begin
-    let l = get vn n vt_l in
-    if l >= 0 && get vn l vt_m <= now then vt_go_ff vn now l
-    else if get vn n vt_f <= now then n
+    let l = get vn n n_l in
+    if l >= 0 && get vn l n_agg <= now then vt_go_ff vn now l
+    else if get vn n n_src <= now then n
     else begin
-      let r = get vn n vt_r in
-      if r >= 0 && get vn r vt_m <= now then vt_go_ff vn now r else -1
+      let r = get vn n n_r in
+      if r >= 0 && get vn r n_agg <= now then vt_go_ff vn now r else -1
     end
   end
 
@@ -675,12 +565,12 @@ let imin (a : int) (b : int) = if a < b then a else b
 
 let ed_insert t cl =
   assert (not cl.in_ed);
-  t.eligible <- ed_insert_node t.rows.ed cl.id t.eligible;
+  t.eligible <- t_insert t.rows.ed true cl.id t.eligible;
   cl.in_ed <- true
 
 let ed_remove t cl =
   if cl.in_ed then begin
-    t.eligible <- ed_remove_node t.rows.ed cl.id t.eligible;
+    t.eligible <- t_remove t.rows.ed true cl.id t.eligible;
     cl.in_ed <- false
   end
 
@@ -688,12 +578,12 @@ let ed_remove t cl =
 
 let actc_insert vn parent child =
   assert (not child.in_actc);
-  set vn parent.id vt_c (vt_insert_node vn child.id (get vn parent.id vt_c));
+  set vn parent.id vt_c (t_insert vn false child.id (get vn parent.id vt_c));
   child.in_actc <- true
 
 let actc_remove vn parent child =
   if child.in_actc then begin
-    set vn parent.id vt_c (vt_remove_node vn child.id (get vn parent.id vt_c));
+    set vn parent.id vt_c (t_remove vn false child.id (get vn parent.id vt_c));
     child.in_actc <- false
   end
 
@@ -703,7 +593,7 @@ let actc_remove vn parent child =
    loads, no scan over the children. *)
 let cfmin vn cl =
   let r = get vn cl.id vt_c in
-  if r < 0 then 0 else get vn r vt_m
+  if r < 0 then 0 else get vn r n_agg
 
 (* --- real-time criterion state (Section IV-B) --------------------- *)
 
@@ -731,16 +621,16 @@ let init_ed t cl now next_len =
             set ed id (ed_ec + 2) 0;
             set ed id (ed_ec + 3) 0
           end);
-      set ed id ed_e (rc_inverse ed id ed_ec s cl.cumul);
-      set ed id ed_d (rc_inverse ed id ed_dc s (cl.cumul + next_len));
+      set ed id n_key (rc_inverse ed id ed_ec s cl.cumul);
+      set ed id n_src (rc_inverse ed id ed_dc s (cl.cumul + next_len));
       ed_insert t cl
 
 (* Recompute e and d after real-time service (cumul advanced). *)
 let update_ed t cl next_len =
   ed_remove t cl;
   let k = t.rows in
-  set k.ed cl.id ed_e (rc_inverse k.ed cl.id ed_ec cl.risc cl.cumul);
-  set k.ed cl.id ed_d
+  set k.ed cl.id n_key (rc_inverse k.ed cl.id ed_ec cl.risc cl.cumul);
+  set k.ed cl.id n_src
     (rc_inverse k.ed cl.id ed_dc cl.risc (cl.cumul + next_len));
   ed_insert t cl
 
@@ -750,7 +640,7 @@ let update_ed t cl next_len =
 let update_d t cl next_len =
   ed_remove t cl;
   let k = t.rows in
-  set k.ed cl.id ed_d
+  set k.ed cl.id n_src
     (rc_inverse k.ed cl.id ed_dc cl.risc (cl.cumul + next_len));
   ed_insert t cl
 
@@ -760,13 +650,13 @@ let update_d t cl next_len =
    times, repositioning it in [parent]'s tree if the value changed. *)
 let refresh_f vn parent cl =
   let f = imax cl.myf (cfmin vn cl) in
-  if f <> get vn cl.id vt_f then
+  if f <> get vn cl.id n_src then
     if cl.in_actc then begin
       actc_remove vn parent cl;
-      set vn cl.id vt_f f;
+      set vn cl.id n_src f;
       actc_insert vn parent cl
     end
-    else set vn cl.id vt_f f
+    else set vn cl.id n_src f
 
 (* Walk from a newly-active leaf towards the root, switching each
    newly-active ancestor's virtual time state into the current parent
@@ -800,7 +690,7 @@ let rec init_vf t cl go_active now =
       if newly then begin
         let vmax_cl = vt_max_node vn (get vn parent.id vt_c) in
         if vmax_cl >= 0 then begin
-          let vmax = get vn vmax_cl vt_v in
+          let vmax = get vn vmax_cl n_key in
           let vt0 =
             match t.vt_policy with
             | Vt_mean ->
@@ -812,26 +702,26 @@ let rec init_vf t cl go_active now =
           in
           (* joining an ongoing period never decreases vt; a fresh
              parent period may place the class anywhere *)
-          if parent.vtperiod <> cl.parentperiod || vt0 > get vn id vt_v then
-            set vn id vt_v vt0
+          if parent.vtperiod <> cl.parentperiod || vt0 > get vn id n_key then
+            set vn id n_key vt0
         end
         else begin
           (* First child of a fresh parent backlog period: restart
              at the highest vt any sibling reached before going
              passive, so virtual time never flows backwards. *)
-          set vn id vt_v parent.cvtoff;
+          set vn id n_key parent.cvtoff;
           parent.cvtmin <- 0
         end;
         (match cl.cfsc with
         | Some _ ->
-            Fp.min_into vn ((id * stride) + vt_vc) cl.fisc ~x:(get vn id vt_v)
+            Fp.min_into vn ((id * stride) + vt_vc) cl.fisc ~x:(get vn id n_key)
               ~y:cl.total
         | None -> ());
         cl.vtadj <- 0;
         cl.vtperiod <- cl.vtperiod + 1;
         cl.parentperiod <-
           (parent.vtperiod + if parent.nactive = 0 then 1 else 0);
-        set vn id vt_f 0;
+        set vn id n_src 0;
         (match cl.cusc with
         | Some _ ->
             Fp.min_into vn ((id * stride) + vt_uc) cl.uisc ~x:now ~y:cl.total;
@@ -877,7 +767,7 @@ let rec update_vf k cl go_passive len now =
               end
               else vt
             in
-            set vn id vt_v vt;
+            set vn id n_key vt;
             if passive_now then begin
               (* going passive: remember the high-water vt so the next
                  backlog period of the parent resumes above it *)
@@ -895,7 +785,7 @@ let rec update_vf k cl go_passive len now =
                     cl.myf <- now
                   end
               | None -> ());
-              set vn id vt_f (imax cl.myf (cfmin vn cl));
+              set vn id n_src (imax cl.myf (cfmin vn cl));
               actc_insert vn parent cl
             end;
             passive_now
@@ -949,7 +839,7 @@ let rec descend_ls slots vn c now =
     let child = vt_go_ff vn now (get vn c.id vt_c) in
     if child < 0 then -1
     else begin
-      let vt = get vn child vt_v in
+      let vt = get vn child n_key in
       if c.cvtmin < vt then c.cvtmin <- vt;
       descend_ls slots vn slots.(child) now
     end
@@ -1013,16 +903,16 @@ let next_ready_time t ~now =
     let ed = t.rows.ed and vn = t.rows.vn in
     let ls_root = get vn t.troot.id vt_c in
     let rt_now = ed_go_mde ed nowt t.eligible (-1) >= 0 in
-    let ls_now = ls_root >= 0 && get vn ls_root vt_m <= nowt in
+    let ls_now = ls_root >= 0 && get vn ls_root n_agg <= nowt in
     if rt_now || ls_now then Some now
     else begin
       let cand = ht_infinity in
       let cand =
-        let m = ed_min_node ed t.eligible in
-        if m < 0 then cand else imin cand (get ed m ed_e)
+        let m = t_min ed t.eligible in
+        if m < 0 then cand else imin cand (get ed m n_key)
       in
       let cand =
-        if ls_root < 0 then cand else imin cand (get vn ls_root vt_m)
+        if ls_root < 0 then cand else imin cand (get vn ls_root n_agg)
       in
       (* a tick value converts to an exact float, so a caller polling at
          the returned instant converts back to the same tick and the
@@ -1050,7 +940,7 @@ let queue_bytes c = Fq.bytes c.queue
 let total_bytes c = float_of_int c.total
 let realtime_bytes c = float_of_int c.cumul
 let drops c = Fq.drops c.queue
-let virtual_time (c : cls) = Fp.seconds_of_ticks (get c.rows.vn c.id vt_v)
+let virtual_time (c : cls) = Fp.seconds_of_ticks (get c.rows.vn c.id n_key)
 let rsc c = c.crsc
 let fsc c = c.cfsc
 let usc c = c.cusc
@@ -1067,8 +957,8 @@ let debug_state (c : cls) =
   Format.asprintf
     "%s vt=%d vtadj=%d total=%d V=%a e=%d d=%d cvtmin=%d cvtoff=%d per=%d \
      pper=%d nact=%d act=%b"
-    c.cname (get k.vn c.id vt_v) c.vtadj c.total Fp.pp v (get k.ed c.id ed_e)
-    (get k.ed c.id ed_d) c.cvtmin c.cvtoff c.vtperiod c.parentperiod
+    c.cname (get k.vn c.id n_key) c.vtadj c.total Fp.pp v (get k.ed c.id n_key)
+    (get k.ed c.id n_src) c.cvtmin c.cvtoff c.vtperiod c.parentperiod
     c.nactive c.in_actc
 
 (* --- invariant auditor --------------------------------------------- *)
@@ -1093,59 +983,109 @@ let audit t =
   let err fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in
   let neg x = x < 0 in
   let slots = t.tab.slots and ed = t.rows.ed and vn = t.rows.vn in
-  let name n =
-    if n < 0 || n >= Array.length slots then "<nil>" else slots.(n).cname
-  in
+  let n_ids = Array.length slots in
+  let name n = if n < 0 || n >= n_ids then "<nil>" else slots.(n).cname in
   let live n =
     match Ct.class_of_id t.tab n with
     | _ -> true
     | exception Invalid_argument _ -> false
   in
+  (* tree membership, one int per id: bit 0 set once the id is met in
+     the ED tree, the bits above hold 1 + the id of the class whose VT
+     tree last met it (0: none) *)
+  let seen = Array.make n_ids 0 in
+  let in_ed_tree n = seen.(n) land 1 = 1 in
+  let vt_owner n = (seen.(n) asr 1) - 1 in
   (* eligible/deadline tree *)
-  let ed_members = Hashtbl.create 16 in
   let rec chk_ed n =
     if n < 0 then (0, -1)
-    else if Hashtbl.mem ed_members n then begin
+    else if n >= n_ids then begin
+      err "ED: tree member %s is not a class of this scheduler" (name n);
+      (0, -1)
+    end
+    else if in_ed_tree n then begin
       (* a cycle: stop here rather than follow it forever *)
       err "ED: class %s (id %d) appears twice" (name n) n;
       (0, -1)
     end
     else begin
-      Hashtbl.add ed_members n ();
-      let l = get ed n ed_l and r = get ed n ed_r in
-      if l >= 0 && ed_cmp ed l n >= 0 then
+      seen.(n) <- seen.(n) lor 1;
+      let l = get ed n n_l and r = get ed n n_r in
+      if l >= 0 && t_cmp ed l n >= 0 then
         err "ED: order violated at %s (left child %s)" (name n) (name l);
-      if r >= 0 && ed_cmp ed n r >= 0 then
+      if r >= 0 && t_cmp ed n r >= 0 then
         err "ED: order violated at %s (right child %s)" (name n) (name r);
       let hl, bl = chk_ed l in
       let hr, br = chk_ed r in
       if abs (hl - hr) > 1 then
         err "ED: AVL balance violated at %s (%d vs %d)" (name n) hl hr;
       let h = 1 + if hl > hr then hl else hr in
-      if get ed n ed_h <> h then
+      if get ed n n_h <> h then
         err "ED: cached height at %s is %d, expected %d" (name n)
-          (get ed n ed_h) h;
+          (get ed n n_h) h;
       let best = n in
       let best = if bl >= 0 && better_deadline ed bl best then bl else best in
       let best = if br >= 0 && better_deadline ed br best then br else best in
-      if get ed n ed_m <> best then
+      if get ed n n_agg <> best then
         err "ED: cached min-deadline at %s is %s, expected %s" (name n)
-          (name (get ed n ed_m)) (name best);
+          (name (get ed n n_agg)) (name best);
       (h, best)
     end
   in
   ignore (chk_ed t.eligible);
+  (* class [c]'s active-children tree *)
+  let not_child c n =
+    err "VT(%s): tree member %s is not a child" c.cname (name n)
+  in
+  let rec chk_vt c n =
+    if n < 0 then (0, ht_infinity)
+    else if n >= n_ids then begin
+      not_child c n;
+      (0, ht_infinity)
+    end
+    else if vt_owner n = c.id then begin
+      err "VT(%s): class %s appears twice" c.cname (name n);
+      (0, ht_infinity)
+    end
+    else begin
+      seen.(n) <- (seen.(n) land 1) lor ((c.id + 1) lsl 1);
+      (* a child is a live class whose parent is [c]: O(1) a member *)
+      (match if live n then slots.(n).cparent else None with
+      | Some p when p == c -> ()
+      | _ -> not_child c n);
+      let l = get vn n n_l and r = get vn n n_r in
+      if l >= 0 && t_cmp vn l n >= 0 then
+        err "VT(%s): order violated at %s" c.cname (name n);
+      if r >= 0 && t_cmp vn n r >= 0 then
+        err "VT(%s): order violated at %s" c.cname (name n);
+      let hl, ml = chk_vt c l in
+      let hr, mr = chk_vt c r in
+      if abs (hl - hr) > 1 then
+        err "VT(%s): AVL balance violated at %s" c.cname (name n);
+      let h = 1 + if hl > hr then hl else hr in
+      if get vn n n_h <> h then
+        err "VT(%s): cached height at %s is %d, expected %d" c.cname
+          (name n) (get vn n n_h) h;
+      let m = get vn n n_src in
+      let m = if ml < m then ml else m in
+      let m = if mr < m then mr else m in
+      if get vn n n_agg <> m then
+        err "VT(%s): cached min-fit at %s is %d, expected %d" c.cname
+          (name n) (get vn n n_agg) m;
+      (h, m)
+    end
+  in
   (* per-class checks, leaves and interior alike *)
   let check_cls c =
     let leaf = c.leaf and id = c.id in
-    let e = get ed id ed_e and d = get ed id ed_d in
-    let f = get vn id vt_f in
+    let e = get ed id n_key and d = get ed id n_src in
+    let f = get vn id n_src in
     let kids = Ct.children t.tab c in
     if leaf <> (kids = []) then
       err "class %s: leaf flag %b with %d children" c.cname leaf
         (List.length kids);
     if
-      neg e || neg d || neg (get vn id vt_v) || neg f || neg c.cumul
+      neg e || neg d || neg (get vn id n_key) || neg f || neg c.cumul
       || neg c.total || neg c.vtadj || neg c.cvtmin || neg c.cvtoff
       || neg c.myf || neg c.myfadj
     then err "class %s: negative (overflowed?) scheduling state" c.cname;
@@ -1157,7 +1097,7 @@ let audit t =
           (if backlogged then "has no rsc" else "is empty");
       if should_ed && not c.in_ed then
         err "ED: backlogged rt leaf %s missing from the eligible set" c.cname;
-      if c.in_ed && not (Hashtbl.mem ed_members id) then
+      if c.in_ed && not (in_ed_tree id) then
         err "ED: %s flagged in_ed but not reachable from the root" c.cname;
       if c.in_ed && e > d + e_d_slack then
         err "ED: %s eligible after deadline (e=%d > d=%d)" c.cname e d;
@@ -1186,65 +1126,26 @@ let audit t =
     if c.total < c.cumul then
       err "class %s: total=%d below realtime cumul=%d" c.cname c.total
         c.cumul;
-    (* this class's active-children tree *)
-    let vt_members = Hashtbl.create 8 in
-    let rec chk_vt n =
-      if n < 0 then (0, ht_infinity)
-      else if Hashtbl.mem vt_members n then begin
-        err "VT(%s): class %s appears twice" c.cname (name n);
-        (0, ht_infinity)
-      end
-      else begin
-        Hashtbl.add vt_members n ();
-        let l = get vn n vt_l and r = get vn n vt_r in
-        if l >= 0 && vt_cmp vn l n >= 0 then
-          err "VT(%s): order violated at %s" c.cname (name n);
-        if r >= 0 && vt_cmp vn n r >= 0 then
-          err "VT(%s): order violated at %s" c.cname (name n);
-        let hl, ml = chk_vt l in
-        let hr, mr = chk_vt r in
-        if abs (hl - hr) > 1 then
-          err "VT(%s): AVL balance violated at %s" c.cname (name n);
-        let h = 1 + if hl > hr then hl else hr in
-        if get vn n vt_h <> h then
-          err "VT(%s): cached height at %s is %d, expected %d" c.cname
-            (name n) (get vn n vt_h) h;
-        let m = get vn n vt_f in
-        let m = if ml < m then ml else m in
-        let m = if mr < m then mr else m in
-        if get vn n vt_m <> m then
-          err "VT(%s): cached min-fit at %s is %d, expected %d" c.cname
-            (name n) (get vn n vt_m) m;
-        (h, m)
-      end
-    in
-    ignore (chk_vt (get vn id vt_c));
+    ignore (chk_vt c (get vn id vt_c));
     List.iter
       (fun ch ->
-        if ch.in_actc && not (Hashtbl.mem vt_members ch.id) then
+        let member = vt_owner ch.id = id in
+        if ch.in_actc && not member then
           err "VT(%s): active child %s missing from the tree" c.cname
             ch.cname;
-        if (not ch.in_actc) && Hashtbl.mem vt_members ch.id then
+        if (not ch.in_actc) && member then
           err "VT(%s): passive child %s still in the tree" c.cname ch.cname)
-      kids;
-    (* a child is a live class whose parent is [c]: O(1) a member *)
-    Hashtbl.iter
-      (fun n () ->
-        match if live n then slots.(n).cparent else None with
-        | Some p when p == c -> ()
-        | _ -> err "VT(%s): tree member %s is not a child" c.cname (name n))
-      vt_members
+      kids
   in
   List.iter check_cls (classes t);
   (* every ED member must be a known in_ed leaf *)
-  Hashtbl.iter
-    (fun n () ->
-      if live n then begin
-        if not slots.(n).in_ed then
-          err "ED: tree member %s not flagged in_ed" (name n)
-      end
-      else err "ED: tree member %s is not a class of this scheduler" (name n))
-    ed_members;
+  for n = 0 to n_ids - 1 do
+    if in_ed_tree n then
+      if not (live n) then
+        err "ED: tree member %s is not a class of this scheduler" (name n)
+      else if not slots.(n).in_ed then
+        err "ED: tree member %s not flagged in_ed" (name n)
+  done;
   List.rev_append !errs (Ct.audit t.tab)
 
 let pp_hierarchy ppf t =

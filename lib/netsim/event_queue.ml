@@ -61,7 +61,7 @@ let add t at ev =
   Array.unsafe_set seqs !i seq;
   Array.unsafe_set evs !i ev
 
-let next_time t = if t.size = 0 then infinity else Float.Array.get t.times 0
+let times t = t.times
 let next_stamp t = if t.size = 0 then max_int else Array.unsafe_get t.seqs 0
 
 let take t =

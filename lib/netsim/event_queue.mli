@@ -14,7 +14,7 @@
     them among the queued ones: it draws each one's stamp with
     {!stamp} when it would have added it, and takes it before the
     queue's top exactly when its (time, stamp) pair is smaller than
-    ({!next_time}, {!next_stamp}). *)
+    the top's time (index 0 of {!times}) and {!next_stamp}. *)
 
 type t
 
@@ -26,10 +26,13 @@ val add : t -> float -> int -> unit
     @raise Invalid_argument if [time] is NaN (it would order before and
     after everything at once and corrupt the heap). *)
 
-val next_time : t -> float
-(** Time of the earliest event; [infinity] when the queue is empty (an
-    event queued at [infinity] reads the same: tell them apart with
-    {!is_empty}). *)
+val times : t -> Float.Array.t
+(** The heap's time column, unboxed: on a nonempty queue, index 0 is
+    the earliest event's time (the rest is in heap order, and indices
+    from {!length} on are stale). The array is the queue's own and is
+    replaced when the queue grows, so read it again after an {!add}.
+    A caller reads the top's time as a flat float, which a
+    [float]-returning call could only hand over boxed. *)
 
 val next_stamp : t -> int
 (** Stamp of the earliest event; [max_int] when the queue is empty. *)
@@ -40,8 +43,8 @@ val stamp : t -> int
     the call and before every event added after it. *)
 
 val take : t -> int
-(** Remove the earliest event and return its payload; its time is the
-    {!next_time} read just before.
+(** Remove the earliest event and return its payload; its time is
+    index 0 of {!times} read just before.
 
     @raise Invalid_argument on an empty queue. *)
 

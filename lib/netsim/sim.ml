@@ -267,7 +267,12 @@ let drain t ~until =
   let q = t.q in
   let continue_ = ref true in
   while !continue_ do
-    let next = Event_queue.next_time q in
+    (* the top's time read flat from the queue's time column: a call
+       returning it would box it on every pass *)
+    let empty = Event_queue.is_empty q in
+    let next =
+      if empty then infinity else Float.Array.unsafe_get (Event_queue.times q) 0
+    in
     let i = t.next_tx in
     if
       i >= 0
@@ -283,7 +288,7 @@ let drain t ~until =
       end
       else continue_ := false
     end
-    else if next <= until && not (Event_queue.is_empty q) then begin
+    else if next <= until && not empty then begin
       let ev = Event_queue.take q in
       if next > t.now then t.now <- next;
       handle t ev

@@ -1,53 +1,66 @@
+(* A queued packet, its stamp and its arrival order: the order breaks a
+   tie between equal stamps of different flows. *)
 type stamped = { stamp : float; order : int; pkt : Pkt.Packet.t }
 
-module H = Ds.Binary_heap.Make (struct
-  type t = stamped
+type flow = {
+  rate : float;
+  queue : stamped Queue.t;
+  mutable vc : float; (* VC_i: the stamp of the flow's last packet *)
+}
 
-  let compare a b =
-    let c = Float.compare a.stamp b.stamp in
-    if c <> 0 then c else Int.compare a.order b.order
-end)
+let earlier a b = a.stamp < b.stamp || (a.stamp = b.stamp && a.order < b.order)
 
 let create ?(qlimit = 100_000) ~rates () =
-  let rate_tbl = Hashtbl.create 16 in
+  let flows = Hashtbl.create 16 in
   List.iter
     (fun (flow, r) ->
       if not (Float.is_finite r && r > 0.) then
         invalid_arg "Virtual_clock.create: rate must be finite and > 0";
-      Hashtbl.replace rate_tbl flow r)
+      Hashtbl.replace flows flow { rate = r; queue = Queue.create (); vc = 0. })
     rates;
-  let vc = Hashtbl.create 16 in
-  let heap = H.create () in
   let order = ref 0 in
+  let pkts = ref 0 in
   let bytes = ref 0 in
   let enqueue ~now p =
-    match Hashtbl.find_opt rate_tbl p.Pkt.Packet.flow with
+    match Hashtbl.find_opt flows p.Pkt.Packet.flow with
     | None -> false
-    | Some r ->
-        if H.length heap >= qlimit then false
+    | Some f ->
+        if !pkts >= qlimit then false
         else begin
-          let prev =
-            match Hashtbl.find_opt vc p.Pkt.Packet.flow with
-            | Some v -> v
-            | None -> 0.
-          in
           let stamp =
-            Float.max now prev +. (float_of_int p.Pkt.Packet.size /. r)
+            Float.max now f.vc +. (float_of_int p.Pkt.Packet.size /. f.rate)
           in
-          Hashtbl.replace vc p.Pkt.Packet.flow stamp;
+          f.vc <- stamp;
           incr order;
-          H.add heap { stamp; order = !order; pkt = p };
+          Queue.push { stamp; order = !order; pkt = p } f.queue;
+          incr pkts;
           bytes := !bytes + p.Pkt.Packet.size;
           true
         end
   in
+  (* Within a flow both stamp and order increase, so the packet with
+     the smallest (stamp, order) of all is the least of the flow heads:
+     a scan over the flows, as WFQ and WF2Q+ pick theirs. *)
   let dequeue ~now:_ =
-    match H.pop_min heap with
-    | None -> None
-    | Some s ->
-        bytes := !bytes - s.pkt.Pkt.Packet.size;
-        Some { Scheduler.pkt = s.pkt;
-               cls = string_of_int s.pkt.Pkt.Packet.flow; criterion = "vc" }
+    if !pkts = 0 then None
+    else begin
+      let best = ref None in
+      Hashtbl.iter
+        (fun _ f ->
+          match (Queue.peek_opt f.queue, !best) with
+          | None, _ -> ()
+          | Some s, Some b when not (earlier s (Queue.peek b.queue)) -> ()
+          | Some _, _ -> best := Some f)
+        flows;
+      match !best with
+      | None -> None
+      | Some f ->
+          let s = Queue.pop f.queue in
+          decr pkts;
+          bytes := !bytes - s.pkt.Pkt.Packet.size;
+          Some { Scheduler.pkt = s.pkt;
+                 cls = string_of_int s.pkt.Pkt.Packet.flow; criterion = "vc" }
+    end
   in
   {
     Scheduler.name = "virtual-clock";
@@ -56,10 +69,8 @@ let create ?(qlimit = 100_000) ~rates () =
     dequeue_many = None;
     next_ready =
       (fun ~now ->
-        Scheduler.work_conserving_next_ready
-          ~backlog:(fun () -> H.length heap)
-          ~now);
-    backlog_pkts = (fun () -> H.length heap);
+        Scheduler.work_conserving_next_ready ~backlog:(fun () -> !pkts) ~now);
+    backlog_pkts = (fun () -> !pkts);
     backlog_bytes = (fun () -> !bytes);
     deferred_drops = None;
   }

@@ -1,83 +1,11 @@
-(* Unit and property tests for lib/ds's binary heap, packet FIFO and
-   int-keyed table.
+(* Unit and property tests for lib/ds's packet FIFO, int-keyed table
+   and class table.
    Property tests check each structure against a reference model. The
    Section V trees live inside lib/hfsc/hfsc.ml; test_hfsc_diff and
    test_fuzz pin them through the scheduler against Hfsc_ref. *)
 
 let qt ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
-
-module IntHeap = Ds.Binary_heap.Make (Int)
-
-(* --- binary heap --------------------------------------------------- *)
-
-let test_heap_basic () =
-  let h = IntHeap.create () in
-  Alcotest.(check bool) "empty" true (IntHeap.is_empty h);
-  Alcotest.(check (option int)) "min none" None (IntHeap.min_elt h);
-  IntHeap.add h 5;
-  IntHeap.add h 3;
-  IntHeap.add h 8;
-  Alcotest.(check (option int)) "min" (Some 3) (IntHeap.min_elt h);
-  Alcotest.(check int) "len" 3 (IntHeap.length h);
-  Alcotest.(check (option int)) "pop1" (Some 3) (IntHeap.pop_min h);
-  Alcotest.(check (option int)) "pop2" (Some 5) (IntHeap.pop_min h);
-  Alcotest.(check (option int)) "pop3" (Some 8) (IntHeap.pop_min h);
-  Alcotest.(check (option int)) "pop empty" None (IntHeap.pop_min h)
-
-let test_heap_clear () =
-  let h = IntHeap.create ~capacity:2 () in
-  List.iter (IntHeap.add h) [ 9; 1; 4; 7 ];
-  IntHeap.clear h;
-  Alcotest.(check bool) "cleared" true (IntHeap.is_empty h);
-  IntHeap.add h 2;
-  Alcotest.(check (option int)) "usable after clear" (Some 2) (IntHeap.pop_min h)
-
-let heap_sorts =
-  qt "binary_heap: drain = sorted"
-    QCheck2.Gen.(list int)
-    (fun xs ->
-      let h = IntHeap.create () in
-      List.iter (IntHeap.add h) xs;
-      let rec drain acc =
-        match IntHeap.pop_min h with
-        | None -> List.rev acc
-        | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare xs)
-
-let heap_to_sorted =
-  qt "binary_heap: to_sorted_list non-destructive"
-    QCheck2.Gen.(list int)
-    (fun xs ->
-      let h = IntHeap.create () in
-      List.iter (IntHeap.add h) xs;
-      let s = IntHeap.to_sorted_list h in
-      s = List.sort Int.compare xs && IntHeap.length h = List.length xs)
-
-let heap_interleaved =
-  (* random interleaving of adds and pops vs a sorted-list model *)
-  qt "binary_heap: interleaved ops match model"
-    QCheck2.Gen.(list (pair bool small_int))
-    (fun ops ->
-      let h = IntHeap.create () in
-      let model = ref [] in
-      List.for_all
-        (fun (is_add, x) ->
-          if is_add then begin
-            IntHeap.add h x;
-            model := List.sort Int.compare (x :: !model);
-            true
-          end
-          else begin
-            let got = IntHeap.pop_min h in
-            match !model with
-            | [] -> got = None
-            | m :: rest ->
-                model := rest;
-                got = Some m
-          end)
-        ops)
 
 (* --- packet FIFO ---------------------------------------------------- *)
 
@@ -507,14 +435,6 @@ let class_table_vs_model =
 let () =
   Alcotest.run "ds"
     [
-      ( "binary_heap",
-        [
-          Alcotest.test_case "basics" `Quick test_heap_basic;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-          heap_sorts;
-          heap_to_sorted;
-          heap_interleaved;
-        ] );
       ( "fifo_queue",
         [
           Alcotest.test_case "order" `Quick test_fifo_order;
